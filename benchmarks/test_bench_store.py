@@ -32,6 +32,8 @@ from repro.datasets import synthetic_signed_network
 from repro.exec import ExecutionPolicy, executor_for, serial_executor, shutdown_pools
 from repro.signed.csr import (
     CSRSignedGraph,
+    _shortest_path_lengths_array,
+    _signed_bfs_arrays,
     shortest_path_lengths_dense_batch,
     signed_bfs_dense_batch,
 )
@@ -156,33 +158,28 @@ def test_loader_cache_hit_skips_the_parse(edge_file, tmp_path, benchmark):
 
 def test_wordparallel_path_lengths_speedup(big_csr, benchmark):
     sources = list(range(NUM_SOURCES))
+
+    def source_loop(ids):
+        return [_shortest_path_lengths_array(big_csr, source) for source in ids]
+
     # Identity first, on one word's worth of sources, results then freed —
     # the timed runs must not execute under the memory pressure of a held
     # 256 x 50k result set (that skews whichever run goes second).
-    fast = shortest_path_lengths_dense_batch(big_csr, sources[:64], wordparallel=True)
-    slow = shortest_path_lengths_dense_batch(big_csr, sources[:64], wordparallel=False)
-    for a, b in zip(fast, slow):
+    fast = shortest_path_lengths_dense_batch(big_csr, sources[:64])
+    for a, b in zip(fast, source_loop(sources[:64])):
         assert np.array_equal(a, b)
-    del fast, slow
+    del fast
 
-    slow_time, _ = _timed(
-        lambda: len(
-            shortest_path_lengths_dense_batch(big_csr, sources, wordparallel=False)
-        )
-    )
+    slow_time, _ = _timed(lambda: len(source_loop(sources)))
     fast_time, _ = _timed(
-        lambda: len(
-            shortest_path_lengths_dense_batch(big_csr, sources, wordparallel=True)
-        )
+        lambda: len(shortest_path_lengths_dense_batch(big_csr, sources))
     )
     speedup = slow_time / fast_time
     benchmark.extra_info["per_source_seconds"] = slow_time
     benchmark.extra_info["wordparallel_seconds"] = fast_time
     benchmark.extra_info["speedup"] = speedup
     benchmark.pedantic(
-        lambda: shortest_path_lengths_dense_batch(
-            big_csr, sources[:64], wordparallel=True
-        ),
+        lambda: shortest_path_lengths_dense_batch(big_csr, sources[:64]),
         rounds=1,
         iterations=1,
     )
@@ -197,26 +194,25 @@ def test_wordparallel_path_lengths_speedup(big_csr, benchmark):
 
 def test_wordparallel_signed_bfs_speedup(big_csr, benchmark):
     sources = list(range(NUM_SOURCES))
-    # Identity on one word chunk, freed before the timed runs (see above).
-    fast = signed_bfs_dense_batch(big_csr, sources[:64], wordparallel=True)
-    slow = signed_bfs_dense_batch(big_csr, sources[:64], wordparallel=False)
-    for f, s in zip(fast, slow):
+
+    def source_loop(ids):
+        return [_signed_bfs_arrays(big_csr, source) for source in ids]
+
+    # Identity on one word, freed before the timed runs (see above).
+    fast = signed_bfs_dense_batch(big_csr, sources[:64])
+    for f, s in zip(fast, source_loop(sources[:64])):
         for a, b in zip(f, s):
             assert np.array_equal(a, b)
-    del fast, slow
+    del fast
 
-    slow_time, _ = _timed(
-        lambda: len(signed_bfs_dense_batch(big_csr, sources, wordparallel=False))
-    )
-    fast_time, _ = _timed(
-        lambda: len(signed_bfs_dense_batch(big_csr, sources, wordparallel=True))
-    )
+    slow_time, _ = _timed(lambda: len(source_loop(sources)))
+    fast_time, _ = _timed(lambda: len(signed_bfs_dense_batch(big_csr, sources)))
     speedup = slow_time / fast_time
     benchmark.extra_info["per_source_seconds"] = slow_time
     benchmark.extra_info["wordparallel_seconds"] = fast_time
     benchmark.extra_info["speedup"] = speedup
     benchmark.pedantic(
-        lambda: signed_bfs_dense_batch(big_csr, sources[:64], wordparallel=True),
+        lambda: signed_bfs_dense_batch(big_csr, sources[:64]),
         rounds=1,
         iterations=1,
     )

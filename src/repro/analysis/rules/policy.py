@@ -32,7 +32,6 @@ KNOBS = frozenset(
         "result_arena",
         "arena_budget_bytes",
         "snapshot_store",
-        "lockstep_node_threshold",
         "csr_auto_level_threshold",
         "distance_index",
         "label_budget_bytes",

@@ -68,7 +68,7 @@ class DistanceOracle:
     :data:`~repro.compatibility.shortest_path.CSR_AUTO_THRESHOLD` nodes when
     numpy is available.  :meth:`warm` and :meth:`batch_distance_to_set` are
     the batched entry points the :class:`~repro.compatibility.engine.CompatibilityEngine`
-    uses to resolve many candidates against a team in one lockstep sweep.
+    uses to resolve many candidates against a team in one batched sweep.
     """
 
     def __init__(
@@ -180,8 +180,7 @@ class DistanceOracle:
     def warm(self, sources: Iterable[Node]) -> List[object]:
         """Prefetch the single-source distance maps of ``sources``, batched.
 
-        On the CSR backend every uncached source joins one lockstep
-        multi-source BFS
+        On the CSR backend every uncached source joins one multi-source BFS
         (:func:`repro.signed.csr.multi_source_shortest_path_lengths_csr`)
         instead of running its own traversal.  Under a pool policy the
         workers write the dense distance maps straight into the dispatch's
@@ -211,9 +210,6 @@ class DistanceOracle:
                     "csr_path_lengths",
                     csr,
                     [csr.index_of(source) for source in missing],
-                    params={
-                        "lockstep_threshold": self._policy.lockstep_node_threshold
-                    },
                 )
                 return [CSRLengths(csr, lengths) for lengths in arrays]
             if self._policy.parallel:
@@ -351,13 +347,11 @@ class DistanceOracle:
         )
 
         executor = executor_for(self._policy)
-        params = {"lockstep_threshold": self._policy.lockstep_node_threshold}
         if self._label_index is None:
             self._label_index = build_label_index(
                 self._graph.csr_view(),
                 budget_bytes=self._policy.label_budget_bytes,
                 executor=executor,
-                params=params,
             )
             self._index_builds += 1
         else:
@@ -366,7 +360,6 @@ class DistanceOracle:
                 self._graph,
                 budget_bytes=self._policy.label_budget_bytes,
                 executor=executor,
-                params=params,
             )
             if how == "patched":
                 self._index_patches += 1

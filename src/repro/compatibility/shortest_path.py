@@ -16,7 +16,7 @@ Two interchangeable backends run Algorithm 1:
 * ``"csr"`` — the indexed array BFS over the graph's
   :meth:`~repro.signed.graph.SignedGraph.csr_view`
   (:func:`repro.signed.csr.signed_bfs_csr`); an order of magnitude faster per
-  source on SNAP-scale graphs, with a true lockstep multi-source kernel
+  source on SNAP-scale graphs, with a word-parallel multi-source kernel
   (:func:`repro.signed.csr.multi_source_signed_bfs`) behind :meth:`batch_bfs`.
 
 ``backend="auto"`` (the default) is **size- and diameter-adaptive**: the CSR
@@ -227,8 +227,8 @@ class _ShortestPathRelation(CompatibilityRelation):
 
         On the CSR backend, uncached sources are resolved by the policy's
         executor running the ``csr_signed_bfs`` kernel — in-process for a
-        serial policy (one lockstep multi-source traversal below the lockstep
-        threshold, cache-resident per-source traversals above), or fanned out
+        serial policy (word-parallel in 64-source words, per-source below
+        three sources), or fanned out
         in chunks over the worker pool for ``workers >= 2``.  Sources whose
         counts overflow int64 fall back to the dict backend's
         arbitrary-precision BFS individually, in the parent process.  Results
@@ -259,10 +259,7 @@ class _ShortestPathRelation(CompatibilityRelation):
                 "csr_signed_bfs",
                 csr,
                 [csr.index_of(source) for source in missing],
-                params={
-                    "skip_overflow": True,
-                    "lockstep_threshold": self._policy.lockstep_node_threshold,
-                },
+                params={"skip_overflow": True},
             )
             return [
                 # None marks an int64 overflow: that source needs the dict
@@ -322,7 +319,7 @@ class _ShortestPathRelation(CompatibilityRelation):
         return self._pair_rule(positive, negative)
 
     def batch_compatible_sets(self, sources: Sequence[Node]) -> List[FrozenSet[Node]]:
-        """Compatible sets for many sources from one lockstep batched sweep.
+        """Compatible sets for many sources from one batched sweep.
 
         On the CSR backend the uncached sources share one multi-source BFS
         (:meth:`batch_bfs`) and the pair rule is applied as a vectorised mask;
@@ -385,10 +382,7 @@ class _ShortestPathRelation(CompatibilityRelation):
             "csr_compatible_masks",
             csr,
             [csr.index_of(source) for source in sources],
-            params={
-                "rule": self.name,
-                "lockstep_threshold": self._policy.lockstep_node_threshold,
-            },
+            params={"rule": self.name},
         )
 
     def _compute_mask_sets(self, missing: List[Node]) -> List[FrozenSet[Node]]:
@@ -416,8 +410,8 @@ class _ShortestPathRelation(CompatibilityRelation):
     def batch_compatibility_degrees(self, sources: Sequence[Node]) -> List[int]:
         """Number of *other* compatible nodes for every source, batched.
 
-        On the CSR backend every uncached source shares the lockstep
-        multi-source BFS and the pair rule is applied as a vectorised mask —
+        On the CSR backend every uncached source shares one multi-source
+        BFS and the pair rule is applied as a vectorised mask —
         no per-node Python iteration and no set materialisation.  On the dict
         backend it falls back to the base class's per-source loop.  Under a
         pool policy, uncached sources are counted *inside* the workers
@@ -478,10 +472,7 @@ class _ShortestPathRelation(CompatibilityRelation):
                 "csr_compatible_degrees",
                 csr,
                 [csr.index_of(source) for source in missing],
-                params={
-                    "rule": self.name,
-                    "lockstep_threshold": self._policy.lockstep_node_threshold,
-                },
+                params={"rule": self.name},
             )
             for source, position, count in zip(missing, missing_positions, counts):
                 degrees[position] = (

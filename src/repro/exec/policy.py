@@ -1,7 +1,7 @@
 """The :class:`ExecutionPolicy`: one object for every execution knob.
 
 Before this layer existed, the choices "which backend runs the per-source
-kernels", "when does the lockstep batch pay", "how big may each cache grow"
+kernels", "when does the CSR backend pay", "how big may each cache grow"
 were sprinkled across the relations, the distance oracle, the engine and the
 experiment runners as loose keyword arguments (``backend="auto"``,
 ``bfs_cache_size=...``, ``batched=False``).  Adding a *parallelism* dimension
@@ -112,11 +112,6 @@ class ExecutionPolicy:
         cleanup, bit-identical results.  Use it to keep huge snapshots out
         of ``/dev/shm``, to share one page-cache copy across many worker
         generations, or to leave a warm store file behind for the next run.
-    lockstep_node_threshold:
-        Override for :data:`repro.signed.csr.LOCKSTEP_NODE_THRESHOLD`
-        (``None`` keeps the library default): the graph size above which the
-        multi-source kernels abandon the lockstep ``k x n`` batch for
-        cache-resident per-source traversals.
     csr_auto_level_threshold:
         Override for
         :data:`repro.compatibility.shortest_path.CSR_AUTO_LEVEL_THRESHOLD`
@@ -161,7 +156,6 @@ class ExecutionPolicy:
     result_arena: bool = True
     arena_budget_bytes: int = 256 * 2**20
     snapshot_store: Optional[str] = None
-    lockstep_node_threshold: Optional[int] = None
     csr_auto_level_threshold: Optional[int] = None
     distance_index: str = "bfs"
     label_budget_bytes: int = 64 * 2**20

@@ -13,12 +13,10 @@ the indexed counterpart used on large graphs:
   counting) as a level-synchronous vectorised BFS over the flat arrays;
 * :func:`shortest_path_lengths_csr` / :func:`shortest_signed_walk_lengths_csr`
   — array versions of the other two single-source primitives;
-* :func:`multi_source_signed_bfs` — **batched** Algorithm 1: k sources advance
-  in lockstep over a flat ``k x n`` state space, so one set of array operations
-  per BFS level serves the whole batch (sources are processed in memory-bounded
-  chunks; see :data:`DEFAULT_BATCH_CHUNK`).  Lockstep engages below
-  :data:`LOCKSTEP_NODE_THRESHOLD` nodes; past it the batch runs cache-friendly
-  per-source traversals over the shared index instead;
+* :func:`multi_source_signed_bfs` — **batched** Algorithm 1: sources run
+  word-parallel, 64 per ``uint64`` frontier word, so one adjacency gather per
+  BFS level serves a whole word; a batch smaller than
+  :data:`WORDPARALLEL_MIN_SOURCES` runs per-source traversals instead;
 * :func:`multi_source_shortest_path_lengths_csr` — the batched counterpart for
   sign-agnostic distances, used by the distance oracle's team sweeps;
 * :func:`balanced_heuristic_search_csr` — the SBPH prefix-property search as an
@@ -58,37 +56,21 @@ import numpy as np
 from repro.exceptions import NodeNotFoundError
 from repro.signed.graph import Node, Sign, SignedGraph
 from repro.signed.paths import INFINITY, BalancedPathResult, SignedBFSResult
+from repro.utils.bitset import WORD_BITS, set_bit_positions, source_bits
 
 #: Sentinel used in length arrays for unreachable nodes.
 UNREACHABLE = -1
 
-#: Sources per lockstep batch in the multi-source kernels.  Each chunk holds
-#: ``chunk * n`` int64 count arrays (plus int32 lengths), so 64 sources on a
-#: 4k-node graph peak around 6 MB — large enough to amortise the ~20 array
-#: operations per BFS level over the whole chunk, small enough to stay cheap
-#: in memory.
-DEFAULT_BATCH_CHUNK = 64
-
-#: Above this node count the multi-source kernels run per-source traversals
-#: over the shared index instead of the lockstep ``k x n`` frontier matrix.
-#: Lockstep amortises the fixed ~20-array-operation-per-level cost across all
-#: k sources, but its gathers and scatters range over ``k x n``-element
-#: arrays; once those leave the last-level cache (empirically a few thousand
-#: nodes on current hardware) the per-source traversals — whose working set
-#: is a cache-resident O(n) — win on memory locality.  Measured crossover:
-#: lockstep is ~1.5x faster at n=2k and ~1.6x *slower* at n=50k.
-LOCKSTEP_NODE_THRESHOLD = 4096
-
-#: Minimum batch size for the word-parallel kernels to engage on large
-#: graphs (above :data:`LOCKSTEP_NODE_THRESHOLD`, where lockstep has bowed
-#: out).  Word-parallel BFS advances up to 64 sources through ONE adjacency
-#: gather per level: frontier/visited state lives in per-node ``uint64``
-#: words (bit b = "source b is here"), so in a low-diameter graph — where
-#: nearby sources' frontiers overlap heavily after a couple of levels — the
-#: union frontier is far smaller than the sum of per-source frontiers.
-#: Below a handful of sources there is no union to exploit and the
-#: per-source traversals' simpler inner loop wins.
-WORDPARALLEL_MIN_SOURCES = 8
+#: Smallest word of sources the multi-source kernels run word-parallel.
+#: Word-parallel BFS advances up to 64 sources through ONE adjacency gather
+#: per level: frontier/visited state lives in per-node ``uint64`` words (bit
+#: b = "source b is here"), so in a low-diameter graph — where nearby
+#: sources' frontiers overlap heavily after a couple of levels — the union
+#: frontier is far smaller than the sum of per-source frontiers.  With one or
+#: two sources there is no union to exploit and the per-source traversals'
+#: simpler inner loop wins.  The crossover sits between 2 and 3 sources both
+#: at 2.3k and at 100k nodes, so the choice depends on batch size only.
+WORDPARALLEL_MIN_SOURCES = 3
 
 
 class CSRSignedGraph:
@@ -698,137 +680,19 @@ def shortest_signed_walk_lengths_csr(
     return distances[:num_nodes].copy(), distances[num_nodes:].copy()
 
 
-def _batched_neighbor_ranges(
-    csr: CSRSignedGraph, frontier: np.ndarray, num_nodes: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Adjacency gather for a frontier of flat ``row * n + node`` state ids.
-
-    Like :func:`_concatenated_neighbor_ranges` but in the flattened multi-source
-    state space: an edge from state ``r * n + u`` leads to state ``r * n + x``
-    for every neighbour ``x`` of ``u`` — rows never mix, so the k independent
-    BFS traversals advance through one shared set of array operations.
-    Returns ``(targets, signs, origins)`` flat-state arrays.
-    """
-    node_part = frontier % num_nodes
-    row_base = frontier - node_part
-    starts = csr.indptr[node_part]
-    counts = csr.indptr[node_part + 1] - starts
-    total = int(counts.sum())
-    if total == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty.astype(np.int8), empty
-    shifts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    offsets = np.repeat(starts - shifts, counts) + np.arange(total)
-    targets = csr.indices[offsets].astype(np.int64) + np.repeat(row_base, counts)
-    return targets, csr.signs[offsets], np.repeat(frontier, counts)
-
-
-def _batched_signed_bfs_arrays(
-    csr: CSRSignedGraph, source_ids: Sequence[int]
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Algorithm 1 from ``k`` sources in lockstep over a flat ``k x n`` state space.
-
-    Every BFS level runs one adjacency gather / one scatter for the union of
-    all k frontiers instead of k separate kernel invocations, so the fixed
-    per-level array-operation cost is paid once per level for the whole batch.
-    Rows are independent (edges stay within their row), which makes each row
-    bit-identical to a single-source :func:`signed_bfs_csr` run.
-
-    Returns ``(lengths, positive, negative)`` shaped ``(k, n)``.  Raises
-    :class:`OverflowError` under the same per-level int64 guard as the
-    single-source kernel (callers re-run the offending chunk per source to
-    isolate the overflowing rows).
-    """
-    num_nodes = csr.number_of_nodes()
-    k = len(source_ids)
-    size = k * num_nodes
-    lengths = np.empty(size, dtype=np.int32)
-    positive = np.empty(size, dtype=np.int64)
-    negative = np.empty(size, dtype=np.int64)
-    _lockstep_signed_bfs_into(csr, source_ids, lengths, positive, negative)
-    return (
-        lengths.reshape(k, num_nodes),
-        positive.reshape(k, num_nodes),
-        negative.reshape(k, num_nodes),
-    )
-
-
-def _lockstep_signed_bfs_into(
-    csr: CSRSignedGraph,
-    source_ids: Sequence[int],
-    lengths: np.ndarray,
-    positive: np.ndarray,
-    negative: np.ndarray,
-) -> None:
-    """Lockstep core of :func:`_batched_signed_bfs_arrays`, writing in place.
-
-    The arrays are flat ``k * n`` state spaces (any dtype-compatible buffer,
-    e.g. a contiguous block of shared-memory result-arena rows reshaped to
-    1-D); they are initialised here and hold the finished rows on return.
-    Raises :class:`OverflowError` under the per-level int64 guard, leaving
-    partial state the caller must discard (typically by re-running the
-    chunk's sources individually through :func:`_signed_bfs_arrays_into`).
-    """
-    num_nodes = csr.number_of_nodes()
-    k = len(source_ids)
-    degrees = csr.degrees()
-    max_degree = int(degrees.max()) if num_nodes else 0
-    count_guard = (2**63 - 1) // max(1, max_degree)
-    lengths.fill(UNREACHABLE)
-    positive.fill(0)
-    negative.fill(0)
-    flat_sources = (
-        np.arange(k, dtype=np.int64) * num_nodes
-        + np.asarray(source_ids, dtype=np.int64)
-    )
-    lengths[flat_sources] = 0
-    positive[flat_sources] = 1
-    frontier = flat_sources
-    depth = 0
-    while frontier.size:
-        targets, edge_signs, origins = _batched_neighbor_ranges(csr, frontier, num_nodes)
-        if targets.size == 0:
-            break
-        undiscovered = lengths[targets] == UNREACHABLE
-        lengths[targets[undiscovered]] = depth + 1
-        targets = targets[undiscovered]
-        if targets.size:
-            edge_signs = edge_signs[undiscovered]
-            origins = origins[undiscovered]
-            positive_edges = edge_signs > 0
-            pos_contrib = np.where(positive_edges, positive[origins], negative[origins])
-            neg_contrib = np.where(positive_edges, negative[origins], positive[origins])
-            np.add.at(positive, targets, pos_contrib)
-            np.add.at(negative, targets, neg_contrib)
-            if (
-                int(positive[targets].max()) > count_guard
-                or int(negative[targets].max()) > count_guard
-            ):
-                raise OverflowError(
-                    "signed shortest-path counts exceed the int64 safety bound "
-                    f"({count_guard}) at BFS depth {depth + 1} in a batched "
-                    "traversal; re-run the affected sources individually"
-                )
-        frontier = _next_frontier(targets, lengths, depth + 1)
-        depth += 1
-
-
 def _wordparallel_seed(
     num_nodes: int, source_ids: Sequence[int]
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Seed state for a word-parallel chunk: ``(ids, bits, frontier)``.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Seed state for a word-parallel word: ``(ids, frontier)``.
 
     ``frontier`` is the per-node ``uint64`` word array with source ``i``'s
     bit set on its source node (``np.bitwise_or.at`` — duplicate sources in
-    one chunk OR into the same word and stay independent traversals).
+    one word OR into the same word and stay independent traversals).
     """
-    from repro.utils.bitset import source_bits
-
     ids = np.asarray(source_ids, dtype=np.int64)
-    bits = source_bits(len(source_ids))
     frontier = np.zeros(num_nodes, dtype=np.uint64)
-    np.bitwise_or.at(frontier, ids, bits)
-    return ids, bits, frontier
+    np.bitwise_or.at(frontier, ids, source_bits(len(source_ids)))
+    return ids, frontier
 
 
 def _wordparallel_path_lengths_into(
@@ -837,19 +701,17 @@ def _wordparallel_path_lengths_into(
     """Word-parallel multi-source BFS: up to 64 distance maps per gather.
 
     Frontier and visited state are packed ``uint64`` words (bit b = "source
-    b"), so one level of ALL the chunk's traversals is one adjacency gather
+    b"), so one level of ALL the word's traversals is one adjacency gather
     over the *union* frontier, one ``bitwise_or`` scatter, and one
-    ``& ~seen`` — the level expansion the ISSUE calls OR/AND over packed
-    rows.  Row ``b`` of ``out_lengths`` (shape ``(k, n)``, int32; any row
-    layout — writes are per-row) receives source ``b``'s distances,
-    bit-identical to :func:`_shortest_path_lengths_array_into`: BFS depths
-    are unique per (source, node), so equality is exact by construction.
+    ``& ~seen``.  Row ``b`` of ``out_lengths`` (shape ``(k, n)``, int32;
+    any row layout — writes are per-row) receives source ``b``'s
+    distances, bit-identical to :func:`_shortest_path_lengths_array_into`:
+    BFS depths are unique per (source, node), so equality is exact by
+    construction.
     """
-    from repro.utils.bitset import set_bit_positions
-
     num_nodes = csr.number_of_nodes()
     k = len(source_ids)
-    ids, _bits, frontier = _wordparallel_seed(num_nodes, source_ids)
+    ids, frontier = _wordparallel_seed(num_nodes, source_ids)
     seen = frontier.copy()
     out_lengths.fill(UNREACHABLE)
     out_lengths[np.arange(k), ids] = 0
@@ -892,18 +754,16 @@ def _wordparallel_signed_bfs_into(
     concatenated-adjacency order the per-source kernel scatters in — so rows
     are bit-identical to :func:`_signed_bfs_arrays_into`, including the
     per-level int64 overflow guard (raises :class:`OverflowError`; the
-    caller re-runs the chunk source by source, as with lockstep).  Output
-    buffers are ``(k, n)`` int32/int64/int64; writes are per-row, so any row
-    layout (e.g. a slice of result-arena planes) works.
+    caller re-runs the word source by source).  Output buffers are
+    ``(k, n)`` int32/int64/int64; writes are per-row, so any row layout
+    (e.g. a slice of result-arena planes) works.
     """
-    from repro.utils.bitset import set_bit_positions
-
     num_nodes = csr.number_of_nodes()
     k = len(source_ids)
     degrees = csr.degrees()
     max_degree = int(degrees.max()) if num_nodes else 0
     count_guard = (2**63 - 1) // max(1, max_degree)
-    ids, _bits, frontier = _wordparallel_seed(num_nodes, source_ids)
+    ids, frontier = _wordparallel_seed(num_nodes, source_ids)
     seen = frontier.copy()
     out_lengths.fill(UNREACHABLE)
     out_positive.fill(0)
@@ -972,220 +832,112 @@ def _wordparallel_signed_bfs_into(
 DenseBFSTriple = Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
-def signed_bfs_dense_batch(
-    csr: CSRSignedGraph,
-    source_ids: Sequence[int],
-    chunk_size: int = DEFAULT_BATCH_CHUNK,
-    skip_overflow: bool = False,
-    lockstep_threshold: Optional[int] = None,
-    wordparallel: Optional[bool] = None,
-) -> List[DenseBFSTriple]:
-    """Dense core of :func:`multi_source_signed_bfs`: dense ids in, arrays out.
-
-    Works purely on the snapshot's flat arrays (no node objects), which is
-    what lets the execution layer run it inside worker processes against a
-    shared-memory copy of the snapshot.  ``lockstep_threshold`` overrides
-    :data:`LOCKSTEP_NODE_THRESHOLD` (``None`` keeps the module default).
-    ``wordparallel`` forces (``True``) or disables (``False``) the
-    word-parallel path; ``None`` engages it adaptively — above the lockstep
-    threshold, with at least :data:`WORDPARALLEL_MIN_SOURCES` sources, in
-    chunks of 64 (the word width; ``chunk_size`` governs lockstep only).
-    Results are in input order and bit-identical to per-source
-    :func:`_signed_bfs_arrays` runs.
-    """
-    if chunk_size <= 0:
-        raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-    threshold = (
-        LOCKSTEP_NODE_THRESHOLD if lockstep_threshold is None else lockstep_threshold
-    )
-    id_list = list(source_ids)
-    results: List[DenseBFSTriple] = []
-
-    def per_source(source_id: int) -> None:
-        try:
-            results.append(_signed_bfs_arrays(csr, source_id))
-        except OverflowError:
-            if not skip_overflow:
-                raise
-            results.append(None)
-
-    num_nodes = csr.number_of_nodes()
-    use_wordparallel = (
-        wordparallel
-        if wordparallel is not None
-        else num_nodes > threshold and len(id_list) >= WORDPARALLEL_MIN_SOURCES
-    )
-    if use_wordparallel:
-        from repro.utils.bitset import WORD_BITS
-
-        for start in range(0, len(id_list), WORD_BITS):
-            chunk = id_list[start : start + WORD_BITS]
-            k = len(chunk)
-            lengths = np.empty((k, num_nodes), dtype=np.int32)
-            positive = np.empty((k, num_nodes), dtype=np.int64)
-            negative = np.empty((k, num_nodes), dtype=np.int64)
-            try:
-                _wordparallel_signed_bfs_into(csr, chunk, lengths, positive, negative)
-            except OverflowError:
-                for source_id in chunk:
-                    per_source(source_id)
-                continue
-            results.extend(
-                (lengths[row].copy(), positive[row].copy(), negative[row].copy())
-                for row in range(k)
-            )
-        return results
-    if num_nodes > threshold:
-        for source_id in id_list:
-            per_source(source_id)
-        return results
-    for start in range(0, len(id_list), chunk_size):
-        chunk = id_list[start : start + chunk_size]
-        try:
-            lengths, positive, negative = _batched_signed_bfs_arrays(csr, chunk)
-        except OverflowError:
-            for source_id in chunk:
-                per_source(source_id)
-            continue
-        for row in range(len(chunk)):
-            # Rows are copied out of the chunk buffer, so holding one result
-            # does not pin the whole k x n allocation.
-            results.append(
-                (lengths[row].copy(), positive[row].copy(), negative[row].copy())
-            )
-    return results
-
-
 def signed_bfs_dense_batch_into(
     csr: CSRSignedGraph,
     source_ids: Sequence[int],
     out_lengths: np.ndarray,
     out_positive: np.ndarray,
     out_negative: np.ndarray,
-    chunk_size: int = DEFAULT_BATCH_CHUNK,
     skip_overflow: bool = False,
-    lockstep_threshold: Optional[int] = None,
-    wordparallel: Optional[bool] = None,
 ) -> List[Optional[bool]]:
-    """:func:`signed_bfs_dense_batch` writing straight into ``(k, n)`` buffers.
+    """Algorithm 1 from many dense sources, written into ``(k, n)`` buffers.
 
-    The result-shipping variant: the execution layer passes rows of a
-    ``multiprocessing.shared_memory`` result arena, so each source's triple is
-    produced *in place* — the parent maps the same segment and reads the rows
-    zero-copy instead of unpickling per-source arrays.  Row ``i`` of the three
-    output buffers (dtypes ``int32``/``int64``/``int64``) receives source
-    ``source_ids[i]``'s result.  Returns one token per source, aligned with
-    the input: ``True`` for a completed row, ``None`` for an int64 overflow
-    (with ``skip_overflow``), whose row contents are then undefined.  Written
-    rows are bit-identical to :func:`signed_bfs_dense_batch` on the same
-    inputs — the adaptive lockstep/per-source structure is the same.
+    The one multi-source implementation: sources go 64 to a word, and a word
+    of at least :data:`WORDPARALLEL_MIN_SOURCES` sources runs
+    word-parallel, a smaller one per source.  Row ``i`` of the three output
+    buffers (dtypes ``int32``/``int64``/``int64``; any row layout, writes
+    are per-row) receives source ``source_ids[i]``'s result, bit-identical
+    to a per-source :func:`_signed_bfs_arrays` run.  The execution layer
+    passes rows of a ``multiprocessing.shared_memory`` result arena, so each
+    triple is produced *in place* and the parent reads it zero-copy.
+
+    Returns one token per source, aligned with the input: ``True`` for a
+    completed row, ``None`` for an int64 overflow (with ``skip_overflow``),
+    whose row contents are then undefined.  A word whose counts trip the
+    int64 guard is re-run source by source; a source that *individually*
+    overflows raises :class:`OverflowError` unless ``skip_overflow`` is set.
     """
-    if chunk_size <= 0:
-        raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-    threshold = (
-        LOCKSTEP_NODE_THRESHOLD if lockstep_threshold is None else lockstep_threshold
-    )
     id_list = list(source_ids)
     tokens: List[Optional[bool]] = []
-
-    def per_source(row: int, source_id: int) -> None:
-        try:
-            _signed_bfs_arrays_into(
-                csr, source_id, out_lengths[row], out_positive[row], out_negative[row]
-            )
-            tokens.append(True)
-        except OverflowError:
-            if not skip_overflow:
-                raise
-            tokens.append(None)
-
-    num_nodes = csr.number_of_nodes()
-    use_wordparallel = (
-        wordparallel
-        if wordparallel is not None
-        else num_nodes > threshold and len(id_list) >= WORDPARALLEL_MIN_SOURCES
-    )
-    if use_wordparallel:
-        # Word-parallel writes are per-row, so any buffer layout (including
-        # non-contiguous result-arena slices) is safe here.
-        from repro.utils.bitset import WORD_BITS
-
-        for start in range(0, len(id_list), WORD_BITS):
-            chunk = id_list[start : start + WORD_BITS]
-            stop = start + len(chunk)
+    for start in range(0, len(id_list), WORD_BITS):
+        word = id_list[start : start + WORD_BITS]
+        stop = start + len(word)
+        if len(word) >= WORDPARALLEL_MIN_SOURCES:
             try:
                 _wordparallel_signed_bfs_into(
                     csr,
-                    chunk,
+                    word,
                     out_lengths[start:stop],
                     out_positive[start:stop],
                     out_negative[start:stop],
                 )
-                tokens.extend([True] * len(chunk))
+                tokens.extend([True] * len(word))
+                continue
             except OverflowError:
-                for offset, source_id in enumerate(chunk):
-                    per_source(start + offset, source_id)
-        return tokens
-    # The lockstep path flattens contiguous row blocks into its k x n state
-    # space; on a non-contiguous buffer reshape(-1) would silently copy and
-    # the results would never land in the caller's rows — those buffers take
-    # the per-source path, whose single-row writes go through any layout.
-    lockstep_safe = all(
-        out.flags["C_CONTIGUOUS"] for out in (out_lengths, out_positive, out_negative)
-    )
-    if num_nodes > threshold or not lockstep_safe:
-        for row, source_id in enumerate(id_list):
-            per_source(row, source_id)
-        return tokens
-    for start in range(0, len(id_list), chunk_size):
-        chunk = id_list[start : start + chunk_size]
-        stop = start + len(chunk)
-        try:
-            # Contiguous row blocks reshape to the flat k x n state space the
-            # lockstep core works on — the buffer IS the working memory.
-            _lockstep_signed_bfs_into(
-                csr,
-                chunk,
-                out_lengths[start:stop].reshape(-1),
-                out_positive[start:stop].reshape(-1),
-                out_negative[start:stop].reshape(-1),
-            )
-            tokens.extend([True] * len(chunk))
-        except OverflowError:
-            for offset, source_id in enumerate(chunk):
-                per_source(start + offset, source_id)
+                pass  # isolate the overflowing rows source by source
+        for row, source_id in enumerate(word, start=start):
+            try:
+                _signed_bfs_arrays_into(
+                    csr, source_id, out_lengths[row], out_positive[row], out_negative[row]
+                )
+                tokens.append(True)
+            except OverflowError:
+                if not skip_overflow:
+                    raise
+                tokens.append(None)
     return tokens
 
 
+def signed_bfs_dense_batch(
+    csr: CSRSignedGraph, source_ids: Sequence[int], skip_overflow: bool = False
+) -> List[DenseBFSTriple]:
+    """Dense core of :func:`multi_source_signed_bfs`: dense ids in, arrays out.
+
+    Works purely on the snapshot's flat arrays (no node objects), which is
+    what lets the execution layer run it inside worker processes against a
+    shared-memory copy of the snapshot.  An allocating wrapper over
+    :func:`signed_bfs_dense_batch_into`, one 64-source word at a time: rows
+    are copied out of the word's buffers, so transient memory stays one
+    word's worth and holding one result does not pin the rest.  Results are
+    in input order; ``None`` marks an overflowing source (``skip_overflow``).
+    """
+    id_list = list(source_ids)
+    num_nodes = csr.number_of_nodes()
+    results: List[DenseBFSTriple] = []
+    for start in range(0, len(id_list), WORD_BITS):
+        word = id_list[start : start + WORD_BITS]
+        lengths = np.empty((len(word), num_nodes), dtype=np.int32)
+        positive = np.empty((len(word), num_nodes), dtype=np.int64)
+        negative = np.empty((len(word), num_nodes), dtype=np.int64)
+        tokens = signed_bfs_dense_batch_into(
+            csr, word, lengths, positive, negative, skip_overflow=skip_overflow
+        )
+        results.extend(
+            None
+            if token is None
+            else (lengths[row].copy(), positive[row].copy(), negative[row].copy())
+            for row, token in enumerate(tokens)
+        )
+    return results
+
+
 def multi_source_signed_bfs(
-    csr: CSRSignedGraph,
-    sources: Sequence[Node],
-    chunk_size: int = DEFAULT_BATCH_CHUNK,
-    skip_overflow: bool = False,
+    csr: CSRSignedGraph, sources: Sequence[Node], skip_overflow: bool = False
 ) -> List[Optional[CSRSignedBFSResult]]:
     """Run Algorithm 1 from every source over one shared index, batched.
 
-    On graphs up to :data:`LOCKSTEP_NODE_THRESHOLD` nodes, sources are
-    processed ``chunk_size`` at a time through
-    :func:`_batched_signed_bfs_arrays`; each chunk advances all its frontiers
-    in lockstep, so the per-level array-operation overhead is shared across
-    the chunk.  On larger graphs — where the ``k x n`` lockstep arrays fall
-    out of cache and lose to the cache-resident per-source traversals — each
-    source runs its own vectorised BFS over the shared index.  Either way the
-    results come back in input order and are bit-identical to per-source
-    :func:`signed_bfs_csr` runs.
-
-    A chunk whose counts trip the int64 guard is re-run source by source; a
-    source that *individually* overflows then raises :class:`OverflowError`
-    unless ``skip_overflow`` is true, in which case its slot holds ``None``
-    and the caller is expected to fall back to the dict backend's
-    arbitrary-precision BFS for it.
+    Sources run through :func:`signed_bfs_dense_batch` (word-parallel, or
+    per-source for batches under :data:`WORDPARALLEL_MIN_SOURCES`); results
+    come back in input order and are bit-identical to per-source
+    :func:`signed_bfs_csr` runs.  A source whose counts overflow int64
+    raises :class:`OverflowError` unless ``skip_overflow`` is true, in which
+    case its slot holds ``None`` and the caller is expected to fall back to
+    the dict backend's arbitrary-precision BFS for it.
     """
     source_list = list(sources)
     triples = signed_bfs_dense_batch(
         csr,
         [csr.index_of(source) for source in source_list],
-        chunk_size=chunk_size,
         skip_overflow=skip_overflow,
     )
     return [
@@ -1202,155 +954,67 @@ def multi_source_signed_bfs(
     ]
 
 
+def shortest_path_lengths_dense_batch_into(
+    csr: CSRSignedGraph, source_ids: Sequence[int], out_lengths: np.ndarray
+) -> List[Optional[bool]]:
+    """Sign-agnostic BFS from many dense sources into a ``(k, n)`` buffer.
+
+    The one multi-source distance implementation, with the same word split
+    as :func:`signed_bfs_dense_batch_into`.  Row ``i`` of ``out_lengths``
+    (``int32``, any row layout — typically shared-memory result-arena rows
+    the parent reads back zero-copy) receives ``source_ids[i]``'s distance
+    map, bit-identical to :func:`_shortest_path_lengths_array`.  Returns one
+    ``True`` token per source for uniformity with
+    :func:`signed_bfs_dense_batch_into` (distance sweeps cannot overflow).
+    """
+    id_list = list(source_ids)
+    for start in range(0, len(id_list), WORD_BITS):
+        word = id_list[start : start + WORD_BITS]
+        if len(word) >= WORDPARALLEL_MIN_SOURCES:
+            _wordparallel_path_lengths_into(
+                csr, word, out_lengths[start : start + len(word)]
+            )
+            continue
+        for row, source_id in enumerate(word, start=start):
+            _shortest_path_lengths_array_into(csr, source_id, out_lengths[row])
+    return [True] * len(id_list)
+
+
 def shortest_path_lengths_dense_batch(
-    csr: CSRSignedGraph,
-    source_ids: Sequence[int],
-    chunk_size: int = DEFAULT_BATCH_CHUNK,
-    lockstep_threshold: Optional[int] = None,
-    wordparallel: Optional[bool] = None,
+    csr: CSRSignedGraph, source_ids: Sequence[int]
 ) -> List[np.ndarray]:
     """Dense core of :func:`multi_source_shortest_path_lengths_csr`.
 
     Dense ids in, one ``int32`` length array per source out; node objects are
     never touched, so the execution layer can run it in worker processes over
-    a shared-memory snapshot.  ``lockstep_threshold`` overrides
-    :data:`LOCKSTEP_NODE_THRESHOLD` (``None`` keeps the module default);
-    ``wordparallel`` forces/disables the word-parallel path (``None`` =
-    adaptive, same crossover as :func:`signed_bfs_dense_batch`).
+    a shared-memory snapshot.  An allocating wrapper over
+    :func:`shortest_path_lengths_dense_batch_into`, one word at a time, with
+    rows copied out like :func:`signed_bfs_dense_batch`.
     """
-    if chunk_size <= 0:
-        raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-    threshold = (
-        LOCKSTEP_NODE_THRESHOLD if lockstep_threshold is None else lockstep_threshold
-    )
     id_list = list(source_ids)
     num_nodes = csr.number_of_nodes()
-    use_wordparallel = (
-        wordparallel
-        if wordparallel is not None
-        else num_nodes > threshold and len(id_list) >= WORDPARALLEL_MIN_SOURCES
-    )
-    if use_wordparallel:
-        from repro.utils.bitset import WORD_BITS
-
-        results = []
-        for start in range(0, len(id_list), WORD_BITS):
-            chunk = id_list[start : start + WORD_BITS]
-            lengths = np.empty((len(chunk), num_nodes), dtype=np.int32)
-            _wordparallel_path_lengths_into(csr, chunk, lengths)
-            results.extend(lengths[row].copy() for row in range(len(chunk)))
-        return results
-    if num_nodes > threshold:
-        return [_shortest_path_lengths_array(csr, source_id) for source_id in id_list]
     results: List[np.ndarray] = []
-    for start in range(0, len(id_list), chunk_size):
-        ids = id_list[start : start + chunk_size]
-        k = len(ids)
-        lengths = np.empty(k * num_nodes, dtype=np.int32)
-        _lockstep_path_lengths_into(csr, ids, lengths)
-        grid = lengths.reshape(k, num_nodes)
-        results.extend(grid[row].copy() for row in range(k))
+    for start in range(0, len(id_list), WORD_BITS):
+        word = id_list[start : start + WORD_BITS]
+        lengths = np.empty((len(word), num_nodes), dtype=np.int32)
+        shortest_path_lengths_dense_batch_into(csr, word, lengths)
+        results.extend(row.copy() for row in lengths)
     return results
 
 
-def _lockstep_path_lengths_into(
-    csr: CSRSignedGraph, source_ids: Sequence[int], lengths: np.ndarray
-) -> None:
-    """Lockstep core of the multi-source distance sweep, writing in place.
-
-    ``lengths`` is a flat ``k * n`` int32 state space (initialised here) —
-    a fresh allocation or a contiguous block of result-arena rows.
-    """
-    num_nodes = csr.number_of_nodes()
-    k = len(source_ids)
-    lengths.fill(UNREACHABLE)
-    flat_sources = (
-        np.arange(k, dtype=np.int64) * num_nodes
-        + np.asarray(source_ids, dtype=np.int64)
-    )
-    lengths[flat_sources] = 0
-    frontier = flat_sources
-    depth = 0
-    while frontier.size:
-        targets, _signs, _origins = _batched_neighbor_ranges(
-            csr, frontier, num_nodes
-        )
-        if targets.size == 0:
-            break
-        undiscovered = targets[lengths[targets] == UNREACHABLE]
-        lengths[undiscovered] = depth + 1
-        frontier = _next_frontier(undiscovered, lengths, depth + 1)
-        depth += 1
-
-
-def shortest_path_lengths_dense_batch_into(
-    csr: CSRSignedGraph,
-    source_ids: Sequence[int],
-    out_lengths: np.ndarray,
-    chunk_size: int = DEFAULT_BATCH_CHUNK,
-    lockstep_threshold: Optional[int] = None,
-    wordparallel: Optional[bool] = None,
-) -> List[Optional[bool]]:
-    """:func:`shortest_path_lengths_dense_batch` into a ``(k, n)`` buffer.
-
-    Row ``i`` of ``out_lengths`` (``int32``, typically shared-memory
-    result-arena rows the parent reads back zero-copy) receives
-    ``source_ids[i]``'s distance map, bit-identical to the allocating batch.
-    Returns one ``True`` token per source for uniformity with
-    :func:`signed_bfs_dense_batch_into` (distance sweeps cannot overflow).
-    """
-    if chunk_size <= 0:
-        raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-    threshold = (
-        LOCKSTEP_NODE_THRESHOLD if lockstep_threshold is None else lockstep_threshold
-    )
-    id_list = list(source_ids)
-    num_nodes = csr.number_of_nodes()
-    use_wordparallel = (
-        wordparallel
-        if wordparallel is not None
-        else num_nodes > threshold and len(id_list) >= WORDPARALLEL_MIN_SOURCES
-    )
-    if use_wordparallel:
-        from repro.utils.bitset import WORD_BITS
-
-        for start in range(0, len(id_list), WORD_BITS):
-            chunk = id_list[start : start + WORD_BITS]
-            stop = start + len(chunk)
-            _wordparallel_path_lengths_into(csr, chunk, out_lengths[start:stop])
-        return [True] * len(id_list)
-    # Same contiguity guard as signed_bfs_dense_batch_into: the lockstep
-    # reshape must not silently copy out of the caller's buffer.
-    if num_nodes > threshold or not out_lengths.flags["C_CONTIGUOUS"]:
-        for row, source_id in enumerate(id_list):
-            _shortest_path_lengths_array_into(csr, source_id, out_lengths[row])
-        return [True] * len(id_list)
-    for start in range(0, len(id_list), chunk_size):
-        ids = id_list[start : start + chunk_size]
-        stop = start + len(ids)
-        _lockstep_path_lengths_into(csr, ids, out_lengths[start:stop].reshape(-1))
-    return [True] * len(id_list)
-
-
 def multi_source_shortest_path_lengths_csr(
-    csr: CSRSignedGraph,
-    sources: Sequence[Node],
-    chunk_size: int = DEFAULT_BATCH_CHUNK,
+    csr: CSRSignedGraph, sources: Sequence[Node]
 ) -> List[np.ndarray]:
     """Sign-agnostic BFS distances from many sources over one shared index.
 
-    The flat-state counterpart of :func:`shortest_path_lengths_csr`: on graphs
-    up to :data:`LOCKSTEP_NODE_THRESHOLD` nodes all sources of a chunk advance
-    together, one adjacency gather per level; larger graphs run per-source
-    traversals (same cache-locality crossover as
-    :func:`multi_source_signed_bfs`).  Returns one dense ``int32`` length
-    array per source, in input order (:data:`UNREACHABLE` marks unreachable
-    nodes; wrap with :class:`CSRLengths` for a dict-like view).
+    The batched counterpart of :func:`shortest_path_lengths_csr`, with the
+    same word-parallel / per-source split as :func:`multi_source_signed_bfs`.
+    Returns one dense ``int32`` length array per source, in input order
+    (:data:`UNREACHABLE` marks unreachable nodes; wrap with
+    :class:`CSRLengths` for a dict-like view).
     """
     return shortest_path_lengths_dense_batch(
-        csr,
-        [csr.index_of(source) for source in sources],
-        chunk_size=chunk_size,
+        csr, [csr.index_of(source) for source in sources]
     )
 
 

@@ -568,16 +568,14 @@ def _num_landmarks(num_nodes: int, budget_bytes: Optional[int]) -> int:
     return max(1, min(DEFAULT_NUM_LANDMARKS, max(1, num_nodes), budget_bytes // per_row or 1))
 
 
-def _bfs_rows(csr: CSRSignedGraph, sources: Sequence[int], executor, params):
+def _bfs_rows(csr: CSRSignedGraph, sources: Sequence[int], executor):
     """One BFS distance row per source via the ``build_labels`` kernel."""
     np = _np()
     if executor is None:
         from repro.exec import serial_executor
 
         executor = serial_executor()
-    results = executor.map_kernel(
-        "build_labels", csr, [int(s) for s in sources], dict(params or {})
-    )
+    results = executor.map_kernel("build_labels", csr, [int(s) for s in sources])
     return [np.ascontiguousarray(row, dtype=np.int32) for row in results]
 
 
@@ -585,7 +583,6 @@ def _build_landmark(
     csr: CSRSignedGraph,
     budget_bytes: Optional[int],
     executor,
-    params,
     requested_mode: str,
 ) -> LabelIndex:
     np = _np()
@@ -594,7 +591,7 @@ def _build_landmark(
     num_hubs = _num_landmarks(n, budget_bytes)
     landmark_ids = np.ascontiguousarray(order[:num_hubs], dtype=np.int32)
     rows = np.empty((num_hubs, n), dtype=np.int32)
-    for position, row in enumerate(_bfs_rows(csr, landmark_ids, executor, params)):
+    for position, row in enumerate(_bfs_rows(csr, landmark_ids, executor)):
         rows[position] = row
     return LabelIndex(
         MODE_LANDMARK,
@@ -612,7 +609,6 @@ def build_label_index(
     mode: str = "auto",
     budget_bytes: Optional[int] = DEFAULT_LABEL_BUDGET_BYTES,
     executor=None,
-    params: Optional[dict] = None,
 ) -> LabelIndex:
     """Build a fresh :class:`LabelIndex` for the snapshot ``csr``.
 
@@ -647,7 +643,7 @@ def build_label_index(
         index = _build_exact(csr, budget_bytes, mode)
         if index is not None:
             return index
-    return _build_landmark(csr, budget_bytes, executor, params, mode)
+    return _build_landmark(csr, budget_bytes, executor, mode)
 
 
 # --------------------------------------------------------------------- churn
@@ -665,7 +661,7 @@ def _dirty_mask(csr: CSRSignedGraph, affected):
 
 
 def _patch_landmark(
-    index: LabelIndex, csr: CSRSignedGraph, dirty, budget_bytes, executor, params
+    index: LabelIndex, csr: CSRSignedGraph, dirty, budget_bytes, executor
 ) -> LabelIndex:
     np = _np()
     n = csr.number_of_nodes()
@@ -684,7 +680,7 @@ def _patch_landmark(
         else:
             stale.append(i)
     if stale:
-        recomputed = _bfs_rows(csr, [int(landmark_ids[i]) for i in stale], executor, params)
+        recomputed = _bfs_rows(csr, [int(landmark_ids[i]) for i in stale], executor)
         for i, row in zip(stale, recomputed):
             rows[i] = row
     return LabelIndex(
@@ -993,7 +989,6 @@ def refresh_label_index(
     *,
     budget_bytes: Optional[int] = DEFAULT_LABEL_BUDGET_BYTES,
     executor=None,
-    params: Optional[dict] = None,
 ) -> Tuple[LabelIndex, str]:
     """Bring ``index`` up to ``graph``'s current generation.
 
@@ -1019,7 +1014,6 @@ def refresh_label_index(
                 mode=index.requested_mode,
                 budget_bytes=budget_bytes,
                 executor=executor,
-                params=params,
             ),
             "rebuilt",
         )
@@ -1077,7 +1071,7 @@ def refresh_label_index(
     if not dirty.any():
         return rebuilt()
     if index.mode == MODE_LANDMARK:
-        return _patch_landmark(index, csr, dirty, budget_bytes, executor, params), "patched"
+        return _patch_landmark(index, csr, dirty, budget_bytes, executor), "patched"
     patched = _patch_exact(index, csr, dirty, budget_bytes)
     if patched is None:
         return rebuilt()

@@ -138,7 +138,7 @@ class MinimumDistanceUser(UserSelectionPolicy):
                 key=lambda user: len(problem.assignment.skills_of(user) & problem.task.skills),
             )
         # One batched engine call scores every candidate against the team
-        # (lockstep BFS + array maxima on the CSR backend); the stable argmin
+        # (multi-source BFS + array maxima on the CSR backend); the stable argmin
         # over the deterministic ordering matches the legacy per-candidate
         # min() exactly.
         scores = problem.engine.distances_to_team_many(ordered, list(team))
@@ -183,7 +183,7 @@ class MostCompatibleUser(UserSelectionPolicy):
         if len(ordered) > self.max_candidates:
             ordered = self._rng.sample(ordered, self.max_candidates)
         # One batched engine call resolves every scored candidate's compatible
-        # set (lockstep BFS for the SP* family, one shared reverse sweep for
+        # set (multi-source BFS for the SP* family, one shared reverse sweep for
         # the balanced relations).  Scoring uses the returned list directly —
         # not cache re-lookups — so the batch survives an LRU bound smaller
         # than the candidate list (the byte-aware "auto" sizing on huge

@@ -14,7 +14,7 @@ accordingly:
 The seed loop warms its seed users through the batched execution engine
 (:meth:`repro.compatibility.engine.CompatibilityEngine.warm`) exactly like
 :func:`repro.teams.generic.form_team`, so the per-source kernels run as one
-lockstep multi-source batch (and through the distance-label index when
+multi-source batch (and through the distance-label index when
 ``ExecutionPolicy(distance_index=...)`` enables it) instead of one BFS per
 seed.  Ranking is stable on ``(cost, len(team))`` with costs computed once
 per distinct team, so ``top_k_teams(..., k=1)`` returns exactly the team
@@ -50,7 +50,7 @@ def _completed_candidates(
     if max_seeds is not None and len(seeds) > max_seeds:
         rng = ensure_rng(seed)
         seeds = rng.sample(seeds, max_seeds)
-    # Same batched prefetch as form_team: one lockstep multi-source sweep for
+    # Same batched prefetch as form_team: one multi-source sweep for
     # the seeds' per-source computations, distance maps only when the user
     # policy actually scores by distance.
     problem.engine.warm(seeds, distances=user_policy.uses_team_distances)

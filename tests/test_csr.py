@@ -265,52 +265,60 @@ class TestOtherKernels:
         assert sorted(view, key=repr) == [0, 1]
         assert sorted(view.keys(), key=repr) == [0, 1]
 
-    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("seed", range(6))
     def test_write_into_batches_match_allocating_batches(self, seed):
-        """The ``*_into`` cores (result shipping) fill caller buffers with the
-        exact bytes the allocating batches return — including through
-        non-contiguous buffers, which must route around the lockstep reshape
-        instead of silently writing into a copy."""
+        """Both dense-batch forms equal the per-source reference kernels bit
+        for bit: batch sizes either side of the per-source / word-parallel
+        switch and of the 64-source word, duplicate sources, and ``_into``
+        buffers that are contiguous, row-strided or column-sliced."""
         from repro.signed.csr import (
+            _shortest_path_lengths_array,
+            _signed_bfs_arrays,
             shortest_path_lengths_dense_batch,
             shortest_path_lengths_dense_batch_into,
             signed_bfs_dense_batch,
             signed_bfs_dense_batch_into,
         )
 
-        graph = random_signed_graph(seed)
-        csr = graph.csr_view()
+        def out_buffer(k, n, dtype, layout):
+            if layout == "strided":
+                return np.full((2 * k, n), -7, dtype=dtype)[::2]
+            if layout == "column-sliced":
+                return np.full((k, n + 3), -7, dtype=dtype)[:, :n]
+            return np.full((k, n), -7, dtype=dtype)
+
+        csr = random_signed_graph(seed, num_nodes=200, edge_prob=0.02).csr_view()
         n = csr.number_of_nodes()
-        dense = list(range(0, n, 3))
-        k = len(dense)
-        expected = signed_bfs_dense_batch(csr, dense)
-        buffers = [
-            (  # contiguous: the lockstep fast path
-                np.empty((k, n), dtype=np.int32),
-                np.empty((k, n), dtype=np.int64),
-                np.empty((k, n), dtype=np.int64),
-            ),
-            (  # non-contiguous column slices: must take the per-source path
-                np.empty((k, n + 3), dtype=np.int32)[:, :n],
-                np.empty((k, n + 3), dtype=np.int64)[:, :n],
-                np.empty((k, n + 3), dtype=np.int64)[:, :n],
-            ),
-        ]
-        for lengths, positive, negative in buffers:
-            tokens = signed_bfs_dense_batch_into(csr, dense, lengths, positive, negative)
-            assert tokens == [True] * k
-            for row, triple in enumerate(expected):
-                assert np.array_equal(lengths[row], triple[0])
-                assert np.array_equal(positive[row], triple[1])
-                assert np.array_equal(negative[row], triple[2])
-        expected_lengths = shortest_path_lengths_dense_batch(csr, dense)
-        for out in (
-            np.empty((k, n), dtype=np.int32),
-            np.empty((k, n + 5), dtype=np.int32)[:, :n],
-        ):
-            assert shortest_path_lengths_dense_batch_into(csr, dense, out) == [True] * k
-            for row, arr in enumerate(expected_lengths):
-                assert np.array_equal(out[row], arr)
+        reference = {
+            source: (_signed_bfs_arrays(csr, source), _shortest_path_lengths_array(csr, source))
+            for source in range(n)
+        }
+        for k in (0, 1, 2, 3, 63, 64, 65, 150):
+            # Every source appears twice in a row: duplicates share a word.
+            sources = [(i // 2) * 7 % n for i in range(k)]
+            for layout in ("allocating", "contiguous", "strided", "column-sliced"):
+                if layout == "allocating":
+                    triples = signed_bfs_dense_batch(csr, sources)
+                    lengths = shortest_path_lengths_dense_batch(csr, sources)
+                else:
+                    out = [
+                        out_buffer(k, n, dtype, layout)
+                        for dtype in (np.int32, np.int64, np.int64, np.int32)
+                    ]
+                    tokens = signed_bfs_dense_batch_into(csr, sources, *out[:3])
+                    assert tokens == [True] * k
+                    tokens = shortest_path_lengths_dense_batch_into(csr, sources, out[3])
+                    assert tokens == [True] * k
+                    triples = list(zip(*out[:3]))
+                    lengths = list(out[3])
+                assert len(triples) == len(lengths) == k, (k, layout)
+                for source, triple, row in zip(sources, triples, lengths):
+                    want_triple, want_lengths = reference[source]
+                    for got, want in zip(triple, want_triple):
+                        assert got.dtype == want.dtype, (k, layout)
+                        assert np.array_equal(got, want), (k, layout, source)
+                    assert row.dtype == want_lengths.dtype, (k, layout)
+                    assert np.array_equal(row, want_lengths), (k, layout, source)
 
     def test_nodes_returns_defensive_copy(self, two_factions):
         csr = CSRSignedGraph.from_signed_graph(two_factions)

@@ -3,7 +3,7 @@
 Three layers are pinned against their legacy per-pair / per-source
 counterparts, bit for bit:
 
-* the lockstep multi-source CSR kernels against per-source runs and the dict
+* the multi-source CSR kernels against per-source runs and the dict
   reference implementations;
 * the SBPH (node, sign)-state CSR search against the per-edge dict search;
 * the full team-formation algorithms (LCMD / LCMC / RFMD / RFMC) through the
@@ -221,7 +221,7 @@ class TestDistancesToTeamMany:
 
 
 class TestBatchedKernels:
-    """Lockstep multi-source kernels are bit-identical to per-source runs."""
+    """Multi-source kernels are bit-identical to per-source runs."""
 
     @pytest.mark.parametrize("seed", (0, 1, 2))
     def test_multi_source_signed_bfs_matches_single_source(self, seed):
@@ -231,18 +231,17 @@ class TestBatchedKernels:
         csr = graph.csr_view()
         rng = random.Random(seed)
         sources = rng.sample(graph.nodes(), 9)
-        for chunk_size in (1, 4, 64):
-            batched = multi_source_signed_bfs(csr, sources, chunk_size=chunk_size)
-            for source, result in zip(sources, batched):
-                single = signed_bfs_csr(csr, source)
-                assert (result.lengths_array == single.lengths_array).all()
-                assert (result.positive_array == single.positive_array).all()
-                assert (result.negative_array == single.negative_array).all()
-                reference = signed_bfs(graph, source)
-                converted = result.to_signed_bfs_result()
-                assert converted.lengths == reference.lengths
-                assert converted.positive_counts == reference.positive_counts
-                assert converted.negative_counts == reference.negative_counts
+        batched = multi_source_signed_bfs(csr, sources)
+        for source, result in zip(sources, batched):
+            single = signed_bfs_csr(csr, source)
+            assert (result.lengths_array == single.lengths_array).all()
+            assert (result.positive_array == single.positive_array).all()
+            assert (result.negative_array == single.negative_array).all()
+            reference = signed_bfs(graph, source)
+            converted = result.to_signed_bfs_result()
+            assert converted.lengths == reference.lengths
+            assert converted.positive_counts == reference.positive_counts
+            assert converted.negative_counts == reference.negative_counts
 
     def test_multi_source_signed_bfs_empty_and_duplicates(self, two_factions):
         csr = two_factions.csr_view()
@@ -251,24 +250,17 @@ class TestBatchedKernels:
         assert results[0].source == results[1].source == 0
         assert (results[0].lengths_array == results[1].lengths_array).all()
 
-    @pytest.mark.parametrize("seed", (0, 1))
+    @pytest.mark.parametrize("seed", (0, 1, 2))
     def test_multi_source_plain_lengths_match_dict(self, seed):
         graph, _ = planted_factions_graph(
             45, average_degree=4.0, sign_noise=0.15, seed=seed
         )
         csr = graph.csr_view()
         sources = graph.nodes()[:7]
-        arrays = multi_source_shortest_path_lengths_csr(csr, sources, chunk_size=3)
+        arrays = multi_source_shortest_path_lengths_csr(csr, sources)
         for source, lengths in zip(sources, arrays):
             view = CSRLengths(csr, lengths)
             assert dict(view.items()) == shortest_path_lengths(graph, source)
-
-    def test_chunk_size_must_be_positive(self, two_factions):
-        csr = two_factions.csr_view()
-        with pytest.raises(ValueError):
-            multi_source_signed_bfs(csr, [0], chunk_size=0)
-        with pytest.raises(ValueError):
-            multi_source_shortest_path_lengths_csr(csr, [0], chunk_size=-1)
 
 
 class TestSBPHCSRSearch:

@@ -35,6 +35,8 @@ np = pytest.importorskip("numpy")
 from repro.signed.csr import (  # noqa: E402  (needs numpy)
     UNREACHABLE,
     CSRSignedGraph,
+    _shortest_path_lengths_array,
+    _signed_bfs_arrays,
     multi_source_signed_bfs,
     shortest_path_lengths_dense_batch,
     shortest_path_lengths_dense_batch_into,
@@ -467,77 +469,97 @@ def wp_graph():
     return graph.csr_view()
 
 
-class TestWordParallelKernels:
-    """Forced word-parallel runs must be bit-identical to the per-source
-    reference, across chunk boundaries (more than 64 sources)."""
+@pytest.fixture(scope="module")
+def wp_large_graph():
+    graph, _ = synthetic_signed_network(
+        5000, average_degree=4.0, negative_fraction=0.3, seed=43
+    )
+    return graph.csr_view()
 
-    SOURCES = 150  # three word chunks: 64 + 64 + 22
+
+@pytest.fixture(scope="module")
+def ladder():
+    """A doubling ladder whose shortest-path counts pass int64, with three
+    dense sources: both ends overflow, the middle rung does not."""
+    edges = []
+    previous = ["s"]
+    for layer in range(66):
+        current = [(layer, 0), (layer, 1)]
+        for node in current:
+            for parent in previous:
+                edges.append((parent, node, +1))
+        previous = current
+    csr = SignedGraph.from_edges(edges).csr_view()
+    return csr, [csr.index_of("s"), csr.index_of((33, 0)), csr.index_of((65, 0))]
+
+
+def _reference_triple(csr, source):
+    """Per-source Algorithm 1, or ``None`` where its counts overflow int64."""
+    try:
+        return _signed_bfs_arrays(csr, source)
+    except OverflowError:
+        return None
+
+
+class TestWordParallelKernels:
+    """Word-parallel batches must be bit-identical to the per-source
+    reference across word boundaries (more than 64 sources), plus strategy
+    selection and overflow handling (the full batch-size sweep lives in
+    ``tests/test_csr.py``)."""
+
+    SOURCES = 150  # three words: 64 + 64 + 22
 
     def test_signed_bfs_batch_identical(self, wp_graph):
         sources = list(range(self.SOURCES))
-        fast = signed_bfs_dense_batch(wp_graph, sources, wordparallel=True)
-        slow = signed_bfs_dense_batch(wp_graph, sources, wordparallel=False)
-        assert len(fast) == len(slow) == self.SOURCES
-        for f, s in zip(fast, slow):
-            for a, b in zip(f, s):
+        batch = signed_bfs_dense_batch(wp_graph, sources)
+        assert len(batch) == self.SOURCES
+        for source, got in zip(sources, batch):
+            for a, b in zip(got, _signed_bfs_arrays(wp_graph, source)):
                 assert a.dtype == b.dtype
                 assert np.array_equal(a, b)
 
     def test_signed_bfs_into_identical(self, wp_graph):
         sources = list(range(self.SOURCES))
         n = wp_graph.number_of_nodes()
-
-        def run(flag):
-            lengths = np.empty((self.SOURCES, n), dtype=np.int32)
-            positive = np.empty((self.SOURCES, n), dtype=np.int64)
-            negative = np.empty((self.SOURCES, n), dtype=np.int64)
-            tokens = signed_bfs_dense_batch_into(
-                wp_graph, sources, lengths, positive, negative, wordparallel=flag
-            )
-            return tokens, lengths, positive, negative
-
-        tokens_fast, *fast = run(True)
-        tokens_slow, *slow = run(False)
-        assert tokens_fast == tokens_slow
-        for a, b in zip(fast, slow):
-            assert np.array_equal(a, b)
+        out = [
+            np.empty((self.SOURCES, n), dtype=dtype)
+            for dtype in (np.int32, np.int64, np.int64)
+        ]
+        tokens = signed_bfs_dense_batch_into(wp_graph, sources, *out)
+        assert tokens == [True] * self.SOURCES
+        for row, source in enumerate(sources):
+            for plane, want in zip(out, _signed_bfs_arrays(wp_graph, source)):
+                assert np.array_equal(plane[row], want)
 
     def test_path_lengths_batch_identical(self, wp_graph):
         sources = list(range(self.SOURCES))
-        fast = shortest_path_lengths_dense_batch(wp_graph, sources, wordparallel=True)
-        slow = shortest_path_lengths_dense_batch(wp_graph, sources, wordparallel=False)
-        for a, b in zip(fast, slow):
-            assert a.dtype == b.dtype
-            assert np.array_equal(a, b)
+        batch = shortest_path_lengths_dense_batch(wp_graph, sources)
+        assert len(batch) == self.SOURCES
+        for source, got in zip(sources, batch):
+            want = _shortest_path_lengths_array(wp_graph, source)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
 
     def test_path_lengths_into_identical(self, wp_graph):
         sources = list(range(self.SOURCES))
-        n = wp_graph.number_of_nodes()
-        fast = np.empty((self.SOURCES, n), dtype=np.int32)
-        slow = np.empty((self.SOURCES, n), dtype=np.int32)
-        shortest_path_lengths_dense_batch_into(
-            wp_graph, sources, fast, wordparallel=True
-        )
-        shortest_path_lengths_dense_batch_into(
-            wp_graph, sources, slow, wordparallel=False
-        )
-        assert np.array_equal(fast, slow)
+        out = np.empty((self.SOURCES, wp_graph.number_of_nodes()), dtype=np.int32)
+        shortest_path_lengths_dense_batch_into(wp_graph, sources, out)
+        for row, source in enumerate(sources):
+            assert np.array_equal(
+                out[row], _shortest_path_lengths_array(wp_graph, source)
+            )
 
     def test_noncontiguous_output_rows(self, wp_graph):
         """Word-parallel writes go row-by-row, so strided output views (an
         arena whose row block belongs to a larger allocation) work too."""
         sources = list(range(70))
-        n = wp_graph.number_of_nodes()
-        backing = np.empty((140, n), dtype=np.int32)
+        backing = np.empty((140, wp_graph.number_of_nodes()), dtype=np.int32)
         view = backing[::2]
-        shortest_path_lengths_dense_batch_into(
-            wp_graph, sources, view, wordparallel=True
-        )
-        dense = np.empty((70, n), dtype=np.int32)
-        shortest_path_lengths_dense_batch_into(
-            wp_graph, sources, dense, wordparallel=False
-        )
-        assert np.array_equal(view, dense)
+        shortest_path_lengths_dense_batch_into(wp_graph, sources, view)
+        for row, source in enumerate(sources):
+            assert np.array_equal(
+                view[row], _shortest_path_lengths_array(wp_graph, source)
+            )
 
     def test_disconnected_sources_unreachable_marker(self):
         graph = SignedGraph.from_edges([(0, 1, +1), (2, 3, -1)])
@@ -545,68 +567,72 @@ class TestWordParallelKernels:
             graph.add_node(node)
         csr = graph.csr_view()
         sources = list(range(csr.number_of_nodes()))
-        fast = shortest_path_lengths_dense_batch(csr, sources, wordparallel=True)
-        slow = shortest_path_lengths_dense_batch(csr, sources, wordparallel=False)
-        for a, b in zip(fast, slow):
-            assert np.array_equal(a, b)
-        assert fast[0][2] == UNREACHABLE
+        batch = shortest_path_lengths_dense_batch(csr, sources)
+        for source, lengths in zip(sources, batch):
+            assert np.array_equal(lengths, _shortest_path_lengths_array(csr, source))
+        assert batch[0][2] == UNREACHABLE
 
-    def test_adaptive_heuristic_engages_above_threshold(self, wp_graph, monkeypatch):
+    def test_adaptive_heuristic_engages_above_threshold(
+        self, wp_graph, wp_large_graph, monkeypatch
+    ):
+        """Batch size alone picks the strategy, on either side of 4096 nodes:
+        words under WORDPARALLEL_MIN_SOURCES sources run per source, larger
+        words run word-parallel."""
         import repro.signed.csr as csr_module
 
         calls = []
-        original = csr_module._wordparallel_path_lengths_into
+        for name in ("_wordparallel_path_lengths_into", "_wordparallel_signed_bfs_into"):
+            original = getattr(csr_module, name)
 
-        def recording(csr, chunk, out):
-            calls.append(len(chunk))
-            return original(csr, chunk, out)
+            def recording(csr, word, *out, _original=original):
+                calls.append(len(word))
+                return _original(csr, word, *out)
 
-        monkeypatch.setattr(
-            csr_module, "_wordparallel_path_lengths_into", recording
-        )
-        sources = list(range(100))
-        # Below the node threshold: stays on the batched/lockstep path.
-        shortest_path_lengths_dense_batch(wp_graph, sources)
-        assert calls == []
-        # Above it (threshold forced down): word-parallel chunks of <= 64.
-        shortest_path_lengths_dense_batch(wp_graph, sources, lockstep_threshold=10)
-        assert calls == [64, 36]
-        calls.clear()
-        # Too few sources to pay the bitmap setup: per-source path.
-        shortest_path_lengths_dense_batch(
-            wp_graph, sources[:4], lockstep_threshold=10
-        )
-        assert calls == []
+            monkeypatch.setattr(csr_module, name, recording)
+        for csr in (wp_graph, wp_large_graph):
+            for batch in (shortest_path_lengths_dense_batch, signed_bfs_dense_batch):
+                for k, expected in ((2, []), (3, [3]), (100, [64, 36])):
+                    calls.clear()
+                    batch(csr, list(range(k)))
+                    assert calls == expected, (len(csr), batch.__name__, k)
 
-    def test_overflow_falls_back_per_source(self):
+    def test_overflow_falls_back_per_source(self, ladder):
         """A doubling ladder pushes shortest-path counts past int64 inside
-        the word-parallel kernel; the chunk must re-run per source and land
+        the word-parallel kernel; the word must re-run per source and land
         on the identical skip/raise behaviour as the reference."""
-        edges = []
-        previous = ["s"]
-        for layer in range(66):
-            current = [(layer, 0), (layer, 1)]
-            for node in current:
-                for parent in previous:
-                    edges.append((parent, node, +1))
-            previous = current
-        graph = SignedGraph.from_edges(edges)
-        csr = graph.csr_view()
-        sources = [csr.index_of("s"), csr.index_of((0, 0)), csr.index_of((65, 0))]
+        csr, sources = ladder
         with pytest.raises(OverflowError):
-            signed_bfs_dense_batch(csr, sources, wordparallel=True)
-        fast = signed_bfs_dense_batch(
-            csr, sources, wordparallel=True, skip_overflow=True
-        )
-        slow = signed_bfs_dense_batch(
-            csr, sources, wordparallel=False, skip_overflow=True
-        )
-        assert [r is None for r in fast] == [r is None for r in slow]
-        for f, s in zip(fast, slow):
-            if f is None:
+            signed_bfs_dense_batch(csr, sources)
+        batch = signed_bfs_dense_batch(csr, sources, skip_overflow=True)
+        reference = [_reference_triple(csr, source) for source in sources]
+        assert [r is None for r in batch] == [r is None for r in reference]
+        assert [r is None for r in reference] == [True, False, True]
+        for got, want in zip(batch, reference):
+            if want is None:
                 continue
-            for a, b in zip(f, s):
+            for a, b in zip(got, want):
                 assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("repeat", (1, 22))
+    def test_overflow_tokens_into_buffers(self, ladder, repeat):
+        """The ``_into`` form marks exactly the reference's overflowing rows
+        ``None`` and fills every other row, whether the ladder's sources make
+        one word-parallel word (3 sources) or a full word plus a per-source
+        remainder (66 sources)."""
+        csr, ladder_sources = ladder
+        sources = ladder_sources * repeat
+        k, n = len(sources), csr.number_of_nodes()
+        out = [np.empty((k, n), dtype=dtype) for dtype in (np.int32, np.int64, np.int64)]
+        with pytest.raises(OverflowError):
+            signed_bfs_dense_batch_into(csr, sources, *out)
+        tokens = signed_bfs_dense_batch_into(csr, sources, *out, skip_overflow=True)
+        reference = [_reference_triple(csr, source) for source in sources]
+        assert tokens == [None if want is None else True for want in reference]
+        for row, want in enumerate(reference):
+            if want is None:
+                continue
+            for plane, values in zip(out, want):
+                assert np.array_equal(plane[row], values)
 
     def test_multi_source_wrapper_unaffected(self, wp_graph):
         """The node-keyed wrapper sits above the dense batch and must agree
