@@ -5,13 +5,16 @@ OS-visible resource is registered with a process-local ledger *in the same
 function that allocates it*:
 
 * ``shared_memory.SharedMemory(create=True)`` → ``_SEGMENT_LEDGER`` —
-  otherwise a crashed run leaks POSIX shm segments until reboot;
+  otherwise a crashed run leaks POSIX shm segments until reboot.  The pool's
+  result arenas (``_PoolHandle.create_arena``) are the only such
+  allocation;
 * snapshot-store temp files (``_temp_path(...)`` / ``tempfile`` APIs) →
   ``_TEMP_LEDGER`` — otherwise an interrupted save litters ``*.tmp`` files
   next to the store;
-* snapshot files published by the pool (``save_snapshot`` in
-  ``repro.exec``) → ``_STORE_FILE_LEDGER`` — otherwise republished planes
-  outlive the pool that owns them.
+* snapshot files published by the pool (``save_snapshot`` for ``.store``
+  files and ``write_atomically`` for ``.pickle`` files, in ``repro.exec``)
+  → ``_STORE_FILE_LEDGER`` — otherwise republished snapshots outlive the
+  pool that owns them.
 
 "Same function" is the contract, not "somewhere": the ledgers are consulted
 by ``atexit``/signal handlers, so a registration deferred to a helper the
@@ -102,6 +105,9 @@ class LedgerDisciplineRule(Rule):
             return "_TEMP_LEDGER", "a snapshot-store temp path"
         if name in _TEMPFILE_APIS:
             return "_TEMP_LEDGER", f"a tempfile.{name} resource"
-        if name == "save_snapshot" and ctx.module.startswith("repro.exec"):
-            return "_STORE_FILE_LEDGER", "a published snapshot file"
+        if ctx.module.startswith("repro.exec"):
+            if name == "save_snapshot":
+                return "_STORE_FILE_LEDGER", "a published .store snapshot file"
+            if name == "write_atomically":
+                return "_STORE_FILE_LEDGER", "a published .pickle snapshot file"
         return None

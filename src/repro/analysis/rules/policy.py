@@ -1,11 +1,12 @@
 """``policy-shim``: execution knobs enter only through ``resolve_policy``.
 
 :class:`~repro.exec.policy.ExecutionPolicy` is the single funnel for every
-execution knob — backend choice, pool shape, cache budgets, arena limits.
+execution knob — backend choice, pool shape, snapshot directory, cache budgets.
 Public constructors must not grow loose keyword arguments that shadow those
 knobs: a constructor that accepts ``workers=`` but never routes it through
-``resolve_policy`` silently forks the configuration surface, and the env-var
-overrides (``REPRO_*``) stop applying to it.
+``resolve_policy`` silently forks the configuration surface — its value
+skips the policy's validation and never reaches the executors, oracles and
+engines that read the policy.
 
 The check: any public class in ``repro.*`` whose ``__init__`` takes a
 parameter named like a policy knob must call ``resolve_policy`` (or
@@ -29,8 +30,6 @@ KNOBS = frozenset(
         "workers",
         "chunk_size",
         "min_parallel_sources",
-        "result_arena",
-        "arena_budget_bytes",
         "snapshot_store",
         "csr_auto_level_threshold",
         "distance_index",
@@ -90,8 +89,8 @@ class PolicyShimRule(Rule):
                     f"{node.name}.__init__ accepts execution knob(s) "
                     f"{', '.join(knob_params)} without routing them through "
                     "resolve_policy: knobs interpreted outside the policy "
-                    "shim fork the configuration surface and ignore REPRO_* "
-                    "env overrides",
+                    "shim fork the configuration surface and skip its "
+                    "validation",
                 )
             )
         return findings

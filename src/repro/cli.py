@@ -21,10 +21,10 @@ Installed as ``repro-teams`` (see ``pyproject.toml``); also runnable as
 The experiment commands (``table2``, ``figure2``, ``streaming`` and
 ``reproduce``) take ``--workers N`` / ``--chunk-size M`` to fan the
 per-source kernel sweeps out over a process pool
-(:class:`repro.exec.ExecutionPolicy`), and ``--snapshot-store DIR`` to ship
-pool snapshots as memory-mapped files instead of shared memory; the default
-is serial, so existing invocations are unchanged, and results are identical
-in every mode.
+(:class:`repro.exec.ExecutionPolicy`), and ``--snapshot-store DIR`` to pick
+the directory pool snapshots are published into (default: ``/dev/shm``);
+the default is serial, so existing invocations are unchanged, and results
+are identical in every mode.
 """
 
 from __future__ import annotations
@@ -103,7 +103,7 @@ def _chunk_size_argument(value: str) -> int:
 
 
 def _snapshot_store_argument(value: str) -> str:
-    """Validate ``--snapshot-store``: an existing directory for store files.
+    """Validate ``--snapshot-store``: an existing directory for snapshot files.
 
     Shares its rule with :meth:`repro.exec.ExecutionPolicy.__post_init__` via
     :func:`repro.exec.policy.validate_snapshot_store`, so the policy layer and
@@ -195,8 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
             type=_snapshot_store_argument,
             default=None,
             metavar="DIR",
-            help="existing directory to publish pool snapshots as memory-mapped "
-            "files instead of shared memory (default: shared memory)",
+            help="existing directory to publish pool snapshot files into "
+            "(default: /dev/shm when writable, else the temp directory)",
         )
 
     def add_scale_flags(subparser: argparse.ArgumentParser) -> None:

@@ -340,11 +340,7 @@ class DistanceOracle:
         return self._build_or_refresh()
 
     def _build_or_refresh(self):
-        from repro.signed.labels import (
-            build_label_index,
-            refresh_label_index,
-            register_snapshot_labels,
-        )
+        from repro.signed.labels import build_label_index, refresh_label_index
 
         executor = executor_for(self._policy)
         if self._label_index is None:
@@ -365,9 +361,6 @@ class DistanceOracle:
                 self._index_patches += 1
             elif how == "rebuilt":
                 self._index_builds += 1
-        # Record the index against the snapshot it serves, so snapshot_store
-        # publishes and cache writes persist the label section for free.
-        register_snapshot_labels(self._graph.csr_view(), self._label_index)
         return self._label_index
 
     def build_index(self):
@@ -401,9 +394,6 @@ class DistanceOracle:
                 f"{self._graph.number_of_nodes()}"
             )
         self._label_index = index.stamped(self._graph.generation)
-        from repro.signed.labels import register_snapshot_labels
-
-        register_snapshot_labels(self._graph.csr_view(), self._label_index)
 
     def refresh_index(self) -> None:
         """Delta-refresh the label index to the current generation, if built."""

@@ -4,8 +4,10 @@ One :class:`ExecutionPolicy` object bundles every knob that used to travel as
 loose keyword arguments through the compatibility stack — backend choice,
 the CSR auto threshold, cache budgets — and adds the worker-pool dimension:
 ``workers >= 2`` dispatches per-source kernel batches (signed BFS, distance
-sweeps, balanced-path searches) to a persistent process pool that receives
-frozen CSR snapshots zero-copy through ``multiprocessing.shared_memory``.
+sweeps, balanced-path searches) to a persistent process pool.  The pool
+reads each snapshot from one published file (CSR snapshots memory-mapped,
+dict graphs unpickled) and ships set-valued results back through
+``multiprocessing.shared_memory`` result arenas.
 Serial and pooled execution are bit-identical; see the README's
 "Execution policies" section and :mod:`repro.exec.pool` for the worker model.
 """

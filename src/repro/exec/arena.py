@@ -12,7 +12,9 @@ This module is the codec layer that removes it:
 
 * **One arena per dispatch.**  The parent allocates a single
   ``multiprocessing.shared_memory`` segment sized for the whole source batch
-  (see :func:`arena_nbytes`), laid out as per-kernel *planes* — for
+  (see :func:`arena_nbytes`; a batch over the pool's arena budget is split
+  into consecutive sub-dispatches, each with its own arena), laid out as
+  per-kernel *planes* — for
   ``csr_signed_bfs`` a ``(k, n)`` int32 lengths plane followed by two
   ``(k, n)`` int64 count planes, for ``csr_compatible_masks`` a single
   ``(k, ceil(n/8))`` packed-bitmap plane, and so on.  Plane offsets are
@@ -35,11 +37,12 @@ This module is the codec layer that removes it:
   completes (no ``/dev/shm`` entry outlives it) and the mapping itself is
   closed by a ``weakref.finalize`` when the last decoded view dies.
 
-The arena is an optimisation of *transport only*: tokens plus decoded rows
-reproduce exactly what the plain kernel would have returned, so pool-vs-serial
-bit-identity is preserved by construction.  Kernels without an entry here
-(every ``dict_*`` kernel, scalar reductions, locally registered test kernels)
-simply ship their results pickled, as before.
+The arena is the only way set-valued results leave a worker, and it is
+*transport only*: tokens plus decoded rows reproduce exactly what the plain
+kernel would have returned, so pool-vs-serial bit-identity is preserved by
+construction.  Kernels without an entry here (every ``dict_*`` kernel,
+scalar reductions, locally registered test kernels) return their results
+through ``Pool.map``.
 
 numpy is imported lazily throughout, keeping ``import repro.exec`` working on
 numpy-free installs (where no CSR kernel — arena or not — ever runs).
@@ -225,7 +228,7 @@ def _write_sbph(planes, start, csr, sources, params) -> List:
 
 
 def _write_compatible_masks(planes, start, csr, sources, params) -> List:
-    # Delegates to the plain kernel so arena and pickled shipping produce the
+    # Delegates to the plain kernel so arena rows and serial results are the
     # very same packed bytes; a bitmap row is ceil(n/8) bytes, so the copy is
     # negligible next to the per-source traversal.
     from repro.exec.kernels import KERNELS

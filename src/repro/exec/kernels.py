@@ -12,11 +12,12 @@ Payload conventions:
 * ``csr_*`` kernels receive a :class:`~repro.signed.csr.CSRSignedGraph` and
   **dense integer source ids**; they only touch the snapshot's flat arrays
   (via the dense cores in :mod:`repro.signed.csr`), never the node list or
-  index.  This is what allows the pool to ship a snapshot as three raw arrays
-  through ``multiprocessing.shared_memory`` — zero-copy, no node objects.
+  index.  This is what allows the pool to publish a snapshot as a ``.store``
+  file that workers memory-map with placeholder nodes — no node objects.
 * ``dict_*`` kernels receive a :class:`~repro.signed.graph.SignedGraph` and
-  the original node objects (the pool ships the graph pickled, once per
-  generation); results are the ordinary dict-backed result objects.
+  the original node objects (the pool publishes the graph as a ``.pickle``
+  file, once per generation); results are the ordinary dict-backed result
+  objects.
 
 Kernels are looked up by name so worker processes can resolve them after a
 plain module import; extensions register theirs with :func:`register_kernel`.

@@ -9,9 +9,9 @@ to that string plumbing would have made it unmaintainable, so all of it now
 lives here:
 
 * :class:`ExecutionPolicy` — a frozen, hashable bundle of backend choice,
-  adaptive thresholds, worker-pool shape and cache budgets.  Every relation,
-  oracle and engine holds exactly one and consults it instead of ad-hoc
-  parameters.
+  adaptive thresholds, worker-pool shape, the pool's snapshot directory and
+  cache budgets.  Every relation, oracle and engine holds exactly one and
+  consults it instead of ad-hoc parameters.
 * :func:`resolve_policy` — the shim that maps the legacy keyword arguments
   (which remain supported, see the README's deprecation note) onto a policy.
 * :func:`executor_for` — policy in, executor out: a shared
@@ -90,28 +90,13 @@ class ExecutionPolicy:
     min_parallel_sources:
         Batches smaller than this run in-process even under a pool policy —
         shipping a two-source batch to workers costs more than running it.
-    result_arena:
-        When true (the default), set-valued CSR kernel dispatches ship their
-        dense results through a per-dispatch ``multiprocessing.shared_memory``
-        *result arena* (workers write rows in place, the parent reads
-        zero-copy views) instead of pickling O(n) arrays per source back
-        through the pipe.  Results are bit-identical either way; turn it off
-        to benchmark or to sidestep a platform's shared-memory limits.
-    arena_budget_bytes:
-        Upper bound on one dispatch's result-arena segment; a dispatch whose
-        layout would exceed it falls back to pickled result shipping (still
-        parallel).  ``0`` disables the check.  The default (256 MiB) admits a
-        full 50k-node, 150-source BFS sweep with headroom.
     snapshot_store:
-        ``None`` (the default) publishes snapshots to workers through
-        ``multiprocessing.shared_memory`` segments.  A directory path
-        switches publishing to *file-backed* mode: the parent saves the CSR
-        snapshot once into that directory (:mod:`repro.signed.store` format)
-        and workers ``numpy.memmap`` the file read-only — same
-        ``(identity, generation)`` keying, same churn republish, same ledger
-        cleanup, bit-identical results.  Use it to keep huge snapshots out
-        of ``/dev/shm``, to share one page-cache copy across many worker
-        generations, or to leave a warm store file behind for the next run.
+        The existing directory the pool publishes snapshot files into (one
+        ``.store`` file per CSR snapshot, one ``.pickle`` file per dict
+        graph).  ``None`` (the default) picks ``/dev/shm`` when that is a
+        writable directory and the platform temp directory otherwise; name
+        a directory to keep huge snapshots out of ``/dev/shm``.  Results are
+        bit-identical whatever the directory.
     csr_auto_level_threshold:
         Override for
         :data:`repro.compatibility.shortest_path.CSR_AUTO_LEVEL_THRESHOLD`
@@ -153,8 +138,6 @@ class ExecutionPolicy:
     workers: int = 0
     chunk_size: Optional[int] = None
     min_parallel_sources: int = 4
-    result_arena: bool = True
-    arena_budget_bytes: int = 256 * 2**20
     snapshot_store: Optional[str] = None
     csr_auto_level_threshold: Optional[int] = None
     distance_index: str = "bfs"
@@ -177,11 +160,6 @@ class ExecutionPolicy:
         if self.min_parallel_sources < 1:
             raise ValueError(
                 f"min_parallel_sources must be >= 1, got {self.min_parallel_sources}"
-            )
-        if self.arena_budget_bytes < 0:
-            raise ValueError(
-                "arena_budget_bytes must be >= 0 (0 disables the budget), "
-                f"got {self.arena_budget_bytes}"
             )
         if self.snapshot_store is not None:
             validate_snapshot_store(self.snapshot_store)

@@ -21,19 +21,13 @@ class Executor:
     regardless of how the work was split or where it ran.  Implementations
     must be deterministic: the same (kernel, payload, sources, params) always
     produces the same result list.  *How* results travel is likewise an
-    implementation detail: the pool executor may ship set-valued results
+    implementation detail: the pool executor ships set-valued results
     through a shared-memory arena (:mod:`repro.exec.arena`), the serial
     executor never ships anything — callers see the same objects either way.
     """
 
     #: Number of OS processes doing kernel work (1 for serial).
     workers: int = 1
-
-    #: Whether results may travel through a shared-memory result arena.
-    #: False here is the arena's *no-op path*: in-process execution returns
-    #: kernel results directly, so there is nothing to encode or decode —
-    #: which is also what a degraded pool policy falls back to.
-    uses_result_arena: bool = False
 
     def map_kernel(
         self,

@@ -43,8 +43,9 @@ class DatasetConfig:
     workers: int = 0
     #: Sources per worker task (None derives one from batch size and workers).
     chunk_size: Optional[int] = None
-    #: Directory for file-backed snapshot publishing (None = shared memory;
-    #: see :attr:`repro.exec.ExecutionPolicy.snapshot_store`).
+    #: Directory pool snapshots are published into (None = /dev/shm when
+    #: writable, else the temp directory; see
+    #: :attr:`repro.exec.ExecutionPolicy.snapshot_store`).
     snapshot_store: Optional[str] = None
 
     def execution_policy(self) -> "ExecutionPolicy":

@@ -58,8 +58,9 @@ class StreamingConfig:
     workers: int = 0
     #: Sources per worker task (None derives one per dispatch).
     chunk_size: Optional[int] = None
-    #: Directory for file-backed snapshot publishing (None = shared memory;
-    #: see :attr:`repro.exec.ExecutionPolicy.snapshot_store`).
+    #: Directory pool snapshots are published into (None = /dev/shm when
+    #: writable, else the temp directory; see
+    #: :attr:`repro.exec.ExecutionPolicy.snapshot_store`).
     snapshot_store: Optional[str] = None
     #: Deterministic algorithms evaluated each round.
     algorithms: Tuple[str, ...] = ("LCMD", "LCMC", "RFMD", "RFMC")

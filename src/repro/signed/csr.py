@@ -88,8 +88,8 @@ class CSRSignedGraph:
         ``int8`` array parallel to ``indices`` holding the edge labels.
     """
 
-    # __weakref__ lets the execution layer key published shared-memory
-    # snapshots on the graph object itself (repro.exec.pool).
+    # __weakref__ lets the execution layer key published snapshot files on
+    # the graph object itself (repro.exec.pool).
     __slots__ = ("indptr", "indices", "signs", "generation", "_nodes", "_index", "__weakref__")
 
     def __init__(
@@ -501,7 +501,7 @@ def _signed_bfs_arrays(
 
     Takes a *dense* source id and touches only the snapshot's flat arrays —
     never the node list or index — so it runs unchanged inside worker
-    processes that received the snapshot through shared memory without the
+    processes that memory-mapped the published snapshot without the
     (arbitrary, possibly unpicklable) node objects.  Returns
     ``(lengths, positive, negative)``.
     """
@@ -895,7 +895,7 @@ def signed_bfs_dense_batch(
 
     Works purely on the snapshot's flat arrays (no node objects), which is
     what lets the execution layer run it inside worker processes against a
-    shared-memory copy of the snapshot.  An allocating wrapper over
+    memory-mapped copy of the snapshot.  An allocating wrapper over
     :func:`signed_bfs_dense_batch_into`, one 64-source word at a time: rows
     are copied out of the word's buffers, so transient memory stays one
     word's worth and holding one result does not pin the rest.  Results are
@@ -987,7 +987,7 @@ def shortest_path_lengths_dense_batch(
 
     Dense ids in, one ``int32`` length array per source out; node objects are
     never touched, so the execution layer can run it in worker processes over
-    a shared-memory snapshot.  An allocating wrapper over
+    a memory-mapped snapshot.  An allocating wrapper over
     :func:`shortest_path_lengths_dense_batch_into`, one word at a time, with
     rows copied out like :func:`signed_bfs_dense_batch`.
     """
@@ -1092,7 +1092,7 @@ def balanced_heuristic_depths(
 
     Takes a dense source id and returns ``(positive_depths, negative_depths)``
     keyed by dense node ids — no node objects are touched, so the execution
-    layer can run the search in worker processes over a shared-memory
+    layer can run the search in worker processes over a memory-mapped
     snapshot and remap the depths to node objects in the parent.
     """
     return _balanced_heuristic_depths(csr, source_id, max_length)

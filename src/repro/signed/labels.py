@@ -39,7 +39,6 @@ missing (see ``DistanceOracle``).
 
 from __future__ import annotations
 
-import weakref
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.signed.csr import CSRSignedGraph, UNREACHABLE
@@ -345,37 +344,6 @@ class LabelIndex:
         np = _np()
         upper, exact = self.batch_bounds_from(u, np.asarray([v], dtype=np.int64))
         return int(upper[0]), bool(exact[0])
-
-
-#: Snapshot → label-index registry.  Every oracle that builds, refreshes or
-#: attaches an index records it here against the CSR snapshot it serves;
-#: anything that later *persists* that snapshot (the pool's ``snapshot_store``
-#: publish mode, the loader cache) asks :func:`snapshot_labels_for` and writes
-#: the ``.store`` v2 label section alongside the planes — so workers and
-#: cache hits reload the index instead of rebuilding it.  Weak keys: entries
-#: live exactly as long as their snapshot does.
-_SNAPSHOT_LABELS: "weakref.WeakKeyDictionary[CSRSignedGraph, LabelIndex]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def register_snapshot_labels(csr: CSRSignedGraph, index: Optional[LabelIndex]) -> None:
-    """Record ``index`` as the label index serving the snapshot ``csr``."""
-    if index is not None:
-        _SNAPSHOT_LABELS[csr] = index
-
-
-def snapshot_labels_for(csr: CSRSignedGraph) -> Optional[LabelIndex]:
-    """The registered label index for ``csr``, if still generation-exact."""
-    index = _SNAPSHOT_LABELS.get(csr)
-    if index is None:
-        return None
-    if (
-        index.num_nodes != csr.number_of_nodes()
-        or index.generation != csr.generation
-    ):
-        return None
-    return index
 
 
 def labels_equal(left: Optional[LabelIndex], right: Optional[LabelIndex]) -> bool:

@@ -3,9 +3,8 @@
 One on-disk format for "a CSR snapshot", spoken by every layer that used to
 have its own: :meth:`CSRSignedGraph.save` / :meth:`~CSRSignedGraph.load`
 persist and map snapshots directly, the dataset loaders cache their
-parse-once results as store files, and the pool executor's ``snapshot_store``
-mode publishes snapshots as files that workers ``numpy.memmap`` read-only
-instead of attaching shared memory.
+parse-once results as store files, and the pool executor publishes every
+CSR snapshot as a file that workers ``numpy.memmap`` read-only.
 
 The layout follows the result arena's plane discipline
 (:mod:`repro.exec.arena`): a fixed-size header, then 8-byte-aligned planes so
@@ -49,9 +48,9 @@ graphs) use the ``range`` kind instead — zero bytes on disk, rebuilt as
 Writes are crash-safe: the planes go to a ``.tmp`` sibling first and
 ``os.replace`` promotes it atomically, so a reader never maps a half-written
 file.  Every live temp path is tracked in a module ledger that
-:func:`repro.exec.pool.shutdown_pools` sweeps (same discipline as the shm
-segment ledger), so a worker crash mid-publish cannot strand temp files in
-the store directory.
+:func:`repro.exec.pool.shutdown_pools` sweeps (same discipline as the
+pool's published-file and arena ledgers), so a worker crash mid-publish
+cannot strand temp files in the store directory.
 
 Loading with ``mmap=True`` returns :class:`numpy.memmap` views — cold start
 is the cost of mapping, not of parsing, and concurrent readers of the same
@@ -69,7 +68,7 @@ import os
 import pickle
 import struct
 import threading
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.utils.optional import require_numpy
 
@@ -255,26 +254,41 @@ def save_snapshot(csr: "CSRSignedGraph", path: str, labels=None) -> str:
     header = _HEADER.pack(
         MAGIC, VERSION, kind, num_nodes, num_entries, csr.generation, len(table)
     )
+
+    def write(handle) -> None:
+        handle.write(header)
+        for name, array in (
+            ("indptr", indptr),
+            ("indices", indices),
+            ("signs", signs),
+        ):
+            _dtype, _count, offset = layout[name]
+            handle.write(b"\0" * (offset - handle.tell()))
+            handle.write(array.tobytes())
+        _dtype, _count, offset = layout["node_table"]
+        handle.write(b"\0" * (offset - handle.tell()))
+        handle.write(table)
+        assert handle.tell() == total
+        if labels is not None:
+            _write_label_section(handle, labels, num_nodes, total)
+
+    return write_atomically(path, write)
+
+
+def write_atomically(path: str, write: Callable[[io.BufferedWriter], None]) -> str:
+    """Have ``write(handle)`` fill a temp sibling, then promote it to ``path``.
+
+    The temp file sits on :data:`_TEMP_LEDGER` while it exists and is
+    unlinked if anything fails before ``os.replace``, so ``path`` only ever
+    appears complete.  Needs no numpy: the pool publishes pickled dict
+    graphs through it too.  Returns ``path``.
+    """
     temp = _temp_path(path)
     with _TEMP_LOCK:
         _TEMP_LEDGER[temp] = None
     try:
         with open(temp, "wb") as handle:
-            handle.write(header)
-            for name, array in (
-                ("indptr", indptr),
-                ("indices", indices),
-                ("signs", signs),
-            ):
-                _dtype, _count, offset = layout[name]
-                handle.write(b"\0" * (offset - handle.tell()))
-                handle.write(array.tobytes())
-            _dtype, _count, offset = layout["node_table"]
-            handle.write(b"\0" * (offset - handle.tell()))
-            handle.write(table)
-            assert handle.tell() == total
-            if labels is not None:
-                _write_label_section(handle, labels, num_nodes, total)
+            write(handle)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(temp, path)

@@ -305,6 +305,32 @@ def test_ledger_rule_covers_temp_paths_and_store_files():
     )
 
 
+def test_ledger_rule_requires_pickle_publish_registration():
+    source = snippet(
+        """
+        def publish(blob, stem):
+            path = stem + ".pickle"
+            write_atomically(path, lambda handle: handle.write(blob))
+            return path
+        """
+    )
+    findings = analyze_source(source, module="repro.exec.example")
+    messages = [f.message for f in findings if f.rule == "ledger-discipline"]
+    assert any(".pickle" in m and "_STORE_FILE_LEDGER" in m for m in messages)
+    clean = snippet(
+        """
+        def publish(blob, stem):
+            path = stem + ".pickle"
+            _STORE_FILE_LEDGER[path] = None
+            write_atomically(path, lambda handle: handle.write(blob))
+            return path
+        """
+    )
+    assert "ledger-discipline" not in rule_ids(
+        analyze_source(clean, module="repro.exec.example")
+    )
+
+
 # --------------------------------------------------------------- lazy-numpy
 
 

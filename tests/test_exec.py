@@ -10,9 +10,11 @@ degradation when shared memory is unavailable).
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 import random
+import warnings
 
 import pytest
 
@@ -150,12 +152,6 @@ class TestExecutionPolicy:
         assert resolve_policy(None, workers=0).resolved_workers() == 1
         assert resolve_policy(None, workers=-1).resolved_workers() >= 1
 
-    def test_arena_knob_validation(self):
-        with pytest.raises(ValueError, match="arena_budget_bytes"):
-            ExecutionPolicy(arena_budget_bytes=-1)
-        assert ExecutionPolicy().result_arena is True
-        assert ExecutionPolicy(result_arena=False, arena_budget_bytes=0).parallel is False
-
     def test_resolve_policy_shim_semantics(self):
         base = ExecutionPolicy(backend="csr", bfs_cache_size=17)
         # Unset markers keep the policy's values.
@@ -255,11 +251,11 @@ class TestPoolExecutor:
     def test_small_batches_run_inline(self, graph):
         policy = ExecutionPolicy(workers=2, min_parallel_sources=64)
         executor = executor_for(policy)
-        handle_publishes = executor._handle._next_publish_id
+        handle_publishes = executor._handle.publications
         result = executor.map_kernel("dict_signed_bfs", graph, graph.nodes()[:3])
         assert len(result) == 3
         # Nothing was shipped: the batch stayed under the dispatch threshold.
-        assert executor._handle._next_publish_id == handle_publishes
+        assert executor._handle.publications == handle_publishes
 
 
 class TestResultArena:
@@ -326,8 +322,8 @@ class TestResultArena:
         created = []
         original = pool_module._PoolHandle.create_arena
 
-        def recording(self, kernel, num_sources, num_nodes, budget):
-            arena, shm = original(self, kernel, num_sources, num_nodes, budget)
+        def recording(self, kernel, num_sources, num_nodes):
+            arena, shm = original(self, kernel, num_sources, num_nodes)
             created.append(arena.name)
             return arena, shm
 
@@ -343,25 +339,51 @@ class TestResultArena:
                 shared_memory.SharedMemory(name=name)
             assert name not in pool_module._SEGMENT_LEDGER
 
-    def test_arena_off_and_budget_exhaustion_fall_back_to_pickles(self, graph):
+    def test_over_budget_dispatch_splits_into_sub_arenas(self, graph, monkeypatch):
+        """A batch whose arena would exceed the budget runs as consecutive
+        sub-dispatches, one arena each, concatenated in source order."""
         np = pytest.importorskip("numpy")
-        serial = serial_executor()
+        from repro.exec.arena import arena_nbytes
+
+        csr, dense = self._dense_sources(graph, count=10)
+        row_bytes = arena_nbytes("csr_signed_bfs", 1, csr.number_of_nodes())
+        monkeypatch.setattr(pool_module, "_ARENA_BUDGET_BYTES", 3 * row_bytes + row_bytes // 2)
+        executor = executor_for(pool_policy("csr", seed=205))
+        params = {"skip_overflow": True}
+        before = executor._handle.arenas_created
+        pooled = executor.map_kernel("csr_signed_bfs", csr, dense, params)
+        assert executor._handle.arenas_created == before + math.ceil(len(dense) / 3)
+        serial = serial_executor().map_kernel("csr_signed_bfs", csr, dense, params)
+        assert len(pooled) == len(serial)
+        for left, right in zip(pooled, serial):
+            assert all(np.array_equal(a, b) for a, b in zip(left, right))
+
+    def test_arena_allocation_failure_degrades_to_serial(self, graph, monkeypatch):
+        from multiprocessing import shared_memory
+
+        np = pytest.importorskip("numpy")
+        real = shared_memory.SharedMemory
+
+        def no_room(*args, **kwargs):
+            if kwargs.get("create"):
+                raise OSError(28, "No space left on device")
+            return real(*args, **kwargs)
+
+        executor = executor_for(pool_policy("csr", seed=206))
         csr, dense = self._dense_sources(graph)
-        expected = serial.map_kernel("csr_path_lengths", csr, dense, {})
-
-        disabled = executor_for(pool_policy("csr", seed=205, result_arena=False))
-        before = disabled._handle.arenas_created
-        results = disabled.map_kernel("csr_path_lengths", csr, dense, {})
-        assert disabled._handle.arenas_created == before
-        assert all(np.array_equal(a, b) for a, b in zip(results, expected))
-
-        # A 1-byte budget rejects every layout: the dispatch stays parallel
-        # and ships pickled arrays instead (no degradation warning).
-        tiny = executor_for(pool_policy("csr", seed=206, arena_budget_bytes=1))
-        before = tiny._handle.arenas_created
-        results = tiny.map_kernel("csr_path_lengths", csr, dense, {})
-        assert tiny._handle.arenas_created == before
-        assert all(np.array_equal(a, b) for a, b in zip(results, expected))
+        expected = serial_executor().map_kernel("csr_path_lengths", csr, dense, {})
+        monkeypatch.setattr(shared_memory, "SharedMemory", no_room)
+        pool_module._DEGRADE_WARNED.clear()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            first = executor.map_kernel("csr_path_lengths", csr, dense, {})
+            again = executor.map_kernel("csr_path_lengths", csr, dense, {})
+        runtime = [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert len(runtime) == 1
+        assert "cannot allocate a result arena" in str(runtime[0].message)
+        for results in (first, again):
+            assert all(np.array_equal(a, b) for a, b in zip(results, expected))
+        assert not pool_module._SEGMENT_LEDGER
 
     def test_worker_crash_leaves_no_stale_segments(self, graph, monkeypatch):
         """Crash injection: a kernel blowing up mid-``Pool.map`` must not leak
@@ -372,8 +394,8 @@ class TestResultArena:
         created = []
         original = pool_module._PoolHandle.create_arena
 
-        def recording(self, kernel, num_sources, num_nodes, budget):
-            arena, shm = original(self, kernel, num_sources, num_nodes, budget)
+        def recording(self, kernel, num_sources, num_nodes):
+            arena, shm = original(self, kernel, num_sources, num_nodes)
             created.append(arena.name)
             return arena, shm
 
@@ -552,7 +574,7 @@ class TestChurnRedispatch:
             assert pool_engine.compatible_from_many(candidates, team) == cold_engine.compatible_from_many(candidates, team)
             assert pool_oracle.batch_distance_to_set(candidates, team) == cold_oracle.batch_distance_to_set(candidates, team)
             handle = pool_module._POOL_HANDLES[2]
-            publishes_seen.add(handle._next_publish_id)
+            publishes_seen.add(handle.publications)
         # Every round shipped a fresh snapshot: the generation-keyed publish
         # invalidated the stale one instead of reusing it.
         assert len(publishes_seen) == 3
@@ -684,15 +706,28 @@ class TestGracefulDegradation:
 
 
 class TestSnapshotStoreMode:
-    """File-backed snapshot publishing (the ``snapshot_store`` policy knob):
-    workers memmap a published ``.store`` file instead of attaching shared
-    memory, with identical results, identical churn semantics, and the same
-    crash-safe cleanup discipline as the shm segment ledger."""
+    """Snapshot publishing into the ``snapshot_store`` directory: workers
+    memmap a published ``.store`` file (or unpickle a ``.pickle`` dict
+    graph), with identical results, identical churn semantics, and
+    crash-safe cleanup through the store-file ledger."""
 
     @staticmethod
     def _dense_sources(graph, count=12):
-        csr = graph.csr_view()
+        # A fresh snapshot object: a publication is keyed by identity, so
+        # graph.csr_view() may already be published by an earlier test into
+        # another directory.
+        from repro.signed.csr import CSRSignedGraph
+
+        csr = CSRSignedGraph.from_signed_graph(graph)
         return csr, [csr.index_of(node) for node in graph.nodes()[:count]]
+
+    @staticmethod
+    def _published_files(directory):
+        return sorted(
+            name
+            for name in os.listdir(directory)
+            if name.endswith((".store", ".pickle", ".tmp"))
+        )
 
     def test_policy_validation(self, tmp_path):
         from repro.exec.policy import validate_snapshot_store
@@ -707,11 +742,10 @@ class TestSnapshotStoreMode:
         with pytest.raises(ValueError, match="existing directory"):
             validate_snapshot_store(123)
 
-    def test_store_dispatch_bit_identical_to_shm_and_serial(self, graph, tmp_path):
+    def test_store_dispatch_bit_identical_to_serial(self, graph, tmp_path):
         np = pytest.importorskip("numpy")
         csr, dense = self._dense_sources(graph, count=20)
         serial = serial_executor()
-        shm_exec = executor_for(pool_policy("csr", seed=301))
         store_exec = executor_for(
             pool_policy("csr", seed=301, snapshot_store=str(tmp_path))
         )
@@ -722,8 +756,8 @@ class TestSnapshotStoreMode:
             ("csr_compatible_degrees", {"rule": "SPA", "max_length": None}),
         ):
             expected = serial.map_kernel(kernel, csr, dense, params)
-            via_shm = shm_exec.map_kernel(kernel, csr, dense, params)
             via_store = store_exec.map_kernel(kernel, csr, dense, params)
+            assert len(via_store) == len(expected)
             for left, right in zip(via_store, expected):
                 if isinstance(left, tuple):
                     assert all(np.array_equal(a, b) for a, b in zip(left, right))
@@ -731,13 +765,8 @@ class TestSnapshotStoreMode:
                     assert np.array_equal(left, right)
                 else:
                     assert left == right
-            for left, right in zip(via_store, via_shm):
-                if isinstance(left, tuple):
-                    assert all(np.array_equal(a, b) for a, b in zip(left, right))
-                elif isinstance(left, np.ndarray):
-                    assert np.array_equal(left, right)
-                else:
-                    assert left == right
+        descriptor = store_exec._handle.published[id(csr)].descriptor
+        assert self._published_files(tmp_path) == [os.path.basename(descriptor.path)]
 
     def test_store_descriptor_and_file_lifecycle(self, graph, tmp_path):
         pytest.importorskip("numpy")
@@ -748,10 +777,8 @@ class TestSnapshotStoreMode:
         executor.map_kernel("csr_path_lengths", csr, dense, {})
         descriptor = executor._handle.published[id(csr)].descriptor
         assert descriptor.kind == "store"
-        assert descriptor.segments == ()
-        assert descriptor.store_path in pool_module._STORE_FILE_LEDGER
-        files = [f for f in os.listdir(tmp_path) if f.endswith(".store")]
-        assert files == [os.path.basename(descriptor.store_path)]
+        assert descriptor.path in pool_module._STORE_FILE_LEDGER
+        assert self._published_files(tmp_path) == [os.path.basename(descriptor.path)]
         # Re-dispatch against the same snapshot reuses the publication.
         executor.map_kernel("csr_path_lengths", csr, dense, {})
         assert len(os.listdir(tmp_path)) == 1
@@ -767,7 +794,7 @@ class TestSnapshotStoreMode:
         )
         before = executor._handle.arenas_created
         left = executor.map_kernel("csr_path_lengths", csr, dense, {})
-        # "store" publications are arena-eligible exactly like "csr" ones.
+        # Memory-mapped store payloads write their rows into the arena.
         assert executor._handle.arenas_created == before + 1
         assert len(left) == len(dense)
 
@@ -796,34 +823,110 @@ class TestSnapshotStoreMode:
         pool_module.shutdown_pools()
         assert os.listdir(tmp_path) == []
 
-    def test_dict_payloads_keep_pickle_shm_path(self, graph, tmp_path):
-        """SignedGraph payloads are not CSR snapshots: under a store policy
-        they still ship as pickled shm blobs, with identical results."""
-        pool_rel = make_relation(
-            "SPA", graph, policy=pool_policy("dict", snapshot_store=str(tmp_path))
+    def test_pools_of_different_sizes_publish_distinct_files(self, graph, tmp_path):
+        """Publication ids are unique per process, not per pool: two pools
+        publishing into one directory never overwrite each other's files."""
+        np = pytest.importorskip("numpy")
+        pool_module.shutdown_pools()
+        other_graph, _ = synthetic_signed_network(
+            150, average_degree=4.0, negative_fraction=0.25, seed=37
         )
-        serial_rel = make_relation("SPA", graph, backend="dict")
-        sample = graph.nodes()[:10]
+        snapshots = []  # both publications stay live until the end
+        for workers, source_graph in ((2, graph), (3, other_graph)):
+            csr, dense = self._dense_sources(source_graph)
+            snapshots.append(csr)
+            executor = executor_for(
+                pool_policy("csr", workers=workers, seed=306, snapshot_store=str(tmp_path))
+            )
+            pooled = executor.map_kernel("csr_path_lengths", csr, dense, {})
+            expected = serial_executor().map_kernel("csr_path_lengths", csr, dense, {})
+            assert all(np.array_equal(a, b) for a, b in zip(pooled, expected))
+        assert len(self._published_files(tmp_path)) == 2
+        pool_module.shutdown_pools()
+        assert self._published_files(tmp_path) == []
+
+    def test_dict_payloads_publish_one_pickle_file(self, graph, tmp_path):
+        """SignedGraph payloads are not CSR snapshots: they publish as one
+        pickled ``.pickle`` file, with identical results."""
+        working = graph.copy()
+        pool_rel = make_relation(
+            "SPA", working, policy=pool_policy("dict", snapshot_store=str(tmp_path))
+        )
+        serial_rel = make_relation("SPA", working, backend="dict")
+        sample = working.nodes()[:10]
         assert pool_rel.batch_compatible_sets(sample) == serial_rel.batch_compatible_sets(sample)
-        assert [f for f in os.listdir(tmp_path) if f.endswith(".store")] == []
+        files = self._published_files(tmp_path)
+        assert len(files) == 1 and files[0].endswith(".pickle")
+        assert files[0].startswith(f"snapshot-{os.getpid()}-")
 
     def test_save_failure_degrades_to_serial(self, graph, tmp_path, monkeypatch):
         import repro.signed.store as store_module
 
         pytest.importorskip("numpy")
 
-        def exploding_save(csr, path):
+        def exploding_save(*args, **kwargs):
             raise OSError("store directory went away")
 
         monkeypatch.setattr(store_module, "save_snapshot", exploding_save)
+        working = graph.copy()
         pool_rel = make_relation(
-            "SPO", graph, policy=pool_policy("csr", snapshot_store=str(tmp_path))
+            "SPO", working, policy=pool_policy("csr", snapshot_store=str(tmp_path))
         )
         pool_module._DEGRADE_WARNED.clear()
-        with pytest.warns(RuntimeWarning, match="degraded to serial"):
-            pool_sets = pool_rel.batch_compatible_sets(graph.nodes()[:10])
-        serial_rel = make_relation("SPO", graph, backend="csr")
-        assert pool_sets == serial_rel.batch_compatible_sets(graph.nodes()[:10])
+        with pytest.warns(RuntimeWarning, match="store directory went away"):
+            pool_sets = pool_rel.batch_compatible_sets(working.nodes()[:10])
+        serial_rel = make_relation("SPO", working, backend="csr")
+        assert pool_sets == serial_rel.batch_compatible_sets(working.nodes()[:10])
+        assert self._published_files(tmp_path) == []
+
+    @pytest.mark.parametrize("backend", ["csr", "dict"])
+    @pytest.mark.parametrize("fault", ["temp", "target"])
+    def test_partial_write_degrades_and_leaves_no_files(
+        self, graph, tmp_path, monkeypatch, backend, fault
+    ):
+        """Fault injection mid-publish, for both encodings: once the temp
+        file exists (before the atomic rename) or once the target file exists
+        (right after it).  The dispatch falls back to serial with one
+        warning, and nothing is left in the publish directory."""
+        import repro.signed.store as store_module
+
+        if backend == "csr":
+            pytest.importorskip("numpy")
+        seen_at_fault = []
+        real_replace = store_module.os.replace
+
+        def failing_fsync(fd):
+            seen_at_fault.extend(self._published_files(tmp_path))
+            raise OSError("store directory went away")
+
+        def replace_then_fail(source, target):
+            real_replace(source, target)
+            seen_at_fault.extend(self._published_files(tmp_path))
+            raise OSError("store directory went away")
+
+        working = graph.copy()
+        name = "SPO" if backend == "csr" else "SPA"
+        pool_rel = make_relation(
+            name, working, policy=pool_policy(backend, snapshot_store=str(tmp_path))
+        )
+        sample = working.nodes()[:10]
+        if fault == "temp":
+            monkeypatch.setattr(store_module.os, "fsync", failing_fsync)
+        else:
+            monkeypatch.setattr(store_module.os, "replace", replace_then_fail)
+        pool_module._DEGRADE_WARNED.clear()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            pool_sets = pool_rel.batch_compatible_sets(sample)
+        monkeypatch.undo()
+        runtime = [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert len(runtime) == 1
+        assert "store directory went away" in str(runtime[0].message)
+        suffix = ".tmp" if fault == "temp" else (".store" if backend == "csr" else ".pickle")
+        assert [f for f in seen_at_fault if f.endswith(suffix)]
+        serial_rel = make_relation(name, working, backend=backend)
+        assert pool_sets == serial_rel.batch_compatible_sets(sample)
+        assert self._published_files(tmp_path) == []
 
     def test_worker_crash_leaves_no_stale_store_files(self, graph, tmp_path):
         """Crash injection: a kernel blowing up inside the workers must leave
@@ -842,6 +945,33 @@ class TestSnapshotStoreMode:
         assert len(ok) == len(dense)
         pool_module.shutdown_pools()
         assert os.listdir(tmp_path) == []
+        assert not pool_module._STORE_FILE_LEDGER
+
+    def test_default_directory_leaves_no_files_after_crash_and_shutdown(self, graph):
+        """Publications in the resolved default directory (``/dev/shm`` or
+        the temp directory) are gone after a dispatch, a worker crash and
+        shutdown_pools() — the perfbench leak check sees only ``psm_*``."""
+        pytest.importorskip("numpy")
+        directory = pool_module._publish_directory(None)
+        prefix = f"snapshot-{os.getpid()}-"
+
+        def leftovers():
+            return [name for name in os.listdir(directory) if name.startswith(prefix)]
+
+        working = graph.copy()
+        dict_rel = make_relation("SPA", working, policy=pool_policy("dict", seed=305))
+        dict_rel.batch_compatible_sets(working.nodes()[:8])
+        csr, dense = self._dense_sources(graph)
+        executor = executor_for(pool_policy("csr", seed=305))
+        executor.map_kernel("csr_path_lengths", csr, dense, {})
+        assert {name.rsplit(".", 1)[1] for name in leftovers()} == {"pickle", "store"}
+        with pytest.raises(KeyError):
+            # An unknown rule name raises inside every worker task.
+            executor.map_kernel(
+                "csr_compatible_masks", csr, dense, {"rule": "NO_SUCH_RULE"}
+            )
+        pool_module.shutdown_pools()
+        assert leftovers() == []
         assert not pool_module._STORE_FILE_LEDGER
 
     def test_shutdown_flushes_orphaned_store_and_temp_files(self, tmp_path):

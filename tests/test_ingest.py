@@ -36,14 +36,8 @@ from repro.signed import (
 from repro.signed.components import largest_connected_component
 from repro.signed.io import read_edge_list
 from repro.signed.ingest import component_labels, read_edge_arrays, read_edge_tokens
-from repro.signed.labels import (
-    build_label_index,
-    labels_equal,
-    register_snapshot_labels,
-    snapshot_labels_for,
-)
+from repro.signed.labels import build_label_index, labels_equal
 from repro.signed.lazy import CSRBackedSignedGraph
-from repro.signed.store import load_labels
 from repro.utils.timing import measure_peak_rss, peak_rss_bytes
 
 POLICIES = ("keep_first", "negative_wins")
@@ -482,42 +476,6 @@ class TestCsrOnlyLoader:
             parse_edge_list_csr(path, restrict_to_lcc=True), mode="exact"
         )
         assert attach_cached_labels(path, labels, snapshot_cache_dir=cache) is False
-
-
-class TestSnapshotLabelRegistry:
-    def test_register_and_recover(self):
-        csr, _ = small_csr()
-        labels = build_label_index(csr, mode="exact")
-        register_snapshot_labels(csr, labels)
-        assert snapshot_labels_for(csr) is labels
-        other, _ = small_csr(seed=6)
-        assert snapshot_labels_for(other) is None
-
-    def test_pool_store_publish_carries_labels(self, tmp_path):
-        from repro.exec import ExecutionPolicy, executor_for, reset_executors
-        from repro.exec import pool as pool_module
-
-        csr, _ = small_csr()
-        labels = build_label_index(csr, mode="exact")
-        register_snapshot_labels(csr, labels)
-        reset_executors()
-        try:
-            executor = executor_for(
-                ExecutionPolicy(
-                    backend="csr",
-                    workers=2,
-                    min_parallel_sources=1,
-                    snapshot_store=str(tmp_path),
-                )
-            )
-            sources = np.arange(min(4, csr.number_of_nodes()), dtype=np.int64)
-            executor.map_kernel("csr_path_lengths", csr, sources, {})
-            descriptor = executor._handle.published[id(csr)].descriptor
-            assert descriptor.kind == "store"
-            assert labels_equal(load_labels(descriptor.store_path), labels)
-        finally:
-            pool_module.shutdown_pools()
-            reset_executors()
 
 
 class TestSyntheticCsrScale:
