@@ -19,6 +19,7 @@ import pytest
 
 from repro.compatibility import make_relation, pair_statistics
 from repro.datasets import synthetic_signed_network
+from repro.exec import ExecutionPolicy
 from repro.signed import signed_bfs, signed_bfs_csr
 
 #: Number of sampled sources for the statistics comparison (kept small so the
@@ -67,7 +68,7 @@ def test_csr_pair_statistics_speedup_at_least_5x(large_graph):
     dict_elapsed, dict_stats = _best_of(
         2,
         lambda: pair_statistics(
-            make_relation("SPO", large_graph, backend="dict"),
+            make_relation("SPO", large_graph, policy=ExecutionPolicy(backend="dict")),
             num_sampled_sources=NUM_SOURCES,
             seed=7,
         ),
@@ -75,7 +76,7 @@ def test_csr_pair_statistics_speedup_at_least_5x(large_graph):
     csr_elapsed, csr_stats = _best_of(
         3,
         lambda: pair_statistics(
-            make_relation("SPO", large_graph, backend="csr"),
+            make_relation("SPO", large_graph, policy=ExecutionPolicy(backend="csr")),
             num_sampled_sources=NUM_SOURCES,
             seed=7,
         ),

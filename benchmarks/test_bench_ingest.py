@@ -16,8 +16,9 @@ here would just re-run the slow dict parse a third time).
 
 Set ``REPRO_BENCH_INGEST_1M=1`` to also run the million-node ingest: 1M nodes
 / ~10M edges parsed CSR-only, with the wall-clock and peak RSS reported and a
-16 GB budget asserted.  The CI ``bench-ingest`` job runs this file (without
-the 1M opt-in) and uploads ``bench-ingest.json``.
+16 GB budget asserted.  Also asserted: ``csr_only`` cache hits reparse
+nothing.  The CI ``benchmarks`` job runs this file (without the 1M opt-in)
+and uploads ``bench-ingest.json``.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ The acceptance bars (ISSUE 7), all on the 50k-node synthetic signed network:
 The exact 2-hop build at this scale is minutes of one-time work — that is
 the trade the index makes, and exactly why it is delta-patched under churn
 and persisted in the ``.store`` snapshot instead of rebuilt per process.
-The CI ``bench-oracle`` job runs this file and uploads ``bench-labels.json``.
+The CI ``benchmarks`` job runs this file and uploads ``bench-labels.json``.
 """
 
 from __future__ import annotations

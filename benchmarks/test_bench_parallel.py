@@ -6,7 +6,7 @@ must be **>= 3x** faster wall-clock than the serial executor while returning
 **bit-identical** statistics.  The identity half runs everywhere (with 2
 workers, so it exercises real cross-process dispatch even on small CI boxes);
 the speedup half needs real parallel hardware and skips below 4 CPUs — the CI
-``bench-parallel`` job provides 4.
+``benchmarks`` job's runner provides 4.
 
 Timed entries for the pooled sweep are recorded via pytest-benchmark so the
 ``bench-parallel.json`` artifact tracks the dispatch overhead release over
@@ -132,7 +132,7 @@ def test_perf_pooled_warm_50k(benchmark, big_graph):
 @pytest.mark.benchmark(group="perf-parallel")
 def test_perf_serial_warm_50k(benchmark, big_graph):
     """The serial counterpart of the pooled warm (same 64 sources)."""
-    relation = make_relation("SPO", big_graph, backend="csr")
+    relation = make_relation("SPO", big_graph, policy=ExecutionPolicy(backend="csr"))
     engine = CompatibilityEngine(relation)
     sources = big_graph.nodes()[:64]
 

@@ -6,7 +6,7 @@ source — compatible-set bitmaps and the oracle's distance maps) ship their
 dense results through per-dispatch result arenas and must return
 **bit-identical** results to serial runs.  The identity check runs
 everywhere (2 workers, real cross-process dispatch); the timed sweeps are
-tracked by the CI ``bench-parallel`` job in ``bench-shipping.json``.
+tracked by the CI ``benchmarks`` job in ``bench-shipping.json``.
 """
 
 from __future__ import annotations

@@ -16,8 +16,8 @@ The acceptance bars (ISSUE 6), all on the 50k-node synthetic signed network:
   timing bar — the check guards the publish/mmap mechanism).
 
 The identity checks run everywhere; the pool check self-skips below
-2 CPUs.  The CI ``bench-mmap`` job runs this file and uploads
-``bench-mmap.json``.
+2 CPUs.  The CI ``benchmarks`` job runs this file and uploads
+``bench-store.json``.
 """
 
 from __future__ import annotations

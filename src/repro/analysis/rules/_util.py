@@ -9,7 +9,6 @@ __all__ = [
     "call_name",
     "terminal_name",
     "iter_functions",
-    "contains_call_to",
     "keyword_value",
     "string_constants",
     "walk_no_functions",
@@ -50,14 +49,6 @@ def iter_functions(
                 yield from visit(child, stack)
 
     yield from visit(tree, [])
-
-
-def contains_call_to(node: ast.AST, name: str) -> bool:
-    """True iff some call inside ``node`` targets ``name`` (terminal match)."""
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Call) and call_name(sub) == name:
-            return True
-    return False
 
 
 def keyword_value(node: ast.Call, name: str) -> Optional[ast.AST]:

@@ -1,16 +1,16 @@
-"""``policy-shim``: execution knobs enter only through ``resolve_policy``.
+"""``policy-shim``: execution knobs enter only as ``policy=``.
 
-:class:`~repro.exec.policy.ExecutionPolicy` is the single funnel for every
+:class:`~repro.exec.policy.ExecutionPolicy` is the only way in for every
 execution knob — backend choice, pool shape, snapshot directory, cache budgets.
 Public constructors must not grow loose keyword arguments that shadow those
-knobs: a constructor that accepts ``workers=`` but never routes it through
-``resolve_policy`` silently forks the configuration surface — its value
-skips the policy's validation and never reaches the executors, oracles and
-engines that read the policy.
+knobs: a constructor that accepts ``workers=`` next to ``policy=`` forks the
+configuration surface — two ways to set one value, a precedence rule to
+reconcile them, and a value that may skip the policy's validation or never
+reach the executors, oracles and engines that read the policy.
 
 The check: any public class in ``repro.*`` whose ``__init__`` takes a
-parameter named like a policy knob must call ``resolve_policy`` (or
-construct an ``ExecutionPolicy``) inside that ``__init__``.
+parameter named like a policy knob is a finding, whatever the body does with
+it — the knob belongs on the :class:`ExecutionPolicy` the caller passes.
 """
 
 from __future__ import annotations
@@ -19,19 +19,16 @@ import ast
 from typing import List
 
 from repro.analysis.core import Finding, ModuleContext, Rule, register_rule
-from repro.analysis.rules._util import contains_call_to
 
-#: Parameter names that are execution knobs (mirrors ExecutionPolicy fields
-#: plus the cache budget knobs resolve_policy distributes).
+#: Parameter names that are execution knobs (the ExecutionPolicy fields plus
+#: the bare ``cache_size`` spelling of a cache budget).
 KNOBS = frozenset(
     {
         "backend",
-        "batched",
         "workers",
         "chunk_size",
         "min_parallel_sources",
         "snapshot_store",
-        "csr_auto_level_threshold",
         "distance_index",
         "label_budget_bytes",
         "compatible_cache_size",
@@ -48,9 +45,8 @@ KNOBS = frozenset(
 class PolicyShimRule(Rule):
     id = "policy-shim"
     contract = (
-        "public constructors accept execution knobs only via resolve_policy "
-        "/ ExecutionPolicy, never as loose keyword arguments they interpret "
-        "themselves"
+        "public constructors accept execution knobs only inside the "
+        "ExecutionPolicy passed as policy=, never as loose keyword arguments"
     )
 
     def check_module(self, ctx: ModuleContext):
@@ -58,7 +54,7 @@ class PolicyShimRule(Rule):
         if not ctx.module.startswith("repro."):
             return findings
         if ctx.module == "repro.exec.policy":
-            return findings  # the shim itself
+            return findings  # the policy itself
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
                 continue
@@ -78,19 +74,15 @@ class PolicyShimRule(Rule):
             knob_params = sorted(set(params) & KNOBS)
             if not knob_params:
                 continue
-            if contains_call_to(init, "resolve_policy") or contains_call_to(
-                init, "ExecutionPolicy"
-            ):
-                continue
             findings.append(
                 self.finding(
                     ctx,
                     init,
                     f"{node.name}.__init__ accepts execution knob(s) "
-                    f"{', '.join(knob_params)} without routing them through "
-                    "resolve_policy: knobs interpreted outside the policy "
-                    "shim fork the configuration surface and skip its "
-                    "validation",
+                    f"{', '.join(knob_params)} as loose keyword arguments: "
+                    "set them on the ExecutionPolicy passed as policy= — a "
+                    "second way in forks the configuration surface and skips "
+                    "its validation",
                 )
             )
         return findings

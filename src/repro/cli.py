@@ -68,7 +68,7 @@ def _workers_argument(value: str) -> int:
     dispatch, as an opaque ``ValueError`` out of the policy/multiprocessing
     internals.  The rule (and its message) lives in
     :func:`repro.exec.policy.validate_workers`, shared with
-    :func:`repro.exec.resolve_policy` so the two surfaces cannot drift.
+    :class:`repro.exec.ExecutionPolicy` so the two surfaces cannot drift.
     """
     from repro.exec.policy import validate_workers
 

@@ -26,9 +26,9 @@ balanced path) and still under-approximates exact SBP.
 
 Both relations additionally expose the length of the best positive balanced
 path found, which is the distance the team-formation cost uses under SBP/SBPH.
-Per-source search results live in a bounded LRU (``result_cache_size``; the
-default ``"auto"`` scales the bound down on huge graphs), so a full sweep over
-a large graph cannot exhaust memory.
+Per-source search results live in a bounded LRU
+(``policy.result_cache_size``; the default ``"auto"`` scales the bound down
+on huge graphs), so a full sweep over a large graph cannot exhaust memory.
 
 Backends
 --------
@@ -45,8 +45,8 @@ from __future__ import annotations
 
 from typing import FrozenSet, List, Optional, Sequence, Set
 
-from repro.compatibility.base import CacheSize, CompatibilityRelation, resolve_cache_size
-from repro.exec.policy import POLICY_DEFAULT, ExecutionPolicy, resolve_policy
+from repro.compatibility.base import CompatibilityRelation, resolve_cache_size
+from repro.exec.policy import ExecutionPolicy
 from repro.signed.graph import NEGATIVE, Node, SignedGraph
 from repro.signed.paths import (
     INFINITY,
@@ -87,20 +87,11 @@ class _BalancedPathRelation(CompatibilityRelation):
         graph: SignedGraph,
         max_path_length: Optional[int] = None,
         max_expansions: int = 2_000_000,
-        result_cache_size: CacheSize = POLICY_DEFAULT,
-        compatible_cache_size: CacheSize = POLICY_DEFAULT,
-        backend: Optional[str] = None,
         policy: Optional[ExecutionPolicy] = None,
     ) -> None:
-        policy = resolve_policy(
-            policy,
-            backend=backend,
-            result_cache_size=result_cache_size,
-            compatible_cache_size=compatible_cache_size,
-        )
         super().__init__(graph, policy=policy)
         graph = self._graph  # the base may have adapted a bare CSR snapshot
-        if policy.backend == "csr":
+        if self._policy.backend == "csr":
             require_numpy("backend='csr'")
         self._search = BalancedPathSearch(
             graph, max_length=max_path_length, max_expansions=max_expansions
@@ -121,7 +112,9 @@ class _BalancedPathRelation(CompatibilityRelation):
             GenerationalLRUCache(
                 graph,
                 maxsize=resolve_cache_size(
-                    policy.result_cache_size, DEFAULT_RESULT_CACHE_SIZE, num_nodes
+                    self._policy.result_cache_size,
+                    DEFAULT_RESULT_CACHE_SIZE,
+                    num_nodes,
                 ),
                 bytes_per_entry=num_nodes * APPROX_BYTES_PER_NODE,
             )

@@ -25,13 +25,7 @@ import abc
 from typing import FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.exceptions import NodeNotFoundError
-from repro.exec.policy import (
-    POLICY_DEFAULT,
-    CacheSize,
-    ExecutionPolicy,
-    executor_for,
-    resolve_policy,
-)
+from repro.exec.policy import CacheSize, ExecutionPolicy, executor_for
 from repro.signed.graph import NEGATIVE, POSITIVE, Node, SignedGraph
 from repro.utils.generational import GenerationalLRUCache
 from repro.utils.lru import APPROX_BYTES_PER_NODE, scaled_cache_size
@@ -41,17 +35,20 @@ from repro.utils.lru import APPROX_BYTES_PER_NODE, scaled_cache_size
 DEFAULT_COMPATIBLE_CACHE_SIZE = 4096
 
 
-def resolve_cache_size(value: CacheSize, ceiling: int, num_nodes: int) -> Optional[int]:
-    """Resolve a :data:`CacheSize` parameter to an entry bound.
+def resolve_cache_size(
+    value: CacheSize,
+    ceiling: int,
+    num_nodes: int,
+    bytes_per_node: int = APPROX_BYTES_PER_NODE,
+) -> Optional[int]:
+    """Resolve a (policy-validated) :data:`CacheSize` to an entry bound.
 
     ``"auto"`` scales ``ceiling`` down so the cache stays within the default
-    byte budget for a graph of ``num_nodes`` nodes; integers and ``None`` pass
-    through unchanged.  Any other string is rejected.
+    byte budget for a graph of ``num_nodes`` nodes whose entries cost
+    ``bytes_per_node`` each; integers and ``None`` pass through unchanged.
     """
-    if isinstance(value, str):
-        if value != "auto":
-            raise ValueError(f"cache size must be an int, None or 'auto', got {value!r}")
-        return scaled_cache_size(ceiling, num_nodes)
+    if value == "auto":
+        return scaled_cache_size(ceiling, num_nodes, bytes_per_node=bytes_per_node)
     return value
 
 
@@ -62,19 +59,14 @@ class CompatibilityRelation(abc.ABC):
     ----------
     graph:
         The signed graph the relation is defined over.
-    compatible_cache_size:
-        Legacy override for ``policy.compatible_cache_size`` — the LRU bound
-        on cached per-source compatible sets; each set is O(n), so the bound
-        caps the relation's memory at roughly ``compatible_cache_size * n``
-        references on dense relations.  ``"auto"`` (the policy default)
-        scales :data:`DEFAULT_COMPATIBLE_CACHE_SIZE` down by graph size to
-        respect a byte budget; ``None`` disables eviction.  Prefer setting it
-        on the policy.
     policy:
         The :class:`~repro.exec.ExecutionPolicy` governing backend choice,
         worker-pool execution and cache budgets.  ``None`` uses the default
-        (serial) policy; explicitly passed legacy keyword arguments override
-        the matching policy fields.
+        (serial) policy.  Its ``compatible_cache_size`` bounds the LRU of
+        per-source compatible sets; each set is O(n), so the bound caps the
+        relation's memory at roughly ``compatible_cache_size * n`` references
+        on dense relations (``"auto"`` scales
+        :data:`DEFAULT_COMPATIBLE_CACHE_SIZE` down by graph size).
     """
 
     #: Short name used in the paper's tables (e.g. ``"SPA"``); set by subclasses.
@@ -89,7 +81,6 @@ class CompatibilityRelation(abc.ABC):
     def __init__(
         self,
         graph: SignedGraph,
-        compatible_cache_size: CacheSize = POLICY_DEFAULT,
         policy: Optional[ExecutionPolicy] = None,
     ) -> None:
         if not isinstance(graph, SignedGraph):
@@ -100,9 +91,7 @@ class CompatibilityRelation(abc.ABC):
 
             graph = as_signed_graph(graph)
         self._graph = graph
-        self._policy = resolve_policy(
-            policy, compatible_cache_size=compatible_cache_size
-        )
+        self._policy = policy if policy is not None else ExecutionPolicy()
         num_nodes = graph.number_of_nodes()
         # Generation-keyed: entries auto-expire when a mutation touches their
         # source's connected component, so mutating the graph never requires a

@@ -31,14 +31,9 @@ from __future__ import annotations
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.compatibility.balanced import _BalancedPathRelation
-from repro.compatibility.base import CacheSize, CompatibilityRelation, resolve_cache_size
+from repro.compatibility.base import CompatibilityRelation, resolve_cache_size
 from repro.compatibility.shortest_path import CSR_AUTO_THRESHOLD, _ShortestPathRelation
-from repro.exec.policy import (
-    POLICY_DEFAULT,
-    ExecutionPolicy,
-    executor_for,
-    resolve_policy,
-)
+from repro.exec.policy import ExecutionPolicy, executor_for
 from repro.signed.graph import Node, SignedGraph
 from repro.signed.paths import INFINITY, shortest_path_lengths
 from repro.utils.generational import GenerationalLRUCache
@@ -55,16 +50,15 @@ DEFAULT_DISTANCE_CACHE_SIZE = 2048
 class DistanceOracle:
     """Pairwise user distances consistent with a compatibility relation.
 
-    Single-source distance maps are cached in a bounded LRU (``cache_size``
-    entries, a legacy override for the policy's ``distance_cache_size``; the
-    default ``"auto"`` scales the bound by graph size, ``None`` disables
-    eviction).  The oracle inherits the relation's
-    :class:`~repro.exec.ExecutionPolicy` unless given one explicitly, so its
-    sign-agnostic BFS follows the relation's backend choice (an SP* relation
-    built with ``backend="dict"`` keeps the oracle on the dict BFS too) and
-    its batched sweeps run on the same executor — under a pool policy the
-    team's distance maps are computed by worker processes.  Otherwise it
-    switches to the indexed CSR backend at
+    Single-source distance maps are cached in a bounded LRU of
+    ``policy.distance_cache_size`` entries (the default ``"auto"`` scales the
+    bound by graph size, ``None`` disables eviction).  The oracle inherits
+    the relation's :class:`~repro.exec.ExecutionPolicy` unless given one
+    explicitly, so its sign-agnostic BFS follows the relation's backend
+    choice (an SP* relation on ``backend="dict"`` keeps the oracle on the
+    dict BFS too) and its batched sweeps run on the same executor — under a
+    pool policy the team's distance maps are computed by worker processes.
+    Otherwise it switches to the indexed CSR backend at
     :data:`~repro.compatibility.shortest_path.CSR_AUTO_THRESHOLD` nodes when
     numpy is available.  :meth:`warm` and :meth:`batch_distance_to_set` are
     the batched entry points the :class:`~repro.compatibility.engine.CompatibilityEngine`
@@ -74,15 +68,11 @@ class DistanceOracle:
     def __init__(
         self,
         relation: CompatibilityRelation,
-        cache_size: CacheSize = POLICY_DEFAULT,
         policy: Optional[ExecutionPolicy] = None,
     ) -> None:
         self._relation = relation
         self._graph = relation.graph
-        self._policy = resolve_policy(
-            policy if policy is not None else relation.policy,
-            distance_cache_size=cache_size,
-        )
+        self._policy = policy if policy is not None else relation.policy
         num_nodes = self._graph.number_of_nodes()
         # Generation-keyed like the relations' caches: distance maps are
         # per-source BFS results, so mutations invalidate by component.

@@ -23,33 +23,27 @@ kernels queries instead:
 
 The engine decides per relation and backend how to serve each query: SP*
 relations on the CSR backend answer team filters with one multi-source
-BFS plus a vectorised pair-rule mask; every other relation (and
-the ``batched=False`` legacy mode) falls back to exactly the per-pair loop the
-call sites used before, so results are identical by construction — the
-equivalence tests assert the teams, costs and statistics match bit for bit.
+BFS plus a vectorised pair-rule mask; every other relation falls back to
+exactly the per-pair loop over the relation API, so results are identical by
+construction.
 
-The per-pair relation API (``are_compatible`` / ``compatible_with``) remains
-fully supported; it now simply is the thin layer the engine degrades to when
-no batched strategy applies.
+The per-pair relation API (``are_compatible`` / ``compatible_with`` /
+:meth:`~repro.compatibility.distance.DistanceOracle.distance_to_set`) is the
+reference: the equivalence tests run the same queries through it pair by pair
+and assert the teams, costs and statistics match the engine bit for bit.
 """
 
 from __future__ import annotations
 
 from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from repro.compatibility.base import CacheSize, CompatibilityRelation
+from repro.compatibility.base import CompatibilityRelation, resolve_cache_size
 from repro.compatibility.distance import DistanceOracle
 from repro.compatibility.shortest_path import _ShortestPathRelation
-from repro.exec.policy import (
-    POLICY_DEFAULT,
-    ExecutionPolicy,
-    executor_for,
-    resolve_policy,
-)
+from repro.exec.policy import ExecutionPolicy, executor_for
 from repro.signed.graph import Node, SignedGraph
 from repro.signed.paths import SignedBFSResult
 from repro.utils.generational import GenerationalLRUCache
-from repro.utils.lru import scaled_cache_size
 from repro.utils.optional import numpy_available
 
 #: Default bound on the number of memoised per-member rule masks (each mask
@@ -68,40 +62,26 @@ class CompatibilityEngine:
         Optional pre-built :class:`DistanceOracle`; built from ``relation``
         (under the engine's policy) when omitted.  Sharing the oracle shares
         its distance-map caches.
-    batched:
-        Deprecated shim for ``policy.batched``: when false, every query runs
-        the legacy per-pair code path — the reference mode the equivalence
-        tests compare against; production callers leave it on.  ``None``
-        (default) takes the policy's value.
-    mask_cache_size:
-        Legacy override for ``policy.mask_cache_size`` — the bound on the
-        engine-level rule-mask memo: for SP* relations on the CSR backend,
-        :meth:`compatible_from_many` memoises one boolean mask per
-        ``(team member, graph generation)``, so Algorithm 2's repeated
-        filters against the same team skip both the BFS lookup and the mask
-        recomputation.  ``"auto"`` (the policy default) scales by graph size,
-        an ``int`` is used as-is, ``None`` disables eviction.
     policy:
         The :class:`~repro.exec.ExecutionPolicy` the engine serves queries
         under; defaults to the relation's policy.  Under a pool policy the
         batched sweeps behind :meth:`warm`, :meth:`compatible_from_many` and
-        :meth:`distances_to_team_many` run on the worker pool.
+        :meth:`distances_to_team_many` run on the worker pool.  Its
+        ``mask_cache_size`` bounds the engine-level rule-mask memo: for SP*
+        relations on the CSR backend, :meth:`compatible_from_many` memoises
+        one boolean mask per ``(team member, graph generation)``, so
+        Algorithm 2's repeated filters against the same team skip both the
+        BFS lookup and the mask recomputation.
     """
 
     def __init__(
         self,
         relation: CompatibilityRelation,
         oracle: Optional[DistanceOracle] = None,
-        batched: Optional[bool] = None,
-        mask_cache_size: CacheSize = POLICY_DEFAULT,
         policy: Optional[ExecutionPolicy] = None,
     ) -> None:
         self._relation = relation
-        self._policy = resolve_policy(
-            policy if policy is not None else relation.policy,
-            batched=batched,
-            mask_cache_size=mask_cache_size,
-        )
+        self._policy = policy if policy is not None else relation.policy
         self._oracle = (
             oracle
             if oracle is not None
@@ -109,19 +89,7 @@ class CompatibilityEngine:
         )
         if self._oracle.relation is not relation:
             raise ValueError("the oracle must be built on the engine's relation")
-        self._batched = self._policy.batched
         num_nodes = relation.graph.number_of_nodes()
-        mask_bound = self._policy.mask_cache_size
-        if isinstance(mask_bound, str):
-            if mask_bound != "auto":
-                raise ValueError(
-                    f"mask_cache_size must be an int, None or 'auto', got {mask_bound!r}"
-                )
-            resolved = scaled_cache_size(
-                DEFAULT_MASK_CACHE_SIZE, num_nodes, bytes_per_node=1
-            )
-        else:
-            resolved = mask_bound
         # member -> (node-list identity of the snapshot, mask array).  The
         # generational wrapper drops entries whose member's component a
         # mutation touched; the identity tag guards against dense-id drift
@@ -129,7 +97,12 @@ class CompatibilityEngine:
         self._mask_cache: GenerationalLRUCache[Node, Tuple[object, object]] = (
             GenerationalLRUCache(
                 relation.graph,
-                maxsize=resolved,
+                maxsize=resolve_cache_size(
+                    self._policy.mask_cache_size,
+                    DEFAULT_MASK_CACHE_SIZE,
+                    num_nodes,
+                    bytes_per_node=1,
+                ),
                 bytes_per_entry=max(1, num_nodes),
             )
         )
@@ -150,11 +123,6 @@ class CompatibilityEngine:
     def graph(self) -> SignedGraph:
         """The signed graph the relation is bound to."""
         return self._relation.graph
-
-    @property
-    def batched(self) -> bool:
-        """Whether batched strategies are enabled (false = legacy per-pair)."""
-        return self._batched
 
     @property
     def policy(self) -> ExecutionPolicy:
@@ -188,17 +156,11 @@ class CompatibilityEngine:
         balanced relations share one reverse sweep; the rest loop.  Each
         set equals :meth:`compatible_set` exactly.
         """
-        source_list = list(sources)
-        if not self._batched:
-            return [self._relation.compatible_with(source) for source in source_list]
-        return self._relation.batch_compatible_sets(source_list)
+        return self._relation.batch_compatible_sets(list(sources))
 
     def compatibility_degrees(self, sources: Sequence[Node]) -> List[int]:
         """Number of *other* compatible nodes per source, batched."""
-        source_list = list(sources)
-        if not self._batched:
-            return [self._relation.compatibility_degree(s) for s in source_list]
-        return self._relation.batch_compatibility_degrees(source_list)
+        return self._relation.batch_compatibility_degrees(list(sources))
 
     def warm(self, sources: Sequence[Node], distances: bool = True) -> None:
         """Prefetch per-source computations the coming queries will need.
@@ -212,8 +174,6 @@ class CompatibilityEngine:
         false and skip that sweep.  Purely an optimisation — results of later
         queries are unchanged.
         """
-        if not self._batched:
-            return
         source_list = list(dict.fromkeys(sources))
         if not source_list:
             return
@@ -232,9 +192,9 @@ class CompatibilityEngine:
         """The candidates compatible with *every* member of ``team``.
 
         Team members themselves are excluded from the result, mirroring the
-        legacy candidate filter.  SP* relations on the CSR backend answer with
+        per-pair candidate filter.  SP* relations on the CSR backend answer with
         one batched BFS over the team plus vectorised pair-rule masks indexed
-        at the candidates; everything else runs the legacy per-pair loop.
+        at the candidates; everything else runs the per-pair loop.
         The result is identical either way (the SP* pair rules are symmetric
         in the pair, so membership in the member's masked set *is* the pair
         query).
@@ -245,11 +205,7 @@ class CompatibilityEngine:
         if not team_list or not survivors:
             return frozenset(survivors)
         relation = self._relation
-        if (
-            self._batched
-            and isinstance(relation, _ShortestPathRelation)
-            and relation._use_csr()
-        ):
+        if isinstance(relation, _ShortestPathRelation) and relation._use_csr():
             return self._compatible_from_many_csr(survivors, team_list)
         return frozenset(
             candidate
@@ -364,7 +320,7 @@ class CompatibilityEngine:
                 # Dict results (overflow or probe fallback) and results from
                 # an incompatible snapshot go through the per-pair checks,
                 # which resolve nodes via the result's own index — exactly
-                # the legacy are_compatible semantics.
+                # the are_compatible semantics.
                 for position, candidate in enumerate(survivors):
                     if not keep[position]:
                         continue
@@ -391,7 +347,7 @@ class CompatibilityEngine:
         )
 
     def distance_to_team(self, node: Node, team: Iterable[Node]) -> float:
-        """Largest distance from ``node`` to any team member (legacy single)."""
+        """Largest distance from ``node`` to any team member (one candidate)."""
         return self._oracle.distance_to_set(node, team)
 
     def distances_to_team_many(
@@ -407,13 +363,7 @@ class CompatibilityEngine:
         are taken with array indexing on the CSR backend.  Values equal the
         per-candidate calls exactly in every mode.
         """
-        candidate_list = list(candidates)
-        if not self._batched:
-            return [
-                self._oracle.distance_to_set(candidate, team)
-                for candidate in candidate_list
-            ]
-        return self._oracle.batch_distance_to_set(candidate_list, team)
+        return self._oracle.batch_distance_to_set(list(candidates), team)
 
     def refresh(self) -> None:
         """Eagerly resync the engine with a mutated graph.
@@ -457,7 +407,4 @@ class CompatibilityEngine:
         self._mask_cache.clear()
 
     def __repr__(self) -> str:
-        return (
-            f"CompatibilityEngine(relation={self._relation.name}, "
-            f"batched={self._batched})"
-        )
+        return f"CompatibilityEngine(relation={self._relation.name})"

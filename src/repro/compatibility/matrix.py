@@ -193,10 +193,9 @@ def source_sampled_pair_statistics(
     base-class default loops ``compatible_with``.  Passing an ``engine``
     routes the sweep through
     :meth:`~repro.compatibility.engine.CompatibilityEngine.compatibility_degrees`
-    so the call honours the engine's mode (a ``batched=False`` engine answers
-    per source — the legacy reference the equivalence tests compare against);
-    a batched engine delegates straight back to the relation.  The counts —
-    and therefore the returned statistics — are identical across strategies.
+    (a subclass may answer per source, as the equivalence tests' per-pair
+    reference does).  The counts — and therefore the returned statistics —
+    are identical across strategies.
     """
     require_positive(num_sources, "num_sources")
     if engine is not None and engine.relation is not relation:

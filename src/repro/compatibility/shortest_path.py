@@ -42,12 +42,8 @@ from __future__ import annotations
 
 from typing import FrozenSet, List, Optional, Sequence, Set, Union
 
-from repro.compatibility.base import (
-    CacheSize,
-    CompatibilityRelation,
-    resolve_cache_size,
-)
-from repro.exec.policy import POLICY_DEFAULT, ExecutionPolicy, resolve_policy
+from repro.compatibility.base import CompatibilityRelation, resolve_cache_size
+from repro.exec.policy import ExecutionPolicy
 from repro.signed.graph import Node, SignedGraph
 from repro.signed.paths import SignedBFSResult, signed_bfs
 from repro.utils.generational import GenerationalLRUCache
@@ -79,41 +75,25 @@ class _ShortestPathRelation(CompatibilityRelation):
     ----------
     graph:
         The signed graph the relation is defined over.
-    backend:
-        Legacy override for ``policy.backend``: ``"dict"``, ``"csr"`` or
-        ``"auto"`` (size- and diameter-adaptive).  Prefer setting it on the
-        policy.
-    bfs_cache_size:
-        Legacy override for ``policy.bfs_cache_size`` — the LRU bound on
-        cached per-source BFS results; ``"auto"`` (the policy default)
-        scales :data:`DEFAULT_BFS_CACHE_SIZE` down by graph size so the cache
-        respects a byte budget, an ``int`` is used as-is, ``None`` disables
-        eviction.
     policy:
-        The :class:`~repro.exec.ExecutionPolicy` governing backend choice,
-        worker-pool execution and cache budgets.  With ``workers >= 2`` the
-        batched entry points (:meth:`batch_bfs`, :meth:`batch_compatible_sets`)
-        dispatch their per-source traversals to a process pool; results are
-        bit-identical to serial execution.
+        The :class:`~repro.exec.ExecutionPolicy` governing backend choice
+        (``"dict"``, ``"csr"`` or size- and diameter-adaptive ``"auto"``),
+        worker-pool execution and cache budgets; ``bfs_cache_size`` bounds
+        the LRU of per-source BFS results (``"auto"`` scales
+        :data:`DEFAULT_BFS_CACHE_SIZE` down by graph size).  With
+        ``workers >= 2`` the batched entry points (:meth:`batch_bfs`,
+        :meth:`batch_compatible_sets`) dispatch their per-source traversals
+        to a process pool; results are bit-identical to serial execution.
     """
 
     def __init__(
         self,
         graph: SignedGraph,
-        backend: Optional[str] = None,
-        bfs_cache_size: CacheSize = POLICY_DEFAULT,
-        compatible_cache_size: CacheSize = POLICY_DEFAULT,
         policy: Optional[ExecutionPolicy] = None,
     ) -> None:
-        policy = resolve_policy(
-            policy,
-            backend=backend,
-            bfs_cache_size=bfs_cache_size,
-            compatible_cache_size=compatible_cache_size,
-        )
         super().__init__(graph, policy=policy)
         graph = self._graph  # the base may have adapted a bare CSR snapshot
-        if policy.backend == "csr":
+        if self._policy.backend == "csr":
             require_numpy("backend='csr'")
         #: Lazily decided by the diameter probe in auto mode (None = undecided).
         self._auto_prefer_dict: Optional[bool] = None
@@ -125,15 +105,10 @@ class _ShortestPathRelation(CompatibilityRelation):
         self._bfs_cache: GenerationalLRUCache[Node, _BFSResult] = GenerationalLRUCache(
             graph,
             maxsize=resolve_cache_size(
-                policy.bfs_cache_size, DEFAULT_BFS_CACHE_SIZE, num_nodes
+                self._policy.bfs_cache_size, DEFAULT_BFS_CACHE_SIZE, num_nodes
             ),
             bytes_per_entry=num_nodes * APPROX_BYTES_PER_NODE,
         )
-
-    def _level_threshold(self) -> int:
-        """The auto-mode probe eccentricity cut-over (policy override or default)."""
-        override = self._policy.csr_auto_level_threshold
-        return CSR_AUTO_LEVEL_THRESHOLD if override is None else override
 
     def _use_csr(self) -> bool:
         if self._policy.backend == "csr":
@@ -198,12 +173,12 @@ class _ShortestPathRelation(CompatibilityRelation):
                 )
             probes += 1
             if (
-                levels > self._level_threshold()
+                levels > CSR_AUTO_LEVEL_THRESHOLD
                 or len(seen) >= half
                 or probes >= self._MAX_DIAMETER_PROBES
             ):
                 break
-        self._auto_prefer_dict = levels > self._level_threshold()
+        self._auto_prefer_dict = levels > CSR_AUTO_LEVEL_THRESHOLD
 
     def _bfs(self, source: Node) -> _BFSResult:
         result = self._bfs_cache.get(source)

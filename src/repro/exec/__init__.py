@@ -1,8 +1,8 @@
 """``repro.exec`` — the execution-policy layer.
 
-One :class:`ExecutionPolicy` object bundles every knob that used to travel as
-loose keyword arguments through the compatibility stack — backend choice,
-the CSR auto threshold, cache budgets — and adds the worker-pool dimension:
+One :class:`ExecutionPolicy` object is the only way to configure how the
+compatibility stack executes — backend choice, cache budgets, the distance
+index — and adds the worker-pool dimension:
 ``workers >= 2`` dispatches per-source kernel batches (signed BFS, distance
 sweeps, balanced-path searches) to a persistent process pool.  The pool
 reads each snapshot from one published file (CSR snapshots memory-mapped,
@@ -14,14 +14,7 @@ Serial and pooled execution are bit-identical; see the README's
 
 from repro.exec.arena import ResultArena
 from repro.exec.kernels import KERNELS, register_kernel
-from repro.exec.policy import (
-    POLICY_DEFAULT,
-    CacheSize,
-    ExecutionPolicy,
-    executor_for,
-    reset_executors,
-    resolve_policy,
-)
+from repro.exec.policy import CacheSize, ExecutionPolicy, executor_for, reset_executors
 from repro.exec.pool import (
     ExecutorUnavailable,
     ProcessPoolExecutor,
@@ -36,7 +29,6 @@ __all__ = [
     "Executor",
     "ExecutorUnavailable",
     "KERNELS",
-    "POLICY_DEFAULT",
     "ProcessPoolExecutor",
     "ResultArena",
     "SerialExecutor",
@@ -44,7 +36,6 @@ __all__ = [
     "executor_for",
     "register_kernel",
     "reset_executors",
-    "resolve_policy",
     "serial_executor",
     "shutdown_pools",
 ]

@@ -1,33 +1,28 @@
 """The :class:`ExecutionPolicy`: one object for every execution knob.
 
-Before this layer existed, the choices "which backend runs the per-source
-kernels", "when does the CSR backend pay", "how big may each cache grow"
-were sprinkled across the relations, the distance oracle, the engine and the
-experiment runners as loose keyword arguments (``backend="auto"``,
-``bfs_cache_size=...``, ``batched=False``).  Adding a *parallelism* dimension
-to that string plumbing would have made it unmaintainable, so all of it now
-lives here:
+The paper's relations and team algorithms depend on the graph alone; *how*
+they execute — which backend runs the per-source kernels, how big each cache
+may grow, whether a worker pool runs the sweeps — is one separate concern,
+and this module is its only entrance:
 
 * :class:`ExecutionPolicy` — a frozen, hashable bundle of backend choice,
-  adaptive thresholds, worker-pool shape, the pool's snapshot directory and
-  cache budgets.  Every relation, oracle and engine holds exactly one and
-  consults it instead of ad-hoc parameters.
-* :func:`resolve_policy` — the shim that maps the legacy keyword arguments
-  (which remain supported, see the README's deprecation note) onto a policy.
+  worker-pool shape, the pool's snapshot directory, the distance index and
+  cache budgets, validated once at construction.  Every relation, oracle
+  and engine takes it as ``policy=`` (their only execution parameter),
+  holds exactly one and consults it instead of ad-hoc parameters.
 * :func:`executor_for` — policy in, executor out: a shared
   :class:`~repro.exec.serial.SerialExecutor` for serial policies, a
   process-pool executor (:mod:`repro.exec.pool`) for ``workers >= 2``, with a
   one-time-warning fallback to serial when pools cannot be created on the
   platform.
 
-The module is importable without numpy (the CSR-specific thresholds default
-to ``None`` = "the library constant", resolved lazily at the use site).
+The module is importable without numpy.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Optional, Union
 
 #: A cache-size knob: an explicit entry bound, ``None`` for unbounded, or
@@ -36,31 +31,17 @@ from typing import Dict, Optional, Union
 CacheSize = Union[int, None, str]
 
 
-class _PolicyDefault:
-    """Sentinel for 'take this knob from the policy' in legacy signatures.
-
-    ``None`` cannot play that role because it is a meaningful cache-size value
-    (unbounded), so the legacy cache-size keywords default to this sentinel
-    instead.
-    """
-
-    _instance: Optional["_PolicyDefault"] = None
-
-    def __new__(cls) -> "_PolicyDefault":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "<policy default>"
-
-
-#: The sentinel instance legacy keyword arguments default to.
-POLICY_DEFAULT = _PolicyDefault()
-
 _VALID_BACKENDS = ("auto", "dict", "csr")
 
 _VALID_DISTANCE_INDEX = ("auto", "labels", "bfs")
+
+_CACHE_SIZE_FIELDS = (
+    "compatible_cache_size",
+    "bfs_cache_size",
+    "result_cache_size",
+    "distance_cache_size",
+    "mask_cache_size",
+)
 
 
 @dataclass(frozen=True)
@@ -68,16 +49,13 @@ class ExecutionPolicy:
     """How per-source kernels are executed and how much their caches may hold.
 
     Instances are immutable and hashable; derive variants with
-    :func:`dataclasses.replace` or :func:`resolve_policy`.
+    :func:`dataclasses.replace` (which re-runs the validation).
 
     Parameters
     ----------
     backend:
         ``"auto"`` (size- and diameter-adaptive), ``"dict"`` or ``"csr"`` —
         the kernel backend the SP* relations and the SBPH heuristic run on.
-    batched:
-        When false, every engine query runs the legacy per-pair code path
-        (the reference mode the equivalence tests compare against).
     workers:
         ``0`` or ``1`` — serial execution (the default); ``>= 2`` — dispatch
         per-source kernel batches to a persistent pool of that many worker
@@ -97,11 +75,6 @@ class ExecutionPolicy:
         writable directory and the platform temp directory otherwise; name
         a directory to keep huge snapshots out of ``/dev/shm``.  Results are
         bit-identical whatever the directory.
-    csr_auto_level_threshold:
-        Override for
-        :data:`repro.compatibility.shortest_path.CSR_AUTO_LEVEL_THRESHOLD`
-        (``None`` keeps the library default): the probe eccentricity above
-        which ``backend="auto"`` stays on the dict backend.
     distance_index:
         Whether :class:`~repro.compatibility.distance.DistanceOracle` may
         serve queries from the precomputed distance-label index
@@ -121,25 +94,17 @@ class ExecutionPolicy:
         benchmark graph with headroom.
     compatible_cache_size / bfs_cache_size / result_cache_size /
     distance_cache_size / mask_cache_size:
-        The per-source cache budgets previously passed to each layer
-        individually (compatible sets, SP* BFS results, balanced-path search
-        results, distance maps, engine rule masks).  Same semantics as
-        before: an ``int`` bound, ``None`` for unbounded, ``"auto"`` for the
-        byte-aware scaled bound.
-    seed:
-        Base seed for the deterministic per-chunk RNG seeding inside worker
-        processes (kernels that draw randomness see the same stream for the
-        same chunk regardless of which worker runs it or in which order
-        chunks complete).
+        The per-source cache budgets of each layer (compatible sets, SP* BFS
+        results, balanced-path search results, distance maps, engine rule
+        masks): an ``int >= 1`` bound, ``None`` for unbounded, ``"auto"``
+        for the byte-aware scaled bound.
     """
 
     backend: str = "auto"
-    batched: bool = True
     workers: int = 0
     chunk_size: Optional[int] = None
     min_parallel_sources: int = 4
     snapshot_store: Optional[str] = None
-    csr_auto_level_threshold: Optional[int] = None
     distance_index: str = "bfs"
     label_budget_bytes: int = 64 * 2**20
     compatible_cache_size: CacheSize = "auto"
@@ -147,7 +112,6 @@ class ExecutionPolicy:
     result_cache_size: CacheSize = "auto"
     distance_cache_size: CacheSize = "auto"
     mask_cache_size: CacheSize = "auto"
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.backend not in _VALID_BACKENDS:
@@ -157,9 +121,10 @@ class ExecutionPolicy:
         validate_workers(self.workers)
         if self.chunk_size is not None:
             validate_chunk_size(self.chunk_size)
-        if self.min_parallel_sources < 1:
+        if not _is_int(self.min_parallel_sources) or self.min_parallel_sources < 1:
             raise ValueError(
-                f"min_parallel_sources must be >= 1, got {self.min_parallel_sources}"
+                "min_parallel_sources must be an int >= 1, "
+                f"got {self.min_parallel_sources!r}"
             )
         if self.snapshot_store is not None:
             validate_snapshot_store(self.snapshot_store)
@@ -168,15 +133,20 @@ class ExecutionPolicy:
                 f"distance_index must be one of {_VALID_DISTANCE_INDEX}, "
                 f"got {self.distance_index!r}"
             )
-        if (
-            not isinstance(self.label_budget_bytes, int)
-            or isinstance(self.label_budget_bytes, bool)
-            or self.label_budget_bytes < 1
-        ):
+        if not _is_int(self.label_budget_bytes) or self.label_budget_bytes < 1:
             raise ValueError(
                 "label_budget_bytes must be a positive byte budget for the "
                 f"distance-label planes; got {self.label_budget_bytes!r}"
             )
+        for name in _CACHE_SIZE_FIELDS:
+            value = getattr(self, name)
+            if value is None or value == "auto":
+                continue
+            if not _is_int(value) or value < 1:
+                raise ValueError(
+                    f"{name} must be an int >= 1, None (unbounded) or 'auto', "
+                    f"got {value!r}"
+                )
 
     # ------------------------------------------------------------- resolution
 
@@ -198,44 +168,21 @@ class ExecutionPolicy:
         return executor_for(self)
 
 
-def resolve_policy(
-    policy: Optional[ExecutionPolicy] = None, **overrides
-) -> ExecutionPolicy:
-    """Merge legacy keyword arguments onto an :class:`ExecutionPolicy`.
-
-    ``policy=None`` starts from the default policy.  An override equal to
-    :data:`POLICY_DEFAULT` keeps the policy's value, as does ``None`` for the
-    non-cache knobs (``backend``, ``batched``, ...) where ``None`` has no
-    legacy meaning; anything else replaces the field.  Cache-size knobs use
-    the sentinel precisely so that an explicit legacy ``None`` (= unbounded)
-    still gets through.  This is the single shim behind every deprecated
-    per-layer keyword, so "legacy kwarg wins over the policy field when
-    explicitly given" holds uniformly.
-    """
-    base = policy if policy is not None else ExecutionPolicy()
-    updates = {}
-    for name, value in overrides.items():
-        if value is POLICY_DEFAULT:
-            continue
-        if value is None and not name.endswith("_cache_size"):
-            continue
-        updates[name] = value
-    # replace() re-runs ExecutionPolicy.__post_init__, which is the single
-    # validation point for every knob — overrides included.
-    return replace(base, **updates) if updates else base
+def _is_int(value) -> bool:
+    """True for a plain ``int`` (``bool`` is rejected despite subclassing it)."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def validate_workers(workers, name: str = "workers") -> None:
     """Raise :class:`ValueError` unless ``workers`` is a legal worker count.
 
-    The single source of the rule and its message: every construction path —
-    direct :class:`ExecutionPolicy` instantiation, :func:`resolve_policy`
-    overrides (the funnel behind the experiment configs and legacy kwargs)
-    and the CLI's parse-time validators — goes through it, so a bad value
-    dies with one explanation of what the knob means instead of an opaque
+    The single source of the rule and its message: :class:`ExecutionPolicy`
+    construction (the experiment configs build theirs that way) and the
+    CLI's parse-time validators both go through it, so a bad value dies with
+    one explanation of what the knob means instead of an opaque
     ``ValueError`` surfacing from ``multiprocessing`` at first dispatch.
     """
-    if not isinstance(workers, int) or isinstance(workers, bool) or workers < -1:
+    if not _is_int(workers) or workers < -1:
         raise ValueError(
             f"{name} must be -1 (one per CPU), 0 or 1 (serial), or >= 2 "
             f"(pool size); got {workers!r}"
@@ -244,7 +191,7 @@ def validate_workers(workers, name: str = "workers") -> None:
 
 def validate_chunk_size(chunk_size, name: str = "chunk_size") -> None:
     """Raise :class:`ValueError` unless ``chunk_size`` is a legal task size."""
-    if not isinstance(chunk_size, int) or isinstance(chunk_size, bool) or chunk_size < 1:
+    if not _is_int(chunk_size) or chunk_size < 1:
         raise ValueError(
             f"{name} must be a positive number of sources per worker "
             f"task (or omitted to derive one per dispatch); got {chunk_size!r}"

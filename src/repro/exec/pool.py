@@ -36,9 +36,8 @@ shape explicit:
   dispatched with :meth:`multiprocessing.pool.Pool.map` (which returns
   results in task order regardless of completion order), and concatenated —
   so the merged result list is bit-identical to a serial run however the
-  chunks were scheduled.  Each chunk additionally seeds the worker's ``random``
-  module from ``(policy seed, chunk index)``, so even randomness-using kernels
-  are reproducible and worker-assignment-independent.  The distance-label
+  chunks were scheduled.  Kernels are deterministic functions of the
+  snapshot and their sources (none draws randomness).  The distance-label
   build (:mod:`repro.signed.labels`) rides this same machinery: its
   ``build_labels`` kernel is dispatched over dense source chunks and ships
   landmark BFS rows through the result arena like any other sweep.
@@ -59,7 +58,6 @@ import itertools
 import math
 import os
 import pickle
-import random
 import warnings
 import weakref
 from collections import OrderedDict, deque
@@ -304,13 +302,8 @@ def _attach_payload(descriptor: SnapshotDescriptor):
     return payload
 
 
-def _chunk_seed(base_seed: int, chunk_index: int) -> int:
-    """Deterministic per-chunk RNG seed, independent of worker assignment."""
-    return (1_000_003 * (base_seed + 1) + chunk_index) & 0x7FFF_FFFF
-
-
 def _run_chunk(task):
-    """Worker entry point: attach the payload, seed, run one kernel chunk.
+    """Worker entry point: attach the payload, run one kernel chunk.
 
     With a :class:`~repro.exec.arena.ResultArena` attached to the task, the
     chunk's dense results are written straight into the shared segment
@@ -318,9 +311,8 @@ def _run_chunk(task):
     list crosses the pipe; kernels without an arena layout return their
     results (pickled) through ``Pool.map``.
     """
-    descriptor, kernel_name, sources, params, chunk_index, base_seed, arena, start = task
+    descriptor, kernel_name, sources, params, arena, start = task
     payload = _attach_payload(descriptor)
-    random.seed(_chunk_seed(base_seed, chunk_index))
     if arena is None:
         return KERNELS[kernel_name](payload, sources, params)
     return _run_arena_chunk(arena, payload, sources, params, start)
@@ -604,7 +596,7 @@ class ProcessPoolExecutor(Executor):
     """Dispatch kernel batches over a persistent pool of worker processes.
 
     Bound to one :class:`~repro.exec.policy.ExecutionPolicy` (for worker
-    count, chunk size, dispatch threshold and seed); the underlying OS pool
+    count, chunk size and dispatch threshold); the underlying OS pool
     and the published snapshots are shared across executors with the same
     worker count.  Every result list is bit-identical to
     :class:`~repro.exec.serial.SerialExecutor` on the same inputs — the pool
@@ -693,17 +685,8 @@ class ProcessPoolExecutor(Executor):
             1, math.ceil(len(sources) / (self.workers * 4))
         )
         tasks = [
-            (
-                descriptor,
-                kernel,
-                sources[start : start + chunk],
-                params,
-                index,
-                self._policy.seed,
-                arena,
-                start,
-            )
-            for index, start in enumerate(range(0, len(sources), chunk))
+            (descriptor, kernel, sources[start : start + chunk], params, arena, start)
+            for start in range(0, len(sources), chunk)
         ]
         try:
             # Pool.map returns results in *task* order whatever the completion

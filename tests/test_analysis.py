@@ -556,21 +556,29 @@ def test_policy_shim_flags_loose_knob():
             def __init__(self, graph, workers=0, chunk_size=None):
                 self._graph = graph
                 self._workers = workers
+
+
+        class Oracle:
+            def __init__(self, graph, workers=0, cache_size=None):
+                self._policy = ExecutionPolicy(
+                    workers=workers, distance_cache_size=cache_size
+                )
         """
     )
     findings = analyze_source(source, module="repro.compatibility.example")
     messages = [f.message for f in findings if f.rule == "policy-shim"]
-    assert messages and "workers" in messages[0] and "chunk_size" in messages[0]
+    assert len(messages) == 2
+    assert "workers" in messages[0] and "chunk_size" in messages[0]
+    # Folding the knob into a policy inside __init__ is still a second way in.
+    assert "cache_size" in messages[1] and "workers" in messages[1]
 
 
-def test_policy_shim_accepts_resolved_knobs_and_private_classes():
+def test_policy_shim_accepts_policy_parameter_and_private_classes():
     source = snippet(
         """
         class Engine:
-            def __init__(self, graph, workers=0, cache_size=None):
-                self._policy = resolve_policy(
-                    workers=workers, cache_size=cache_size
-                )
+            def __init__(self, graph, policy=None):
+                self._policy = policy
 
 
         class _WorkerState:

@@ -17,6 +17,7 @@ from repro.compatibility import (
     make_relation,
 )
 from repro.exceptions import NodeNotFoundError, UnknownRelationError
+from repro.exec import ExecutionPolicy
 from repro.signed import NEGATIVE, POSITIVE, SignedGraph
 
 
@@ -223,7 +224,9 @@ class TestBalancedRelations:
         # result cache: after a sweep larger than the cache, every truncated
         # source is still reported.
         relation = StructurallyBalancedPathCompatibility(
-            small_random_graph, max_expansions=5, result_cache_size=2
+            small_random_graph,
+            max_expansions=5,
+            policy=ExecutionPolicy(result_cache_size=2),
         )
         nodes = small_random_graph.nodes()[:6]
         for node in nodes:

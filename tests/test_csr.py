@@ -19,6 +19,7 @@ from repro.compatibility import (
 )
 from repro.datasets import load_dataset, synthetic_signed_network
 from repro.exceptions import NodeNotFoundError
+from repro.exec import ExecutionPolicy
 from repro.signed import (
     CSRSignedGraph,
     SignedGraph,
@@ -31,6 +32,9 @@ from repro.signed import (
     signed_bfs_csr,
 )
 from repro.signed.csr import UNREACHABLE, CSRLengths
+
+DICT = ExecutionPolicy(backend="dict")
+CSR = ExecutionPolicy(backend="csr")
 
 
 def random_signed_graph(seed: int, num_nodes: int = 30, edge_prob: float = 0.12) -> SignedGraph:
@@ -197,7 +201,7 @@ class TestSignedBFSEquivalence:
         graph = SignedGraph.from_edges(edges)
         with pytest.raises(OverflowError):
             signed_bfs_csr(graph.csr_view(), "s")
-        relation = make_relation("SPO", graph, backend="csr")
+        relation = make_relation("SPO", graph, policy=CSR)
         assert relation.are_compatible("s", "t")  # falls back, no crash
         expected = signed_bfs(graph, "s")
         assert expected.positive_counts["t"] == 2**66  # needs big ints
@@ -334,16 +338,16 @@ class TestRelationBackendEquivalence:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_compatible_sets_identical(self, name, seed):
         graph = random_signed_graph(seed, num_nodes=40, edge_prob=0.1)
-        dict_relation = make_relation(name, graph, backend="dict")
-        csr_relation = make_relation(name, graph, backend="csr")
+        dict_relation = make_relation(name, graph, policy=DICT)
+        csr_relation = make_relation(name, graph, policy=CSR)
         for node in graph.nodes():
             assert dict_relation.compatible_with(node) == csr_relation.compatible_with(node)
 
     @pytest.mark.parametrize("name", ["SPA", "SPM", "SPO"])
     def test_pair_queries_identical(self, name):
         graph = random_signed_graph(7, num_nodes=25, edge_prob=0.15)
-        dict_relation = make_relation(name, graph, backend="dict")
-        csr_relation = make_relation(name, graph, backend="csr")
+        dict_relation = make_relation(name, graph, policy=DICT)
+        csr_relation = make_relation(name, graph, policy=CSR)
         nodes = graph.nodes()
         for u in nodes[::3]:
             for v in nodes[::4]:
@@ -352,8 +356,8 @@ class TestRelationBackendEquivalence:
     @pytest.mark.parametrize("name", ["SPA", "SPM", "SPO"])
     def test_batch_degrees_identical(self, name):
         graph = random_signed_graph(3, num_nodes=35)
-        dict_relation = make_relation(name, graph, backend="dict")
-        csr_relation = make_relation(name, graph, backend="csr")
+        dict_relation = make_relation(name, graph, policy=DICT)
+        csr_relation = make_relation(name, graph, policy=CSR)
         sources = graph.nodes()[::2]
         assert (
             dict_relation.batch_compatibility_degrees(sources)
@@ -365,8 +369,10 @@ class TestRelationBackendEquivalence:
         # correct counts (results are held locally, not read back through the
         # evicting cache).
         graph = random_signed_graph(23, num_nodes=30)
-        small_cache = make_relation("SPO", graph, backend="csr", bfs_cache_size=2)
-        reference = make_relation("SPO", graph, backend="dict")
+        small_cache = make_relation(
+            "SPO", graph, policy=ExecutionPolicy(backend="csr", bfs_cache_size=2)
+        )
+        reference = make_relation("SPO", graph, policy=DICT)
         sources = graph.nodes()
         assert small_cache.batch_compatibility_degrees(sources) == [
             reference.compatibility_degree(source) for source in sources
@@ -378,8 +384,8 @@ class TestRelationBackendEquivalence:
         from repro.compatibility import DistanceOracle
 
         graph = random_signed_graph(29, num_nodes=20)
-        dict_oracle = DistanceOracle(make_relation("SPO", graph, backend="dict"))
-        csr_oracle = DistanceOracle(make_relation("SPO", graph, backend="csr"))
+        dict_oracle = DistanceOracle(make_relation("SPO", graph, policy=DICT))
+        csr_oracle = DistanceOracle(make_relation("SPO", graph, policy=CSR))
         assert not dict_oracle._use_csr()
         assert csr_oracle._use_csr()
         for u in graph.nodes()[::4]:
@@ -427,10 +433,10 @@ class TestRelationBackendEquivalence:
     def test_source_sampled_statistics_identical(self):
         graph = random_signed_graph(13, num_nodes=50, edge_prob=0.08)
         dict_stats = source_sampled_pair_statistics(
-            make_relation("SPO", graph, backend="dict"), 12, seed=21
+            make_relation("SPO", graph, policy=DICT), 12, seed=21
         )
         csr_stats = source_sampled_pair_statistics(
-            make_relation("SPO", graph, backend="csr"), 12, seed=21
+            make_relation("SPO", graph, policy=CSR), 12, seed=21
         )
         assert dict_stats.compatible_pairs == csr_stats.compatible_pairs
         assert dict_stats.evaluated_pairs == csr_stats.evaluated_pairs
@@ -442,10 +448,10 @@ class TestRelationBackendEquivalence:
 
     def test_invalid_backend_rejected(self, two_factions):
         with pytest.raises(ValueError):
-            make_relation("SPO", two_factions, backend="gpu")
+            make_relation("SPO", two_factions, policy=ExecutionPolicy(backend="gpu"))
 
     def test_csr_backend_on_loader_graph(self, loader_graph):
-        dict_relation = make_relation("SPA", loader_graph, backend="dict")
-        csr_relation = make_relation("SPA", loader_graph, backend="csr")
+        dict_relation = make_relation("SPA", loader_graph, policy=DICT)
+        csr_relation = make_relation("SPA", loader_graph, policy=CSR)
         for node in loader_graph.nodes()[:8]:
             assert dict_relation.compatible_with(node) == csr_relation.compatible_with(node)

@@ -23,23 +23,27 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.compatibility import CompatibilityEngine, DistanceOracle, make_relation
+from repro.exec import ExecutionPolicy
 from repro.signed import SignedGraph
 from repro.signed.csr import CSRSignedGraph
 from repro.signed.delta import GraphDelta
 from repro.signed.generators import planted_factions_graph
 from repro.utils.generational import GenerationalLRUCache
 
+DICT = ExecutionPolicy(backend="dict")
+CSR = ExecutionPolicy(backend="csr")
+
 RELATION_BACKENDS = [
     ("DPE", {}),
     ("NNE", {}),
-    ("SPA", {"backend": "dict"}),
-    ("SPA", {"backend": "csr"}),
-    ("SPM", {"backend": "dict"}),
-    ("SPM", {"backend": "csr"}),
-    ("SPO", {"backend": "dict"}),
-    ("SPO", {"backend": "csr"}),
-    ("SBPH", {"backend": "dict"}),
-    ("SBPH", {"backend": "csr"}),
+    ("SPA", {"policy": DICT}),
+    ("SPA", {"policy": CSR}),
+    ("SPM", {"policy": DICT}),
+    ("SPM", {"policy": CSR}),
+    ("SPO", {"policy": DICT}),
+    ("SPO", {"policy": CSR}),
+    ("SBPH", {"policy": DICT}),
+    ("SBPH", {"policy": CSR}),
     ("SBP", {"max_expansions": 50_000}),
 ]
 
@@ -110,7 +114,7 @@ class TestGenerationModel:
 
     def test_noop_writes_do_not_invalidate_relation_caches(self):
         graph = SignedGraph.from_edges([(0, 1, 1), (1, 2, 1), (2, 3, -1)])
-        relation = make_relation("SPO", graph, backend="dict")
+        relation = make_relation("SPO", graph, policy=DICT)
         relation.compatible_with(0)
         hits_before = relation._compatible_cache.hits
         graph.set_sign(0, 1, 1)
@@ -305,7 +309,10 @@ class TestGenerationalLRUCache:
         ] + [(i, i + 1, 1) for i in range(100, 140)]
         graph = SignedGraph.from_edges(clique)
         relation = make_relation(
-            "SBP", graph, max_expansions=3, result_cache_size=4
+            "SBP",
+            graph,
+            max_expansions=3,
+            policy=ExecutionPolicy(result_cache_size=4),
         )
         for node in range(8):
             relation.compatible_with(node)
@@ -388,7 +395,7 @@ class TestRelationsUnderChurn:
 
     def test_node_churn_matches_cold_relation(self):
         graph, _ = planted_factions_graph(24, average_degree=3.0, sign_noise=0.2, seed=13)
-        for name, kwargs in (("SPO", {"backend": "csr"}), ("NNE", {}), ("SBPH", {})):
+        for name, kwargs in (("SPO", {"policy": CSR}), ("NNE", {}), ("SBPH", {})):
             relation = make_relation(name, graph, **kwargs)
             for node in graph.nodes()[:5]:
                 relation.compatible_with(node)
@@ -406,7 +413,7 @@ class TestEngineUnderChurn:
         graph, _ = planted_factions_graph(
             40, average_degree=4.0, sign_noise=0.2, seed=seed
         )
-        relation = make_relation("SPO", graph, backend=backend)
+        relation = make_relation("SPO", graph, policy=ExecutionPolicy(backend=backend))
         return graph, CompatibilityEngine(relation)
 
     def test_compatible_from_many_matches_cold_engine(self):
@@ -418,7 +425,7 @@ class TestEngineUnderChurn:
         for round_index in range(5):
             churn_script(graph, rng, steps=6)
             live = engine.compatible_from_many(pool, team)
-            cold_relation = make_relation("SPO", graph.copy(), backend="csr")
+            cold_relation = make_relation("SPO", graph.copy(), policy=CSR)
             cold = CompatibilityEngine(cold_relation).compatible_from_many(pool, team)
             assert live == cold, f"round {round_index}"
             # Memoised repeat must be identical.
@@ -433,7 +440,7 @@ class TestEngineUnderChurn:
         for _ in range(4):
             churn_script(graph, rng, steps=6)
             live = engine.distances_to_team_many(pool, team)
-            cold_relation = make_relation("SPO", graph.copy(), backend="csr")
+            cold_relation = make_relation("SPO", graph.copy(), policy=CSR)
             cold = CompatibilityEngine(cold_relation).distances_to_team_many(pool, team)
             assert live == cold
 
@@ -444,7 +451,7 @@ class TestEngineUnderChurn:
         edges = [(i, (i + 1) % 10, 1) for i in range(10)]
         edges += [(100 + i, 100 + (i + 1) % 40, 1) for i in range(40)]
         graph = SignedGraph.from_edges(edges)
-        relation = make_relation("SPO", graph, backend="csr")
+        relation = make_relation("SPO", graph, policy=CSR)
         engine = CompatibilityEngine(relation)
         team = [100, 101]
         pool = [102, 103, 104, 105]
@@ -461,7 +468,7 @@ class TestEngineUnderChurn:
         edges = [(i, (i + 1) % 10, 1) for i in range(10)]
         edges += [(100 + i, 100 + (i + 1) % 40, 1) for i in range(40)]
         graph = SignedGraph.from_edges(edges)
-        relation = make_relation("SPO", graph, backend="csr")
+        relation = make_relation("SPO", graph, policy=CSR)
         relation.compatible_with(100)
         entries = len(relation._bfs_cache)
         graph.set_sign(0, 1, -1)  # churn the other (small) component
@@ -477,6 +484,6 @@ class TestEngineUnderChurn:
         edge = next(iter(graph.edges()))
         graph.set_sign(edge.u, edge.v, -edge.sign)
         engine.refresh()
-        cold_relation = make_relation("SPO", graph.copy(), backend="csr")
+        cold_relation = make_relation("SPO", graph.copy(), policy=CSR)
         cold = CompatibilityEngine(cold_relation).compatible_from_many(pool, team)
         assert engine.compatible_from_many(pool, team) == cold

@@ -1,13 +1,14 @@
 """Equivalence suite for the batched CompatibilityEngine stack.
 
-Three layers are pinned against their legacy per-pair / per-source
-counterparts, bit for bit:
+Three layers are pinned against their per-pair / per-source counterparts,
+bit for bit:
 
 * the multi-source CSR kernels against per-source runs and the dict
   reference implementations;
 * the SBPH (node, sign)-state CSR search against the per-edge dict search;
 * the full team-formation algorithms (LCMD / LCMC / RFMD / RFMC) through the
-  engine against the legacy per-pair path, on random, synthetic-topology and
+  engine against :class:`PerPairEngine` — the same queries answered pair by
+  pair through the relation API — on random, synthetic-topology and
   loader-built graphs, under every relation.
 """
 
@@ -32,6 +33,7 @@ from repro.compatibility.shortest_path import (
     CSR_AUTO_THRESHOLD,
 )
 from repro.datasets import load_snap_dataset, synthetic_signed_network, toy_dataset
+from repro.exec import ExecutionPolicy
 from repro.signed import SignedGraph, signed_bfs
 from repro.signed.csr import (
     balanced_heuristic_search_csr,
@@ -58,31 +60,65 @@ ALGORITHMS = ("LCMD", "LCMC", "RFMD", "RFMC")
 RELATIONS = ("DPE", "SPA", "SPM", "SPO", "SBPH", "NNE")
 
 
+class PerPairEngine(CompatibilityEngine):
+    """The engine's one-to-many queries as plain loops over the relation API.
+
+    The reference the batched engine is pinned against: every query is
+    answered pair by pair through ``compatible_with`` / ``are_compatible`` /
+    ``distance_to_set``, with no batching, prefetching or rule masks.
+    """
+
+    def compatible_sets(self, sources):
+        return [self.relation.compatible_with(source) for source in sources]
+
+    def compatibility_degrees(self, sources):
+        return [self.relation.compatibility_degree(source) for source in sources]
+
+    def warm(self, sources, distances=True):
+        pass
+
+    def compatible_from_many(self, candidates, team):
+        team_list = list(team)
+        team_set = set(team_list)
+        return frozenset(
+            candidate
+            for candidate in candidates
+            if candidate not in team_set
+            and all(
+                self.relation.are_compatible(member, candidate)
+                for member in team_list
+            )
+        )
+
+    def distances_to_team_many(self, candidates, team):
+        return [self.oracle.distance_to_set(candidate, team) for candidate in candidates]
+
+
 def _relation_pair(name, graph, **kwargs):
-    """Two fresh instances of the same relation (engine vs legacy runs)."""
+    """Two fresh instances of the same relation (engine vs per-pair runs)."""
     return make_relation(name, graph, **kwargs), make_relation(name, graph, **kwargs)
 
 
 def _assert_algorithms_match(graph, skills, tasks, relation_name, **relation_kwargs):
-    """Engine-backed and legacy problems produce identical teams and costs.
+    """Engine-backed and per-pair problems produce identical teams and costs.
 
     One relation instance per side is reused across algorithms and tasks —
     exactly how the experiment harness shares caches — so the comparison also
     covers cache-warm queries.
     """
-    engine_rel, legacy_rel = _relation_pair(relation_name, graph, **relation_kwargs)
+    engine_rel, reference_rel = _relation_pair(relation_name, graph, **relation_kwargs)
     engine = CompatibilityEngine(engine_rel)
-    legacy = CompatibilityEngine(legacy_rel, batched=False)
+    reference = PerPairEngine(reference_rel)
     for task in tasks:
         for algorithm in ALGORITHMS:
             engine_problem = TeamFormationProblem(
                 graph, skills, engine_rel, task, engine=engine
             )
-            legacy_problem = TeamFormationProblem(
-                graph, skills, legacy_rel, task, engine=legacy
+            reference_problem = TeamFormationProblem(
+                graph, skills, reference_rel, task, engine=reference
             )
             got = run_algorithm(algorithm, engine_problem, max_seeds=6, seed=13)
-            expected = run_algorithm(algorithm, legacy_problem, max_seeds=6, seed=13)
+            expected = run_algorithm(algorithm, reference_problem, max_seeds=6, seed=13)
             assert got.team == expected.team, (relation_name, algorithm, task)
             assert got.cost == expected.cost, (relation_name, algorithm, task)
             assert got.seeds_tried == expected.seeds_tried
@@ -149,7 +185,9 @@ class TestTeamFormationEquivalence:
             graph.nodes(), num_skills=10, skills_per_user=2.5, seed=52
         )
         tasks = random_tasks(skills, size=3, count=2, seed=53)
-        _assert_algorithms_match(graph, skills, tasks, relation_name, backend="csr")
+        _assert_algorithms_match(
+            graph, skills, tasks, relation_name, policy=ExecutionPolicy(backend="csr")
+        )
 
 
 class TestCompatibleFromMany:
@@ -162,20 +200,18 @@ class TestCompatibleFromMany:
         graph, _ = planted_factions_graph(
             50, average_degree=4.0, sign_noise=0.2, seed=seed
         )
-        kwargs = (
-            {"backend": "csr"}
-            if relation_name in ("SPA", "SPM", "SPO", "SBPH")
-            else {}
+        backend = "csr" if relation_name in ("SPA", "SPM", "SPO", "SBPH") else "auto"
+        relation = make_relation(
+            relation_name, graph, policy=ExecutionPolicy(backend=backend)
         )
-        relation = make_relation(relation_name, graph, **kwargs)
         engine = CompatibilityEngine(relation)
-        legacy = CompatibilityEngine(relation, oracle=engine.oracle, batched=False)
+        reference = PerPairEngine(relation, oracle=engine.oracle)
         nodes = graph.nodes()
         for _ in range(5):
             team = rng.sample(nodes, rng.randint(1, 4))
             candidates = rng.sample(nodes, rng.randint(1, 20))
             assert engine.compatible_from_many(candidates, team) == (
-                legacy.compatible_from_many(candidates, team)
+                reference.compatible_from_many(candidates, team)
             )
 
     def test_empty_team_returns_all_candidates(self, toy):
@@ -198,8 +234,8 @@ class TestDistancesToTeamMany:
     @pytest.mark.parametrize(
         "relation_name,kwargs",
         [
-            ("SPO", {"backend": "csr"}),
-            ("SPO", {"backend": "dict"}),
+            ("SPO", {"policy": ExecutionPolicy(backend="csr")}),
+            ("SPO", {"policy": ExecutionPolicy(backend="dict")}),
             ("NNE", {}),
             ("SBPH", {}),
         ],
@@ -310,8 +346,8 @@ class TestSBPHCSRSearch:
         graph, _ = planted_factions_graph(
             40, average_degree=4.0, sign_noise=0.2, seed=seed
         )
-        dict_rel = make_relation("SBPH", graph, backend="dict")
-        csr_rel = make_relation("SBPH", graph, backend="csr")
+        dict_rel = make_relation("SBPH", graph, policy=ExecutionPolicy(backend="dict"))
+        csr_rel = make_relation("SBPH", graph, policy=ExecutionPolicy(backend="csr"))
         for node in graph.nodes():
             assert dict_rel.compatible_with(node) == csr_rel.compatible_with(node)
         nodes = graph.nodes()
@@ -347,8 +383,9 @@ class TestDiameterAdaptiveAuto:
 
     def test_explicit_backends_skip_probe(self):
         graph = self._path_graph(CSR_AUTO_THRESHOLD + 100)
-        assert make_relation("SPO", graph, backend="dict")._use_csr() is False
-        assert make_relation("SPO", graph, backend="csr")._use_csr() is True
+        for backend, uses_csr in (("dict", False), ("csr", True)):
+            relation = make_relation("SPO", graph, policy=ExecutionPolicy(backend=backend))
+            assert relation._use_csr() is uses_csr
 
     def test_probe_decision_reset_by_clear_cache(self):
         graph = self._path_graph(CSR_AUTO_THRESHOLD + 100)
@@ -429,14 +466,18 @@ class TestByteAwareCacheBounds:
         assert relation._bfs_cache.bytes_per_entry == 2_000_000 * APPROX_BYTES_PER_NODE
 
     def test_explicit_cache_sizes_pass_through(self, two_factions):
-        relation = make_relation("SPO", two_factions, bfs_cache_size=7)
+        relation = make_relation(
+            "SPO", two_factions, policy=ExecutionPolicy(bfs_cache_size=7)
+        )
         assert relation._bfs_cache.maxsize == 7
-        unbounded = make_relation("SPO", two_factions, bfs_cache_size=None)
+        unbounded = make_relation(
+            "SPO", two_factions, policy=ExecutionPolicy(bfs_cache_size=None)
+        )
         assert unbounded._bfs_cache.maxsize is None
 
     def test_invalid_cache_size_string_rejected(self, two_factions):
-        with pytest.raises(ValueError):
-            make_relation("SPO", two_factions, bfs_cache_size="huge")
+        with pytest.raises(ValueError, match="bfs_cache_size"):
+            make_relation("SPO", two_factions, policy=ExecutionPolicy(bfs_cache_size="huge"))
 
     def test_fetch_batched_single_compute_call_and_write_through(self):
         cache = LRUCache(maxsize=2)
@@ -501,7 +542,7 @@ class TestEngineContracts:
         graph, _ = planted_factions_graph(
             40, average_degree=4.0, sign_noise=0.2, seed=9
         )
-        relation = make_relation("SPO", graph, backend="csr")
+        relation = make_relation("SPO", graph, policy=ExecutionPolicy(backend="csr"))
         engine = CompatibilityEngine(relation)
         direct = source_sampled_pair_statistics(relation, 8, seed=3)
         routed = source_sampled_pair_statistics(relation, 8, seed=3, engine=engine)
@@ -531,7 +572,7 @@ class TestEngineContracts:
         graph, _ = planted_factions_graph(
             30, average_degree=4.0, sign_noise=0.2, seed=61
         )
-        relation = make_relation("SPO", graph, backend="csr")
+        relation = make_relation("SPO", graph, policy=ExecutionPolicy(backend="csr"))
         engine = CompatibilityEngine(relation)
         nodes = graph.nodes()
         team = nodes[:2]
@@ -539,15 +580,15 @@ class TestEngineContracts:
         new_node = max(n for n in nodes if isinstance(n, int)) + 1
         graph.add_edge(nodes[0], new_node, 1)
         # Same query, stale per-member caches: must not raise, and must agree
-        # with the legacy per-pair loop over the same (stale) relation caches.
+        # with the per-pair loop over the same (stale) relation caches.
         again = engine.compatible_from_many(nodes[2:12], team)
-        legacy = frozenset(
+        reference = frozenset(
             c
             for c in nodes[2:12]
             if c not in team
             and all(relation.are_compatible(m, c) for m in team)
         )
-        assert again == legacy
+        assert again == reference
         engine.clear_caches()
         assert engine.compatible_from_many(nodes[2:12], team) is not None
         assert first is not None
@@ -568,7 +609,9 @@ class TestMostCompatibleUnderTinyCache:
         # compatible_cache_size=1 models the byte-aware "auto" bound on a
         # huge graph: far smaller than the candidate list, so scoring must
         # use the batch's returned sets, not cache re-lookups.
-        tiny = make_relation(relation_name, graph, compatible_cache_size=1)
+        tiny = make_relation(
+            relation_name, graph, policy=ExecutionPolicy(compatible_cache_size=1)
+        )
         roomy = make_relation(relation_name, graph)
         for task in tasks:
             tiny_problem = TeamFormationProblem(graph, skills, tiny, task)
@@ -586,11 +629,12 @@ NUMPY_FREE_SCRIPT = textwrap.dedent(
     import repro  # must import cleanly without numpy
     from repro.signed.graph import SignedGraph
     from repro.compatibility import CompatibilityEngine, make_relation
+    from repro.exec import ExecutionPolicy
 
     graph = SignedGraph.from_edges(
         [(i, (i + 1) % 40, 1 if i % 4 else -1) for i in range(40)]
     )
-    relation = make_relation("SPO", graph, backend="dict")
+    relation = make_relation("SPO", graph, policy=ExecutionPolicy(backend="dict"))
     assert relation.compatibility_degree(0) >= 0
 
     big = SignedGraph.from_edges(
@@ -614,11 +658,11 @@ NUMPY_FREE_SCRIPT = textwrap.dedent(
     assert all(relation.are_compatible(team[0], c) for c in filtered)
 
     try:
-        make_relation("SPO", graph, backend="csr")
+        make_relation("SPO", graph, policy=ExecutionPolicy(backend="csr"))
     except ImportError as exc:
         assert "numpy" in str(exc)
     else:
-        raise AssertionError("backend='csr' should raise without numpy")
+        raise AssertionError("a csr-backend policy should raise without numpy")
     print("numpy-free-ok")
     """
 )

@@ -4,8 +4,8 @@ The load-bearing guarantee is *bit-identity*: a pool policy may only change
 where the per-source kernels run, never what they return.  The suite pins
 that across every relation and backend, under churn (mutate → resync →
 re-dispatch against the new generation), and for the executor primitives
-themselves (deterministic chunk merging, per-chunk RNG seeding, graceful
-degradation when shared memory is unavailable).
+themselves (deterministic chunk merging, graceful degradation when shared
+memory is unavailable).
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
-import random
 import warnings
 
 import pytest
@@ -27,14 +26,12 @@ from repro.compatibility import (
 from repro.datasets import synthetic_signed_network
 from repro.exec import (
     KERNELS,
-    POLICY_DEFAULT,
     ExecutionPolicy,
     ProcessPoolExecutor,
     SerialExecutor,
     executor_for,
     register_kernel,
     reset_executors,
-    resolve_policy,
     serial_executor,
 )
 from repro.exec import pool as pool_module
@@ -50,11 +47,6 @@ pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @register_kernel("test_echo")
 def _test_echo(payload, sources, params):
     return [(params.get("tag"), source) for source in sources]
-
-
-@register_kernel("test_rng")
-def _test_rng(payload, sources, params):
-    return [random.random() for _ in sources]
 
 
 class IdentityNode:
@@ -93,6 +85,16 @@ def graph():
     return graph
 
 
+#: The ExecutionPolicy fields that hold a cache budget.
+CACHE_SIZE_FIELDS = (
+    "compatible_cache_size",
+    "bfs_cache_size",
+    "result_cache_size",
+    "distance_cache_size",
+    "mask_cache_size",
+)
+
+
 def pool_policy(backend: str = "auto", workers: int = 2, **kwargs) -> ExecutionPolicy:
     """A policy that really dispatches (no small-batch inline shortcut)."""
     return ExecutionPolicy(
@@ -100,13 +102,11 @@ def pool_policy(backend: str = "auto", workers: int = 2, **kwargs) -> ExecutionP
     )
 
 
-def build_stack(graph, name: str, backend, policy=None):
-    """(relation, oracle, engine) under one backend/policy combination."""
+def build_stack(graph, name: str, policy: ExecutionPolicy):
+    """(relation, oracle, engine) under one policy."""
     kwargs = {}
     if name in ("SBP", "SBPH"):
         kwargs["max_expansions"] = 2_000
-    if backend is not None:
-        kwargs["backend"] = backend
     relation = make_relation(name, graph, policy=policy, **kwargs)
     oracle = DistanceOracle(relation)
     engine = CompatibilityEngine(relation, oracle=oracle)
@@ -130,6 +130,17 @@ class TestExecutionPolicy:
             ExecutionPolicy(chunk_size=0)
         with pytest.raises(ValueError):
             ExecutionPolicy(min_parallel_sources=0)
+        with pytest.raises(ValueError, match="min_parallel_sources"):
+            ExecutionPolicy(min_parallel_sources=True)
+        # Cache budgets are validated at construction and the error names
+        # the field: 2.5 or True would otherwise build a working LRU with a
+        # nonsense bound, and 0 or -3 would only fail inside the LRU.
+        for field in CACHE_SIZE_FIELDS:
+            for bad in (2.5, True, -3, 0, "big"):
+                with pytest.raises(ValueError, match=field):
+                    ExecutionPolicy(**{field: bad})
+            for good in (1, 64, None, "auto"):
+                assert getattr(ExecutionPolicy(**{field: good}), field) == good
 
     def test_workers_minus_one_resolves_to_cpu_count(self):
         assert ExecutionPolicy(workers=-1).resolved_workers() >= 1
@@ -138,57 +149,33 @@ class TestExecutionPolicy:
         assert ExecutionPolicy() == ExecutionPolicy()
         assert hash(ExecutionPolicy(workers=2)) == hash(ExecutionPolicy(workers=2))
 
-    def test_resolve_policy_rejects_bad_pool_knobs_with_clear_message(self):
-        # The CLI's --workers/--chunk-size funnel through resolve_policy; a
-        # bad value must die here with a message that explains the knob, not
-        # as an opaque ValueError out of multiprocessing at first dispatch.
+    def test_policy_rejects_bad_pool_knobs_with_clear_message(self):
+        # The CLI's --workers/--chunk-size share these validators; a bad
+        # value must die here with a message that explains the knob, not as
+        # an opaque ValueError out of multiprocessing at first dispatch.
         with pytest.raises(ValueError, match="workers must be -1"):
-            resolve_policy(None, workers=-5)
+            ExecutionPolicy(workers=-5)
         with pytest.raises(ValueError, match="chunk_size must be a positive"):
-            resolve_policy(None, chunk_size=0)
+            ExecutionPolicy(chunk_size=0)
         with pytest.raises(ValueError, match="chunk_size must be a positive"):
-            resolve_policy(None, chunk_size=-3)
+            ExecutionPolicy(chunk_size=-3)
         # Serial spellings stay legal.
-        assert resolve_policy(None, workers=0).resolved_workers() == 1
-        assert resolve_policy(None, workers=-1).resolved_workers() >= 1
+        assert ExecutionPolicy(workers=0).resolved_workers() == 1
+        assert ExecutionPolicy(workers=-1).resolved_workers() >= 1
 
-    def test_resolve_policy_shim_semantics(self):
-        base = ExecutionPolicy(backend="csr", bfs_cache_size=17)
-        # Unset markers keep the policy's values.
-        kept = resolve_policy(base, backend=None, bfs_cache_size=POLICY_DEFAULT)
-        assert kept == base
-        # Explicit legacy values win, including an explicit None cache size
-        # (the legacy spelling of "unbounded").
-        overridden = resolve_policy(base, backend="dict", bfs_cache_size=None)
-        assert overridden.backend == "dict"
-        assert overridden.bfs_cache_size is None
-
-    def test_relation_legacy_kwargs_map_onto_policy(self, graph):
-        relation = make_relation("SPO", graph, backend="dict")
-        assert relation.policy.backend == "dict"
-        relation = make_relation(
-            "SPO", graph, policy=ExecutionPolicy(backend="csr", workers=0)
-        )
-        assert relation.policy.backend == "csr"
-        # An explicitly passed legacy kwarg overrides the policy field.
-        relation = make_relation(
-            "SPO", graph, backend="dict", policy=ExecutionPolicy(backend="csr")
-        )
-        assert relation.policy.backend == "dict"
-
-    def test_engine_batched_shim_and_policy_inheritance(self, graph):
-        relation = make_relation("SPO", graph, backend="dict")
+    def test_engine_inherits_relation_policy(self, graph):
+        relation = make_relation("SPO", graph, policy=ExecutionPolicy(backend="dict"))
         engine = CompatibilityEngine(relation)
-        assert engine.policy.batched and engine.batched
-        assert engine.policy.backend == "dict"  # inherited from the relation
-        legacy = CompatibilityEngine(relation, batched=False)
-        assert legacy.policy.batched is False and legacy.batched is False
+        assert engine.policy is relation.policy
+        assert engine.oracle.policy is relation.policy
 
     def test_oracle_inherits_relation_policy_and_cache_override(self, graph):
-        relation = make_relation("SPO", graph, backend="dict")
+        relation = make_relation("SPO", graph, policy=ExecutionPolicy(backend="dict"))
         oracle = DistanceOracle(relation)
         assert oracle.policy.backend == "dict"
-        unbounded = DistanceOracle(relation, cache_size=None)
+        unbounded = DistanceOracle(
+            relation, policy=ExecutionPolicy(distance_cache_size=None)
+        )
         assert unbounded._bfs_cache.maxsize is None
 
 
@@ -221,21 +208,6 @@ class TestPoolExecutor:
         )
         assert result == [("t", source) for source in sources]
 
-    @requires_fork
-    def test_rng_kernel_deterministic_across_runs_and_worker_counts(self, graph):
-        first = executor_for(pool_policy(chunk_size=4, workers=3, seed=7))
-        again = executor_for(pool_policy(chunk_size=4, workers=3, seed=7))
-        other_pool = executor_for(pool_policy(chunk_size=4, workers=5, seed=7))
-        sources = list(range(17))
-        baseline = first.map_kernel("test_rng", graph, sources)
-        assert again.map_kernel("test_rng", graph, sources) == baseline
-        # Same chunking + per-chunk seeding => identical draws no matter how
-        # many workers raced over the chunks.
-        assert other_pool.map_kernel("test_rng", graph, sources) == baseline
-        # A different base seed changes the stream.
-        reseeded = executor_for(pool_policy(chunk_size=4, workers=3, seed=8))
-        assert reseeded.map_kernel("test_rng", graph, sources) != baseline
-
     def test_csr_kernel_arrays_bit_identical(self, graph):
         np = pytest.importorskip("numpy")
         csr = graph.csr_view()
@@ -267,7 +239,7 @@ class TestResultArena:
 
     def test_path_lengths_ship_through_arena_as_owned_rows(self, graph):
         np = pytest.importorskip("numpy")
-        executor = executor_for(pool_policy("csr", seed=201))
+        executor = executor_for(pool_policy("csr"))
         csr, dense = self._dense_sources(graph)
         before = executor._handle.arenas_created
         pooled = executor.map_kernel("csr_path_lengths", csr, dense, {})
@@ -282,7 +254,7 @@ class TestResultArena:
 
     def test_bitmap_rows_decode_as_zero_copy_views(self, graph):
         pytest.importorskip("numpy")
-        executor = executor_for(pool_policy("csr", seed=211))
+        executor = executor_for(pool_policy("csr"))
         csr, dense = self._dense_sources(graph)
         pooled = executor.map_kernel(
             "csr_compatible_masks", csr, dense, {"rule": "SPO"}
@@ -298,7 +270,7 @@ class TestResultArena:
 
     def test_signed_bfs_triples_ship_through_arena(self, graph):
         np = pytest.importorskip("numpy")
-        executor = executor_for(pool_policy("csr", seed=202))
+        executor = executor_for(pool_policy("csr"))
         csr, dense = self._dense_sources(graph)
         params = {"skip_overflow": True}
         before = executor._handle.arenas_created
@@ -310,7 +282,7 @@ class TestResultArena:
 
     def test_sbph_depths_decode_identical(self, graph):
         pytest.importorskip("numpy")
-        executor = executor_for(pool_policy("csr", seed=203))
+        executor = executor_for(pool_policy("csr"))
         csr, dense = self._dense_sources(graph)
         pooled = executor.map_kernel("csr_sbph", csr, dense, {"max_length": None})
         serial = serial_executor().map_kernel("csr_sbph", csr, dense, {"max_length": None})
@@ -328,7 +300,7 @@ class TestResultArena:
             return arena, shm
 
         monkeypatch.setattr(pool_module._PoolHandle, "create_arena", recording)
-        executor = executor_for(pool_policy("csr", seed=204))
+        executor = executor_for(pool_policy("csr"))
         csr, dense = self._dense_sources(graph)
         executor.map_kernel("csr_path_lengths", csr, dense, {})
         assert created
@@ -348,7 +320,7 @@ class TestResultArena:
         csr, dense = self._dense_sources(graph, count=10)
         row_bytes = arena_nbytes("csr_signed_bfs", 1, csr.number_of_nodes())
         monkeypatch.setattr(pool_module, "_ARENA_BUDGET_BYTES", 3 * row_bytes + row_bytes // 2)
-        executor = executor_for(pool_policy("csr", seed=205))
+        executor = executor_for(pool_policy("csr"))
         params = {"skip_overflow": True}
         before = executor._handle.arenas_created
         pooled = executor.map_kernel("csr_signed_bfs", csr, dense, params)
@@ -369,7 +341,7 @@ class TestResultArena:
                 raise OSError(28, "No space left on device")
             return real(*args, **kwargs)
 
-        executor = executor_for(pool_policy("csr", seed=206))
+        executor = executor_for(pool_policy("csr"))
         csr, dense = self._dense_sources(graph)
         expected = serial_executor().map_kernel("csr_path_lengths", csr, dense, {})
         monkeypatch.setattr(shared_memory, "SharedMemory", no_room)
@@ -400,7 +372,7 @@ class TestResultArena:
             return arena, shm
 
         monkeypatch.setattr(pool_module._PoolHandle, "create_arena", recording)
-        executor = executor_for(pool_policy("csr", seed=207))
+        executor = executor_for(pool_policy("csr"))
         csr, dense = self._dense_sources(graph)
         with pytest.raises(KeyError):
             # An unknown rule name raises inside every worker task.
@@ -447,8 +419,8 @@ class TestResultArena:
         edges.append((previous[0], "t", 1))
         edges.append((previous[1], "t", 1))
         graph = SignedGraph.from_edges(edges)
-        pool_rel = make_relation("SPO", graph, policy=pool_policy("csr", seed=208))
-        serial_rel = make_relation("SPO", graph, backend="csr")
+        pool_rel = make_relation("SPO", graph, policy=pool_policy("csr"))
+        serial_rel = make_relation("SPO", graph, policy=ExecutionPolicy(backend="csr"))
         sample = ["s", (0, 0), (30, 1), (65, 0), "t"]
         pool_sets = pool_rel.batch_compatible_sets(sample)
         assert pool_sets == serial_rel.batch_compatible_sets(sample)
@@ -474,8 +446,8 @@ class TestResultArena:
             graph_a.add_edge(nodes[index], nodes[index + 1], +1)
             graph_b.add_edge(nodes[index], nodes[index + 1], +1 if index % 2 else -1)
         pool_module._DEGRADE_WARNED.clear()
-        first = make_relation("SPO", graph_a, policy=pool_policy("dict", seed=209))
-        second = make_relation("SPA", graph_b, policy=pool_policy("dict", seed=210))
+        first = make_relation("SPO", graph_a, policy=pool_policy("dict"))
+        second = make_relation("SPA", graph_b, policy=pool_policy("dict"))
         with warnings_module.catch_warnings(record=True) as caught:
             warnings_module.simplefilter("always")
             first.batch_compatible_sets(nodes)
@@ -509,9 +481,11 @@ RELATION_BACKENDS = [
 class TestPoolSerialBitIdentity:
     @pytest.mark.parametrize("name,backend", RELATION_BACKENDS)
     def test_batched_queries_identical(self, graph, name, backend):
-        serial_rel, serial_oracle, serial_engine = build_stack(graph, name, backend)
+        serial_rel, serial_oracle, serial_engine = build_stack(
+            graph, name, ExecutionPolicy(backend=backend or "auto")
+        )
         pool_rel, pool_oracle, pool_engine = build_stack(
-            graph, name, None, policy=pool_policy(backend or "auto")
+            graph, name, pool_policy(backend or "auto")
         )
         nodes = graph.nodes()
         sample = nodes[:10] if name in ("SBP", "SBPH") else nodes[:25]
@@ -532,7 +506,9 @@ class TestPoolSerialBitIdentity:
         assert serial_stats == pool_stats
 
     def test_balanced_batch_distances_match_per_candidate_loop(self, graph):
-        relation, oracle, _engine = build_stack(graph, "SBPH", "dict")
+        relation, oracle, _engine = build_stack(
+            graph, "SBPH", ExecutionPolicy(backend="dict")
+        )
         nodes = graph.nodes()
         team = nodes[:3]
         candidates = nodes[10:60]
@@ -559,7 +535,7 @@ class TestChurnRedispatch:
             220, average_degree=4.0, negative_fraction=0.25, seed=31
         )
         pool_rel, pool_oracle, pool_engine = build_stack(
-            graph, "SPO", None, policy=pool_policy("csr")
+            graph, "SPO", pool_policy("csr")
         )
         rng = ensure_rng(99)
         publishes_seen = set()
@@ -567,7 +543,9 @@ class TestChurnRedispatch:
             apply_edge_churn(graph, 25, rng)
             pool_engine.refresh()
             # A cold serial stack on the mutated graph is the ground truth.
-            cold_rel, cold_oracle, cold_engine = build_stack(graph, "SPO", "csr")
+            cold_rel, cold_oracle, cold_engine = build_stack(
+                graph, "SPO", ExecutionPolicy(backend="csr")
+            )
             nodes = graph.nodes()
             sample, team, candidates = nodes[:20], nodes[4:7], nodes[25:65]
             assert pool_rel.batch_compatible_sets(sample) == cold_rel.batch_compatible_sets(sample)
@@ -594,7 +572,7 @@ class TestRepublishBookkeeping:
         rng = ensure_rng(5)
         for _round in range(3 * pool_module._PUBLISH_BOUND):
             apply_edge_churn(working, 5, rng)
-            serial_rel = make_relation("SPO", working, backend="dict")
+            serial_rel = make_relation("SPO", working, policy=ExecutionPolicy(backend="dict"))
             sample = working.nodes()[:8]
             assert pool_rel.batch_bfs(sample) == serial_rel.batch_bfs(sample)
             assert not handle.closed
@@ -658,7 +636,7 @@ class TestGracefulDegradation:
         with pytest.warns(RuntimeWarning):
             pool_rel = make_relation("SPO", graph, policy=pool_policy("csr"))
             pool_sets = pool_rel.batch_compatible_sets(graph.nodes()[:10])
-        serial_rel = make_relation("SPO", graph, backend="csr")
+        serial_rel = make_relation("SPO", graph, policy=ExecutionPolicy(backend="csr"))
         assert pool_sets == serial_rel.batch_compatible_sets(graph.nodes()[:10])
         monkeypatch.setattr(pool_module, "_DISABLE_SHARED_MEMORY", False)
         reset_executors()
@@ -683,7 +661,7 @@ class TestGracefulDegradation:
         pool_module._DEGRADE_WARNED.clear()
         with pytest.warns(RuntimeWarning, match="degraded to serial"):
             pool_sets = pool_rel.batch_compatible_sets(nodes)
-        serial_rel = make_relation("SBPH", graph, backend="dict")
+        serial_rel = make_relation("SBPH", graph, policy=ExecutionPolicy(backend="dict"))
         assert pool_sets == serial_rel.batch_compatible_sets(nodes)
 
     def test_identity_equality_nodes_degrade_to_serial(self):
@@ -694,14 +672,14 @@ class TestGracefulDegradation:
         graph = SignedGraph()
         for index in range(7):
             graph.add_edge(nodes[index], nodes[index + 1], +1 if index % 3 else -1)
-        pool_rel = make_relation("SPA", graph, policy=pool_policy("dict", seed=123))
+        pool_rel = make_relation("SPA", graph, policy=pool_policy("dict"))
         # The warning seen-set is module-level (one warn per process per
         # stage, however many executors degrade); reset it so this test does
         # not depend on which degradation ran first.
         pool_module._DEGRADE_WARNED.clear()
         with pytest.warns(RuntimeWarning, match="degraded to serial"):
             pool_sets = pool_rel.batch_compatible_sets(nodes)
-        serial_rel = make_relation("SPA", graph, backend="dict")
+        serial_rel = make_relation("SPA", graph, policy=ExecutionPolicy(backend="dict"))
         assert pool_sets == serial_rel.batch_compatible_sets(nodes)
 
 
@@ -747,7 +725,7 @@ class TestSnapshotStoreMode:
         csr, dense = self._dense_sources(graph, count=20)
         serial = serial_executor()
         store_exec = executor_for(
-            pool_policy("csr", seed=301, snapshot_store=str(tmp_path))
+            pool_policy("csr", snapshot_store=str(tmp_path))
         )
         for kernel, params in (
             ("csr_path_lengths", {}),
@@ -772,7 +750,7 @@ class TestSnapshotStoreMode:
         pytest.importorskip("numpy")
         csr, dense = self._dense_sources(graph)
         executor = executor_for(
-            pool_policy("csr", seed=302, snapshot_store=str(tmp_path))
+            pool_policy("csr", snapshot_store=str(tmp_path))
         )
         executor.map_kernel("csr_path_lengths", csr, dense, {})
         descriptor = executor._handle.published[id(csr)].descriptor
@@ -790,7 +768,7 @@ class TestSnapshotStoreMode:
         pytest.importorskip("numpy")
         csr, dense = self._dense_sources(graph)
         executor = executor_for(
-            pool_policy("csr", seed=303, snapshot_store=str(tmp_path))
+            pool_policy("csr", snapshot_store=str(tmp_path))
         )
         before = executor._handle.arenas_created
         left = executor.map_kernel("csr_path_lengths", csr, dense, {})
@@ -804,14 +782,15 @@ class TestSnapshotStoreMode:
             220, average_degree=4.0, negative_fraction=0.25, seed=33
         )
         pool_rel, pool_oracle, pool_engine = build_stack(
-            graph, "SPO", None,
-            policy=pool_policy("csr", snapshot_store=str(tmp_path)),
+            graph, "SPO", pool_policy("csr", snapshot_store=str(tmp_path))
         )
         rng = ensure_rng(17)
         for _round in range(3):
             apply_edge_churn(graph, 25, rng)
             pool_engine.refresh()
-            cold_rel, cold_oracle, cold_engine = build_stack(graph, "SPO", "csr")
+            cold_rel, cold_oracle, cold_engine = build_stack(
+                graph, "SPO", ExecutionPolicy(backend="csr")
+            )
             nodes = graph.nodes()
             sample, team, candidates = nodes[:20], nodes[4:7], nodes[25:65]
             assert pool_rel.batch_compatible_sets(sample) == cold_rel.batch_compatible_sets(sample)
@@ -836,7 +815,7 @@ class TestSnapshotStoreMode:
             csr, dense = self._dense_sources(source_graph)
             snapshots.append(csr)
             executor = executor_for(
-                pool_policy("csr", workers=workers, seed=306, snapshot_store=str(tmp_path))
+                pool_policy("csr", workers=workers, snapshot_store=str(tmp_path))
             )
             pooled = executor.map_kernel("csr_path_lengths", csr, dense, {})
             expected = serial_executor().map_kernel("csr_path_lengths", csr, dense, {})
@@ -852,7 +831,7 @@ class TestSnapshotStoreMode:
         pool_rel = make_relation(
             "SPA", working, policy=pool_policy("dict", snapshot_store=str(tmp_path))
         )
-        serial_rel = make_relation("SPA", working, backend="dict")
+        serial_rel = make_relation("SPA", working, policy=ExecutionPolicy(backend="dict"))
         sample = working.nodes()[:10]
         assert pool_rel.batch_compatible_sets(sample) == serial_rel.batch_compatible_sets(sample)
         files = self._published_files(tmp_path)
@@ -875,7 +854,7 @@ class TestSnapshotStoreMode:
         pool_module._DEGRADE_WARNED.clear()
         with pytest.warns(RuntimeWarning, match="store directory went away"):
             pool_sets = pool_rel.batch_compatible_sets(working.nodes()[:10])
-        serial_rel = make_relation("SPO", working, backend="csr")
+        serial_rel = make_relation("SPO", working, policy=ExecutionPolicy(backend="csr"))
         assert pool_sets == serial_rel.batch_compatible_sets(working.nodes()[:10])
         assert self._published_files(tmp_path) == []
 
@@ -924,7 +903,7 @@ class TestSnapshotStoreMode:
         assert "store directory went away" in str(runtime[0].message)
         suffix = ".tmp" if fault == "temp" else (".store" if backend == "csr" else ".pickle")
         assert [f for f in seen_at_fault if f.endswith(suffix)]
-        serial_rel = make_relation(name, working, backend=backend)
+        serial_rel = make_relation(name, working, policy=ExecutionPolicy(backend=backend))
         assert pool_sets == serial_rel.batch_compatible_sets(sample)
         assert self._published_files(tmp_path) == []
 
@@ -934,7 +913,7 @@ class TestSnapshotStoreMode:
         pytest.importorskip("numpy")
         csr, dense = self._dense_sources(graph)
         executor = executor_for(
-            pool_policy("csr", seed=304, snapshot_store=str(tmp_path))
+            pool_policy("csr", snapshot_store=str(tmp_path))
         )
         with pytest.raises(KeyError):
             executor.map_kernel(
@@ -959,10 +938,10 @@ class TestSnapshotStoreMode:
             return [name for name in os.listdir(directory) if name.startswith(prefix)]
 
         working = graph.copy()
-        dict_rel = make_relation("SPA", working, policy=pool_policy("dict", seed=305))
+        dict_rel = make_relation("SPA", working, policy=pool_policy("dict"))
         dict_rel.batch_compatible_sets(working.nodes()[:8])
         csr, dense = self._dense_sources(graph)
-        executor = executor_for(pool_policy("csr", seed=305))
+        executor = executor_for(pool_policy("csr"))
         executor.map_kernel("csr_path_lengths", csr, dense, {})
         assert {name.rsplit(".", 1)[1] for name in leftovers()} == {"pickle", "store"}
         with pytest.raises(KeyError):

@@ -15,6 +15,7 @@ import pytest
 from repro.compatibility import CompatibilityEngine, DistanceOracle, make_relation
 from repro.datasets import toy_dataset
 from repro.exceptions import InfeasibleTaskError
+from repro.exec import ExecutionPolicy
 from repro.experiments.streaming import (
     StreamingConfig,
     apply_edge_churn,
@@ -52,9 +53,9 @@ class TestStreamingEquivalence:
     """Live engine under churn == cold engine on a fresh graph, per round."""
 
     @pytest.mark.parametrize("relation_name,kwargs", [
-        ("SPO", {"backend": "dict"}),
-        ("SPO", {"backend": "csr"}),
-        ("SPA", {"backend": "csr"}),
+        ("SPO", {"policy": ExecutionPolicy(backend="dict")}),
+        ("SPO", {"policy": ExecutionPolicy(backend="csr")}),
+        ("SPA", {"policy": ExecutionPolicy(backend="csr")}),
         ("SBPH", {}),
         ("NNE", {}),
     ])
