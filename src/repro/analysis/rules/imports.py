@@ -2,8 +2,8 @@
 
 The degradation story (PR 6) is that ``import repro`` and the whole dict
 backend work on a bare CPython: numpy only loads when a CSR feature is
-actually touched.  That holds because exactly four modules are allowed to
-import numpy at module level — the lazily-exported CSR quartet behind
+actually touched.  That holds because exactly three modules are allowed to
+import numpy at module level — the lazily-exported CSR trio behind
 ``repro.signed.__getattr__`` — and nothing else may import *them* at module
 level either (importing a gated module transitively imports numpy).
 
@@ -28,7 +28,6 @@ GATED_MODULES = {
     "repro.signed.csr",
     "repro.signed.ingest",
     "repro.signed.lazy",
-    "repro.signed.labels",
 }
 _GATED_LEAVES = {name.rsplit(".", 1)[1] for name in GATED_MODULES}
 
@@ -81,7 +80,7 @@ class LazyNumpyRule(Rule):
     id = "lazy-numpy"
     contract = (
         "no module-level numpy import (direct or via a CSR module) outside "
-        "the four lazily-gated modules, so the dict backend imports on a "
+        "the three lazily-gated modules, so the dict backend imports on a "
         "numpy-free interpreter"
     )
 

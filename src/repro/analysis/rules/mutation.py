@@ -1,6 +1,6 @@
 """``mutation-discipline``: adjacency writes must stamp the dynamic-graph state.
 
-The whole dynamic-graph machinery (PR 3 onwards) rests on three facts about
+The whole dynamic-graph machinery (PR 3 onwards) rests on two facts about
 any method that changes adjacency state on :class:`~repro.signed.graph.
 SignedGraph` or a subclass (the CSR-backed facade included):
 
@@ -9,13 +9,10 @@ SignedGraph` or a subclass (the CSR-backed facade included):
    depend on it;
 2. it appends the structured event to the :class:`~repro.signed.delta.
    GraphDelta` log (``self._delta.record_*``) — delta-maintained CSR views
-   and the dict-free facade depend on it;
-3. sign flips pass ``topology=False`` so the distance-only consumers (the
-   label index) are *not* invalidated, and topology mutations do not — the
-   ``_touched_topology`` split of PR 9.
+   and the dict-free facade depend on it.
 
 Delegating to the base implementation (``SignedGraph.add_edge(self, ...)``
-or ``super().add_edge(...)``) satisfies all three by construction.
+or ``super().add_edge(...)``) satisfies both by construction.
 """
 
 from __future__ import annotations
@@ -103,8 +100,8 @@ def _writes_self_counter(method: ast.FunctionDef) -> bool:
 class MutationDisciplineRule(Rule):
     id = "mutation-discipline"
     contract = (
-        "SignedGraph mutators must bump the generation (self._record_mutation), "
-        "log the structured delta event, and keep the topology/sign-flip split"
+        "SignedGraph mutators must bump the generation (self._record_mutation) "
+        "and log the structured delta event"
     )
 
     def check_module(self, ctx: ModuleContext):
@@ -125,8 +122,7 @@ class MutationDisciplineRule(Rule):
         if name in _MUTATORS:
             if _delegates(method):
                 return
-            records = _record_mutation_calls(method)
-            if not records:
+            if not _record_mutation_calls(method):
                 yield self.finding(
                     ctx,
                     method,
@@ -143,30 +139,6 @@ class MutationDisciplineRule(Rule):
                     f"GraphDelta via {_MUTATORS[name]}() (delta-maintained "
                     "CSR views would silently diverge)",
                 )
-            for call in records:
-                topology_false = any(
-                    keyword.arg == "topology"
-                    and isinstance(keyword.value, ast.Constant)
-                    and keyword.value.value is False
-                    for keyword in call.keywords
-                )
-                if name == "set_sign" and not topology_false:
-                    yield self.finding(
-                        ctx,
-                        call,
-                        f"{cls.name}.set_sign must pass topology=False to "
-                        "_record_mutation (sign flips cannot move distances; "
-                        "marking them topological forces needless label-index "
-                        "resweeps)",
-                    )
-                if name != "set_sign" and topology_false:
-                    yield self.finding(
-                        ctx,
-                        call,
-                        f"{cls.name}.{name} passes topology=False to "
-                        "_record_mutation but edge/node mutations move "
-                        "distances (the label index would keep stale arrays)",
-                    )
             return
         if name == "__init__" or name.startswith("__"):
             return

@@ -29,8 +29,6 @@ KNOBS = frozenset(
         "chunk_size",
         "min_parallel_sources",
         "snapshot_store",
-        "distance_index",
-        "label_budget_bytes",
         "compatible_cache_size",
         "bfs_cache_size",
         "result_cache_size",

@@ -11,9 +11,9 @@ Installed as ``repro-teams`` (see ``pyproject.toml``); also runnable as
 * ``streaming`` — run the dynamic-graph workload: edge churn interleaved with
   team-formation queries over the generation-keyed caches;
 * ``snapshot save|load|info`` — write a dataset's indexed graph to a
-  ``.store`` snapshot file (``--labels`` also persists a distance-label
-  index), load one back (memory-mapped by default), or inspect a file's
-  header and plane layout without numpy (``info --json`` for machines);
+  ``.store`` snapshot file, load one back (memory-mapped by default), or
+  inspect a file's header and plane layout without numpy (``info --json``
+  for machines);
 * ``analyze`` — run the project's invariant lint rules (stdlib-AST static
   analysis, see :mod:`repro.analysis`) over the source tree; ``--strict``
   is the CI gate, ``--json`` emits the ``analysis.json`` artifact.
@@ -327,12 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     snapshot_save.add_argument("path", type=_snapshot_output_argument)
     snapshot_save.add_argument("--seed", type=int, default=None)
     snapshot_save.add_argument("--scale", type=float, default=None)
-    snapshot_save.add_argument(
-        "--labels",
-        choices=("auto", "exact", "landmark"),
-        default=None,
-        help="also build a distance-label index and persist it in the snapshot",
-    )
     snapshot_load = snapshot_subparsers.add_parser(
         "load", help="load a snapshot (memory-mapped) and print a summary"
     )
@@ -594,24 +588,13 @@ def _command_snapshot(arguments: argparse.Namespace) -> int:
             csr = graph.csr_view()
         else:
             csr = CSRSignedGraph.from_signed_graph(graph)
-        labels = None
-        if arguments.labels is not None:
-            from repro.signed.labels import build_label_index
-
-            labels = build_label_index(csr, mode=arguments.labels)
-        save_snapshot(csr, arguments.path, labels=labels)
+        save_snapshot(csr, arguments.path)
         info = snapshot_info(arguments.path)
         print(
             f"Saved {dataset.name}: {info['num_nodes']} nodes, "
             f"{info['num_edges']} edges, {info['file_nbytes']} bytes "
             f"-> {arguments.path}"
         )
-        if info.get("labels"):
-            label_info = info["labels"]
-            print(
-                f"Labels: mode={label_info['mode']} hubs={label_info['num_hubs']} "
-                f"entries={label_info['num_label_entries']}"
-            )
         return 0
     if arguments.snapshot_command == "load":
         from repro.signed.store import load_snapshot
@@ -631,21 +614,7 @@ def _command_snapshot(arguments: argparse.Namespace) -> int:
 
         print(json.dumps(info, indent=2, sort_keys=True))
         return 0
-    rows = [
-        [key, str(value)] for key, value in info.items() if key not in ("planes", "labels")
-    ]
-    if info.get("labels"):
-        label_info = info["labels"]
-        rows.append(
-            [
-                "labels",
-                f"mode={label_info['mode']} hubs={label_info['num_hubs']} "
-                f"entries={label_info['num_label_entries']} "
-                f"generation={label_info['generation']}",
-            ]
-        )
-    else:
-        rows.append(["labels", "(none)"])
+    rows = [[key, str(value)] for key, value in info.items() if key != "planes"]
     rows += [
         [
             f"plane:{name}",

@@ -14,16 +14,6 @@ paper defines the distance *per relation*:
 call and caches one single-source computation per queried source node.  The
 "avg distance" row of Table 2 is the mean oracle distance over compatible
 pairs.
-
-With ``ExecutionPolicy(distance_index="auto"|"labels")`` the oracle consults
-a precomputed distance-label index (:mod:`repro.signed.labels`) before
-running any BFS: exact 2-hop hub labels answer in microseconds independent of
-graph size, landmark sketches answer when their bounds are provably tight,
-and everything else falls back to the exact BFS paths below — so answers are
-bit-identical to the BFS backend in every mode.  Batched entry points build
-and delta-refresh the index lazily per graph generation; per-pair queries
-only consult an index that is already fresh (a stale generation is a
-fallback, never a wrong answer).
 """
 
 from __future__ import annotations
@@ -34,11 +24,11 @@ from repro.compatibility.balanced import _BalancedPathRelation
 from repro.compatibility.base import CompatibilityRelation, resolve_cache_size
 from repro.compatibility.shortest_path import CSR_AUTO_THRESHOLD, _ShortestPathRelation
 from repro.exec.policy import ExecutionPolicy, executor_for
-from repro.signed.graph import Node, SignedGraph
+from repro.signed.graph import Node
 from repro.signed.paths import INFINITY, shortest_path_lengths
 from repro.utils.generational import GenerationalLRUCache
 from repro.utils.lru import APPROX_BYTES_PER_NODE, fetch_batched
-from repro.utils.optional import numpy_available, warn_numpy_missing
+from repro.utils.optional import numpy_available
 from repro.utils.rng import RandomState, ensure_rng
 from repro.utils.validation import require_positive
 
@@ -83,12 +73,6 @@ class DistanceOracle:
             ),
             bytes_per_entry=num_nodes * APPROX_BYTES_PER_NODE,
         )
-        #: The distance-label index (None until built) and its usage counters.
-        self._label_index = None
-        self._index_served = 0
-        self._index_fallbacks = 0
-        self._index_builds = 0
-        self._index_patches = 0
 
     @property
     def relation(self) -> CompatibilityRelation:
@@ -110,23 +94,6 @@ class DistanceOracle:
             return 0.0
         if isinstance(self._relation, _BalancedPathRelation):
             return self._relation.positive_balanced_distance(u, v)
-        index = self._fresh_index()
-        if index is not None:
-            from repro.signed.csr import UNREACHABLE
-
-            csr = self._graph.csr_view()
-            iu = csr._index.get(u)
-            iv = csr._index.get(v)
-            if iu is not None and iv is not None:
-                if index.mode == "exact":
-                    self._index_served += 1
-                    value = index.query(iu, iv)
-                    return INFINITY if value == UNREACHABLE else float(value)
-                upper, exact = index.bounds(iu, iv)
-                if exact:
-                    self._index_served += 1
-                    return INFINITY if upper == UNREACHABLE else float(upper)
-            self._index_fallbacks += 1
         lengths = self._shortest_paths_from(u)
         return float(lengths.get(v, INFINITY))
 
@@ -231,9 +198,6 @@ class DistanceOracle:
             return [0.0] * len(candidate_list)
         if isinstance(self._relation, _BalancedPathRelation):
             return self._relation.batch_distance_to_set(candidate_list, team_list)
-        indexed = self._indexed_batch_distance_to_set(candidate_list, team_list)
-        if indexed is not None:
-            return indexed
         if not self._use_csr():
             if self._policy.parallel:
                 # Prefetch the members' distance maps through the pool; the
@@ -275,195 +239,17 @@ class DistanceOracle:
         """Eagerly re-key the distance-map cache to the current generation.
 
         Optional — the cache syncs lazily on its next access; see
-        :meth:`CompatibilityRelation.sync_caches`.  Also delta-refreshes the
-        distance-label index, if one was built, so the engine's ``refresh()``
-        leaves the oracle fully warm for the new generation.
+        :meth:`CompatibilityRelation.sync_caches`.
         """
         self._bfs_cache.sync()
-        self.refresh_index()
 
     def clear_cache(self) -> None:
-        """Drop all cached distance maps and the distance-label index.
+        """Drop all cached distance maps.
 
         Not required after graph mutations (the cache is generation-keyed);
         kept as the full reset for memory pressure or tests.
         """
         self._bfs_cache.clear()
-        self._label_index = None
-
-    # ------------------------------------------------------- label index
-
-    def _labels_enabled(self) -> bool:
-        """True iff the policy lets this oracle consult the label index."""
-        mode = self._policy.distance_index
-        if mode == "bfs" or isinstance(self._relation, _BalancedPathRelation):
-            return False
-        if not numpy_available():
-            if mode == "labels":
-                warn_numpy_missing("distance_index='labels'")
-            return False
-        if mode == "labels":
-            return True
-        return self._use_csr()
-
-    def _fresh_index(self, build: bool = False):
-        """The label index valid for the current generation, or ``None``.
-
-        ``build=False`` (per-pair queries) never constructs anything — a
-        missing or stale index is simply a BFS fallback.  ``build=True``
-        (batched entry points) builds the index lazily and delta-refreshes a
-        stale one, like ``csr_view`` does for the CSR snapshot.
-        """
-        if not self._labels_enabled():
-            return None
-        index = self._label_index
-        if (
-            index is not None
-            and index.generation == self._graph.generation
-            and index.num_nodes == self._graph.number_of_nodes()
-        ):
-            return index
-        if not build:
-            if index is not None:
-                self._index_fallbacks += 1
-            return None
-        return self._build_or_refresh()
-
-    def _build_or_refresh(self):
-        from repro.signed.labels import build_label_index, refresh_label_index
-
-        executor = executor_for(self._policy)
-        if self._label_index is None:
-            self._label_index = build_label_index(
-                self._graph.csr_view(),
-                budget_bytes=self._policy.label_budget_bytes,
-                executor=executor,
-            )
-            self._index_builds += 1
-        else:
-            self._label_index, how = refresh_label_index(
-                self._label_index,
-                self._graph,
-                budget_bytes=self._policy.label_budget_bytes,
-                executor=executor,
-            )
-            if how == "patched":
-                self._index_patches += 1
-            elif how == "rebuilt":
-                self._index_builds += 1
-        return self._label_index
-
-    def build_index(self):
-        """Build (or delta-refresh) the distance-label index now.
-
-        The batched query paths do this lazily; call it explicitly to pay the
-        build cost up front (e.g. before a latency-sensitive serving phase).
-        Returns the fresh :class:`~repro.signed.labels.LabelIndex`.  Raises
-        for balanced-path relations, whose distances the index cannot serve.
-        """
-        if isinstance(self._relation, _BalancedPathRelation):
-            raise ValueError(
-                "the distance-label index serves BFS distances; "
-                f"{type(self._relation).__name__} distances are balanced-path "
-                "lengths and keep their own search machinery"
-            )
-        return self._build_or_refresh()
-
-    def attach_index(self, index) -> None:
-        """Adopt a prebuilt index (e.g. loaded from a ``.store`` snapshot).
-
-        The index must cover the same dense-id space as the current graph;
-        it is re-stamped to the graph's current generation — the caller
-        asserts that the graph content matches what the index was built from
-        (the cold-start contract: load the snapshot and its labels from the
-        same store file).
-        """
-        if index.num_nodes != self._graph.number_of_nodes():
-            raise ValueError(
-                f"label index covers {index.num_nodes} nodes; the graph has "
-                f"{self._graph.number_of_nodes()}"
-            )
-        self._label_index = index.stamped(self._graph.generation)
-
-    def refresh_index(self) -> None:
-        """Delta-refresh the label index to the current generation, if built."""
-        if self._label_index is not None and self._labels_enabled():
-            self._build_or_refresh()
-
-    def index_stats(self) -> Optional[dict]:
-        """Label-index observability: structure stats plus serve/fallback counts.
-
-        ``None`` when no index has been built.
-        """
-        if self._label_index is None:
-            return None
-        stats = self._label_index.stats()
-        stats.update(
-            served=self._index_served,
-            fallbacks=self._index_fallbacks,
-            builds=self._index_builds,
-            patches=self._index_patches,
-        )
-        return stats
-
-    def _indexed_batch_distance_to_set(
-        self, candidates: List[Node], team: List[Node]
-    ) -> Optional[List[float]]:
-        """The label-index fast path of :meth:`batch_distance_to_set`.
-
-        Returns ``None`` to hand the query back to the BFS paths (index
-        disabled, a node missing from the snapshot, or mixed cache state).
-        Landmark members whose bounds are not provably tight for every
-        candidate fall back to a warmed BFS map per member — values stay
-        bit-identical to the pure BFS path either way.
-        """
-        index = self._fresh_index(build=True)
-        if index is None:
-            return None
-        import numpy as np
-
-        from repro.signed.csr import CSRLengths, UNREACHABLE
-
-        csr = self._graph.csr_view()
-        dense_candidates = [csr._index.get(c) for c in candidates]
-        dense_team = [csr._index.get(m) for m in team]
-        if any(d is None for d in dense_candidates) or any(
-            d is None for d in dense_team
-        ):
-            return None
-        ids = np.asarray(dense_candidates, dtype=np.int64)
-        best = np.zeros(len(candidates), dtype=np.float64)
-        pending: List[Node] = []
-        for member, member_id in zip(team, dense_team):
-            if index.mode == "exact":
-                values = index.batch_query_from(member_id, ids).astype(np.float64)
-                values[values == UNREACHABLE] = INFINITY
-                np.maximum(best, values, out=best)
-                self._index_served += 1
-                continue
-            upper, exact = index.batch_bounds_from(member_id, ids)
-            if bool(exact.all()):
-                values = upper.astype(np.float64)
-                values[values == UNREACHABLE] = INFINITY
-                np.maximum(best, values, out=best)
-                self._index_served += 1
-            else:
-                pending.append(member)
-                self._index_fallbacks += 1
-        if pending:
-            maps = self.warm(pending)
-            if not all(
-                isinstance(view, CSRLengths) and view._graph.shares_index_with(csr)
-                for view in maps
-            ):
-                # Mixed or re-indexed cache contents; the legacy paths sort
-                # every map type out per candidate.
-                return None
-            for view in maps:
-                values = view._lengths[ids].astype(np.float64)
-                values[values == UNREACHABLE] = INFINITY
-                np.maximum(best, values, out=best)
-        return [float(value) for value in best]
 
     def _use_csr(self) -> bool:
         if isinstance(self._relation, _ShortestPathRelation):

@@ -355,13 +355,9 @@ class CompatibilityEngine:
     ) -> List[float]:
         """:meth:`distance_to_team` for every candidate, batched.
 
-        Under ``distance_index="auto"|"labels"`` the oracle serves this from
-        the precomputed label index (building or delta-refreshing it lazily
-        for the current generation) and only falls back to BFS sweeps on a
-        miss or an untight landmark bound.  Otherwise the team's distance
-        maps are computed in one batched sweep and the per-candidate maxima
-        are taken with array indexing on the CSR backend.  Values equal the
-        per-candidate calls exactly in every mode.
+        The team's distance maps are computed in one batched sweep and the
+        per-candidate maxima are taken with array indexing on the CSR
+        backend.  Values equal the per-candidate calls exactly.
         """
         return self._oracle.batch_distance_to_set(list(candidates), team)
 
@@ -384,16 +380,7 @@ class CompatibilityEngine:
             self.graph.csr_view()
         self._mask_cache.sync()
         self._relation.sync_caches()
-        # Also delta-refreshes the oracle's distance-label index, if built.
         self._oracle.sync()
-
-    def index_stats(self):
-        """The oracle's distance-label index stats (``None`` when unbuilt).
-
-        See :meth:`DistanceOracle.index_stats` — structure sizes plus
-        served/fallback/build/patch counters for observability.
-        """
-        return self._oracle.index_stats()
 
     def clear_caches(self) -> None:
         """Drop the relation's, the oracle's and the engine's own caches.

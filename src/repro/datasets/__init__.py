@@ -21,7 +21,6 @@ from repro.datasets.registry import (
     register_dataset,
 )
 from repro.datasets.loaders import (
-    attach_cached_labels,
     cache_stats,
     load_snap_dataset,
     reset_cache_stats,
@@ -46,7 +45,6 @@ __all__ = [
     "load_dataset",
     "register_dataset",
     "load_snap_dataset",
-    "attach_cached_labels",
     "cache_stats",
     "reset_cache_stats",
     "DatasetStatistics",

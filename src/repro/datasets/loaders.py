@@ -179,17 +179,15 @@ def _parse_edge_list_cached(
 ):
     """Parse an edge list, going through the snapshot-store cache when enabled.
 
-    Returns ``(graph, labels)``.  Cold parses run the vectorised CSR-first
-    reader (:mod:`repro.signed.ingest`) when numpy is available; a cache hit
+    Cold parses run the vectorised CSR-first reader
+    (:mod:`repro.signed.ingest`) when numpy is available; a cache hit
     memory-maps the stored planes.  With ``csr_only`` the result is the lazy
     :class:`~repro.signed.lazy.CSRBackedSignedGraph` facade — on a hit the
     dict graph is never rebuilt and the edge list is never re-read.  Without
     it the dict graph is synthesised in the exact node/edge order a direct
     parse produces, so everything keyed off node order (Zipf skill assignment
-    in particular) stays bit-identical.  ``labels`` is the persisted
-    :class:`~repro.signed.labels.LabelIndex` when the cache entry carries the
-    ``.store`` v2 label section (hits only, else ``None``).  Corrupt or
-    unreadable cache entries fall back to parsing and are rewritten.
+    in particular) stays bit-identical.  Corrupt or unreadable cache entries
+    fall back to parsing and are rewritten.
     """
     if csr_only and not numpy_available():
         from repro.utils.optional import require_numpy
@@ -202,9 +200,9 @@ def _parse_edge_list_cached(
         graph, csr = _cold_parse(
             edges_path, restrict_to_lcc, directed_to_undirected, want_csr=csr_only
         )
-        return _deliver(graph, csr, csr_only), None
+        return _deliver(graph, csr, csr_only)
 
-    from repro.signed.store import load_labels, load_snapshot, save_snapshot
+    from repro.signed.store import load_snapshot, save_snapshot
 
     edges_file = Path(edges_path).resolve()
     cache_file = _snapshot_cache_file(
@@ -214,13 +212,9 @@ def _parse_edge_list_cached(
     if entry_existed:
         try:
             csr = load_snapshot(cache_file, mmap=True)
-            try:
-                labels = load_labels(cache_file, mmap=True)
-            except (ValueError, OSError):
-                labels = None
             _CACHE_STATS["hits"] += 1
             _logger.debug("snapshot cache hit for %s (%s)", edges_file, cache_file)
-            return _deliver(None, csr, csr_only), labels
+            return _deliver(None, csr, csr_only)
         except (ValueError, OSError):
             _CACHE_STATS["reparses"] += 1
             _logger.debug(
@@ -240,42 +234,7 @@ def _parse_edge_list_cached(
         save_snapshot(csr, cache_file)
     except OSError:
         pass  # a read-only or full cache directory must not fail the load
-    return _deliver(graph, csr, csr_only), None
-
-
-def attach_cached_labels(
-    edges_path: PathLike,
-    labels,
-    restrict_to_lcc: bool = True,
-    directed_to_undirected: str = "negative_wins",
-    snapshot_cache_dir: Optional[PathLike] = None,
-) -> bool:
-    """Persist a built :class:`~repro.signed.labels.LabelIndex` into the
-    snapshot-cache entry for ``edges_path``.
-
-    Subsequent :func:`load_snap_dataset` hits (same parse options) then return
-    the index on ``dataset.label_index`` — no process ever rebuilds it.  The
-    parse options must match the original load's.  Returns ``True`` when the
-    entry was rewritten, ``False`` when there is no usable cache entry (cache
-    disabled, entry missing/corrupt, or a read-only cache directory).
-    """
-    cache_dir = _snapshot_cache_dir(snapshot_cache_dir)
-    if cache_dir is None or not numpy_available():
-        return False
-    from repro.signed.store import load_snapshot, save_snapshot
-
-    edges_file = Path(edges_path).resolve()
-    cache_file = _snapshot_cache_file(
-        cache_dir, edges_file, restrict_to_lcc, directed_to_undirected
-    )
-    if not cache_file.exists():
-        return False
-    try:
-        csr = load_snapshot(cache_file, mmap=True)
-        save_snapshot(csr, cache_file, labels=labels)
-    except (ValueError, OSError):
-        return False
-    return True
+    return _deliver(graph, csr, csr_only)
 
 
 def load_snap_dataset(
@@ -330,7 +289,7 @@ def load_snap_dataset(
         dict backend lazily if a dict-only code path is exercised.  Requires
         numpy.
     """
-    graph, label_index = _parse_edge_list_cached(
+    graph = _parse_edge_list_cached(
         edges_path,
         restrict_to_lcc,
         directed_to_undirected,
@@ -363,5 +322,4 @@ def load_snap_dataset(
         skills=skills,
         description=f"Loaded from {edges_path}"
         + (f" with skills from {skills_path}" if skills_path else " with synthetic skills"),
-        label_index=label_index,
     )

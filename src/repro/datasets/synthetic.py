@@ -47,11 +47,6 @@ class SignedDataset:
         The planted faction of each node (synthetic datasets only).
     description:
         Human-readable provenance, including what the dataset stands in for.
-    label_index:
-        A persisted :class:`~repro.signed.labels.LabelIndex` recovered from
-        the loader's snapshot cache (``.store`` v2 label section), or ``None``.
-        Consumers attach it to their :class:`~repro.compatibility.distance.DistanceOracle`
-        instead of rebuilding the index.
     """
 
     name: str
@@ -59,7 +54,6 @@ class SignedDataset:
     skills: SkillAssignment
     factions: Dict[Node, int] = field(default_factory=dict)
     description: str = ""
-    label_index: Optional[object] = None
 
     def __repr__(self) -> str:
         return (

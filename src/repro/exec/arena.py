@@ -95,7 +95,7 @@ def _plane_specs(kernel: str, num_nodes: int) -> Tuple[_ResultPlane, ...]:
             _ResultPlane("<i8", num_nodes),  # positive counts
             _ResultPlane("<i8", num_nodes),  # negative counts
         )
-    if kernel in ("csr_path_lengths", "build_labels"):
+    if kernel == "csr_path_lengths":
         return (_ResultPlane("<i4", num_nodes),)
     if kernel == "csr_sbph":
         return (
@@ -116,7 +116,6 @@ _ARENA_KERNELS = frozenset(
     {
         "csr_signed_bfs",
         "csr_path_lengths",
-        "build_labels",
         "csr_sbph",
         "csr_compatible_masks",
     }
@@ -248,8 +247,6 @@ def _write_compatible_masks(planes, start, csr, sources, params) -> List:
 _WRITERS: Dict[str, Callable] = {
     "csr_signed_bfs": _write_signed_bfs,
     "csr_path_lengths": _write_path_lengths,
-    # The label build ships the same per-source distance rows.
-    "build_labels": _write_path_lengths,
     "csr_sbph": _write_sbph,
     "csr_compatible_masks": _write_compatible_masks,
 }
@@ -341,7 +338,6 @@ def _decode_compatible_masks(planes, position, token):
 _DECODERS: Dict[str, Callable] = {
     "csr_signed_bfs": _decode_signed_bfs,
     "csr_path_lengths": _decode_path_lengths,
-    "build_labels": _decode_path_lengths,
     "csr_sbph": _decode_sbph,
     "csr_compatible_masks": _decode_compatible_masks,
 }

@@ -75,20 +75,6 @@ def csr_path_lengths(csr, sources: Sequence[int], params: dict) -> List:
     return shortest_path_lengths_dense_batch(csr, sources)
 
 
-@register_kernel("build_labels")
-def build_labels(csr, sources: Sequence[int], params: dict) -> List:
-    """Landmark BFS rows for the distance-label index, one per dense source.
-
-    Same computation as ``csr_path_lengths`` — a sign-agnostic distance array
-    per source — registered under its own name so the label build can be
-    dispatched, arena-shipped, and accounted separately from ad-hoc distance
-    sweeps (see :mod:`repro.signed.labels`).
-    """
-    from repro.signed.csr import shortest_path_lengths_dense_batch
-
-    return shortest_path_lengths_dense_batch(csr, sources)
-
-
 @register_kernel("csr_sbph")
 def csr_sbph(csr, sources: Sequence[int], params: dict) -> List:
     """SBPH heuristic search per dense source: ``(positive_depths,
@@ -231,15 +217,13 @@ def dict_balanced_search(graph, sources: Sequence, params: dict) -> List:
 #:
 #: When numpy is missing or a payload has no CSR view, the executor (and the
 #: compatibility layers above it) answer with the mapped ``dict_*`` kernel —
-#: per-source, arbitrary-precision, pure python.  ``build_labels`` degrades to
-#: plain per-source distances (the label index itself refuses to build without
-#: numpy), and both compatible-set kernels degrade to the per-source signed
-#: BFS the dict backend counts from.  ``repro-teams analyze`` enforces that
-#: this table stays total over the registry (kernel-registry-parity).
+#: per-source, arbitrary-precision, pure python.  Both compatible-set kernels
+#: degrade to the per-source signed BFS the dict backend counts from.
+#: ``repro-teams analyze`` enforces that this table stays total over the
+#: registry (kernel-registry-parity).
 SERIAL_EQUIVALENTS: Dict[str, str] = {
     "csr_signed_bfs": "dict_signed_bfs",
     "csr_path_lengths": "dict_path_lengths",
-    "build_labels": "dict_path_lengths",
     "csr_sbph": "dict_balanced_search",
     "csr_compatible_degrees": "dict_signed_bfs",
     "csr_compatible_masks": "dict_signed_bfs",

@@ -6,10 +6,10 @@ may grow, whether a worker pool runs the sweeps — is one separate concern,
 and this module is its only entrance:
 
 * :class:`ExecutionPolicy` — a frozen, hashable bundle of backend choice,
-  worker-pool shape, the pool's snapshot directory, the distance index and
-  cache budgets, validated once at construction.  Every relation, oracle
-  and engine takes it as ``policy=`` (their only execution parameter),
-  holds exactly one and consults it instead of ad-hoc parameters.
+  worker-pool shape, the pool's snapshot directory and cache budgets,
+  validated once at construction.  Every relation, oracle and engine takes
+  it as ``policy=`` (their only execution parameter), holds exactly one and
+  consults it instead of ad-hoc parameters.
 * :func:`executor_for` — policy in, executor out: a shared
   :class:`~repro.exec.serial.SerialExecutor` for serial policies, a
   process-pool executor (:mod:`repro.exec.pool`) for ``workers >= 2``, with a
@@ -32,8 +32,6 @@ CacheSize = Union[int, None, str]
 
 
 _VALID_BACKENDS = ("auto", "dict", "csr")
-
-_VALID_DISTANCE_INDEX = ("auto", "labels", "bfs")
 
 _CACHE_SIZE_FIELDS = (
     "compatible_cache_size",
@@ -75,23 +73,6 @@ class ExecutionPolicy:
         writable directory and the platform temp directory otherwise; name
         a directory to keep huge snapshots out of ``/dev/shm``.  Results are
         bit-identical whatever the directory.
-    distance_index:
-        Whether :class:`~repro.compatibility.distance.DistanceOracle` may
-        serve queries from the precomputed distance-label index
-        (:mod:`repro.signed.labels`) instead of running a BFS.  ``"bfs"``
-        (the default) never consults the index; ``"auto"`` consults it
-        whenever the oracle would use the CSR backend anyway; ``"labels"``
-        always consults it (degrading to the dict-BFS path with a one-time
-        :class:`RuntimeWarning` when numpy is missing).  Batched queries
-        build/refresh the index lazily per graph generation; per-pair
-        queries only consult an index that is already fresh and fall back to
-        exact BFS otherwise.  Answers are exact in every mode — landmark
-        bounds are used only when provably tight.
-    label_budget_bytes:
-        Byte budget for the label planes.  An exact 2-hop build that would
-        exceed it falls back to landmark sketches; the landmark row count is
-        clamped to fit.  The default (64 MiB) holds exact labels for the 50k
-        benchmark graph with headroom.
     compatible_cache_size / bfs_cache_size / result_cache_size /
     distance_cache_size / mask_cache_size:
         The per-source cache budgets of each layer (compatible sets, SP* BFS
@@ -105,8 +86,6 @@ class ExecutionPolicy:
     chunk_size: Optional[int] = None
     min_parallel_sources: int = 4
     snapshot_store: Optional[str] = None
-    distance_index: str = "bfs"
-    label_budget_bytes: int = 64 * 2**20
     compatible_cache_size: CacheSize = "auto"
     bfs_cache_size: CacheSize = "auto"
     result_cache_size: CacheSize = "auto"
@@ -128,16 +107,6 @@ class ExecutionPolicy:
             )
         if self.snapshot_store is not None:
             validate_snapshot_store(self.snapshot_store)
-        if self.distance_index not in _VALID_DISTANCE_INDEX:
-            raise ValueError(
-                f"distance_index must be one of {_VALID_DISTANCE_INDEX}, "
-                f"got {self.distance_index!r}"
-            )
-        if not _is_int(self.label_budget_bytes) or self.label_budget_bytes < 1:
-            raise ValueError(
-                "label_budget_bytes must be a positive byte budget for the "
-                f"distance-label planes; got {self.label_budget_bytes!r}"
-            )
         for name in _CACHE_SIZE_FIELDS:
             value = getattr(self, name)
             if value is None or value == "auto":

@@ -37,10 +37,7 @@ shape explicit:
   results in task order regardless of completion order), and concatenated —
   so the merged result list is bit-identical to a serial run however the
   chunks were scheduled.  Kernels are deterministic functions of the
-  snapshot and their sources (none draws randomness).  The distance-label
-  build (:mod:`repro.signed.labels`) rides this same machinery: its
-  ``build_labels`` kernel is dispatched over dense source chunks and ships
-  landmark BFS rows through the result arena like any other sweep.
+  snapshot and their sources (none draws randomness).
 * **Graceful degradation.**  If pools or shared memory are unavailable on the
   platform (or a payload cannot be published, or an arena cannot be
   allocated), execution falls back to the in-process serial path with a

@@ -72,15 +72,6 @@ class DatasetContext:
                 key, self.dataset.graph, policy=self.config.execution_policy(), **kwargs
             )
             oracle = DistanceOracle(relation)
-            if self.dataset.label_index is not None and key not in ("SBP", "SBPH"):
-                # The loader recovered a persisted LabelIndex from the
-                # snapshot cache (.store v2 label section): adopt it instead
-                # of rebuilding.  Balanced-path oracles keep their own search
-                # machinery and reject BFS-distance labels.
-                try:
-                    oracle.attach_index(self.dataset.label_index)
-                except ValueError:
-                    pass  # stale dimensions: the oracle rebuilds lazily
             context = RelationContext(
                 relation=relation,
                 oracle=oracle,

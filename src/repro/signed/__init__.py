@@ -40,16 +40,7 @@ _CSR_EXPORTS = (
 
 # The snapshot store (repro.signed.store) is importable without numpy but
 # its save/load paths require it; exported lazily alongside the CSR backend.
-_STORE_EXPORTS = ("save_snapshot", "load_snapshot", "load_labels", "snapshot_info")
-
-# The distance-label index (repro.signed.labels) requires numpy for every
-# build/query path; exported lazily like the CSR backend.
-_LABEL_EXPORTS = (
-    "LabelIndex",
-    "build_label_index",
-    "refresh_label_index",
-    "labels_equal",
-)
+_STORE_EXPORTS = ("save_snapshot", "load_snapshot", "snapshot_info")
 
 # CSR-first ingestion (repro.signed.ingest) and the lazy SignedGraph facade
 # (repro.signed.lazy) both sit on numpy; exported lazily like the CSR backend.
@@ -79,10 +70,6 @@ def __getattr__(name):
         from repro.signed import store
 
         return getattr(store, name)
-    if name in _LABEL_EXPORTS:
-        from repro.signed import labels
-
-        return getattr(labels, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 from repro.signed.components import connected_components, largest_connected_component, is_connected
 from repro.signed.metrics import (
@@ -153,12 +140,7 @@ __all__ = [
     "CSRLengths",
     "save_snapshot",
     "load_snapshot",
-    "load_labels",
     "snapshot_info",
-    "LabelIndex",
-    "build_label_index",
-    "refresh_label_index",
-    "labels_equal",
     "balanced_heuristic_search_csr",
     "signed_bfs_csr",
     "shortest_path_lengths_csr",

@@ -28,9 +28,8 @@ Sign = int
 #: territory anyway: the apply threshold is a few percent of the edge count).
 DEFAULT_MAX_DELTA_EVENTS = 65_536
 
-#: Fraction of the edge count a change batch may reach before delta-maintained
-#: consumers (the CSR view, the distance-label index) abandon in-place patching
-#: and rebuild from scratch.
+#: Fraction of the edge count a change batch may reach before the CSR view
+#: abandons in-place patching and rebuilds from scratch.
 DELTA_REBUILD_FRACTION = 0.05
 
 #: Floor on the patch budget, so tiny graphs still take the patch path for
@@ -42,10 +41,8 @@ def within_patch_budget(num_events: int, num_edges: int) -> bool:
     """True iff a batch of ``num_events`` mutations on a graph with
     ``num_edges`` edges is small enough to patch incrementally.
 
-    This is the single rebuild threshold shared by every delta-maintained
-    structure — ``SignedGraph.csr_view`` and the label index in
-    :mod:`repro.signed.labels` both patch iff the churn since their snapshot
-    stays within ``max(MIN_DELTA_EVENTS, DELTA_REBUILD_FRACTION * edges)``.
+    ``SignedGraph.csr_view`` patches iff the churn since its snapshot stays
+    within ``max(MIN_DELTA_EVENTS, DELTA_REBUILD_FRACTION * edges)``.
     """
     return num_events <= max(MIN_DELTA_EVENTS, int(DELTA_REBUILD_FRACTION * num_edges))
 

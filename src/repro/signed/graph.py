@@ -126,11 +126,6 @@ class SignedGraph:
         #: node -> generation at which it was last touched by a mutation.
         #: Feeds :meth:`affected_nodes_since` (targeted cache invalidation).
         self._touched: Dict[Node, int] = {}
-        #: Subset of :attr:`_touched` bookkeeping for *topology* mutations
-        #: (edge/node additions and removals).  Sign flips are excluded: they
-        #: bump the generation but cannot move distances, so distance-only
-        #: consumers (the label index) key their dirty sets on this map.
-        self._touched_topology: Dict[Node, int] = {}
         #: Generation of the last node addition/removal (node-set validity).
         self._node_set_generation = 0
         #: from-generation -> affected set (or None = everything), memoised for
@@ -143,53 +138,13 @@ class SignedGraph:
         """The current mutation generation (monotonic; no-ops never bump it)."""
         return self._generation
 
-    @property
-    def _mutations(self) -> int:
-        """Backward-compatible alias for :attr:`generation`."""
-        return self._generation
-
-    def _record_mutation(self, *nodes: Node, topology: bool = True) -> None:
-        """Bump the generation and mark ``nodes`` as touched by it.
-
-        ``topology=False`` (sign flips) skips the topology-dirty map — the
-        mutation invalidates sign-dependent caches but not distances.
-        """
+    def _record_mutation(self, *nodes: Node) -> None:
+        """Bump the generation and mark ``nodes`` as touched by it."""
         self._generation += 1
         for node in nodes:
             self._touched[node] = self._generation
-            if topology:
-                self._touched_topology[node] = self._generation
         if self._affected_memo:
             self._affected_memo.clear()
-
-    def touched_nodes_since(self, generation: int) -> FrozenSet[Node]:
-        """The nodes some mutation after ``generation`` directly touched.
-
-        Unlike :meth:`affected_nodes_since` this does *not* expand to
-        connected components — it is the raw dirty set, the seed the label
-        index's affected-hub resweep works outward from on connected graphs
-        (where the component expansion always degenerates to "everything").
-        """
-        if generation >= self._generation:
-            return frozenset()
-        return frozenset(
-            node for node, gen in self._touched.items() if gen > generation
-        )
-
-    def topology_touched_nodes_since(self, generation: int) -> FrozenSet[Node]:
-        """Like :meth:`touched_nodes_since`, but edge/node mutations only.
-
-        Sign flips never appear here: they cannot change any distance, so a
-        refresh whose churn window contains nothing else can keep a distance
-        index's arrays untouched.
-        """
-        if generation >= self._generation:
-            return frozenset()
-        return frozenset(
-            node
-            for node, gen in self._touched_topology.items()
-            if gen > generation
-        )
 
     def node_set_changed_since(self, generation: int) -> bool:
         """True iff a node was added or removed after ``generation``.
@@ -272,7 +227,7 @@ class SignedGraph:
             return
         self._adjacency[u][v] = sign
         self._adjacency[v][u] = sign
-        self._record_mutation(u, v, topology=False)
+        self._record_mutation(u, v)
         if self._delta is not None:
             self._delta.record_sign_changed(u, v, sign)
         if sign == POSITIVE:

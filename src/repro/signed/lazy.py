@@ -265,7 +265,7 @@ class CSRBackedSignedGraph(SignedGraph):
         self._reserve_delta_headroom()
         self._ensure_row(u)[v] = sign
         self._ensure_row(v)[u] = sign
-        self._record_mutation(u, v, topology=False)
+        self._record_mutation(u, v)
         self._delta.record_sign_changed(u, v, sign)
         if sign == POSITIVE:
             self._num_positive += 1

@@ -20,24 +20,9 @@ every mapped view is a properly aligned ndarray::
            .    signs    int8[num_entries]                 8-aligned
            .    node table                                 8-aligned
 
-Version 2 files may append an **optional label section** carrying a
-distance-label index (:mod:`repro.signed.labels`) so a warmed index survives
-cold start with the same mmap-speed attach the CSR planes get::
-
-           .    magic    b"RPROLBL1"                       8-aligned
-           .    header   6 little-endian int64 words
-                         mode (0 exact / 1 landmark),
-                         num_hubs, num_label_entries,
-                         label generation, 2 reserved
-           .    exact:    label_indptr int64[n + 1], label_hubs int32[E],
-                          label_dists uint16[E], hub_order int32[num_hubs]
-           .    landmark: landmark_ids int32[num_hubs],
-                          landmark_rows int32[num_hubs * n]
-
-The section is presence-by-size: a file ending right after the node table has
-no labels, and version-1 files (which never carry one) load unchanged.
-:func:`load_snapshot` ignores the section entirely; :func:`load_labels`
-attaches it.
+:func:`load_snapshot` and :func:`snapshot_info` read the base layout alone
+and ignore any bytes past the node table, so files from earlier releases
+that appended a trailing section there load unchanged.
 
 The node table is the one part of a snapshot that cannot be mapped: node ids
 are arbitrary hashable Python objects, so they are pickled.  Graphs whose
@@ -78,13 +63,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: First 8 bytes of every store file.
 MAGIC = b"RPROSNAP"
 
-#: Bump when the header or plane layout changes incompatibly.  Version 2
-#: added the optional trailing label section; the base layout is unchanged,
-#: so both versions are read (see :data:`_COMPAT_VERSIONS`).
+#: Bump when the header or plane layout changes incompatibly.  Versions 1
+#: and 2 share the base layout, so both are read (see
+#: :data:`_COMPAT_VERSIONS`).
 VERSION = 2
 
 #: Versions this library reads.  Version-1 files are byte-identical to
-#: version-2 files without a label section.
+#: version-2 files apart from the version word.
 _COMPAT_VERSIONS = (1, 2)
 
 #: Node-table kinds: dense int nodes need no table at all.
@@ -93,15 +78,6 @@ NODE_TABLE_PICKLE = 1
 
 #: ``magic + struct`` of the fixed header (6 little-endian int64 words).
 _HEADER = struct.Struct("<8s6q")
-
-#: Magic + header of the optional label section (same shape as the file
-#: header: 8-byte magic, 6 little-endian int64 words).
-LABEL_MAGIC = b"RPROLBL1"
-_LABEL_HEADER = struct.Struct("<8s6q")
-
-#: Label-section ``mode`` codes (the wire form of ``LabelIndex.mode``).
-_LABEL_MODE_CODES = {"exact": 0, "landmark": 1}
-_LABEL_MODE_NAMES = {code: name for name, code in _LABEL_MODE_CODES.items()}
 
 #: ``(plane, dtype, itemsize)`` in file order; itemsizes are spelled out so
 #: the layout (and :func:`snapshot_info`) computes without importing numpy.
@@ -133,41 +109,6 @@ def _plane_layout(
         offset = _align(offset + itemsize * counts[name])
     layout["node_table"] = ("|u1", node_table_nbytes, offset)
     return layout, offset + node_table_nbytes
-
-
-def _label_plane_dtypes(
-    mode_code: int, num_nodes: int, num_hubs: int, num_label_entries: int
-):
-    """``(plane, dtype, itemsize, count)`` of the label section, in file order."""
-    if mode_code == _LABEL_MODE_CODES["exact"]:
-        return (
-            ("label_indptr", "<i8", 8, num_nodes + 1),
-            ("label_hubs", "<i4", 4, num_label_entries),
-            ("label_dists", "<u2", 2, num_label_entries),
-            ("hub_order", "<i4", 4, num_hubs),
-        )
-    return (
-        ("landmark_ids", "<i4", 4, num_hubs),
-        ("landmark_rows", "<i4", 4, num_label_entries),
-    )
-
-
-def _label_plane_layout(
-    mode_code: int, num_nodes: int, num_hubs: int, num_label_entries: int, base: int
-) -> Tuple[Dict[str, Tuple[str, int, int]], int]:
-    """``{plane: (dtype, count, byte offset)}`` of a label section starting at
-    ``base`` (the aligned offset just past the node table), plus the file's
-    total size including it."""
-    layout: Dict[str, Tuple[str, int, int]] = {}
-    offset = _align(base + _LABEL_HEADER.size)
-    end = offset
-    for name, dtype, itemsize, count in _label_plane_dtypes(
-        mode_code, num_nodes, num_hubs, num_label_entries
-    ):
-        layout[name] = (dtype, count, offset)
-        end = offset + itemsize * count
-        offset = _align(end)
-    return layout, end
 
 
 # ------------------------------------------------------------------ temp ledger
@@ -211,18 +152,12 @@ def _node_table_bytes(nodes: List) -> Tuple[int, bytes]:
     return NODE_TABLE_PICKLE, pickle.dumps(nodes, protocol=pickle.HIGHEST_PROTOCOL)
 
 
-def save_snapshot(csr: "CSRSignedGraph", path: str, labels=None) -> str:
+def save_snapshot(csr: "CSRSignedGraph", path: str) -> str:
     """Persist ``csr`` to ``path`` in the store format; returns ``path``.
 
     Atomic: the bytes land in a temp sibling that ``os.replace`` promotes, so
     a concurrent (or later) :func:`load_snapshot` of ``path`` sees either the
     old complete file or the new complete file, never a torn write.
-
-    ``labels`` optionally appends a distance-label index
-    (:class:`~repro.signed.labels.LabelIndex`) as the trailing label section;
-    it must cover the same nodes and generation as ``csr`` (the two are
-    loaded back as one coherent snapshot by :func:`load_snapshot` +
-    :func:`load_labels`).
     """
     require_numpy("the snapshot store")
     import numpy as np
@@ -237,18 +172,6 @@ def save_snapshot(csr: "CSRSignedGraph", path: str, labels=None) -> str:
             f"corrupt snapshot: indptr has {indptr.size} entries for "
             f"{num_nodes} nodes"
         )
-    if labels is not None:
-        if labels.num_nodes != num_nodes:
-            raise ValueError(
-                f"label index covers {labels.num_nodes} nodes; the snapshot "
-                f"has {num_nodes}"
-            )
-        if labels.generation != csr.generation:
-            raise ValueError(
-                f"label index generation {labels.generation} does not match "
-                f"snapshot generation {csr.generation} (rebuild or refresh "
-                "the index before persisting)"
-            )
     kind, table = _node_table_bytes(csr._nodes)
     layout, total = _plane_layout(num_nodes, num_entries, len(table))
     header = _HEADER.pack(
@@ -269,8 +192,6 @@ def save_snapshot(csr: "CSRSignedGraph", path: str, labels=None) -> str:
         handle.write(b"\0" * (offset - handle.tell()))
         handle.write(table)
         assert handle.tell() == total
-        if labels is not None:
-            _write_label_section(handle, labels, num_nodes, total)
 
     return write_atomically(path, write)
 
@@ -302,38 +223,6 @@ def write_atomically(path: str, write: Callable[[io.BufferedWriter], None]) -> s
         with _TEMP_LOCK:
             _TEMP_LEDGER.pop(temp, None)
     return path
-
-
-def _write_label_section(handle, labels, num_nodes: int, base: int) -> None:
-    """Append the label section at ``base`` (the end of the base layout)."""
-    import numpy as np
-
-    mode_code = _LABEL_MODE_CODES[labels.mode]
-    planes = dict(labels.planes())
-    num_label_entries = labels.num_entries
-    section_start = _align(base)
-    layout, section_total = _label_plane_layout(
-        mode_code, num_nodes, labels.num_hubs, num_label_entries, section_start
-    )
-    handle.write(b"\0" * (section_start - handle.tell()))
-    handle.write(
-        _LABEL_HEADER.pack(
-            LABEL_MAGIC,
-            mode_code,
-            labels.num_hubs,
-            num_label_entries,
-            labels.generation,
-            0,
-            0,
-        )
-    )
-    for name, dtype, _itemsize, _count in _label_plane_dtypes(
-        mode_code, num_nodes, labels.num_hubs, num_label_entries
-    ):
-        _plane_dtype, _plane_count, offset = layout[name]
-        handle.write(b"\0" * (offset - handle.tell()))
-        handle.write(np.ascontiguousarray(planes[name], dtype=dtype).tobytes())
-    assert handle.tell() == section_total
 
 
 # ------------------------------------------------------------------- read side
@@ -417,115 +306,21 @@ def load_snapshot(
     )
 
 
-def _read_label_header(handle, path: str, version: int, base: int, size: int):
-    """The label-section header fields, or ``None`` when the file has none.
-
-    Raises :class:`ValueError` when trailing bytes exist but are not a valid
-    label section (same diagnostics discipline as the base header).
-    """
-    if version < 2 or size <= base:
-        return None
-    section_start = _align(base)
-    if size < section_start + _LABEL_HEADER.size:
-        raise ValueError(
-            f"{path!r} has trailing bytes that are not a label section"
-        )
-    handle.seek(section_start)
-    raw = handle.read(_LABEL_HEADER.size)
-    magic, mode_code, num_hubs, num_label_entries, generation, _r1, _r2 = (
-        _LABEL_HEADER.unpack(raw)
-    )
-    if magic != LABEL_MAGIC:
-        raise ValueError(
-            f"{path!r} has trailing bytes that are not a label section "
-            "(bad label magic)"
-        )
-    if mode_code not in _LABEL_MODE_NAMES:
-        raise ValueError(f"{path!r} has unknown label-section mode {mode_code}")
-    if num_hubs < 0 or num_label_entries < 0:
-        raise ValueError(
-            f"{path!r} has a corrupt label header (negative plane size)"
-        )
-    return mode_code, num_hubs, num_label_entries, generation, section_start
-
-
-def load_labels(path: str, mmap: bool = True):
-    """Load the label section of a store file, or ``None`` when it has none.
-
-    Returns a :class:`~repro.signed.labels.LabelIndex` whose planes are
-    read-only :class:`numpy.memmap` views with ``mmap=True`` (attach cost is
-    page-cache metadata, like the CSR planes) or owned arrays with
-    ``mmap=False``.  Version-1 files and version-2 files saved without
-    ``labels`` return ``None``.
-    """
-    require_numpy("the snapshot store")
-    import numpy as np
-
-    from repro.signed.labels import LabelIndex
-
-    with open(path, "rb") as handle:
-        version, _kind, num_nodes, num_entries, _generation, table_nbytes = (
-            _read_header(handle, path)
-        )
-        _layout, base = _plane_layout(num_nodes, num_entries, table_nbytes)
-        size = os.fstat(handle.fileno()).st_size
-        header = _read_label_header(handle, path, version, base, size)
-        if header is None:
-            return None
-        mode_code, num_hubs, num_label_entries, generation, section_start = header
-        layout, total = _label_plane_layout(
-            mode_code, num_nodes, num_hubs, num_label_entries, section_start
-        )
-        if size < total:
-            raise ValueError(
-                f"{path!r} label section is truncated (expected {total} bytes)"
-            )
-        planes = {}
-        for name, (dtype, count, offset) in layout.items():
-            if mmap:
-                planes[name] = np.memmap(
-                    handle, dtype=dtype, mode="r", offset=offset, shape=(count,)
-                )
-            else:
-                handle.seek(offset)
-                planes[name] = np.fromfile(handle, dtype=dtype, count=count)
-    return LabelIndex.from_planes(
-        _LABEL_MODE_NAMES[mode_code], num_nodes, generation, planes
-    )
-
-
 def snapshot_info(path: str) -> Dict[str, object]:
     """The header and layout of a store file, without loading any plane.
 
     Powers ``repro-teams snapshot info`` (and its ``--json`` form); raises
     the same :class:`ValueError` diagnostics as :func:`load_snapshot` on
     non-store or truncated files.  Runs without numpy — the layout computes
-    from the headers alone.  ``"labels"`` summarises the optional label
-    section (``None`` when the file has none) and its planes join the
-    ``"planes"`` map.
+    from the header alone.  ``file_nbytes`` exceeds ``expected_nbytes`` when
+    trailing bytes follow the node table (they are ignored on load).
     """
     with open(path, "rb") as handle:
         version, kind, num_nodes, num_entries, generation, table_nbytes = (
             _read_header(handle, path)
         )
         size = os.fstat(handle.fileno()).st_size
-        layout, total = _plane_layout(num_nodes, num_entries, table_nbytes)
-        labels: Optional[Dict[str, object]] = None
-        label_header = _read_label_header(handle, path, version, total, size)
-        if label_header is not None:
-            mode_code, num_hubs, num_label_entries, label_generation, start = (
-                label_header
-            )
-            label_layout, total = _label_plane_layout(
-                mode_code, num_nodes, num_hubs, num_label_entries, start
-            )
-            layout = {**layout, **label_layout}
-            labels = {
-                "mode": _LABEL_MODE_NAMES[mode_code],
-                "num_hubs": num_hubs,
-                "num_label_entries": num_label_entries,
-                "generation": label_generation,
-            }
+    layout, total = _plane_layout(num_nodes, num_entries, table_nbytes)
     return {
         "path": path,
         "version": version,
@@ -537,7 +332,6 @@ def snapshot_info(path: str) -> Dict[str, object]:
         "node_table_nbytes": table_nbytes,
         "file_nbytes": size,
         "expected_nbytes": total,
-        "labels": labels,
         "planes": {
             name: {"dtype": dtype, "count": count, "offset": offset}
             for name, (dtype, count, offset) in layout.items()

@@ -14,10 +14,9 @@ accordingly:
 The seed loop warms its seed users through the batched execution engine
 (:meth:`repro.compatibility.engine.CompatibilityEngine.warm`) exactly like
 :func:`repro.teams.generic.form_team`, so the per-source kernels run as one
-multi-source batch (and through the distance-label index when
-``ExecutionPolicy(distance_index=...)`` enables it) instead of one BFS per
-seed.  Ranking is stable on ``(cost, len(team))`` with costs computed once
-per distinct team, so ``top_k_teams(..., k=1)`` returns exactly the team
+multi-source batch instead of one BFS per seed.  Ranking is stable on
+``(cost, len(team))`` with costs computed once per distinct team, so
+``top_k_teams(..., k=1)`` returns exactly the team
 :func:`~repro.teams.generic.form_team` would pick.
 """
 

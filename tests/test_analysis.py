@@ -130,7 +130,7 @@ _MUTATION_CLEAN = snippet(
 
         def set_sign(self, u, v, sign):
             self._adjacency[u][v] = sign
-            self._record_mutation(u, v, topology=False)
+            self._record_mutation(u, v)
             if self._delta is not None:
                 self._delta.record_sign_changed(u, v, sign)
 
@@ -155,25 +155,6 @@ def test_mutation_rule_flags_unrecorded_mutator():
 def test_mutation_rule_accepts_recorded_and_delegating_mutators():
     findings = analyze_source(_MUTATION_CLEAN, module="repro.signed.example")
     assert "mutation-discipline" not in rule_ids(findings)
-
-
-def test_mutation_rule_flags_wrong_topology_flag():
-    source = snippet(
-        """
-        class SignedGraph:
-            def set_sign(self, u, v, sign):
-                self._record_mutation(u, v)
-                self._delta.record_sign_changed(u, v, sign)
-
-            def remove_edge(self, u, v):
-                self._record_mutation(u, v, topology=False)
-                self._delta.record_edge_removed(u, v)
-        """
-    )
-    findings = analyze_source(source, module="repro.signed.example")
-    messages = [f.message for f in findings if f.rule == "mutation-discipline"]
-    assert any("set_sign must pass topology=False" in m for m in messages)
-    assert any("remove_edge passes topology=False" in m for m in messages)
 
 
 def test_mutation_rule_flags_counter_write_outside_named_mutators():

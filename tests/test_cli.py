@@ -139,32 +139,35 @@ class TestSnapshotCommand:
         assert main(["snapshot", "info", path]) == 0
         info = capsys.readouterr().out
         assert "plane:indptr" in info and "version" in info
-        assert "labels" in info and "(none)" in info
 
-    def test_save_with_labels_and_json_info(self, tmp_path, capsys):
+    def test_snapshot_info_json(self, tmp_path, capsys):
         pytest.importorskip("numpy")
         import json
 
         path = str(tmp_path / "toy.store")
-        assert main(["snapshot", "save", "toy", path, "--labels", "auto"]) == 0
-        saved = capsys.readouterr().out
-        assert "Labels: mode=exact" in saved
+        assert main(["snapshot", "save", "toy", path]) == 0
+        capsys.readouterr()
 
         assert main(["snapshot", "info", "--json", path]) == 0
         info = json.loads(capsys.readouterr().out)
         assert info["version"] == 2
-        assert info["labels"]["mode"] == "exact"
-        assert info["labels"]["num_hubs"] > 0
-        # Every plane (base and label) reports dtype/count/offset.
-        for name in ("indptr", "label_indptr", "label_hubs", "hub_order"):
+        expected_dtypes = {
+            "indptr": "<i8",
+            "indices": "<i4",
+            "signs": "|i1",
+            "node_table": "|u1",
+        }
+        assert set(info["planes"]) == set(expected_dtypes)
+        for name, dtype in expected_dtypes.items():
             plane = info["planes"][name]
-            assert set(plane) >= {"dtype", "count", "offset"}
+            assert plane["dtype"] == dtype
+            assert plane["offset"] % 8 == 0
+        assert info["planes"]["indptr"]["count"] == info["num_nodes"] + 1
+        assert info["planes"]["indices"]["count"] == info["num_entries"]
+        assert info["planes"]["signs"]["count"] == info["num_entries"]
+        assert info["planes"]["node_table"]["count"] == info["node_table_nbytes"]
+        assert info["planes"]["indptr"]["offset"] == 56
         assert info["file_nbytes"] == info["expected_nbytes"]
-
-        # The table rendering names the label section too.
-        assert main(["snapshot", "info", path]) == 0
-        table = capsys.readouterr().out
-        assert "mode=exact" in table and "plane:label_hubs" in table
 
     def test_snapshot_path_validators_exit_2(self, tmp_path, capsys):
         for argv, fragment in [

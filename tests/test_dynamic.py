@@ -123,10 +123,6 @@ class TestGenerationModel:
         assert relation._compatible_cache.hits == hits_before + 1
         assert relation._compatible_cache.invalidations == 0
 
-    def test_mutations_alias_still_reports_generation(self):
-        graph = SignedGraph.from_edges([(0, 1, 1)])
-        assert graph._mutations == graph.generation
-
     def test_node_set_changed_since(self):
         graph = SignedGraph.from_edges([(0, 1, 1)])
         generation = graph.generation

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from repro.compatibility import CompatibilityEngine, DistanceOracle, make_relation
 from repro.datasets import (
-    attach_cached_labels,
     cache_stats,
     load_snap_dataset,
     million_scale_dataset,
@@ -36,7 +35,6 @@ from repro.signed import (
 from repro.signed.components import largest_connected_component
 from repro.signed.io import read_edge_list
 from repro.signed.ingest import component_labels, read_edge_arrays, read_edge_tokens
-from repro.signed.labels import build_label_index, labels_equal
 from repro.signed.lazy import CSRBackedSignedGraph
 from repro.utils.timing import measure_peak_rss, peak_rss_bytes
 
@@ -446,36 +444,26 @@ class TestCsrOnlyLoader:
         for user in dictionary.skills.users():
             assert bare.skills.skills_of(user) == dictionary.skills.skills_of(user)
 
-    def test_label_section_round_trip(self, tmp_path):
+    def test_cache_entry_with_trailing_bytes_is_a_hit(self, tmp_path):
+        """A cache entry an earlier release extended past its node table
+        (an 8-aligned trailing section) is served as a hit, not reparsed."""
         path = write_edges(tmp_path / "d.edges", random_edge_lines(13))
         cache = tmp_path / "cache"
         cache.mkdir()
         kwargs = dict(
             snapshot_cache_dir=cache, num_synthetic_skills=8, seed=3, csr_only=True
         )
+        reset_cache_stats()
         first = load_snap_dataset("c", path, **kwargs)
-        assert first.label_index is None
-        labels = build_label_index(first.graph.csr_view(), mode="exact")
-        assert attach_cached_labels(path, labels, snapshot_cache_dir=cache)
-        reloaded = load_snap_dataset("c", path, **kwargs)
-        assert reloaded.label_index is not None
-        assert labels_equal(reloaded.label_index, labels)
-        oracle = DistanceOracle(make_relation("SPA", reloaded.graph))
-        oracle.attach_index(reloaded.label_index)
-        twin = DistanceOracle(make_relation("SPA", first.graph))
-        probe = list(first.graph)[:4]
-        for u in probe:
-            for v in probe:
-                assert oracle.distance(u, v) == twin.distance(u, v)
-
-    def test_attach_cached_labels_without_entry_is_false(self, tmp_path):
-        path = write_edges(tmp_path / "d.edges", random_edge_lines(14))
-        cache = tmp_path / "cache"
-        cache.mkdir()
-        labels = build_label_index(
-            parse_edge_list_csr(path, restrict_to_lcc=True), mode="exact"
-        )
-        assert attach_cached_labels(path, labels, snapshot_cache_dir=cache) is False
+        (entry,) = list(cache.iterdir())
+        size = entry.stat().st_size
+        with open(entry, "ab") as handle:
+            handle.write(b"\0" * (-size % 8))
+            handle.write(b"RPROLBL1" + b"\0" * 48)
+        second = load_snap_dataset("c", path, **kwargs)
+        assert cache_stats() == {"hits": 1, "misses": 1, "reparses": 0}
+        assert list(second.graph) == list(first.graph)
+        assert_csr_equal(second.graph.csr_view(), first.graph.csr_view())
 
 
 class TestSyntheticCsrScale:

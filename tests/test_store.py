@@ -353,11 +353,11 @@ class TestStoreDiagnostics:
         assert snapshot_info(path)["num_nodes"] == 20
 
 
-# ------------------------------------------------------------- label section
+# ------------------------------------------------------------ compatibility
 
 
-class TestStoreLabels:
-    """The optional trailing label section: round-trip, compat, diagnostics."""
+class TestStoreCompatibility:
+    """Files written by earlier releases keep loading bit-identically."""
 
     @staticmethod
     def _graph(seed=31):
@@ -366,52 +366,9 @@ class TestStoreLabels:
         )
         return graph
 
-    @pytest.mark.parametrize("mode", ["exact", "landmark"])
-    @pytest.mark.parametrize("mmap", [True, False])
-    def test_label_round_trip(self, tmp_path, mode, mmap):
-        from repro.signed.labels import build_label_index, labels_equal
-        from repro.signed.store import load_labels
-
-        csr = self._graph().csr_view()
-        index = build_label_index(csr, mode=mode)
-        path = str(tmp_path / "g.store")
-        save_snapshot(csr, path, labels=index)
-        info = snapshot_info(path)
-        assert info["version"] == VERSION
-        assert info["labels"]["mode"] == mode
-        assert info["labels"]["generation"] == csr.generation
-        assert info["file_nbytes"] == info["expected_nbytes"]
-        # The base snapshot loads exactly as if no labels were present.
-        assert_snapshots_identical(csr, load_snapshot(path, mmap=mmap))
-        loaded = load_labels(path, mmap=mmap)
-        assert labels_equal(index, loaded)
-        assert loaded.generation == csr.generation
-
-    def test_label_planes_reported_by_info(self, tmp_path):
-        from repro.signed.labels import build_label_index
-
-        csr = self._graph().csr_view()
-        path = str(tmp_path / "g.store")
-        save_snapshot(csr, path, labels=build_label_index(csr, mode="exact"))
-        planes = snapshot_info(path)["planes"]
-        for name in ("label_indptr", "label_hubs", "label_dists", "hub_order"):
-            assert name in planes
-            assert planes[name]["offset"] % 8 == 0
-
-    def test_label_free_file_has_no_section(self, tmp_path):
-        from repro.signed.store import load_labels
-
-        csr = self._graph().csr_view()
-        path = str(tmp_path / "g.store")
-        save_snapshot(csr, path)
-        assert snapshot_info(path)["labels"] is None
-        assert load_labels(path) is None
-
     def test_version1_file_still_loads(self, tmp_path):
-        """A v2 file without labels patched to version 1 reads unchanged —
-        exactly the bytes an old library version wrote."""
-        from repro.signed.store import load_labels
-
+        """A v2 file patched to version 1 reads unchanged — exactly the bytes
+        an old library version wrote."""
         csr = self._graph().csr_view()
         path = str(tmp_path / "g.store")
         save_snapshot(csr, path)
@@ -422,40 +379,31 @@ class TestStoreLabels:
         data[: _HEADER.size] = _HEADER.pack(*fields)
         Path(path).write_bytes(bytes(data))
         assert snapshot_info(path)["version"] == 1
-        assert snapshot_info(path)["labels"] is None
-        assert load_labels(path) is None
         assert_snapshots_identical(csr, load_snapshot(path))
 
-    def test_save_rejects_mismatched_labels(self, tmp_path):
-        from repro.signed.labels import build_label_index
-
+    @pytest.mark.parametrize("string_nodes", [False, True])
+    def test_trailing_bytes_past_node_table_are_ignored(self, tmp_path, string_nodes):
+        """Earlier releases could append an 8-aligned trailing section (magic
+        plus a 6-word header, then planes) after the node table; such files
+        load exactly like the base snapshot."""
         graph = self._graph()
+        if string_nodes:
+            graph = SignedGraph.from_edges(
+                (f"n{u}", f"n{v}", sign) for u, v, sign in graph.edge_triples()
+            )
         csr = graph.csr_view()
-        index = build_label_index(csr)
-        path = str(tmp_path / "g.store")
-        # Stale generation: the index no longer describes the snapshot.
-        graph.add_edge(0, 118, POSITIVE)
-        with pytest.raises(ValueError, match="generation"):
-            save_snapshot(graph.csr_view(), path, labels=index)
-        # Wrong graph entirely.
-        other, _ = synthetic_signed_network(
-            60, average_degree=4.0, negative_fraction=0.2, seed=77
-        )
-        with pytest.raises(ValueError, match="nodes"):
-            save_snapshot(other.csr_view(), path, labels=index)
-
-    def test_corrupt_label_section_rejected(self, tmp_path):
-        from repro.signed.store import load_labels
-
-        csr = self._graph().csr_view()
         path = str(tmp_path / "g.store")
         save_snapshot(csr, path)
+        expected = snapshot_info(path)["expected_nbytes"]
         with open(path, "ab") as handle:
-            handle.write(b"\x00" * 24)  # trailing garbage, not a label header
-        with pytest.raises(ValueError, match="label"):
-            load_labels(path)
-        with pytest.raises(ValueError, match="label"):
-            snapshot_info(path)
+            handle.write(b"\0" * (-expected % 8))
+            handle.write(b"RPROLBL1" + b"\0" * 48)
+        for mmap in (True, False):
+            assert_snapshots_identical(csr, load_snapshot(path, mmap=mmap))
+        info = snapshot_info(path)
+        assert info["expected_nbytes"] == expected
+        assert info["file_nbytes"] > info["expected_nbytes"]
+        assert "labels" not in info
 
 
 # ------------------------------------------------------------- word parallel

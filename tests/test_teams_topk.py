@@ -3,8 +3,7 @@
 The contract under test: ``top_k_teams`` runs the same seed loop as
 ``form_team`` — warmed through the batched compatibility engine — and ranks
 the completed candidates stably by ``(cost, team size)``, so ``k=1`` is
-*exactly* ``form_team`` (same team, same cost), under every relation and
-execution policy.
+*exactly* ``form_team`` (same team, same cost), under every relation.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ from __future__ import annotations
 import pytest
 
 from repro.compatibility import make_relation
-from repro.exec import ExecutionPolicy
 from repro.skills import Task
 from repro.teams import TeamFormationProblem, team_covers_task, team_is_compatible
 from repro.teams.generic import form_team
@@ -33,9 +31,8 @@ POLICY_PAIRS = [
 TASK_SKILLS = ["python", "databases", "design", "writing"]
 
 
-def make_problem(dataset, relation_name, skills=TASK_SKILLS, policy=None):
-    kwargs = {} if policy is None else {"policy": policy}
-    relation = make_relation(relation_name, dataset.graph, **kwargs)
+def make_problem(dataset, relation_name, skills=TASK_SKILLS):
+    relation = make_relation(relation_name, dataset.graph)
     return TeamFormationProblem(dataset.graph, dataset.skills, relation, Task(skills))
 
 
@@ -53,20 +50,6 @@ class TestTopKTeams:
             assert len(top) == 1
             assert top[0][0] == reference.team
             assert top[0][1] == reference.cost
-
-    def test_k1_equals_form_team_with_label_index_policy(self, toy):
-        """The equivalence holds when the oracle serves distances from the
-        hub-label index instead of per-source BFS."""
-        pytest.importorskip("numpy")
-        policy = ExecutionPolicy(distance_index="labels")
-        problem = make_problem(toy, "NNE", policy=policy)
-        plain = make_problem(toy, "NNE")
-        reference = form_team(plain, LeastCompatibleSkillFirst(), MinimumDistanceUser())
-        top = top_k_teams(
-            problem, LeastCompatibleSkillFirst(), MinimumDistanceUser(), k=1
-        )
-        assert top[0][0] == reference.team
-        assert top[0][1] == reference.cost
 
     def test_results_are_valid_distinct_and_sorted(self, toy):
         problem = make_problem(toy, "SPO")
