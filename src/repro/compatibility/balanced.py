@@ -37,13 +37,15 @@ per-edge dict search (:meth:`~repro.signed.paths.BalancedPathSearch.search_heuri
 and the indexed (node, sign)-state CSR BFS
 (:func:`repro.signed.csr.balanced_heuristic_search_csr`), which vectorises
 frontier expansion and visited-state filtering.  ``backend="auto"`` (default)
-uses the CSR search on large graphs when numpy is available; the exact SBP
-enumeration always runs on the dict machinery.
+uses the CSR search whenever numpy is available.  The exact SBP enumeration
+(:meth:`~repro.signed.paths.BalancedPathSearch.search_exact`) has one
+implementation, a path-by-path BFS whose states are bitmasks over dense node
+ids.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Optional, Sequence, Set
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set
 
 from repro.compatibility.base import CompatibilityRelation, resolve_cache_size
 from repro.exec.policy import ExecutionPolicy
@@ -52,7 +54,7 @@ from repro.signed.paths import (
     INFINITY,
     BalancedPathResult,
     BalancedPathSearch,
-    shortest_signed_walk_lengths,
+    shortest_path_lengths,
 )
 from repro.utils.generational import GenerationalLRUCache
 from repro.utils.lru import APPROX_BYTES_PER_NODE, fetch_batched
@@ -78,9 +80,6 @@ class _BalancedPathRelation(CompatibilityRelation):
 
     #: Whether the search is exhaustive (overridden by subclasses).
     exact_search = True
-
-    #: ``backend="auto"`` uses the CSR heuristic search from this size upward.
-    CSR_SEARCH_THRESHOLD = 1024
 
     def __init__(
         self,
@@ -147,8 +146,6 @@ class _BalancedPathRelation(CompatibilityRelation):
         if self._policy.backend == "csr":
             return True
         if self._policy.backend == "dict":
-            return False
-        if self._graph.number_of_nodes() < self.CSR_SEARCH_THRESHOLD:
             return False
         if not numpy_available():
             warn_numpy_missing(f"{self.name} backend='auto'")
@@ -259,99 +256,59 @@ class _BalancedPathRelation(CompatibilityRelation):
         return self._found_positive(u, v) or self._found_positive(v, u)
 
     def _compute_compatible_set(self, u: Node) -> Set[Node]:
-        result = self._search_from(u)
-        compatible = {
-            node
-            for node in result.positive_lengths
-            if node != u and self._pair_allowed(u, node)
-        }
-        # Symmetric closure: nodes whose own search finds a positive balanced
-        # path back to ``u`` even though the search from ``u`` missed them
-        # (prefix-property failures, truncated exact searches).  A positive
-        # balanced path implies a positive *walk*, so the cheap double-cover
-        # BFS prunes the candidates before any expensive reverse search runs.
-        positive_walks, _ = shortest_signed_walk_lengths(self._graph, u)
-        for node in positive_walks:
-            if node == u or node in compatible or not self._pair_allowed(u, node):
-                continue
-            if self._found_positive(node, u):
-                compatible.add(node)
-        return compatible
+        return set(self._symmetric_closure([u])[0])
 
     def batch_compatible_sets(self, sources: Sequence[Node]) -> List[FrozenSet[Node]]:
         """The symmetric compatible set of every source, from one shared sweep.
 
         The symmetric relation needs, for each source ``s``, both the forward
         search from ``s`` and the reverse information "whose search finds
-        ``s``".  Computing that per source via :meth:`compatible_with` costs a
-        full reverse sweep *per call* once the LRU starts evicting; this batch
-        entry point instead streams one pass over every candidate's search and
-        tests membership of all sampled sources at once, so the whole sample
-        costs one sweep regardless of cache pressure.  Each returned set
-        equals ``compatible_with(source)`` exactly (the source included) and
-        is written into the compatible-set cache, so follow-up per-source
-        queries (e.g. the average-distance estimator) are cache hits.
+        ``s``".  The uncached sources share one pass over every candidate's
+        search (:meth:`_symmetric_closure`), so the whole batch costs one
+        sweep regardless of cache pressure.  Each returned set equals
+        ``compatible_with(source)`` exactly (the source included) and is
+        written into the compatible-set cache.
         """
         source_list = list(sources)
         self._require_nodes(*source_list)
-        compatible_sets: List[Set[Node]] = []
-        candidates: Set[Node] = set()
-        forward_results = self.batch_search(source_list)
-        # A reverse find implies a positive walk from the source, so the
-        # union of the sources' positive-walk neighbourhoods bounds the
-        # reverse sweep (same pruning as _compute_compatible_set) — nodes
-        # in components containing no sampled source are never searched.
-        # The double-cover walks go through the pool alongside the searches
-        # when the policy is parallel.
-        if self._policy.parallel:
-            walks = self._executor().map_kernel(
-                "dict_walk_lengths", self._graph, source_list
-            )
-        else:
-            walks = [
-                shortest_signed_walk_lengths(self._graph, source)
-                for source in source_list
-            ]
-        for source, result, (positive_walks, _negative) in zip(
-            source_list, forward_results, walks
-        ):
-            compatible_sets.append(
-                {
-                    node
-                    for node in result.positive_lengths
-                    if node != source and self._pair_allowed(source, node)
-                }
-            )
-            candidates.update(positive_walks)
-        # One reverse pass: each candidate is searched (at most) once, and
-        # every sampled source checks membership in that one result.  The
-        # sweep is dispatched in chunks so only REVERSE_SWEEP_CHUNK O(n)
-        # results are held outside the LRU at any moment.
+        return fetch_batched(self._compatible_cache, source_list, self._symmetric_closure)
+
+    def _symmetric_closure(self, sources: List[Node]) -> List[FrozenSet[Node]]:
+        """Forward finds plus reverse finds for distinct ``sources``."""
+        found = {
+            source: {
+                node
+                for node in result.positive_lengths
+                if node != source and self._pair_allowed(source, node)
+            }
+            for source, result in zip(sources, self.batch_search(sources))
+        }
+        # Balanced paths never leave a component, so the sources' components
+        # (one BFS each) bound the reverse sweep.  The sweep is dispatched in
+        # chunks so only REVERSE_SWEEP_CHUNK O(n) results are held outside
+        # the LRU at any moment.
+        candidates: Dict[Node, int] = {}
+        for source in sources:
+            if source not in candidates:
+                candidates.update(shortest_path_lengths(self._graph, source))
         candidate_list = list(candidates)
         for start in range(0, len(candidate_list), REVERSE_SWEEP_CHUNK):
             chunk = candidate_list[start : start + REVERSE_SWEEP_CHUNK]
             for node, node_result in zip(chunk, self.batch_search(chunk)):
-                positive_lengths = node_result.positive_lengths
-                for position, source in enumerate(source_list):
-                    if node == source or node in compatible_sets[position]:
-                        continue
-                    if source in positive_lengths and self._pair_allowed(source, node):
-                        compatible_sets[position].add(node)
-        frozen: List[FrozenSet[Node]] = []
-        for source, found in zip(source_list, compatible_sets):
-            found.add(source)
-            result_set = frozenset(found)
-            self._compatible_cache[source] = result_set
-            frozen.append(result_set)
-        return frozen
-
-    def batch_compatibility_degrees(self, sources: Sequence[Node]) -> List[int]:
-        """Number of *other* compatible nodes per source (one shared sweep).
-
-        Counts equal ``len(compatible_with(s)) - 1`` exactly; see
-        :meth:`batch_compatible_sets`.
-        """
-        return [len(found) - 1 for found in self.batch_compatible_sets(sources)]
+                lengths = node_result.positive_lengths
+                # Iterate whichever side is smaller.
+                if len(lengths) < len(found):
+                    hits = [source for source in lengths if source in found]
+                else:
+                    hits = [source for source in found if source in lengths]
+                for source in hits:
+                    if node != source and self._pair_allowed(source, node):
+                        found[source].add(node)
+        closures: List[FrozenSet[Node]] = []
+        for source in sources:
+            found[source].add(source)
+            closures.append(frozenset(found[source]))
+        return closures
 
     def batch_distance_to_set(
         self, candidates: Sequence[Node], team: Sequence[Node]

@@ -11,9 +11,11 @@ paper defines the distance *per relation*:
   positive path at all).
 
 :class:`DistanceOracle` hides these differences behind a single ``distance``
-call and caches one single-source computation per queried source node.  The
-"avg distance" row of Table 2 is the mean oracle distance over compatible
-pairs.
+call and caches one single-source computation per queried source node; its
+sign-agnostic BFS runs on CSR whenever numpy is available (no size
+cut-over).  The "avg distance" row of Table 2 is the mean distance over
+compatible pairs, which :func:`average_compatible_distance` reads from one
+distance row per source rather than one oracle query per pair.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.compatibility.balanced import _BalancedPathRelation
 from repro.compatibility.base import CompatibilityRelation, resolve_cache_size
-from repro.compatibility.shortest_path import CSR_AUTO_THRESHOLD, _ShortestPathRelation
+from repro.compatibility.shortest_path import _ShortestPathRelation
 from repro.exec.policy import ExecutionPolicy, executor_for
 from repro.signed.graph import Node
 from repro.signed.paths import INFINITY, shortest_path_lengths
@@ -48,11 +50,11 @@ class DistanceOracle:
     choice (an SP* relation on ``backend="dict"`` keeps the oracle on the
     dict BFS too) and its batched sweeps run on the same executor — under a
     pool policy the team's distance maps are computed by worker processes.
-    Otherwise it switches to the indexed CSR backend at
-    :data:`~repro.compatibility.shortest_path.CSR_AUTO_THRESHOLD` nodes when
-    numpy is available.  :meth:`warm` and :meth:`batch_distance_to_set` are
-    the batched entry points the :class:`~repro.compatibility.engine.CompatibilityEngine`
-    uses to resolve many candidates against a team in one batched sweep.
+    Other relations use the indexed CSR backend whenever numpy is available
+    and the policy does not pin ``backend="dict"``.  :meth:`warm` and
+    :meth:`batch_distance_to_set` are the batched entry points the
+    :class:`~repro.compatibility.engine.CompatibilityEngine` uses to resolve
+    many candidates against a team in one batched sweep.
     """
 
     def __init__(
@@ -254,10 +256,7 @@ class DistanceOracle:
     def _use_csr(self) -> bool:
         if isinstance(self._relation, _ShortestPathRelation):
             return self._relation._use_csr()
-        return numpy_available() and (
-            self._graph.prefers_csr
-            or self._graph.number_of_nodes() >= CSR_AUTO_THRESHOLD
-        )
+        return self._policy.backend != "dict" and numpy_available()
 
     def _shortest_paths_from(self, source: Node):
         lengths = self._bfs_cache.get(source)
@@ -284,59 +283,61 @@ def average_compatible_distance(
 
     Returns ``(average, pairs_counted)``; the average is ``0.0`` when no
     compatible pair with a finite distance was evaluated.  Small graphs are
-    enumerated exhaustively; larger graphs are estimated by averaging over all
-    compatible pairs anchored at ``num_sampled_sources`` random source nodes
-    (the same sampling scheme as
+    enumerated exhaustively (every node is a source and each unordered pair
+    is counted once, from its earlier node in ``graph.nodes()`` order);
+    larger graphs are estimated by averaging over all compatible pairs
+    anchored at ``num_sampled_sources`` random source nodes (the same
+    sampling scheme as
     :func:`repro.compatibility.matrix.source_sampled_pair_statistics`).
+
+    Sources are processed in chunks of the oracle's cache bound: each chunk's
+    compatible sets come from one batched sweep, and each source reads one
+    distance row — the oracle's distance map, or for balanced relations the
+    two directions' search results — instead of one oracle query per pair.
+    Distances are integers, so the average does not depend on the order.
     """
-    oracle = oracle or DistanceOracle(relation)
+    if oracle is None:
+        oracle = DistanceOracle(relation)
+    elif oracle.relation is not relation:
+        raise ValueError("the oracle must be built on the given relation")
     nodes = relation.graph.nodes()
     if len(nodes) < 2:
         return 0.0, 0
-
-    total = 0.0
-    count = 0
     if len(nodes) <= max_exact_nodes:
-        for index, u in enumerate(nodes):
-            compatible = relation.compatible_with(u)
-            for v in nodes[index + 1 :]:
-                if v not in compatible:
-                    continue
-                distance = oracle.distance(u, v)
-                if distance != INFINITY:
-                    total += distance
-                    count += 1
+        sources = nodes
+        positions = {node: position for position, node in enumerate(nodes)}
     else:
         require_positive(num_sampled_sources, "num_sampled_sources")
         rng = ensure_rng(seed)
         sources = rng.sample(nodes, min(num_sampled_sources, len(nodes)))
-        # Balanced relations resolve a whole sample in one shared reverse
-        # sweep; pre-warming makes the per-source compatible_with calls below
-        # cache hits instead of repeating the sweep under LRU pressure.
-        relation.batch_compatible_sets(sources)
-        # On the CSR backend the oracle's distance maps are warmed in
-        # cache-bound-sized chunks, consumed chunk by chunk: warming the
-        # whole sample at once would evict every map beyond the LRU bound
-        # before the loop reads it.  On the dict backend (or for balanced
-        # relations, whose distance is served by the search results) warming
-        # has no batching benefit, so maps stay lazy — sources with an empty
-        # compatible set never compute one, as before.
-        warm = oracle._use_csr() and not isinstance(relation, _BalancedPathRelation)
-        bound = oracle._bfs_cache.maxsize
-        chunk = len(sources) if bound is None else max(1, min(len(sources), bound))
-        for start in range(0, len(sources), chunk):
-            chunk_sources = sources[start : start + chunk]
-            if warm:
-                oracle.warm(chunk_sources)
-            for u in chunk_sources:
-                compatible = relation.compatible_with(u)
-                for v in compatible:
-                    if v == u:
-                        continue
-                    distance = oracle.distance(u, v)
-                    if distance != INFINITY:
-                        total += distance
-                        count += 1
+        positions = None
+    balanced = isinstance(relation, _BalancedPathRelation)
+    total = 0.0
+    count = 0
+    bound = oracle._bfs_cache.maxsize
+    chunk = len(sources) if bound is None else max(1, min(len(sources), bound))
+    for start in range(0, len(sources), chunk):
+        chunk_sources = sources[start : start + chunk]
+        compatible_sets = relation.batch_compatible_sets(chunk_sources)
+        # One distance row per source: its search result (the reverse
+        # direction is the partner's cached search) or its distance map.
+        if balanced:
+            rows = relation.batch_search(chunk_sources)
+        else:
+            rows = oracle.warm(chunk_sources)
+        for u, compatible, row in zip(chunk_sources, compatible_sets, rows):
+            for v in compatible:
+                if v == u or (positions is not None and positions[v] < positions[u]):
+                    continue
+                if balanced:
+                    distance = min(
+                        row.positive_length(v), relation._search_from(v).positive_length(u)
+                    )
+                else:
+                    distance = row.get(v, INFINITY)
+                if distance != INFINITY:
+                    total += distance
+                    count += 1
     if count == 0:
         return 0.0, 0
     return total / count, count

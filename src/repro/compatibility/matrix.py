@@ -123,28 +123,13 @@ class CompatibilityMatrix:
 
 
 def exact_pair_statistics(relation: CompatibilityRelation) -> PairStatistics:
-    """Exact compatible-pair fraction by enumerating all unordered pairs.
+    """Exact compatible-pair fraction over all unordered pairs.
 
-    Each unordered pair is visited exactly once by index-based iteration over
-    ``enumerate(nodes)`` — every node's compatible set is checked against the
-    nodes that follow it — so no ``repr``-based deduplication (or collision
-    fallback) is needed and the loop stays O(n²) set lookups.
+    One batched :meth:`~CompatibilityRelation.batch_compatibility_degrees`
+    sweep over every node; the relation is symmetric, so each compatible
+    pair is counted twice and the sum is halved.
     """
-    nodes = relation.graph.nodes()
-    compatible = 0
-    total = 0
-    for index, u in enumerate(nodes):
-        compatible_set = relation.compatible_with(u)
-        for v in nodes[index + 1 :]:
-            total += 1
-            if v in compatible_set:
-                compatible += 1
-    return PairStatistics(
-        relation_name=relation.name,
-        compatible_pairs=compatible,
-        evaluated_pairs=total,
-        sampled=False,
-    )
+    return _degree_statistics(relation, relation.graph.nodes(), sampled=False)
 
 
 def sampled_pair_statistics(
@@ -205,16 +190,30 @@ def source_sampled_pair_statistics(
     if len(nodes) < 2:
         return PairStatistics(relation.name, 0, 0, sampled=True)
     sources = rng.sample(nodes, min(num_sources, len(nodes)))
+    return _degree_statistics(relation, sources, engine=engine)
+
+
+def _degree_statistics(
+    relation: CompatibilityRelation,
+    sources: List[Node],
+    engine: Optional["CompatibilityEngine"] = None,
+    sampled: bool = True,
+) -> PairStatistics:
+    """Sum the sources' compatibility degrees in one batched sweep.
+
+    Only the pair normaliser differs: a sample evaluates ``n - 1`` pairs per
+    source, while the exact statistics over all ``n`` nodes count each
+    unordered pair from both ends, so the sum is halved.
+    """
     if engine is not None:
         compatible = sum(engine.compatibility_degrees(sources))
     else:
         compatible = sum(relation.batch_compatibility_degrees(sources))
-    evaluated = len(sources) * (len(nodes) - 1)
+    others = relation.graph.number_of_nodes() - 1
+    if sampled:
+        return PairStatistics(relation.name, compatible, len(sources) * others, sampled=True)
     return PairStatistics(
-        relation_name=relation.name,
-        compatible_pairs=compatible,
-        evaluated_pairs=evaluated,
-        sampled=True,
+        relation.name, compatible // 2, len(sources) * others // 2, sampled=False
     )
 
 

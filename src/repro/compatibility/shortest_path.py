@@ -10,20 +10,19 @@ negative shortest paths from a query node to every other node in one BFS:
 
 Two interchangeable backends run Algorithm 1:
 
-* ``"dict"`` — the pure-Python BFS over the adjacency dictionary; lowest
-  latency on small graphs, the reference implementation, and the only backend
-  available on numpy-free installs;
+* ``"dict"`` — the pure-Python BFS over the adjacency dictionary; the
+  reference implementation, the faster one on high-diameter graphs, and the
+  only backend available on numpy-free installs;
 * ``"csr"`` — the indexed array BFS over the graph's
   :meth:`~repro.signed.graph.SignedGraph.csr_view`
   (:func:`repro.signed.csr.signed_bfs_csr`); an order of magnitude faster per
   source on SNAP-scale graphs, with a word-parallel multi-source kernel
   (:func:`repro.signed.csr.multi_source_signed_bfs`) behind :meth:`batch_bfs`.
 
-``backend="auto"`` (the default) is **size- and diameter-adaptive**: the CSR
-backend is considered once the graph has at least :data:`CSR_AUTO_THRESHOLD`
-nodes, but because the level-synchronous CSR BFS pays ~20 array operations per
-level, high-diameter graphs (paths, grids, meshes) run faster on the dict
-backend.  The first BFS in auto mode therefore runs on the dict backend and
+``backend="auto"`` (the default) is **diameter-adaptive**: because the
+level-synchronous CSR BFS pays ~20 array operations per level, high-diameter
+graphs (paths, grids, meshes) run faster on the dict backend, whatever their
+size.  The first BFS in auto mode therefore runs on the dict backend and
 counts its levels: if the probe's eccentricity exceeds
 :data:`CSR_AUTO_LEVEL_THRESHOLD`, the relation commits to the dict backend;
 otherwise it commits to CSR.  The probe result is cached like any other BFS,
@@ -50,9 +49,6 @@ from repro.utils.generational import GenerationalLRUCache
 from repro.utils.lru import APPROX_BYTES_PER_NODE, fetch_batched
 from repro.utils.optional import numpy_available, require_numpy, warn_numpy_missing
 
-#: ``backend="auto"`` considers the CSR BFS from this graph size upward.
-CSR_AUTO_THRESHOLD = 1024
-
 #: ``backend="auto"`` commits to the dict backend when the probe BFS observes
 #: more levels than this.  The level-synchronous CSR BFS pays a fixed ~20
 #: array operations per level, so beyond a few dozen levels (paths, grids,
@@ -77,7 +73,7 @@ class _ShortestPathRelation(CompatibilityRelation):
         The signed graph the relation is defined over.
     policy:
         The :class:`~repro.exec.ExecutionPolicy` governing backend choice
-        (``"dict"``, ``"csr"`` or size- and diameter-adaptive ``"auto"``),
+        (``"dict"``, ``"csr"`` or diameter-adaptive ``"auto"``),
         worker-pool execution and cache budgets; ``bfs_cache_size`` bounds
         the LRU of per-source BFS results (``"auto"`` scales
         :data:`DEFAULT_BFS_CACHE_SIZE` down by graph size).  With
@@ -121,8 +117,6 @@ class _ShortestPathRelation(CompatibilityRelation):
             if numpy_available():
                 return True
             warn_numpy_missing(f"{self.name} backend='auto'")
-            return False
-        if self._graph.number_of_nodes() < CSR_AUTO_THRESHOLD:
             return False
         if not numpy_available():
             warn_numpy_missing(f"{self.name} backend='auto'")

@@ -183,15 +183,6 @@ def dict_path_lengths(graph, sources: Sequence, params: dict) -> List:
     return [shortest_path_lengths(graph, source) for source in sources]
 
 
-@register_kernel("dict_walk_lengths")
-def dict_walk_lengths(graph, sources: Sequence, params: dict) -> List:
-    """Signed double-cover walk lengths per source:
-    ``(positive_lengths, negative_lengths)`` dict pairs."""
-    from repro.signed.paths import shortest_signed_walk_lengths
-
-    return [shortest_signed_walk_lengths(graph, source) for source in sources]
-
-
 @register_kernel("dict_balanced_search")
 def dict_balanced_search(graph, sources: Sequence, params: dict) -> List:
     """Balanced-path search per source (:class:`BalancedPathResult`).

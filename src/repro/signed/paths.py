@@ -8,10 +8,10 @@ built on:
   *negative* shortest paths and the shortest-path length.
 * :func:`shortest_path_lengths` — plain sign-agnostic BFS distances.
 * :func:`shortest_signed_walk_lengths` — shortest positive / negative *walk*
-  lengths via a two-layer ("signed double cover") BFS.
+  lengths via a two-layer ("signed double cover") BFS; the reference for the
+  CSR walk kernel.
 * :func:`all_shortest_paths` / :func:`enumerate_simple_paths` — explicit path
-  enumeration, used by the exact SBP relation and by tests that cross-check
-  the counting BFS.
+  enumeration, used by tests that cross-check the counting BFS.
 * :class:`BalancedPathSearch` — exact and heuristic search for positive
   *structurally balanced* paths (the SBP / SBPH relations of the paper).
 
@@ -20,7 +20,8 @@ balanced graph is balanced: if the nodes visited so far induce an unbalanced
 subgraph, no extension of the path can become balanced, so the prefix can be
 pruned.  The search is still worst-case exponential (the paper proves the
 prefix property fails for balanced paths, Figure 1(b)), which is why the
-heuristic variant exists.
+heuristic variant exists.  Its states are bitmasks over dense node ids (the
+path's nodes and its Harary camps), so extending a path copies nothing.
 """
 
 from __future__ import annotations
@@ -353,6 +354,31 @@ class BalancedPathSearch:
         self._graph = graph
         self._max_length = max_length
         self._max_expansions = max_expansions
+        self._bit_index: Optional[Tuple[int, tuple]] = None
+
+    def _bitsets(self) -> tuple:
+        """``(nodes, ids, neighbours, positive, negative)`` over dense ids.
+
+        Dense ids follow ``graph.nodes()`` order; ``neighbours[i]`` lists the
+        ids of ``signed_neighbors`` in adjacency order and ``positive[i]`` /
+        ``negative[i]`` are the neighbour bitmasks of each sign.  Built once
+        per graph generation.
+        """
+        graph = self._graph
+        if self._bit_index is None or self._bit_index[0] != graph.generation:
+            nodes = graph.nodes()
+            ids = {node: dense for dense, node in enumerate(nodes)}
+            neighbours, positive, negative = [], [], []
+            for node in nodes:
+                row, masks = [], {POSITIVE: 0, NEGATIVE: 0}
+                for neighbor, sign in graph.signed_neighbors(node):
+                    row.append(ids[neighbor])
+                    masks[sign] |= 1 << ids[neighbor]
+                neighbours.append(row)
+                positive.append(masks[POSITIVE])
+                negative.append(masks[NEGATIVE])
+            self._bit_index = (graph.generation, (nodes, ids, neighbours, positive, negative))
+        return self._bit_index[1]
 
     def search_exact(self, source: Node, target: Optional[Node] = None) -> BalancedPathResult:
         """Exhaustively search balanced paths from ``source``.
@@ -360,6 +386,11 @@ class BalancedPathSearch:
         When ``target`` is given the search stops as soon as a positive
         balanced path to ``target`` has been found (the BFS order guarantees it
         is a shortest one); otherwise the whole graph is explored.
+
+        A queue entry is ``(last, length, on_path, camp_one)``: the path's
+        nodes and the Harary camp opposite the source's are bitmasks over
+        dense ids, so the incremental balance check of :func:`_extend_camps`
+        is a handful of mask operations and no path is ever copied.
         """
         graph = self._graph
         if source not in graph:
@@ -367,42 +398,48 @@ class BalancedPathSearch:
         bound = self._max_length if self._max_length is not None else graph.number_of_nodes() - 1
         result = BalancedPathResult(source=source, exact=True, max_length=bound)
         result.positive_lengths[source] = 0
-        queue: deque = deque()
-        queue.append(([source], {source: 0}))
+        nodes, ids, neighbours, positive, negative = self._bitsets()
+        start = ids[source]
+        queue: deque = deque([(start, 0, 1 << start, 0)])
         expansions = 0
         while queue:
-            path, camps = queue.popleft()
-            if len(path) - 1 >= bound:
+            last, length, on_path, camp_one = queue.popleft()
+            if length >= bound:
                 continue
-            last = path[-1]
-            for neighbor, _edge_sign in graph.signed_neighbors(last):
-                if neighbor in camps:
+            new_len = length + 1
+            for dense in neighbours[last]:
+                bit = 1 << dense
+                if on_path & bit:
                     continue
                 expansions += 1
                 if expansions > self._max_expansions:
                     result.truncated = True
                     return result
-                extended = _extend_camps(graph, path, camps, neighbor)
-                if extended is None:
+                # Path neighbours that put the new node in camp one (friends
+                # there, enemies in the source's camp) versus camp zero.
+                friends = positive[dense] & on_path
+                enemies = negative[dense] & on_path
+                friends_one = friends & camp_one
+                enemies_one = enemies & camp_one
+                in_camp_one = friends_one | (enemies ^ enemies_one)
+                if in_camp_one and (friends ^ friends_one) | enemies_one:
                     # Balance is hereditary: no extension of an unbalanced
                     # node set can become balanced, so prune.
                     continue
-                new_path = path + [neighbor]
-                # The path sign equals +1 iff the new node falls in the
-                # source's camp (negative edges flip camps along the path).
-                new_sign = POSITIVE if extended[neighbor] == extended[source] else NEGATIVE
-                lengths = (
-                    result.positive_lengths if new_sign == POSITIVE else result.negative_lengths
-                )
-                new_len = len(new_path) - 1
+                # The path is positive iff the new node falls in the source's
+                # camp (negative edges flip camps along the path).
+                neighbor = nodes[dense]
+                lengths = result.negative_lengths if in_camp_one else result.positive_lengths
                 if neighbor not in lengths:
                     lengths[neighbor] = new_len
-                    if target is not None and neighbor == target and new_sign == POSITIVE:
+                    if target is not None and neighbor == target and not in_camp_one:
                         return result
                 # Keep extending even on repeat visits: longer or equal-length
                 # balanced paths through this node may reach other nodes that
                 # the first path cannot (no prefix property).
-                queue.append((new_path, extended))
+                queue.append(
+                    (dense, new_len, on_path | bit, camp_one | bit if in_camp_one else camp_one)
+                )
         return result
 
     def search_heuristic(self, source: Node) -> BalancedPathResult:

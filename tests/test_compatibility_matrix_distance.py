@@ -20,7 +20,45 @@ from repro.compatibility import (
     source_sampled_pair_statistics,
     task_has_compatible_skills,
 )
+from repro.datasets import synthetic_signed_network
+from repro.exec import ExecutionPolicy, reset_executors
+from repro.signed.paths import INFINITY
 from repro.skills import SkillAssignment
+
+RELATIONS = ("DPE", "NNE", "SPA", "SPM", "SPO", "SBPH", "SBP")
+
+
+def per_pair_statistics(relation):
+    """Reference: ``(compatible, evaluated)`` from one ``compatible_with`` per
+    node and one membership test per unordered pair."""
+    nodes = relation.graph.nodes()
+    compatible = 0
+    total = 0
+    for index, u in enumerate(nodes):
+        compatible_set = relation.compatible_with(u)
+        for v in nodes[index + 1 :]:
+            total += 1
+            if v in compatible_set:
+                compatible += 1
+    return compatible, total
+
+
+def per_pair_average_distance(relation, oracle):
+    """Reference: ``(average, pairs)`` from one ``oracle.distance`` per
+    compatible unordered pair."""
+    nodes = relation.graph.nodes()
+    total = 0.0
+    count = 0
+    for index, u in enumerate(nodes):
+        compatible = relation.compatible_with(u)
+        for v in nodes[index + 1 :]:
+            if v not in compatible:
+                continue
+            distance = oracle.distance(u, v)
+            if distance != INFINITY:
+                total += distance
+                count += 1
+    return (total / count if count else 0.0), count
 
 
 class TestPairStatistics:
@@ -118,6 +156,54 @@ class TestPairStatistics:
         assert stats.fraction == 0.0
 
 
+@pytest.fixture(scope="module")
+def generated_60():
+    graph, _ = synthetic_signed_network(
+        60, average_degree=4.0, negative_fraction=0.25, seed=13
+    )
+    return graph
+
+
+@pytest.fixture(scope="class")
+def pools_down():
+    yield
+    reset_executors()
+
+
+@pytest.mark.usefixtures("pools_down")
+class TestOnePassStatistics:
+    """The batched statistics equal the per-pair loops they replace."""
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    @pytest.mark.parametrize("name", RELATIONS)
+    @pytest.mark.parametrize("graph_name", ["two_factions", "generated_60"])
+    def test_matches_per_pair_reference(self, name, graph_name, workers, request):
+        graph = request.getfixturevalue(graph_name)
+        policy = ExecutionPolicy(workers=workers, min_parallel_sources=1)
+        # The exhaustive SBP enumeration is exponential on the 60-node graph.
+        self._check(graph, name, policy, {"max_expansions": 5_000} if name == "SBP" else {})
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_truncated_sbp_matches_per_pair_reference(self, generated_60, workers):
+        policy = ExecutionPolicy(workers=workers, min_parallel_sources=1)
+        relation = self._check(generated_60, "SBP", policy, {"max_expansions": 40})
+        assert relation.truncated_sources()
+
+    @staticmethod
+    def _check(graph, name, policy, kwargs):
+        relation = make_relation(name, graph, policy=policy, **kwargs)
+        reference = make_relation(name, graph, **kwargs)
+        stats = exact_pair_statistics(relation)
+        assert (stats.compatible_pairs, stats.evaluated_pairs) == per_pair_statistics(
+            reference
+        )
+        assert not stats.sampled
+        assert average_compatible_distance(
+            relation, oracle=DistanceOracle(relation)
+        ) == per_pair_average_distance(reference, DistanceOracle(reference))
+        return relation
+
+
 class TestRelationOverlap:
     def test_overlap_of_relation_with_itself_is_one(self, two_factions):
         relation = make_relation("SPO", two_factions)
@@ -181,6 +267,12 @@ class TestDistanceOracle:
         average, pairs = average_compatible_distance(relation)
         assert pairs == 6
         assert average == pytest.approx(1.0)  # intra-faction pairs are all adjacent
+
+    def test_average_compatible_distance_rejects_foreign_oracle(self, two_factions):
+        relation = make_relation("SPO", two_factions)
+        other = DistanceOracle(make_relation("NNE", two_factions))
+        with pytest.raises(ValueError, match="oracle"):
+            average_compatible_distance(relation, oracle=other)
 
     def test_average_compatible_distance_sampled(self, small_random_graph):
         relation = make_relation("SPO", small_random_graph)

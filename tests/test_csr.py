@@ -441,9 +441,11 @@ class TestRelationBackendEquivalence:
         assert dict_stats.compatible_pairs == csr_stats.compatible_pairs
         assert dict_stats.evaluated_pairs == csr_stats.evaluated_pairs
 
-    def test_auto_backend_picks_dict_on_small_graphs(self, two_factions):
+    def test_auto_backend_picks_csr_on_small_graphs(self, two_factions):
+        # No size cut-over: with numpy present, "auto" uses CSR on any
+        # low-diameter graph.
         relation = make_relation("SPO", two_factions)  # backend="auto"
-        assert not relation._use_csr()
+        assert relation._use_csr()
         assert relation.are_compatible(0, 1)
 
     def test_invalid_backend_rejected(self, two_factions):

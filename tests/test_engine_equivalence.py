@@ -28,10 +28,7 @@ from repro.compatibility import (
     make_relation,
     source_sampled_pair_statistics,
 )
-from repro.compatibility.shortest_path import (
-    CSR_AUTO_LEVEL_THRESHOLD,
-    CSR_AUTO_THRESHOLD,
-)
+from repro.compatibility.shortest_path import CSR_AUTO_LEVEL_THRESHOLD
 from repro.datasets import load_snap_dataset, synthetic_signed_network, toy_dataset
 from repro.exec import ExecutionPolicy
 from repro.signed import SignedGraph, signed_bfs
@@ -368,41 +365,44 @@ class TestDiameterAdaptiveAuto:
         )
 
     def test_path_graph_prefers_dict(self):
-        graph = self._path_graph(CSR_AUTO_THRESHOLD + 200)
+        graph = self._path_graph(1224)
         relation = make_relation("SPO", graph)
         assert relation._use_csr() is False
         assert relation._auto_prefer_dict is True
 
     def test_low_diameter_graph_prefers_csr(self):
         graph, _ = synthetic_signed_network(
-            CSR_AUTO_THRESHOLD + 200, average_degree=6.0, negative_fraction=0.2, seed=5
+            1224, average_degree=6.0, negative_fraction=0.2, seed=5
         )
         relation = make_relation("SPO", graph)
         assert relation._use_csr() is True
         assert relation._auto_prefer_dict is False
 
     def test_explicit_backends_skip_probe(self):
-        graph = self._path_graph(CSR_AUTO_THRESHOLD + 100)
+        graph = self._path_graph(1124)
         for backend, uses_csr in (("dict", False), ("csr", True)):
             relation = make_relation("SPO", graph, policy=ExecutionPolicy(backend=backend))
             assert relation._use_csr() is uses_csr
 
     def test_probe_decision_reset_by_clear_cache(self):
-        graph = self._path_graph(CSR_AUTO_THRESHOLD + 100)
+        graph = self._path_graph(1124)
         relation = make_relation("SPO", graph)
         relation._use_csr()
         assert relation._auto_prefer_dict is not None
         relation.clear_cache()
         assert relation._auto_prefer_dict is None
 
-    def test_small_graph_stays_dict_without_probe(self, two_factions):
-        relation = make_relation("SPO", two_factions)
+    def test_small_path_graph_stays_dict_via_probe(self):
+        # No size cut-over: a small graph is probed like any other, and a
+        # high-diameter one stays on the dict backend.
+        graph = self._path_graph(4 * CSR_AUTO_LEVEL_THRESHOLD)
+        relation = make_relation("SPO", graph)
         assert relation._use_csr() is False
-        assert relation._auto_prefer_dict is None
+        assert relation._auto_prefer_dict is True
 
     def test_probe_result_lands_in_cache(self):
         graph, _ = synthetic_signed_network(
-            CSR_AUTO_THRESHOLD + 50, average_degree=5.0, negative_fraction=0.2, seed=6
+            1074, average_degree=5.0, negative_fraction=0.2, seed=6
         )
         relation = make_relation("SPO", graph)
         relation._use_csr()
@@ -420,7 +420,7 @@ class TestDiameterAdaptiveAuto:
         # probe must keep sampling components before committing to CSR.
         graph = SignedGraph()
         graph.add_edge("appendix-a", "appendix-b", 1)
-        for i in range(CSR_AUTO_THRESHOLD + 200):
+        for i in range(1224):
             graph.add_edge(i, i + 1, 1)
         relation = make_relation("SPO", graph)
         assert relation._use_csr() is False

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import deque
+
 import pytest
 
 from repro.exceptions import NodeNotFoundError
@@ -18,6 +20,40 @@ from repro.signed import (
     shortest_signed_walk_lengths,
     signed_bfs,
 )
+from repro.signed.generators import signed_erdos_renyi
+from repro.signed.paths import BalancedPathResult, _extend_camps
+
+
+def reference_search_exact(graph, source, target=None, max_length=None, max_expansions=2_000_000):
+    """Reference: the path-list and camps-dict exact balanced-path search."""
+    bound = max_length if max_length is not None else graph.number_of_nodes() - 1
+    result = BalancedPathResult(source=source, exact=True, max_length=bound)
+    result.positive_lengths[source] = 0
+    queue = deque([([source], {source: 0})])
+    expansions = 0
+    while queue:
+        path, camps = queue.popleft()
+        if len(path) - 1 >= bound:
+            continue
+        for neighbor, _edge_sign in graph.signed_neighbors(path[-1]):
+            if neighbor in camps:
+                continue
+            expansions += 1
+            if expansions > max_expansions:
+                result.truncated = True
+                return result
+            extended = _extend_camps(graph, path, camps, neighbor)
+            if extended is None:
+                continue
+            new_path = path + [neighbor]
+            new_sign = POSITIVE if extended[neighbor] == extended[source] else NEGATIVE
+            lengths = result.positive_lengths if new_sign == POSITIVE else result.negative_lengths
+            if neighbor not in lengths:
+                lengths[neighbor] = len(new_path) - 1
+                if target is not None and neighbor == target and new_sign == POSITIVE:
+                    return result
+            queue.append((new_path, extended))
+    return result
 
 
 def brute_force_shortest_path_sign_counts(graph, source, target):
@@ -203,6 +239,36 @@ class TestBalancedPathSearch:
     def test_missing_source_raises(self, figure_1a):
         with pytest.raises(NodeNotFoundError):
             BalancedPathSearch(figure_1a).search_exact("nope")
+
+
+class TestExactSearchMatchesReference:
+    """The bitmask exact search reproduces the path-by-path reference."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("max_expansions", [50, 2_000_000])
+    @pytest.mark.parametrize("max_length", [None, 3])
+    def test_random_graphs(self, seed, max_expansions, max_length):
+        num_nodes = 6 + seed * 34 // 7  # 6 .. 40 nodes
+        graph = signed_erdos_renyi(
+            num_nodes, min(0.9, 2.6 / num_nodes), negative_fraction=0.3, seed=seed
+        )
+        search = BalancedPathSearch(
+            graph, max_length=max_length, max_expansions=max_expansions
+        )
+        nodes = graph.nodes()
+        for source in nodes[:4]:
+            for target in (None, nodes[-1]):
+                got = search.search_exact(source, target)
+                want = reference_search_exact(
+                    graph, source, target, max_length, max_expansions
+                )
+                assert list(got.positive_lengths.items()) == list(
+                    want.positive_lengths.items()
+                )
+                assert list(got.negative_lengths.items()) == list(
+                    want.negative_lengths.items()
+                )
+                assert got.truncated == want.truncated
 
 
 class TestShortestBalancedPositivePath:
