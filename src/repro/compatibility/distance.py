@@ -11,11 +11,13 @@ paper defines the distance *per relation*:
   positive path at all).
 
 :class:`DistanceOracle` hides these differences behind a single ``distance``
-call and caches one single-source computation per queried source node; its
-sign-agnostic BFS runs on CSR whenever numpy is available (no size
-cut-over).  The "avg distance" row of Table 2 is the mean distance over
-compatible pairs, which :func:`average_compatible_distance` reads from one
-distance row per source rather than one oracle query per pair.
+call.  For SPA/SPM/SPO a distance row is the ``lengths`` part of the
+relation's own cached signed BFS (Algorithm 1 already computes it), so the
+oracle runs no traversal of its own; for DPE and NNE it caches one
+sign-agnostic BFS per queried source, run on CSR whenever numpy is available
+(no size cut-over).  The "avg distance" row of Table 2 is the mean distance
+over compatible pairs, which :func:`average_compatible_distance` reads from
+one distance row per source rather than one oracle query per pair.
 """
 
 from __future__ import annotations
@@ -42,17 +44,23 @@ DEFAULT_DISTANCE_CACHE_SIZE = 2048
 class DistanceOracle:
     """Pairwise user distances consistent with a compatibility relation.
 
-    Single-source distance maps are cached in a bounded LRU of
-    ``policy.distance_cache_size`` entries (the default ``"auto"`` scales the
-    bound by graph size, ``None`` disables eviction).  The oracle inherits
-    the relation's :class:`~repro.exec.ExecutionPolicy` unless given one
-    explicitly, so its sign-agnostic BFS follows the relation's backend
-    choice (an SP* relation on ``backend="dict"`` keeps the oracle on the
-    dict BFS too) and its batched sweeps run on the same executor — under a
-    pool policy the team's distance maps are computed by worker processes.
-    Other relations use the indexed CSR backend whenever numpy is available
-    and the policy does not pin ``backend="dict"``.  :meth:`warm` and
-    :meth:`batch_distance_to_set` are the batched entry points the
+    For SP* relations the distance rows are the lengths of the relation's
+    cached signed BFS results
+    (:meth:`~repro.compatibility.shortest_path._ShortestPathRelation.distance_rows`):
+    the oracle holds no cache of its own and **ignores its own policy** —
+    backend, workers and cache bound are the relation's, and :meth:`sync`
+    and :meth:`clear_cache` are no-ops (the relation's ``sync_caches`` and
+    ``clear_cache`` act on the rows).  For the other relations single-source
+    distance maps are cached in a bounded LRU of
+    ``policy.distance_cache_size`` entries (the default ``"auto"`` scales
+    the bound by graph size, ``None`` disables eviction).  The oracle
+    inherits the relation's :class:`~repro.exec.ExecutionPolicy` unless
+    given one explicitly; its sign-agnostic BFS uses the indexed CSR backend
+    whenever numpy is available and the policy does not pin
+    ``backend="dict"``, and its batched sweeps run on the policy's executor
+    — under a pool policy the team's distance maps are computed by worker
+    processes.  :meth:`warm` and :meth:`batch_distance_to_set` are the
+    batched entry points the
     :class:`~repro.compatibility.engine.CompatibilityEngine` uses to resolve
     many candidates against a team in one batched sweep.
     """
@@ -66,14 +74,24 @@ class DistanceOracle:
         self._graph = relation.graph
         self._policy = policy if policy is not None else relation.policy
         num_nodes = self._graph.number_of_nodes()
-        # Generation-keyed like the relations' caches: distance maps are
-        # per-source BFS results, so mutations invalidate by component.
-        self._bfs_cache: GenerationalLRUCache[Node, object] = GenerationalLRUCache(
-            self._graph,
-            maxsize=resolve_cache_size(
-                self._policy.distance_cache_size, DEFAULT_DISTANCE_CACHE_SIZE, num_nodes
-            ),
-            bytes_per_entry=num_nodes * APPROX_BYTES_PER_NODE,
+        #: SP* relations serve the rows themselves (None otherwise).
+        self._sp_relation: Optional[_ShortestPathRelation] = (
+            relation if isinstance(relation, _ShortestPathRelation) else None
+        )
+        # The other relations' distance maps are generation-keyed like the
+        # relations' caches, so mutations invalidate by component.
+        self._bfs_cache: Optional[GenerationalLRUCache[Node, object]] = (
+            None
+            if self._sp_relation is not None
+            else GenerationalLRUCache(
+                self._graph,
+                maxsize=resolve_cache_size(
+                    self._policy.distance_cache_size,
+                    DEFAULT_DISTANCE_CACHE_SIZE,
+                    num_nodes,
+                ),
+                bytes_per_entry=num_nodes * APPROX_BYTES_PER_NODE,
+            )
         )
 
     @property
@@ -139,7 +157,11 @@ class DistanceOracle:
     def warm(self, sources: Iterable[Node]) -> List[object]:
         """Prefetch the single-source distance maps of ``sources``, batched.
 
-        On the CSR backend every uncached source joins one multi-source BFS
+        For SP* relations the maps are the lengths of the relation's signed
+        BFS results, fetched through its ``distance_rows`` (one
+        word-parallel sweep over the uncached sources on CSR, the worker pool
+        under the relation's pool policy).  For DPE and NNE, on the CSR
+        backend every uncached source joins one multi-source BFS
         (:func:`repro.signed.csr.multi_source_shortest_path_lengths_csr`)
         instead of running its own traversal.  Under a pool policy the
         workers write the dense distance maps straight into the dispatch's
@@ -158,6 +180,8 @@ class DistanceOracle:
         if isinstance(self._relation, _BalancedPathRelation):
             return []
         source_list = list(sources)
+        if self._sp_relation is not None:
+            return self._sp_relation.distance_rows(source_list)
 
         def compute_missing(missing: List[Node]) -> List[object]:
             executor = executor_for(self._policy)
@@ -241,24 +265,37 @@ class DistanceOracle:
         """Eagerly re-key the distance-map cache to the current generation.
 
         Optional — the cache syncs lazily on its next access; see
-        :meth:`CompatibilityRelation.sync_caches`.
+        :meth:`CompatibilityRelation.sync_caches`.  A no-op for SP*
+        relations, whose rows live in the relation's cache.
         """
-        self._bfs_cache.sync()
+        if self._bfs_cache is not None:
+            self._bfs_cache.sync()
 
     def clear_cache(self) -> None:
         """Drop all cached distance maps.
 
         Not required after graph mutations (the cache is generation-keyed);
-        kept as the full reset for memory pressure or tests.
+        kept as the full reset for memory pressure or tests.  A no-op for
+        SP* relations: their rows are the relation's signed BFS results,
+        dropped by the relation's ``clear_cache``.
         """
-        self._bfs_cache.clear()
+        if self._bfs_cache is not None:
+            self._bfs_cache.clear()
+
+    def _cache_bound(self) -> Optional[int]:
+        """Entry bound of the cache the distance rows live in."""
+        if self._sp_relation is not None:
+            return self._sp_relation.bfs_cache_maxsize
+        return self._bfs_cache.maxsize
 
     def _use_csr(self) -> bool:
-        if isinstance(self._relation, _ShortestPathRelation):
-            return self._relation._use_csr()
+        if self._sp_relation is not None:
+            return self._sp_relation._use_csr()
         return self._policy.backend != "dict" and numpy_available()
 
     def _shortest_paths_from(self, source: Node):
+        if self._sp_relation is not None:
+            return self._sp_relation.distance_rows([source])[0]
         lengths = self._bfs_cache.get(source)
         if lengths is None:
             if self._use_csr():
@@ -314,7 +351,7 @@ def average_compatible_distance(
     balanced = isinstance(relation, _BalancedPathRelation)
     total = 0.0
     count = 0
-    bound = oracle._bfs_cache.maxsize
+    bound = oracle._cache_bound()
     chunk = len(sources) if bound is None else max(1, min(len(sources), bound))
     for start in range(0, len(sources), chunk):
         chunk_sources = sources[start : start + chunk]

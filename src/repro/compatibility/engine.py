@@ -162,29 +162,25 @@ class CompatibilityEngine:
         """Number of *other* compatible nodes per source, batched."""
         return self._relation.batch_compatibility_degrees(list(sources))
 
-    def warm(self, sources: Sequence[Node], distances: bool = True) -> None:
+    def warm(self, sources: Sequence[Node]) -> None:
         """Prefetch per-source computations the coming queries will need.
 
         For SP* relations on the CSR backend this runs one multi-source BFS
         over the uncached sources (bounded by the BFS cache size, so a huge
-        seed list cannot churn the cache).  The matching
-        distance maps are warmed alongside only when ``distances`` is true —
-        callers whose downstream queries never ask for distances (e.g.
-        Algorithm 2 under the most-compatible or random user policy) pass
-        false and skip that sweep.  Purely an optimisation — results of later
-        queries are unchanged.
+        seed list cannot churn the cache).  The oracle's distance rows are
+        the lengths of those same BFS results, so distance queries are warmed
+        too.  Purely an optimisation — results of later queries are
+        unchanged.
         """
         source_list = list(dict.fromkeys(sources))
         if not source_list:
             return
         relation = self._relation
         if isinstance(relation, _ShortestPathRelation) and relation._use_csr():
-            budget = relation._bfs_cache.maxsize
+            budget = relation.bfs_cache_maxsize
             if budget is not None:
                 source_list = source_list[:budget]
             relation.batch_bfs(source_list)
-            if distances:
-                self._oracle.warm(source_list)
 
     def compatible_from_many(
         self, candidates: Iterable[Node], team: Sequence[Node]

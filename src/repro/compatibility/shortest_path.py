@@ -31,10 +31,15 @@ the dict backend with a one-time warning, while an explicit ``backend="csr"``
 raises :class:`ImportError` at construction time.  All backends produce
 identical relations — the equivalence tests compare them bit for bit.
 
-The per-source BFS result is cached in a bounded LRU
-(:class:`repro.utils.lru.LRUCache`); the default ``bfs_cache_size="auto"``
-scales the entry bound down on huge graphs so the cache stays within a fixed
-byte budget (entries are O(n) — see :func:`repro.utils.lru.scaled_cache_size`).
+A source's BFS result (lengths plus positive and negative path counts)
+depends only on the graph and the source, not on the pair rule, so it is
+computed once per graph: every SPA/SPM/SPO relation whose policy has the same
+``backend`` and the same resolved ``bfs_cache_size`` reads one bounded,
+generation-keyed LRU (:class:`repro.utils.generational.GenerationalLRUCache`)
+held by the graph itself, and the SP* distance oracles read their distance
+rows from the same results.  The default ``bfs_cache_size="auto"`` scales the
+entry bound down on huge graphs so the cache stays within a fixed byte budget
+(entries are O(n) — see :func:`repro.utils.lru.scaled_cache_size`).
 """
 
 from __future__ import annotations
@@ -64,6 +69,30 @@ DEFAULT_BFS_CACHE_SIZE = 2048
 _BFSResult = Union[SignedBFSResult, "CSRSignedBFSResult"]  # noqa: F821
 
 
+def _shared_bfs_cache(
+    graph: SignedGraph, policy: ExecutionPolicy
+) -> GenerationalLRUCache[Node, _BFSResult]:
+    """The graph's signed-BFS cache for ``policy``'s backend and entry bound.
+
+    Generation-keyed: mutating the graph drops only the BFS results whose
+    component a mutation touched, for every relation sharing the cache; the
+    rest stay valid (results against an older CSR snapshot keep working
+    through the snapshot's shared index — see
+    CSRSignedGraph.shares_index_with).  Caches live as long as the graph:
+    one whose relations are all gone stays until the graph is freed.
+    """
+    num_nodes = graph.number_of_nodes()
+    maxsize = resolve_cache_size(policy.bfs_cache_size, DEFAULT_BFS_CACHE_SIZE, num_nodes)
+    key = (policy.backend, maxsize)
+    cache = graph._signed_bfs_caches.get(key)
+    if cache is None:
+        cache = GenerationalLRUCache(
+            graph, maxsize=maxsize, bytes_per_entry=num_nodes * APPROX_BYTES_PER_NODE
+        )
+        graph._signed_bfs_caches[key] = cache
+    return cache
+
+
 class _ShortestPathRelation(CompatibilityRelation):
     """Shared machinery: one cached signed BFS per source node.
 
@@ -76,7 +105,8 @@ class _ShortestPathRelation(CompatibilityRelation):
         (``"dict"``, ``"csr"`` or diameter-adaptive ``"auto"``),
         worker-pool execution and cache budgets; ``bfs_cache_size`` bounds
         the LRU of per-source BFS results (``"auto"`` scales
-        :data:`DEFAULT_BFS_CACHE_SIZE` down by graph size).  With
+        :data:`DEFAULT_BFS_CACHE_SIZE` down by graph size), which every SP*
+        relation on the graph with the same backend and bound shares.  With
         ``workers >= 2`` the batched entry points (:meth:`batch_bfs`,
         :meth:`batch_compatible_sets`) dispatch their per-source traversals
         to a process pool; results are bit-identical to serial execution.
@@ -93,18 +123,7 @@ class _ShortestPathRelation(CompatibilityRelation):
             require_numpy("backend='csr'")
         #: Lazily decided by the diameter probe in auto mode (None = undecided).
         self._auto_prefer_dict: Optional[bool] = None
-        num_nodes = graph.number_of_nodes()
-        # Generation-keyed: mutating the graph drops only the BFS results
-        # whose component a mutation touched; the rest stay valid (results
-        # against an older CSR snapshot keep working through the snapshot's
-        # shared index — see CSRSignedGraph.shares_index_with).
-        self._bfs_cache: GenerationalLRUCache[Node, _BFSResult] = GenerationalLRUCache(
-            graph,
-            maxsize=resolve_cache_size(
-                self._policy.bfs_cache_size, DEFAULT_BFS_CACHE_SIZE, num_nodes
-            ),
-            bytes_per_entry=num_nodes * APPROX_BYTES_PER_NODE,
-        )
+        self._bfs_cache = _shared_bfs_cache(graph, self._policy)
 
     def _use_csr(self) -> bool:
         if self._policy.backend == "csr":
@@ -247,7 +266,33 @@ class _ShortestPathRelation(CompatibilityRelation):
 
         return fetch_batched(self._bfs_cache, source_list, compute_missing)
 
+    def distance_rows(self, sources: Sequence[Node]) -> List[object]:
+        """BFS distance maps for ``sources``, read off their signed BFS results.
+
+        Algorithm 1's lengths are plain BFS levels — the values a
+        sign-agnostic BFS would compute — so the SP* distance oracle reads
+        its rows here instead of traversing again.  A single source resolves
+        like a pair query (:meth:`_bfs`, in-process); longer lists go through
+        :meth:`batch_bfs`.  Each row is the dict result's ``lengths`` dict,
+        or the CSR result's int32 ``lengths_array`` (unreachable nodes hold
+        :data:`~repro.signed.csr.UNREACHABLE`) behind a
+        :class:`~repro.signed.csr.CSRLengths` view.
+        """
+        source_list = list(sources)
+        if len(source_list) == 1:
+            results = [self._bfs(source_list[0])]
+        else:
+            results = self.batch_bfs(source_list)
+        return [_lengths_row(result) for result in results]
+
+    @property
+    def bfs_cache_maxsize(self) -> Optional[int]:
+        """Entry bound of the graph's shared signed-BFS cache (``None`` = unbounded)."""
+        return self._bfs_cache.maxsize
+
     def _clear_subclass_cache(self) -> None:
+        # The cache is the graph's shared one: this empties it for every SP*
+        # relation (and SP* distance oracle) that reads it.
         self._bfs_cache.clear()
         self._auto_prefer_dict = None
 
@@ -457,6 +502,15 @@ class _ShortestPathRelation(CompatibilityRelation):
     def _pair_rule_mask(positive, negative):
         """Vectorised counterpart of :meth:`_pair_rule` over count arrays."""
         raise NotImplementedError
+
+
+def _lengths_row(result: _BFSResult) -> object:
+    """The distance map inside a signed BFS result (dict or CSR)."""
+    if isinstance(result, SignedBFSResult):
+        return result.lengths
+    from repro.signed.csr import CSRLengths
+
+    return CSRLengths(result.graph, result.lengths_array)
 
 
 class AllShortestPathsCompatibility(_ShortestPathRelation):

@@ -10,17 +10,27 @@ skills: ``cd(s) = Σ_{s_j ≠ s} cd(s, s_j)``.  Two skills are *compatible* when
 ``cd(s_1, s_2) > 0``, i.e. at least one compatible user pair covers them
 (including a single user possessing both — "self-compatibility").
 
-These quantities drive the "least compatible skill first" selection policy and
-the skill-pair percentages of Table 2.  Because exact ``cd`` values require a
-pass over all user pairs with the relevant skills, results are cached per
-skill pair.
+These quantities drive two different queries:
+
+* the "least compatible skill first" selection policy needs exact counts
+  (:meth:`SkillCompatibilityIndex.pair_degree`): the smaller holder side
+  resolves its compatible sets in one
+  :meth:`~repro.compatibility.base.CompatibilityRelation.batch_compatible_sets`
+  sweep, and each set is intersected with the other side's holders;
+* the "comp. skills" column of Table 2 and the MAX bound of Figure 2(a) only
+  need ``cd > 0`` (:meth:`SkillCompatibilityIndex.skills_compatible`), which
+  stops at the first compatible pair.
+
+Only holders present in the graph count (a node removal can leave the
+assignment naming users that no longer exist).  Both answers are cached per
+skill pair and dropped wholesale when the graph's generation moves.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.compatibility.base import CompatibilityRelation
 from repro.skills.assignment import Skill, SkillAssignment
@@ -53,12 +63,7 @@ class SkillPairStatistics:
 class SkillCompatibilityIndex:
     """Cached skill-pair and per-skill compatibility degrees for one relation."""
 
-    def __init__(
-        self,
-        relation: CompatibilityRelation,
-        assignment: SkillAssignment,
-        count_cap: Optional[int] = None,
-    ) -> None:
+    def __init__(self, relation: CompatibilityRelation, assignment: SkillAssignment) -> None:
         """
         Parameters
         ----------
@@ -66,18 +71,13 @@ class SkillCompatibilityIndex:
             The user-level compatibility relation.
         assignment:
             The user ↔ skill assignment.
-        count_cap:
-            Optional cap on the counted pairs per skill pair.  The team
-            formation policy only needs the *ordering* of degrees (and Table 2
-            only needs ``> 0``), so capping the count bounds the worst-case
-            work on very frequent skills without changing either consumer.
         """
         self._relation = relation
         self._assignment = assignment
-        self._count_cap = count_cap
         self._pair_cache: Dict[FrozenSet[Skill], int] = {}
-        # Skill-pair degrees aggregate user pairs across the whole graph, so
-        # any effective mutation may change them; the cache is re-validated
+        self._compatible_cache: Dict[FrozenSet[Skill], bool] = {}
+        # Skill-pair answers aggregate user pairs across the whole graph, so
+        # any effective mutation may change them; the caches are re-validated
         # wholesale against the graph's generation on every read.
         self._generation = relation.graph.generation
 
@@ -97,10 +97,7 @@ class SkillCompatibilityIndex:
         A single user possessing both skills counts as a (self-)compatible
         pair, matching the paper's footnote on self-compatibility.
         """
-        generation = self._relation.graph.generation
-        if generation != self._generation:
-            self._pair_cache.clear()
-            self._generation = generation
+        self._sync()
         key = frozenset((skill_a, skill_b))
         cached = self._pair_cache.get(key)
         if cached is not None:
@@ -110,8 +107,22 @@ class SkillCompatibilityIndex:
         return count
 
     def skills_compatible(self, skill_a: Skill, skill_b: Skill) -> bool:
-        """True iff ``cd(skill_a, skill_b) > 0``."""
-        return self.pair_degree(skill_a, skill_b) > 0
+        """True iff ``cd(skill_a, skill_b) > 0``.
+
+        Answered from a cached :meth:`pair_degree` when there is one;
+        otherwise the holders' compatible sets are fetched one at a time and
+        the search stops at the first compatible pair.
+        """
+        self._sync()
+        key = frozenset((skill_a, skill_b))
+        count = self._pair_cache.get(key)
+        if count is not None:
+            return count > 0
+        found = self._compatible_cache.get(key)
+        if found is None:
+            found = self._find_compatible_pair(skill_a, skill_b)
+            self._compatible_cache[key] = found
+        return found
 
     def skill_degree(self, skill: Skill, others: Optional[Iterable[Skill]] = None) -> int:
         """``cd(skill)``: sum of pair degrees against ``others`` (default: all other skills)."""
@@ -134,22 +145,43 @@ class SkillCompatibilityIndex:
 
     # --------------------------------------------------------------- internals
 
-    def _count_pair_degree(self, skill_a: Skill, skill_b: Skill) -> int:
-        users_a = self._assignment.users_with(skill_a)
-        users_b = self._assignment.users_with(skill_b)
-        # Iterate the smaller side outermost so the per-user compatible set is
-        # fetched (and cached) for fewer users.
+    def _sync(self) -> None:
+        generation = self._relation.graph.generation
+        if generation != self._generation:
+            self._pair_cache.clear()
+            self._compatible_cache.clear()
+            self._generation = generation
+
+    def _holders(self, skill_a: Skill, skill_b: Skill) -> Tuple[List, FrozenSet]:
+        """The two skills' holders present in the graph, smaller side first.
+
+        Resolving the smaller side's compatible sets means fewer per-user
+        computations (and cache entries).
+        """
+        graph = self._relation.graph
+        users_a, users_b = (
+            frozenset(user for user in self._assignment.users_with(skill) if user in graph)
+            for skill in (skill_a, skill_b)
+        )
         if len(users_b) < len(users_a):
             users_a, users_b = users_b, users_a
-        count = 0
-        for user_a in users_a:
-            compatible = self._relation.compatible_with(user_a)
-            for user_b in users_b:
-                if user_b == user_a or user_b in compatible:
-                    count += 1
-                    if self._count_cap is not None and count >= self._count_cap:
-                        return count
-        return count
+        return list(users_a), users_b
+
+    def _count_pair_degree(self, skill_a: Skill, skill_b: Skill) -> int:
+        users_a, users_b = self._holders(skill_a, skill_b)
+        # Every compatible set contains its source, so a user holding both
+        # skills counts once, as the (self-)compatible pair.
+        return sum(
+            len(compatible & users_b)
+            for compatible in self._relation.batch_compatible_sets(users_a)
+        )
+
+    def _find_compatible_pair(self, skill_a: Skill, skill_b: Skill) -> bool:
+        users_a, users_b = self._holders(skill_a, skill_b)
+        return any(
+            not self._relation.compatible_with(user_a).isdisjoint(users_b)
+            for user_a in users_a
+        )
 
 
 def skill_pair_statistics(

@@ -2,11 +2,12 @@
 
 The pool executor's scalar sweeps (compatibility degrees) already reduce
 inside the workers, but the *set-valued* sweeps — ``csr_signed_bfs`` triples
-behind ``batch_bfs``/``batch_compatible_sets``, the distance oracle's
-``csr_path_lengths`` maps behind ``warm``, the SBPH depth maps behind the
-balanced reverse sweeps — used to pickle O(n) arrays back to the parent for
-every source.  At 50k nodes that is ~1 MB per source of serialisation both
-sides of the pipe, and it was the parallel ceiling the ROADMAP named.
+behind ``batch_bfs``/``batch_compatible_sets``, the NNE/DPE distance
+oracle's ``csr_path_lengths`` maps behind ``warm``, the SBPH depth maps
+behind the balanced reverse sweeps — used to pickle O(n) arrays back to the
+parent for every source.  At 50k nodes that is ~1 MB per source of
+serialisation both sides of the pipe, and it was the parallel ceiling the
+ROADMAP named.
 
 This module is the codec layer that removes it:
 

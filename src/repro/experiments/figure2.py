@@ -174,11 +174,12 @@ def _run_batch(
 def _max_upper_bound(
     context: DatasetContext, relation_name: str, tasks: Sequence[Task]
 ) -> float:
-    """Percentage of tasks whose skills are pairwise compatible (the MAX bar)."""
-    from repro.compatibility import SkillCompatibilityIndex
+    """Percentage of tasks whose skills are pairwise compatible (the MAX bar).
 
-    relation = context.relation_context(relation_name).relation
-    index = SkillCompatibilityIndex(relation, context.dataset.skills, count_cap=1)
+    Reuses the relation context's skill index, so pairs whose degree the
+    LCMD/LCMC runs already counted are answered from the cache.
+    """
+    index = context.relation_context(relation_name).skill_index
     compatible_tasks = sum(
         1 for task in tasks if task_has_compatible_skills(index, task.skills)
     )

@@ -368,7 +368,7 @@ def run_streaming(
     relation = make_relation(config.relation, graph, policy=policy)
     oracle = DistanceOracle(relation)
     engine = CompatibilityEngine(relation, oracle=oracle)
-    skill_index = SkillCompatibilityIndex(relation, dataset.skills, count_cap=None)
+    skill_index = SkillCompatibilityIndex(relation, dataset.skills)
     rng = ensure_rng(config.seed)
     report = StreamingReport(config=config)
     for round_index in range(config.num_rounds):

@@ -106,9 +106,7 @@ def _evaluate_relation(
             engine=relation_context.engine,
         )
 
-    skill_index = SkillCompatibilityIndex(
-        relation, context.dataset.skills, count_cap=1
-    )
+    skill_index = SkillCompatibilityIndex(relation, context.dataset.skills)
     num_skill_pairs = dataset_config.num_sampled_skill_pairs
     if num_skill_pairs is None:
         skills_stats = skill_pair_statistics(skill_index, max_exact_skills=10**9)

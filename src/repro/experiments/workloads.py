@@ -75,9 +75,7 @@ class DatasetContext:
             context = RelationContext(
                 relation=relation,
                 oracle=oracle,
-                skill_index=SkillCompatibilityIndex(
-                    relation, self.dataset.skills, count_cap=None
-                ),
+                skill_index=SkillCompatibilityIndex(relation, self.dataset.skills),
                 engine=CompatibilityEngine(relation, oracle=oracle),
             )
             self._relations[key] = context

@@ -120,6 +120,10 @@ class SignedGraph:
         #: generation-keyed cache downstream key their validity on it.
         self._generation = 0
         self._csr_cache: Optional[Tuple[int, object]] = None
+        #: Per-source signed-BFS caches shared by every shortest-path relation
+        #: on this graph, keyed by ``(backend, entry bound)``; held here so
+        #: they are freed with the graph (see repro.compatibility.shortest_path).
+        self._signed_bfs_caches: Dict[Tuple[str, Optional[int]], object] = {}
         #: Structured mutation log since the last CSR snapshot; ``None`` until
         #: the first snapshot exists (nothing to patch before that).
         self._delta: Optional[GraphDelta] = None

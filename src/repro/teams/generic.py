@@ -67,8 +67,7 @@ def form_team(
     # (one signed BFS under the SP* relations) is needed by the very first
     # candidate filter of its growth loop; warming them through the engine
     # runs one multi-source batch instead of one BFS per seed.
-    # Distance maps are only prefetched for policies that score by distance.
-    problem.engine.warm(seeds, distances=user_policy.uses_team_distances)
+    problem.engine.warm(seeds)
 
     completed: List[FrozenSet[Node]] = []
     seeds_tried = 0

@@ -89,10 +89,6 @@ class UserSelectionPolicy(abc.ABC):
 
     name: str = "abstract-user-policy"
 
-    #: Whether :meth:`select` issues distance-to-team queries; Algorithm 2
-    #: uses this to decide if seed warming should prefetch distance maps too.
-    uses_team_distances: bool = False
-
     def __init__(self, seed: RandomState = None) -> None:
         self._rng = ensure_rng(seed)
 
@@ -122,7 +118,6 @@ class MinimumDistanceUser(UserSelectionPolicy):
     """
 
     name = "min-distance-user"
-    uses_team_distances = True
 
     def select(
         self,

@@ -95,11 +95,9 @@ class TeamFormationProblem:
 
     @property
     def skill_index(self) -> SkillCompatibilityIndex:
-        """The skill compatibility index, built lazily with an existence cap."""
+        """The skill compatibility index, built lazily."""
         if self._skill_index is None:
-            self._skill_index = SkillCompatibilityIndex(
-                self.relation, self.assignment, count_cap=None
-            )
+            self._skill_index = SkillCompatibilityIndex(self.relation, self.assignment)
         return self._skill_index
 
     def refresh(self) -> None:

@@ -50,9 +50,8 @@ def _completed_candidates(
         rng = ensure_rng(seed)
         seeds = rng.sample(seeds, max_seeds)
     # Same batched prefetch as form_team: one multi-source sweep for
-    # the seeds' per-source computations, distance maps only when the user
-    # policy actually scores by distance.
-    problem.engine.warm(seeds, distances=user_policy.uses_team_distances)
+    # the seeds' per-source computations.
+    problem.engine.warm(seeds)
     candidates: List[FrozenSet[Node]] = []
     for seed_user in seeds:
         candidate = _grow_candidate(problem, seed_user, task_skills, skill_policy, user_policy)

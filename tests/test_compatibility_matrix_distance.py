@@ -192,7 +192,8 @@ class TestOnePassStatistics:
     @staticmethod
     def _check(graph, name, policy, kwargs):
         relation = make_relation(name, graph, policy=policy, **kwargs)
-        reference = make_relation(name, graph, **kwargs)
+        # On a copy: SP* relations on one graph share their BFS results.
+        reference = make_relation(name, graph.copy(), **kwargs)
         stats = exact_pair_statistics(relation)
         assert (stats.compatible_pairs, stats.evaluated_pairs) == per_pair_statistics(
             reference
@@ -309,11 +310,33 @@ class TestSkillCompatibility:
         # User 5 holds both gamma and delta: self-compatibility counts.
         assert index.pair_degree("gamma", "delta") >= 1
 
-    def test_count_cap_short_circuits(self, two_factions, skills):
-        index = SkillCompatibilityIndex(
-            make_relation("SPA", two_factions), skills, count_cap=1
-        )
-        assert index.pair_degree("alpha", "beta") == 1
+    def test_skills_compatible_stops_at_first_pair(self, two_factions, skills):
+        relation = make_relation("SPA", two_factions)
+        index = SkillCompatibilityIndex(relation, skills)
+        calls = []
+        original = relation.compatible_with
+
+        def recording(user):
+            calls.append(user)
+            return original(user)
+
+        relation.compatible_with = recording
+        relation.batch_compatible_sets = None  # the existence check never counts
+        # alpha = {0, 3}, beta = {1, 4}: the first alpha holder already has a
+        # compatible beta holder, so one compatible set answers the query.
+        assert index.skills_compatible("alpha", "beta")
+        assert len(calls) == 1
+        # Cached: asking again touches the relation no more.
+        assert index.skills_compatible("beta", "alpha")
+        assert len(calls) == 1
+
+    def test_skills_compatible_reads_a_cached_count(self, two_factions, skills):
+        relation = make_relation("SPA", two_factions)
+        index = SkillCompatibilityIndex(relation, skills)
+        assert index.pair_degree("alpha", "beta") == 2
+        relation.compatible_with = None
+        relation.batch_compatible_sets = None
+        assert index.skills_compatible("alpha", "beta")
 
     def test_skill_degree_sums_pairs(self, two_factions, skills):
         index = SkillCompatibilityIndex(make_relation("SPA", two_factions), skills)

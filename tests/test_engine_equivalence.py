@@ -71,7 +71,7 @@ class PerPairEngine(CompatibilityEngine):
     def compatibility_degrees(self, sources):
         return [self.relation.compatibility_degree(source) for source in sources]
 
-    def warm(self, sources, distances=True):
+    def warm(self, sources):
         pass
 
     def compatible_from_many(self, candidates, team):
@@ -91,19 +91,18 @@ class PerPairEngine(CompatibilityEngine):
         return [self.oracle.distance_to_set(candidate, team) for candidate in candidates]
 
 
-def _relation_pair(name, graph, **kwargs):
-    """Two fresh instances of the same relation (engine vs per-pair runs)."""
-    return make_relation(name, graph, **kwargs), make_relation(name, graph, **kwargs)
-
-
 def _assert_algorithms_match(graph, skills, tasks, relation_name, **relation_kwargs):
     """Engine-backed and per-pair problems produce identical teams and costs.
 
     One relation instance per side is reused across algorithms and tasks —
     exactly how the experiment harness shares caches — so the comparison also
-    covers cache-warm queries.
+    covers cache-warm queries.  The reference runs on a copy of the graph:
+    SP* relations on one graph share their signed-BFS results, and the
+    reference must compute its own.
     """
-    engine_rel, reference_rel = _relation_pair(relation_name, graph, **relation_kwargs)
+    reference_graph = graph.copy()
+    engine_rel = make_relation(relation_name, graph, **relation_kwargs)
+    reference_rel = make_relation(relation_name, reference_graph, **relation_kwargs)
     engine = CompatibilityEngine(engine_rel)
     reference = PerPairEngine(reference_rel)
     for task in tasks:
@@ -112,7 +111,7 @@ def _assert_algorithms_match(graph, skills, tasks, relation_name, **relation_kwa
                 graph, skills, engine_rel, task, engine=engine
             )
             reference_problem = TeamFormationProblem(
-                graph, skills, reference_rel, task, engine=reference
+                reference_graph, skills, reference_rel, task, engine=reference
             )
             got = run_algorithm(algorithm, engine_problem, max_seeds=6, seed=13)
             expected = run_algorithm(algorithm, reference_problem, max_seeds=6, seed=13)

@@ -173,10 +173,18 @@ class TestExecutionPolicy:
         relation = make_relation("SPO", graph, policy=ExecutionPolicy(backend="dict"))
         oracle = DistanceOracle(relation)
         assert oracle.policy.backend == "dict"
+        # distance_cache_size bounds the NNE/DPE distance maps; SP* rows are
+        # the relation's own signed-BFS results.
         unbounded = DistanceOracle(
-            relation, policy=ExecutionPolicy(distance_cache_size=None)
+            make_relation("NNE", graph), policy=ExecutionPolicy(distance_cache_size=None)
         )
         assert unbounded._bfs_cache.maxsize is None
+        # An SP* oracle keeps no cache and follows the relation's policy.
+        shortest_path = DistanceOracle(
+            relation, policy=ExecutionPolicy(distance_cache_size=None)
+        )
+        assert shortest_path._bfs_cache is None
+        assert shortest_path._cache_bound() == relation.bfs_cache_maxsize
 
 
 class TestSerialExecutor:
@@ -420,7 +428,11 @@ class TestResultArena:
         edges.append((previous[1], "t", 1))
         graph = SignedGraph.from_edges(edges)
         pool_rel = make_relation("SPO", graph, policy=pool_policy("csr"))
-        serial_rel = make_relation("SPO", graph, policy=ExecutionPolicy(backend="csr"))
+        # SP* relations on one graph share their signed-BFS cache: the serial
+        # reference runs on a copy so it cannot read the pool's results.
+        serial_rel = make_relation(
+            "SPO", graph.copy(), policy=ExecutionPolicy(backend="csr")
+        )
         sample = ["s", (0, 0), (30, 1), (65, 0), "t"]
         pool_sets = pool_rel.batch_compatible_sets(sample)
         assert pool_sets == serial_rel.batch_compatible_sets(sample)
@@ -481,8 +493,11 @@ RELATION_BACKENDS = [
 class TestPoolSerialBitIdentity:
     @pytest.mark.parametrize("name,backend", RELATION_BACKENDS)
     def test_batched_queries_identical(self, graph, name, backend):
+        # On a copy: SP* relations (and their oracles) on one graph share
+        # their signed-BFS cache, so a reference on ``graph`` itself would
+        # hand the pool stack its results and nothing would be dispatched.
         serial_rel, serial_oracle, serial_engine = build_stack(
-            graph, name, ExecutionPolicy(backend=backend or "auto")
+            graph.copy(), name, ExecutionPolicy(backend=backend or "auto")
         )
         pool_rel, pool_oracle, pool_engine = build_stack(
             graph, name, pool_policy(backend or "auto")
@@ -542,9 +557,11 @@ class TestChurnRedispatch:
         for _round in range(3):
             apply_edge_churn(graph, 25, rng)
             pool_engine.refresh()
-            # A cold serial stack on the mutated graph is the ground truth.
+            # A cold serial stack on a copy of the mutated graph is the ground
+            # truth (a stack on ``graph`` would share the pool stack's
+            # signed-BFS cache).
             cold_rel, cold_oracle, cold_engine = build_stack(
-                graph, "SPO", ExecutionPolicy(backend="csr")
+                graph.copy(), "SPO", ExecutionPolicy(backend="csr")
             )
             nodes = graph.nodes()
             sample, team, candidates = nodes[:20], nodes[4:7], nodes[25:65]
@@ -572,7 +589,9 @@ class TestRepublishBookkeeping:
         rng = ensure_rng(5)
         for _round in range(3 * pool_module._PUBLISH_BOUND):
             apply_edge_churn(working, 5, rng)
-            serial_rel = make_relation("SPO", working, policy=ExecutionPolicy(backend="dict"))
+            serial_rel = make_relation(
+                "SPO", working.copy(), policy=ExecutionPolicy(backend="dict")
+            )
             sample = working.nodes()[:8]
             assert pool_rel.batch_bfs(sample) == serial_rel.batch_bfs(sample)
             assert not handle.closed
@@ -636,7 +655,9 @@ class TestGracefulDegradation:
         with pytest.warns(RuntimeWarning):
             pool_rel = make_relation("SPO", graph, policy=pool_policy("csr"))
             pool_sets = pool_rel.batch_compatible_sets(graph.nodes()[:10])
-        serial_rel = make_relation("SPO", graph, policy=ExecutionPolicy(backend="csr"))
+        serial_rel = make_relation(
+            "SPO", graph.copy(), policy=ExecutionPolicy(backend="csr")
+        )
         assert pool_sets == serial_rel.batch_compatible_sets(graph.nodes()[:10])
         monkeypatch.setattr(pool_module, "_DISABLE_SHARED_MEMORY", False)
         reset_executors()
@@ -679,7 +700,9 @@ class TestGracefulDegradation:
         pool_module._DEGRADE_WARNED.clear()
         with pytest.warns(RuntimeWarning, match="degraded to serial"):
             pool_sets = pool_rel.batch_compatible_sets(nodes)
-        serial_rel = make_relation("SPA", graph, policy=ExecutionPolicy(backend="dict"))
+        serial_rel = make_relation(
+            "SPA", graph.copy(), policy=ExecutionPolicy(backend="dict")
+        )
         assert pool_sets == serial_rel.batch_compatible_sets(nodes)
 
 
@@ -788,8 +811,10 @@ class TestSnapshotStoreMode:
         for _round in range(3):
             apply_edge_churn(graph, 25, rng)
             pool_engine.refresh()
+            # On a copy: a stack on ``graph`` would share the pool stack's
+            # signed-BFS cache.
             cold_rel, cold_oracle, cold_engine = build_stack(
-                graph, "SPO", ExecutionPolicy(backend="csr")
+                graph.copy(), "SPO", ExecutionPolicy(backend="csr")
             )
             nodes = graph.nodes()
             sample, team, candidates = nodes[:20], nodes[4:7], nodes[25:65]
@@ -831,7 +856,9 @@ class TestSnapshotStoreMode:
         pool_rel = make_relation(
             "SPA", working, policy=pool_policy("dict", snapshot_store=str(tmp_path))
         )
-        serial_rel = make_relation("SPA", working, policy=ExecutionPolicy(backend="dict"))
+        serial_rel = make_relation(
+            "SPA", working.copy(), policy=ExecutionPolicy(backend="dict")
+        )
         sample = working.nodes()[:10]
         assert pool_rel.batch_compatible_sets(sample) == serial_rel.batch_compatible_sets(sample)
         files = self._published_files(tmp_path)
@@ -854,7 +881,9 @@ class TestSnapshotStoreMode:
         pool_module._DEGRADE_WARNED.clear()
         with pytest.warns(RuntimeWarning, match="store directory went away"):
             pool_sets = pool_rel.batch_compatible_sets(working.nodes()[:10])
-        serial_rel = make_relation("SPO", working, policy=ExecutionPolicy(backend="csr"))
+        serial_rel = make_relation(
+            "SPO", working.copy(), policy=ExecutionPolicy(backend="csr")
+        )
         assert pool_sets == serial_rel.batch_compatible_sets(working.nodes()[:10])
         assert self._published_files(tmp_path) == []
 
@@ -903,7 +932,9 @@ class TestSnapshotStoreMode:
         assert "store directory went away" in str(runtime[0].message)
         suffix = ".tmp" if fault == "temp" else (".store" if backend == "csr" else ".pickle")
         assert [f for f in seen_at_fault if f.endswith(suffix)]
-        serial_rel = make_relation(name, working, policy=ExecutionPolicy(backend=backend))
+        serial_rel = make_relation(
+            name, working.copy(), policy=ExecutionPolicy(backend=backend)
+        )
         assert pool_sets == serial_rel.batch_compatible_sets(sample)
         assert self._published_files(tmp_path) == []
 

@@ -121,7 +121,7 @@ class TestTeamFormationPipeline:
         # If a task's skills are not pairwise compatible, no algorithm may
         # return a compatible covering team (MAX really is an upper bound).
         relation = relations["SPA"]
-        index = SkillCompatibilityIndex(relation, slashdot_small.skills, count_cap=1)
+        index = SkillCompatibilityIndex(relation, slashdot_small.skills)
         oracle = DistanceOracle(relation)
         tasks = random_tasks(slashdot_small.skills, size=4, count=10, seed=17)
         for task in tasks:

@@ -121,6 +121,62 @@ class TestSkillPolicies:
         assert chosen == "c"
 
 
+class TestRemovedSkillHolders:
+    """A task skill whose holder left the graph: LCMD/LCMC count only the
+    holders still present, like RFMD and ``candidates_for_skill``."""
+
+    EDGES = [(1, 2, +1), (2, 3, +1), (3, 4, +1), (1, 4, -1), (4, 5, +1)]
+    HOLDERS = {"x": {1, 3}, "y": {2, 5}, "z": {3, 4}}
+
+    @staticmethod
+    def _assignment(holders):
+        users = {}
+        for skill, members in holders.items():
+            for user in members:
+                users.setdefault(user, set()).add(skill)
+        return SkillAssignment(users)
+
+    @pytest.mark.parametrize("relation_name", ["SPO", "NNE", "SPA", "SBPH"])
+    @pytest.mark.parametrize("algorithm", ["LCMD", "LCMC"])
+    def test_matches_a_graph_built_without_the_holder(self, relation_name, algorithm):
+        from repro.signed import SignedGraph
+        from repro.teams import run_algorithm
+
+        churned = SignedGraph.from_edges(self.EDGES)
+        churned.remove_node(5)
+        fresh = SignedGraph.from_edges([edge for edge in self.EDGES if 5 not in edge[:2]])
+        without_five = {skill: members - {5} for skill, members in self.HOLDERS.items()}
+        task = Task(["x", "y", "z"])
+        results = []
+        for graph, holders in ((churned, self.HOLDERS), (fresh, without_five)):
+            problem = TeamFormationProblem(
+                graph, self._assignment(holders), make_relation(relation_name, graph), task
+            )
+            results.append(run_algorithm(algorithm, problem))
+        churned_result, fresh_result = results
+        assert churned_result.solved
+        assert churned_result.team == fresh_result.team
+        assert churned_result.cost == fresh_result.cost
+
+    def test_skill_index_ignores_missing_holders(self):
+        from repro.compatibility import SkillCompatibilityIndex
+        from repro.signed import SignedGraph
+
+        graph = SignedGraph.from_edges(self.EDGES)
+        index = SkillCompatibilityIndex(
+            make_relation("SPO", graph), self._assignment(self.HOLDERS)
+        )
+        # Under SPO both y holders are compatible with both z holders (2-4
+        # has one positive shortest path, 2-3-4).
+        assert index.pair_degree("y", "z") == 4
+        graph.remove_node(5)
+        assert index.pair_degree("y", "z") == 2
+        assert index.skills_compatible("y", "z")
+        assert index.skill_degree("y", others=["x", "y", "z"]) == (
+            index.pair_degree("y", "x") + 2
+        )
+
+
 class TestUserPolicies:
     def test_minimum_distance_prefers_closest(self, toy):
         relation = make_relation("SPO", toy.graph)

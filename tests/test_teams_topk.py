@@ -82,15 +82,13 @@ class TestTopKTeams:
         warmed = []
         original = problem.engine.warm
 
-        def recording_warm(sources, distances=False):
-            warmed.append((list(sources), distances))
-            return original(sources, distances=distances)
+        def recording_warm(sources):
+            warmed.append(list(sources))
+            return original(sources)
 
         problem.engine.warm = recording_warm
         top_k_teams(problem, LeastCompatibleSkillFirst(), MinimumDistanceUser(), k=2)
-        assert warmed
-        seeds, distances = warmed[0]
-        assert seeds and distances  # MinimumDistanceUser scores by distance
+        assert warmed and warmed[0]
 
 
 class TestDiverseTopK:
