@@ -12,7 +12,7 @@ Incompatibility.
 
 from __future__ import annotations
 
-from typing import Set
+from typing import Iterable, List, Set
 
 from repro.compatibility.base import CompatibilityRelation
 from repro.signed.graph import NEGATIVE, Node
@@ -39,6 +39,15 @@ class NoNegativeEdgeCompatibility(CompatibilityRelation):
     def _compute_compatible_set(self, u: Node) -> Set[Node]:
         enemies = set(self._graph.negative_neighbors(u))
         return {node for node in self._graph.nodes() if node != u and node not in enemies}
+
+    def compatibility_degree(self, u: Node) -> int:
+        # Everyone but ``u`` and its enemies (the graph has no self-loops):
+        # arithmetic instead of materialising the (almost complete) set.
+        self._require_nodes(u)
+        return self._graph.number_of_nodes() - 1 - len(self._graph.negative_neighbors(u))
+
+    def batch_compatibility_degrees(self, sources: Iterable[Node]) -> List[int]:
+        return [self.compatibility_degree(source) for source in sources]
 
     def are_compatible(self, u: Node, v: Node) -> bool:
         # Overridden to avoid materialising the (almost complete) compatible

@@ -109,11 +109,17 @@ class DistanceOracle:
 
         Returns ``inf`` when the relevant kind of path does not exist (e.g. no
         positive balanced path under SBP, or disconnected nodes under NNE).
+        BFS levels are symmetric on the undirected graph, so when only
+        ``v``'s distance row is cached the answer is read from it instead of
+        traversing from ``u``.
         """
         if u == v:
             return 0.0
         if isinstance(self._relation, _BalancedPathRelation):
             return self._relation.positive_balanced_distance(u, v)
+        rows = self._bfs_cache if self._sp_relation is None else self._sp_relation._bfs_cache
+        if u not in rows and v in rows:
+            u, v = v, u
         lengths = self._shortest_paths_from(u)
         return float(lengths.get(v, INFINITY))
 

@@ -40,11 +40,19 @@ held by the graph itself, and the SP* distance oracles read their distance
 rows from the same results.  The default ``bfs_cache_size="auto"`` scales the
 entry bound down on huge graphs so the cache stays within a fixed byte budget
 (entries are O(n) — see :func:`repro.utils.lru.scaled_cache_size`).
+
+The sampled statistics only need each source's *degree* under each rule, and
+one BFS result answers all three rules: next to that cache, under the same
+key, the graph holds a generation-keyed memo of ``(spa, spm, spo)`` degree
+triples.  Its entries are three ints, so ``"auto"`` keeps the
+:data:`DEFAULT_BFS_CACHE_SIZE` ceiling for it unscaled — a sweep over SPA,
+then SPM, then SPO traverses each source once even when the BFS cache holds
+fewer entries than the sample.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Optional, Sequence, Set, Union
+from typing import FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.compatibility.base import CompatibilityRelation, resolve_cache_size
 from repro.exec.policy import ExecutionPolicy
@@ -68,18 +76,22 @@ DEFAULT_BFS_CACHE_SIZE = 2048
 # The CSR result type is imported lazily (numpy-free installs never load it).
 _BFSResult = Union[SignedBFSResult, "CSRSignedBFSResult"]  # noqa: F821
 
+#: A source's ``(spa, spm, spo)`` compatibility degrees.
+DegreeTriple = Tuple[int, int, int]
 
-def _shared_bfs_cache(
+
+def _shared_caches(
     graph: SignedGraph, policy: ExecutionPolicy
-) -> GenerationalLRUCache[Node, _BFSResult]:
-    """The graph's signed-BFS cache for ``policy``'s backend and entry bound.
+) -> Tuple[GenerationalLRUCache[Node, _BFSResult], GenerationalLRUCache[Node, DegreeTriple]]:
+    """The graph's signed-BFS cache and degree memo for ``policy``.
 
-    Generation-keyed: mutating the graph drops only the BFS results whose
-    component a mutation touched, for every relation sharing the cache; the
+    Both live under one key: the policy's backend and resolved BFS entry
+    bound.  Generation-keyed: mutating the graph drops only the entries whose
+    component a mutation touched, for every relation sharing the caches; the
     rest stay valid (results against an older CSR snapshot keep working
     through the snapshot's shared index — see
     CSRSignedGraph.shares_index_with).  Caches live as long as the graph:
-    one whose relations are all gone stays until the graph is freed.
+    ones whose relations are all gone stay until the graph is freed.
     """
     num_nodes = graph.number_of_nodes()
     maxsize = resolve_cache_size(policy.bfs_cache_size, DEFAULT_BFS_CACHE_SIZE, num_nodes)
@@ -90,7 +102,17 @@ def _shared_bfs_cache(
             graph, maxsize=maxsize, bytes_per_entry=num_nodes * APPROX_BYTES_PER_NODE
         )
         graph._signed_bfs_caches[key] = cache
-    return cache
+    degrees = graph._sp_degree_caches.get(key)
+    if degrees is None:
+        # Entries are O(1): an "auto" bound keeps its ceiling unscaled.
+        bound = (
+            DEFAULT_BFS_CACHE_SIZE
+            if policy.bfs_cache_size == "auto"
+            else policy.bfs_cache_size
+        )
+        degrees = GenerationalLRUCache(graph, maxsize=bound)
+        graph._sp_degree_caches[key] = degrees
+    return cache, degrees
 
 
 class _ShortestPathRelation(CompatibilityRelation):
@@ -123,7 +145,7 @@ class _ShortestPathRelation(CompatibilityRelation):
             require_numpy("backend='csr'")
         #: Lazily decided by the diameter probe in auto mode (None = undecided).
         self._auto_prefer_dict: Optional[bool] = None
-        self._bfs_cache = _shared_bfs_cache(graph, self._policy)
+        self._bfs_cache, self._degree_cache = _shared_caches(graph, self._policy)
 
     def _use_csr(self) -> bool:
         if self._policy.backend == "csr":
@@ -291,13 +313,15 @@ class _ShortestPathRelation(CompatibilityRelation):
         return self._bfs_cache.maxsize
 
     def _clear_subclass_cache(self) -> None:
-        # The cache is the graph's shared one: this empties it for every SP*
-        # relation (and SP* distance oracle) that reads it.
+        # The caches are the graph's shared ones: this empties them for every
+        # SP* relation (and SP* distance oracle) that reads them.
         self._bfs_cache.clear()
+        self._degree_cache.clear()
         self._auto_prefer_dict = None
 
     def _sync_subclass_caches(self) -> None:
         self._bfs_cache.sync()
+        self._degree_cache.sync()
 
     def _compute_compatible_set(self, u: Node) -> Set[Node]:
         result = self._bfs(u)
@@ -424,75 +448,49 @@ class _ShortestPathRelation(CompatibilityRelation):
     def batch_compatibility_degrees(self, sources: Sequence[Node]) -> List[int]:
         """Number of *other* compatible nodes for every source, batched.
 
-        On the CSR backend every uncached source shares one multi-source
-        BFS and the pair rule is applied as a vectorised mask —
-        no per-node Python iteration and no set materialisation.  On the dict
-        backend it falls back to the base class's per-source loop.  Under a
-        pool policy, uncached sources are counted *inside* the workers
-        (``csr_compatible_degrees``): each per-source BFS reduces to one
-        integer before crossing the process boundary, so the sweep ships
-        back O(k) ints instead of O(k·n) count arrays (the BFS results are
-        then not cached — the count is the product).  The counts are
+        Reads the graph's degree memo, which holds each source's
+        ``(spa, spm, spo)`` degrees: one traversal answers all three rules,
+        so a sweep over SPA, then SPM, then SPO runs Algorithm 1 once per
+        source.  Misses are counted from their BFS results
+        (:meth:`batch_bfs`, which caches them for later pair and distance
+        queries) — no set materialisation.  Under a pool policy on the CSR
+        backend, misses without a cached BFS result are counted *inside* the
+        workers instead (``csr_compatible_degrees``): each traversal reduces
+        to three integers before crossing the process boundary, so the sweep
+        ships back O(k) ints instead of O(k·n) count arrays.  The counts are
         identical across backends and executors.
         """
         source_list = list(sources)
         self._require_nodes(*source_list)
-        if not self._use_csr():
-            # The base class delegates to batch_compatible_sets, whose SP*
-            # override already prefetches through the pool when parallel.
-            return super().batch_compatibility_degrees(source_list)
-        if self._policy.parallel:
-            return self._batch_degrees_parallel(source_list)
-        degrees: List[int] = []
-        for source, result in zip(source_list, self.batch_bfs(source_list)):
-            if isinstance(result, SignedBFSResult):
-                # Overflow (or probe) fallback: count via the set machinery,
-                # which reuses the cached dict BFS.
-                degrees.append(self.compatibility_degree(source))
-                continue
-            rule_mask = self._pair_rule_mask(
-                result.positive_array, result.negative_array
-            )
-            degrees.append(result.compatible_count(rule_mask))
-        return degrees
+        triples = fetch_batched(self._degree_cache, source_list, self._degree_triples)
+        return [triple[self._degree_slot] for triple in triples]
 
-    def _batch_degrees_parallel(self, source_list: List[Node]) -> List[int]:
-        """Pool path of :meth:`batch_compatibility_degrees`: worker-side counts.
-
-        Sources with a cached BFS result are counted in the parent from the
-        cache (same arithmetic as the serial path); only the misses are
-        dispatched, and they come back as bare integers.  Overflow slots
-        (``None``) fall back to the dict backend per source, exactly like the
-        serial path's ``SignedBFSResult`` branch.
-        """
-        degrees: List[Optional[int]] = [None] * len(source_list)
-        missing: List[Node] = []
-        missing_positions: List[int] = []
-        for position, source in enumerate(source_list):
+    def _degree_triples(self, missing: List[Node]) -> List[DegreeTriple]:
+        """Degree triples for the memo's misses (see :meth:`batch_compatibility_degrees`)."""
+        if not (self._policy.parallel and self._use_csr()):
+            return [_degree_triple(result) for result in self.batch_bfs(missing)]
+        triples: List[Optional[DegreeTriple]] = []
+        dispatch: List[int] = []
+        for position, source in enumerate(missing):
             result = self._bfs_cache.get(source)
             if result is None:
-                missing.append(source)
-                missing_positions.append(position)
-            elif isinstance(result, SignedBFSResult):
-                degrees[position] = self.compatibility_degree(source)
-            else:
-                rule_mask = self._pair_rule_mask(
-                    result.positive_array, result.negative_array
-                )
-                degrees[position] = result.compatible_count(rule_mask)
-        if missing:
+                dispatch.append(position)
+            triples.append(None if result is None else _degree_triple(result))
+        if dispatch:
             csr = self._graph.csr_view()
-            counts = self._executor().map_kernel(
+            counted = self._executor().map_kernel(
                 "csr_compatible_degrees",
                 csr,
-                [csr.index_of(source) for source in missing],
-                params={"rule": self.name},
+                [csr.index_of(missing[position]) for position in dispatch],
             )
-            for source, position, count in zip(missing, missing_positions, counts):
-                degrees[position] = (
-                    self.compatibility_degree(source) if count is None else count
+            for position, triple in zip(dispatch, counted):
+                # None marks an int64 overflow: count on the dict backend.
+                triples[position] = (
+                    _degree_triple(signed_bfs(self._graph, missing[position]))
+                    if triple is None
+                    else triple
                 )
-        return degrees
+        return triples
 
     @staticmethod
     def _pair_rule(positive: int, negative: int) -> bool:
@@ -502,6 +500,42 @@ class _ShortestPathRelation(CompatibilityRelation):
     def _pair_rule_mask(positive, negative):
         """Vectorised counterpart of :meth:`_pair_rule` over count arrays."""
         raise NotImplementedError
+
+
+def _degree_triple(result: _BFSResult) -> DegreeTriple:
+    """``(spa, spm, spo)`` degrees of a BFS result's source (dict or CSR)."""
+    if isinstance(result, SignedBFSResult):
+        degrees = [0, 0, 0]
+        for node in result.lengths:
+            if node == result.source:
+                continue
+            positive, negative = result.counts(node)
+            for slot, relation in enumerate(SHORTEST_PATH_CHAIN):
+                degrees[slot] += relation._pair_rule(positive, negative)
+        return tuple(degrees)
+    return dense_degree_triple(
+        result.lengths_array,
+        result.positive_array,
+        result.negative_array,
+        result.graph.index_of(result.source),
+    )
+
+
+def dense_degree_triple(lengths, positive, negative, source: int) -> DegreeTriple:
+    """``(spa, spm, spo)`` degrees of dense ``source`` from its Algorithm-1 arrays.
+
+    Each count is the relation's pair rule over the reachable nodes other
+    than the source — the size of
+    :meth:`~repro.signed.csr.CSRSignedBFSResult.compatible_nodes` under it.
+    """
+    from repro.signed.csr import UNREACHABLE
+
+    others = lengths != UNREACHABLE
+    others[source] = False
+    return tuple(
+        int((relation._pair_rule_mask(positive, negative) & others).sum())
+        for relation in SHORTEST_PATH_CHAIN
+    )
 
 
 def _lengths_row(result: _BFSResult) -> object:
@@ -517,6 +551,7 @@ class AllShortestPathsCompatibility(_ShortestPathRelation):
     """SPA: every shortest path between the pair is positive."""
 
     name = "SPA"
+    _degree_slot = 0
 
     @staticmethod
     def _pair_rule(positive: int, negative: int) -> bool:
@@ -531,6 +566,7 @@ class MajorityShortestPathsCompatibility(_ShortestPathRelation):
     """SPM: at least as many positive as negative shortest paths."""
 
     name = "SPM"
+    _degree_slot = 1
 
     @staticmethod
     def _pair_rule(positive: int, negative: int) -> bool:
@@ -545,6 +581,7 @@ class OneShortestPathCompatibility(_ShortestPathRelation):
     """SPO: at least one shortest path between the pair is positive."""
 
     name = "SPO"
+    _degree_slot = 2
 
     @staticmethod
     def _pair_rule(positive: int, negative: int) -> bool:
@@ -553,3 +590,12 @@ class OneShortestPathCompatibility(_ShortestPathRelation):
     @staticmethod
     def _pair_rule_mask(positive, negative):
         return positive > 0
+
+
+#: The SP* relations in containment order (SPA ⊆ SPM ⊆ SPO); a degree
+#: triple holds their counts in this order (``_degree_slot``).
+SHORTEST_PATH_CHAIN = (
+    AllShortestPathsCompatibility,
+    MajorityShortestPathsCompatibility,
+    OneShortestPathCompatibility,
+)

@@ -90,31 +90,26 @@ def csr_sbph(csr, sources: Sequence[int], params: dict) -> List:
 
 @register_kernel("csr_compatible_degrees")
 def csr_compatible_degrees(csr, sources: Sequence[int], params: dict) -> List:
-    """Compatibility degrees per dense source, reduced inside the worker.
+    """SPA, SPM and SPO degrees per dense source, reduced inside the worker.
 
-    Runs Algorithm 1 per source and immediately applies the named SP* pair
-    rule plus the reachability/self exclusions, shipping back **one integer
-    per source** instead of three O(n) count arrays — the transfer-thrifty
-    path behind the Table-2 sampled statistics.  ``None`` marks an int64
-    overflow (the caller falls back to the dict backend for that source).
-    The count equals
-    :meth:`repro.signed.csr.CSRSignedBFSResult.compatible_count` on the same
-    arrays, bit for bit.
+    Runs Algorithm 1 per source and applies all three SP* pair rules plus the
+    reachability/self exclusions to that one traversal, shipping back **one
+    ``(spa, spm, spo)`` triple of ints per source** instead of three O(n)
+    count arrays — the transfer-thrifty path behind the sampled statistics,
+    whose triples the SP* degree memo keeps for all three relations.
+    ``None`` marks an int64 overflow (the caller falls back to the dict
+    backend for that source).  Each count equals the size of that relation's
+    serial compatible set on the same arrays, minus the source itself.
+    Takes no params.
     """
-    from repro.signed.csr import UNREACHABLE, signed_bfs_dense_batch
+    from repro.compatibility.shortest_path import dense_degree_triple
+    from repro.signed.csr import signed_bfs_dense_batch
 
-    rule = _pair_rule_mask_for(params["rule"])
     triples = signed_bfs_dense_batch(csr, sources, skip_overflow=True)
-    counts: List = []
-    for source, triple in zip(sources, triples):
-        if triple is None:
-            counts.append(None)
-            continue
-        lengths, positive, negative = triple
-        mask = rule(positive, negative) & (lengths != UNREACHABLE)
-        mask[source] = False
-        counts.append(int(mask.sum()))
-    return counts
+    return [
+        None if triple is None else dense_degree_triple(*triple, source)
+        for source, triple in zip(sources, triples)
+    ]
 
 
 @register_kernel("csr_compatible_masks")
@@ -150,17 +145,9 @@ def csr_compatible_masks(csr, sources: Sequence[int], params: dict) -> List:
 
 def _pair_rule_mask_for(name: str):
     """The vectorised SP* pair rule registered under ``name`` (SPA/SPM/SPO)."""
-    from repro.compatibility.shortest_path import (
-        AllShortestPathsCompatibility,
-        MajorityShortestPathsCompatibility,
-        OneShortestPathCompatibility,
-    )
+    from repro.compatibility.shortest_path import SHORTEST_PATH_CHAIN
 
-    rules = {
-        AllShortestPathsCompatibility.name: AllShortestPathsCompatibility._pair_rule_mask,
-        MajorityShortestPathsCompatibility.name: MajorityShortestPathsCompatibility._pair_rule_mask,
-        OneShortestPathCompatibility.name: OneShortestPathCompatibility._pair_rule_mask,
-    }
+    rules = {relation.name: relation._pair_rule_mask for relation in SHORTEST_PATH_CHAIN}
     return rules[name]
 
 
@@ -208,8 +195,9 @@ def dict_balanced_search(graph, sources: Sequence, params: dict) -> List:
 #:
 #: When numpy is missing or a payload has no CSR view, the executor (and the
 #: compatibility layers above it) answer with the mapped ``dict_*`` kernel —
-#: per-source, arbitrary-precision, pure python.  Both compatible-set kernels
-#: degrade to the per-source signed BFS the dict backend counts from.
+#: per-source, arbitrary-precision, pure python.  The degree-triple and
+#: compatible-set kernels both degrade to the per-source signed BFS the dict
+#: backend counts from.
 #: ``repro-teams analyze`` enforces that this table stays total over the
 #: registry (kernel-registry-parity).
 SERIAL_EQUIVALENTS: Dict[str, str] = {

@@ -409,18 +409,6 @@ class CSRSignedBFSResult:
         """Number of reachable nodes (including the source)."""
         return int((self.lengths_array != UNREACHABLE).sum())
 
-    def compatible_count(self, rule_mask: np.ndarray) -> int:
-        """Number of non-source nodes selected by a boolean ``rule_mask``.
-
-        ``rule_mask`` is typically produced by a vectorised pair rule over
-        ``positive_array`` / ``negative_array`` (see the SP* relations); the
-        source itself and unreachable nodes are excluded, mirroring the
-        dict-backend compatible-set construction.
-        """
-        mask = rule_mask & (self.lengths_array != UNREACHABLE)
-        mask[self.graph.index_of(self.source)] = False
-        return int(mask.sum())
-
     def compatible_nodes(self, rule_mask: np.ndarray) -> List[Node]:
         """The non-source node objects selected by ``rule_mask`` (reachable only)."""
         mask = rule_mask & (self.lengths_array != UNREACHABLE)

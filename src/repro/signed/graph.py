@@ -124,6 +124,8 @@ class SignedGraph:
         #: on this graph, keyed by ``(backend, entry bound)``; held here so
         #: they are freed with the graph (see repro.compatibility.shortest_path).
         self._signed_bfs_caches: Dict[Tuple[str, Optional[int]], object] = {}
+        #: Their ``(spa, spm, spo)`` degree memos, under the same keys.
+        self._sp_degree_caches: Dict[Tuple[str, Optional[int]], object] = {}
         #: Structured mutation log since the last CSR snapshot; ``None`` until
         #: the first snapshot exists (nothing to patch before that).
         self._delta: Optional[GraphDelta] = None

@@ -88,15 +88,18 @@ def form_team(
             candidates_completed=0,
         )
 
-    best_team = min(
-        completed, key=lambda team: (cost_function(problem.oracle, team), len(team))
+    # One cost evaluation per candidate; the index keeps min()'s
+    # first-of-equals choice without ever comparing the frozensets.
+    best_cost, _, best_index = min(
+        (cost_function(problem.oracle, team), len(team), index)
+        for index, team in enumerate(completed)
     )
     return TeamFormationResult(
         algorithm=name,
         relation_name=problem.relation.name,
         task=problem.task,
-        team=best_team,
-        cost=cost_function(problem.oracle, best_team),
+        team=completed[best_index],
+        cost=best_cost,
         seeds_tried=seeds_tried,
         candidates_completed=len(completed),
     )

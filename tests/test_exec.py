@@ -754,7 +754,7 @@ class TestSnapshotStoreMode:
             ("csr_path_lengths", {}),
             ("csr_signed_bfs", {"skip_overflow": True}),
             ("csr_sbph", {"max_length": None}),
-            ("csr_compatible_degrees", {"rule": "SPA", "max_length": None}),
+            ("csr_compatible_degrees", {}),
         ):
             expected = serial.map_kernel(kernel, csr, dense, params)
             via_store = store_exec.map_kernel(kernel, csr, dense, params)

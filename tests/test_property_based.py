@@ -6,7 +6,8 @@ invariants are checked on hundreds of structurally diverse inputs:
 * SignedGraph bookkeeping (edge/sign counters, copies, subgraphs);
 * Algorithm 1 (signed BFS) against brute-force path enumeration;
 * structural-balance characterisations (two-colouring vs triangle parity);
-* the required properties and containment chain of the compatibility relations;
+* the required properties and containment chain of the compatibility relations,
+  and NNE's arithmetic degrees against its materialised sets;
 * team-formation outputs (coverage, compatibility, cost consistency).
 """
 
@@ -259,6 +260,32 @@ class TestCompatibilityProperties:
             answers = {pair: relation.are_compatible(*pair) for pair in shuffled}
             for u, v in itertools.combinations(nodes, 2):
                 assert answers[(u, v)] == answers[(v, u)], (name, u, v)
+
+    @SLOW_OK
+    @given(
+        signed_graphs(min_nodes=2, max_nodes=9),
+        st.booleans(),
+        st.randoms(use_true_random=False),
+    )
+    def test_nne_degrees_are_set_sizes(self, graph, csr_only, rng):
+        # NNE degrees are arithmetic (n - 1 - enemies); they must equal the
+        # materialised sets' sizes on graphs with isolated nodes, on the
+        # dict-free facade, and again after a round of edge churn.
+        from repro.experiments.streaming import apply_edge_churn
+        from repro.signed import CSRSignedGraph
+        from repro.signed.lazy import CSRBackedSignedGraph
+
+        if csr_only:
+            graph = CSRBackedSignedGraph(CSRSignedGraph.from_signed_graph(graph))
+        relation = make_relation("NNE", graph)
+        for _ in range(2):
+            nodes = graph.nodes()
+            degrees = relation.batch_compatibility_degrees(nodes)
+            assert degrees == [relation.compatibility_degree(u) for u in nodes]
+            if csr_only:
+                assert not graph.materialised
+            assert degrees == [len(relation.compatible_with(u)) - 1 for u in nodes]
+            apply_edge_churn(graph, 6, rng)
 
     @SLOW_OK
     @given(signed_graphs(min_nodes=3, max_nodes=7, connected=True))

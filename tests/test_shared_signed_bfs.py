@@ -1,11 +1,13 @@
 """One signed BFS per source per graph, read by every layer that needs it.
 
 SPA, SPM and SPO share one generation-keyed cache of Algorithm-1 results held
-by the graph; their distance oracles read distance rows from those results;
-the skill index counts ``cd(s_i, s_j)`` from one batched compatible-set sweep
-per skill pair.  Every answer is pinned against an independent reference:
-the sign-agnostic BFS for distances, fresh relations on a copy of the graph
-after churn, and the per-holder loop the skill index ran before batching.
+by the graph, plus a memo of each source's ``(spa, spm, spo)`` degrees; their
+distance oracles read distance rows from those results, from either endpoint
+of a pair; the skill index counts ``cd(s_i, s_j)`` from one batched
+compatible-set sweep per skill pair.  Every answer is pinned against an
+independent reference: the sign-agnostic BFS for distances, fresh relations
+on a copy of the graph after churn, and the per-holder loop the skill index
+ran before batching.
 """
 
 from __future__ import annotations
@@ -81,6 +83,20 @@ def _count_signed_bfs(monkeypatch):
     monkeypatch.setattr(shortest_path_module, "signed_bfs", counting_dict)
     monkeypatch.setitem(KERNELS, "csr_signed_bfs", counting_batch)
     return counts
+
+
+def _record_dispatches(monkeypatch):
+    """Count kernel dispatches by name, serial and pooled executors alike."""
+    kernels: Counter = Counter()
+    for executor in (SerialExecutor, ProcessPoolExecutor):
+        dispatch = executor.map_kernel
+
+        def recording(self, kernel, payload, sources, params=None, _dispatch=dispatch):
+            kernels[kernel] += 1
+            return _dispatch(self, kernel, payload, sources, params)
+
+        monkeypatch.setattr(executor, "map_kernel", recording)
+    return kernels
 
 
 @pytest.fixture(scope="module")
@@ -199,16 +215,8 @@ class TestShortestPathOracle:
 
     @pytest.mark.parametrize("workers", [0, 2])
     def test_no_sign_agnostic_bfs_for_shortest_path_relations(self, monkeypatch, workers):
-        kernels = Counter()
+        kernels = _record_dispatches(monkeypatch)
         per_source = csr_module.shortest_path_lengths_csr
-        for executor in (SerialExecutor, ProcessPoolExecutor):
-            dispatch = executor.map_kernel
-
-            def recording(self, kernel, payload, sources, params=None, _dispatch=dispatch):
-                kernels[kernel] += 1
-                return _dispatch(self, kernel, payload, sources, params)
-
-            monkeypatch.setattr(executor, "map_kernel", recording)
 
         def counting_source(csr, source):
             kernels["shortest_path_lengths_csr"] += 1
@@ -224,12 +232,71 @@ class TestShortestPathOracle:
             oracle.distance(nodes[20], nodes[0])
             oracle.batch_distance_to_set(nodes, nodes[30:33])
         assert set(kernels) == {"csr_signed_bfs"}
-        # NNE still runs the sign-agnostic BFS (the counters do count).
+        # NNE still runs the sign-agnostic BFS (the counters do count), but
+        # a pair with a warmed endpoint reads that endpoint's row.
         oracle = DistanceOracle(make_relation("NNE", graph, policy=policy))
         oracle.warm(nodes[:10])
-        oracle.distance(nodes[20], nodes[0])
         assert kernels["csr_path_lengths"] >= 1
+        oracle.distance(nodes[20], nodes[0])
+        assert kernels["shortest_path_lengths_csr"] == 0
+        oracle.distance(nodes[40], nodes[41])
         assert kernels["shortest_path_lengths_csr"] == 1
+
+    @pytest.mark.parametrize("backend", ["dict", "csr"])
+    @pytest.mark.parametrize("name", ("DPE", "NNE") + SHORTEST_PATH)
+    def test_distance_is_symmetric(self, name, backend):
+        """Whichever endpoint's row is cached, both directions agree with the
+        sign-agnostic BFS — before and after churn, isolated nodes included."""
+        graph = _graph(40, seed=23)
+        graph.add_node("loner")
+        oracle = DistanceOracle(make_relation(name, graph, policy=ExecutionPolicy(backend=backend)))
+        for phase in range(2):
+            nodes = graph.nodes()
+            oracle.warm(nodes[::4])
+            for u, v in itertools.combinations(dict.fromkeys(nodes[::2] + ["loner"]), 2):
+                expected = float(shortest_path_lengths(graph, u).get(v, INFINITY))
+                assert oracle.distance(u, v) == expected
+                assert oracle.distance(v, u) == expected
+            if phase == 0:
+                _churn(graph, seed=29)
+
+
+@pytest.mark.usefixtures("pools_down")
+class TestDegreeMemo:
+    """One traversal per source answers the SPA, SPM and SPO degrees."""
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_one_sweep_serves_all_three_relations(self, monkeypatch, workers):
+        kernels = _record_dispatches(monkeypatch)
+        graph = _graph(80, seed=37)
+        policy = ExecutionPolicy(backend="csr", workers=workers, min_parallel_sources=1)
+        sample = random.Random(3).sample(graph.nodes(), 24)
+        # The pool counts inside the workers; serially the BFS results are
+        # kept for the distance rows that follow in Table 2.
+        traversal = "csr_compatible_degrees" if workers else "csr_signed_bfs"
+        for phase in range(2):
+            relations = {name: make_relation(name, graph, policy=policy) for name in SHORTEST_PATH}
+            degrees = {}
+            for name, relation in relations.items():
+                kernels.clear()
+                degrees[name] = relation.batch_compatibility_degrees(sample)
+                assert set(kernels) == ({traversal} if name == "SPA" else set())
+            reference = graph.copy()
+            for name in SHORTEST_PATH:
+                fresh = make_relation(name, reference)
+                assert degrees[name] == [fresh.compatibility_degree(u) for u in sample]
+            memo = relations["SPA"]._degree_cache
+            for position, source in enumerate(sample):
+                triple = memo.get(source)
+                assert triple == tuple(degrees[name][position] for name in SHORTEST_PATH)
+                assert triple[0] <= triple[1] <= triple[2]
+            if phase == 0:
+                # Flip an edge at the best-connected source: its component's
+                # entries drop, and the next sweep recounts them.
+                source = max(sample, key=graph.degree)
+                neighbour, sign = next(iter(graph.signed_neighbors(source)))
+                graph.set_sign(source, neighbour, -sign)
+                assert source not in memo
 
 
 def per_holder_pair_degree(relation, assignment, skill_a, skill_b):
