@@ -238,7 +238,7 @@ class _ShortestPathRelation(CompatibilityRelation):
         On the CSR backend, uncached sources are resolved by the policy's
         executor running the ``csr_signed_bfs`` kernel — in-process for a
         serial policy (word-parallel in 64-source words, per-source below
-        three sources), or fanned out
+        :data:`~repro.signed.csr.WORDPARALLEL_MIN_SOURCES`), or fanned out
         in chunks over the worker pool for ``workers >= 2``.  Sources whose
         counts overflow int64 fall back to the dict backend's
         arbitrary-precision BFS individually, in the parent process.  Results

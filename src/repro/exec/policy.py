@@ -64,8 +64,10 @@ class ExecutionPolicy:
         batch size and worker count (about four tasks per worker, so stragglers
         even out without drowning the batch in per-task IPC).
     min_parallel_sources:
-        Batches smaller than this run in-process even under a pool policy —
-        shipping a two-source batch to workers costs more than running it.
+        Batches smaller than this run in-process even under a pool policy.
+        Measured for a two-source SPO ``batch_bfs`` with ``workers=2`` on a
+        2-core VM: 1.1 ms in-process vs 2.2 ms pooled on the 2308-node
+        epinions stand-in, 45 ms vs 57 ms on the 100k-node million stand-in.
     snapshot_store:
         The existing directory the pool publishes snapshot files into (one
         ``.store`` file per CSR snapshot, one ``.pickle`` file per dict

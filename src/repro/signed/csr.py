@@ -10,9 +10,14 @@ the indexed counterpart used on large graphs:
   (``indptr`` offsets, ``indices`` neighbours, ``signs`` labels) — the classic
   compressed-sparse-row layout;
 * :func:`signed_bfs_csr` — Algorithm 1 (positive/negative shortest-path
-  counting) as a level-synchronous vectorised BFS over the flat arrays;
+  counting) as a level-synchronous vectorised BFS over the flat arrays,
+  direction-optimising (Beamer et al., SC 2012): a level whose frontier
+  holds more adjacency entries than the undiscovered nodes do is run
+  bottom-up, each undiscovered node summing its parents' counts over its
+  own row, instead of scattering the frontier's entries;
 * :func:`shortest_path_lengths_csr` / :func:`shortest_signed_walk_lengths_csr`
-  — array versions of the other two single-source primitives;
+  — array versions of the other two single-source primitives (the first
+  direction-optimising like :func:`signed_bfs_csr`);
 * :func:`multi_source_signed_bfs` — **batched** Algorithm 1: sources run
   word-parallel, 64 per ``uint64`` frontier word, so one adjacency gather per
   BFS level serves a whole word; a batch smaller than
@@ -66,11 +71,17 @@ UNREACHABLE = -1
 #: per level: frontier/visited state lives in per-node ``uint64`` words (bit
 #: b = "source b is here"), so in a low-diameter graph — where nearby
 #: sources' frontiers overlap heavily after a couple of levels — the union
-#: frontier is far smaller than the sum of per-source frontiers.  With one or
-#: two sources there is no union to exploit and the per-source traversals'
-#: simpler inner loop wins.  The crossover sits between 2 and 3 sources both
-#: at 2.3k and at 100k nodes, so the choice depends on batch size only.
-WORDPARALLEL_MIN_SOURCES = 3
+#: frontier is far smaller than the sum of per-source frontiers.  A small
+#: batch has little union to exploit, and the direction-optimising
+#: per-source kernels skip most of the late levels' entries instead.  On the
+#: 2308-node epinions stand-in signed BFS ties at 9 sources and runs faster
+#: word-parallel from 10, while path lengths already cross at 8; at 100k
+#: nodes per-source wins for both at 8-10 sources.  No one value suits both
+#: kernels at every size.  The constant is the signed crossover: the team and
+#: statistics workloads send batches of 8-10 sources only to signed BFS
+#: (their path lengths run one source at a time), and it keeps a 2-worker
+#: pool's 8-source chunks of a 64-source sweep per source.
+WORDPARALLEL_MIN_SOURCES = 9
 
 
 class CSRSignedGraph:
@@ -459,6 +470,25 @@ def _next_frontier(
     return np.flatnonzero(state_array == next_depth)
 
 
+def _adjacency_positions(
+    csr: CSRSignedGraph, nodes: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat ``indices``/``signs`` positions of the rows of ``nodes``, concatenated.
+
+    Returns ``(positions, counts, row_starts)``: the ``counts[i]`` entries of
+    ``nodes[i]``'s row sit at ``positions[row_starts[i]:][:counts[i]]``.
+    Fully vectorised: the concatenated ranges are materialised with the
+    repeat/cumsum offset trick instead of a Python loop over the rows.
+    """
+    starts = csr.indptr[nodes]
+    counts = csr.indptr[nodes + 1] - starts
+    ends = np.cumsum(counts)
+    row_starts = ends - counts
+    total = int(ends[-1]) if ends.size else 0
+    positions = np.repeat(starts - row_starts, counts) + np.arange(total)
+    return positions, counts, row_starts
+
+
 def _concatenated_neighbor_ranges(
     csr: CSRSignedGraph, frontier: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -467,19 +497,92 @@ def _concatenated_neighbor_ranges(
     Returns ``(targets, signs, sources, counts)`` where ``sources[k]`` is the
     frontier node whose adjacency produced ``targets[k]`` and ``counts[i]`` is
     the degree of ``frontier[i]`` (so callers can repeat per-frontier data
-    without regathering the offsets).  Fully vectorised: the concatenated
-    ranges are materialised with the repeat/cumsum offset trick instead of a
-    Python loop over frontier nodes.
+    without regathering the offsets).
     """
-    starts = csr.indptr[frontier]
-    counts = csr.indptr[frontier + 1] - starts
-    total = int(counts.sum())
-    if total == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty.astype(np.int8), empty, counts
-    shifts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    offsets = np.repeat(starts - shifts, counts) + np.arange(total)
-    return csr.indices[offsets], csr.signs[offsets], np.repeat(frontier, counts), counts
+    positions, counts, _row_starts = _adjacency_positions(csr, frontier)
+    return (
+        csr.indices[positions],
+        csr.signs[positions],
+        np.repeat(frontier, counts),
+        counts,
+    )
+
+
+def _unvisited_with_edges(
+    lengths: np.ndarray, degrees: np.ndarray, previous: Optional[np.ndarray]
+) -> np.ndarray:
+    """Ascending ids of the undiscovered nodes of non-zero degree.
+
+    A pull level scans exactly these rows.  ``previous`` is the set a
+    previous pull level left behind (or ``None`` before the first one):
+    filtering it drops the nodes push levels discovered since, without
+    another full-array scan.
+    """
+    if previous is None:
+        return np.flatnonzero((lengths == UNREACHABLE) & (degrees > 0))
+    return previous[lengths[previous] == UNREACHABLE]
+
+
+def _signed_pull_level(
+    csr: CSRSignedGraph,
+    frontier: np.ndarray,
+    unvisited: np.ndarray,
+    lengths: np.ndarray,
+    positive: np.ndarray,
+    negative: np.ndarray,
+    depth: int,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """One bottom-up level of Algorithm 1; returns ``(joined, still_unvisited)``.
+
+    Every node of ``unvisited`` (undiscovered, non-zero degree) reads its own
+    adjacency row: it joins level ``depth + 1`` iff a neighbour sits in
+    ``frontier`` (level ``depth``), and its counts are the sums over its row
+    of those parents' counts, swapped across negative edges — one
+    ``np.add.reduceat`` per sign over the contiguous rows, no scatter.
+    Integer sums are exact, so the counts equal the push scatter's bit for
+    bit.
+    """
+    positions, _counts, row_starts = _adjacency_positions(csr, unvisited)
+    # Entry 2v holds frontier node v's positive count, 2v + 1 its negative
+    # count; every other node reads as zero, so only parents contribute.
+    parent_counts = np.zeros(2 * lengths.size, dtype=np.int64)
+    parent_counts[2 * frontier] = positive[frontier]
+    parent_counts[2 * frontier + 1] = negative[frontier]
+    # A positive path to the row's node continues a positive path to the
+    # parent across a positive edge and a negative one across a negative
+    # edge: entry 2v + (sign < 0).  Flipping the low bit gives the negative
+    # paths.
+    reads = csr.indices[positions].astype(np.int64)
+    reads *= 2
+    reads += csr.signs[positions] < 0
+    positive_sums = np.add.reduceat(parent_counts[reads], row_starts)
+    reads ^= 1
+    negative_sums = np.add.reduceat(parent_counts[reads], row_starts)
+    # Every discovered node has at least one shortest path, so a row holds a
+    # parent iff one of its sums is non-zero.
+    joins = (positive_sums > 0) | (negative_sums > 0)
+    joined = unvisited[joins]
+    lengths[joined] = depth + 1
+    positive[joined] = positive_sums[joins]
+    negative[joined] = negative_sums[joins]
+    return joined, unvisited[~joins]
+
+
+def _pull_level(
+    csr: CSRSignedGraph, unvisited: np.ndarray, lengths: np.ndarray, depth: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """One bottom-up level of the sign-agnostic BFS; returns ``(joined, still_unvisited)``.
+
+    A node of ``unvisited`` joins level ``depth + 1`` iff its adjacency row
+    holds a neighbour at ``depth`` (one ``np.logical_or.reduceat``).
+    """
+    positions, _counts, row_starts = _adjacency_positions(csr, unvisited)
+    joins = np.logical_or.reduceat(
+        lengths[csr.indices[positions]] == depth, row_starts
+    )
+    joined = unvisited[joins]
+    lengths[joined] = depth + 1
+    return joined, unvisited[~joins]
 
 
 def _signed_bfs_arrays(
@@ -517,6 +620,11 @@ def _signed_bfs_arrays_into(
     dtypes of :func:`_signed_bfs_arrays`; previous contents are overwritten.
     Raises :class:`OverflowError` under the same per-level int64 guard (the
     arrays then hold partial state the caller must discard).
+
+    ``remaining`` is the degree sum of the still-undiscovered nodes.  A level
+    runs push (scatter the frontier's entries) while the frontier's degree
+    sum is at most ``remaining``, and pull (:func:`_signed_pull_level`)
+    otherwise; once ``remaining`` is zero nothing reachable is left.
     """
     num_nodes = csr.number_of_nodes()
     degrees = csr.degrees()
@@ -528,21 +636,29 @@ def _signed_bfs_arrays_into(
     lengths[source_id] = 0
     positive[source_id] = 1
     frontier = np.array([source_id], dtype=np.int64)
+    frontier_edges = int(degrees[source_id])
+    remaining = int(csr.indptr[-1]) - frontier_edges
+    unvisited: Optional[np.ndarray] = None
     depth = 0
-    while frontier.size:
-        targets, edge_signs, origins, _counts = _concatenated_neighbor_ranges(csr, frontier)
-        if targets.size == 0:
-            break
-        target_lengths = lengths[targets]
-        # Edges u -> x with L(x) == L(u) + 1 carry shortest-path counts.  At
-        # gather time every length is still <= depth or UNREACHABLE (level
-        # depth + 1 is assigned just below), so those edges are exactly the
-        # ones whose target was undiscovered — including repeat occurrences of
-        # the same target within this level, which all contribute counts.
-        undiscovered = target_lengths == UNREACHABLE
-        lengths[targets[undiscovered]] = depth + 1
-        targets = targets[undiscovered]
-        if targets.size:
+    while frontier_edges and remaining:
+        if frontier_edges > remaining:
+            unvisited = _unvisited_with_edges(lengths, degrees, unvisited)
+            frontier, unvisited = _signed_pull_level(
+                csr, frontier, unvisited, lengths, positive, negative, depth
+            )
+        else:
+            targets, edge_signs, origins, _counts = _concatenated_neighbor_ranges(
+                csr, frontier
+            )
+            # Edges u -> x with L(x) == L(u) + 1 carry shortest-path counts.
+            # At gather time every length is still <= depth or UNREACHABLE
+            # (level depth + 1 is assigned just below), so those edges are
+            # exactly the ones whose target was undiscovered — including
+            # repeat occurrences of the same target within this level, which
+            # all contribute counts.
+            undiscovered = lengths[targets] == UNREACHABLE
+            targets = targets[undiscovered]
+            lengths[targets] = depth + 1
             edge_signs = edge_signs[undiscovered]
             origins = origins[undiscovered]
             positive_edges = edge_signs > 0
@@ -550,37 +666,47 @@ def _signed_bfs_arrays_into(
             neg_contrib = np.where(positive_edges, negative[origins], positive[origins])
             np.add.at(positive, targets, pos_contrib)
             np.add.at(negative, targets, neg_contrib)
-            if (
-                int(positive[targets].max()) > count_guard
-                or int(negative[targets].max()) > count_guard
-            ):
-                raise OverflowError(
-                    "signed shortest-path counts exceed the int64 safety bound "
-                    f"({count_guard}) at BFS depth {depth + 1}; use the dict "
-                    "backend (repro.signed.paths.signed_bfs) for this graph"
-                )
-        frontier = _next_frontier(targets, lengths, depth + 1)
+            frontier = _next_frontier(targets, lengths, depth + 1)
         depth += 1
+        if frontier.size and (
+            int(positive[frontier].max()) > count_guard
+            or int(negative[frontier].max()) > count_guard
+        ):
+            raise OverflowError(
+                "signed shortest-path counts exceed the int64 safety bound "
+                f"({count_guard}) at BFS depth {depth}; use the dict "
+                "backend (repro.signed.paths.signed_bfs) for this graph"
+            )
+        frontier_edges = int(degrees[frontier].sum())
+        remaining -= frontier_edges
 
 
 def signed_bfs_csr(csr: CSRSignedGraph, source: Node) -> CSRSignedBFSResult:
     """Algorithm 1 on the CSR backend: signed shortest-path counting.
 
-    A level-synchronous BFS: each iteration gathers the concatenated adjacency
-    of the whole frontier, discovers the next level, and scatters the signed
-    count contributions with ``np.add.at`` (positive edges preserve the counts,
-    negative edges swap them).  Work per level is a handful of O(frontier
-    edges) array operations, so the full traversal is O(|V| + |E|) with
-    constant factors one to two orders of magnitude below the dict BFS.
+    A level-synchronous, direction-optimising BFS.  A *push* level gathers
+    the concatenated adjacency of the whole frontier, discovers the next
+    level, and scatters the signed count contributions with ``np.add.at``
+    (positive edges preserve the counts, negative edges swap them).  Once the
+    frontier's degree sum exceeds that of the undiscovered nodes, a *pull*
+    level gathers the undiscovered nodes' rows instead: a node joins the next
+    level iff a neighbour sits in the frontier, and its counts are
+    ``np.add.reduceat`` sums over its row.  On a low-diameter graph the last
+    two levels hold most adjacency entries and land almost entirely on
+    discovered nodes, so pulling them scans a fraction of the entries.
+    Either way the full traversal is O(|V| + |E|) with constant factors one
+    to two orders of magnitude below the dict BFS, and the integer sums make
+    the result independent of the direction chosen.
 
-    Counts are ``int64``.  A per-level guard raises :class:`OverflowError`
-    *before* any count can wrap: as long as every count entering a level is at
-    most ``(2**63 - 1) / max_degree``, no target's accumulated sum can exceed
-    ``int64`` during that level, so the check (applied after each level)
-    catches the overflow while all values are still exact.  Callers that hit
-    the guard should fall back to the dict backend's arbitrary-precision
-    integers (:func:`repro.signed.paths.signed_bfs`) — the relations do this
-    automatically.
+    Counts are ``int64``.  A guard after every level, push or pull, raises
+    :class:`OverflowError` *before* any count can wrap: as long as every
+    count entering a level is at most ``(2**63 - 1) / max_degree``, no
+    node's sum — at most ``max_degree`` non-negative terms, whether scattered
+    or reduced over its row — can exceed ``int64`` during that level, so the
+    check catches the overflow while all values are still exact.  Callers
+    that hit the guard should fall back to the dict backend's
+    arbitrary-precision integers (:func:`repro.signed.paths.signed_bfs`) —
+    the relations do this automatically.
     """
     lengths, positive, negative = _signed_bfs_arrays(csr, csr.index_of(source))
     return CSRSignedBFSResult(
@@ -607,19 +733,30 @@ def _shortest_path_lengths_array_into(
     The write-into-buffer variant used by result shipping: the array may be a
     shared-memory result-arena row, which then holds the finished distance
     map without a parent-side copy.  Previous contents are overwritten.
+    Direction-optimising with the rule of :func:`_signed_bfs_arrays_into`:
+    push while the frontier's degree sum is at most that of the undiscovered
+    nodes, pull (:func:`_pull_level`) otherwise.
     """
+    degrees = csr.degrees()
     lengths.fill(UNREACHABLE)
     lengths[source_id] = 0
     frontier = np.array([source_id], dtype=np.int64)
+    frontier_edges = int(degrees[source_id])
+    remaining = int(csr.indptr[-1]) - frontier_edges
+    unvisited: Optional[np.ndarray] = None
     depth = 0
-    while frontier.size:
-        targets, _, _, _ = _concatenated_neighbor_ranges(csr, frontier)
-        if targets.size == 0:
-            break
-        undiscovered = targets[lengths[targets] == UNREACHABLE]
-        lengths[undiscovered] = depth + 1
-        frontier = _next_frontier(undiscovered, lengths, depth + 1)
+    while frontier_edges and remaining:
+        if frontier_edges > remaining:
+            unvisited = _unvisited_with_edges(lengths, degrees, unvisited)
+            frontier, unvisited = _pull_level(csr, unvisited, lengths, depth)
+        else:
+            targets, _, _, _ = _concatenated_neighbor_ranges(csr, frontier)
+            undiscovered = targets[lengths[targets] == UNREACHABLE]
+            lengths[undiscovered] = depth + 1
+            frontier = _next_frontier(undiscovered, lengths, depth + 1)
         depth += 1
+        frontier_edges = int(degrees[frontier].sum())
+        remaining -= frontier_edges
 
 
 def shortest_path_lengths_csr(csr: CSRSignedGraph, source: Node) -> np.ndarray:
@@ -741,8 +878,10 @@ def _wordparallel_signed_bfs_into(
     (``frontier word & next word`` per edge selects them), in the same
     concatenated-adjacency order the per-source kernel scatters in — so rows
     are bit-identical to :func:`_signed_bfs_arrays_into`, including the
-    per-level int64 overflow guard (raises :class:`OverflowError`; the
-    caller re-runs the word source by source).  Output buffers are
+    per-level int64 overflow guard (raises :class:`OverflowError` at the
+    same depth; the caller re-runs the word source by source).  A level
+    reads its new counts back for the guard only when ``max_degree`` times
+    a bound on the frontier's counts could exceed it.  Output buffers are
     ``(k, n)`` int32/int64/int64; writes are per-row, so any row layout
     (e.g. a slice of result-arena planes) works.
     """
@@ -752,6 +891,7 @@ def _wordparallel_signed_bfs_into(
     max_degree = int(degrees.max()) if num_nodes else 0
     count_guard = (2**63 - 1) // max(1, max_degree)
     ids, frontier = _wordparallel_seed(num_nodes, source_ids)
+    bit_words = source_bits(k)
     seen = frontier.copy()
     out_lengths.fill(UNREACHABLE)
     out_positive.fill(0)
@@ -759,6 +899,7 @@ def _wordparallel_signed_bfs_into(
     rows = np.arange(k)
     out_lengths[rows, ids] = 0
     out_positive[rows, ids] = 1
+    bound = 1
     depth = 0
     while True:
         active = np.flatnonzero(frontier)
@@ -776,41 +917,58 @@ def _wordparallel_signed_bfs_into(
         newly = np.flatnonzero(next_words)
         if newly.size == 0:
             break
-        seen[newly] |= next_words[newly]
+        newly_words = next_words[newly]
+        seen[newly] |= newly_words
         # Per-edge discovery words: bit b set iff this edge crosses from
         # source b's frontier into a node source b discovers this level —
         # exactly the count-carrying edges of the per-source kernel.
         discovery = words & next_words[targets]
-        newly_words = next_words[newly]
         positive_edges = edge_signs > 0
+        # Every count on the frontier is at most ``bound``, and a new count
+        # sums at most max_degree of them: only a level whose product could
+        # pass the guard reads its new counts back (exactly, per source).
+        exact = max_degree * bound > count_guard
+        level_max = 0
         for b in set_bit_positions(int(np.bitwise_or.reduce(newly_words))):
-            bit = np.uint64(1) << np.uint64(b)
-            row_new = newly[(newly_words & bit) != 0]
-            out_lengths[b, row_new] = depth + 1
-            edge_sel = np.flatnonzero((discovery & bit) != 0)
+            # Source b's discovery edges: their targets are exactly the nodes
+            # b discovers this level (repeats included), never empty since b
+            # is a bit of some newly discovered word.
+            edge_sel = np.flatnonzero((discovery & bit_words[b]) != 0)
             chunk_targets = targets[edge_sel]
+            out_lengths[b][chunk_targets] = depth + 1
             chunk_origins = origins[edge_sel]
             chunk_positive = positive_edges[edge_sel]
             positive_row = out_positive[b]
             negative_row = out_negative[b]
-            pos_contrib = np.where(
-                chunk_positive, positive_row[chunk_origins], negative_row[chunk_origins]
+            from_positive = positive_row[chunk_origins]
+            from_negative = negative_row[chunk_origins]
+            np.add.at(
+                positive_row,
+                chunk_targets,
+                np.where(chunk_positive, from_positive, from_negative),
             )
-            neg_contrib = np.where(
-                chunk_positive, negative_row[chunk_origins], positive_row[chunk_origins]
+            np.add.at(
+                negative_row,
+                chunk_targets,
+                np.where(chunk_positive, from_negative, from_positive),
             )
-            np.add.at(positive_row, chunk_targets, pos_contrib)
-            np.add.at(negative_row, chunk_targets, neg_contrib)
-            if (
-                int(positive_row[row_new].max(initial=0)) > count_guard
-                or int(negative_row[row_new].max(initial=0)) > count_guard
-            ):
+            if exact:
+                level_max = max(
+                    level_max,
+                    int(positive_row[chunk_targets].max()),
+                    int(negative_row[chunk_targets].max()),
+                )
+        if exact:
+            if level_max > count_guard:
                 raise OverflowError(
                     "signed shortest-path counts exceed the int64 safety bound "
                     f"({count_guard}) at BFS depth {depth + 1} in a "
                     "word-parallel traversal; re-run the affected sources "
                     "individually"
                 )
+            bound = level_max
+        else:
+            bound *= max_degree
         frontier = next_words
         depth += 1
 

@@ -8,10 +8,15 @@ topology) and on loader-built datasets with string node ids.
 
 from __future__ import annotations
 
+import itertools
 import random
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.compatibility import (
     make_relation,
@@ -31,7 +36,9 @@ from repro.signed import (
     signed_bfs,
     signed_bfs_csr,
 )
+import repro.signed.csr as csr_module
 from repro.signed.csr import UNREACHABLE, CSRLengths
+from repro.signed.paths import SignedBFSResult
 
 DICT = ExecutionPolicy(backend="dict")
 CSR = ExecutionPolicy(backend="csr")
@@ -297,7 +304,8 @@ class TestOtherKernels:
             source: (_signed_bfs_arrays(csr, source), _shortest_path_lengths_array(csr, source))
             for source in range(n)
         }
-        for k in (0, 1, 2, 3, 63, 64, 65, 150):
+        cut = csr_module.WORDPARALLEL_MIN_SOURCES
+        for k in (0, 1, 2, cut - 1, cut, 63, 64, 65, 150):
             # Every source appears twice in a row: duplicates share a word.
             sources = [(i // 2) * 7 % n for i in range(k)]
             for layout in ("allocating", "contiguous", "strided", "column-sliced"):
@@ -457,3 +465,155 @@ class TestRelationBackendEquivalence:
         csr_relation = make_relation("SPA", loader_graph, policy=CSR)
         for node in loader_graph.nodes()[:8]:
             assert dict_relation.compatible_with(node) == csr_relation.compatible_with(node)
+
+
+# --------------------------------------------------------- direction-optimising
+
+
+@st.composite
+def pull_graphs(draw):
+    """Graphs on which some traversal runs a pull level.
+
+    The main component is a star, a complete bipartite graph or a dense
+    random graph (every pair minus a random subset, keeping node 0's star so
+    it stays connected).  Beside it sit at most one extra one-edge component
+    (its two entries never outweigh the main component's last frontier) and
+    up to three isolated nodes.  Signs are mixed and the node insertion
+    order is shuffled, so dense ids do not follow the structure.
+    """
+    family = draw(st.sampled_from(["star", "bipartite", "dense"]))
+    if family == "star":
+        size = draw(st.integers(4, 12))
+        pairs = [(0, leaf) for leaf in range(1, size)]
+    elif family == "bipartite":
+        left, right = draw(st.integers(1, 4)), draw(st.integers(3, 6))
+        size = left + right
+        pairs = [(u, left + v) for u in range(left) for v in range(right)]
+    else:
+        size = draw(st.integers(4, 9))
+        others = list(itertools.combinations(range(1, size), 2))
+        dropped = draw(st.sets(st.sampled_from(others), max_size=len(others) // 3))
+        pairs = [(0, v) for v in range(1, size)]
+        pairs += [pair for pair in others if pair not in dropped]
+    # Without the extra edge the dense family's centre would see nothing
+    # left after its first level and never pull.
+    if family == "dense" or draw(st.booleans()):
+        pairs.append((size, size + 1))
+        size += 2
+    size += draw(st.integers(0, 3))
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=len(pairs), max_size=len(pairs)))
+    nodes = draw(st.permutations(range(size)))
+    return SignedGraph.from_edges(
+        [(u, v, sign) for (u, v), sign in zip(pairs, signs)], nodes=nodes
+    )
+
+
+@contextmanager
+def pull_spies():
+    """Record every pull level both per-source kernels run."""
+    with mock.patch.object(
+        csr_module, "_signed_pull_level", wraps=csr_module._signed_pull_level
+    ) as signed, mock.patch.object(
+        csr_module, "_pull_level", wraps=csr_module._pull_level
+    ) as lengths:
+        yield signed, lengths
+
+
+def ladder_to_pull_overflow() -> SignedGraph:
+    """A doubling ladder whose int64 guard trips on a pull level.
+
+    Layer ``k`` holds two nodes reached by ``2**k`` shortest paths each from
+    ``"s"``; both nodes of layer 60 join ``"t"``.  The maximum degree is 4,
+    so the guard is ``(2**63 - 1) // 4 = 2**61 - 1``: layer 60 (``2**60``)
+    passes it and ``t`` (``2**61``) trips it.  Layer 60's six adjacency
+    entries outweigh ``t``'s two, so ``t``'s level is a pull level.
+    """
+    edges = []
+    previous = ["s"]
+    for layer in range(61):
+        current = [(layer, 0), (layer, 1)]
+        edges += [(parent, node, 1) for node in current for parent in previous]
+        previous = current
+    edges += [(node, "t", 1) for node in previous]
+    return SignedGraph.from_edges(edges)
+
+
+class TestDirectionOptimisingBFS:
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(pull_graphs())
+    def test_pull_levels_match_dict_reference(self, graph):
+        csr = graph.csr_view()
+        with pull_spies() as (signed_pulls, length_pulls):
+            for source in graph.nodes():
+                expected = signed_bfs(graph, source)
+                actual = signed_bfs_csr(csr, source).to_signed_bfs_result()
+                assert actual.lengths == expected.lengths
+                assert actual.positive_counts == expected.positive_counts
+                assert actual.negative_counts == expected.negative_counts
+                lengths = CSRLengths(csr, shortest_path_lengths_csr(csr, source))
+                assert dict(lengths.items()) == shortest_path_lengths(graph, source)
+        assert signed_pulls.call_count > 0
+        assert length_pulls.call_count > 0
+
+    def test_path_pulls_only_its_last_level(self):
+        """On a 200-node path no level pulls until the frontier's two entries
+        face the single entry of the one node left: every traversal pushes
+        all its levels but the last, so a long path never pays a pull scan
+        per level."""
+        graph = SignedGraph.from_edges(
+            [(i, i + 1, 1 if i % 3 else -1) for i in range(199)]
+        )
+        csr = graph.csr_view()
+        for source in (0, 57, 100, 199):
+            with pull_spies() as (signed_pulls, length_pulls):
+                expected = signed_bfs(graph, source)
+                actual = signed_bfs_csr(csr, source).to_signed_bfs_result()
+                lengths = shortest_path_lengths_csr(csr, source)
+            assert actual.lengths == expected.lengths
+            assert actual.positive_counts == expected.positive_counts
+            assert actual.negative_counts == expected.negative_counts
+            last_level = max(expected.lengths.values()) - 1
+            for spy in (signed_pulls, length_pulls):
+                depths = [call.args[-1] for call in spy.call_args_list]
+                assert depths == [last_level], (source, depths)
+            assert int(lengths.max()) == last_level + 1
+
+    def test_overflow_guard_trips_on_a_pull_level(self):
+        graph = ladder_to_pull_overflow()
+        csr = graph.csr_view()
+        source = csr.index_of("s")
+        with pull_spies() as (signed_pulls, _):
+            with pytest.raises(OverflowError, match="BFS depth 62"):
+                signed_bfs_csr(csr, "s")
+        # The guard fires after the pull level that reached t (depth 61 -> 62).
+        assert [call.args[-1] for call in signed_pulls.call_args_list] == [61]
+        expected = signed_bfs(graph, "s")
+        assert expected.counts("t") == (2**61, 0)
+
+        cut = csr_module.WORDPARALLEL_MIN_SOURCES
+        others = [csr.index_of((layer, 0)) for layer in range(1, cut)]
+        for sources in ([source], [source] + others):
+            n = csr.number_of_nodes()
+            out = [np.empty((len(sources), n), dtype=dtype) for dtype in (np.int32, np.int64, np.int64)]
+            with pytest.raises(OverflowError):
+                csr_module.signed_bfs_dense_batch_into(csr, sources, *out)
+            tokens = csr_module.signed_bfs_dense_batch_into(
+                csr, sources, *out, skip_overflow=True
+            )
+            assert tokens == [None] + [True] * (len(sources) - 1)
+            for row, dense in enumerate(sources[1:], start=1):
+                for plane, want in zip(out, csr_module._signed_bfs_arrays(csr, dense)):
+                    assert np.array_equal(plane[row], want)
+
+        relation = make_relation("SPO", graph, policy=CSR)
+        degrees = relation.batch_compatibility_degrees(["s"])
+        result = relation.batch_bfs(["s"])[0]
+        assert isinstance(result, SignedBFSResult)  # the dict fallback
+        assert result.positive_counts == expected.positive_counts
+        assert result.negative_counts == expected.negative_counts
+        assert result.lengths == expected.lengths
+        assert degrees == [len(relation.compatible_with("s")) - 1]

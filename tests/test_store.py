@@ -34,6 +34,7 @@ np = pytest.importorskip("numpy")
 
 from repro.signed.csr import (  # noqa: E402  (needs numpy)
     UNREACHABLE,
+    WORDPARALLEL_MIN_SOURCES,
     CSRSignedGraph,
     _shortest_path_lengths_array,
     _signed_bfs_arrays,
@@ -528,6 +529,8 @@ class TestWordParallelKernels:
         words run word-parallel."""
         import repro.signed.csr as csr_module
 
+        cut = csr_module.WORDPARALLEL_MIN_SOURCES
+
         calls = []
         for name in ("_wordparallel_path_lengths_into", "_wordparallel_signed_bfs_into"):
             original = getattr(csr_module, name)
@@ -539,7 +542,7 @@ class TestWordParallelKernels:
             monkeypatch.setattr(csr_module, name, recording)
         for csr in (wp_graph, wp_large_graph):
             for batch in (shortest_path_lengths_dense_batch, signed_bfs_dense_batch):
-                for k, expected in ((2, []), (3, [3]), (100, [64, 36])):
+                for k, expected in ((cut - 1, []), (cut, [cut]), (100, [64, 36])):
                     calls.clear()
                     batch(csr, list(range(k)))
                     assert calls == expected, (len(csr), batch.__name__, k)
@@ -548,13 +551,16 @@ class TestWordParallelKernels:
         """A doubling ladder pushes shortest-path counts past int64 inside
         the word-parallel kernel; the word must re-run per source and land
         on the identical skip/raise behaviour as the reference."""
-        csr, sources = ladder
+        csr, ladder_sources = ladder
+        # Repeat the three sources until they fill a word-parallel word.
+        repeat = -(-WORDPARALLEL_MIN_SOURCES // len(ladder_sources))
+        sources = ladder_sources * repeat
         with pytest.raises(OverflowError):
             signed_bfs_dense_batch(csr, sources)
         batch = signed_bfs_dense_batch(csr, sources, skip_overflow=True)
         reference = [_reference_triple(csr, source) for source in sources]
         assert [r is None for r in batch] == [r is None for r in reference]
-        assert [r is None for r in reference] == [True, False, True]
+        assert [r is None for r in reference] == [True, False, True] * repeat
         for got, want in zip(batch, reference):
             if want is None:
                 continue
@@ -564,9 +570,9 @@ class TestWordParallelKernels:
     @pytest.mark.parametrize("repeat", (1, 22))
     def test_overflow_tokens_into_buffers(self, ladder, repeat):
         """The ``_into`` form marks exactly the reference's overflowing rows
-        ``None`` and fills every other row, whether the ladder's sources make
-        one word-parallel word (3 sources) or a full word plus a per-source
-        remainder (66 sources)."""
+        ``None`` and fills every other row, whether the ladder's sources run
+        per source (3 sources, under the word-parallel cut-over) or as a full
+        word-parallel word plus a per-source remainder (66 sources)."""
         csr, ladder_sources = ladder
         sources = ladder_sources * repeat
         k, n = len(sources), csr.number_of_nodes()
