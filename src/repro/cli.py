@@ -46,6 +46,7 @@ from repro.datasets import (
     load_dataset,
 )
 from repro.experiments import (
+    DatasetConfig,
     StreamingConfig,
     build_dataset_context,
     default_config,
@@ -459,7 +460,12 @@ def _command_compatibility(arguments: argparse.Namespace) -> int:
     relation_names = [name.strip().upper() for name in arguments.relations.split(",") if name.strip()]
     rows = []
     for name in relation_names:
-        relation = make_relation(name, dataset.graph)
+        # The experiments' expansion cap: the relation's own default makes
+        # SBP statistics on slashdot take over an hour.
+        kwargs = {}
+        if name in ("SBP", "SBPH"):
+            kwargs["max_expansions"] = DatasetConfig.sbp_max_expansions
+        relation = make_relation(name, dataset.graph, **kwargs)
         stats = pair_statistics(relation)
         rows.append([name, f"{stats.percentage:.2f}", stats.evaluated_pairs, stats.sampled])
     headers = ["relation", "compatible pairs %", "pairs evaluated", "sampled"]

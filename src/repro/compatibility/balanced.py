@@ -35,8 +35,9 @@ Backends
 The SBPH heuristic search has two bit-identical implementations: the
 per-edge dict search (:meth:`~repro.signed.paths.BalancedPathSearch.search_heuristic`)
 and the indexed (node, sign)-state CSR BFS
-(:func:`repro.signed.csr.balanced_heuristic_search_csr`), which vectorises
-frontier expansion and visited-state filtering.  ``backend="auto"`` (default)
+(:func:`repro.signed.csr.balanced_heuristic_depths`), which advances a batch
+of sources level by level and vectorises frontier expansion, claimed-state
+filtering and the balance check.  ``backend="auto"`` (default)
 uses the CSR search whenever numpy is available.  The exact SBP enumeration
 (:meth:`~repro.signed.paths.BalancedPathSearch.search_exact`) has one
 implementation, a path-by-path BFS whose states are bitmasks over dense node

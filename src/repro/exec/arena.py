@@ -207,23 +207,19 @@ def _write_path_lengths(planes, start, csr, sources, params) -> List:
 
 
 def _write_sbph(planes, start, csr, sources, params) -> List:
-    from repro.signed.csr import UNREACHABLE, balanced_heuristic_depths
+    # Sentinel-filled dense rows: absent nodes stay UNREACHABLE, found nodes
+    # carry their depth — the parent rebuilds the depth maps from one
+    # flatnonzero scan per row.
+    from repro.signed.csr import balanced_heuristic_depths_into
 
-    max_length = params.get("max_length")
-    positive_plane, negative_plane = planes
-    for row, source in enumerate(sources, start=start):
-        positive_depths, negative_depths = balanced_heuristic_depths(
-            csr, source, max_length=max_length
-        )
-        # Sentinel-filled dense rows: absent nodes stay UNREACHABLE, found
-        # nodes carry their depth — the parent rebuilds the depth maps from
-        # one flatnonzero scan per row.
-        positive_plane[row].fill(UNREACHABLE)
-        negative_plane[row].fill(UNREACHABLE)
-        if positive_depths:
-            positive_plane[row][list(positive_depths)] = list(positive_depths.values())
-        if negative_depths:
-            negative_plane[row][list(negative_depths)] = list(negative_depths.values())
+    stop = start + len(sources)
+    balanced_heuristic_depths_into(
+        csr,
+        sources,
+        planes[0][start:stop],
+        planes[1][start:stop],
+        max_length=params.get("max_length"),
+    )
     return [True] * len(sources)
 
 

@@ -81,11 +81,7 @@ def csr_sbph(csr, sources: Sequence[int], params: dict) -> List:
     negative_depths)`` dicts keyed by dense ids (the caller remaps to nodes)."""
     from repro.signed.csr import balanced_heuristic_depths
 
-    max_length = params.get("max_length")
-    return [
-        balanced_heuristic_depths(csr, source, max_length=max_length)
-        for source in sources
-    ]
+    return balanced_heuristic_depths(csr, sources, max_length=params.get("max_length"))
 
 
 @register_kernel("csr_compatible_degrees")

@@ -24,11 +24,12 @@ the indexed counterpart used on large graphs:
   :data:`WORDPARALLEL_MIN_SOURCES` runs per-source traversals instead;
 * :func:`multi_source_shortest_path_lengths_csr` — the batched counterpart for
   sign-agnostic distances, used by the distance oracle's team sweeps;
-* :func:`balanced_heuristic_search_csr` — the SBPH prefix-property search as an
-  indexed (node, sign)-state BFS: candidate generation and visited-state
-  filtering are vectorised over the whole frontier, and only candidates that
-  can actually claim a new state run the per-path balance check in Python.
-  Bit-identical to :meth:`~repro.signed.paths.BalancedPathSearch.search_heuristic`.
+* :func:`balanced_heuristic_depths` — the SBPH prefix-property search as an
+  indexed (node, sign)-state BFS over a batch of sources at once: candidate
+  generation, claimed-state filtering and the Harary balance check of every
+  candidate are array operations over the whole batch's frontier
+  (:func:`balanced_heuristic_search_csr` is a batch of one).  Bit-identical
+  to :meth:`~repro.signed.paths.BalancedPathSearch.search_heuristic`.
 
 Results come back as :class:`CSRSignedBFSResult`, an array-backed object that
 answers the same ``length`` / ``counts`` / ``reachable`` queries as
@@ -52,7 +53,6 @@ dict BFS is faster and ``backend="dict"`` should be forced.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -1164,84 +1164,247 @@ def multi_source_shortest_path_lengths_csr(
     )
 
 
-def _extend_camps_csr(
-    adjacency: "_ListAdjacency", camps: Dict[int, int], new_node: int
-) -> Optional[Dict[int, int]]:
-    """Dense-id version of :func:`repro.signed.paths._extend_camps`.
+#: Adjacency-entry budget of one SBPH batch: a batch advances
+#: ``SBPH_BATCH_ENTRIES // len(csr.indices)`` sources (at least one, at most
+#: :data:`~repro.utils.bitset.WORD_BITS`), so every level of a batch gathers
+#: at most twice this many candidate edges however large the graph.  Small
+#: graphs need the batch: one source's levels there are too small to pay
+#: for the fixed cost of a level's array operations.  On the fast-config
+#: stand-ins a batch holds 27-64 sources; on the 2308-node epinions
+#: stand-in it holds 4, and 256 sources there take the same time in batches
+#: of 64 but peak at 320 MB of RSS instead of 146 MB.
+SBPH_BATCH_ENTRIES = 2**17
 
-    ``camps`` is the Harary two-colouring of the representative path's induced
-    subgraph, keyed by dense node id.  The extension is balanced iff every
-    edge from ``new_node`` back into the path agrees on one camp for it.
-    ``adjacency`` is the search's list-converted CSR view — plain Python ints,
-    so the hot membership loop pays no numpy scalar boxing.
+
+def sbph_batch_size(csr: CSRSignedGraph) -> int:
+    """Sources one :func:`balanced_heuristic_depths` batch advances together."""
+    return min(WORD_BITS, max(1, SBPH_BATCH_ENTRIES // max(1, csr.indices.size)))
+
+
+def _sorted_edge_keys(csr: CSRSignedGraph) -> Tuple[np.ndarray, np.ndarray]:
+    """``(keys, signs)``: every adjacency entry as ``row * n + col``, ascending.
+
+    Edge ``(u, v)`` is found with one :func:`numpy.searchsorted` of
+    ``u * n + v``; ``signs`` is parallel to ``keys``.
     """
-    indptr, indices, signs = adjacency
-    start = indptr[new_node]
-    stop = indptr[new_node + 1]
-    required: Optional[int] = None
-    camps_get = camps.get
-    for position in range(start, stop):
-        camp = camps_get(indices[position])
-        if camp is None:
-            continue
-        expected = camp if signs[position] > 0 else 1 - camp
-        if required is None:
-            required = expected
-        elif required != expected:
-            return None
-    if required is None:
-        required = 0
-    extended = dict(camps)
-    extended[new_node] = required
-    return extended
+    num_nodes = csr.number_of_nodes()
+    rows = np.repeat(np.arange(num_nodes, dtype=np.int64), csr.degrees())
+    keys = rows * num_nodes + csr.indices
+    # Keys arrive grouped by row; the stable sort (merging natural runs)
+    # exploits that.
+    order = np.argsort(keys, kind="stable")
+    return keys[order], csr.signs[order]
 
 
-#: ``(indptr, indices, signs)`` of a CSR graph as plain Python lists.
-_ListAdjacency = Tuple[List[int], List[int], List[int]]
+def _harary_extensions(
+    edge_keys: np.ndarray,
+    edge_signs: np.ndarray,
+    num_nodes: int,
+    paths: np.ndarray,
+    camps: np.ndarray,
+    targets: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Vectorised :func:`repro.signed.paths._extend_camps` for many paths.
 
-#: Minimum candidate degree for which the Harary camp gather is vectorised;
-#: below it the per-edge Python check wins (a handful of numpy calls plus the
-#: scratch-colouring maintenance cost more than the adjacency scan — measured
-#: break-even sits in the several-hundreds).
-_CAMP_BATCH_THRESHOLD = 512
-
-
-def _hub_camp_check(
-    csr: CSRSignedGraph, node: int, camp_scratch: np.ndarray
-) -> Tuple[bool, int]:
-    """Vectorised Harary-extension check for one high-degree candidate.
-
-    ``camp_scratch`` holds the origin path's camp per node (``-1`` off the
-    path; scattered once per origin by the caller).  The extension is
-    balanced iff every on-path neighbour implies the *same* camp for the
-    candidate (positive edge: the neighbour's camp; negative edge: the
-    opposite camp) — exactly :func:`_extend_camps_csr`, but as one adjacency
-    gather plus a min/max reduction instead of a Python loop per edge, which
-    wins once the candidate's degree dwarfs the path length (hubs).  Returns
-    ``(balanced, required_camp)``; the required camp defaults to ``0`` with
-    no on-path neighbour.
+    Row ``i`` asks whether ``targets[i]`` extends the balanced path
+    ``paths[i]`` (Harary camps ``camps[i]``, ``True`` = the camp opposite the
+    source's).  The extension is allowed iff the target is off the path and
+    every path node adjacent to it implies the same camp for it (its own
+    camp across a positive edge, the other across a negative one).  Returns
+    ``(allowed, camp)``: the camp is the implied one, or ``False`` (the
+    source's camp) when no path node is adjacent.
     """
-    start, stop = csr.indptr[node], csr.indptr[node + 1]
-    camps = camp_scratch[csr.indices[start:stop]]
-    on_path = camps >= 0
-    implied = np.where(csr.signs[start:stop] > 0, camps, 1 - camps)[on_path]
-    if implied.size == 0:
-        return True, 0
-    lowest = int(implied.min())
-    return lowest == int(implied.max()), lowest
+    off_path = ~(paths == targets[:, None]).any(axis=1)
+    lookup = targets[:, None] * num_nodes + paths
+    found = np.minimum(np.searchsorted(edge_keys, lookup), edge_keys.size - 1)
+    adjacent = edge_keys[found] == lookup
+    implied = camps ^ (edge_signs[found] < 0)
+    in_camp_one = (adjacent & implied).any(axis=1)
+    in_camp_zero = (adjacent & ~implied).any(axis=1)
+    return off_path & ~(in_camp_one & in_camp_zero), in_camp_one
+
+
+def _first_allowed(
+    order: np.ndarray, starts: np.ndarray, allowed_heads: np.ndarray, check
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Rescan the groups whose head was refused; return their first allowed member.
+
+    ``order[starts[g]:starts[g + 1]]`` are group ``g``'s candidates in
+    candidate order.  Every member after the head of a refused group is
+    checked in one ``check(candidates)`` call; a group's winner is its first
+    allowed member (a group with none claims nothing).  Returns
+    ``(winners, camps)``.
+    """
+    refused = np.flatnonzero(~allowed_heads)
+    ends = np.append(starts[1:], order.size)[refused]
+    sizes = ends - starts[refused] - 1
+    ragged_starts = np.cumsum(sizes) - sizes
+    members = order[
+        np.repeat(starts[refused] + 1 - ragged_starts, sizes) + np.arange(int(sizes.sum()))
+    ]
+    allowed, camps = check(members)
+    passing = np.flatnonzero(allowed)
+    group_of = np.repeat(refused, sizes)[passing]
+    first = passing[np.append(True, group_of[1:] != group_of[:-1])] if passing.size else passing
+    return members[first], camps[first]
+
+
+def _sbph_batch_claims(
+    csr: CSRSignedGraph,
+    edge_keys: np.ndarray,
+    edge_signs: np.ndarray,
+    sources: np.ndarray,
+    bound: int,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Run one batch of SBPH searches; return every claim in claim order.
+
+    The batch's ``(node, sign)``-state searches advance one BFS level at a
+    time.  State ``i`` is ``(node i, positive prefix)``, state ``i + n``
+    ``(node i, negative prefix)``; frontier row ``r`` belongs to batch row
+    ``rows[r]`` and holds its state's representative path as
+    ``paths[r]`` (nodes) and ``camps[r]`` (Harary camps).  A level gathers
+    every frontier row's edges, drops those whose ``(batch row, target
+    state)`` key was claimed on an earlier level, and groups the rest by key
+    in candidate order — frontier order, then adjacency order, exactly the
+    order the dict search meets them.  A group's winner is its first
+    candidate that is off its path and keeps it balanced: heads are checked
+    together first, and only groups whose head was refused rescan their
+    other members.  Winners are taken in candidate order, so each source's
+    claims come out in the dict search's insertion order.
+
+    Returns ``(rows, nodes, negative, depths)``, one entry per claim
+    (sources' own depth-0 states excluded), level by level.
+    """
+    num_nodes = csr.number_of_nodes()
+    width = 2 * num_nodes
+    rows = np.arange(sources.size, dtype=np.int64)
+    states = sources.astype(np.int64)
+    claimed = np.zeros(sources.size * width, dtype=bool)
+    claimed[rows * width + states] = True
+    paths = states.astype(np.int32)[:, None]
+    camps = np.zeros((sources.size, 1), dtype=bool)
+    empty = np.empty(0, dtype=np.int64)
+    levels: List[Tuple[np.ndarray, ...]] = [(empty, empty, empty.astype(bool), empty)]
+    depth = 0
+    while rows.size and depth < bound:
+        positions, counts, _row_starts = _adjacency_positions(csr, states % num_nodes)
+        if positions.size == 0:
+            break
+        origins = np.repeat(np.arange(rows.size), counts)
+        targets = csr.indices[positions].astype(np.int64)
+        flips = (csr.signs[positions] < 0) ^ (states >= num_nodes)[origins]
+        target_states = targets + flips * num_nodes
+        keys = rows[origins] * width + target_states
+        open_positions = np.flatnonzero(~claimed[keys])
+        if open_positions.size == 0:
+            break
+        origins, targets, target_states, keys = (
+            column[open_positions] for column in (origins, targets, target_states, keys)
+        )
+
+        def check(candidates: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+            parents = origins[candidates]
+            return _harary_extensions(
+                edge_keys, edge_signs, num_nodes,
+                paths[parents], camps[parents], targets[candidates],
+            )
+
+        order = np.argsort(keys, kind="stable")
+        sorted_keys = keys[order]
+        starts = np.flatnonzero(np.append(True, sorted_keys[1:] != sorted_keys[:-1]))
+        heads = order[starts]
+        allowed, head_camps = check(heads)
+        winners, winner_camps = heads[allowed], head_camps[allowed]
+        if not allowed.all():
+            rescued, rescued_camps = _first_allowed(order, starts, allowed, check)
+            winners = np.concatenate((winners, rescued))
+            winner_camps = np.concatenate((winner_camps, rescued_camps))
+        in_order = np.argsort(winners)
+        winners, winner_camps = winners[in_order], winner_camps[in_order]
+        claimed[keys[winners]] = True
+        parents = origins[winners]
+        rows = rows[parents]
+        states = target_states[winners]
+        new_nodes = targets[winners]
+        paths = np.concatenate((paths[parents], new_nodes[:, None].astype(np.int32)), axis=1)
+        camps = np.concatenate((camps[parents], winner_camps[:, None]), axis=1)
+        depth += 1
+        levels.append((rows, new_nodes, states >= num_nodes, np.full(rows.size, depth)))
+    return tuple(np.concatenate(column) for column in zip(*levels))
+
+
+def _sbph_batches(
+    csr: CSRSignedGraph, source_ids: Sequence[int], max_length: Optional[int]
+) -> Iterator[Tuple[int, np.ndarray, Tuple[np.ndarray, ...]]]:
+    """``(offset, sources, claims)`` per batch of :func:`_sbph_batch_claims`."""
+    if max_length is not None and max_length < 0:
+        raise ValueError(f"max_length must be non-negative, got {max_length}")
+    bound = max_length if max_length is not None else csr.number_of_nodes() - 1
+    sources = np.asarray(list(source_ids), dtype=np.int64)
+    edge_keys, edge_signs = _sorted_edge_keys(csr)
+    batch = sbph_batch_size(csr)
+    for offset in range(0, sources.size, batch):
+        chunk = sources[offset : offset + batch]
+        yield offset, chunk, _sbph_batch_claims(csr, edge_keys, edge_signs, chunk, bound)
 
 
 def balanced_heuristic_depths(
-    csr: CSRSignedGraph, source_id: int, max_length: Optional[int] = None
-) -> Tuple[Dict[int, int], Dict[int, int]]:
-    """Dense core of :func:`balanced_heuristic_search_csr`.
+    csr: CSRSignedGraph, source_ids: Sequence[int], max_length: Optional[int] = None
+) -> List[Tuple[Dict[int, int], Dict[int, int]]]:
+    """Dense core of :func:`balanced_heuristic_search_csr`, over many sources.
 
-    Takes a dense source id and returns ``(positive_depths, negative_depths)``
-    keyed by dense node ids — no node objects are touched, so the execution
+    Takes dense source ids and returns one ``(positive_depths,
+    negative_depths)`` pair per source, keyed by dense node ids in the dict
+    search's insertion order — no node objects are touched, so the execution
     layer can run the search in worker processes over a memory-mapped
-    snapshot and remap the depths to node objects in the parent.
+    snapshot and remap the depths to node objects in the parent.  Sources
+    advance :func:`sbph_batch_size` at a time; a source's result does not
+    depend on the batch it runs in.
     """
-    return _balanced_heuristic_depths(csr, source_id, max_length)
+    results: List[Tuple[Dict[int, int], Dict[int, int]]] = []
+    for _offset, sources, (rows, nodes, negative, depths) in _sbph_batches(
+        csr, source_ids, max_length
+    ):
+        # Claims grouped by (row, sign); the stable sort keeps each group's
+        # claims in claim order.
+        segment_keys = rows * 2 + negative
+        by_segment = np.argsort(segment_keys, kind="stable")
+        bounds = np.searchsorted(
+            segment_keys[by_segment], np.arange(2 * sources.size + 1)
+        ).tolist()
+        node_list = nodes[by_segment].tolist()
+        depth_list = depths[by_segment].tolist()
+        for row, source in enumerate(sources.tolist()):
+            positive = {source: 0}
+            low, middle, high = bounds[2 * row : 2 * row + 3]
+            positive.update(zip(node_list[low:middle], depth_list[low:middle]))
+            negative_depths = dict(zip(node_list[middle:high], depth_list[middle:high]))
+            results.append((positive, negative_depths))
+    return results
+
+
+def balanced_heuristic_depths_into(
+    csr: CSRSignedGraph,
+    source_ids: Sequence[int],
+    positive_out: np.ndarray,
+    negative_out: np.ndarray,
+    max_length: Optional[int] = None,
+) -> None:
+    """:func:`balanced_heuristic_depths` written as dense ``int32`` rows.
+
+    Row ``i`` of ``positive_out`` / ``negative_out`` receives source ``i``'s
+    depths, :data:`UNREACHABLE` where the search claimed no state — the
+    result-arena layout, filled straight from each batch's claims.
+    """
+    positive_out.fill(UNREACHABLE)
+    negative_out.fill(UNREACHABLE)
+    for offset, sources, (rows, nodes, negative, depths) in _sbph_batches(
+        csr, source_ids, max_length
+    ):
+        rows = rows + offset
+        positive_out[offset + np.arange(sources.size), sources] = 0
+        positive_out[rows[~negative], nodes[~negative]] = depths[~negative]
+        negative_out[rows[negative], nodes[negative]] = depths[negative]
 
 
 def balanced_result_from_depths(
@@ -1273,132 +1436,17 @@ def balanced_heuristic_search_csr(
 ) -> BalancedPathResult:
     """SBPH's prefix-property search as an indexed (node, sign)-state BFS.
 
-    State ``i`` encodes ``(node i, positive prefix)``; state ``i + n`` encodes
-    ``(node i, negative prefix)`` — the same double-cover layout as
-    :func:`shortest_signed_walk_lengths_csr`.  Each level gathers the whole
-    frontier's adjacency, computes target states and filters already-claimed
-    states with array operations; only the surviving candidates (those that
-    could claim a new representative) run the per-path balance check, in
-    exactly the order the dict search would have reached them (frontier
-    discovery order, then adjacency order).  The balance check itself is
-    degree-adaptive: ordinary candidates run the per-edge Python check
-    (:func:`_extend_camps_csr`), while **hub** candidates — degree at least
-    :data:`_CAMP_BATCH_THRESHOLD` and well above the origin path length —
-    gather their neighbours' camps vectorised through a scratch camp array
-    scattered once per origin path (:func:`_hub_camp_check`).  Both paths
-    compute the same verdict and camp, so the output is **bit-identical** to
+    A batch of one through :func:`balanced_heuristic_depths`; the output is
+    **bit-identical** to
     :meth:`repro.signed.paths.BalancedPathSearch.search_heuristic` — same
     representative per state, same recorded path lengths.
     """
-    positive_depths, negative_depths = _balanced_heuristic_depths(
-        csr, csr.index_of(source), max_length
+    [(positive_depths, negative_depths)] = balanced_heuristic_depths(
+        csr, [csr.index_of(source)], max_length
     )
     return balanced_result_from_depths(
         csr, source, positive_depths, negative_depths, max_length
     )
-
-
-def _balanced_heuristic_depths(
-    csr: CSRSignedGraph, source_id: int, max_length: Optional[int] = None
-) -> Tuple[Dict[int, int], Dict[int, int]]:
-    if max_length is not None and max_length < 0:
-        raise ValueError(f"max_length must be non-negative, got {max_length}")
-    num_nodes = csr.number_of_nodes()
-    bound = max_length if max_length is not None else num_nodes - 1
-    claimed = np.zeros(2 * num_nodes, dtype=bool)
-    claimed[source_id] = True
-    # Scratch Harary colouring for the vectorised hub checks: camp per node
-    # on the last-scattered origin path, -1 elsewhere.  scratch_camps tracks
-    # (by identity) which path's colouring currently occupies it.
-    camp_scratch = np.full(num_nodes, -1, dtype=np.int8)
-    scratch_camps: Optional[Dict[int, int]] = None
-    hub_nodes = csr.degrees() >= _CAMP_BATCH_THRESHOLD
-    has_hubs = bool(hub_nodes.any())
-    #: state id -> (representative path, camps), both in dense ids.
-    representative: Dict[int, Tuple[List[int], Dict[int, int]]] = {
-        source_id: ([source_id], {source_id: 0})
-    }
-    positive_depths: Dict[int, int] = {source_id: 0}
-    negative_depths: Dict[int, int] = {}
-    frontier: List[int] = [source_id]
-    depth = 0
-    # One-time list conversion of the CSR arrays: the per-candidate balance
-    # checks below are pure-Python loops, and list indexing returns cached
-    # small ints instead of boxing a numpy scalar per access.
-    adjacency: _ListAdjacency = (
-        csr.indptr.tolist(),
-        csr.indices.tolist(),
-        csr.signs.tolist(),
-    )
-    indptr_list = adjacency[0]
-    while frontier and depth < bound:
-        states = np.asarray(frontier, dtype=np.int64)
-        node_part = states % num_nodes
-        parity_part = states // num_nodes  # 0 = positive prefix, 1 = negative
-        targets, edge_signs, _origins, counts = _concatenated_neighbor_ranges(
-            csr, node_part
-        )
-        if targets.size == 0:
-            break
-        origin_parity = np.repeat(parity_part, counts)
-        next_parity = np.where(edge_signs > 0, origin_parity, 1 - origin_parity)
-        target_states = targets.astype(np.int64) + next_parity * num_nodes
-        # Vectorised prefilter: drop every edge whose target state was claimed
-        # on an earlier level (the dict search's `state in representative`).
-        open_positions = np.flatnonzero(~claimed[target_states])
-        candidate_array = targets[open_positions]
-        candidate_nodes = candidate_array.tolist()
-        candidate_states = target_states[open_positions].tolist()
-        candidate_origins = np.repeat(states, counts)[open_positions].tolist()
-        # One vectorised gather flags the hub candidates (degree past the
-        # batching threshold); hub-free graphs — the common case — skip even
-        # that and zip a constant, paying nothing for the adaptivity.
-        if has_hubs:
-            hub_flags: Iterable[bool] = hub_nodes[candidate_array].tolist()
-        else:
-            hub_flags = itertools.repeat(False)
-        next_frontier: List[int] = []
-        for t_node, t_state, o_state, is_hub in zip(
-            candidate_nodes, candidate_states, candidate_origins, hub_flags
-        ):
-            if claimed[t_state]:
-                continue  # claimed earlier in this same level
-            path, camps = representative[o_state]
-            if t_node in camps:
-                continue  # revisiting the representative path
-            if is_hub and (
-                indptr_list[t_node + 1] - indptr_list[t_node] >= 4 * len(camps)
-            ):
-                # Hub candidate: the adjacency scan dominates, so gather the
-                # camps vectorised.  The scratch colouring is scattered once
-                # per origin path (identity-tracked) and lazily reset when
-                # the next hub check uses a different origin.
-                if scratch_camps is not camps:
-                    if scratch_camps is not None:
-                        for dense in scratch_camps:
-                            camp_scratch[dense] = -1
-                    for dense, camp in camps.items():
-                        camp_scratch[dense] = camp
-                    scratch_camps = camps
-                balanced, required = _hub_camp_check(csr, t_node, camp_scratch)
-                if not balanced:
-                    continue  # unbalanced extension — prune
-                extended = dict(camps)
-                extended[t_node] = required
-            else:
-                extended = _extend_camps_csr(adjacency, camps, t_node)
-                if extended is None:
-                    continue  # unbalanced extension — prune
-            claimed[t_state] = True
-            representative[t_state] = (path + [t_node], extended)
-            if t_state < num_nodes:
-                positive_depths[t_node] = depth + 1
-            else:
-                negative_depths[t_node] = depth + 1
-            next_frontier.append(t_state)
-        frontier = next_frontier
-        depth += 1
-    return positive_depths, negative_depths
 
 
 class CSRLengths:

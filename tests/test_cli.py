@@ -96,6 +96,29 @@ class TestCompatibilityCommand:
         for name in ("SPA", "SPO", "NNE"):
             assert name in captured.out
 
+    def test_balanced_relations_get_the_experiment_expansion_cap(self, capsys, monkeypatch):
+        import repro.cli as cli
+        from repro.experiments import DatasetConfig
+
+        built = []
+        original = cli.make_relation
+
+        def spy(name, graph, **kwargs):
+            relation = original(name, graph, **kwargs)
+            built.append((name, relation))
+            return relation
+
+        monkeypatch.setattr(cli, "make_relation", spy)
+        exit_code = main(["compatibility", "toy", "--relations", "SBP,SBPH,SPA"])
+        assert exit_code == 0
+        assert "SBP" in capsys.readouterr().out
+        caps = {name: relation._search._max_expansions for name, relation in built[:2]}
+        assert caps == {
+            "SBP": DatasetConfig.sbp_max_expansions,
+            "SBPH": DatasetConfig.sbp_max_expansions,
+        }
+        assert DatasetConfig.sbp_max_expansions < 2_000_000
+
 
 class TestTeamCommand:
     def test_successful_team(self, capsys):

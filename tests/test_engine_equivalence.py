@@ -21,6 +21,8 @@ import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.compatibility import (
     CompatibilityEngine,
@@ -33,9 +35,11 @@ from repro.datasets import load_snap_dataset, synthetic_signed_network, toy_data
 from repro.exec import ExecutionPolicy
 from repro.signed import SignedGraph, signed_bfs
 from repro.signed.csr import (
+    balanced_heuristic_depths,
     balanced_heuristic_search_csr,
     multi_source_shortest_path_lengths_csr,
     multi_source_signed_bfs,
+    sbph_batch_size,
     signed_bfs_csr,
     CSRLengths,
 )
@@ -295,6 +299,70 @@ class TestBatchedKernels:
             assert dict(view.items()) == shortest_path_lengths(graph, source)
 
 
+#: Leaves of the hub in :func:`sbph_batch_scenarios` (its degree is larger).
+HUB_LEAVES = 512
+
+
+@st.composite
+def sbph_batch_scenarios(draw):
+    """A graph with every shape the batched SBPH core must get right, plus
+    one batch of sources over it.
+
+    Nodes, in insertion order: a random mixed-sign core; a hub adjacent to
+    part of the core and to :data:`HUB_LEAVES` leaves (some of them also
+    tied back into the core); a path whose middle edge closes an unbalanced
+    triangle (whichever of the two routes to the triangle's apex a search
+    meets first, the other is then unbalanced); a second component;
+    isolated nodes.
+    """
+    sign = st.sampled_from((-1, 1))
+    graph = SignedGraph()
+
+    def link(u, v, edge_sign):
+        if u != v and not graph.has_edge(u, v):
+            graph.add_edge(u, v, edge_sign)
+
+    # Core wiring and leaf signs come from a seeded generator: hypothesis'
+    # own small draws rarely build the dense cycles whose first candidate
+    # per state is refused.
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    core_size = draw(st.integers(6, 24))
+    density = draw(st.sampled_from((3.0, 4.5, 6.0))) / core_size
+    for u in range(core_size):
+        graph.add_node(("core", u))
+        for v in range(u):
+            if rng.random() < density:
+                link(("core", u), ("core", v), rng.choice((-1, 1)))
+    core = st.integers(0, core_size - 1).map(lambda node: ("core", node))
+    for u, edge_sign in draw(st.lists(st.tuples(core, sign), min_size=1, max_size=6)):
+        link("hub", u, edge_sign)
+    for leaf in range(HUB_LEAVES):
+        link("hub", ("leaf", leaf), rng.choice((-1, 1)))
+    leaf = st.integers(0, HUB_LEAVES - 1).map(lambda node: ("leaf", node))
+    for u, v, edge_sign in draw(st.lists(st.tuples(leaf, core, sign), max_size=8)):
+        link(u, v, edge_sign)
+    link(("core", 0), ("path", 0), draw(sign))
+    for step in range(3):
+        link(("path", step), ("path", step + 1), draw(sign))
+    graph.set_sign(("path", 1), ("path", 2), -1)
+    link(("path", 1), "apex", 1)
+    link(("path", 2), "apex", 1)
+    other_size = draw(st.integers(2, 5))
+    for node in range(1, other_size):
+        link(("other", node - 1), ("other", node), draw(sign))
+    link(("other", 0), ("other", other_size - 1), draw(sign))
+    for node in range(draw(st.integers(1, 3))):
+        graph.add_node(("isolated", node))
+    # One leaf at most: leaf searches all look alike past the hub.
+    other_leaves = {("leaf", leaf) for leaf in range(1, HUB_LEAVES)}
+    searchable = [node for node in graph.nodes() if node not in other_leaves]
+    drawn = draw(st.lists(st.sampled_from(searchable), min_size=1, max_size=12))
+    # Searches that stop at depth 0, early in a small component and late in
+    # the hub's, plus a repeat, all in one batch.
+    sources = draw(st.permutations(drawn + [("isolated", 0), ("other", 0), "hub", drawn[0]]))
+    return graph, sources
+
+
 class TestSBPHCSRSearch:
     """The (node, sign)-state CSR search is bit-identical to the dict search."""
 
@@ -336,6 +404,39 @@ class TestSBPHCSRSearch:
     def test_negative_max_length_rejected(self, two_factions):
         with pytest.raises(ValueError):
             balanced_heuristic_search_csr(two_factions.csr_view(), 0, max_length=-1)
+
+    def test_batched_core_rejects_negative_max_length(self, two_factions):
+        with pytest.raises(ValueError):
+            balanced_heuristic_depths(two_factions.csr_view(), [0, 3], max_length=-1)
+
+    @pytest.mark.parametrize("max_length", (0, 1, 2, 4, None))
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(scenario=sbph_batch_scenarios())
+    def test_batched_core_matches_dict_search(self, scenario, max_length):
+        """One batch of the dense core equals the dict search from every
+        source of it: same depths, same key order, whatever else shares the
+        batch."""
+        graph, sources = scenario
+        csr = graph.csr_view()
+        assert csr.degrees().max() >= HUB_LEAVES
+        assert len(sources) <= sbph_batch_size(csr)
+        nodes = csr._nodes
+        dense = [csr.index_of(source) for source in sources]
+        batch = balanced_heuristic_depths(csr, dense, max_length=max_length)
+        search = BalancedPathSearch(graph, max_length=max_length)
+        for source, source_id, (positive, negative) in zip(sources, dense, batch):
+            expected = search.search_heuristic(source)
+            assert [(nodes[k], v) for k, v in positive.items()] == list(
+                expected.positive_lengths.items()
+            )
+            assert [(nodes[k], v) for k, v in negative.items()] == list(
+                expected.negative_lengths.items()
+            )
+            [(alone_positive, alone_negative)] = balanced_heuristic_depths(
+                csr, [source_id], max_length=max_length
+            )
+            assert list(alone_positive.items()) == list(positive.items())
+            assert list(alone_negative.items()) == list(negative.items())
 
     @pytest.mark.parametrize("seed", (3, 4))
     def test_sbph_relation_backends_agree(self, seed):

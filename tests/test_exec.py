@@ -296,6 +296,44 @@ class TestResultArena:
         serial = serial_executor().map_kernel("csr_sbph", csr, dense, {"max_length": None})
         assert pooled == serial
 
+    def test_sbph_depths_decode_identical_across_batches(self):
+        """Every worker chunk spans several SBPH batches: the arena rows
+        still decode to the serial kernel's depth maps, and shutdown leaves
+        no result segment or snapshot file behind."""
+        pytest.importorskip("numpy")
+        from repro.signed.csr import sbph_batch_size
+
+        dense_graph, _ = synthetic_signed_network(
+            1500, average_degree=24.0, negative_fraction=0.25, seed=31
+        )
+        csr = dense_graph.csr_view()
+        batch = sbph_batch_size(csr)
+        assert batch <= 4
+        sources = list(range(0, csr.number_of_nodes(), 97))[: 4 * batch + 1]
+        directory = pool_module._publish_directory(None)
+        prefix = f"snapshot-{os.getpid()}-"
+
+        def segments():
+            if not os.path.isdir("/dev/shm"):
+                return set()
+            return {name for name in os.listdir("/dev/shm") if name.startswith("psm_")}
+
+        segments_before = segments()
+        executor = executor_for(pool_policy("csr", chunk_size=2 * batch + 1))
+        before = executor._handle.arenas_created
+        pooled = executor.map_kernel("csr_sbph", csr, sources, {"max_length": None})
+        assert executor._handle.arenas_created == before + 1
+        reference = dense_graph.copy().csr_view()
+        serial = serial_executor().map_kernel(
+            "csr_sbph", reference, sources, {"max_length": None}
+        )
+        assert pooled == serial
+        del pooled
+        pool_module.shutdown_pools()
+        assert not pool_module._SEGMENT_LEDGER
+        assert segments() <= segments_before
+        assert not [name for name in os.listdir(directory) if name.startswith(prefix)]
+
     def test_arena_segment_unlinked_after_dispatch(self, graph, monkeypatch):
         from multiprocessing import shared_memory
 
