@@ -35,7 +35,7 @@ from typing import List, Optional, Sequence
 
 from repro.compatibility import (
     RELATION_NAMES,
-    DistanceOracle,
+    CompatibilityRelation,
     make_relation,
     pair_statistics,
 )
@@ -57,6 +57,7 @@ from repro.experiments import (
     run_streaming,
     run_table2,
 )
+from repro.signed.graph import SignedGraph
 from repro.skills import Task
 from repro.teams import ALGORITHM_NAMES, TeamFormationProblem, run_algorithm
 from repro.utils.tables import format_table
@@ -455,17 +456,24 @@ def _command_datasets(arguments: argparse.Namespace) -> int:
     return 0
 
 
+def _capped_relation(name: str, graph: SignedGraph) -> CompatibilityRelation:
+    """``make_relation`` with the experiments' expansion cap on SBP/SBPH.
+
+    The relation's own default makes SBP statistics on slashdot take over an
+    hour, and one exact team search on it about 19 s.
+    """
+    kwargs = {}
+    if name.upper() in ("SBP", "SBPH"):
+        kwargs["max_expansions"] = DatasetConfig.sbp_max_expansions
+    return make_relation(name, graph, **kwargs)
+
+
 def _command_compatibility(arguments: argparse.Namespace) -> int:
     dataset = load_dataset(arguments.dataset, seed=arguments.seed, scale=arguments.scale)
     relation_names = [name.strip().upper() for name in arguments.relations.split(",") if name.strip()]
     rows = []
     for name in relation_names:
-        # The experiments' expansion cap: the relation's own default makes
-        # SBP statistics on slashdot take over an hour.
-        kwargs = {}
-        if name in ("SBP", "SBPH"):
-            kwargs["max_expansions"] = DatasetConfig.sbp_max_expansions
-        relation = make_relation(name, dataset.graph, **kwargs)
+        relation = _capped_relation(name, dataset.graph)
         stats = pair_statistics(relation)
         rows.append([name, f"{stats.percentage:.2f}", stats.evaluated_pairs, stats.sampled])
     headers = ["relation", "compatible pairs %", "pairs evaluated", "sampled"]
@@ -479,7 +487,7 @@ def _command_team(arguments: argparse.Namespace) -> int:
     if not skills:
         print("error: the task needs at least one skill", file=sys.stderr)
         return 2
-    relation = make_relation(arguments.relation, dataset.graph)
+    relation = _capped_relation(arguments.relation, dataset.graph)
     try:
         problem = TeamFormationProblem(dataset.graph, dataset.skills, relation, Task(skills))
     except Exception as error:  # surfacing InfeasibleTaskError and friends
@@ -494,7 +502,6 @@ def _command_team(arguments: argparse.Namespace) -> int:
         return 1
     members = sorted(result.team, key=repr)
     print(f"Team ({len(members)} members, diameter {result.cost:g}) under {relation.name}:")
-    oracle = DistanceOracle(relation)
     for member in members:
         member_skills = sorted(
             str(skill) for skill in dataset.skills.skills_of(member) if skill in problem.task

@@ -37,8 +37,10 @@ per-edge dict search (:meth:`~repro.signed.paths.BalancedPathSearch.search_heuri
 and the indexed (node, sign)-state CSR BFS
 (:func:`repro.signed.csr.balanced_heuristic_depths`), which advances a batch
 of sources level by level and vectorises frontier expansion, claimed-state
-filtering and the balance check.  ``backend="auto"`` (default)
-uses the CSR search whenever numpy is available.  The exact SBP enumeration
+filtering and the balance check.  The policy's
+:attr:`~repro.exec.ExecutionPolicy.uses_csr` picks between them: the default
+``backend="auto"`` uses the CSR search whenever numpy is available.  The
+exact SBP enumeration
 (:meth:`~repro.signed.paths.BalancedPathSearch.search_exact`) has one
 implementation, a path-by-path BFS whose states are bitmasks over dense node
 ids.
@@ -59,7 +61,6 @@ from repro.signed.paths import (
 )
 from repro.utils.generational import GenerationalLRUCache
 from repro.utils.lru import APPROX_BYTES_PER_NODE, fetch_batched
-from repro.utils.optional import numpy_available, require_numpy, warn_numpy_missing
 
 #: Default bound on the number of cached per-source balanced-path results.
 #: Sized to hold a full sweep of graphs up to its own size (the symmetric
@@ -91,8 +92,6 @@ class _BalancedPathRelation(CompatibilityRelation):
     ) -> None:
         super().__init__(graph, policy=policy)
         graph = self._graph  # the base may have adapted a bare CSR snapshot
-        if self._policy.backend == "csr":
-            require_numpy("backend='csr'")
         self._search = BalancedPathSearch(
             graph, max_length=max_path_length, max_expansions=max_expansions
         )
@@ -134,32 +133,13 @@ class _BalancedPathRelation(CompatibilityRelation):
                 self._truncated_sources -= affected
         self._truncated_generation = generation
 
-    def _use_csr_search(self) -> bool:
-        """Whether the heuristic search should run on the CSR backend.
-
-        Only the SBPH heuristic has a CSR implementation; the exact SBP
-        enumeration is inherently path-by-path.  High-diameter graphs pay the
-        level-synchronous fixed cost here too — force ``backend="dict"`` for
-        paths and grids.
-        """
-        if self.exact_search:
-            return False
-        if self._policy.backend == "csr":
-            return True
-        if self._policy.backend == "dict":
-            return False
-        if not numpy_available():
-            warn_numpy_missing(f"{self.name} backend='auto'")
-            return False
-        return True
-
     def _search_from(self, source: Node) -> BalancedPathResult:
         self._prune_truncated()
         result = self._result_cache.get(source)
         if result is None:
             if self.exact_search:
                 result = self._search.search_exact(source)
-            elif self._use_csr_search():
+            elif self._policy.uses_csr:
                 result = self._search.search_heuristic_indexed(source)
             else:
                 result = self._search.search_heuristic(source)
@@ -204,7 +184,7 @@ class _BalancedPathRelation(CompatibilityRelation):
         either way, so results are identical to the serial search.
         """
         executor = self._executor()
-        if self._use_csr_search():
+        if not self.exact_search and self._policy.uses_csr:
             from repro.signed.csr import balanced_result_from_depths
 
             csr = self._graph.csr_view()

@@ -92,6 +92,9 @@ class CompatibilityRelation(abc.ABC):
             graph = as_signed_graph(graph)
         self._graph = graph
         self._policy = policy if policy is not None else ExecutionPolicy()
+        # Resolve the backend now: backend="csr" without numpy raises here,
+        # and "auto" without numpy warns here, not at the first query.
+        self._policy.uses_csr
         num_nodes = graph.number_of_nodes()
         # Generation-keyed: entries auto-expire when a mutation touches their
         # source's connected component, so mutating the graph never requires a

@@ -32,7 +32,6 @@ from repro.signed.graph import Node
 from repro.signed.paths import INFINITY, shortest_path_lengths
 from repro.utils.generational import GenerationalLRUCache
 from repro.utils.lru import APPROX_BYTES_PER_NODE, fetch_batched
-from repro.utils.optional import numpy_available
 from repro.utils.rng import RandomState, ensure_rng
 from repro.utils.validation import require_positive
 
@@ -55,12 +54,12 @@ class DistanceOracle:
     ``policy.distance_cache_size`` entries (the default ``"auto"`` scales
     the bound by graph size, ``None`` disables eviction).  The oracle
     inherits the relation's :class:`~repro.exec.ExecutionPolicy` unless
-    given one explicitly; its sign-agnostic BFS uses the indexed CSR backend
-    whenever numpy is available and the policy does not pin
-    ``backend="dict"``, and its batched sweeps run on the policy's executor
-    — under a pool policy the team's distance maps are computed by worker
-    processes.  :meth:`warm` and :meth:`batch_distance_to_set` are the
-    batched entry points the
+    given one explicitly; its sign-agnostic BFS runs on the indexed CSR
+    backend whenever the policy's
+    :attr:`~repro.exec.ExecutionPolicy.uses_csr` holds, and its batched
+    sweeps run on the policy's executor — under a pool policy the team's
+    distance maps are computed by worker processes.  :meth:`warm` and
+    :meth:`batch_distance_to_set` are the batched entry points the
     :class:`~repro.compatibility.engine.CompatibilityEngine` uses to resolve
     many candidates against a team in one batched sweep.
     """
@@ -191,7 +190,7 @@ class DistanceOracle:
 
         def compute_missing(missing: List[Node]) -> List[object]:
             executor = executor_for(self._policy)
-            if self._use_csr():
+            if self._policy.uses_csr:
                 from repro.signed.csr import CSRLengths
 
                 csr = self._graph.csr_view()
@@ -230,7 +229,9 @@ class DistanceOracle:
             return [0.0] * len(candidate_list)
         if isinstance(self._relation, _BalancedPathRelation):
             return self._relation.batch_distance_to_set(candidate_list, team_list)
-        if not self._use_csr():
+        # SP* rows are the relation's, computed on the relation's backend.
+        rows_policy = self._relation.policy if self._sp_relation is not None else self._policy
+        if not rows_policy.uses_csr:
             if self._policy.parallel:
                 # Prefetch the members' distance maps through the pool; the
                 # per-candidate loop below then reads cached maps.
@@ -242,8 +243,9 @@ class DistanceOracle:
 
         maps = self.warm(team_list)
         if not all(isinstance(view, CSRLengths) for view in maps):
-            # Mixed cache contents (e.g. maps computed before a backend
-            # switch): the per-candidate loop handles every map type.
+            # A dict row among the maps — an SP* member whose path counts
+            # overflowed int64 — goes through the per-candidate loop, which
+            # handles every map type.
             return [self.distance_to_set(c, team_list) for c in candidate_list]
         csr = maps[0]._graph
         if not all(view._graph.shares_index_with(csr) for view in maps):
@@ -294,17 +296,12 @@ class DistanceOracle:
             return self._sp_relation.bfs_cache_maxsize
         return self._bfs_cache.maxsize
 
-    def _use_csr(self) -> bool:
-        if self._sp_relation is not None:
-            return self._sp_relation._use_csr()
-        return self._policy.backend != "dict" and numpy_available()
-
     def _shortest_paths_from(self, source: Node):
         if self._sp_relation is not None:
             return self._sp_relation.distance_rows([source])[0]
         lengths = self._bfs_cache.get(source)
         if lengths is None:
-            if self._use_csr():
+            if self._policy.uses_csr:
                 from repro.signed.csr import CSRLengths, shortest_path_lengths_csr
 
                 csr = self._graph.csr_view()

@@ -176,7 +176,7 @@ class CompatibilityEngine:
         if not source_list:
             return
         relation = self._relation
-        if isinstance(relation, _ShortestPathRelation) and relation._use_csr():
+        if isinstance(relation, _ShortestPathRelation) and relation.policy.uses_csr:
             budget = relation.bfs_cache_maxsize
             if budget is not None:
                 source_list = source_list[:budget]
@@ -201,7 +201,7 @@ class CompatibilityEngine:
         if not team_list or not survivors:
             return frozenset(survivors)
         relation = self._relation
-        if isinstance(relation, _ShortestPathRelation) and relation._use_csr():
+        if isinstance(relation, _ShortestPathRelation) and relation.policy.uses_csr:
             return self._compatible_from_many_csr(survivors, team_list)
         return frozenset(
             candidate
@@ -220,10 +220,10 @@ class CompatibilityEngine:
         filter.  Masks live in the engine's ``(member, generation)`` memo;
         misses are resolved with one batched BFS over exactly the missing
         members.  A slot of ``(None, result)`` marks a member whose BFS
-        result cannot be indexed against ``csr`` (dict fallback, or a
-        surviving result from a snapshot with a different node set): the
-        caller runs the per-pair path on that very result rather than
-        re-fetching it (the BFS LRU can be smaller than the team).
+        result cannot be indexed against ``csr`` (an int64-overflow dict
+        fallback, or a surviving result from a snapshot with a different node
+        set): the caller runs the per-pair path on that very result rather
+        than re-fetching it (the BFS LRU can be smaller than the team).
 
         Under a pool policy the misses are fetched as worker-packed bitmaps
         (``csr_compatible_masks`` — ``rule & reachable``, which is exactly
@@ -249,8 +249,9 @@ class CompatibilityEngine:
             # Members whose BFS results already sit in the relation's cache
             # (earlier pair queries, a warm()) must not pay a fresh worker-side
             # traversal: indexable results yield their mask locally, the rest
-            # (dict fallbacks, foreign snapshots) go to the batch_bfs loop
-            # below — also a cache hit.  Only true misses are dispatched.
+            # (int64-overflow dict fallbacks, foreign snapshots) go to the
+            # batch_bfs loop below — also a cache hit.  Only true misses are
+            # dispatched.
             dispatch: List[Node] = []
             uncached: List[Node] = []
             for member in missing:
@@ -313,7 +314,7 @@ class CompatibilityEngine:
         keep = np.ones(len(survivors), dtype=bool)
         for member, (mask, result) in zip(team, self._member_rule_masks(team, csr)):
             if mask is None:
-                # Dict results (overflow or probe fallback) and results from
+                # Dict results (int64-overflow fallbacks) and results from
                 # an incompatible snapshot go through the per-pair checks,
                 # which resolve nodes via the result's own index — exactly
                 # the are_compatible semantics.

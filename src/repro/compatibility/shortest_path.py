@@ -11,30 +11,28 @@ negative shortest paths from a query node to every other node in one BFS:
 Two interchangeable backends run Algorithm 1:
 
 * ``"dict"`` — the pure-Python BFS over the adjacency dictionary; the
-  reference implementation, the faster one on high-diameter graphs, and the
-  only backend available on numpy-free installs;
+  reference implementation, the faster one on high-diameter graphs (paths,
+  grids, meshes: the level-synchronous CSR BFS pays ~20 array operations per
+  level), and the only backend available on numpy-free installs;
 * ``"csr"`` — the indexed array BFS over the graph's
   :meth:`~repro.signed.graph.SignedGraph.csr_view`
   (:func:`repro.signed.csr.signed_bfs_csr`); an order of magnitude faster per
   source on SNAP-scale graphs, with a word-parallel multi-source kernel
   (:func:`repro.signed.csr.multi_source_signed_bfs`) behind :meth:`batch_bfs`.
 
-``backend="auto"`` (the default) is **diameter-adaptive**: because the
-level-synchronous CSR BFS pays ~20 array operations per level, high-diameter
-graphs (paths, grids, meshes) run faster on the dict backend, whatever their
-size.  The first BFS in auto mode therefore runs on the dict backend and
-counts its levels: if the probe's eccentricity exceeds
-:data:`CSR_AUTO_LEVEL_THRESHOLD`, the relation commits to the dict backend;
-otherwise it commits to CSR.  The probe result is cached like any other BFS,
-so the work is never wasted.  On numpy-free installs ``"auto"`` falls back to
-the dict backend with a one-time warning, while an explicit ``backend="csr"``
-raises :class:`ImportError` at construction time.  All backends produce
-identical relations — the equivalence tests compare them bit for bit.
+The policy decides between them once
+(:attr:`~repro.exec.ExecutionPolicy.uses_csr`): ``backend="auto"`` (the
+default) runs CSR whenever numpy imports and falls back to the dict backend
+with a one-time warning otherwise, while an explicit ``backend="csr"`` raises
+:class:`ImportError` at construction time.  The only dict results a CSR
+relation holds are per-source fallbacks for path counts past the int64
+guard.  All backends produce identical relations — the equivalence tests
+compare them bit for bit.
 
 A source's BFS result (lengths plus positive and negative path counts)
 depends only on the graph and the source, not on the pair rule, so it is
-computed once per graph: every SPA/SPM/SPO relation whose policy has the same
-``backend`` and the same resolved ``bfs_cache_size`` reads one bounded,
+computed once per graph: every SPA/SPM/SPO relation whose policy resolves to
+the same backend and the same ``bfs_cache_size`` reads one bounded,
 generation-keyed LRU (:class:`repro.utils.generational.GenerationalLRUCache`)
 held by the graph itself, and the SP* distance oracles read their distance
 rows from the same results.  The default ``bfs_cache_size="auto"`` scales the
@@ -60,14 +58,6 @@ from repro.signed.graph import Node, SignedGraph
 from repro.signed.paths import SignedBFSResult, signed_bfs
 from repro.utils.generational import GenerationalLRUCache
 from repro.utils.lru import APPROX_BYTES_PER_NODE, fetch_batched
-from repro.utils.optional import numpy_available, require_numpy, warn_numpy_missing
-
-#: ``backend="auto"`` commits to the dict backend when the probe BFS observes
-#: more levels than this.  The level-synchronous CSR BFS pays a fixed ~20
-#: array operations per level, so beyond a few dozen levels (paths, grids,
-#: meshes — the probe's eccentricity is at least half the diameter) the
-#: per-edge dict BFS wins despite its interpreter overhead.
-CSR_AUTO_LEVEL_THRESHOLD = 32
 
 #: Default bound on the number of cached per-source BFS results (the ceiling
 #: the ``"auto"`` byte-aware sizing starts from).
@@ -85,17 +75,19 @@ def _shared_caches(
 ) -> Tuple[GenerationalLRUCache[Node, _BFSResult], GenerationalLRUCache[Node, DegreeTriple]]:
     """The graph's signed-BFS cache and degree memo for ``policy``.
 
-    Both live under one key: the policy's backend and resolved BFS entry
-    bound.  Generation-keyed: mutating the graph drops only the entries whose
-    component a mutation touched, for every relation sharing the caches; the
-    rest stay valid (results against an older CSR snapshot keep working
-    through the snapshot's shared index — see
-    CSRSignedGraph.shares_index_with).  Caches live as long as the graph:
-    ones whose relations are all gone stay until the graph is freed.
+    Both live under one key: the policy's resolved backend
+    (:attr:`~repro.exec.ExecutionPolicy.uses_csr`, so ``"auto"`` and
+    ``"csr"`` share) and resolved BFS entry bound.  Generation-keyed:
+    mutating the graph drops only the entries whose component a mutation
+    touched, for every relation sharing the caches; the rest stay valid
+    (results against an older CSR snapshot keep working through the
+    snapshot's shared index — see CSRSignedGraph.shares_index_with).  Caches
+    live as long as the graph: ones whose relations are all gone stay until
+    the graph is freed.
     """
     num_nodes = graph.number_of_nodes()
     maxsize = resolve_cache_size(policy.bfs_cache_size, DEFAULT_BFS_CACHE_SIZE, num_nodes)
-    key = (policy.backend, maxsize)
+    key = (policy.uses_csr, maxsize)
     cache = graph._signed_bfs_caches.get(key)
     if cache is None:
         cache = GenerationalLRUCache(
@@ -124,7 +116,7 @@ class _ShortestPathRelation(CompatibilityRelation):
         The signed graph the relation is defined over.
     policy:
         The :class:`~repro.exec.ExecutionPolicy` governing backend choice
-        (``"dict"``, ``"csr"`` or diameter-adaptive ``"auto"``),
+        (``"dict"``, ``"csr"`` or ``"auto"``),
         worker-pool execution and cache budgets; ``bfs_cache_size`` bounds
         the LRU of per-source BFS results (``"auto"`` scales
         :data:`DEFAULT_BFS_CACHE_SIZE` down by graph size), which every SP*
@@ -140,85 +132,12 @@ class _ShortestPathRelation(CompatibilityRelation):
         policy: Optional[ExecutionPolicy] = None,
     ) -> None:
         super().__init__(graph, policy=policy)
-        graph = self._graph  # the base may have adapted a bare CSR snapshot
-        if self._policy.backend == "csr":
-            require_numpy("backend='csr'")
-        #: Lazily decided by the diameter probe in auto mode (None = undecided).
-        self._auto_prefer_dict: Optional[bool] = None
-        self._bfs_cache, self._degree_cache = _shared_caches(graph, self._policy)
-
-    def _use_csr(self) -> bool:
-        if self._policy.backend == "csr":
-            return True
-        if self._policy.backend == "dict":
-            return False
-        if self._graph.prefers_csr:
-            # CSR-first graphs never pay the dict diameter probe — probing
-            # would materialise the adjacency dicts the facade exists to avoid.
-            if numpy_available():
-                return True
-            warn_numpy_missing(f"{self.name} backend='auto'")
-            return False
-        if not numpy_available():
-            warn_numpy_missing(f"{self.name} backend='auto'")
-            return False
-        if self._auto_prefer_dict is None:
-            self._probe_diameter()
-        return not self._auto_prefer_dict
-
-    #: Maximum dict-BFS probes ``_probe_diameter`` runs before deciding.
-    _MAX_DIAMETER_PROBES = 4
-
-    def _probe_diameter(self) -> None:
-        """Run a few dict BFS probes and commit auto mode by their level counts.
-
-        A probe's eccentricity is at least half its component's diameter,
-        which cleanly separates the social-network regime (a handful of
-        levels) from the path/grid regime (hundreds).  One probe per
-        *component* (in insertion order, capped) guards against the first
-        node being isolated or sitting in a tiny component that says nothing
-        about the bulk of the graph; probing stops early once any probe
-        crosses the threshold or half the graph is covered.  Probe results
-        land in the BFS cache, so the work is reused if those nodes are ever
-        queried.
-        """
-        levels = 0
-        seen: Set[Node] = set()
-        probes = 0
-        half = self._graph.number_of_nodes() / 2
-        for node in self._graph:
-            if node in seen:
-                continue
-            result = self._bfs_cache.get(node)
-            if result is None:
-                result = signed_bfs(self._graph, node)
-                self._bfs_cache[node] = result
-            if isinstance(result, SignedBFSResult):
-                reached = result.lengths
-                levels = max(levels, max(reached.values(), default=0))
-                seen.update(reached)
-            else:  # a cached CSR result (backend switched mid-life)
-                import numpy as np
-
-                levels = max(levels, max(0, int(result.lengths_array.max())))
-                csr = result.graph
-                seen.update(
-                    csr.node_at(dense)
-                    for dense in np.flatnonzero(result.lengths_array >= 0)
-                )
-            probes += 1
-            if (
-                levels > CSR_AUTO_LEVEL_THRESHOLD
-                or len(seen) >= half
-                or probes >= self._MAX_DIAMETER_PROBES
-            ):
-                break
-        self._auto_prefer_dict = levels > CSR_AUTO_LEVEL_THRESHOLD
+        self._bfs_cache, self._degree_cache = _shared_caches(self._graph, self._policy)
 
     def _bfs(self, source: Node) -> _BFSResult:
         result = self._bfs_cache.get(source)
         if result is None:
-            if self._use_csr():
+            if self._policy.uses_csr:
                 from repro.signed.csr import signed_bfs_csr
 
                 try:
@@ -250,7 +169,7 @@ class _ShortestPathRelation(CompatibilityRelation):
         """
         source_list = list(sources)
         self._require_nodes(*source_list)
-        if not self._use_csr():
+        if not self._policy.uses_csr:
             if not self._policy.parallel:
                 return [self._bfs(source) for source in source_list]
 
@@ -317,7 +236,6 @@ class _ShortestPathRelation(CompatibilityRelation):
         # SP* relation (and SP* distance oracle) that reads them.
         self._bfs_cache.clear()
         self._degree_cache.clear()
-        self._auto_prefer_dict = None
 
     def _sync_subclass_caches(self) -> None:
         self._bfs_cache.sync()
@@ -377,7 +295,7 @@ class _ShortestPathRelation(CompatibilityRelation):
         """
         source_list = list(sources)
         self._require_nodes(*source_list)
-        if not self._use_csr():
+        if not self._policy.uses_csr:
             if self._policy.parallel:
                 # Prefetch the per-source BFS results through the worker
                 # pool; the base-class per-source loop below then reads them
@@ -392,7 +310,7 @@ class _ShortestPathRelation(CompatibilityRelation):
         def compute_missing(missing: List[Node]) -> List[FrozenSet[Node]]:
             sets: List[FrozenSet[Node]] = []
             for source, result in zip(missing, self.batch_bfs(missing)):
-                if isinstance(result, SignedBFSResult):
+                if isinstance(result, SignedBFSResult):  # int64 overflow
                     computed = self._compute_compatible_set(source)
                 else:
                     rule_mask = self._pair_rule_mask(
@@ -467,7 +385,7 @@ class _ShortestPathRelation(CompatibilityRelation):
 
     def _degree_triples(self, missing: List[Node]) -> List[DegreeTriple]:
         """Degree triples for the memo's misses (see :meth:`batch_compatibility_degrees`)."""
-        if not (self._policy.parallel and self._use_csr()):
+        if not (self._policy.parallel and self._policy.uses_csr):
             return [_degree_triple(result) for result in self.batch_bfs(missing)]
         triples: List[Optional[DegreeTriple]] = []
         dispatch: List[int] = []

@@ -25,6 +25,8 @@ import warnings
 from dataclasses import dataclass
 from typing import Dict, Optional, Union
 
+from repro.utils.optional import numpy_available, require_numpy, warn_numpy_missing
+
 #: A cache-size knob: an explicit entry bound, ``None`` for unbounded, or
 #: ``"auto"`` for the byte-aware bound scaled by graph size (the same type the
 #: relations have always accepted — see :mod:`repro.utils.lru`).
@@ -52,8 +54,9 @@ class ExecutionPolicy:
     Parameters
     ----------
     backend:
-        ``"auto"`` (size- and diameter-adaptive), ``"dict"`` or ``"csr"`` —
-        the kernel backend the SP* relations and the SBPH heuristic run on.
+        ``"auto"`` (CSR whenever numpy imports), ``"dict"`` or ``"csr"`` —
+        the kernel backend the SP* relations, the SBPH heuristic and the
+        distance oracles run on; :attr:`uses_csr` resolves it.
     workers:
         ``0`` or ``1`` — serial execution (the default); ``>= 2`` — dispatch
         per-source kernel batches to a persistent pool of that many worker
@@ -133,6 +136,28 @@ class ExecutionPolicy:
     def parallel(self) -> bool:
         """True iff this policy dispatches kernel batches to a worker pool."""
         return self.resolved_workers() > 1
+
+    @property
+    def uses_csr(self) -> bool:
+        """True iff the per-source kernels run on the CSR backend.
+
+        The one backend decision every relation, oracle and engine reads.
+        ``"csr"`` needs numpy and raises :class:`ImportError` without it;
+        ``"dict"`` never uses it; ``"auto"`` uses CSR whenever numpy imports
+        and otherwise falls back to the dict backend, warning once per
+        process.  High-diameter graphs (paths, grids), where the
+        level-synchronous CSR BFS pays a fixed cost per level, should pin
+        ``"dict"``.
+        """
+        if self.backend == "csr":
+            require_numpy("backend='csr'")
+            return True
+        if self.backend == "dict":
+            return False
+        if numpy_available():
+            return True
+        warn_numpy_missing("backend='auto'")
+        return False
 
     def executor(self):
         """The executor serving this policy (see :func:`executor_for`)."""

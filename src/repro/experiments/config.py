@@ -33,10 +33,6 @@ class DatasetConfig:
     compute_exact_sbp: bool = False
     #: Expansion cap for the exact SBP search.
     sbp_max_expansions: int = 200_000
-    #: Backend for the SP* relations' BFS and SBPH's heuristic search:
-    #: "auto" (CSR on large low-diameter graphs), "dict" (reference
-    #: implementation) or "csr" (always indexed).
-    sp_backend: str = "auto"
     #: Worker processes for the per-source kernel sweeps (0/1 = serial, the
     #: default, so existing invocations are unchanged; >= 2 dispatches to a
     #: process pool; -1 = one per CPU).  Results are identical either way.
@@ -53,7 +49,6 @@ class DatasetConfig:
         from repro.exec import ExecutionPolicy
 
         return ExecutionPolicy(
-            backend=self.sp_backend,
             workers=self.workers,
             chunk_size=self.chunk_size,
             snapshot_store=self.snapshot_store,

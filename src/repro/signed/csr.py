@@ -3,7 +3,8 @@
 The dict-of-dicts :class:`~repro.signed.graph.SignedGraph` is ideal for
 incremental construction and O(1) single-edge queries, but every per-source
 algorithm pays Python-interpreter cost per visited edge.  This module provides
-the indexed counterpart used on large graphs:
+the indexed counterpart, which the default ``backend="auto"`` runs whenever
+numpy imports (:attr:`repro.exec.ExecutionPolicy.uses_csr`):
 
 * :class:`CSRSignedGraph` — an immutable snapshot that maps arbitrary hashable
   node ids to dense integers and stores adjacency as three flat arrays
@@ -47,8 +48,9 @@ in ``tests/test_csr.py`` enforce this).
 
 The level-synchronous traversal pays a fixed cost of ~20 array operations per
 BFS level, so it targets the low-diameter graphs this library is about
-(social networks, diameter < 20); on path-like graphs with diameter ~n the
-dict BFS is faster and ``backend="dict"`` should be forced.
+(social networks, diameter < 20).  Nothing measures the diameter: on
+path-like graphs with diameter ~n the dict BFS is faster, and the caller
+pins ``backend="dict"``.
 """
 
 from __future__ import annotations

@@ -105,10 +105,10 @@ class SignedGraph:
     2
     """
 
-    #: Backend hint read by the shortest-path ``_use_csr`` selectors.  The
-    #: dict-built graph expresses no preference (auto-probing applies);
-    #: :class:`repro.signed.lazy.CSRBackedSignedGraph` overrides this so a
-    #: CSR-first graph is never dict-probed (which would materialise it).
+    #: Whether the graph's home representation is its CSR snapshot.  Only the
+    #: streaming churn sampler reads it, to enumerate candidate edges from
+    #: the CSR planes instead of the adjacency dicts;
+    #: :class:`repro.signed.lazy.CSRBackedSignedGraph` overrides it.
     prefers_csr = False
 
     def __init__(self) -> None:
@@ -121,11 +121,11 @@ class SignedGraph:
         self._generation = 0
         self._csr_cache: Optional[Tuple[int, object]] = None
         #: Per-source signed-BFS caches shared by every shortest-path relation
-        #: on this graph, keyed by ``(backend, entry bound)``; held here so
+        #: on this graph, keyed by ``(uses_csr, entry bound)``; held here so
         #: they are freed with the graph (see repro.compatibility.shortest_path).
-        self._signed_bfs_caches: Dict[Tuple[str, Optional[int]], object] = {}
+        self._signed_bfs_caches: Dict[Tuple[bool, Optional[int]], object] = {}
         #: Their ``(spa, spm, spo)`` degree memos, under the same keys.
-        self._sp_degree_caches: Dict[Tuple[str, Optional[int]], object] = {}
+        self._sp_degree_caches: Dict[Tuple[bool, Optional[int]], object] = {}
         #: Structured mutation log since the last CSR snapshot; ``None`` until
         #: the first snapshot exists (nothing to patch before that).
         self._delta: Optional[GraphDelta] = None

@@ -157,7 +157,14 @@ def _scan_chunk(chunk: bytes) -> Tuple[np.ndarray, int]:
         bad = (sign_pos > 0) & ~_TOKEN_BREAK[prev]
         if bad.any():
             raise _VectorParseUnsupported("sign character inside a token")
-        del prev, bad
+        # A bare "+" or "-" is a valid sign token to the dict parser, but
+        # np.fromstring reads it as 0: leave such lines to token mode.
+        after = sign_pos + 1
+        bare = after >= size
+        bare[~bare] = _TOKEN_BREAK[arr[after[~bare]]]
+        if bare.any():
+            raise _VectorParseUnsupported("bare sign token")
+        del prev, bad, after, bare
     del sign_pos
     # Leading zeros: int("01") == 1 for a *node* but "01" is an invalid *sign*
     # token to the dict parser, so any 0-led multi-digit token falls back.

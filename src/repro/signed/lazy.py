@@ -113,9 +113,8 @@ class CSRBackedSignedGraph(SignedGraph):
     mutations stay dict-free (see the module docstring).
     """
 
-    #: Backend selectors (``_use_csr``) read this instead of probing the
-    #: graph: a CSR-backed facade should never pay a dict-BFS diameter probe
-    #: (which would materialise the adjacency dicts) just to pick a backend.
+    #: The streaming churn sampler reads this to enumerate candidate edges
+    #: from the CSR planes, which keeps the adjacency dicts unmaterialised.
     prefers_csr = True
 
     def __init__(self, csr: CSRSignedGraph) -> None:

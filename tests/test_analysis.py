@@ -576,6 +576,49 @@ def test_policy_shim_accepts_policy_parameter_and_private_classes():
     assert "policy-shim" not in rule_ids(findings)
 
 
+def test_policy_shim_flags_backend_literal_comparisons():
+    source = snippet(
+        """
+        def use_csr(policy):
+            if policy.backend == "csr":
+                return True
+            return self._policy.backend != "dict"
+
+
+        def forced(config):
+            return config.backend in ("dict", "csr")
+        """
+    )
+    findings = analyze_source(source, module="repro.compatibility.example")
+    lines = sorted(f.line for f in findings if f.rule == "policy-shim")
+    assert lines == [3, 5, 9]
+    assert all(
+        "uses_csr" in f.message for f in findings if f.rule == "policy-shim"
+    )
+
+
+def test_policy_shim_accepts_uses_csr_and_the_policy_module():
+    reader = snippet(
+        """
+        def use_csr(policy, arguments):
+            policy = ExecutionPolicy(backend=arguments.backend)
+            return policy.uses_csr
+        """
+    )
+    findings = analyze_source(reader, module="repro.compatibility.example")
+    assert "policy-shim" not in rule_ids(findings)
+    resolver = snippet(
+        """
+        class ExecutionPolicy:
+            @property
+            def uses_csr(self):
+                return self.backend == "csr"
+        """
+    )
+    findings = analyze_source(resolver, module="repro.exec.policy")
+    assert "policy-shim" not in rule_ids(findings)
+
+
 # ------------------------------------------------------------ dtype-discipline
 
 

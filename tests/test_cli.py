@@ -119,6 +119,12 @@ class TestCompatibilityCommand:
         }
         assert DatasetConfig.sbp_max_expansions < 2_000_000
 
+        built.clear()
+        exit_code = main(["team", "toy", "python,databases", "--relation", "SBP"])
+        assert exit_code == 0
+        assert [name for name, _ in built] == ["SBP"]
+        assert built[0][1]._search._max_expansions == DatasetConfig.sbp_max_expansions
+
 
 class TestTeamCommand:
     def test_successful_team(self, capsys):

@@ -394,8 +394,8 @@ class TestRelationBackendEquivalence:
         graph = random_signed_graph(29, num_nodes=20)
         dict_oracle = DistanceOracle(make_relation("SPO", graph, policy=DICT))
         csr_oracle = DistanceOracle(make_relation("SPO", graph, policy=CSR))
-        assert not dict_oracle._use_csr()
-        assert csr_oracle._use_csr()
+        assert not dict_oracle.relation.policy.uses_csr
+        assert csr_oracle.relation.policy.uses_csr
         for u in graph.nodes()[::4]:
             for v in graph.nodes()[::5]:
                 assert dict_oracle.distance(u, v) == csr_oracle.distance(u, v)
@@ -453,7 +453,7 @@ class TestRelationBackendEquivalence:
         # No size cut-over: with numpy present, "auto" uses CSR on any
         # low-diameter graph.
         relation = make_relation("SPO", two_factions)  # backend="auto"
-        assert relation._use_csr()
+        assert relation.policy.uses_csr
         assert relation.are_compatible(0, 1)
 
     def test_invalid_backend_rejected(self, two_factions):

@@ -30,8 +30,7 @@ from repro.compatibility import (
     make_relation,
     source_sampled_pair_statistics,
 )
-from repro.compatibility.shortest_path import CSR_AUTO_LEVEL_THRESHOLD
-from repro.datasets import load_snap_dataset, synthetic_signed_network, toy_dataset
+from repro.datasets import load_snap_dataset, toy_dataset
 from repro.exec import ExecutionPolicy
 from repro.signed import SignedGraph, signed_bfs
 from repro.signed.csr import (
@@ -42,6 +41,7 @@ from repro.signed.csr import (
     sbph_batch_size,
     signed_bfs_csr,
     CSRLengths,
+    CSRSignedBFSResult,
 )
 from repro.signed.generators import planted_factions_graph
 from repro.signed.io import write_edge_list
@@ -456,75 +456,44 @@ class TestSBPHCSRSearch:
             ) == csr_rel.positive_balanced_distance(u, v)
 
 
-class TestDiameterAdaptiveAuto:
-    """backend="auto" counts probe BFS levels and falls back on high diameter."""
+class TestSingleBackendDecision:
+    """ExecutionPolicy.uses_csr is the one backend decision; nothing probes."""
+
+    @pytest.mark.parametrize(
+        "backend, expected", (("auto", True), ("csr", True), ("dict", False))
+    )
+    def test_uses_csr_per_backend(self, backend, expected):
+        assert ExecutionPolicy(backend=backend).uses_csr is expected
 
     def _path_graph(self, length):
         return SignedGraph.from_edges(
             [(i, i + 1, 1 if i % 3 else -1) for i in range(length)]
         )
 
-    def test_path_graph_prefers_dict(self):
+    def test_high_diameter_graph_same_answers_on_auto_and_dict(self):
+        graph = self._path_graph(1224)
+        nodes = graph.nodes()
+        auto = make_relation("SPO", graph)
+        pinned = make_relation("SPO", graph.copy(), policy=ExecutionPolicy(backend="dict"))
+        sample = nodes[::97]
+        assert auto.batch_compatible_sets(sample) == pinned.batch_compatible_sets(sample)
+        assert auto.batch_compatibility_degrees(sample) == (
+            pinned.batch_compatibility_degrees(sample)
+        )
+        team = nodes[100:1200:250]
+        candidates = nodes[::31]
+        assert DistanceOracle(auto).batch_distance_to_set(candidates, team) == (
+            DistanceOracle(pinned).batch_distance_to_set(candidates, team)
+        )
+
+    def test_auto_cache_holds_only_csr_results(self):
         graph = self._path_graph(1224)
         relation = make_relation("SPO", graph)
-        assert relation._use_csr() is False
-        assert relation._auto_prefer_dict is True
-
-    def test_low_diameter_graph_prefers_csr(self):
-        graph, _ = synthetic_signed_network(
-            1224, average_degree=6.0, negative_fraction=0.2, seed=5
-        )
-        relation = make_relation("SPO", graph)
-        assert relation._use_csr() is True
-        assert relation._auto_prefer_dict is False
-
-    def test_explicit_backends_skip_probe(self):
-        graph = self._path_graph(1124)
-        for backend, uses_csr in (("dict", False), ("csr", True)):
-            relation = make_relation("SPO", graph, policy=ExecutionPolicy(backend=backend))
-            assert relation._use_csr() is uses_csr
-
-    def test_probe_decision_reset_by_clear_cache(self):
-        graph = self._path_graph(1124)
-        relation = make_relation("SPO", graph)
-        relation._use_csr()
-        assert relation._auto_prefer_dict is not None
-        relation.clear_cache()
-        assert relation._auto_prefer_dict is None
-
-    def test_small_path_graph_stays_dict_via_probe(self):
-        # No size cut-over: a small graph is probed like any other, and a
-        # high-diameter one stays on the dict backend.
-        graph = self._path_graph(4 * CSR_AUTO_LEVEL_THRESHOLD)
-        relation = make_relation("SPO", graph)
-        assert relation._use_csr() is False
-        assert relation._auto_prefer_dict is True
-
-    def test_probe_result_lands_in_cache(self):
-        graph, _ = synthetic_signed_network(
-            1074, average_degree=5.0, negative_fraction=0.2, seed=6
-        )
-        relation = make_relation("SPO", graph)
-        relation._use_csr()
-        probe_source = next(iter(graph))
-        assert probe_source in relation._bfs_cache
-
-    def test_threshold_is_reasonable(self):
-        # Guard against accidental edits: the threshold separates social
-        # networks (diameter < 20) from paths/grids (hundreds of levels).
-        assert 16 <= CSR_AUTO_LEVEL_THRESHOLD <= 128
-
-    def test_isolated_first_node_does_not_fool_probe(self):
-        # The first inserted node is a leaf of a 2-node appendix; its
-        # component says nothing about the dominant path component, so the
-        # probe must keep sampling components before committing to CSR.
-        graph = SignedGraph()
-        graph.add_edge("appendix-a", "appendix-b", 1)
-        for i in range(1224):
-            graph.add_edge(i, i + 1, 1)
-        relation = make_relation("SPO", graph)
-        assert relation._use_csr() is False
-        assert relation._auto_prefer_dict is True
+        relation.batch_compatible_sets(graph.nodes()[:5])
+        cached = [relation._bfs_cache.get(node) for node in graph.nodes()]
+        cached = [result for result in cached if result is not None]
+        assert len(cached) == 5
+        assert all(isinstance(result, CSRSignedBFSResult) for result in cached)
 
 
 class TestByteAwareCacheBounds:
@@ -743,14 +712,17 @@ NUMPY_FREE_SCRIPT = textwrap.dedent(
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         auto = make_relation("SPO", big)
-        assert auto._use_csr() is False
-        assert any("numpy" in str(w.message) for w in caught), caught
+        assert auto.policy.uses_csr is False
+        assert auto.compatibility_degree(0) >= 0
+        assert len([w for w in caught if "numpy" in str(w.message)]) == 1, caught
 
+    # One warning per process: the later SBPH relation still runs on dict.
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         sbph = make_relation("SBPH", big)
-        assert sbph._use_csr_search() is False
-        assert any("numpy" in str(w.message) for w in caught), caught
+        assert sbph.policy.uses_csr is False
+        assert sbph.are_compatible(0, 1)
+        assert not [w for w in caught if "numpy" in str(w.message)], caught
 
     engine = CompatibilityEngine(relation)
     team = [graph.nodes()[0]]

@@ -14,7 +14,7 @@ import random
 import pytest
 
 np = pytest.importorskip("numpy")
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.compatibility import CompatibilityEngine, DistanceOracle, make_relation
@@ -275,6 +275,19 @@ class TestTokenModeIngest:
         )
         assert vectorised._nodes == ["alice", "bob", "carol"]
 
+    @pytest.mark.parametrize(
+        "lines", (["3 7 +"], ["3 7 -"], ["3 7 +", "5 3 -"]), ids=("plus", "minus", "both")
+    )
+    def test_bare_signs_on_integer_labels(self, tmp_path, lines):
+        # The integer scanner would read a bare "+"/"-" as sign 0; the line
+        # must go to token mode, not silently to the dict parser.
+        path = write_edges(tmp_path / "bare.edges", lines)
+        vectorised = parse_edge_list_csr(path)
+        assert vectorised is not None
+        assert_csr_equal(
+            vectorised, CSRSignedGraph.from_signed_graph(dict_reference(path))
+        )
+
     def test_non_bijective_int_coercion_falls_back(self, tmp_path):
         # int("+5") == int("5"): the dict parser merges the two spellings into
         # one node, which byte-distinct vocab ids cannot reproduce.
@@ -305,6 +318,7 @@ class TestTokenModeIngest:
         policy=st.sampled_from(POLICIES),
         lcc=st.booleans(),
     )
+    @example(edges=[("3", "7", "+")], policy="keep_first", lcc=False)
     def test_hypothesis_bit_identity(self, tmp_path, edges, policy, lcc):
         path = write_edges(
             tmp_path / "ht.edges", [f"{u} {v} {s}" for u, v, s in edges] or [""]

@@ -137,8 +137,9 @@ class TestSharedCache:
         assert cache("SPM") is shared
         assert cache("SPO", workers=0, compatible_cache_size=5) is shared
         assert cache("SPO", bfs_cache_size=shared.maxsize) is shared
-        assert cache("SPA", backend="csr") is not shared
-        assert cache("SPA", backend="csr") is not cache("SPA", backend="dict")
+        # Keyed on the resolved backend: "csr" shares the "auto" cache.
+        assert cache("SPA", backend="csr") is shared
+        assert cache("SPA", backend="dict") is not shared
         assert cache("SPA", bfs_cache_size=7) is not cache("SPA", bfs_cache_size=8)
         assert cache("SPO", bfs_cache_size=7).maxsize == 7
         assert make_relation("SPA", graph.copy())._bfs_cache is not shared
