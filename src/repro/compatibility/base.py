@@ -189,6 +189,20 @@ class CompatibilityRelation(abc.ABC):
         """Number of *other* compatible nodes per source (see :meth:`batch_compatible_sets`)."""
         return [len(found) - 1 for found in self.batch_compatible_sets(sources)]
 
+    def batch_count_compatible(
+        self, sources: Iterable[Node], targets: Iterable[Node]
+    ) -> List[int]:
+        """``|compatible_with(s) ∩ targets|`` per source (see :meth:`batch_compatible_sets`).
+
+        ``targets`` is read as a set: duplicates count once and nodes outside
+        the graph not at all.  A source in ``targets`` counts itself, since
+        every compatible set contains its source.  The default intersects the
+        batched sets; the SP* family counts straight off its pair-rule masks
+        and NNE off the sources' enemy lists, building no set.
+        """
+        target_set = frozenset(targets)
+        return [len(found & target_set) for found in self.batch_compatible_sets(sources)]
+
     def clear_cache(self) -> None:
         """Drop all cached per-source computations.
 

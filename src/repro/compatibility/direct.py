@@ -49,6 +49,19 @@ class NoNegativeEdgeCompatibility(CompatibilityRelation):
     def batch_compatibility_degrees(self, sources: Iterable[Node]) -> List[int]:
         return [self.compatibility_degree(source) for source in sources]
 
+    def batch_count_compatible(
+        self, sources: Iterable[Node], targets: Iterable[Node]
+    ) -> List[int]:
+        # The present targets minus the source's enemies among them.
+        source_list = list(sources)
+        self._require_nodes(*source_list)
+        graph = self._graph
+        present = {target for target in targets if target in graph}
+        return [
+            len(present) - len(present.intersection(graph.negative_neighbors(source)))
+            for source in source_list
+        ]
+
     def are_compatible(self, u: Node, v: Node) -> bool:
         # Overridden to avoid materialising the (almost complete) compatible
         # set for a single pair query on large graphs.

@@ -14,8 +14,8 @@ kernels queries instead:
 * :class:`~repro.teams.problem.TeamFormationProblem` filters per-skill
   candidates through :meth:`compatible_from_many`;
 * the user-selection policies score candidates through
-  :meth:`distances_to_team_many` and prefetch compatible sets through
-  :meth:`compatible_sets`;
+  :meth:`distances_to_team_many` and count their compatible holders of
+  still-needed skills through :meth:`compatible_counts`;
 * the generic Algorithm 2 warms the seed users' per-source computations in
   one multi-source batch (:meth:`warm`);
 * the experiment harness routes its sampled pair statistics through
@@ -149,14 +149,16 @@ class CompatibilityEngine:
 
     # --------------------------------------------------------- batched queries
 
-    def compatible_sets(self, sources: Sequence[Node]) -> List[FrozenSet[Node]]:
-        """Compatible sets for many sources through the relation's batch path.
+    def compatible_counts(
+        self, sources: Sequence[Node], targets: Iterable[Node]
+    ) -> List[int]:
+        """``|compatible_set(s) ∩ targets|`` per source, batched.
 
-        SP* relations resolve uncached sources with one multi-source BFS;
-        balanced relations share one reverse sweep; the rest loop.  Each
-        set equals :meth:`compatible_set` exactly.
+        See :meth:`~repro.compatibility.base.CompatibilityRelation.batch_count_compatible`:
+        SP* relations on the CSR backend count off their pair-rule masks,
+        NNE off the sources' enemy lists, the rest intersect batched sets.
         """
-        return self._relation.batch_compatible_sets(list(sources))
+        return self._relation.batch_count_compatible(list(sources), targets)
 
     def compatibility_degrees(self, sources: Sequence[Node]) -> List[int]:
         """Number of *other* compatible nodes per source, batched."""

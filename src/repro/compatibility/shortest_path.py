@@ -50,7 +50,7 @@ fewer entries than the sample.
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Optional, Sequence, Set, Tuple, Union
+from typing import FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.compatibility.base import CompatibilityRelation, resolve_cache_size
 from repro.exec.policy import ExecutionPolicy
@@ -362,6 +362,46 @@ class _ShortestPathRelation(CompatibilityRelation):
             mask = unpack_mask(packed, len(nodes))
             sets.append(frozenset(nodes[dense] for dense in np.flatnonzero(mask)))
         return sets
+
+    def batch_count_compatible(
+        self, sources: Sequence[Node], targets: Iterable[Node]
+    ) -> List[int]:
+        """``|compatible_with(s) ∩ targets|`` per source, counted off the rule masks.
+
+        On the CSR backend each source's :meth:`batch_bfs` count arrays are
+        gathered at the targets' dense ids and the pair rule is applied to
+        those entries alone; no node list or set is built.  Unreachable
+        targets have no positive path and fail every rule, while the
+        source's own entry (one positive path) passes, so a source counts
+        itself, as its set does.  Uncached sources go through
+        :meth:`batch_bfs`, serial or pooled, so their results land in the
+        BFS cache for later calls.  A source whose counts overflow int64,
+        or whose cached result belongs to a snapshot with another node set,
+        is counted from its compatible set.
+        """
+        source_list = list(sources)
+        self._require_nodes(*source_list)
+        if not self._policy.uses_csr:
+            return super().batch_count_compatible(source_list, targets)
+        import numpy as np
+
+        csr = self._graph.csr_view()
+        index = csr._index
+        target_set = frozenset(targets)
+        ids = np.fromiter(
+            (index[target] for target in target_set if target in index), dtype=np.int64
+        )
+        unique = list(dict.fromkeys(source_list))
+        counts = {}
+        for source, result in zip(unique, self.batch_bfs(unique)):
+            if isinstance(result, SignedBFSResult) or not result.graph.shares_index_with(csr):
+                counts[source] = len(self.compatible_with(source) & target_set)
+            else:
+                hits = self._pair_rule_mask(
+                    result.positive_array[ids], result.negative_array[ids]
+                )
+                counts[source] = int(np.count_nonzero(hits))
+        return [counts[source] for source in source_list]
 
     def batch_compatibility_degrees(self, sources: Sequence[Node]) -> List[int]:
         """Number of *other* compatible nodes for every source, batched.

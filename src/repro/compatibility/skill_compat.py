@@ -13,17 +13,20 @@ skills: ``cd(s) = Σ_{s_j ≠ s} cd(s, s_j)``.  Two skills are *compatible* when
 These quantities drive two different queries:
 
 * the "least compatible skill first" selection policy needs exact counts
-  (:meth:`SkillCompatibilityIndex.pair_degree`): the smaller holder side
-  resolves its compatible sets in one
-  :meth:`~repro.compatibility.base.CompatibilityRelation.batch_compatible_sets`
-  sweep, and each set is intersected with the other side's holders;
+  (:meth:`SkillCompatibilityIndex.pair_degree`): the smaller holder side is
+  counted against the other side's holders in one
+  :meth:`~repro.compatibility.base.CompatibilityRelation.batch_count_compatible`
+  call, which the SP* relations on the CSR backend answer off their pair-rule
+  masks and NNE off the holders' enemies, building no compatible set;
 * the "comp. skills" column of Table 2 and the MAX bound of Figure 2(a) only
   need ``cd > 0`` (:meth:`SkillCompatibilityIndex.skills_compatible`), which
   stops at the first compatible pair.
 
 Only holders present in the graph count (a node removal can leave the
 assignment naming users that no longer exist).  Both answers are cached per
-skill pair and dropped wholesale when the graph's generation moves.
+skill pair, each skill's present holders per skill
+(:meth:`SkillCompatibilityIndex.holders`, which the team-formation problems
+read too), and all are dropped wholesale when the graph's generation moves.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.compatibility.base import CompatibilityRelation
+from repro.signed.graph import Node
 from repro.skills.assignment import Skill, SkillAssignment
 from repro.utils.rng import RandomState, ensure_rng
 from repro.utils.validation import require_positive
@@ -76,6 +80,7 @@ class SkillCompatibilityIndex:
         self._assignment = assignment
         self._pair_cache: Dict[FrozenSet[Skill], int] = {}
         self._compatible_cache: Dict[FrozenSet[Skill], bool] = {}
+        self._holders_cache: Dict[Skill, FrozenSet[Node]] = {}
         # Skill-pair answers aggregate user pairs across the whole graph, so
         # any effective mutation may change them; the caches are re-validated
         # wholesale against the graph's generation on every read.
@@ -91,6 +96,22 @@ class SkillCompatibilityIndex:
         """The skill assignment the index is built on."""
         return self._assignment
 
+    def holders(self, skill: Skill) -> FrozenSet[Node]:
+        """Users holding ``skill`` that are present in the graph.
+
+        Memoised per skill until the graph's generation moves; the
+        assignment is taken as fixed, as for the pair caches.  The
+        team-formation problems read their per-skill candidates from here.
+        """
+        self._sync()
+        found = self._holders_cache.get(skill)
+        if found is None:
+            graph = self._relation.graph
+            found = self._holders_cache[skill] = frozenset(
+                user for user in self._assignment.users_with(skill) if user in graph
+            )
+        return found
+
     def pair_degree(self, skill_a: Skill, skill_b: Skill) -> int:
         """``cd(skill_a, skill_b)``: number of compatible user pairs covering the two skills.
 
@@ -98,13 +119,7 @@ class SkillCompatibilityIndex:
         pair, matching the paper's footnote on self-compatibility.
         """
         self._sync()
-        key = frozenset((skill_a, skill_b))
-        cached = self._pair_cache.get(key)
-        if cached is not None:
-            return cached
-        count = self._count_pair_degree(skill_a, skill_b)
-        self._pair_cache[key] = count
-        return count
+        return self._cached_pair_degree(skill_a, skill_b)
 
     def skills_compatible(self, skill_a: Skill, skill_b: Skill) -> bool:
         """True iff ``cd(skill_a, skill_b) > 0``.
@@ -128,7 +143,10 @@ class SkillCompatibilityIndex:
         """``cd(skill)``: sum of pair degrees against ``others`` (default: all other skills)."""
         if others is None:
             others = self._assignment.skills()
-        return sum(self.pair_degree(skill, other) for other in others if other != skill)
+        self._sync()
+        return sum(
+            self._cached_pair_degree(skill, other) for other in others if other != skill
+        )
 
     def rank_skills_by_degree(self, skills: Iterable[Skill]) -> List[Skill]:
         """Sort ``skills`` by ascending compatibility degree (least compatible first).
@@ -150,31 +168,33 @@ class SkillCompatibilityIndex:
         if generation != self._generation:
             self._pair_cache.clear()
             self._compatible_cache.clear()
+            self._holders_cache.clear()
             self._generation = generation
 
-    def _holders(self, skill_a: Skill, skill_b: Skill) -> Tuple[List, FrozenSet]:
-        """The two skills' holders present in the graph, smaller side first.
+    def _cached_pair_degree(self, skill_a: Skill, skill_b: Skill) -> int:
+        """:meth:`pair_degree` after the caller's :meth:`_sync`."""
+        key = frozenset((skill_a, skill_b))
+        count = self._pair_cache.get(key)
+        if count is None:
+            count = self._pair_cache[key] = self._count_pair_degree(skill_a, skill_b)
+        return count
 
-        Resolving the smaller side's compatible sets means fewer per-user
-        computations (and cache entries).
+    def _holders(self, skill_a: Skill, skill_b: Skill) -> Tuple[List, FrozenSet]:
+        """The two skills' :meth:`holders`, smaller side first.
+
+        The smaller side is the one whose per-user computations (BFS runs,
+        enemy lists or compatible sets) the pair queries resolve.
         """
-        graph = self._relation.graph
-        users_a, users_b = (
-            frozenset(user for user in self._assignment.users_with(skill) if user in graph)
-            for skill in (skill_a, skill_b)
-        )
+        users_a, users_b = self.holders(skill_a), self.holders(skill_b)
         if len(users_b) < len(users_a):
             users_a, users_b = users_b, users_a
         return list(users_a), users_b
 
     def _count_pair_degree(self, skill_a: Skill, skill_b: Skill) -> int:
         users_a, users_b = self._holders(skill_a, skill_b)
-        # Every compatible set contains its source, so a user holding both
-        # skills counts once, as the (self-)compatible pair.
-        return sum(
-            len(compatible & users_b)
-            for compatible in self._relation.batch_compatible_sets(users_a)
-        )
+        # Every source counts itself, so a user holding both skills counts
+        # once, as the (self-)compatible pair.
+        return sum(self._relation.batch_count_compatible(users_a, users_b))
 
     def _find_compatible_pair(self, skill_a: Skill, skill_b: Skill) -> bool:
         users_a, users_b = self._holders(skill_a, skill_b)

@@ -148,10 +148,14 @@ class MostCompatibleUser(UserSelectionPolicy):
     of compatible users": the chosen member constrains future choices as
     little as possible.
 
-    Scoring a candidate requires its full compatible set, which for the
-    balanced-path relations means one (cached) path search per candidate; the
-    ``max_candidates`` cap bounds that work on very frequent skills by scoring
-    only a random subsample of the candidates.
+    Scoring only counts each candidate's compatible holders
+    (:meth:`~repro.compatibility.engine.CompatibilityEngine.compatible_counts`):
+    the SP* relations on the CSR backend count them off their pair-rule
+    masks and NNE off the candidate's enemies, so neither builds a
+    compatible set here; the balanced-path relations still need one (cached)
+    path search per candidate.  The ``max_candidates`` cap bounds that work
+    on very frequent skills by scoring only a random subsample of the
+    candidates.
     """
 
     name = "most-compatible-user"
@@ -177,25 +181,23 @@ class MostCompatibleUser(UserSelectionPolicy):
         ordered = self._deterministic(candidates)
         if len(ordered) > self.max_candidates:
             ordered = self._rng.sample(ordered, self.max_candidates)
-        # One batched engine call resolves every scored candidate's compatible
-        # set (multi-source BFS for the SP* family, one shared reverse sweep for
-        # the balanced relations).  Scoring uses the returned list directly —
-        # not cache re-lookups — so the batch survives an LRU bound smaller
-        # than the candidate list (the byte-aware "auto" sizing on huge
-        # graphs).  Each set contains the candidate itself, so the pool-empty
-        # score len(set) - 1 equals the legacy compatibility_degree.
-        compatible_sets = problem.engine.compatible_sets(ordered)
-
-        def compatibility_score(position: int) -> int:
-            user = ordered[position]
-            compatible_set = compatible_sets[position]
-            pool = remaining_holders - {user}
-            if not pool:
-                return len(compatible_set) - 1
-            return sum(1 for other in pool if other in compatible_set)
-
+        # A candidate's score is the number of *other* remaining holders it
+        # is compatible with: its count against the holders, less itself when
+        # it is one (every compatible set contains its source).  One batched
+        # engine call counts every candidate.
+        engine = problem.engine
+        counts = engine.compatible_counts(ordered, remaining_holders)
+        scores = [
+            count - (user in remaining_holders) for user, count in zip(ordered, counts)
+        ]
+        # With no other holder left, the score is the candidate's degree.
+        lonely = [i for i, user in enumerate(ordered) if remaining_holders <= {user}]
+        if lonely:
+            degrees = engine.compatibility_degrees([ordered[i] for i in lonely])
+            for position, degree in zip(lonely, degrees):
+                scores[position] = degree
         # max() over positions keeps the legacy first-maximum tie-break.
-        best = max(range(len(ordered)), key=compatibility_score)
+        best = max(range(len(ordered)), key=scores.__getitem__)
         return ordered[best]
 
 

@@ -40,8 +40,9 @@ class TeamFormationProblem:
         when omitted.  Sharing an oracle across problems on the same graph
         reuses its BFS caches.
     skill_index:
-        Optional pre-built :class:`SkillCompatibilityIndex` used by the
-        "least compatible skill" policy; built lazily when needed.
+        Optional pre-built :class:`SkillCompatibilityIndex` on ``relation``
+        and ``assignment``, used by the "least compatible skill" policy and
+        for the per-skill candidates; built lazily when needed.
     engine:
         Optional pre-built :class:`CompatibilityEngine`; built from
         ``relation`` and the oracle when omitted.  All one-to-many queries of
@@ -91,6 +92,12 @@ class TeamFormationProblem:
         else:
             self.oracle = oracle if oracle is not None else DistanceOracle(relation)
             self.engine = CompatibilityEngine(relation, oracle=self.oracle)
+        if skill_index is not None and (
+            skill_index.relation is not relation or skill_index.assignment is not assignment
+        ):
+            raise ValueError(
+                "the skill index must be built on the problem's relation and assignment"
+            )
         self._skill_index = skill_index
 
     @property
@@ -123,10 +130,13 @@ class TeamFormationProblem:
         self.engine.refresh()
 
     def candidates_for_skill(self, skill: Hashable) -> FrozenSet[Node]:
-        """Users of the graph that possess ``skill``."""
-        return frozenset(
-            user for user in self.assignment.users_with(skill) if user in self.graph
-        )
+        """Users of the graph that possess ``skill``.
+
+        Read from the skill index's per-generation memo
+        (:meth:`~repro.compatibility.skill_compat.SkillCompatibilityIndex.holders`),
+        so problems sharing an index share it too.
+        """
+        return self.skill_index.holders(skill)
 
     def compatible_candidates(
         self, skill: Hashable, team: Iterable[Node]

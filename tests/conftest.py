@@ -72,6 +72,26 @@ def prefix_trap_graph() -> SignedGraph:
 
 
 @pytest.fixture
+def overflow_ladder() -> SignedGraph:
+    """A 61-rung doubling ladder whose int64 guard trips on a pull level.
+
+    Layer ``k`` holds two nodes reached by ``2**k`` shortest paths each from
+    ``"s"``; both nodes of layer 60 join ``"t"``.  The maximum degree is 4,
+    so the guard is ``(2**63 - 1) // 4 = 2**61 - 1``: layer 60 (``2**60``)
+    passes it and ``t`` (``2**61``) trips it.  Layer 60's six adjacency
+    entries outweigh ``t``'s two, so ``t``'s level is a pull level.
+    """
+    edges = []
+    previous = ["s"]
+    for layer in range(61):
+        current = [(layer, 0), (layer, 1)]
+        edges += [(parent, node, 1) for node in current for parent in previous]
+        previous = current
+    edges += [(node, "t", 1) for node in previous]
+    return SignedGraph.from_edges(edges)
+
+
+@pytest.fixture
 def toy():
     """The hand-crafted 12-user dataset."""
     return toy_dataset()

@@ -519,25 +519,6 @@ def pull_spies():
         yield signed, lengths
 
 
-def ladder_to_pull_overflow() -> SignedGraph:
-    """A doubling ladder whose int64 guard trips on a pull level.
-
-    Layer ``k`` holds two nodes reached by ``2**k`` shortest paths each from
-    ``"s"``; both nodes of layer 60 join ``"t"``.  The maximum degree is 4,
-    so the guard is ``(2**63 - 1) // 4 = 2**61 - 1``: layer 60 (``2**60``)
-    passes it and ``t`` (``2**61``) trips it.  Layer 60's six adjacency
-    entries outweigh ``t``'s two, so ``t``'s level is a pull level.
-    """
-    edges = []
-    previous = ["s"]
-    for layer in range(61):
-        current = [(layer, 0), (layer, 1)]
-        edges += [(parent, node, 1) for node in current for parent in previous]
-        previous = current
-    edges += [(node, "t", 1) for node in previous]
-    return SignedGraph.from_edges(edges)
-
-
 class TestDirectionOptimisingBFS:
     @settings(
         max_examples=150,
@@ -582,8 +563,8 @@ class TestDirectionOptimisingBFS:
                 assert depths == [last_level], (source, depths)
             assert int(lengths.max()) == last_level + 1
 
-    def test_overflow_guard_trips_on_a_pull_level(self):
-        graph = ladder_to_pull_overflow()
+    def test_overflow_guard_trips_on_a_pull_level(self, overflow_ladder):
+        graph = overflow_ladder
         csr = graph.csr_view()
         source = csr.index_of("s")
         with pull_spies() as (signed_pulls, _):

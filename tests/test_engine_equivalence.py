@@ -19,6 +19,7 @@ import subprocess
 import sys
 import textwrap
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -30,8 +31,11 @@ from repro.compatibility import (
     make_relation,
     source_sampled_pair_statistics,
 )
+from repro.compatibility.skill_compat import SkillCompatibilityIndex
 from repro.datasets import load_snap_dataset, toy_dataset
 from repro.exec import ExecutionPolicy
+from repro.experiments.config import default_config
+from repro.experiments.workloads import build_dataset_context
 from repro.signed import SignedGraph, signed_bfs
 from repro.signed.csr import (
     balanced_heuristic_depths,
@@ -47,8 +51,14 @@ from repro.signed.generators import planted_factions_graph
 from repro.signed.io import write_edge_list
 from repro.signed.paths import BalancedPathSearch, shortest_path_lengths
 from repro.skills.generators import assign_skills_zipf
-from repro.skills.task import random_tasks
+from repro.skills.task import Task, random_tasks
 from repro.teams import TeamFormationProblem, run_algorithm
+from repro.teams.generic import form_team
+from repro.teams.policies import (
+    LeastCompatibleSkillFirst,
+    MinimumDistanceUser,
+    MostCompatibleUser,
+)
 from repro.utils.lru import (
     APPROX_BYTES_PER_NODE,
     DEFAULT_CACHE_BUDGET_BYTES,
@@ -69,8 +79,12 @@ class PerPairEngine(CompatibilityEngine):
     ``distance_to_set``, with no batching, prefetching or rule masks.
     """
 
-    def compatible_sets(self, sources):
-        return [self.relation.compatible_with(source) for source in sources]
+    def compatible_counts(self, sources, targets):
+        target_set = set(targets)
+        return [
+            len(self.relation.compatible_with(source) & target_set)
+            for source in sources
+        ]
 
     def compatibility_degrees(self, sources):
         return [self.relation.compatibility_degree(source) for source in sources]
@@ -188,6 +202,127 @@ class TestTeamFormationEquivalence:
         _assert_algorithms_match(
             graph, skills, tasks, relation_name, policy=ExecutionPolicy(backend="csr")
         )
+
+
+class SetBasedSkillIndex(SkillCompatibilityIndex):
+    """``cd(s_i, s_j)`` as the sets it counts: the smaller holder side's
+    compatible sets, each intersected with the other side's holders."""
+
+    def _count_pair_degree(self, skill_a, skill_b):
+        users_a, users_b = self._holders(skill_a, skill_b)
+        return sum(
+            len(compatible & users_b)
+            for compatible in self.relation.batch_compatible_sets(users_a)
+        )
+
+
+class SetBasedMostCompatibleUser(MostCompatibleUser):
+    """Most-compatible scoring over each candidate's full compatible set."""
+
+    def select(self, problem, candidates, team, uncovered_skills):
+        remaining_holders = set()
+        for skill in uncovered_skills:
+            remaining_holders |= problem.candidates_for_skill(skill)
+        remaining_holders -= set(team)
+        ordered = self._deterministic(candidates)
+        if len(ordered) > self.max_candidates:
+            ordered = self._rng.sample(ordered, self.max_candidates)
+        compatible_sets = problem.relation.batch_compatible_sets(ordered)
+
+        def compatibility_score(position):
+            user = ordered[position]
+            compatible_set = compatible_sets[position]
+            pool = remaining_holders - {user}
+            if not pool:
+                return len(compatible_set) - 1
+            return sum(1 for other in pool if other in compatible_set)
+
+        return ordered[max(range(len(ordered)), key=compatibility_score)]
+
+
+@pytest.fixture(scope="module")
+def epinions_context():
+    """The default-config epinions stand-in (2308 nodes) the figures run on."""
+    return build_dataset_context(default_config(), "epinions")
+
+
+class TestCountingPoliciesMatchSetBased:
+    """LCMD/LCMC count compatible pairs off the pair-rule masks (SP*) and
+    the enemy lists (NNE); teams and costs equal the set-based scoring."""
+
+    USER_POLICIES = {"LCMD": MinimumDistanceUser, "LCMC": SetBasedMostCompatibleUser}
+
+    @pytest.mark.parametrize("relation_name", ("SPA", "SPM", "SPO", "NNE"))
+    def test_teams_and_costs_match(self, epinions_context, relation_name):
+        dataset = epinions_context.dataset
+        tasks = epinions_context.generate_tasks(size=5, count=4, seed=2020)
+        reference_graph = dataset.graph.copy()
+        relation = make_relation(relation_name, dataset.graph)
+        reference_relation = make_relation(relation_name, reference_graph)
+        index = SkillCompatibilityIndex(relation, dataset.skills)
+        reference_index = SetBasedSkillIndex(reference_relation, dataset.skills)
+        for task in tasks:
+            for algorithm, user_policy in self.USER_POLICIES.items():
+                problem = TeamFormationProblem(
+                    dataset.graph, dataset.skills, relation, task, skill_index=index
+                )
+                reference_problem = TeamFormationProblem(
+                    reference_graph,
+                    dataset.skills,
+                    reference_relation,
+                    task,
+                    skill_index=reference_index,
+                )
+                got = run_algorithm(algorithm, problem, max_seeds=10, seed=5)
+                expected = form_team(
+                    reference_problem,
+                    LeastCompatibleSkillFirst(),
+                    user_policy(seed=5),
+                    max_seeds=10,
+                    algorithm_name=algorithm,
+                    seed=5,
+                )
+                assert got.team == expected.team, (relation_name, algorithm, task)
+                assert got.cost == expected.cost, (relation_name, algorithm, task)
+                assert got.seeds_tried == expected.seeds_tried
+
+    @pytest.mark.parametrize("relation_name", ("SPA", "SPO", "NNE", "SBPH"))
+    @pytest.mark.parametrize(
+        "team,uncovered",
+        [
+            ([], set()),  # no holder left: every score is a degree
+            (["fay"], {"devops"}),  # dan, the one holder left, scores its degree
+            (["ana"], {"python", "writing"}),
+        ],
+    )
+    def test_select_on_small_holder_pools(self, relation_name, team, uncovered):
+        dataset = toy_dataset()
+        relation = make_relation(relation_name, dataset.graph)
+        problem = TeamFormationProblem(
+            dataset.graph, dataset.skills, relation, Task(["python"])
+        )
+        candidates = frozenset({"bob", "cat", "dan", "eve", "kim"})
+        got = MostCompatibleUser(seed=3).select(problem, candidates, team, uncovered)
+        expected = SetBasedMostCompatibleUser(seed=3).select(
+            problem, candidates, team, uncovered
+        )
+        assert got == expected
+
+    def test_spo_lcmc_builds_no_compatible_nodes(self, epinions_context):
+        dataset = epinions_context.dataset
+        graph = dataset.graph.copy()
+        relation = make_relation("SPO", graph, policy=ExecutionPolicy(backend="csr"))
+        (task,) = epinions_context.generate_tasks(size=5, count=1, seed=7)
+        problem = TeamFormationProblem(graph, dataset.skills, relation, task)
+        with mock.patch.object(
+            CSRSignedBFSResult,
+            "compatible_nodes",
+            autospec=True,
+            side_effect=CSRSignedBFSResult.compatible_nodes,
+        ) as spy:
+            result = run_algorithm("LCMC", problem, max_seeds=10, seed=5)
+        assert result.seeds_tried > 0
+        assert spy.call_count == 0
 
 
 class TestCompatibleFromMany:
@@ -728,6 +863,17 @@ NUMPY_FREE_SCRIPT = textwrap.dedent(
     team = [graph.nodes()[0]]
     filtered = engine.compatible_from_many(graph.nodes()[:10], team)
     assert all(relation.are_compatible(team[0], c) for c in filtered)
+
+    from repro.datasets import toy_dataset
+    from repro.skills.task import Task
+    from repro.teams import TeamFormationProblem, run_algorithm
+
+    toy = toy_dataset()
+    toy_relation = make_relation("SPO", toy.graph, policy=ExecutionPolicy(backend="dict"))
+    problem = TeamFormationProblem(
+        toy.graph, toy.skills, toy_relation, Task(["python", "databases"])
+    )
+    assert run_algorithm("LCMC", problem, seed=1).solved
 
     try:
         make_relation("SPO", graph, policy=ExecutionPolicy(backend="csr"))

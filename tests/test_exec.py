@@ -16,6 +16,8 @@ import os
 import warnings
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.compatibility import (
     CompatibilityEngine,
@@ -37,6 +39,7 @@ from repro.exec import (
 from repro.exec import pool as pool_module
 from repro.experiments import apply_edge_churn
 from repro.signed.graph import SignedGraph
+from repro.signed.paths import SignedBFSResult
 from repro.utils.rng import ensure_rng
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -502,7 +505,7 @@ class TestResultArena:
             warnings_module.simplefilter("always")
             first.batch_compatible_sets(nodes)
             second.batch_compatible_sets(nodes)
-            CompatibilityEngine(second).compatible_sets(nodes[:4])
+            second.batch_compatible_sets(nodes[:4])
         degrade = [
             warning
             for warning in caught
@@ -580,6 +583,101 @@ class TestPoolSerialBitIdentity:
         serial_rel.batch_compatible_sets(sample)
         pool_rel.batch_compatible_sets(sample)
         assert pool_rel.truncated_sources() == serial_rel.truncated_sources()
+
+
+#: Every relation ``make_relation`` builds.
+COUNT_RELATIONS = ("DPE", "NNE", "SPA", "SPM", "SPO", "SBP", "SBPH")
+
+#: Both backends, serial and on a 2-worker pool.
+COUNT_POLICIES = {
+    "dict-serial": ExecutionPolicy(backend="dict"),
+    "csr-serial": ExecutionPolicy(backend="csr"),
+    "dict-pool": pool_policy("dict"),
+    "csr-pool": pool_policy("csr"),
+}
+
+
+@st.composite
+def count_queries(draw):
+    """A small signed graph (isolated nodes and several components likely)
+    with sources and targets; the targets may be empty, repeat nodes, name
+    nodes outside the graph and include a source."""
+    size = draw(st.integers(2, 12))
+    graph = SignedGraph()
+    for node in range(size):
+        graph.add_node(node)
+    node = st.integers(0, size - 1)
+    for u, v, sign in draw(
+        st.lists(st.tuples(node, node, st.sampled_from((-1, 1))), max_size=3 * size)
+    ):
+        if u != v and not graph.has_edge(u, v):
+            graph.add_edge(u, v, sign)
+    sources = draw(st.lists(node, min_size=1, max_size=6))
+    targets = draw(st.lists(st.one_of(node, st.just("absent")), max_size=size + 2))
+    if draw(st.booleans()):
+        targets.append(sources[0])
+    return graph, sources, targets
+
+
+def expected_counts(relation, sources, targets):
+    """The reference: each source's compatible set intersected with the targets."""
+    target_set = set(targets)
+    return [len(relation.compatible_with(source) & target_set) for source in sources]
+
+
+class TestBatchCountCompatible:
+    """``batch_count_compatible`` equals the set intersection it replaces for
+    every relation, backend and executor.  The hook runs before the
+    reference on each fresh relation, so it never reads sets or BFS results
+    the reference computed (a pool policy really dispatches)."""
+
+    @pytest.mark.parametrize("policy_name", COUNT_POLICIES)
+    @pytest.mark.parametrize("name", COUNT_RELATIONS)
+    @settings(
+        max_examples=25,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(query=count_queries())
+    def test_counts_match_compatible_sets(self, name, policy_name, query):
+        graph, sources, targets = query
+        relation = build_stack(graph, name, COUNT_POLICIES[policy_name])[0]
+        counts = relation.batch_count_compatible(sources, targets)
+        assert relation.batch_count_compatible(sources, []) == [0] * len(sources)
+        assert counts == expected_counts(relation, sources, targets)
+
+    @pytest.mark.parametrize("policy_name", COUNT_POLICIES)
+    @pytest.mark.parametrize("name", COUNT_RELATIONS)
+    def test_int64_overflow_source(self, overflow_ladder, name, policy_name):
+        policy = COUNT_POLICIES[policy_name]
+        relation = build_stack(overflow_ladder, name, policy)[0]
+        sources = ["s", (30, 1), "t"]
+        targets = ["s", "t", (60, 0), (1, 1), (30, 0), "absent"]
+        counts = relation.batch_count_compatible(sources, targets)
+        if name.startswith("SP") and policy.uses_csr:
+            # "s" overflowed int64 and was counted on the dict backend; the
+            # other sources kept their CSR results.  Every result, pooled or
+            # not, is cached, so a repeated count dispatches nothing.
+            assert isinstance(relation._bfs_cache.get("s"), SignedBFSResult)
+            assert all(relation._bfs_cache.get(source) is not None for source in sources)
+            assert counts[0] == 5
+        assert counts == expected_counts(relation, sources, targets)
+
+    @pytest.mark.parametrize("policy_name", ("csr-serial", "csr-pool"))
+    @pytest.mark.parametrize("name", ("SPA", "SPM", "SPO"))
+    def test_result_from_an_older_node_set(self, two_factions, name, policy_name):
+        relation = build_stack(two_factions, name, COUNT_POLICIES[policy_name])[0]
+        relation.batch_bfs([0, 3])
+        # A new component: the cached results survive, on a snapshot whose
+        # dense ids no longer match the graph's.
+        two_factions.add_edge("x", "y", 1)
+        stale = relation._bfs_cache.get(0)
+        assert stale is not None
+        assert not stale.graph.shares_index_with(two_factions.csr_view())
+        sources, targets = [0, 3, "x"], [0, 1, 4, 5, "x", "y"]
+        counts = relation.batch_count_compatible(sources, targets)
+        reference = build_stack(two_factions.copy(), name, ExecutionPolicy())[0]
+        assert counts == expected_counts(reference, sources, targets)
 
 
 class TestChurnRedispatch:

@@ -392,7 +392,8 @@ class TestLazyFacade:
         oracle = DistanceOracle(relation)
         engine = CompatibilityEngine(relation, oracle=oracle)
         nodes = list(reference.nodes())
-        engine.compatible_sets(nodes)
+        relation.batch_compatible_sets(nodes)
+        engine.compatible_counts(nodes, nodes[:5])
         twin_oracle = DistanceOracle(make_relation("SPA", reference))
         for u in nodes[:4]:
             for v in nodes[:4]:

@@ -176,6 +176,40 @@ class TestRemovedSkillHolders:
             index.pair_degree("y", "x") + 2
         )
 
+    def test_problems_read_the_skill_index_holders(self):
+        from repro.compatibility import SkillCompatibilityIndex
+        from repro.signed import SignedGraph
+
+        graph = SignedGraph.from_edges(self.EDGES)
+        assignment = self._assignment(self.HOLDERS)
+        relation = make_relation("SPO", graph)
+        index = SkillCompatibilityIndex(relation, assignment)
+        task = Task(["x", "y", "z"])
+        problems = [
+            TeamFormationProblem(graph, assignment, relation, task, skill_index=index)
+            for _ in range(2)
+        ]
+        assert problems[0].candidates_for_skill("y") is index.holders("y")
+        assert problems[1].candidates_for_skill("y") == frozenset({2, 5})
+        graph.remove_node(5)
+        assert problems[1].candidates_for_skill("y") == frozenset({2})
+        assert problems[0].candidates_for_skill("y") is index.holders("y")
+
+    def test_skill_index_on_another_relation_is_refused(self):
+        from repro.compatibility import SkillCompatibilityIndex
+        from repro.signed import SignedGraph
+
+        graph = SignedGraph.from_edges(self.EDGES)
+        assignment = self._assignment(self.HOLDERS)
+        relation = make_relation("SPO", graph)
+        task = Task(["x", "y"])
+        for index in (
+            SkillCompatibilityIndex(make_relation("SPA", graph), assignment),
+            SkillCompatibilityIndex(relation, self._assignment(self.HOLDERS)),
+        ):
+            with pytest.raises(ValueError, match="skill index"):
+                TeamFormationProblem(graph, assignment, relation, task, skill_index=index)
+
 
 class TestUserPolicies:
     def test_minimum_distance_prefers_closest(self, toy):
