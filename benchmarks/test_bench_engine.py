@@ -17,7 +17,11 @@ against the direction-optimising per-source kernel), and the batched SBPH
 search from every source of the fast-config epinions stand-in must beat a
 per-source copy of the search it replaced, kept in this file, by >= 2x with
 identical depth maps (measured 3.3-5.1x on the same VM: 1.09-1.54 s
-per-source, 0.31-0.33 s batched).
+per-source, 0.31-0.33 s batched).  The exact SBP enumeration from every
+source of the fast-config slashdot stand-in, at Table 2's expansion cap,
+must run >= 2.5x faster through the batched CSR core than through the dict
+``search_exact``, with identical depth maps, key order and truncation flags
+(measured 4.7-5.9x on the same VM: 2.13-2.30 s dict, 0.39-0.45 s CSR).
 """
 
 from __future__ import annotations
@@ -33,10 +37,12 @@ from repro.exec import ExecutionPolicy
 from repro.experiments import fast_config
 from repro.signed.csr import (
     _concatenated_neighbor_ranges,
+    balanced_depths,
     balanced_heuristic_depths,
     multi_source_signed_bfs,
     signed_bfs_csr,
 )
+from repro.signed.paths import BalancedPathSearch
 from repro.skills.generators import assign_skills_zipf
 
 #: Size of the Table-2-style benchmark graph (the paper's Epinions/Slashdot class).
@@ -53,6 +59,10 @@ MULTI_SOURCE_BAR = 1.5
 #: Batched all-sources SBPH over the per-source search on the fast-config
 #: epinions stand-in (measured 3.3-5.1x).
 SBPH_BATCH_BAR = 2.0
+
+#: Batched all-sources exact SBP on CSR over the dict ``search_exact`` on the
+#: fast-config slashdot stand-in (measured 4.7-5.9x).
+SBP_CSR_BAR = 2.5
 
 
 @pytest.fixture(scope="module")
@@ -327,4 +337,60 @@ def test_batched_sbph_speedup_over_per_source_search(benchmark, fast_epinions):
     assert speedup >= SBPH_BATCH_BAR, (
         f"batched SBPH only {speedup:.2f}x over the per-source search "
         f"(bar {SBPH_BATCH_BAR}x)"
+    )
+
+
+@pytest.mark.benchmark(group="perf-sbp-csr")
+def test_batched_exact_sbp_speedup_over_dict_search(benchmark):
+    """All-sources exact SBP on CSR >= 2.5x the dict search, same results.
+
+    Table 2's configuration: the fast-config slashdot stand-in, capped at
+    its ``sbp_max_expansions``.  The batched core
+    advances a batch of sources one path length at a time with word-wise
+    mask tests; the dict search extends one path at a time in Python.
+    """
+    [dataset_config] = [
+        dataset for dataset in fast_config().datasets if dataset.name == "slashdot"
+    ]
+    graph = load_dataset(
+        dataset_config.name, seed=dataset_config.seed, scale=dataset_config.scale
+    ).graph
+    csr = graph.csr_view()
+    cap = dataset_config.sbp_max_expansions
+    search = BalancedPathSearch(graph, max_expansions=cap)
+    dict_elapsed, dict_results = _best_of(
+        2, lambda: [search.search_exact(node) for node in graph.nodes()]
+    )
+    csr_elapsed, csr_results = _best_of(
+        3,
+        lambda: balanced_depths(
+            csr, range(csr.number_of_nodes()), exact=True, max_expansions=cap
+        ),
+    )
+    nodes = csr._nodes
+    for (positive, negative, truncated), want in zip(csr_results, dict_results):
+        assert [(nodes[dense], depth) for dense, depth in positive.items()] == list(
+            want.positive_lengths.items()
+        )
+        assert [(nodes[dense], depth) for dense, depth in negative.items()] == list(
+            want.negative_lengths.items()
+        )
+        assert truncated == want.truncated
+    speedup = dict_elapsed / csr_elapsed
+    benchmark.extra_info["dict_seconds"] = dict_elapsed
+    benchmark.extra_info["csr_seconds"] = csr_elapsed
+    benchmark.extra_info["speedup"] = speedup
+    benchmark.pedantic(
+        balanced_depths,
+        args=(csr, range(csr.number_of_nodes())),
+        kwargs={"exact": True, "max_expansions": cap},
+        rounds=1,
+        iterations=1,
+    )
+    print(
+        f"\nall-sources exact SBP on {csr.number_of_nodes()} nodes (cap {cap}): dict "
+        f"{dict_elapsed:.2f}s, CSR {csr_elapsed:.2f}s, speedup {speedup:.2f}x"
+    )
+    assert speedup >= SBP_CSR_BAR, (
+        f"batched exact SBP only {speedup:.2f}x over the dict search (bar {SBP_CSR_BAR}x)"
     )

@@ -32,18 +32,18 @@ on huge graphs), so a full sweep over a large graph cannot exhaust memory.
 
 Backends
 --------
-The SBPH heuristic search has two bit-identical implementations: the
-per-edge dict search (:meth:`~repro.signed.paths.BalancedPathSearch.search_heuristic`)
-and the indexed (node, sign)-state CSR BFS
-(:func:`repro.signed.csr.balanced_heuristic_depths`), which advances a batch
-of sources level by level and vectorises frontier expansion, claimed-state
-filtering and the balance check.  The policy's
+Both searches have two implementations that return the same depth maps (key
+order included) and truncation flags: the dict searches
+(:meth:`~repro.signed.paths.BalancedPathSearch.search_exact`, a path-by-path
+BFS whose states are bitmasks over dense node ids, and
+:meth:`~repro.signed.paths.BalancedPathSearch.search_heuristic`), and the
+batched CSR cores behind the ``csr_sbph`` kernel
+(:func:`repro.signed.csr.balanced_depths`), which advance a batch of
+sources level by level and vectorise candidate generation, the expansion
+cap and the balance check.  The policy's
 :attr:`~repro.exec.ExecutionPolicy.uses_csr` picks between them: the default
-``backend="auto"`` uses the CSR search whenever numpy is available.  The
-exact SBP enumeration
-(:meth:`~repro.signed.paths.BalancedPathSearch.search_exact`) has one
-implementation, a path-by-path BFS whose states are bitmasks over dense node
-ids.
+``backend="auto"`` uses the CSR searches whenever numpy is available.  The
+dict searches stay the numpy-free path and the tests' reference.
 """
 
 from __future__ import annotations
@@ -52,8 +52,10 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set
 
 from repro.compatibility.base import CompatibilityRelation, resolve_cache_size
 from repro.exec.policy import ExecutionPolicy
+from repro.exec.serial import serial_executor
 from repro.signed.graph import NEGATIVE, Node, SignedGraph
 from repro.signed.paths import (
+    DEFAULT_MAX_EXPANSIONS,
     INFINITY,
     BalancedPathResult,
     BalancedPathSearch,
@@ -87,7 +89,7 @@ class _BalancedPathRelation(CompatibilityRelation):
         self,
         graph: SignedGraph,
         max_path_length: Optional[int] = None,
-        max_expansions: int = 2_000_000,
+        max_expansions: int = DEFAULT_MAX_EXPANSIONS,
         policy: Optional[ExecutionPolicy] = None,
     ) -> None:
         super().__init__(graph, policy=policy)
@@ -137,10 +139,10 @@ class _BalancedPathRelation(CompatibilityRelation):
         self._prune_truncated()
         result = self._result_cache.get(source)
         if result is None:
-            if self.exact_search:
+            if self._policy.uses_csr:
+                [result] = self._csr_searches(serial_executor(), [source])
+            elif self.exact_search:
                 result = self._search.search_exact(source)
-            elif self._policy.uses_csr:
-                result = self._search.search_heuristic_indexed(source)
             else:
                 result = self._search.search_heuristic(source)
             self._result_cache[source] = result
@@ -153,8 +155,8 @@ class _BalancedPathRelation(CompatibilityRelation):
 
         Uncached sources are resolved by the policy's executor — in-process
         under a serial policy, fanned out in chunks over the worker pool for
-        ``workers >= 2`` (the CSR SBPH search ships dense depth maps back and
-        is re-keyed to node objects here; dict searches ship whole results).
+        ``workers >= 2`` (the CSR search ships dense depth maps back and is
+        re-keyed to node objects here; dict searches ship whole results).
         Each result is bit-identical to :meth:`_search_from`; results are
         written through to the result cache and truncation flags are recorded
         exactly as the per-source path would have.
@@ -172,44 +174,55 @@ class _BalancedPathRelation(CompatibilityRelation):
 
         return fetch_batched(self._result_cache, source_list, compute_missing)
 
+    def _search_params(self) -> dict:
+        """The knobs ``csr_sbph`` and ``dict_balanced_search`` both take."""
+        return {
+            "exact": self.exact_search,
+            "max_length": self.max_path_length,
+            "max_expansions": self._search._max_expansions,
+        }
+
     def _map_searches(self, sources: List[Node]) -> List[BalancedPathResult]:
         """Run the relation's search for every source through the executor.
 
         On the CSR backend under a pool policy the workers write each
-        source's SBPH depth maps as sentinel-filled dense rows of the
-        dispatch's shared-memory result arena (this is what keeps the
-        balanced *reverse sweeps* — every candidate of
-        :meth:`batch_compatible_sets` / :meth:`batch_distance_to_set` —
+        source's depth maps as sentinel-filled dense rows of the dispatch's
+        shared-memory result arena and ship back only its truncation flag
+        (this is what keeps the balanced *reverse sweeps* — every candidate
+        of :meth:`batch_compatible_sets` / :meth:`batch_distance_to_set` —
         off the pickle path); the depths are re-keyed to node objects here
         either way, so results are identical to the serial search.
         """
         executor = self._executor()
-        if not self.exact_search and self._policy.uses_csr:
-            from repro.signed.csr import balanced_result_from_depths
-
-            csr = self._graph.csr_view()
-            raw = executor.map_kernel(
-                "csr_sbph",
-                csr,
-                [csr.index_of(source) for source in sources],
-                params={"max_length": self.max_path_length},
-            )
-            return [
-                balanced_result_from_depths(
-                    csr, source, positive_depths, negative_depths, self.max_path_length
-                )
-                for source, (positive_depths, negative_depths) in zip(sources, raw)
-            ]
+        if self._policy.uses_csr:
+            return self._csr_searches(executor, sources)
         return executor.map_kernel(
-            "dict_balanced_search",
-            self._graph,
-            sources,
-            params={
-                "exact": self.exact_search,
-                "max_length": self.max_path_length,
-                "max_expansions": self._search._max_expansions,
-            },
+            "dict_balanced_search", self._graph, sources, params=self._search_params()
         )
+
+    def _csr_searches(self, executor, sources: List[Node]) -> List[BalancedPathResult]:
+        """The ``csr_sbph`` kernel's dense results, re-keyed to node objects."""
+        from repro.signed.csr import balanced_result_from_depths
+
+        csr = self._graph.csr_view()
+        raw = executor.map_kernel(
+            "csr_sbph",
+            csr,
+            [csr.index_of(source) for source in sources],
+            params=self._search_params(),
+        )
+        return [
+            balanced_result_from_depths(
+                csr,
+                source,
+                positive_depths,
+                negative_depths,
+                self.max_path_length,
+                exact=self.exact_search,
+                truncated=truncated,
+            )
+            for source, (positive_depths, negative_depths, truncated) in zip(sources, raw)
+        ]
 
     def _clear_subclass_cache(self) -> None:
         self._result_cache.clear()

@@ -3,7 +3,7 @@
 The pool executor's scalar sweeps (compatibility degrees) already reduce
 inside the workers, but the *set-valued* sweeps — ``csr_signed_bfs`` triples
 behind ``batch_bfs``/``batch_compatible_sets``, the NNE/DPE distance
-oracle's ``csr_path_lengths`` maps behind ``warm``, the SBPH depth maps
+oracle's ``csr_path_lengths`` maps behind ``warm``, the SBP/SBPH depth maps
 behind the balanced reverse sweeps — used to pickle O(n) arrays back to the
 parent for every source.  At 50k nodes that is ~1 MB per source of
 serialisation both sides of the pipe, and it was the parallel ceiling the
@@ -26,17 +26,19 @@ This module is the codec layer that removes it:
   (:func:`repro.signed.csr.signed_bfs_dense_batch_into` and friends) — the
   traversal's working arrays *are* the shipped result.  The task returns only
   a compact per-source token (``True``, or ``None`` marking an int64
-  overflow), so worker→parent pickling is O(k), not O(k·n).
+  overflow; for ``csr_sbph`` the source's truncation flag), so
+  worker→parent pickling is O(k), not O(k·n).
 * **Zero-copy reads.**  The parent maps the same segment once, builds the
   plane views, and decodes each source's result straight off them
   (:func:`decode_results`) — no pickle ever touches the dense data.
   Results that are consumed immediately (compatible-set bitmaps, rebuilt
-  SBPH depth maps) decode as zero-copy views; results headed for long-lived
-  LRU caches (BFS triples, distance maps) are copied out row by row, so a
-  surviving cache entry owns exactly its own bytes instead of pinning the
-  whole k-row segment.  The segment is unlinked as soon as the dispatch
-  completes (no ``/dev/shm`` entry outlives it) and the mapping itself is
-  closed by a ``weakref.finalize`` when the last decoded view dies.
+  balanced-path depth maps) decode as zero-copy views; results headed for
+  long-lived LRU caches (BFS triples, distance maps) are copied out row by
+  row, so a surviving cache entry owns exactly its own bytes instead of
+  pinning the whole k-row segment.  The segment is unlinked as soon as the
+  dispatch completes (no ``/dev/shm`` entry outlives it) and the mapping
+  itself is closed by a ``weakref.finalize`` when the last decoded view
+  dies.
 
 The arena is the only way set-valued results leave a worker, and it is
 *transport only*: tokens plus decoded rows reproduce exactly what the plain
@@ -178,7 +180,8 @@ def write_chunk(
 
     Returns the compact per-source token list the worker ships back instead
     of the dense results (``True`` per completed row; ``None`` marks an int64
-    overflow whose row the parent must resolve on the dict backend).
+    overflow whose row the parent must resolve on the dict backend;
+    ``csr_sbph`` ships each source's truncation flag).
     """
     return _WRITERS[arena.kernel](planes, start, payload, sources, params)
 
@@ -209,18 +212,20 @@ def _write_path_lengths(planes, start, csr, sources, params) -> List:
 def _write_sbph(planes, start, csr, sources, params) -> List:
     # Sentinel-filled dense rows: absent nodes stay UNREACHABLE, found nodes
     # carry their depth — the parent rebuilds the depth maps from one
-    # flatnonzero scan per row.
-    from repro.signed.csr import balanced_heuristic_depths_into
+    # flatnonzero scan per row.  The token is the source's truncation flag.
+    from repro.signed.csr import balanced_depths_into
+    from repro.signed.paths import DEFAULT_MAX_EXPANSIONS
 
     stop = start + len(sources)
-    balanced_heuristic_depths_into(
+    return balanced_depths_into(
         csr,
         sources,
         planes[0][start:stop],
         planes[1][start:stop],
         max_length=params.get("max_length"),
+        exact=params.get("exact", False),
+        max_expansions=params.get("max_expansions", DEFAULT_MAX_EXPANSIONS),
     )
-    return [True] * len(sources)
 
 
 def _write_compatible_masks(planes, start, csr, sources, params) -> List:
@@ -260,8 +265,8 @@ def decode_results(
     Each slot reproduces exactly what the plain kernel would have returned
     for that source — bitmap rows come back as zero-copy views into the
     segment, BFS triples and distance maps as per-row copies (they outlive
-    the dispatch in LRU caches), dict-shaped results (SBPH depth maps) are
-    rebuilt from their sentinel rows.  ``release(shm)`` is invoked
+    the dispatch in LRU caches), dict-shaped results (balanced-path depth
+    maps) are rebuilt from their sentinel rows.  ``release(shm)`` is invoked
     automatically once the last
     decoded view is garbage-collected (the caller unlinks the name right
     after this returns, so nothing lingers in ``/dev/shm`` either way); the
@@ -323,7 +328,7 @@ def _decode_sbph(planes, position, token):
         int(dense): int(negative_row[dense])
         for dense in np.flatnonzero(negative_row != UNREACHABLE)
     }
-    return positive, negative
+    return positive, negative, token
 
 
 def _decode_compatible_masks(planes, position, token):

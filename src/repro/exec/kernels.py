@@ -77,11 +77,24 @@ def csr_path_lengths(csr, sources: Sequence[int], params: dict) -> List:
 
 @register_kernel("csr_sbph")
 def csr_sbph(csr, sources: Sequence[int], params: dict) -> List:
-    """SBPH heuristic search per dense source: ``(positive_depths,
-    negative_depths)`` dicts keyed by dense ids (the caller remaps to nodes)."""
-    from repro.signed.csr import balanced_heuristic_depths
+    """Balanced-path search per dense source: ``(positive_depths,
+    negative_depths, truncated)`` with the depths keyed by dense ids (the
+    caller remaps to nodes).
 
-    return balanced_heuristic_depths(csr, sources, max_length=params.get("max_length"))
+    ``params`` as for ``dict_balanced_search``: ``exact`` selects the
+    capped SBP enumeration over the SBPH search, ``max_length`` /
+    ``max_expansions`` bound it.
+    """
+    from repro.signed.csr import balanced_depths
+    from repro.signed.paths import DEFAULT_MAX_EXPANSIONS
+
+    return balanced_depths(
+        csr,
+        sources,
+        max_length=params.get("max_length"),
+        exact=params.get("exact", False),
+        max_expansions=params.get("max_expansions", DEFAULT_MAX_EXPANSIONS),
+    )
 
 
 @register_kernel("csr_compatible_degrees")
@@ -174,13 +187,15 @@ def dict_balanced_search(graph, sources: Sequence, params: dict) -> List:
     SBPH heuristic; ``max_length`` / ``max_expansions`` mirror
     :class:`~repro.signed.paths.BalancedPathSearch`.  A fresh search object is
     built per call, so results match the relation's own searches exactly.
+    ``csr_sbph`` takes the same params and returns the same depths and
+    truncation flags as dense maps.
     """
-    from repro.signed.paths import BalancedPathSearch
+    from repro.signed.paths import DEFAULT_MAX_EXPANSIONS, BalancedPathSearch
 
     search = BalancedPathSearch(
         graph,
         max_length=params.get("max_length"),
-        max_expansions=params.get("max_expansions", 2_000_000),
+        max_expansions=params.get("max_expansions", DEFAULT_MAX_EXPANSIONS),
     )
     if params.get("exact", False):
         return [search.search_exact(source) for source in sources]

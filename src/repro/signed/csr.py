@@ -25,12 +25,16 @@ numpy imports (:attr:`repro.exec.ExecutionPolicy.uses_csr`):
   :data:`WORDPARALLEL_MIN_SOURCES` runs per-source traversals instead;
 * :func:`multi_source_shortest_path_lengths_csr` — the batched counterpart for
   sign-agnostic distances, used by the distance oracle's team sweeps;
-* :func:`balanced_heuristic_depths` — the SBPH prefix-property search as an
-  indexed (node, sign)-state BFS over a batch of sources at once: candidate
+* :func:`balanced_depths` — both balanced-path searches over a batch of
+  sources at once.  SBPH is an indexed (node, sign)-state BFS: candidate
   generation, claimed-state filtering and the Harary balance check of every
   candidate are array operations over the whole batch's frontier
-  (:func:`balanced_heuristic_search_csr` is a batch of one).  Bit-identical
-  to :meth:`~repro.signed.paths.BalancedPathSearch.search_heuristic`.
+  (:func:`balanced_heuristic_depths` and, for one source,
+  :func:`balanced_heuristic_search_csr` are its SBPH views).  Exact SBP
+  enumerates balanced simple paths level by level, each path a pair of bit
+  planes, with the expansion cap applied per source by a segmented count.
+  Bit-identical to :meth:`~repro.signed.paths.BalancedPathSearch.search_heuristic`
+  and :meth:`~repro.signed.paths.BalancedPathSearch.search_exact`.
 
 Results come back as :class:`CSRSignedBFSResult`, an array-backed object that
 answers the same ``length`` / ``counts`` / ``reachable`` queries as
@@ -55,6 +59,7 @@ pins ``backend="dict"``.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -62,8 +67,18 @@ import numpy as np
 
 from repro.exceptions import NodeNotFoundError
 from repro.signed.graph import Node, Sign, SignedGraph
-from repro.signed.paths import INFINITY, BalancedPathResult, SignedBFSResult
-from repro.utils.bitset import WORD_BITS, set_bit_positions, source_bits
+from repro.signed.paths import (
+    DEFAULT_MAX_EXPANSIONS,
+    INFINITY,
+    BalancedPathResult,
+    SignedBFSResult,
+)
+from repro.utils.bitset import (
+    WORD_BITS,
+    set_bit_positions,
+    source_bits,
+    words_for,
+)
 
 #: Sentinel used in length arrays for unreachable nodes.
 UNREACHABLE = -1
@@ -1177,6 +1192,23 @@ def multi_source_shortest_path_lengths_csr(
 #: of 64 but peak at 320 MB of RSS instead of 146 MB.
 SBPH_BATCH_ENTRIES = 2**17
 
+#: Path budget of one exact SBP batch: a batch runs ``EXACT_BATCH_PATHS //
+#: max_expansions`` sources (at least one, at most an SBPH batch).  A
+#: source's current and next level together hold at most ``max_expansions``
+#: paths, so a batch holds at most this many (when the cap fits in it) — at
+#: 80 bytes a path on the 226-node slashdot stand-in.  At Table 2's caps
+#: that is 3 sources (20,000 expansions) and 1 (60,000); batches of twice
+#: the budget run no faster and peak higher than the dict search.
+EXACT_BATCH_PATHS = 2**16
+
+#: Adjacency entries one step of an exact SBP level gathers, whole paths at a
+#: time: the step's candidate arrays and their ``(words, candidates)``
+#: planes are a level's only temporaries besides its paths.  On the 226-node
+#: slashdot stand-in at 60,000 expansions the search then peaks at 6.0 MB of
+#: allocations (7.7 MB with steps of ``2**14``), the dict search at 6.4 MB;
+#: smaller steps mostly add per-step overhead.
+EXACT_STEP_ENTRIES = 2**13
+
 
 def sbph_batch_size(csr: CSRSignedGraph) -> int:
     """Sources one :func:`balanced_heuristic_depths` batch advances together."""
@@ -1335,37 +1367,220 @@ def _sbph_batch_claims(
     return tuple(np.concatenate(column) for column in zip(*levels))
 
 
-def _sbph_batches(
-    csr: CSRSignedGraph, source_ids: Sequence[int], max_length: Optional[int]
-) -> Iterator[Tuple[int, np.ndarray, Tuple[np.ndarray, ...]]]:
-    """``(offset, sources, claims)`` per batch of :func:`_sbph_batch_claims`."""
+def _exact_search_index(csr: CSRSignedGraph) -> Tuple[np.ndarray, ...]:
+    """Word-major neighbour bitmasks plus every adjacency entry's word and bit.
+
+    Returns ``(neighbours, negative, entry_words, entry_bits)``: bit ``b`` of
+    ``neighbours[w, v]`` (a ``(words, n)`` uint64 plane) is set iff node
+    ``w * 64 + b`` is a neighbour of ``v``, and of ``negative[w, v]`` iff it
+    is a negative one — the dense twin of
+    :meth:`~repro.signed.paths.BalancedPathSearch._bitsets`' masks — and
+    adjacency entry ``e`` names node ``csr.indices[e]``, which is bit
+    ``entry_bits[e]`` of word ``entry_words[e]``.
+    """
+    num_nodes = csr.number_of_nodes()
+    rows = np.repeat(np.arange(num_nodes, dtype=np.int64), csr.degrees())
+    entry_words = csr.indices.astype(np.int64) // WORD_BITS
+    entry_bits = np.left_shift(np.uint64(1), (csr.indices % WORD_BITS).astype(np.uint64))
+    planes = []
+    for entries in (slice(None), csr.signs < 0):
+        plane = np.zeros((words_for(num_nodes), num_nodes), dtype=np.uint64)
+        np.bitwise_or.at(plane, (entry_words[entries], rows[entries]), entry_bits[entries])
+        planes.append(plane)
+    return planes[0], planes[1], entry_words, entry_bits
+
+
+def _exact_batch_claims(
+    csr: CSRSignedGraph,
+    index: Tuple[np.ndarray, ...],
+    sources: np.ndarray,
+    bound: int,
+    max_expansions: int,
+) -> Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]:
+    """Run one batch of exact SBP searches; return its claims and truncation flags.
+
+    The batched, level-synchronous form of
+    :meth:`~repro.signed.paths.BalancedPathSearch.search_exact` over
+    :func:`_exact_search_index`.  A state is a balanced simple path: its
+    batch row, its last node and two word-major ``(words, states)`` bit
+    planes, the path's nodes (``on_path``) and the Harary camp opposite the
+    source's (``camp_one``).  A level's states stay in the dict search's
+    FIFO order, grouped by batch row, in pieces of about
+    :data:`EXACT_STEP_ENTRIES` adjacency entries that are extended one at a
+    time, so one level's candidates — every state's off-path neighbours, in
+    state then adjacency order — are each source's next expansions in the
+    order the dict search counts them.
+
+    A segmented count cuts each source at ``max_expansions``: the candidates
+    within the cap are processed, one past it flags the source
+    ``truncated`` and retires it after the level (the dict search returns
+    right there).  The balance test is the dict search's mask test over all
+    words at once; the first balanced candidate per ``(row, sign, node)``
+    records that node's depth, and every balanced candidate becomes a state
+    of the next level (there is no prefix property to prune by).  Every
+    state is a distinct expansion of its source, so the current and the next
+    level together hold at most ``max_expansions`` paths per source.
+
+    Returns ``((rows, nodes, negative, depths), truncated)``: the claims as
+    :func:`_sbph_batch_claims` returns them, and one flag per source.
+    """
+    neighbour_words, negative_words, entry_words, entry_bits = index
+    num_words, num_nodes = neighbour_words.shape
+    width = 2 * num_nodes
+    degrees = csr.degrees()
+    seen = np.zeros(sources.size * width, dtype=bool)
+    spent = np.zeros(sources.size, dtype=np.int64)
+    truncated = np.zeros(sources.size, dtype=bool)
+    empty = np.empty(0, dtype=np.int64)
+    levels: List[Tuple[np.ndarray, ...]] = [(empty, empty, empty.astype(bool), empty)]
+
+    def extend(rows, last, on_path, camp_one, depth):
+        """One step of a level: record its claims, return its balanced paths."""
+        positions, counts, _row_starts = _adjacency_positions(csr, last)
+        origins = np.repeat(np.arange(last.size), counts)
+        words, bits = entry_words[positions], entry_bits[positions]
+        off_path = np.flatnonzero((on_path[words, origins] & bits) == 0)
+        # Candidates arrive grouped by row: a candidate's expansion number
+        # is its rank in its row plus what the row spent before it.
+        candidate_rows = rows[origins[off_path]]
+        per_row = np.bincount(candidate_rows, minlength=sources.size)
+        spent_before = spent - (np.cumsum(per_row) - per_row)
+        over = np.arange(off_path.size) + spent_before[candidate_rows] >= max_expansions
+        truncated[candidate_rows[over]] = True
+        spent[:] += per_row
+        within = off_path[~over]
+        origins, words, bits = origins[within], words[within], bits[within]
+        targets = csr.indices[positions[within]].astype(np.int64)
+        # search_exact's balance test over all words at once: a path
+        # neighbour puts the new node in camp one iff its camp bit differs
+        # from its edge's negativity; votes for both camps mean unbalanced.
+        path_planes = np.take(on_path, origins, axis=1)
+        camp_planes = np.take(camp_one, origins, axis=1)
+        adjacent = np.take(neighbour_words, targets, axis=1) & path_planes
+        camp_one_votes = adjacent & (camp_planes ^ np.take(negative_words, targets, axis=1))
+        in_camp_one = np.bitwise_or.reduce(camp_one_votes, axis=0) != 0
+        in_camp_zero = np.bitwise_or.reduce(adjacent ^ camp_one_votes, axis=0) != 0
+        balanced = np.flatnonzero(~(in_camp_one & in_camp_zero))
+        rows, targets, words, bits, in_camp_one = (
+            column[balanced] for column in (rows[origins], targets, words, bits, in_camp_one)
+        )
+        keys = rows * width + in_camp_one * num_nodes + targets
+        fresh = np.flatnonzero(~seen[keys])
+        _unique, first_seen = np.unique(keys[fresh], return_index=True)
+        claims = fresh[np.sort(first_seen)]
+        seen[keys[claims]] = True
+        levels.append(
+            (rows[claims], targets[claims], in_camp_one[claims], np.full(claims.size, depth))
+        )
+        # np.take keeps the planes C-contiguous, so the |= through
+        # reshape(-1) writes into them, not into a copy.
+        on_path = np.take(path_planes, balanced, axis=1)
+        camp_one = np.take(camp_planes, balanced, axis=1)
+        cells = words * balanced.size + np.arange(balanced.size)
+        on_path.reshape(-1)[cells] |= bits
+        camp_one.reshape(-1)[cells] |= bits * in_camp_one
+        return rows, targets, on_path, camp_one
+
+    rows = np.arange(sources.size, dtype=np.int64)
+    last = sources.astype(np.int64)
+    seen[rows * width + last] = True
+    on_path = np.zeros((num_words, sources.size), dtype=np.uint64)
+    on_path[last // WORD_BITS, rows] = np.left_shift(
+        np.uint64(1), (last % WORD_BITS).astype(np.uint64)
+    )
+    frontier = deque([(rows, last, on_path, np.zeros_like(on_path))])
+    depth = 0
+    while frontier and depth < bound:
+        depth += 1
+        extended = []
+        while frontier:
+            rows, last, on_path, camp_one = frontier.popleft()
+            ends = np.cumsum(degrees[last])
+            cuts = np.searchsorted(
+                ends, np.arange(EXACT_STEP_ENTRIES, ends[-1], EXACT_STEP_ENTRIES), side="right"
+            )
+            spans = np.unique(np.concatenate(([0], cuts, [rows.size]))).tolist()
+            for low, high in zip(spans, spans[1:]):
+                extended.append(
+                    extend(rows[low:high], last[low:high], on_path[:, low:high],
+                           camp_one[:, low:high], depth)
+                )
+        # Every balanced path of a source still searching is a state of the
+        # next level.
+        for piece in extended:
+            searching = np.flatnonzero(~truncated[piece[0]])
+            if searching.size < piece[0].size:
+                piece = tuple(np.take(column, searching, axis=-1) for column in piece)
+            if searching.size:
+                frontier.append(piece)
+    claims = tuple(np.concatenate(column) for column in zip(*levels))
+    return claims, truncated
+
+
+def _balanced_batches(
+    csr: CSRSignedGraph,
+    source_ids: Sequence[int],
+    max_length: Optional[int],
+    exact: bool,
+    max_expansions: int,
+) -> Iterator[Tuple[int, np.ndarray, Tuple[np.ndarray, ...], np.ndarray]]:
+    """``(offset, sources, claims, truncated)`` per batch of the SBPH or exact core.
+
+    SBPH batches hold :func:`sbph_batch_size` sources, exact batches
+    :data:`EXACT_BATCH_PATHS` ``// max_expansions`` (at least one, and no
+    more than an SBPH batch, so the first-seen table is no larger than
+    SBPH's claimed-state table).
+    """
     if max_length is not None and max_length < 0:
         raise ValueError(f"max_length must be non-negative, got {max_length}")
     bound = max_length if max_length is not None else csr.number_of_nodes() - 1
     sources = np.asarray(list(source_ids), dtype=np.int64)
-    edge_keys, edge_signs = _sorted_edge_keys(csr)
     batch = sbph_batch_size(csr)
+    if exact:
+        if max_expansions <= 0:
+            raise ValueError(f"max_expansions must be positive, got {max_expansions}")
+        batch = min(batch, max(1, EXACT_BATCH_PATHS // max_expansions))
+        index = _exact_search_index(csr)
+    else:
+        edge_keys, edge_signs = _sorted_edge_keys(csr)
     for offset in range(0, sources.size, batch):
         chunk = sources[offset : offset + batch]
-        yield offset, chunk, _sbph_batch_claims(csr, edge_keys, edge_signs, chunk, bound)
+        if exact:
+            claims, truncated = _exact_batch_claims(
+                csr, index, chunk, bound, max_expansions
+            )
+        else:
+            claims = _sbph_batch_claims(csr, edge_keys, edge_signs, chunk, bound)
+            truncated = np.zeros(chunk.size, dtype=bool)
+        yield offset, chunk, claims, truncated
 
 
-def balanced_heuristic_depths(
-    csr: CSRSignedGraph, source_ids: Sequence[int], max_length: Optional[int] = None
-) -> List[Tuple[Dict[int, int], Dict[int, int]]]:
-    """Dense core of :func:`balanced_heuristic_search_csr`, over many sources.
+def balanced_depths(
+    csr: CSRSignedGraph,
+    source_ids: Sequence[int],
+    max_length: Optional[int] = None,
+    exact: bool = False,
+    max_expansions: int = DEFAULT_MAX_EXPANSIONS,
+) -> List[Tuple[Dict[int, int], Dict[int, int], bool]]:
+    """The balanced-path searches from many dense sources, as dense depth maps.
 
-    Takes dense source ids and returns one ``(positive_depths,
-    negative_depths)`` pair per source, keyed by dense node ids in the dict
-    search's insertion order — no node objects are touched, so the execution
-    layer can run the search in worker processes over a memory-mapped
-    snapshot and remap the depths to node objects in the parent.  Sources
-    advance :func:`sbph_batch_size` at a time; a source's result does not
-    depend on the batch it runs in.
+    Returns one ``(positive_depths, negative_depths, truncated)`` triple per
+    source, the depth maps keyed by dense node ids in the dict search's
+    insertion order — no node objects are touched, so the execution layer
+    can run the search in worker processes over a memory-mapped snapshot and
+    remap the depths to node objects in the parent.  ``exact`` selects the
+    SBP enumeration (:func:`_exact_batch_claims`, capped at
+    ``max_expansions`` per source; equal to
+    :meth:`~repro.signed.paths.BalancedPathSearch.search_exact`, flag
+    included) over the SBPH search (:func:`_sbph_batch_claims`, never
+    truncated; equal to
+    :meth:`~repro.signed.paths.BalancedPathSearch.search_heuristic`).
+    Sources advance a batch at a time; a source's result does not depend on
+    the batch it runs in.
     """
-    results: List[Tuple[Dict[int, int], Dict[int, int]]] = []
-    for _offset, sources, (rows, nodes, negative, depths) in _sbph_batches(
-        csr, source_ids, max_length
+    results: List[Tuple[Dict[int, int], Dict[int, int], bool]] = []
+    for _offset, sources, (rows, nodes, negative, depths), truncated in _balanced_batches(
+        csr, source_ids, max_length, exact, max_expansions
     ):
         # Claims grouped by (row, sign); the stable sort keeps each group's
         # claims in claim order.
@@ -1376,37 +1591,57 @@ def balanced_heuristic_depths(
         ).tolist()
         node_list = nodes[by_segment].tolist()
         depth_list = depths[by_segment].tolist()
-        for row, source in enumerate(sources.tolist()):
+        for row, (source, flag) in enumerate(zip(sources.tolist(), truncated.tolist())):
             positive = {source: 0}
             low, middle, high = bounds[2 * row : 2 * row + 3]
             positive.update(zip(node_list[low:middle], depth_list[low:middle]))
             negative_depths = dict(zip(node_list[middle:high], depth_list[middle:high]))
-            results.append((positive, negative_depths))
+            results.append((positive, negative_depths, flag))
     return results
 
 
-def balanced_heuristic_depths_into(
+def balanced_heuristic_depths(
+    csr: CSRSignedGraph, source_ids: Sequence[int], max_length: Optional[int] = None
+) -> List[Tuple[Dict[int, int], Dict[int, int]]]:
+    """SBPH ``(positive_depths, negative_depths)`` per dense source.
+
+    :func:`balanced_depths` without the exact mode (and so without the
+    always-false truncation flag).
+    """
+    return [
+        (positive, negative)
+        for positive, negative, _truncated in balanced_depths(csr, source_ids, max_length)
+    ]
+
+
+def balanced_depths_into(
     csr: CSRSignedGraph,
     source_ids: Sequence[int],
     positive_out: np.ndarray,
     negative_out: np.ndarray,
     max_length: Optional[int] = None,
-) -> None:
-    """:func:`balanced_heuristic_depths` written as dense ``int32`` rows.
+    exact: bool = False,
+    max_expansions: int = DEFAULT_MAX_EXPANSIONS,
+) -> List[bool]:
+    """:func:`balanced_depths` written as dense ``int32`` rows.
 
     Row ``i`` of ``positive_out`` / ``negative_out`` receives source ``i``'s
-    depths, :data:`UNREACHABLE` where the search claimed no state — the
-    result-arena layout, filled straight from each batch's claims.
+    depths, :data:`UNREACHABLE` where the search recorded none — the
+    result-arena layout, filled straight from each batch's claims.  Returns
+    the per-source truncation flags.
     """
     positive_out.fill(UNREACHABLE)
     negative_out.fill(UNREACHABLE)
-    for offset, sources, (rows, nodes, negative, depths) in _sbph_batches(
-        csr, source_ids, max_length
+    flags: List[bool] = []
+    for offset, sources, (rows, nodes, negative, depths), truncated in _balanced_batches(
+        csr, source_ids, max_length, exact, max_expansions
     ):
         rows = rows + offset
         positive_out[offset + np.arange(sources.size), sources] = 0
         positive_out[rows[~negative], nodes[~negative]] = depths[~negative]
         negative_out[rows[negative], nodes[negative]] = depths[negative]
+        flags.extend(truncated.tolist())
+    return flags
 
 
 def balanced_result_from_depths(
@@ -1415,17 +1650,21 @@ def balanced_result_from_depths(
     positive_depths: Dict[int, int],
     negative_depths: Dict[int, int],
     max_length: Optional[int] = None,
+    exact: bool = False,
+    truncated: bool = False,
 ) -> BalancedPathResult:
-    """Re-key dense SBPH depth maps to node objects as a :class:`BalancedPathResult`.
+    """Re-key dense depth maps to node objects as a :class:`BalancedPathResult`.
 
-    The single place the dense search output (``balanced_heuristic_depths``,
+    The single place the dense search output (:func:`balanced_depths`,
     local or shipped back from a worker) becomes the node-keyed result the
     relations cache — keeping the bound rule and the remap in one spot so the
     serial and pooled paths cannot drift apart.
     """
     nodes = csr._nodes
     bound = max_length if max_length is not None else csr.number_of_nodes() - 1
-    result = BalancedPathResult(source=source, exact=False, max_length=bound)
+    result = BalancedPathResult(
+        source=source, exact=exact, max_length=bound, truncated=truncated
+    )
     for dense, length in positive_depths.items():
         result.positive_lengths[nodes[dense]] = length
     for dense, length in negative_depths.items():

@@ -37,6 +37,10 @@ from repro.signed.graph import NEGATIVE, POSITIVE, Node, Sign, SignedGraph
 #: Sentinel length for unreachable nodes.
 INFINITY = float("inf")
 
+#: Default cap on the path extensions one exact balanced-path search performs
+#: (:class:`BalancedPathSearch`, the SBP relation and its search kernels).
+DEFAULT_MAX_EXPANSIONS = 2_000_000
+
 
 @dataclass
 class SignedBFSResult:
@@ -345,7 +349,7 @@ class BalancedPathSearch:
         self,
         graph: SignedGraph,
         max_length: Optional[int] = None,
-        max_expansions: int = 2_000_000,
+        max_expansions: int = DEFAULT_MAX_EXPANSIONS,
     ) -> None:
         if max_length is not None and max_length < 0:
             raise ValueError(f"max_length must be non-negative, got {max_length}")
@@ -390,7 +394,10 @@ class BalancedPathSearch:
         A queue entry is ``(last, length, on_path, camp_one)``: the path's
         nodes and the Harary camp opposite the source's are bitmasks over
         dense ids, so the incremental balance check of :func:`_extend_camps`
-        is a handful of mask operations and no path is ever copied.
+        is a handful of mask operations and no path is ever copied.  The CSR
+        backend runs the same search over batches of sources
+        (:func:`repro.signed.csr.balanced_depths` with ``exact=True``); this
+        method is the numpy-free path and its reference.
         """
         graph = self._graph
         if source not in graph:
@@ -482,20 +489,6 @@ class BalancedPathSearch:
                 lengths.setdefault(neighbor, len(path))
                 queue.append(state)
         return result
-
-    def search_heuristic_indexed(self, source: Node) -> BalancedPathResult:
-        """SBPH search on the CSR backend (requires numpy).
-
-        Runs :func:`repro.signed.csr.balanced_heuristic_search_csr` on the
-        graph's cached CSR view.  The result is bit-identical to
-        :meth:`search_heuristic`; only the traversal machinery differs
-        (vectorised frontier expansion instead of per-edge Python).
-        """
-        from repro.signed.csr import balanced_heuristic_search_csr
-
-        return balanced_heuristic_search_csr(
-            self._graph.csr_view(), source, max_length=self._max_length
-        )
 
 
 def shortest_balanced_positive_path(

@@ -514,12 +514,13 @@ class TestResultArena:
         assert len(degrade) == 1
 
 
-#: Relation x backend grid: the SP* family and SBPH have two kernel backends,
-#: the edge relations and exact SBP only the dict machinery.
+#: Relation x backend grid: the SP* family, SBP and SBPH have two kernel
+#: backends, the edge relations only the dict machinery.
 RELATION_BACKENDS = [
     ("DPE", None),
     ("NNE", None),
-    ("SBP", None),
+    ("SBP", "dict"),
+    ("SBP", "csr"),
     ("SPA", "dict"),
     ("SPA", "csr"),
     ("SPM", "dict"),
@@ -572,17 +573,32 @@ class TestPoolSerialBitIdentity:
         loop = [oracle.distance_to_set(candidate, team) for candidate in candidates]
         assert batched == loop
 
-    def test_truncation_flags_survive_pool_dispatch(self, graph):
-        # A tiny expansion budget forces truncation; the pool path must
-        # record the same flagged sources as the serial path.
-        serial_rel = make_relation("SBP", graph, max_expansions=50)
-        pool_rel = make_relation(
-            "SBP", graph, max_expansions=50, policy=pool_policy()
+    @pytest.mark.parametrize("backend", ["dict", "csr"])
+    def test_truncation_flags_survive_pool_dispatch(self, graph, backend):
+        # A tiny expansion budget forces truncation everywhere but on a
+        # three-node tail component; the pool path (on CSR, the flags travel
+        # as the result arena's per-source tokens) must record the same
+        # flagged sources as the serial dict search.
+        graph = graph.copy()
+        tail = [graph.number_of_nodes() + offset for offset in range(3)]
+        graph.add_edge(tail[0], tail[1], +1)
+        graph.add_edge(tail[1], tail[2], -1)
+        reference = make_relation(
+            "SBP", graph.copy(), max_expansions=50, policy=ExecutionPolicy(backend="dict")
         )
-        sample = graph.nodes()[:6]
-        serial_rel.batch_compatible_sets(sample)
-        pool_rel.batch_compatible_sets(sample)
-        assert pool_rel.truncated_sources() == serial_rel.truncated_sources()
+        serial_rel = make_relation(
+            "SBP", graph.copy(), max_expansions=50, policy=ExecutionPolicy(backend=backend)
+        )
+        pool_rel = make_relation(
+            "SBP", graph, max_expansions=50, policy=pool_policy(backend)
+        )
+        sample = graph.nodes()[:6] + tail[:1]
+        for relation in (reference, serial_rel, pool_rel):
+            relation.batch_compatible_sets(sample)
+        flagged = reference.truncated_sources()
+        assert flagged and not flagged & set(tail)
+        assert serial_rel.truncated_sources() == flagged
+        assert pool_rel.truncated_sources() == flagged
 
 
 #: Every relation ``make_relation`` builds.

@@ -241,34 +241,83 @@ class TestBalancedPathSearch:
             BalancedPathSearch(figure_1a).search_exact("nope")
 
 
-class TestExactSearchMatchesReference:
-    """The bitmask exact search reproduces the path-by-path reference."""
+def csr_exact_results(graph, sources, max_length, max_expansions):
+    """``search_exact`` for every source through the batched CSR core."""
+    from repro.signed.csr import balanced_depths, balanced_result_from_depths
 
+    csr = graph.csr_view()
+    depths = balanced_depths(
+        csr,
+        [csr.index_of(source) for source in sources],
+        max_length,
+        exact=True,
+        max_expansions=max_expansions,
+    )
+    return [
+        balanced_result_from_depths(
+            csr, source, positive, negative, max_length, exact=True, truncated=truncated
+        )
+        for source, (positive, negative, truncated) in zip(sources, depths)
+    ]
+
+
+def assert_same_search(got, want):
+    """Depth maps (contents and key order) and the truncation flag agree."""
+    assert list(got.positive_lengths.items()) == list(want.positive_lengths.items())
+    assert list(got.negative_lengths.items()) == list(want.negative_lengths.items())
+    assert got.truncated == want.truncated
+
+
+class TestExactSearchMatchesReference:
+    """The bitmask exact search and the batched CSR core reproduce the
+    path-by-path reference (the CSR core has no single-target mode)."""
+
+    @pytest.mark.parametrize("backend", ["dict", "csr"])
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("max_expansions", [50, 2_000_000])
     @pytest.mark.parametrize("max_length", [None, 3])
-    def test_random_graphs(self, seed, max_expansions, max_length):
+    def test_random_graphs(self, seed, max_expansions, max_length, backend):
         num_nodes = 6 + seed * 34 // 7  # 6 .. 40 nodes
         graph = signed_erdos_renyi(
             num_nodes, min(0.9, 2.6 / num_nodes), negative_fraction=0.3, seed=seed
         )
-        search = BalancedPathSearch(
-            graph, max_length=max_length, max_expansions=max_expansions
-        )
-        nodes = graph.nodes()
-        for source in nodes[:4]:
-            for target in (None, nodes[-1]):
-                got = search.search_exact(source, target)
-                want = reference_search_exact(
-                    graph, source, target, max_length, max_expansions
-                )
-                assert list(got.positive_lengths.items()) == list(
-                    want.positive_lengths.items()
-                )
-                assert list(got.negative_lengths.items()) == list(
-                    want.negative_lengths.items()
-                )
-                assert got.truncated == want.truncated
+        sources = graph.nodes()[:4]
+        if backend == "dict":
+            search = BalancedPathSearch(
+                graph, max_length=max_length, max_expansions=max_expansions
+            )
+            runs = [
+                (source, target, search.search_exact(source, target))
+                for source in sources
+                for target in (None, graph.nodes()[-1])
+            ]
+        else:
+            results = csr_exact_results(graph, sources, max_length, max_expansions)
+            runs = [(source, None, result) for source, result in zip(sources, results)]
+        for source, target, got in runs:
+            want = reference_search_exact(graph, source, target, max_length, max_expansions)
+            assert_same_search(got, want)
+
+    def test_csr_result_does_not_depend_on_its_batch(self):
+        # Two-word paths (103 nodes) in batches of 64 under a cap of 40
+        # expansions: sources in a three-node tail finish, the others
+        # truncate after recording paths of different lengths, i.e. on
+        # different levels.
+        graph = signed_erdos_renyi(100, 0.04, negative_fraction=0.3, seed=5)
+        graph.add_edge(100, 101, POSITIVE)
+        graph.add_edge(101, 102, NEGATIVE)
+        sources = graph.nodes()
+        batch = csr_exact_results(graph, sources, None, 40)
+        flags = [result.truncated for result in batch]
+        assert not all(flags) and any(flags)
+        reached = {
+            max(result.positive_lengths.values()) for result in batch if result.truncated
+        }
+        assert len(reached) >= 2
+        for source, in_batch in zip(sources, batch):
+            [alone] = csr_exact_results(graph, [source], None, 40)
+            assert_same_search(in_batch, alone)
+            assert_same_search(in_batch, reference_search_exact(graph, source, None, None, 40))
 
 
 class TestShortestBalancedPositivePath:
