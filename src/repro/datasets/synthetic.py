@@ -478,7 +478,7 @@ def synthetic_csr_network(
     import numpy as np
 
     from repro.signed.csr import CSRSignedGraph
-    from repro.signed.ingest import build_csr_planes
+    from repro.signed.ingest import _group_keys, build_csr_planes
 
     require_positive(num_nodes, "num_nodes")
     require_positive(average_degree, "average_degree")
@@ -501,8 +501,7 @@ def synthetic_csr_network(
     eu, ev = eu[keep], ev[keep]
     lo = np.minimum(eu, ev)
     hi = np.maximum(eu, ev)
-    _, first_idx = np.unique(lo * n + hi, return_index=True)
-    first_idx.sort()
+    first_idx = np.sort(_group_keys(lo * n + hi)[2])
     eu, ev = eu[first_idx], ev[first_idx]
     m = eu.size
 

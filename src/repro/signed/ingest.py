@@ -4,7 +4,7 @@
 a time — at a million nodes that is gigabytes of dict overhead and minutes of
 interpreter looping before the first CSR kernel can run.  This module parses
 the same files straight into :class:`~repro.signed.csr.CSRSignedGraph` planes:
-the file is read in ~64MB blocks, split and converted with
+the file is read in 4 MB blocks (``CHUNK_BYTES``), split and converted with
 ``np.frombuffer``/``np.fromstring``, and deduplication, undirected
 symmetrisation and largest-component restriction all happen on numpy arrays.
 
@@ -28,6 +28,17 @@ tokens, non-ASCII bytes, labels whose ``int()`` coercion is ambiguous
 caller can fall back to the dict parser (which also produces the proper
 line-numbered errors).  The fallback is about fidelity, not robustness:
 well-formed edge lists never take it.
+
+Assembly sorts each grouping once.  :func:`_group_keys` packs
+``key << b | position`` into one int64 and runs a plain ``np.sort``: group
+starts are where the key bits change and each group's first position is in
+its low bits.  :func:`dedupe_undirected` uses it twice — on the interleaved
+endpoint labels (dense ids are broadcast back over each group with
+``np.repeat``) and on the undirected edge keys (signs reconciled with
+``np.minimum``/``np.maximum.reduceat``, kept edges read off a mark of each
+group's first position) — and :func:`build_csr_planes` once, on
+``source << b | position``, for the stable row order.  Only keys whose range
+needs more than ``63 - b`` bits fall back to ``np.argsort``.
 """
 
 from __future__ import annotations
@@ -102,19 +113,24 @@ def _data_line_spans(arr: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarra
     # Per-line non-space counts via reduceat — no per-byte index array.
     has_content = np.add.reduceat(content, starts) > 0
     comment = np.zeros(starts.size, dtype=bool)
-    if ((arr == _HASH) | (arr == _PERCENT)).any():
-        # First non-whitespace byte of each line (only materialised when a
-        # comment marker exists at all — the per-byte index array is large).
-        nonws_pos = np.flatnonzero(content)
-        lookup = np.searchsorted(nonws_pos, starts)
-        first_at = nonws_pos[np.minimum(lookup, nonws_pos.size - 1)]
-        first_byte = arr[first_at]
-        comment = (
-            (lookup < nonws_pos.size)
-            & (first_at < ends)
-            & ((first_byte == _HASH) | (first_byte == _PERCENT))
-        )
-        del nonws_pos, lookup, first_at, first_byte
+    marker_pos = np.flatnonzero((arr == _HASH) | (arr == _PERCENT))
+    if marker_pos.size:
+        # Only lines holding a marker byte can be comments: such a line is
+        # one when nothing but spaces precedes its first marker.
+        line = np.searchsorted(starts, marker_pos, side="right") - 1
+        head = np.ones(line.size, dtype=bool)
+        np.not_equal(line[1:], line[:-1], out=head[1:])
+        line, marker_pos = line[head], marker_pos[head]
+        line_start = starts[line]
+        # reduceat over (line start, first marker) pairs: the even slots count
+        # the content before each marker (a marker at the line start reads
+        # its own byte, hence the explicit equality).
+        bounds = np.empty(2 * line.size, dtype=np.int64)
+        bounds[0::2] = line_start
+        bounds[1::2] = marker_pos
+        led = np.add.reduceat(content, bounds)[0::2]
+        comment[line] = (marker_pos == line_start) | (led == 0)
+        del line, head, line_start, bounds, led
         if comment.any():
             # Blank comment lines in place so the numeric scan skips them.
             arr = arr.copy()
@@ -125,6 +141,7 @@ def _data_line_spans(arr: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarra
             del delta
             arr[covered] = _SPACE
             del covered
+    del marker_pos
     keep = has_content & ~comment
     del content, has_content, comment
     return arr, starts[keep], ends[keep]
@@ -466,6 +483,52 @@ def _split_columns(values: np.ndarray, pieces: Tuple[List[np.ndarray], ...]) -> 
 # -------------------------------------------------------------- graph assembly
 
 
+def _group_keys(
+    keys: np.ndarray, stable: bool = False
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group equal integer keys with a single sort.
+
+    Returns ``(order, starts, first)``: ``order`` lists the positions of
+    ``keys`` grouped by ascending key, group ``g`` occupies
+    ``order[starts[g]:starts[g + 1]]``, and ``first[g]`` is the smallest
+    position in group ``g`` (``np.unique(keys, return_index=True)[1]``).
+
+    When the key range and a position fit in 63 bits together, each key is
+    packed as ``(key - min) << b | position`` and one plain ``np.sort`` does
+    all the work: positions ascend within each group, so ``order`` is
+    ``np.argsort(keys, kind="stable")``.  Wider inputs fall back to
+    ``np.argsort`` + ``np.minimum.reduceat``; their within-group order is
+    arbitrary unless ``stable`` asks for the (slower) stable sort.
+    """
+    size = keys.size
+    if size == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty.copy(), empty.copy()
+    low = int(keys.min())
+    shift = (size - 1).bit_length()
+    packs = (int(keys.max()) - low).bit_length() + shift <= 63
+    if packs:
+        packed = keys.astype(np.int64)
+        packed -= low
+        packed <<= shift
+        packed |= np.arange(size, dtype=np.int64)
+        packed.sort()
+        order = packed & ((1 << shift) - 1)
+        packed >>= shift
+        sorted_keys = packed
+    else:
+        order = np.argsort(keys, kind="stable" if stable else None)
+        sorted_keys = keys[order]
+    boundary = np.empty(size, dtype=bool)
+    boundary[0] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=boundary[1:])
+    del sorted_keys
+    starts = np.flatnonzero(boundary)
+    if packs or stable:
+        return order, starts, order[starts]
+    return order, starts, np.minimum.reduceat(order, starts)
+
+
 def dedupe_undirected(
     u: np.ndarray,
     v: np.ndarray,
@@ -511,38 +574,41 @@ def dedupe_undirected(
     interleaved = np.empty(2 * u.size, dtype=u.dtype)
     interleaved[0::2] = u
     interleaved[1::2] = v
-    distinct, first_seen = np.unique(interleaved, return_index=True)
+    order, starts, first = _group_keys(interleaved)
+    # Numbering each label's first occurrence in stream order gives its dense
+    # id; every other occurrence of the label inherits it from its group.
+    appears = np.zeros(interleaved.size, dtype=bool)
+    appears[first] = True
+    nodes = interleaved[appears]
     del interleaved
-    order = np.argsort(first_seen)
-    nodes = distinct[order]
-    rank = np.empty(order.size, dtype=np.int32)
-    rank[order] = np.arange(order.size, dtype=np.int32)
-    du = rank[np.searchsorted(distinct, u)]
-    dv = rank[np.searchsorted(distinct, v)]
-    del distinct, first_seen, order, rank
+    group_id = (np.cumsum(appears, dtype=np.int32) - 1)[first]
+    del appears, first
+    dense = np.empty(order.size, dtype=np.int32)
+    dense[order] = np.repeat(group_id, np.diff(starts, append=order.size))
+    del order, starts, group_id
+    du, dv = dense[0::2], dense[1::2]
 
     n = nodes.size
     key = np.minimum(du, dv).astype(np.int64) * n
     key += np.maximum(du, dv)
-    _, first_idx, inverse = np.unique(key, return_index=True, return_inverse=True)
+    order, starts, first = _group_keys(key)
     del key
+    # Each group's first position, in stream order, is one kept edge.
+    kept = np.zeros(du.size, dtype=bool)
+    kept[first] = True
     if directed_to_undirected == "keep_first":
-        group_sign = s[first_idx].astype(np.int8)
+        es = s[kept]
     else:
-        group_sign = np.ones(first_idx.size, dtype=np.int8)
-        np.minimum.at(group_sign, inverse, s)  # any -1 in the group wins
+        grouped = s[order]
+        group_sign = np.minimum.reduceat(grouped, starts)  # any -1 wins
         if directed_to_undirected == "error":
-            group_max = np.full(first_idx.size, -1, dtype=np.int8)
-            np.maximum.at(group_max, inverse, s)
-            if (group_sign != group_max).any():
+            if (group_sign != np.maximum.reduceat(grouped, starts)).any():
                 raise _VectorParseUnsupported("conflicting signs")
-    edge_order = np.argsort(first_idx)
-    return (
-        nodes,
-        du[first_idx][edge_order],
-        dv[first_idx][edge_order],
-        group_sign[edge_order],
-    )
+        del grouped
+        sign_at = np.empty(du.size, dtype=np.int8)
+        sign_at[first] = group_sign
+        es = sign_at[kept]
+    return nodes, du[kept], dv[kept], es
 
 
 def build_csr_planes(
@@ -552,7 +618,8 @@ def build_csr_planes(
 
     The dict graph records edge ``k`` as two insertions — ``u→v`` then
     ``v→u`` — so interleaving both directions and stable-sorting by source
-    reproduces every adjacency row in insertion order.
+    (one packed sort, see :func:`_group_keys`) reproduces every adjacency row
+    in insertion order.
     """
     total = 2 * eu.size
     src = np.empty(total, dtype=np.int32)
@@ -564,7 +631,7 @@ def build_csr_planes(
     dst[1::2] = eu
     both[0::2] = es
     both[1::2] = es
-    perm = np.argsort(src, kind="stable")
+    perm = _group_keys(src, stable=True)[0]
     indptr = np.zeros(num_nodes + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=num_nodes), out=indptr[1:])
     return indptr, np.ascontiguousarray(dst[perm]), np.ascontiguousarray(both[perm])
@@ -600,17 +667,24 @@ def largest_component_members(
 
     Ties follow :func:`repro.signed.components.connected_components`: among
     equal-sized components the one whose members have the smallest
-    ``min(repr(node))`` wins.
+    ``min(repr(node))`` wins.  That key is minimised over every member of
+    every tied component at once: the winner holds the smallest repr among
+    all of them, and equal reprs go to the smallest root, as ``min`` over
+    ascending roots would pick.
     """
     sizes = np.bincount(labels)
-    roots = np.flatnonzero(sizes == sizes.max())
-    if roots.size > 1:
+    tied = sizes == sizes.max()
+    if np.count_nonzero(tied) > 1:
+        members = np.flatnonzero(tied[labels])
+        reprs = [repr(nodes[i]) for i in members.tolist()]
+        smallest = min(reprs)
         best = min(
-            (int(r) for r in roots),
-            key=lambda r: min(repr(nodes[i]) for i in np.flatnonzero(labels == r)),
+            root
+            for root, text in zip(labels[members].tolist(), reprs)
+            if text == smallest
         )
     else:
-        best = int(roots[0])
+        best = int(np.flatnonzero(tied)[0])
     return np.flatnonzero(labels == best)
 
 

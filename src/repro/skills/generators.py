@@ -135,6 +135,8 @@ def _assign_zipf_vectorised(
     the bidirectional maps are built from grouped index arrays instead of
     per-pair dict insertions.
     """
+    from repro.signed.ingest import _group_keys
+
     np = _np
     if isinstance(seed, random.Random):
         rng = np.random.default_rng(seed.getrandbits(64))
@@ -169,14 +171,11 @@ def _assign_zipf_vectorised(
         + [extra_ranks.astype(np.int64)]
     )
 
-    order = np.argsort(user_idx, kind="stable")
-    sorted_users = user_idx[order]
-    # The skill-less fixup guarantees every user index appears, so the group
-    # boundaries enumerate exactly the full population.
-    starts = np.concatenate(
-        [[0], np.flatnonzero(np.diff(sorted_users)) + 1, [sorted_users.shape[0]]]
-    ).tolist()
-    group_owner = sorted_users[np.asarray(starts[:-1], dtype=np.int64)].tolist()
+    # The skill-less fixup guarantees every user index appears, so the groups
+    # enumerate exactly the full population, each in assignment order.
+    order, group_starts, first = _group_keys(user_idx, stable=True)
+    starts = group_starts.tolist() + [order.shape[0]]
+    group_owner = user_idx[first].tolist()
     sorted_names = list(map(skill_names.__getitem__, skill_idx[order].tolist()))
 
     user_skills: Dict[User, set] = {

@@ -32,9 +32,18 @@ from repro.signed import (
     as_signed_graph,
     parse_edge_list_csr,
 )
-from repro.signed.components import largest_connected_component
+from repro.signed import ingest
+from repro.signed.components import connected_components, largest_connected_component
 from repro.signed.io import read_edge_list
-from repro.signed.ingest import component_labels, read_edge_arrays, read_edge_tokens
+from repro.signed.ingest import (
+    _group_keys,
+    component_labels,
+    csr_from_edge_arrays,
+    largest_component_members,
+    read_edge_arrays,
+    read_edge_tokens,
+)
+from repro.skills import assign_skills_zipf
 from repro.signed.lazy import CSRBackedSignedGraph
 from repro.utils.timing import measure_peak_rss, peak_rss_bytes
 
@@ -103,6 +112,92 @@ class TestVectorisedParseEquivalence:
         vectorised = parse_edge_list_csr(path)
         assert vectorised is not None
         assert_csr_equal(vectorised, CSRSignedGraph.from_signed_graph(reference))
+
+    @pytest.mark.parametrize("chunk_bytes", (64, 257, 4096, ingest.CHUNK_BYTES))
+    def test_many_comment_lines(self, tmp_path, chunk_bytes):
+        lines = []
+        for i in range(3000):
+            lines.append(f"{i % 97} {(i * 7) % 89} {1 if i % 3 else -1}")
+            if i % 2:
+                lines.append(("#", "%", "  #", "\t%")[i % 4] + f" note {i} 1 2 -1")
+        path = write_edges(tmp_path / "comments.edges", lines)
+        vectorised = parse_edge_list_csr(path, chunk_bytes=chunk_bytes)
+        assert vectorised is not None
+        assert_csr_equal(
+            vectorised, CSRSignedGraph.from_signed_graph(dict_reference(path))
+        )
+
+    def test_blank_then_comment_lines(self, tmp_path):
+        lines = []
+        for i in range(400):
+            lines += ["", "   ", "# after blank", "\t", "%%", f"{i} {i + 1} -1"]
+            lines += ["", f" # {i}", "#", f"{i + 2} {i} 1", "  ", "%"]
+        path = write_edges(tmp_path / "blank.edges", lines)
+        reference = CSRSignedGraph.from_signed_graph(dict_reference(path))
+        for chunk_bytes in (16, 100, ingest.CHUNK_BYTES):
+            vectorised = parse_edge_list_csr(path, chunk_bytes=chunk_bytes)
+            assert vectorised is not None
+            assert_csr_equal(vectorised, reference)
+
+    @pytest.mark.parametrize("policy", ("keep_first", "negative_wins", "error"))
+    def test_labels_near_int64_limits_bit_identical(self, tmp_path, policy):
+        rng = random.Random(11)
+        # 18-digit labels still take the integer scanner; their span forces
+        # the wide-key grouping.  The 2**62 labels are 19 digits, so the file
+        # goes through token mode, and the raw columns hit the wide branch.
+        for name, pool in (
+            ("digits18", [sign * (10**18 - 1 - k) for sign in (1, -1) for k in range(6)]),
+            ("pow62", [sign * 2**62 + k for sign in (1, -1) for k in range(-3, 3)]),
+        ):
+            pair_sign = {}
+            edges = []
+            for _ in range(120):
+                u, v = rng.choice(pool), rng.choice(pool)
+                sign = rng.choice((1, -1))
+                if policy == "error":
+                    sign = pair_sign.setdefault(frozenset((u, v)), sign)
+                edges.append((u, v, sign))
+            path = write_edges(
+                tmp_path / f"{name}.edges", [f"{u} {v} {s}" for u, v, s in edges]
+            )
+            reference = CSRSignedGraph.from_signed_graph(dict_reference(path, policy))
+            vectorised = parse_edge_list_csr(path, directed_to_undirected=policy)
+            assert vectorised is not None
+            assert_csr_equal(vectorised, reference)
+            u, v, s = (np.array(column, dtype=np.int64) for column in zip(*edges))
+            direct = csr_from_edge_arrays(u, v, s, directed_to_undirected=policy)
+            assert_csr_equal(direct, reference)
+
+    def test_tied_components_break_like_dict_path(self, tmp_path):
+        # 12 000 two-node components, all tied on size: the winner is the one
+        # holding the smallest repr, wherever it sits in the file.
+        rng = random.Random(3)
+        labels = rng.sample(range(10**6), 24_000)
+        path = write_edges(
+            tmp_path / "matching.edges",
+            [f"{labels[2 * i]} {labels[2 * i + 1]} 1" for i in range(12_000)],
+        )
+        reference = dict_reference(path, lcc=True)
+        vectorised = parse_edge_list_csr(path, restrict_to_lcc=True)
+        assert vectorised is not None
+        assert_csr_equal(vectorised, CSRSignedGraph.from_signed_graph(reference))
+        assert vectorised._nodes == [
+            node for node in labels if node in connected_components(reference)[0]
+        ]
+
+    def test_tied_components_with_equal_reprs_pick_the_smallest_root(self):
+        # Distinct nodes can share a repr; the earliest root then wins, as the
+        # per-root minimum over ascending roots did.
+        class Alias:
+            def __init__(self, text):
+                self.text = text
+
+            def __repr__(self):
+                return self.text
+
+        nodes = [Alias("b"), Alias("a"), Alias("c"), Alias("a")]
+        labels = np.array([0, 0, 2, 2])
+        assert largest_component_members(labels, nodes).tolist() == [0, 1]
 
     def test_empty_and_comment_only_files(self, tmp_path):
         for name, text in (("empty.edges", ""), ("comments.edges", "# nothing\n")):
@@ -205,6 +300,125 @@ class TestVectorisedParseEquivalence:
         )
         assert vectorised is not None
         assert_csr_equal(vectorised, CSRSignedGraph.from_signed_graph(reference))
+
+
+def reference_group_keys(keys, stable=False):
+    """The groupings the set-up path used before the packed sort: a stable
+    argsort and ``np.unique(return_index=True)`` (``stable`` is accepted only
+    to match the helper's signature; this order is always stable)."""
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    starts = np.flatnonzero(np.diff(sorted_keys)) + 1
+    starts = np.concatenate([np.zeros(min(1, keys.size), dtype=np.int64), starts])
+    _, first = np.unique(keys, return_index=True)
+    return order, starts, first
+
+
+def assert_groups_match_unique(keys, stable):
+    order, starts, first = _group_keys(keys, stable=stable)
+    distinct, first_seen, inverse = np.unique(
+        keys, return_index=True, return_inverse=True
+    )
+    assert first.tolist() == first_seen.tolist()
+    assert keys[first].tolist() == distinct.tolist()
+    assert sorted(order.tolist()) == list(range(keys.size))
+    group_of = np.empty(keys.size, dtype=np.int64)
+    group_of[order] = np.repeat(
+        np.arange(starts.size), np.diff(starts, append=keys.size)
+    )
+    assert group_of.tolist() == inverse.ravel().tolist()
+    return order
+
+
+WIDE = st.integers(-(2**63), 2**63 - 1) | st.sampled_from(
+    (-(2**63), -(2**62), -(2**62) + 1, 2**62 - 1, 2**62, 2**63 - 1)
+)
+
+
+class TestGroupKeys:
+    """The one-sort grouping behind dedupe, plane order and the generators."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        keys=st.lists(st.integers(-40, 40), max_size=80),
+        dtype=st.sampled_from((np.int32, np.int64)),
+        stable=st.booleans(),
+    )
+    def test_packed_branch_matches_unique_and_stable_argsort(self, keys, dtype, stable):
+        keys = np.array(keys, dtype=dtype)
+        order = assert_groups_match_unique(keys, stable)
+        assert order.tolist() == np.argsort(keys, kind="stable").tolist()
+
+    @settings(max_examples=150, deadline=None)
+    @given(keys=st.lists(WIDE, max_size=60), stable=st.booleans())
+    def test_wide_keys_match_unique(self, keys, stable):
+        keys = np.array(keys, dtype=np.int64)
+        order = assert_groups_match_unique(keys, stable)
+        if stable:
+            assert order.tolist() == np.argsort(keys, kind="stable").tolist()
+
+    @pytest.mark.parametrize(
+        "keys, falls_back",
+        (
+            ([], False),
+            ([-(2**63)], False),
+            ([2**63 - 1], False),
+            ([7, -3, 7, 7, -3], False),
+            ([2**62, -(2**62), 2**62], True),
+            ([-(2**63), 0, 2**63 - 1, 0], True),
+        ),
+    )
+    @pytest.mark.parametrize("stable", (False, True))
+    def test_branch_taken(self, monkeypatch, keys, falls_back, stable):
+        calls = []
+        argsort = np.argsort
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs.get("kind"))
+            return argsort(*args, **kwargs)
+
+        keys = np.array(keys, dtype=np.int64)
+        monkeypatch.setattr(ingest.np, "argsort", spy)
+        _group_keys(keys, stable=stable)
+        monkeypatch.undo()
+        assert calls == ([("stable" if stable else None)] if falls_back else [])
+        order = assert_groups_match_unique(keys, stable)
+        if stable or not falls_back:
+            assert order.tolist() == np.argsort(keys, kind="stable").tolist()
+
+
+class TestSameSeedGroupings:
+    """The generators give the same output on the packed sort as on the
+    argsort/``np.unique`` groupings they used before."""
+
+    def run_both(self, monkeypatch, build):
+        packed = build()
+        monkeypatch.setattr(ingest, "_group_keys", reference_group_keys)
+        reference = build()
+        monkeypatch.undo()
+        return packed, reference
+
+    @pytest.mark.parametrize("seed", (0, 1, 9))
+    def test_synthetic_csr_planes(self, monkeypatch, seed):
+        (csr, factions), (expected, expected_factions) = self.run_both(
+            monkeypatch, lambda: synthetic_csr_network(700, average_degree=7.0, seed=seed)
+        )
+        assert_csr_equal(csr, expected)
+        assert factions.tolist() == expected_factions.tolist()
+
+    @pytest.mark.parametrize("seed", (0, 4))
+    @pytest.mark.parametrize("labelled", (False, True))
+    def test_zipf_skill_assignment(self, monkeypatch, seed, labelled):
+        users = [f"u{i}" for i in range(900)] if labelled else list(range(900))
+        assignment, expected = self.run_both(
+            monkeypatch, lambda: assign_skills_zipf(users, 60, 3.0, seed=seed)
+        )
+        assert assignment == expected
+        assert list(assignment._user_skills) == list(expected._user_skills)
+        for user in users:
+            assert list(assignment._user_skills[user]) == list(
+                expected._user_skills[user]
+            )
 
 
 class TestTokenModeIngest:
