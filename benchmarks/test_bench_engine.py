@@ -22,6 +22,10 @@ source of the fast-config slashdot stand-in, at Table 2's expansion cap,
 must run >= 2.5x faster through the batched CSR core than through the dict
 ``search_exact``, with identical depth maps, key order and truncation flags
 (measured 4.7-5.9x on the same VM: 2.13-2.30 s dict, 0.39-0.45 s CSR).
+SPO's 64-source presence word must run >= 3x faster than Algorithm 1's
+word-parallel counts over the same 64 sources of the default 2308-node
+epinions stand-in, with identical lengths and ``counts > 0`` (measured
+4.9-6.3x on the same VM: 31-42 ms counts, 5.5-6.9 ms presence).
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ from repro.signed.csr import (
     balanced_heuristic_depths,
     multi_source_signed_bfs,
     signed_bfs_csr,
+    signed_bfs_dense_batch_into,
 )
 from repro.signed.paths import BalancedPathSearch
 from repro.skills.generators import assign_skills_zipf
@@ -63,6 +68,10 @@ SBPH_BATCH_BAR = 2.0
 #: Batched all-sources exact SBP on CSR over the dict ``search_exact`` on the
 #: fast-config slashdot stand-in (measured 4.7-5.9x).
 SBP_CSR_BAR = 2.5
+
+#: A 64-source presence word over the counting word on the default epinions
+#: stand-in (measured 4.9-6.3x).
+PRESENCE_WORD_BAR = 3.0
 
 
 @pytest.fixture(scope="module")
@@ -284,6 +293,45 @@ def _per_source_sbph_depths(csr, source_id):
         frontier = next_frontier
         depth += 1
     return positive_depths, negative_depths
+
+
+@pytest.mark.benchmark(group="perf-presence")
+def test_presence_word_speedup_over_counts_word(benchmark):
+    """64 SPO sources: presence >= 3x Algorithm 1's counts, same answers.
+
+    Both run one word-parallel word over the default 2308-node epinions
+    stand-in; the presence rows must equal the counts' lengths and
+    ``counts > 0`` for both signs.
+    """
+    csr = load_dataset("epinions").graph.csr_view()
+    num_nodes = csr.number_of_nodes()
+    sources = np.random.default_rng(29).choice(num_nodes, 64, replace=False).tolist()
+
+    def run(presence):
+        planes = [np.empty((64, num_nodes), dtype=dtype) for dtype in (np.int32, np.int64, np.int64)]
+        tokens = signed_bfs_dense_batch_into(csr, sources, *planes, presence=presence)
+        return tokens, planes
+
+    counts_elapsed, (counts_tokens, counts) = _best_of(5, lambda: run(False))
+    presence_elapsed, (presence_tokens, presence) = _best_of(5, lambda: run(True))
+    assert counts_tokens == [True] * 64
+    assert presence_tokens == ["presence"] * 64
+    assert np.array_equal(presence[0], counts[0])
+    assert np.array_equal(presence[1], (counts[1] > 0).astype(np.int64))
+    assert np.array_equal(presence[2], (counts[2] > 0).astype(np.int64))
+    speedup = counts_elapsed / presence_elapsed
+    benchmark.extra_info["counts_seconds"] = counts_elapsed
+    benchmark.extra_info["presence_seconds"] = presence_elapsed
+    benchmark.extra_info["speedup"] = speedup
+    benchmark.pedantic(run, args=(True,), rounds=3, iterations=1)
+    print(
+        f"\n64-source word on {num_nodes} nodes: counts {counts_elapsed * 1000:.1f}ms, "
+        f"presence {presence_elapsed * 1000:.1f}ms, speedup {speedup:.2f}x"
+    )
+    assert speedup >= PRESENCE_WORD_BAR, (
+        f"presence word only {speedup:.2f}x over the counts word "
+        f"(bar {PRESENCE_WORD_BAR}x)"
+    )
 
 
 @pytest.fixture(scope="module")

@@ -116,8 +116,12 @@ class DistanceOracle:
             return 0.0
         if isinstance(self._relation, _BalancedPathRelation):
             return self._relation.positive_balanced_distance(u, v)
-        rows = self._bfs_cache if self._sp_relation is None else self._sp_relation._bfs_cache
-        if u not in rows and v in rows:
+        cached = (
+            self._bfs_cache.__contains__
+            if self._sp_relation is None
+            else self._sp_relation._has_row
+        )
+        if not cached(u) and cached(v):
             u, v = v, u
         lengths = self._shortest_paths_from(u)
         return float(lengths.get(v, INFINITY))

@@ -257,7 +257,7 @@ class CompatibilityEngine:
             dispatch: List[Node] = []
             uncached: List[Node] = []
             for member in missing:
-                cached = relation._bfs_cache.get(member)
+                cached = relation._cached_row(member)
                 if cached is None:
                     dispatch.append(member)
                 elif not isinstance(
@@ -334,8 +334,7 @@ class CompatibilityEngine:
                     if not result.reachable(candidate):
                         keep[position] = False
                         continue
-                    positive, negative = result.counts(candidate)
-                    if not relation._pair_rule(positive, negative):
+                    if not relation._holds(result, candidate):
                         keep[position] = False
                 continue
             keep &= mask[ids]

@@ -46,6 +46,23 @@ triples.  Its entries are three ints, so ``"auto"`` keeps the
 :data:`DEFAULT_BFS_CACHE_SIZE` ceiling for it unscaled — a sweep over SPA,
 then SPM, then SPO traverses each source once even when the BFS cache holds
 fewer entries than the sample.
+
+SPO only asks whether a positive shortest path *exists*, so on the CSR
+backend its batched misses (:meth:`OneShortestPathCompatibility.batch_bfs`)
+run the word-parallel presence traversal
+(:func:`repro.signed.csr._wordparallel_presence_into`) for every word of at
+least :data:`~repro.signed.csr.PRESENCE_MIN_SOURCES` (4) sources: lengths
+plus one bit per sign, no counts.  Those *presence results* live in a third
+graph-held cache under the same key.  Who reads what:
+
+* SPA and SPM read Algorithm 1's counts only — the shared BFS cache, their
+  own misses and the degree memo never see a presence result;
+* SPO reads a cached counts result first, then a cached presence result;
+  its batched misses fill the presence cache (smaller words and single
+  sources run Algorithm 1 into the shared cache), and its degree sweeps
+  count from Algorithm 1, because one sweep fills all three degrees;
+* SP* distance rows are BFS lengths, which both kinds of result hold, so
+  SPO's oracle reads either.
 """
 
 from __future__ import annotations
@@ -72,10 +89,14 @@ DegreeTriple = Tuple[int, int, int]
 
 def _shared_caches(
     graph: SignedGraph, policy: ExecutionPolicy
-) -> Tuple[GenerationalLRUCache[Node, _BFSResult], GenerationalLRUCache[Node, DegreeTriple]]:
-    """The graph's signed-BFS cache and degree memo for ``policy``.
+) -> Tuple[
+    GenerationalLRUCache[Node, _BFSResult],
+    GenerationalLRUCache[Node, _BFSResult],
+    GenerationalLRUCache[Node, DegreeTriple],
+]:
+    """The graph's signed-BFS cache, presence cache and degree memo for ``policy``.
 
-    Both live under one key: the policy's resolved backend
+    All three live under one key: the policy's resolved backend
     (:attr:`~repro.exec.ExecutionPolicy.uses_csr`, so ``"auto"`` and
     ``"csr"`` share) and resolved BFS entry bound.  Generation-keyed:
     mutating the graph drops only the entries whose component a mutation
@@ -88,23 +109,27 @@ def _shared_caches(
     num_nodes = graph.number_of_nodes()
     maxsize = resolve_cache_size(policy.bfs_cache_size, DEFAULT_BFS_CACHE_SIZE, num_nodes)
     key = (policy.uses_csr, maxsize)
-    cache = graph._signed_bfs_caches.get(key)
-    if cache is None:
-        cache = GenerationalLRUCache(
-            graph, maxsize=maxsize, bytes_per_entry=num_nodes * APPROX_BYTES_PER_NODE
-        )
-        graph._signed_bfs_caches[key] = cache
-    degrees = graph._sp_degree_caches.get(key)
-    if degrees is None:
+
+    def held(caches: dict, **bounds) -> GenerationalLRUCache:
+        cache = caches.get(key)
+        if cache is None:
+            cache = caches[key] = GenerationalLRUCache(graph, **bounds)
+        return cache
+
+    rows = {"maxsize": maxsize, "bytes_per_entry": num_nodes * APPROX_BYTES_PER_NODE}
+    return (
+        held(graph._signed_bfs_caches, **rows),
+        held(graph._sp_presence_caches, **rows),
         # Entries are O(1): an "auto" bound keeps its ceiling unscaled.
-        bound = (
-            DEFAULT_BFS_CACHE_SIZE
-            if policy.bfs_cache_size == "auto"
-            else policy.bfs_cache_size
-        )
-        degrees = GenerationalLRUCache(graph, maxsize=bound)
-        graph._sp_degree_caches[key] = degrees
-    return cache, degrees
+        held(
+            graph._sp_degree_caches,
+            maxsize=(
+                DEFAULT_BFS_CACHE_SIZE
+                if policy.bfs_cache_size == "auto"
+                else policy.bfs_cache_size
+            ),
+        ),
+    )
 
 
 class _ShortestPathRelation(CompatibilityRelation):
@@ -132,7 +157,9 @@ class _ShortestPathRelation(CompatibilityRelation):
         policy: Optional[ExecutionPolicy] = None,
     ) -> None:
         super().__init__(graph, policy=policy)
-        self._bfs_cache, self._degree_cache = _shared_caches(self._graph, self._policy)
+        self._bfs_cache, self._presence_cache, self._degree_cache = _shared_caches(
+            self._graph, self._policy
+        )
 
     def _bfs(self, source: Node) -> _BFSResult:
         result = self._bfs_cache.get(source)
@@ -151,6 +178,27 @@ class _ShortestPathRelation(CompatibilityRelation):
             self._bfs_cache[source] = result
         return result
 
+    def _cached_row(self, node: Node) -> Optional[_BFSResult]:
+        """``node``'s cached result for pair, set and distance-row queries.
+
+        Algorithm 1's counts from the shared BFS cache; SPO also reads its
+        presence cache.  ``None`` when neither holds one.
+        """
+        return self._bfs_cache.get(node)
+
+    def _row(self, source: Node) -> _BFSResult:
+        """:meth:`_cached_row`, else Algorithm 1's fresh counts (:meth:`_bfs`)."""
+        return self._bfs(source)
+
+    def _has_row(self, node: Node) -> bool:
+        """True iff :meth:`_row` would answer ``node`` from a cache."""
+        return node in self._bfs_cache
+
+    def _holds(self, result: _BFSResult, target: Node) -> bool:
+        """The pair rule between ``result``'s source and reachable ``target``."""
+        positive, negative = result.counts(target)
+        return self._pair_rule(positive, negative)
+
     def batch_bfs(self, sources: Sequence[Node]) -> List[_BFSResult]:
         """One Algorithm-1 result per source, batched through the executor.
 
@@ -165,8 +213,13 @@ class _ShortestPathRelation(CompatibilityRelation):
         the LRU bound is still computed exactly once; they are also written
         through to the cache for follow-up per-pair queries.  Every result is
         bit-identical to what :meth:`_bfs` would have produced, whatever the
-        executor.
+        executor.  SPO may answer with presence results instead (see
+        :meth:`OneShortestPathCompatibility.batch_bfs`).
         """
+        return self._batch_counts(sources)
+
+    def _batch_counts(self, sources: Sequence[Node]) -> List[_BFSResult]:
+        """:meth:`batch_bfs` with Algorithm 1's counts for every relation."""
         source_list = list(sources)
         self._require_nodes(*source_list)
         if not self._policy.uses_csr:
@@ -179,33 +232,38 @@ class _ShortestPathRelation(CompatibilityRelation):
                 )
 
             return fetch_batched(self._bfs_cache, source_list, compute_missing_dict)
+        return fetch_batched(self._bfs_cache, source_list, self._compute_csr)
 
-        def compute_missing(missing: List[Node]) -> List[_BFSResult]:
-            from repro.signed.csr import CSRSignedBFSResult
+    def _compute_csr(self, missing: List[Node], presence: bool = False) -> List[_BFSResult]:
+        """One ``csr_signed_bfs`` dispatch over ``missing`` (nothing cached).
 
-            csr = self._graph.csr_view()
-            triples = self._executor().map_kernel(
-                "csr_signed_bfs",
-                csr,
-                [csr.index_of(source) for source in missing],
-                params={"skip_overflow": True},
+        With ``presence`` the kernel may answer whole words with presence
+        rows, which come back as presence results.
+        """
+        from repro.signed.csr import CSRSignedBFSResult, PresenceRows
+
+        csr = self._graph.csr_view()
+        triples = self._executor().map_kernel(
+            "csr_signed_bfs",
+            csr,
+            [csr.index_of(source) for source in missing],
+            params={"skip_overflow": True, "presence": presence},
+        )
+        return [
+            # None marks an int64 overflow: that source needs the dict
+            # backend's arbitrary-precision counts.
+            signed_bfs(self._graph, source)
+            if triple is None
+            else CSRSignedBFSResult(
+                source=source,
+                graph=csr,
+                lengths_array=triple[0],
+                positive_array=triple[1],
+                negative_array=triple[2],
+                presence=isinstance(triple, PresenceRows),
             )
-            return [
-                # None marks an int64 overflow: that source needs the dict
-                # backend's arbitrary-precision counts.
-                signed_bfs(self._graph, source)
-                if triple is None
-                else CSRSignedBFSResult(
-                    source=source,
-                    graph=csr,
-                    lengths_array=triple[0],
-                    positive_array=triple[1],
-                    negative_array=triple[2],
-                )
-                for source, triple in zip(missing, triples)
-            ]
-
-        return fetch_batched(self._bfs_cache, source_list, compute_missing)
+            for source, triple in zip(missing, triples)
+        ]
 
     def distance_rows(self, sources: Sequence[Node]) -> List[object]:
         """BFS distance maps for ``sources``, read off their signed BFS results.
@@ -221,7 +279,7 @@ class _ShortestPathRelation(CompatibilityRelation):
         """
         source_list = list(sources)
         if len(source_list) == 1:
-            results = [self._bfs(source_list[0])]
+            results = [self._row(source_list[0])]
         else:
             results = self.batch_bfs(source_list)
         return [_lengths_row(result) for result in results]
@@ -235,14 +293,16 @@ class _ShortestPathRelation(CompatibilityRelation):
         # The caches are the graph's shared ones: this empties them for every
         # SP* relation (and SP* distance oracle) that reads them.
         self._bfs_cache.clear()
+        self._presence_cache.clear()
         self._degree_cache.clear()
 
     def _sync_subclass_caches(self) -> None:
         self._bfs_cache.sync()
+        self._presence_cache.sync()
         self._degree_cache.sync()
 
     def _compute_compatible_set(self, u: Node) -> Set[Node]:
-        result = self._bfs(u)
+        result = self._row(u)
         if isinstance(result, SignedBFSResult):
             compatible: Set[Node] = set()
             for node in result.lengths:
@@ -261,8 +321,8 @@ class _ShortestPathRelation(CompatibilityRelation):
         self._require_nodes(u, v)
         if u == v:
             return True
-        source, target = (u, v) if u in self._bfs_cache or v not in self._bfs_cache else (v, u)
-        result = self._bfs(source)
+        source, target = (u, v) if self._has_row(u) or not self._has_row(v) else (v, u)
+        result = self._row(source)
         if not isinstance(result, SignedBFSResult) and target not in result.graph:
             # The cached result survived a mutation elsewhere but predates
             # ``target``'s addition to the graph: a node outside the result's
@@ -271,8 +331,7 @@ class _ShortestPathRelation(CompatibilityRelation):
             return False
         if not result.reachable(target):
             return False
-        positive, negative = result.counts(target)
-        return self._pair_rule(positive, negative)
+        return self._holds(result, target)
 
     def batch_compatible_sets(self, sources: Sequence[Node]) -> List[FrozenSet[Node]]:
         """Compatible sets for many sources from one batched sweep.
@@ -426,7 +485,7 @@ class _ShortestPathRelation(CompatibilityRelation):
     def _degree_triples(self, missing: List[Node]) -> List[DegreeTriple]:
         """Degree triples for the memo's misses (see :meth:`batch_compatibility_degrees`)."""
         if not (self._policy.parallel and self._policy.uses_csr):
-            return [_degree_triple(result) for result in self.batch_bfs(missing)]
+            return [_degree_triple(result) for result in self._batch_counts(missing)]
         triples: List[Optional[DegreeTriple]] = []
         dispatch: List[int] = []
         for position, source in enumerate(missing):
@@ -536,10 +595,70 @@ class MajorityShortestPathsCompatibility(_ShortestPathRelation):
 
 
 class OneShortestPathCompatibility(_ShortestPathRelation):
-    """SPO: at least one shortest path between the pair is positive."""
+    """SPO: at least one shortest path between the pair is positive.
+
+    The rule only asks whether a positive shortest path *exists*, so SPO's
+    batched misses on the CSR backend run the word-parallel presence
+    traversal (:meth:`batch_bfs`) and its pair, compatible-set and distance
+    queries read those presence results next to Algorithm 1's counts.
+    """
 
     name = "SPO"
     _degree_slot = 2
+
+    def batch_bfs(self, sources: Sequence[Node]) -> List[_BFSResult]:
+        """One result per source: Algorithm 1's counts or positive-path presence.
+
+        On the CSR backend a cached counts result comes first, then a cached
+        presence result.  The misses go to ``csr_signed_bfs`` with the
+        ``presence`` param: words of at least
+        :data:`~repro.signed.csr.PRESENCE_MIN_SOURCES` sources come back as
+        presence results (lengths plus whether some shortest path is
+        positive / negative, no counts) and land in the graph's presence
+        cache, smaller words as counts in the shared BFS cache.  SPA, SPM,
+        the degree memo and every other counts reader never see a presence
+        result.  Without CSR this is :meth:`_ShortestPathRelation.batch_bfs`.
+        """
+        if not self._policy.uses_csr:
+            return self._batch_counts(sources)
+        source_list = list(sources)
+        self._require_nodes(*source_list)
+        found = {}
+        for source in source_list:
+            result = self._cached_row(source)
+            if result is not None:
+                found[source] = result
+        missing = [source for source in dict.fromkeys(source_list) if source not in found]
+        if missing:
+            for source, result in zip(missing, self._compute_csr(missing, presence=True)):
+                found[source] = result
+                presence = not isinstance(result, SignedBFSResult) and result.presence
+                (self._presence_cache if presence else self._bfs_cache)[source] = result
+        return [found[source] for source in source_list]
+
+    def _presence_only(self, node: Node) -> bool:
+        # Membership tests count neither hits nor misses: every lookup below
+        # reads exactly one cache, so the caches' hit rates stay meaningful.
+        return node not in self._bfs_cache and node in self._presence_cache
+
+    def _cached_row(self, node: Node) -> Optional[_BFSResult]:
+        if self._presence_only(node):
+            return self._presence_cache.get(node)
+        return self._bfs_cache.get(node)
+
+    def _row(self, source: Node) -> _BFSResult:
+        if self._presence_only(source):
+            return self._presence_cache.get(source)
+        return self._bfs(source)
+
+    def _has_row(self, node: Node) -> bool:
+        return node in self._bfs_cache or node in self._presence_cache
+
+    def _holds(self, result: _BFSResult, target: Node) -> bool:
+        if isinstance(result, SignedBFSResult):
+            return super()._holds(result, target)
+        # A presence result holds no counts; one positive shortest path decides.
+        return result.has_positive_path(target)
 
     @staticmethod
     def _pair_rule(positive: int, negative: int) -> bool:

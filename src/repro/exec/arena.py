@@ -26,7 +26,9 @@ This module is the codec layer that removes it:
   (:func:`repro.signed.csr.signed_bfs_dense_batch_into` and friends) — the
   traversal's working arrays *are* the shipped result.  The task returns only
   a compact per-source token (``True``, or ``None`` marking an int64
-  overflow; for ``csr_sbph`` the source's truncation flag), so
+  overflow; ``csr_signed_bfs`` marks presence rows with
+  :data:`~repro.signed.csr.PRESENCE_ROW`; for ``csr_sbph`` the source's
+  truncation flag), so
   worker→parent pickling is O(k), not O(k·n).
 * **Zero-copy reads.**  The parent maps the same segment once, builds the
   plane views, and decodes each source's result straight off them
@@ -181,6 +183,7 @@ def write_chunk(
     Returns the compact per-source token list the worker ships back instead
     of the dense results (``True`` per completed row; ``None`` marks an int64
     overflow whose row the parent must resolve on the dict backend;
+    ``csr_signed_bfs`` marks presence rows with ``PRESENCE_ROW``;
     ``csr_sbph`` ships each source's truncation flag).
     """
     return _WRITERS[arena.kernel](planes, start, payload, sources, params)
@@ -197,6 +200,7 @@ def _write_signed_bfs(planes, start, csr, sources, params) -> List:
         planes[1][start:stop],
         planes[2][start:stop],
         skip_overflow=params.get("skip_overflow", True),
+        presence=params.get("presence", False),
     )
 
 
@@ -293,17 +297,16 @@ def _close_segment(shm) -> None:
 
 
 def _decode_signed_bfs(planes, position, token):
-    if token is None:
-        return None
     # Rows are copied out of the mapped segment: batch_bfs results live in
     # long-lived LRU caches, and a view would pin the whole k-row segment
     # (and defeat the cache's per-entry byte accounting) for as long as any
     # single row survived.  One memcpy per row is noise next to the pickling
-    # round-trip this path replaces.
-    return (
-        planes[0][position].copy(),
-        planes[1][position].copy(),
-        planes[2][position].copy(),
+    # round-trip this path replaces.  The token tells counts rows from
+    # presence rows, exactly as in the serial kernel.
+    from repro.signed.csr import dense_row_result
+
+    return dense_row_result(
+        token, planes[0][position], planes[1][position], planes[2][position]
     )
 
 

@@ -59,11 +59,20 @@ def register_kernel(name: str, function: Callable = None):
 def csr_signed_bfs(csr, sources: Sequence[int], params: dict) -> List:
     """Algorithm 1 from many dense sources: ``(lengths, positive, negative)``
     array triples (``None`` marks an int64 overflow for the caller's dict
-    fallback)."""
+    fallback).
+
+    ``params["presence"]`` lets words of at least
+    :data:`~repro.signed.csr.PRESENCE_MIN_SOURCES` sources answer with
+    :class:`~repro.signed.csr.PresenceRows` instead — lengths plus whether a
+    positive / negative shortest path exists, no counts.
+    """
     from repro.signed.csr import signed_bfs_dense_batch
 
     return signed_bfs_dense_batch(
-        csr, sources, skip_overflow=params.get("skip_overflow", True)
+        csr,
+        sources,
+        skip_overflow=params.get("skip_overflow", True),
+        presence=params.get("presence", False),
     )
 
 

@@ -23,6 +23,9 @@ numpy imports (:attr:`repro.exec.ExecutionPolicy.uses_csr`):
   word-parallel, 64 per ``uint64`` frontier word, so one adjacency gather per
   BFS level serves a whole word; a batch smaller than
   :data:`WORDPARALLEL_MIN_SOURCES` runs per-source traversals instead;
+  with ``presence`` (SPO's request) a word of at least
+  :data:`PRESENCE_MIN_SOURCES` sources runs the positive-path *presence*
+  traversal, which keeps one bit per sign instead of counts;
 * :func:`multi_source_shortest_path_lengths_csr` — the batched counterpart for
   sign-agnostic distances, used by the distance oracle's team sweeps;
 * :func:`balanced_depths` — both balanced-path searches over a batch of
@@ -77,6 +80,7 @@ from repro.utils.bitset import (
     WORD_BITS,
     set_bit_positions,
     source_bits,
+    word_bit_columns,
     words_for,
 )
 
@@ -99,6 +103,20 @@ UNREACHABLE = -1
 #: (their path lengths run one source at a time), and it keeps a 2-worker
 #: pool's 8-source chunks of a 64-source sweep per source.
 WORDPARALLEL_MIN_SOURCES = 9
+
+#: Smallest word of sources a presence request runs through
+#: :func:`_wordparallel_presence_into` (smaller words keep Algorithm 1's
+#: counts).  Presence advances every source of a word with the same array
+#: operations, where the counting kernels pay per source.  Per word, best
+#: of repeated runs on a 2-core Xeon VM, presence vs counts: on the
+#: 2308-node epinions stand-in 2 sources tie (1.6-2.0 vs 1.4-2.0 ms),
+#: 3 sources 1.6-2.2 vs 2.5-2.6 ms, 4 sources 2.7-2.9 vs 3.2-3.9 ms and
+#: 64 sources 6-7.4 vs 37-43 ms.  At 100k nodes (the ``million`` stand-in
+#: at scale 0.1) presence loses at 2 sources (60-92 vs 56-66 ms) and 3
+#: (97-119 vs 87-112 ms), ties at 4 (117-130 vs 115-136 ms) and wins at 8
+#: (159-188 vs 216-263 ms).  4 is no slower at either size; the streaming
+#: workload ran equally fast end to end with 3 or 4.
+PRESENCE_MIN_SOURCES = 4
 
 
 class CSRSignedGraph:
@@ -411,6 +429,12 @@ class CSRSignedBFSResult:
     :class:`~repro.signed.paths.SignedBFSResult` in pairwise code.  Equality
     is identity (``eq=False``): value comparison of array fields is ambiguous;
     convert via :meth:`to_signed_bfs_result` to compare results by value.
+
+    A *presence* result (``presence=True``, from
+    :func:`_wordparallel_presence_into`) holds the same lengths, but its two
+    planes only say whether *some* shortest path is positive / negative
+    (boolean, or 0/1).  Its :meth:`counts` and :meth:`to_signed_bfs_result`
+    raise :class:`ValueError`; every other query answers as usual.
     """
 
     source: Node
@@ -418,6 +442,14 @@ class CSRSignedBFSResult:
     lengths_array: np.ndarray
     positive_array: np.ndarray
     negative_array: np.ndarray
+    presence: bool = False
+
+    def _require_counts(self) -> None:
+        if self.presence:
+            raise ValueError(
+                "a presence result records whether positive/negative shortest "
+                "paths exist, not how many; run Algorithm 1 for counts"
+            )
 
     def length(self, node: Node) -> float:
         """Shortest-path length to ``node`` (``inf`` if unreachable)."""
@@ -426,8 +458,13 @@ class CSRSignedBFSResult:
 
     def counts(self, node: Node) -> Tuple[int, int]:
         """Return ``(positive, negative)`` shortest-path counts for ``node``."""
+        self._require_counts()
         dense = self.graph.index_of(node)
         return (int(self.positive_array[dense]), int(self.negative_array[dense]))
+
+    def has_positive_path(self, node: Node) -> bool:
+        """True iff some shortest path from the source to ``node`` is positive."""
+        return bool(self.positive_array[self.graph.index_of(node)])
 
     def reachable(self, node: Node) -> bool:
         """True iff ``node`` is reachable from the source."""
@@ -451,6 +488,7 @@ class CSRSignedBFSResult:
         then dense id); counts and lengths are identical to what
         :func:`~repro.signed.paths.signed_bfs` produces on the same graph.
         """
+        self._require_counts()
         nodes = self.graph._nodes
         reachable = np.flatnonzero(self.lengths_array != UNREACHABLE)
         order = reachable[np.argsort(self.lengths_array[reachable], kind="stable")]
@@ -837,6 +875,32 @@ def _wordparallel_seed(
     return ids, frontier
 
 
+def _decode_levels(
+    levels: List[Tuple[np.ndarray, np.ndarray]],
+    seen: np.ndarray,
+    out_lengths: np.ndarray,
+) -> None:
+    """Write a word-parallel traversal's BFS lengths into ``out_lengths``.
+
+    ``levels[d]`` is ``(nodes, words)`` for depth ``d + 1``: the nodes some
+    source discovered at that depth and, per node, the word of those sources.
+    ``seen`` is the final per-node word of every source that reached the node
+    (the sources themselves included).  Each (source, node) bit sits in
+    exactly one level, so a node's depths are the sum over its levels of
+    ``depth * bit``; row ``b`` of ``out_lengths`` (``(k, n)`` int32, any row
+    layout) receives source ``b``'s lengths, :data:`UNREACHABLE` where its
+    bit never reached the node.  One unpack per level and one transposed
+    write, instead of one row write per active source per level.
+    """
+    k, num_nodes = out_lengths.shape
+    depth_type = np.uint8 if len(levels) < 256 else np.int32
+    depths = np.zeros((num_nodes, k), dtype=depth_type)
+    for depth, (nodes, words) in enumerate(levels, start=1):
+        depths[nodes] += word_bit_columns(words, k) * depth_type(depth)
+    np.copyto(out_lengths, depths.T, casting="unsafe")
+    out_lengths[word_bit_columns(seen, k).T == 0] = UNREACHABLE
+
+
 def _wordparallel_path_lengths_into(
     csr: CSRSignedGraph, source_ids: Sequence[int], out_lengths: np.ndarray
 ) -> None:
@@ -846,18 +910,15 @@ def _wordparallel_path_lengths_into(
     b"), so one level of ALL the word's traversals is one adjacency gather
     over the *union* frontier, one ``bitwise_or`` scatter, and one
     ``& ~seen``.  Row ``b`` of ``out_lengths`` (shape ``(k, n)``, int32;
-    any row layout — writes are per-row) receives source ``b``'s
-    distances, bit-identical to :func:`_shortest_path_lengths_array_into`:
-    BFS depths are unique per (source, node), so equality is exact by
-    construction.
+    any row layout) receives source ``b``'s distances, decoded once at the
+    end (:func:`_decode_levels`), bit-identical to
+    :func:`_shortest_path_lengths_array_into`: BFS depths are unique per
+    (source, node), so equality is exact by construction.
     """
     num_nodes = csr.number_of_nodes()
-    k = len(source_ids)
-    ids, frontier = _wordparallel_seed(num_nodes, source_ids)
+    _ids, frontier = _wordparallel_seed(num_nodes, source_ids)
     seen = frontier.copy()
-    out_lengths.fill(UNREACHABLE)
-    out_lengths[np.arange(k), ids] = 0
-    depth = 0
+    levels: List[Tuple[np.ndarray, np.ndarray]] = []
     while True:
         active = np.flatnonzero(frontier)
         if active.size == 0:
@@ -871,13 +932,112 @@ def _wordparallel_path_lengths_into(
         newly = np.flatnonzero(next_words)
         if newly.size == 0:
             break
-        seen[newly] |= next_words[newly]
         newly_words = next_words[newly]
-        for b in set_bit_positions(int(np.bitwise_or.reduce(newly_words))):
-            bit = np.uint64(1) << np.uint64(b)
-            out_lengths[b, newly[(newly_words & bit) != 0]] = depth + 1
+        seen[newly] |= newly_words
+        levels.append((newly, newly_words))
         frontier = next_words
-        depth += 1
+    _decode_levels(levels, seen, out_lengths)
+
+
+def _wordparallel_presence_into(
+    csr: CSRSignedGraph,
+    source_ids: Sequence[int],
+    out_lengths: np.ndarray,
+    out_positive: np.ndarray,
+    out_negative: np.ndarray,
+) -> None:
+    """Word-parallel positive-path *presence*: BFS lengths plus one bit per sign.
+
+    SPO (Definition 3.3) only asks whether *some* shortest path is positive,
+    so this traversal carries, per node, two ``uint64`` planes instead of
+    Algorithm 1's counts: bit ``b`` of ``positive[v]`` says some shortest
+    path from source ``b`` to ``v`` is positive, of ``negative[v]`` that
+    some is negative.  A positive edge passes both bits on, a negative edge
+    swaps them, and a node's bits are the OR over its parents — presence of
+    a signed shortest path, exactly ``counts > 0``.  Every source of the
+    word advances with the same array operations, with no per-source loop
+    (multi-source BFS, Then et al., PVLDB 8(4), 2014).
+
+    Direction-optimising like :func:`_signed_bfs_arrays_into`: a level
+    pushes (scatters the frontier's entries with ``np.bitwise_or.at``) while
+    the frontier's degree sum is at most that of the nodes some source has
+    not reached yet, and pulls otherwise (those nodes OR their rows with one
+    ``np.bitwise_or.reduceat`` per plane).  Rows are decoded once, at the
+    end: lengths by :func:`_decode_levels`, the sign planes into 0/1 rows of
+    ``out_positive`` / ``out_negative``.  Output buffers are ``(k, n)``
+    int32/int64/int64 with any row layout.  Nothing here can overflow.
+    """
+    num_nodes = csr.number_of_nodes()
+    k = len(source_ids)
+    degrees = csr.degrees()
+    negative_entries = csr.signs < 0
+    _ids, frontier_positive = _wordparallel_seed(num_nodes, source_ids)
+    frontier_negative = np.zeros(num_nodes, dtype=np.uint64)
+    seen = frontier_positive.copy()
+    positive = frontier_positive.copy()
+    negative = np.zeros(num_nodes, dtype=np.uint64)
+    all_sources = np.bitwise_or.reduce(source_bits(k))
+    # Nodes some source has not reached (non-zero degree only): a pull
+    # level scans their rows, and only they can still be discovered.
+    unreached = np.flatnonzero(degrees > 0)
+    active = np.flatnonzero(frontier_positive)
+    levels: List[Tuple[np.ndarray, np.ndarray]] = []
+    while True:
+        frontier_edges = int(degrees[active].sum())
+        unreached = unreached[seen[unreached] != all_sources]
+        if not frontier_edges or unreached.size == 0:
+            break
+        if frontier_edges > int(degrees[unreached].sum()):
+            positions, _counts, row_starts = _adjacency_positions(csr, unreached)
+            reads = csr.indices[positions]
+            swap = negative_entries[positions]
+            from_positive = frontier_positive[reads]
+            from_negative = frontier_negative[reads]
+            unseen = ~seen[unreached]
+            joined_positive = np.bitwise_or.reduceat(
+                np.where(swap, from_negative, from_positive), row_starts
+            )
+            joined_positive &= unseen
+            joined_negative = np.bitwise_or.reduceat(
+                np.where(swap, from_positive, from_negative), row_starts
+            )
+            joined_negative &= unseen
+            joins = np.flatnonzero(joined_positive | joined_negative)
+            newly = unreached[joins]
+            frontier_positive = np.zeros(num_nodes, dtype=np.uint64)
+            frontier_negative = np.zeros(num_nodes, dtype=np.uint64)
+            frontier_positive[newly] = joined_positive[joins]
+            frontier_negative[newly] = joined_negative[joins]
+        else:
+            positions, counts, _row_starts = _adjacency_positions(csr, active)
+            targets = csr.indices[positions]
+            swap = negative_entries[positions]
+            origins = np.repeat(active, counts)
+            from_positive = frontier_positive[origins]
+            from_negative = frontier_negative[origins]
+            frontier_positive = np.zeros(num_nodes, dtype=np.uint64)
+            frontier_negative = np.zeros(num_nodes, dtype=np.uint64)
+            np.bitwise_or.at(
+                frontier_positive, targets, np.where(swap, from_negative, from_positive)
+            )
+            np.bitwise_or.at(
+                frontier_negative, targets, np.where(swap, from_positive, from_negative)
+            )
+            unseen = ~seen
+            frontier_positive &= unseen
+            frontier_negative &= unseen
+            newly = np.flatnonzero(frontier_positive | frontier_negative)
+        if newly.size == 0:
+            break
+        newly_words = frontier_positive[newly] | frontier_negative[newly]
+        seen[newly] |= newly_words
+        positive[newly] |= frontier_positive[newly]
+        negative[newly] |= frontier_negative[newly]
+        levels.append((newly, newly_words))
+        active = newly
+    _decode_levels(levels, seen, out_lengths)
+    out_positive[...] = word_bit_columns(positive, k).T
+    out_negative[...] = word_bit_columns(negative, k).T
 
 
 def _wordparallel_signed_bfs_into(
@@ -995,6 +1155,23 @@ def _wordparallel_signed_bfs_into(
 DenseBFSTriple = Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
+class PresenceRows(tuple):
+    """``(lengths, has_positive, has_negative)`` rows of a presence traversal.
+
+    A plain triple to unpack, typed apart from Algorithm 1's count triples so
+    the caller can tell which rows hold counts: the two boolean planes say
+    whether some shortest path is positive / negative
+    (:func:`_wordparallel_presence_into`).
+    """
+
+    __slots__ = ()
+
+
+#: Token of a row written by the presence traversal (the other tokens are
+#: ``True`` for Algorithm 1's counts and ``None`` for an int64 overflow).
+PRESENCE_ROW = "presence"
+
+
 def signed_bfs_dense_batch_into(
     csr: CSRSignedGraph,
     source_ids: Sequence[int],
@@ -1002,7 +1179,8 @@ def signed_bfs_dense_batch_into(
     out_positive: np.ndarray,
     out_negative: np.ndarray,
     skip_overflow: bool = False,
-) -> List[Optional[bool]]:
+    presence: bool = False,
+) -> List[Optional[object]]:
     """Algorithm 1 from many dense sources, written into ``(k, n)`` buffers.
 
     The one multi-source implementation: sources go 64 to a word, and a word
@@ -1014,17 +1192,33 @@ def signed_bfs_dense_batch_into(
     passes rows of a ``multiprocessing.shared_memory`` result arena, so each
     triple is produced *in place* and the parent reads it zero-copy.
 
+    With ``presence``, a word of at least :data:`PRESENCE_MIN_SOURCES`
+    sources runs :func:`_wordparallel_presence_into` instead: its rows hold
+    the same lengths and 0/1 for ``counts > 0`` — all a caller that only
+    asks whether a positive shortest path exists needs.
+
     Returns one token per source, aligned with the input: ``True`` for a
-    completed row, ``None`` for an int64 overflow (with ``skip_overflow``),
-    whose row contents are then undefined.  A word whose counts trip the
-    int64 guard is re-run source by source; a source that *individually*
-    overflows raises :class:`OverflowError` unless ``skip_overflow`` is set.
+    completed row of counts, :data:`PRESENCE_ROW` for a presence row,
+    ``None`` for an int64 overflow (with ``skip_overflow``), whose row
+    contents are then undefined.  A word whose counts trip the int64 guard
+    is re-run source by source; a source that *individually* overflows
+    raises :class:`OverflowError` unless ``skip_overflow`` is set.
     """
     id_list = list(source_ids)
-    tokens: List[Optional[bool]] = []
+    tokens: List[Optional[object]] = []
     for start in range(0, len(id_list), WORD_BITS):
         word = id_list[start : start + WORD_BITS]
         stop = start + len(word)
+        if presence and len(word) >= PRESENCE_MIN_SOURCES:
+            _wordparallel_presence_into(
+                csr,
+                word,
+                out_lengths[start:stop],
+                out_positive[start:stop],
+                out_negative[start:stop],
+            )
+            tokens.extend([PRESENCE_ROW] * len(word))
+            continue
         if len(word) >= WORDPARALLEL_MIN_SOURCES:
             try:
                 _wordparallel_signed_bfs_into(
@@ -1051,8 +1245,26 @@ def signed_bfs_dense_batch_into(
     return tokens
 
 
+def dense_row_result(token, lengths: np.ndarray, positive: np.ndarray, negative: np.ndarray):
+    """One source's result from its rows and token, the rows copied out.
+
+    ``None`` for an overflow token, :class:`PresenceRows` (boolean planes)
+    for :data:`PRESENCE_ROW`, else Algorithm 1's ``(lengths, positive,
+    negative)`` triple.  Copies keep a cached result from pinning the buffer
+    its rows were written into.
+    """
+    if token is None:
+        return None
+    if token == PRESENCE_ROW:
+        return PresenceRows((lengths.copy(), positive != 0, negative != 0))
+    return (lengths.copy(), positive.copy(), negative.copy())
+
+
 def signed_bfs_dense_batch(
-    csr: CSRSignedGraph, source_ids: Sequence[int], skip_overflow: bool = False
+    csr: CSRSignedGraph,
+    source_ids: Sequence[int],
+    skip_overflow: bool = False,
+    presence: bool = False,
 ) -> List[DenseBFSTriple]:
     """Dense core of :func:`multi_source_signed_bfs`: dense ids in, arrays out.
 
@@ -1062,7 +1274,9 @@ def signed_bfs_dense_batch(
     :func:`signed_bfs_dense_batch_into`, one 64-source word at a time: rows
     are copied out of the word's buffers, so transient memory stays one
     word's worth and holding one result does not pin the rest.  Results are
-    in input order; ``None`` marks an overflowing source (``skip_overflow``).
+    in input order; ``None`` marks an overflowing source (``skip_overflow``),
+    :class:`PresenceRows` a presence row (``presence``; see
+    :func:`dense_row_result`).
     """
     id_list = list(source_ids)
     num_nodes = csr.number_of_nodes()
@@ -1073,12 +1287,16 @@ def signed_bfs_dense_batch(
         positive = np.empty((len(word), num_nodes), dtype=np.int64)
         negative = np.empty((len(word), num_nodes), dtype=np.int64)
         tokens = signed_bfs_dense_batch_into(
-            csr, word, lengths, positive, negative, skip_overflow=skip_overflow
+            csr,
+            word,
+            lengths,
+            positive,
+            negative,
+            skip_overflow=skip_overflow,
+            presence=presence,
         )
         results.extend(
-            None
-            if token is None
-            else (lengths[row].copy(), positive[row].copy(), negative[row].copy())
+            dense_row_result(token, lengths[row], positive[row], negative[row])
             for row, token in enumerate(tokens)
         )
     return results

@@ -126,6 +126,8 @@ class SignedGraph:
         self._signed_bfs_caches: Dict[Tuple[bool, Optional[int]], object] = {}
         #: Their ``(spa, spm, spo)`` degree memos, under the same keys.
         self._sp_degree_caches: Dict[Tuple[bool, Optional[int]], object] = {}
+        #: SPO's positive-path presence results, under the same keys.
+        self._sp_presence_caches: Dict[Tuple[bool, Optional[int]], object] = {}
         #: Structured mutation log since the last CSR snapshot; ``None`` until
         #: the first snapshot exists (nothing to patch before that).
         self._delta: Optional[GraphDelta] = None

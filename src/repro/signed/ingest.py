@@ -132,15 +132,17 @@ def _data_line_spans(arr: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarra
         comment[line] = (marker_pos == line_start) | (led == 0)
         del line, head, line_start, bounds, led
         if comment.any():
-            # Blank comment lines in place so the numeric scan skips them.
+            # Blank comment lines in a copy so the numeric scan skips them:
+            # index arrays cover the comment bytes only, never the chunk.
             arr = arr.copy()
-            delta = np.zeros(size + 1, dtype=np.int32)
-            np.add.at(delta, starts[comment], 1)
-            np.subtract.at(delta, ends[comment], 1)
-            covered = np.cumsum(delta[:-1]) > 0
-            del delta
-            arr[covered] = _SPACE
-            del covered
+            comment_starts, comment_ends = starts[comment], ends[comment]
+            lengths = comment_ends - comment_starts
+            offsets = np.cumsum(lengths) - lengths
+            arr[
+                np.repeat(comment_starts - offsets, lengths)
+                + np.arange(int(lengths.sum()))
+            ] = _SPACE
+            del comment_starts, comment_ends, lengths, offsets
     del marker_pos
     keep = has_content & ~comment
     del content, has_content, comment

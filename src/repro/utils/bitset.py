@@ -98,6 +98,20 @@ def source_bits(count: int):
     return np.uint64(1) << np.arange(count, dtype=np.uint64)
 
 
+def word_bit_columns(words, count: int):
+    """``(len(words), count)`` uint8 matrix: entry ``[i, b]`` is bit ``b`` of ``words[i]``.
+
+    The vectorised inverse of the word-parallel kernels' packing: only the
+    ``ceil(count / 8)`` low bytes of each ``uint64`` word are unpacked.
+    """
+    import numpy as np
+
+    octets = np.ascontiguousarray(words, dtype="<u8").view(np.uint8).reshape(-1, 8)
+    return np.unpackbits(
+        octets[:, : (count + 7) // 8], axis=1, bitorder="little"
+    )[:, :count]
+
+
 def set_bit_positions(word: int) -> List[int]:
     """The set bit positions of a Python/numpy integer, ascending.
 

@@ -625,7 +625,8 @@ class TestSingleBackendDecision:
         graph = self._path_graph(1224)
         relation = make_relation("SPO", graph)
         relation.batch_compatible_sets(graph.nodes()[:5])
-        cached = [relation._bfs_cache.get(node) for node in graph.nodes()]
+        # SPO's 5-source word lands in its presence cache: read both caches.
+        cached = [relation._cached_row(node) for node in graph.nodes()]
         cached = [result for result in cached if result is not None]
         assert len(cached) == 5
         assert all(isinstance(result, CSRSignedBFSResult) for result in cached)

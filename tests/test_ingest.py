@@ -82,6 +82,34 @@ def assert_csr_equal(left: CSRSignedGraph, right: CSRSignedGraph):
     assert np.array_equal(left.signs, right.signs)
 
 
+def _chunk_bytes(lines):
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+def assert_spans_match_reference(chunk: bytes):
+    """``_data_line_spans`` on ``chunk`` against a line-by-line reference:
+    the same data-line spans, and exactly the comment lines blanked."""
+    translated = chunk.translate(ingest._SPACE_TRANS)
+    expected = bytearray(translated)
+    starts, ends = [], []
+    position = 0
+    for line in translated.split(b"\n"):
+        end = position + len(line)
+        stripped = line.lstrip(b" ")
+        if stripped[:1] in (b"#", b"%"):
+            expected[position:end] = b" " * len(line)
+        elif stripped:
+            starts.append(position)
+            ends.append(end)
+        position = end + 1
+    arr, got_starts, got_ends = ingest._data_line_spans(
+        np.frombuffer(translated, dtype=np.uint8)
+    )
+    assert got_starts.tolist() == starts
+    assert got_ends.tolist() == ends
+    assert arr.tobytes() == bytes(expected)
+
+
 class TestVectorisedParseEquivalence:
     @pytest.mark.parametrize("policy", POLICIES)
     @pytest.mark.parametrize("lcc", (False, True))
@@ -138,6 +166,54 @@ class TestVectorisedParseEquivalence:
             vectorised = parse_edge_list_csr(path, chunk_bytes=chunk_bytes)
             assert vectorised is not None
             assert_csr_equal(vectorised, reference)
+
+    def test_one_comment_in_a_large_chunk(self, tmp_path):
+        lines = [f"{i % 5000} {(i * 13) % 4999} {1 if i % 4 else -1}" for i in range(300_000)]
+        lines[150_000] = "  # the only comment 1 2 -1"
+        chunk = _chunk_bytes(lines)
+        assert ingest.CHUNK_BYTES // 2 < len(chunk) <= ingest.CHUNK_BYTES
+        assert_spans_match_reference(chunk)
+        path = write_edges(tmp_path / "one-comment.edges", lines)
+        vectorised = parse_edge_list_csr(path)
+        assert vectorised is not None
+        assert_csr_equal(vectorised, CSRSignedGraph.from_signed_graph(dict_reference(path)))
+
+    def test_one_comment_costs_no_per_byte_temporaries(self):
+        """Blanking one comment line allocates at most the chunk copy on top
+        of what a comment-free chunk of the same size needs."""
+        import tracemalloc
+
+        lines = [f"{i} {i + 1} -1" for i in range(300_000)]
+        plain = _chunk_bytes(lines)
+        lines[1_000] = "# one comment"
+        commented = _chunk_bytes(lines)
+        peaks = []
+        for chunk in (plain, commented):
+            arr = np.frombuffer(chunk.translate(ingest._SPACE_TRANS), dtype=np.uint8)
+            tracemalloc.start()
+            try:
+                ingest._data_line_spans(arr)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 2 * len(commented)
+
+    @pytest.mark.parametrize("every", (1, 2, 7))
+    def test_many_comments_match_line_reference(self, every):
+        lines = []
+        for i in range(5_000):
+            lines.append(f"{i} {i + 3} {1 if i % 3 else -1}")
+            if i % every == 0:
+                lines.append(("#", "%", "  #", "\t%", ",#")[i % 5] + f" note {i} 1 2 -1")
+        assert_spans_match_reference(_chunk_bytes(lines))
+
+    def test_comment_then_blank_lines_match_line_reference(self):
+        lines = []
+        for i in range(500):
+            lines += ["# first", "", "   ", "%%", "\t", f"{i} {i + 1} 1"]
+            lines += [" # again", "", "#", ",", f"{i + 2} {i} -1", "%"]
+        lines += ["# trailing comment", ""]
+        assert_spans_match_reference(_chunk_bytes(lines))
 
     @pytest.mark.parametrize("policy", ("keep_first", "negative_wins", "error"))
     def test_labels_near_int64_limits_bit_identical(self, tmp_path, policy):

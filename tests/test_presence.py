@@ -1,0 +1,276 @@
+"""SPO's positive-path presence traversal and the caches that hold its results.
+
+A presence row says, per (source, node), whether some shortest path is
+positive and whether some is negative — exactly ``counts > 0`` of Algorithm
+1 — next to the same BFS lengths.  SPO (Definition 3.3) needs nothing more,
+so its batched misses run the presence traversal in words of at least
+``PRESENCE_MIN_SOURCES`` sources.  These tests pin the rows against the
+per-source counting kernel, the answers against executors and fresh
+relations, and the separation of the presence cache from every counts
+reader.
+"""
+
+from __future__ import annotations
+
+import itertools
+import random
+from collections import Counter
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import repro.signed.csr as csr_module
+from repro.compatibility import CompatibilityEngine, DistanceOracle, make_relation
+from repro.compatibility.shortest_path import MajorityShortestPathsCompatibility
+from repro.datasets import synthetic_signed_network
+from repro.exec import ExecutionPolicy, ProcessPoolExecutor, SerialExecutor, reset_executors
+from repro.signed import SignedGraph
+from repro.signed.csr import (
+    PRESENCE_MIN_SOURCES,
+    PRESENCE_ROW,
+    CSRSignedBFSResult,
+    PresenceRows,
+    _signed_bfs_arrays,
+    signed_bfs_dense_batch,
+    signed_bfs_dense_batch_into,
+)
+
+SHORTEST_PATH = ("SPA", "SPM", "SPO")
+
+
+def _graph(num_nodes=90, seed=31):
+    graph, _ = synthetic_signed_network(
+        num_nodes, average_degree=4.0, negative_fraction=0.3, seed=seed
+    )
+    return graph
+
+
+@st.composite
+def presence_words(draw):
+    """A small signed graph — isolated nodes and several components likely —
+    and a word of 1..64 dense sources, repeats allowed."""
+    num_nodes = draw(st.integers(min_value=1, max_value=40))
+    pairs = list(itertools.combinations(range(num_nodes), 2))
+    chosen = draw(
+        st.lists(st.sampled_from(pairs), max_size=90, unique=True) if pairs else st.just([])
+    )
+    edges = [(u, v, draw(st.sampled_from((1, -1)))) for u, v in chosen]
+    graph = SignedGraph.from_edges(edges, nodes=range(num_nodes))
+    sources = draw(
+        st.lists(st.integers(min_value=0, max_value=num_nodes - 1), min_size=1, max_size=64)
+    )
+    return graph, sources
+
+
+class TestPresenceRows:
+    @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(presence_words())
+    def test_rows_equal_counts_above_zero(self, word):
+        graph, sources = word
+        csr = graph.csr_view()
+        k, n = len(sources), csr.number_of_nodes()
+        # A strided layout, as a slice of result-arena planes would be.
+        lengths = np.full((2 * k, n), -7, dtype=np.int32)[::2]
+        positive = np.full((2 * k, n), -7, dtype=np.int64)[::2]
+        negative = np.full((2 * k, n), -7, dtype=np.int64)[::2]
+        csr_module._wordparallel_presence_into(csr, sources, lengths, positive, negative)
+        for row, source in enumerate(sources):
+            want_lengths, want_positive, want_negative = _signed_bfs_arrays(csr, source)
+            assert np.array_equal(lengths[row], want_lengths)
+            assert np.array_equal(positive[row], (want_positive > 0).astype(np.int64))
+            assert np.array_equal(negative[row], (want_negative > 0).astype(np.int64))
+
+    @pytest.mark.parametrize("k", (1, PRESENCE_MIN_SOURCES - 1, PRESENCE_MIN_SOURCES, 64, 70))
+    def test_batch_tokens_and_row_types(self, k):
+        csr = _graph().csr_view()
+        sources = [(3 * i) % csr.number_of_nodes() for i in range(k)]
+        n = csr.number_of_nodes()
+        out = [np.empty((k, n), dtype=dtype) for dtype in (np.int32, np.int64, np.int64)]
+        tokens = signed_bfs_dense_batch_into(csr, sources, *out, presence=True)
+        results = signed_bfs_dense_batch(csr, sources, presence=True)
+        words = [sources[start : start + 64] for start in range(0, k, 64)]
+        expected = [
+            PRESENCE_ROW if len(word) >= PRESENCE_MIN_SOURCES else True
+            for word in words
+            for _ in word
+        ]
+        assert tokens == expected
+        assert signed_bfs_dense_batch_into(csr, sources, *out) == [True] * k
+        for token, source, result in zip(expected, sources, results):
+            assert isinstance(result, PresenceRows) == (token == PRESENCE_ROW)
+            want = _signed_bfs_arrays(csr, source)
+            assert np.array_equal(result[0], want[0])
+            if token == PRESENCE_ROW:
+                assert result[1].dtype == result[2].dtype == np.bool_
+                assert np.array_equal(result[1], want[1] > 0)
+                assert np.array_equal(result[2], want[2] > 0)
+            else:
+                assert np.array_equal(result[1], want[1])
+                assert np.array_equal(result[2], want[2])
+
+    def test_presence_result_refuses_counts(self):
+        graph = _graph()
+        relation = make_relation("SPO", graph, policy=ExecutionPolicy(backend="csr"))
+        nodes = graph.nodes()
+        result = relation.batch_bfs(nodes[:PRESENCE_MIN_SOURCES])[0]
+        assert isinstance(result, CSRSignedBFSResult) and result.presence
+        with pytest.raises(ValueError, match="presence"):
+            result.counts(nodes[1])
+        with pytest.raises(ValueError, match="presence"):
+            result.to_signed_bfs_result()
+        reference = csr_module.signed_bfs_csr(graph.csr_view(), nodes[0])
+        for node in nodes:
+            assert result.length(node) == reference.length(node)
+            assert result.has_positive_path(node) == (reference.counts(node)[0] > 0)
+
+
+def _record_dispatches(monkeypatch):
+    """Count kernel dispatches by name, serial and pooled executors alike."""
+    kernels: Counter = Counter()
+    for executor in (SerialExecutor, ProcessPoolExecutor):
+        dispatch = executor.map_kernel
+
+        def recording(self, kernel, payload, sources, params=None, _dispatch=dispatch):
+            kernels[kernel] += 1
+            return _dispatch(self, kernel, payload, sources, params)
+
+        monkeypatch.setattr(executor, "map_kernel", recording)
+    return kernels
+
+
+def _answers(relation, nodes, sources):
+    """Every SPO answer a team query reads, off ``relation``'s results."""
+    oracle = DistanceOracle(relation)
+    return {
+        "sets": relation.batch_compatible_sets(sources),
+        "counts": relation.batch_count_compatible(sources, nodes[::3]),
+        "distances": oracle.batch_distance_to_set(nodes, sources[:5]),
+        "pairs": [relation.are_compatible(u, v) for u in sources[:6] for v in nodes],
+        "degrees": relation.batch_compatibility_degrees(sources[:10]),
+    }
+
+
+@pytest.fixture(scope="module")
+def pools_down():
+    yield
+    reset_executors()
+
+
+@pytest.mark.usefixtures("pools_down")
+class TestPresenceCaches:
+    def test_serial_and_pool_agree_with_mixed_words(self):
+        """66 sources: serially a 64-source presence word plus a 2-source
+        counts word; the pool's chunks split them differently."""
+        graph = _graph(120, seed=7)
+        nodes = graph.nodes()
+        sources = random.Random(5).sample(nodes, 66)
+        answers = {}
+        kinds = {}
+        for workers in (0, 2):
+            policy = ExecutionPolicy(backend="csr", workers=workers, min_parallel_sources=1)
+            relation = make_relation("SPO", graph.copy(), policy=policy)
+            results = relation.batch_bfs(sources)
+            kinds[workers] = Counter(result.presence for result in results)
+            rows = [
+                (result.lengths_array.tolist(), (result.positive_array > 0).tolist())
+                for result in results
+            ]
+            answers[workers] = (rows, _answers(relation, nodes, sources))
+        assert kinds[0][True] and kinds[0][False]
+        assert kinds[2][True] and kinds[2][False]
+        assert answers[0] == answers[2]
+        fresh = make_relation("SPO", graph.copy(), policy=ExecutionPolicy(backend="dict"))
+        assert answers[0][1] == _answers(fresh, nodes, sources)
+
+    def test_spo_after_spa_runs_no_traversal(self, monkeypatch):
+        kernels = _record_dispatches(monkeypatch)
+        graph = _graph()
+        nodes = graph.nodes()
+        policy = ExecutionPolicy(backend="csr")
+        spa = make_relation("SPA", graph, policy=policy)
+        spa.batch_bfs(nodes)
+        kernels.clear()
+        spo = make_relation("SPO", graph, policy=policy)
+        engine = CompatibilityEngine(spo)
+        _answers(spo, nodes, nodes[::2])
+        engine.compatible_from_many(nodes, nodes[:4])
+        engine.distances_to_team_many(nodes, nodes[4:9])
+        assert sum(kernels.values()) == 0
+        assert len(spo._presence_cache) == 0
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_spo_first_then_spa_and_spm_match_fresh(self, workers):
+        graph = _graph(80, seed=13)
+        nodes = graph.nodes()
+        policy = ExecutionPolicy(backend="csr", workers=workers, min_parallel_sources=1)
+        sample = nodes[::2]
+        spo = make_relation("SPO", graph, policy=policy)
+        spo.batch_bfs(sample)
+        assert len(spo._presence_cache) == len(sample)
+        for name in SHORTEST_PATH:
+            relation = make_relation(name, graph, policy=policy)
+            fresh = make_relation(name, graph.copy())
+            assert relation.batch_compatible_sets(sample) == [
+                fresh.compatible_with(u) for u in sample
+            ]
+            assert relation.batch_compatibility_degrees(sample) == [
+                fresh.compatibility_degree(u) for u in sample
+            ]
+            for u, v in itertools.product(sample[:8], nodes[::5]):
+                assert relation.are_compatible(u, v) == fresh.are_compatible(u, v)
+        memo = spo._degree_cache
+        for source in sample:
+            reference = tuple(
+                make_relation(name, graph.copy()).compatibility_degree(source)
+                for name in SHORTEST_PATH
+            )
+            assert memo.get(source) == reference
+        assert all(not result.presence for _, result in spo._bfs_cache.items())
+
+    def test_pool_spm_engine_never_masks_a_presence_entry(self, monkeypatch):
+        graph = _graph(80, seed=19)
+        nodes = graph.nodes()
+        policy = ExecutionPolicy(backend="csr", workers=2, min_parallel_sources=1)
+        make_relation("SPO", graph, policy=policy).batch_bfs(nodes)
+        rule = MajorityShortestPathsCompatibility._pair_rule_mask
+        planes = []
+
+        def recording(positive, negative):
+            planes.append(positive.dtype)
+            return rule(positive, negative)
+
+        monkeypatch.setattr(
+            MajorityShortestPathsCompatibility, "_pair_rule_mask", staticmethod(recording)
+        )
+        spm = make_relation("SPM", graph, policy=policy)
+        engine = CompatibilityEngine(spm)
+        fresh = make_relation("SPM", graph.copy())
+        for team in (nodes[:3], nodes[10:15], [nodes[40]]):
+            expected = frozenset(
+                c for c in nodes if c not in team and all(fresh.are_compatible(m, c) for m in team)
+            )
+            assert engine.compatible_from_many(nodes, team) == expected
+        assert np.dtype(np.bool_) not in planes
+
+    def test_churn_invalidates_the_presence_cache(self):
+        graph = _graph(60, seed=23)
+        policy = ExecutionPolicy(backend="csr")
+        spo = make_relation("SPO", graph, policy=policy)
+        spo.batch_bfs(graph.nodes())
+        presence, counts = spo._presence_cache, spo._bfs_cache
+        assert len(presence) == graph.number_of_nodes() and len(counts) == 0
+        rng = random.Random(4)
+        for u, v, sign in rng.sample(sorted(graph.edge_triples(), key=repr), 4):
+            graph.set_sign(u, v, -sign)
+        graph.remove_node(rng.choice(graph.nodes()))
+        assert len(presence) < graph.number_of_nodes()
+        assert presence.invalidations > 0
+        nodes = graph.nodes()
+        fresh = make_relation("SPO", graph.copy(), policy=policy)
+        assert spo.batch_compatible_sets(nodes) == [fresh.compatible_with(u) for u in nodes]
+        for u, v in itertools.combinations(nodes[::6], 2):
+            assert spo.are_compatible(u, v) == fresh.are_compatible(u, v)
+        spo.clear_cache()
+        assert len(presence) == 0
