@@ -48,6 +48,7 @@ dict searches stay the numpy-free path and the tests' reference.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set
 
 from repro.compatibility.base import CompatibilityRelation, resolve_cache_size
@@ -77,6 +78,11 @@ DEFAULT_RESULT_CACHE_SIZE = 4096
 #: for what is *retained*), while still giving a worker pool whole chunks to
 #: chew on.
 REVERSE_SWEEP_CHUNK = 64
+
+#: Depth entry of :meth:`_BalancedPathRelation._symmetric_depth_rows` where
+#: no positive balanced path was found (the int32 maximum, so the shorter of
+#: two directions is their minimum).
+NO_PATH = 2**31 - 1
 
 
 class _BalancedPathRelation(CompatibilityRelation):
@@ -268,7 +274,21 @@ class _BalancedPathRelation(CompatibilityRelation):
         return fetch_batched(self._compatible_cache, source_list, self._symmetric_closure)
 
     def _symmetric_closure(self, sources: List[Node]) -> List[FrozenSet[Node]]:
-        """Forward finds plus reverse finds for distinct ``sources``."""
+        """Forward finds plus reverse finds for distinct ``sources``.
+
+        Both backends read the same rows: each source's own search result
+        (forward finds) and the search result of every node in the sources'
+        components (reverse finds: whose search reaches the source).  On the
+        CSR backend the finds are the entries of one ``(sources, n)`` matrix,
+        :meth:`_symmetric_depth_rows`: the forward rows, the transpose of the
+        forward block for candidates that are sources themselves and one
+        gathered column per other candidate, with direct negative edges
+        cleared by one mask from the snapshot's negative entries and the
+        component bound taken from its component labels.  The dict backend
+        keeps the per-pair loop over a dict BFS per source.
+        """
+        if self._policy.uses_csr:
+            return self._dense_closure(sources)
         found = {
             source: {
                 node
@@ -303,6 +323,69 @@ class _BalancedPathRelation(CompatibilityRelation):
             found[source].add(source)
             closures.append(frozenset(found[source]))
         return closures
+
+    def _dense_closure(self, sources: List[Node]) -> List[FrozenSet[Node]]:
+        """:meth:`_symmetric_closure` on the CSR snapshot's dense ids."""
+        import numpy as np
+
+        csr = self._graph.csr_view()
+        nodes = csr._nodes
+        ids = np.fromiter(map(csr._index.__getitem__, sources), np.int64, len(sources))
+        found = self._symmetric_depth_rows(csr, sources, ids) != NO_PATH
+        found[np.arange(ids.size), ids] = True
+        return [
+            frozenset(map(nodes.__getitem__, np.flatnonzero(row).tolist()))
+            for row in found
+        ]
+
+    def _symmetric_depth_rows(self, csr, sources: List[Node], ids):
+        """One ``(len(sources), n)`` int32 matrix of symmetric balanced depths.
+
+        Entry ``[i, v]`` is ``min(P[s, v], P[v, s])`` for source ``s =
+        sources[i]`` (dense id ``ids[i]`` of ``csr``), where ``P[u, v]`` is
+        the length of the positive balanced path ``u``'s search found to
+        ``v``; it is :data:`NO_PATH` where neither direction found one or a
+        direct negative edge joins the pair, so the other entries of a row
+        are the source's compatible set.  The forward rows are the sources'
+        search results.  Balanced paths never leave a component, so the
+        reverse direction is read only for the sources' components
+        (snapshot component labels): off the forward rows' transpose where
+        the node is a source too, otherwise from its search, gathered at the
+        sources in chunks of :data:`REVERSE_SWEEP_CHUNK` searches, so only
+        that many O(n) results are held outside the LRU at once.
+        """
+        import numpy as np
+
+        from repro.signed.csr import negative_entries
+        from repro.signed.ingest import component_labels
+
+        index = csr._index
+        nodes = csr._nodes
+        shape = (ids.size, csr.number_of_nodes())
+        depths = np.full(shape, NO_PATH, dtype=np.int32)
+        for row, result in enumerate(self.batch_search(sources)):
+            lengths = result.positive_lengths
+            depths[row, list(map(index.__getitem__, lengths))] = list(lengths.values())
+        reverse = np.full(shape, NO_PATH, dtype=np.int32)
+        labels = component_labels(csr.indptr, csr.indices)
+        candidates = np.flatnonzero(np.isin(labels, labels[ids]))
+        row_of = np.full(shape[1], -1, dtype=np.int64)
+        row_of[ids] = np.arange(ids.size)
+        own = row_of[candidates] >= 0
+        known = candidates[own]
+        reverse[:, known] = depths[row_of[known]][:, ids].T
+        others = candidates[~own]
+        for start in range(0, others.size, REVERSE_SWEEP_CHUNK):
+            chunk = others[start : start + REVERSE_SWEEP_CHUNK]
+            results = self.batch_search([nodes[dense] for dense in chunk.tolist()])
+            gathered = [
+                list(map(result.positive_lengths.get, sources, repeat(NO_PATH)))
+                for result in results
+            ]
+            reverse[:, chunk] = np.array(gathered, dtype=np.int32).T
+        np.minimum(depths, reverse, out=depths)
+        depths[negative_entries(csr, ids)] = NO_PATH
+        return depths
 
     def batch_distance_to_set(
         self, candidates: Sequence[Node], team: Sequence[Node]

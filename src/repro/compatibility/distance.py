@@ -17,19 +17,21 @@ oracle runs no traversal of its own; for DPE and NNE it caches one
 sign-agnostic BFS per queried source, run on CSR whenever numpy is available
 (no size cut-over).  The "avg distance" row of Table 2 is the mean distance
 over compatible pairs, which :func:`average_compatible_distance` reads from
-one distance row per source rather than one oracle query per pair.
+one distance row per source rather than one oracle query per pair, reduced
+as dense rows on the CSR backend.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.compatibility.balanced import _BalancedPathRelation
+from repro.compatibility.balanced import NO_PATH, _BalancedPathRelation
 from repro.compatibility.base import CompatibilityRelation, resolve_cache_size
+from repro.compatibility.direct import NoNegativeEdgeCompatibility
 from repro.compatibility.shortest_path import _ShortestPathRelation
 from repro.exec.policy import ExecutionPolicy, executor_for
 from repro.signed.graph import Node
-from repro.signed.paths import INFINITY, shortest_path_lengths
+from repro.signed.paths import INFINITY, SignedBFSResult, shortest_path_lengths
 from repro.utils.generational import GenerationalLRUCache
 from repro.utils.lru import APPROX_BYTES_PER_NODE, fetch_batched
 from repro.utils.rng import RandomState, ensure_rng
@@ -233,9 +235,7 @@ class DistanceOracle:
             return [0.0] * len(candidate_list)
         if isinstance(self._relation, _BalancedPathRelation):
             return self._relation.batch_distance_to_set(candidate_list, team_list)
-        # SP* rows are the relation's, computed on the relation's backend.
-        rows_policy = self._relation.policy if self._sp_relation is not None else self._policy
-        if not rows_policy.uses_csr:
+        if not self._rows_policy().uses_csr:
             if self._policy.parallel:
                 # Prefetch the members' distance maps through the pool; the
                 # per-candidate loop below then reads cached maps.
@@ -294,6 +294,17 @@ class DistanceOracle:
         if self._bfs_cache is not None:
             self._bfs_cache.clear()
 
+    def _rows_policy(self) -> ExecutionPolicy:
+        """The policy the distance rows are computed under.
+
+        SP* rows are the relation's signed BFS results and balanced rows its
+        search results, both on the relation's backend; DPE and NNE rows are
+        the oracle's own sign-agnostic BFS.
+        """
+        if self._sp_relation is not None or isinstance(self._relation, _BalancedPathRelation):
+            return self._relation.policy
+        return self._policy
+
     def _cache_bound(self) -> Optional[int]:
         """Entry bound of the cache the distance rows live in."""
         if self._sp_relation is not None:
@@ -334,11 +345,31 @@ def average_compatible_distance(
     sampling scheme as
     :func:`repro.compatibility.matrix.source_sampled_pair_statistics`).
 
-    Sources are processed in chunks of the oracle's cache bound: each chunk's
-    compatible sets come from one batched sweep, and each source reads one
-    distance row — the oracle's distance map, or for balanced relations the
-    two directions' search results — instead of one oracle query per pair.
-    Distances are integers, so the average does not depend on the order.
+    Sources are processed in chunks of the oracle's cache bound, and each
+    source reads one distance row: the oracle's distance map, or for
+    balanced relations the two directions' search results.  When the rows
+    are computed on the CSR backend (the relation's policy for SP* and
+    balanced relations, the oracle's otherwise) a chunk is reduced as dense
+    ``(sources, n)`` rows, with no Python loop per pair:
+
+    * SP* — partners are the pair-rule mask of each source's signed BFS
+      result, distances its ``lengths`` (no compatible set is built);
+    * NNE — partners are every node but the source's enemies (the
+      snapshot's negative entries), distances the oracle's rows;
+    * SBP/SBPH — one positive-depth matrix of ``min(P[u, v], P[v, u])``
+      built from the cached search results
+      (:meth:`~repro.compatibility.balanced._BalancedPathRelation._symmetric_depth_rows`)
+      gives both: its finite entries are the compatible sets, their values
+      the distances (no per-pair ``_search_from``);
+    * other relations — the compatible sets' dense ids and the oracle's rows.
+
+    Only partners later than the source in ``graph.nodes()`` order are kept
+    in the exhaustive case; that order check goes through a dense-id →
+    position map, since dense ids need not follow it.  A source whose row
+    cannot be indexed against the current snapshot (an int64-overflow dict
+    result, or a row from a snapshot with another node set) is counted by
+    the per-pair loop, which is also the whole dict backend.  Distances are
+    integers, so the average does not depend on the order.
     """
     if oracle is None:
         oracle = DistanceOracle(relation)
@@ -355,33 +386,129 @@ def average_compatible_distance(
         rng = ensure_rng(seed)
         sources = rng.sample(nodes, min(num_sampled_sources, len(nodes)))
         positions = None
-    balanced = isinstance(relation, _BalancedPathRelation)
-    total = 0.0
+    pair_sums = _dense_pair_sums if oracle._rows_policy().uses_csr else _per_pair_sums
+    total = 0
     count = 0
     bound = oracle._cache_bound()
     chunk = len(sources) if bound is None else max(1, min(len(sources), bound))
     for start in range(0, len(sources), chunk):
-        chunk_sources = sources[start : start + chunk]
-        compatible_sets = relation.batch_compatible_sets(chunk_sources)
-        # One distance row per source: its search result (the reverse
-        # direction is the partner's cached search) or its distance map.
-        if balanced:
-            rows = relation.batch_search(chunk_sources)
-        else:
-            rows = oracle.warm(chunk_sources)
-        for u, compatible, row in zip(chunk_sources, compatible_sets, rows):
-            for v in compatible:
-                if v == u or (positions is not None and positions[v] < positions[u]):
-                    continue
-                if balanced:
-                    distance = min(
-                        row.positive_length(v), relation._search_from(v).positive_length(u)
-                    )
-                else:
-                    distance = row.get(v, INFINITY)
-                if distance != INFINITY:
-                    total += distance
-                    count += 1
+        chunk_total, chunk_count = pair_sums(
+            relation, oracle, sources[start : start + chunk], positions
+        )
+        total += chunk_total
+        count += chunk_count
     if count == 0:
         return 0.0, 0
     return total / count, count
+
+
+def _per_pair_sums(
+    relation: CompatibilityRelation,
+    oracle: DistanceOracle,
+    sources: List[Node],
+    positions: Optional[Dict[Node, int]],
+) -> Tuple[int, int]:
+    """``(sum, count)`` of finite distances to ``sources``' partners, per pair."""
+    balanced = isinstance(relation, _BalancedPathRelation)
+    compatible_sets = relation.batch_compatible_sets(sources)
+    # One distance row per source: its search result (the reverse
+    # direction is the partner's cached search) or its distance map.
+    rows = relation.batch_search(sources) if balanced else oracle.warm(sources)
+    total = 0
+    count = 0
+    for u, compatible, row in zip(sources, compatible_sets, rows):
+        for v in compatible:
+            if v == u or (positions is not None and positions[v] < positions[u]):
+                continue
+            if balanced:
+                distance = min(
+                    row.positive_length(v), relation._search_from(v).positive_length(u)
+                )
+            else:
+                distance = row.get(v, INFINITY)
+            if distance != INFINITY:
+                total += distance
+                count += 1
+    return total, count
+
+
+def _dense_pair_sums(
+    relation: CompatibilityRelation,
+    oracle: DistanceOracle,
+    sources: List[Node],
+    positions: Optional[Dict[Node, int]],
+) -> Tuple[int, int]:
+    """:func:`_per_pair_sums` over dense ``(sources, n)`` rows (CSR backend)."""
+    import numpy as np
+
+    from repro.signed.csr import UNREACHABLE
+
+    csr = relation.graph.csr_view()
+    index = csr._index
+    ids = np.fromiter(map(index.__getitem__, sources), np.int64, len(sources))
+    shape = (ids.size, csr.number_of_nodes())
+    partners = np.zeros(shape, dtype=bool)
+    distances = np.full(shape, UNREACHABLE, dtype=np.int32)
+    fallback = _dense_rows(relation, oracle, csr, sources, ids, partners, distances)
+    partners &= distances != UNREACHABLE
+    partners[np.arange(ids.size), ids] = False
+    if positions is not None:
+        order = np.empty(shape[1], dtype=np.int64)
+        order[list(map(index.__getitem__, positions))] = list(positions.values())
+        partners &= order[None, :] > order[ids][:, None]
+    total = int(distances[partners].sum(dtype=np.int64))
+    count = int(np.count_nonzero(partners))
+    if fallback:
+        fallback_total, fallback_count = _per_pair_sums(
+            relation, oracle, [sources[row] for row in fallback], positions
+        )
+        total += fallback_total
+        count += fallback_count
+    return total, count
+
+
+def _dense_rows(
+    relation: CompatibilityRelation,
+    oracle: DistanceOracle,
+    csr,
+    sources: List[Node],
+    ids,
+    partners,
+    distances,
+) -> List[int]:
+    """Fill each source's partner mask and distance row; return the rows
+    left to the per-pair loop (their partner masks stay empty)."""
+    import numpy as np
+
+    from repro.signed.csr import CSRLengths, negative_entries
+
+    fallback: List[int] = []
+    if isinstance(relation, _ShortestPathRelation):
+        for row, result in enumerate(relation.batch_bfs(sources)):
+            if isinstance(result, SignedBFSResult) or not result.graph.shares_index_with(csr):
+                fallback.append(row)
+                continue
+            partners[row] = relation._pair_rule_mask(
+                result.positive_array, result.negative_array
+            )
+            distances[row] = result.lengths_array
+        return fallback
+    if isinstance(relation, _BalancedPathRelation):
+        depths = relation._symmetric_depth_rows(csr, sources, ids)
+        np.not_equal(depths, NO_PATH, out=partners)
+        distances[partners] = depths[partners]
+        return fallback
+    if isinstance(relation, NoNegativeEdgeCompatibility):
+        partners[:] = True
+        partners[negative_entries(csr, ids)] = False
+    else:
+        index = csr._index
+        for row, found in enumerate(relation.batch_compatible_sets(sources)):
+            partners[row, list(map(index.__getitem__, found))] = True
+    for row, view in enumerate(oracle.warm(sources)):
+        if not isinstance(view, CSRLengths) or not view._graph.shares_index_with(csr):
+            partners[row] = False
+            fallback.append(row)
+            continue
+        distances[row] = view._lengths
+    return fallback

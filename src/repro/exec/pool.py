@@ -366,7 +366,14 @@ class _PoolHandle:
             # trackers that would mis-report the parent's segments as leaked.
             from multiprocessing import resource_tracker
 
+            tracker = resource_tracker._resource_tracker
+            was_running = getattr(tracker, "_pid", None)
             resource_tracker.ensure_running()
+            launched = getattr(tracker, "_pid", None)
+            if launched is not None and launched != was_running:
+                # Python never waits for the tracker it launches; remember
+                # this one so shutdown_pools() can stop and reap it.
+                _LAUNCHED_TRACKER.update(pid=launched, owner=os.getpid())
         except Exception:  # pragma: no cover - tracker is an optimisation here
             pass
         try:
@@ -559,6 +566,10 @@ class _PoolHandle:
 
 _POOL_HANDLES: Dict[int, _PoolHandle] = {}
 
+#: The resource tracker a pool handle launched: its ``pid`` and the process
+#: that launched it (``owner``), empty when no handle launched one.
+_LAUNCHED_TRACKER: Dict[str, int] = {}
+
 
 def _shared_pool_handle(workers: int) -> _PoolHandle:
     """The persistent pool of ``workers`` processes (created on first use)."""
@@ -577,13 +588,43 @@ def shutdown_pools() -> None:
     the safety net for files and segments whose dispatch never reached its
     own cleanup (a worker that died mid-``Pool.map``, an interrupt between
     arena creation and decode), so no stale ``snapshot-*`` files or
-    ``/dev/shm`` segments survive it.
+    ``/dev/shm`` segments survive it.  Last, it stops and reaps the
+    resource tracker a pool launched (:func:`_stop_launched_tracker`), so
+    no process of this one outlives it; a shared-memory arena created later
+    starts a new tracker as usual.
     """
     for handle in list(_POOL_HANDLES.values()):
         handle.shutdown()
     _POOL_HANDLES.clear()
     _flush_segment_ledger()
     _flush_store_ledger()
+    _stop_launched_tracker()
+
+
+def _stop_launched_tracker() -> None:
+    """Stop and wait for the resource tracker a pool handle launched.
+
+    Only that tracker, only from the process that launched it, and only when
+    no child process is left: the tracker exits once every holder of its
+    pipe has closed it, and a live child (a pool worker that outlived
+    ``terminate``) would still hold it, so the wait would block.
+    """
+    if not _LAUNCHED_TRACKER or _LAUNCHED_TRACKER["owner"] != os.getpid():
+        return
+    import multiprocessing
+    from multiprocessing import resource_tracker
+
+    tracker = resource_tracker._resource_tracker
+    if getattr(tracker, "_pid", None) != _LAUNCHED_TRACKER["pid"]:
+        _LAUNCHED_TRACKER.clear()  # already gone, or replaced by another
+        return
+    if multiprocessing.active_children() or not hasattr(tracker, "_stop"):
+        return
+    try:
+        tracker._stop()
+    except Exception:  # pragma: no cover - best-effort cleanup
+        return
+    _LAUNCHED_TRACKER.clear()
 
 
 atexit.register(shutdown_pools)

@@ -563,6 +563,22 @@ def _concatenated_neighbor_ranges(
     )
 
 
+def negative_entries(
+    csr: CSRSignedGraph, source_ids: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Every negative edge at the dense ``source_ids``, as ``(rows, targets)``.
+
+    ``rows[e]`` is the position in ``source_ids`` of the edge's source and
+    ``targets[e]`` the dense id of its other end, so
+    ``mask[rows, targets] = False`` clears each source's enemies from a
+    ``(len(source_ids), n)`` mask in one assignment.
+    """
+    targets, signs, _sources, counts = _concatenated_neighbor_ranges(csr, source_ids)
+    negative = signs < 0
+    rows = np.repeat(np.arange(source_ids.size), counts)
+    return rows[negative], targets[negative]
+
+
 def _unvisited_with_edges(
     lengths: np.ndarray, degrees: np.ndarray, previous: Optional[np.ndarray]
 ) -> np.ndarray:

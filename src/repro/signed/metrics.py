@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.signed.components import connected_components, is_connected
 from repro.signed.graph import NEGATIVE, POSITIVE, Node, SignedGraph
 from repro.signed.paths import shortest_path_lengths
 from repro.utils.rng import RandomState, ensure_rng
+
+if TYPE_CHECKING:
+    from repro.exec.policy import ExecutionPolicy
 
 
 @dataclass(frozen=True)
@@ -71,6 +74,7 @@ def diameter(
     graph: SignedGraph,
     sample_sources: Optional[int] = None,
     seed: RandomState = None,
+    policy: Optional["ExecutionPolicy"] = None,
 ) -> Optional[int]:
     """Diameter of the graph ignoring edge signs.
 
@@ -80,11 +84,22 @@ def diameter(
     passing ``sample_sources``: the BFS is then run only from that many
     randomly chosen sources and the largest distance observed is returned,
     which is a lower bound on the true diameter.
+
+    ``policy`` (default :class:`~repro.exec.ExecutionPolicy`) picks the
+    backend through :attr:`~repro.exec.ExecutionPolicy.uses_csr`.  On CSR,
+    connectivity comes from the snapshot's component labels and the
+    eccentricities from word-parallel path-length rows
+    (:func:`~repro.signed.csr.shortest_path_lengths_dense_batch_into`),
+    reduced one 64-source word at a time; otherwise each source runs one
+    dict BFS.  Both return the same value.
     """
+    from repro.exec.policy import ExecutionPolicy
+
     nodes = graph.nodes()
     if not nodes:
         return None
-    if not is_connected(graph):
+    uses_csr = (policy if policy is not None else ExecutionPolicy()).uses_csr
+    if not (_csr_connected(graph) if uses_csr else is_connected(graph)):
         return None
     if sample_sources is not None:
         if sample_sources <= 0:
@@ -93,6 +108,8 @@ def diameter(
         sources: List[Node] = rng.sample(nodes, min(sample_sources, len(nodes)))
     else:
         sources = nodes
+    if uses_csr:
+        return _csr_eccentricity_bound(graph, sources)
     best = 0
     for source in sources:
         lengths = shortest_path_lengths(graph, source)
@@ -101,15 +118,43 @@ def diameter(
     return best
 
 
+def _csr_connected(graph: SignedGraph) -> bool:
+    """:func:`is_connected` from the CSR snapshot's component labels."""
+    from repro.signed.ingest import component_labels
+
+    csr = graph.csr_view()
+    return not component_labels(csr.indptr, csr.indices).any()
+
+
+def _csr_eccentricity_bound(graph: SignedGraph, sources: List[Node]) -> int:
+    """Largest eccentricity of ``sources``, one path-length word at a time."""
+    import numpy as np
+
+    from repro.signed.csr import shortest_path_lengths_dense_batch_into
+    from repro.utils.bitset import WORD_BITS
+
+    csr = graph.csr_view()
+    ids = [csr.index_of(source) for source in sources]
+    rows = np.empty((min(WORD_BITS, len(ids)), csr.number_of_nodes()), dtype=np.int32)
+    best = 0
+    for start in range(0, len(ids), WORD_BITS):
+        word = ids[start : start + WORD_BITS]
+        shortest_path_lengths_dense_batch_into(csr, word, rows[: len(word)])
+        best = max(best, int(rows[: len(word)].max()))
+    return best
+
+
 def graph_statistics(
     graph: SignedGraph,
     diameter_sample_sources: Optional[int] = None,
     seed: RandomState = None,
+    policy: Optional["ExecutionPolicy"] = None,
 ) -> GraphStatistics:
     """Compute the Table-1 statistics for ``graph``.
 
     ``diameter_sample_sources`` is forwarded to :func:`diameter` so large
-    graphs can report an estimated diameter.
+    graphs can report an estimated diameter, and ``policy`` so it picks the
+    diameter's backend.
     """
     components = connected_components(graph) if graph.number_of_nodes() else []
     return GraphStatistics(
@@ -117,7 +162,9 @@ def graph_statistics(
         num_edges=graph.number_of_edges(),
         num_negative_edges=graph.number_of_negative_edges(),
         negative_fraction=negative_edge_fraction(graph),
-        diameter=diameter(graph, sample_sources=diameter_sample_sources, seed=seed),
+        diameter=diameter(
+            graph, sample_sources=diameter_sample_sources, seed=seed, policy=policy
+        ),
         num_components=len(components),
         average_degree=average_degree(graph),
     )

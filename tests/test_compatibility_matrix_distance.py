@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import itertools
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.compatibility import (
     CompatibilityMatrix,
@@ -22,8 +25,11 @@ from repro.compatibility import (
 )
 from repro.datasets import synthetic_signed_network
 from repro.exec import ExecutionPolicy, reset_executors
+from repro.signed import CSRSignedGraph
+from repro.signed.graph import NEGATIVE
 from repro.signed.paths import INFINITY
 from repro.skills import SkillAssignment
+from repro.utils.rng import ensure_rng
 
 RELATIONS = ("DPE", "NNE", "SPA", "SPM", "SPO", "SBPH", "SBP")
 
@@ -376,3 +382,202 @@ class TestSkillCompatibility:
         # Under SPA (balanced graph = same faction), gamma-alpha is still
         # compatible via (0, 2); check a genuinely incompatible combination:
         assert index.pair_degree("alpha", "gamma") >= 1
+
+
+# ---------------------------------------------------------------------------
+# Dense-row statistics against the per-pair loops they replace
+# ---------------------------------------------------------------------------
+
+DENSE = ExecutionPolicy(backend="csr")
+DIFFERENTIAL = settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+#: Every relation with its constructor kwargs; the second SBP cap is small
+#: enough that some searches stop at it.
+DIFFERENTIAL_RELATIONS = (
+    ("SPA", {}),
+    ("SPM", {}),
+    ("SPO", {}),
+    ("SBP", {"max_expansions": 2_000}),
+    ("SBP", {"max_expansions": 6}),
+    ("SBPH", {}),
+    ("NNE", {}),
+    ("DPE", {}),
+)
+BALANCED_RELATIONS = [spec for spec in DIFFERENTIAL_RELATIONS if spec[0].startswith("SB")]
+
+
+def spec_id(spec):
+    name, kwargs = spec
+    return f"{name}{kwargs.get('max_expansions', '')}"
+
+
+@st.composite
+def shuffled_graphs(draw):
+    """A small signed graph with several components and isolated nodes,
+    plus a seed for shuffling its dense ids."""
+    from repro.signed import SignedGraph
+
+    num_nodes = draw(st.integers(min_value=2, max_value=13))
+    order = draw(st.permutations(range(num_nodes)))
+    pairs = [(u, v) for u in range(num_nodes) for v in range(u + 1, num_nodes)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=2 * num_nodes))
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=len(chosen), max_size=len(chosen)))
+    edges = [(u, v, sign) for (u, v), sign in zip(chosen, signs)]
+    return SignedGraph.from_edges(edges, nodes=order), draw(st.integers(0, 2**16))
+
+
+def install_shuffled_snapshot(graph, seed):
+    """Make ``graph.csr_view()`` a snapshot whose dense ids follow a shuffled
+    order, not ``graph.nodes()`` (rows keep the graph's neighbour order)."""
+    order = graph.nodes()
+    ensure_rng(seed).shuffle(order)
+    view = SimpleNamespace(
+        nodes=lambda: order, _adjacency=graph._adjacency, generation=graph.generation
+    )
+    graph._csr_cache = (graph.generation, CSRSignedGraph.from_signed_graph(view))
+    assert graph.csr_view()._nodes == order
+
+
+def reference_average_distance(
+    relation, oracle, max_exact_nodes=500, num_sampled_sources=200, seed=None
+):
+    """The per-pair loop: one row lookup (balanced: two searches) per pair."""
+    from repro.compatibility.balanced import _BalancedPathRelation
+
+    nodes = relation.graph.nodes()
+    if len(nodes) < 2:
+        return 0.0, 0
+    if len(nodes) <= max_exact_nodes:
+        sources = nodes
+        positions = {node: position for position, node in enumerate(nodes)}
+    else:
+        sources = ensure_rng(seed).sample(nodes, min(num_sampled_sources, len(nodes)))
+        positions = None
+    balanced = isinstance(relation, _BalancedPathRelation)
+    total = 0.0
+    count = 0
+    for u in sources:
+        for v in relation.compatible_with(u):
+            if v == u or (positions is not None and positions[v] < positions[u]):
+                continue
+            if balanced:
+                distance = min(
+                    relation._search_from(u).positive_length(v),
+                    relation._search_from(v).positive_length(u),
+                )
+            else:
+                distance = oracle._shortest_paths_from(u).get(v, INFINITY)
+            if distance != INFINITY:
+                total += distance
+                count += 1
+    if count == 0:
+        return 0.0, 0
+    return total / count, count
+
+
+def reference_balanced_closure(relation, source):
+    """Definition of the symmetric balanced set: either direction's search
+    finds a positive path, and no negative edge joins the pair."""
+    graph = relation.graph
+    found = {source}
+    for node in graph.nodes():
+        if node == source:
+            continue
+        if graph.has_edge(source, node) and graph.sign(source, node) == NEGATIVE:
+            continue
+        if (
+            node in relation._search_from(source).positive_lengths
+            or source in relation._search_from(node).positive_lengths
+        ):
+            found.add(node)
+    return frozenset(found)
+
+
+class TestDenseRowStatistics:
+    """``average_compatible_distance`` and the balanced closure on dense rows
+    equal the per-pair loops, on snapshots whose dense ids are shuffled."""
+
+    @DIFFERENTIAL
+    @given(shuffled_graphs(), st.sampled_from(DIFFERENTIAL_RELATIONS), st.booleans())
+    def test_average_distance_matches_per_pair_loop(self, drawn, relation_spec, sampled):
+        graph, seed = drawn
+        install_shuffled_snapshot(graph, seed)
+        name, kwargs = relation_spec
+        relation = make_relation(name, graph, policy=DENSE, **kwargs)
+        oracle = DistanceOracle(relation)
+        branch = {"max_exact_nodes": 1, "num_sampled_sources": 5, "seed": seed} if sampled else {}
+        reference = make_relation(name, graph, policy=DENSE, **kwargs)
+        assert average_compatible_distance(
+            relation, oracle=oracle, **branch
+        ) == reference_average_distance(reference, DistanceOracle(reference), **branch)
+
+    @DIFFERENTIAL
+    @given(shuffled_graphs(), st.sampled_from(("SPA", "SPM", "SPO", "NNE", "DPE")))
+    def test_average_distance_matches_dict_backend(self, drawn, name):
+        # These relations do not depend on the order a search visits nodes,
+        # so the shuffled snapshot must not change a single pair.
+        graph, seed = drawn
+        reference = make_relation(name, graph.copy(), policy=ExecutionPolicy(backend="dict"))
+        install_shuffled_snapshot(graph, seed)
+        relation = make_relation(name, graph, policy=DENSE)
+        for branch in ({}, {"max_exact_nodes": 1, "num_sampled_sources": 4, "seed": seed}):
+            assert average_compatible_distance(relation, **branch) == (
+                average_compatible_distance(reference, **branch)
+            )
+
+    @DIFFERENTIAL
+    @given(shuffled_graphs(), st.sampled_from(BALANCED_RELATIONS))
+    def test_balanced_batch_sets_match_per_source_sets(self, drawn, relation_spec):
+        graph, seed = drawn
+        install_shuffled_snapshot(graph, seed)
+        name, kwargs = relation_spec
+        relation = make_relation(name, graph, policy=DENSE, **kwargs)
+        per_source = make_relation(name, graph, policy=DENSE, **kwargs)
+        nodes = graph.nodes()
+        batched = relation.batch_compatible_sets(nodes)
+        assert batched == [per_source.compatible_with(node) for node in nodes]
+        assert batched == [reference_balanced_closure(relation, node) for node in nodes]
+
+    @pytest.mark.parametrize("sampled", [False, True])
+    @pytest.mark.parametrize("relation_spec", BALANCED_RELATIONS, ids=spec_id)
+    @pytest.mark.parametrize("graph_name", ["figure_1b", "prefix_trap_graph", "generated_60"])
+    def test_balanced_distance_on_direction_dependent_searches(
+        self, graph_name, relation_spec, sampled, request
+    ):
+        # On these graphs a search from one end misses pairs the other end's
+        # search finds (Figure 1(b)), so the reverse direction is needed.
+        graph = request.getfixturevalue(graph_name).copy()
+        install_shuffled_snapshot(graph, 7)
+        name, kwargs = relation_spec
+        relation = make_relation(name, graph, policy=DENSE, **kwargs)
+        reference = make_relation(name, graph, policy=DENSE, **kwargs)
+        branch = {"max_exact_nodes": 1, "num_sampled_sources": 6, "seed": 3} if sampled else {}
+        assert average_compatible_distance(relation, **branch) == (
+            reference_average_distance(reference, DistanceOracle(reference), **branch)
+        )
+
+    def test_direct_negative_edges_stay_incompatible(self, two_factions):
+        # Negative Edge Incompatibility holds by the mask alone, even when a
+        # search reports a positive path to an enemy.
+        relation = make_relation("SBPH", two_factions, policy=DENSE)
+        enemies = {node: set(two_factions.negative_neighbors(node)) for node in two_factions}
+        searches = relation.batch_search
+
+        def claiming_enemies(sources):
+            results = searches(sources)
+            for result in results:
+                for enemy in enemies[result.source]:
+                    result.positive_lengths.setdefault(enemy, 1)
+            return results
+
+        relation.batch_search = claiming_enemies
+        nodes = two_factions.nodes()
+        assert any(enemies.values())
+        for node, found in zip(nodes, relation.batch_compatible_sets(nodes)):
+            assert not found & enemies[node]
+        honest = make_relation("SBPH", two_factions.copy(), policy=DENSE)
+        assert average_compatible_distance(relation) == average_compatible_distance(honest)

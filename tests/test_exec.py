@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -231,6 +233,17 @@ class TestPoolExecutor:
         for left, right in zip(serial, pooled):
             assert all(np.array_equal(a, b) for a, b in zip(left, right))
 
+    def test_pool_and_arena_work_again_after_shutdown(self, graph):
+        np = pytest.importorskip("numpy")
+        csr = graph.csr_view()
+        dense = [csr.index_of(node) for node in graph.nodes()[:30]]
+        first = executor_for(pool_policy()).map_kernel("csr_path_lengths", csr, dense)
+        # Stops the resource tracker a pool of this process launched; the
+        # next pool and its result arena start a new one.
+        reset_executors()
+        again = executor_for(pool_policy()).map_kernel("csr_path_lengths", csr, dense)
+        assert all(np.array_equal(left, right) for left, right in zip(first, again))
+
     def test_small_batches_run_inline(self, graph):
         policy = ExecutionPolicy(workers=2, min_parallel_sources=64)
         executor = executor_for(policy)
@@ -239,6 +252,47 @@ class TestPoolExecutor:
         assert len(result) == 3
         # Nothing was shipped: the batch stayed under the dispatch threshold.
         assert executor._handle.publications == handle_publishes
+
+
+POOL_THEN_SHUTDOWN = """
+from repro.exec import shutdown_pools
+from repro.exec.pool import _shared_pool_handle
+
+assert _shared_pool_handle(2).pool.map(abs, [-1, -2, -3]) == [1, 2, 3]
+shutdown_pools()
+"""
+
+
+def session_processes(session_id):
+    """PIDs whose ``/proc/<pid>/stat`` names ``session_id`` as their session."""
+    members = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as handle:
+                stat = handle.read()
+        except OSError:  # the process exited while the scan ran
+            continue
+        # Fields after the parenthesised command: state, ppid, pgrp, session.
+        if int(stat.rsplit(")", 1)[1].split()[3]) == session_id:
+            members.append(int(entry))
+    return members
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+def test_shutdown_pools_leaves_no_process_of_its_session():
+    """After ``shutdown_pools()`` and exit, neither a pool worker nor the
+    resource tracker the pool launched is still alive."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    child = subprocess.Popen(
+        [sys.executable, "-c", POOL_THEN_SHUTDOWN],
+        env={**os.environ, "PYTHONPATH": src},
+        start_new_session=True,
+    )
+    assert child.wait(timeout=120) == 0
+    # The child led its own session, so its id is the session's.
+    assert session_processes(child.pid) == []
 
 
 class TestResultArena:

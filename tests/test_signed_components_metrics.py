@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
-import pytest
+from types import SimpleNamespace
 
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.exec import ExecutionPolicy
 from repro.signed import (
+    CSRSignedGraph,
     SignedGraph,
     average_degree,
     connected_components,
@@ -14,8 +20,10 @@ from repro.signed import (
     is_connected,
     largest_connected_component,
     negative_edge_fraction,
+    shortest_path_lengths,
     sign_distribution,
 )
+from repro.utils.rng import ensure_rng
 
 
 class TestComponents:
@@ -98,3 +106,78 @@ class TestMetrics:
         payload = stats.as_dict()
         assert payload["#users"] == 6
         assert payload["#neg edges"] == 2
+
+
+# ---------------------------------------------------------------------------
+# The CSR diameter against the dict BFS
+# ---------------------------------------------------------------------------
+
+BACKENDS = (ExecutionPolicy(backend="dict"), ExecutionPolicy(backend="csr"))
+
+
+@st.composite
+def diameter_graphs(draw):
+    """A small signed graph, connected or not (then often with isolated
+    nodes), inserted in a random order, plus a seed."""
+    num_nodes = draw(st.integers(min_value=1, max_value=40))
+    order = draw(st.permutations(range(num_nodes)))
+    pairs = []
+    if draw(st.booleans()):  # a random spanning tree keeps it connected
+        for position in range(1, num_nodes):
+            pairs.append((order[draw(st.integers(0, position - 1))], order[position]))
+    for _ in range(draw(st.integers(0, num_nodes))):
+        u, v = draw(st.integers(0, num_nodes - 1)), draw(st.integers(0, num_nodes - 1))
+        if u != v:
+            pairs.append((u, v))
+    signs = {frozenset(pair): draw(st.sampled_from([1, -1])) for pair in pairs}
+    edges = [(*sorted(pair), sign) for pair, sign in signs.items()]
+    return SignedGraph.from_edges(edges, nodes=order), draw(st.integers(0, 2**16))
+
+
+def install_shuffled_snapshot(graph, seed):
+    """Make ``graph.csr_view()`` a snapshot whose dense ids follow a shuffled
+    order, not ``graph.nodes()``."""
+    order = graph.nodes()
+    ensure_rng(seed).shuffle(order)
+    view = SimpleNamespace(
+        nodes=lambda: order, _adjacency=graph._adjacency, generation=graph.generation
+    )
+    graph._csr_cache = (graph.generation, CSRSignedGraph.from_signed_graph(view))
+
+
+def reference_diameter(graph, sources):
+    """One dict BFS per source; ``None`` unless the graph is connected."""
+    nodes = graph.nodes()
+    if not nodes or len(shortest_path_lengths(graph, nodes[0])) != len(nodes):
+        return None
+    return max(max(shortest_path_lengths(graph, source).values()) for source in sources)
+
+
+class TestDiameterBackends:
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(diameter_graphs())
+    def test_both_backends_match_dict_bfs(self, drawn):
+        graph, seed = drawn
+        install_shuffled_snapshot(graph, seed)
+        nodes = graph.nodes()
+        expected = reference_diameter(graph, nodes)
+        sample = 1 + seed % len(nodes)
+        sampled = reference_diameter(graph, ensure_rng(seed).sample(nodes, sample))
+        for policy in BACKENDS:
+            assert diameter(graph, policy=policy) == expected
+            assert diameter(graph, sample_sources=sample, seed=seed, policy=policy) == sampled
+        if expected is not None:
+            assert sampled <= expected
+
+    @pytest.mark.parametrize("policy", BACKENDS, ids=["dict", "csr"])
+    def test_more_than_one_word_of_sources(self, policy):
+        # 150 sources: two full 64-source words and a partial one.
+        graph = SignedGraph.from_edges([(i, i + 1, 1 - 2 * (i % 3 == 0)) for i in range(149)])
+        assert diameter(graph, policy=policy) == 149
+        assert diameter(graph, sample_sources=70, seed=2, policy=policy) == reference_diameter(
+            graph, ensure_rng(2).sample(graph.nodes(), 70)
+        )
+
+    @pytest.mark.parametrize("policy", BACKENDS, ids=["dict", "csr"])
+    def test_graph_statistics_forwards_the_policy(self, policy, two_factions):
+        assert graph_statistics(two_factions, policy=policy).diameter == 3
