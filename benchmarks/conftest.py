@@ -9,6 +9,8 @@ regenerate the numbers reported in ``EXPERIMENTS.md`` at full scale, run
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.experiments import build_all_dataset_contexts, fast_config
@@ -47,3 +49,19 @@ def run_once(benchmark, function, *args, **kwargs):
     so a single round is both representative and keeps the harness fast.
     """
     return benchmark.pedantic(function, args=args, kwargs=kwargs, rounds=1, iterations=1)
+
+
+def best_of(repeats, function):
+    """Fastest of ``repeats`` timed runs of ``function`` and its result.
+
+    For the speed-up gates, which compare two implementations on warm
+    caches: the minimum is the run least disturbed by the machine.
+    """
+    best_elapsed, best_result = None, None
+    for _ in range(repeats):
+        start = time.perf_counter()
+        result = function()
+        elapsed = time.perf_counter() - start
+        if best_elapsed is None or elapsed < best_elapsed:
+            best_elapsed, best_result = elapsed, result
+    return best_elapsed, best_result

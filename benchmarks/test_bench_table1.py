@@ -8,15 +8,13 @@ faster than the dict BFS per source, with the same value (measured on a
 
 from __future__ import annotations
 
-import time
-
 import pytest
 
 from repro.exec import ExecutionPolicy
 from repro.experiments import run_table1
 from repro.signed import diameter
 
-from conftest import run_once
+from conftest import best_of, run_once
 
 #: CSR diameter against one dict BFS per source.
 DIAMETER_BAR = 5.0
@@ -39,18 +37,6 @@ def test_table1_dataset_statistics(benchmark, config, contexts):
         assert row.diameter is None or row.diameter >= 2
 
 
-def _best_of(repeats, function):
-    """Fastest of ``repeats`` timed runs and its result."""
-    best_elapsed, best_result = None, None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = function()
-        elapsed = time.perf_counter() - start
-        if best_elapsed is None or elapsed < best_elapsed:
-            best_elapsed, best_result = elapsed, result
-    return best_elapsed, best_result
-
-
 @pytest.mark.benchmark(group="table1-diameter")
 def test_csr_diameter_speedup_over_dict(benchmark, contexts):
     """CSR diameter >= 5x the dict BFS per source, same value."""
@@ -58,8 +44,8 @@ def test_csr_diameter_speedup_over_dict(benchmark, contexts):
     graph.csr_view()  # the snapshot is shared with every relation on the graph
     dict_policy = ExecutionPolicy(backend="dict")
     csr_policy = ExecutionPolicy(backend="csr")
-    dict_elapsed, dict_value = _best_of(3, lambda: diameter(graph, policy=dict_policy))
-    csr_elapsed, csr_value = _best_of(3, lambda: diameter(graph, policy=csr_policy))
+    dict_elapsed, dict_value = best_of(3, lambda: diameter(graph, policy=dict_policy))
+    csr_elapsed, csr_value = best_of(3, lambda: diameter(graph, policy=csr_policy))
     assert csr_value == dict_value is not None
     speedup = dict_elapsed / csr_elapsed
     benchmark.extra_info["dict_seconds"] = dict_elapsed

@@ -3,23 +3,21 @@
 Table 2's "avg distance" row is reduced over dense per-source rows.  On the
 fast-config epinions stand-in, with every search and BFS result cached, the
 average distance for SPO and for SBPH must run at least 2.5x faster than the
-per-pair loop it replaced (kept below as the reference), with identical
-``(average, pairs)`` (measured on a 2-core Xeon VM, per-pair loop against
+per-pair loop it replaced (``_per_pair_sums``, kept as the dict backend's
+path, timed on the same relation), with identical ``(average, pairs)``
+(measured on a 2-core Xeon VM, per-pair loop against
 dense rows: SPO 40-47 ms and 2.7-3.3 ms, SBPH 89-144 ms and 24-28 ms).
 """
 
 from __future__ import annotations
 
-import time
-
 import pytest
 
 from repro.compatibility import DistanceOracle, average_compatible_distance, make_relation
-from repro.compatibility.balanced import _BalancedPathRelation
+from repro.compatibility.distance import _per_pair_sums
 from repro.experiments import run_table2
-from repro.signed.paths import INFINITY
 
-from conftest import run_once
+from conftest import best_of, run_once
 
 #: Dense-row average distance against the per-pair loop, warm caches.
 AVERAGE_DISTANCE_BAR = 2.5
@@ -68,41 +66,11 @@ def test_table2_compatibility_relations(benchmark, config, contexts):
 
 
 def _per_pair_average_distance(relation, oracle):
-    """The exhaustive per-pair loop: one row lookup per compatible pair, and
-    under a balanced relation the partner's search for the reverse direction."""
+    """The exhaustive average over the kept per-pair loop, in one chunk."""
     nodes = relation.graph.nodes()
     positions = {node: position for position, node in enumerate(nodes)}
-    balanced = isinstance(relation, _BalancedPathRelation)
-    compatible_sets = relation.batch_compatible_sets(nodes)
-    rows = relation.batch_search(nodes) if balanced else oracle.warm(nodes)
-    total = 0.0
-    count = 0
-    for u, compatible, row in zip(nodes, compatible_sets, rows):
-        for v in compatible:
-            if v == u or positions[v] < positions[u]:
-                continue
-            if balanced:
-                distance = min(
-                    row.positive_length(v), relation._search_from(v).positive_length(u)
-                )
-            else:
-                distance = row.get(v, INFINITY)
-            if distance != INFINITY:
-                total += distance
-                count += 1
+    total, count = _per_pair_sums(relation, oracle, nodes, positions)
     return (total / count, count) if count else (0.0, 0)
-
-
-def _best_of(repeats, function):
-    """Fastest of ``repeats`` timed runs and its result."""
-    best_elapsed, best_result = None, None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = function()
-        elapsed = time.perf_counter() - start
-        if best_elapsed is None or elapsed < best_elapsed:
-            best_elapsed, best_result = elapsed, result
-    return best_elapsed, best_result
 
 
 @pytest.mark.benchmark(group="table2-distance")
@@ -115,8 +83,8 @@ def test_average_distance_speedup_over_per_pair_loop(benchmark, contexts, name):
     # Warm every search, BFS result and compatible set both sides read.
     expected = _per_pair_average_distance(relation, oracle)
     assert average_compatible_distance(relation, oracle=oracle) == expected
-    loop_elapsed, loop_result = _best_of(3, lambda: _per_pair_average_distance(relation, oracle))
-    dense_elapsed, dense_result = _best_of(
+    loop_elapsed, loop_result = best_of(3, lambda: _per_pair_average_distance(relation, oracle))
+    dense_elapsed, dense_result = best_of(
         3, lambda: average_compatible_distance(relation, oracle=oracle)
     )
     assert dense_result == loop_result == expected

@@ -79,7 +79,7 @@ DEFAULT_RESULT_CACHE_SIZE = 4096
 #: chew on.
 REVERSE_SWEEP_CHUNK = 64
 
-#: Depth entry of :meth:`_BalancedPathRelation._symmetric_depth_rows` where
+#: Depth entry of :meth:`_BalancedPathRelation._symmetric_depths` where
 #: no positive balanced path was found (the int32 maximum, so the shorter of
 #: two directions is their minimum).
 NO_PATH = 2**31 - 1
@@ -279,12 +279,12 @@ class _BalancedPathRelation(CompatibilityRelation):
         Both backends read the same rows: each source's own search result
         (forward finds) and the search result of every node in the sources'
         components (reverse finds: whose search reaches the source).  On the
-        CSR backend the finds are the entries of one ``(sources, n)`` matrix,
-        :meth:`_symmetric_depth_rows`: the forward rows, the transpose of the
-        forward block for candidates that are sources themselves and one
-        gathered column per other candidate, with direct negative edges
-        cleared by one mask from the snapshot's negative entries and the
-        component bound taken from its component labels.  The dict backend
+        CSR backend the finds are the entries of one matrix over the members
+        of the sources' components (one CSR frontier expansion),
+        :meth:`_symmetric_depths`: the forward rows, the transpose of the
+        forward block for members that are sources themselves and one
+        gathered column per other member, with direct negative edges cleared
+        by one mask from the snapshot's negative entries.  The dict backend
         keeps the per-pair loop over a dict BFS per source.
         """
         if self._policy.uses_csr:
@@ -329,63 +329,67 @@ class _BalancedPathRelation(CompatibilityRelation):
         import numpy as np
 
         csr = self._graph.csr_view()
-        nodes = csr._nodes
         ids = np.fromiter(map(csr._index.__getitem__, sources), np.int64, len(sources))
-        found = self._symmetric_depth_rows(csr, sources, ids) != NO_PATH
-        found[np.arange(ids.size), ids] = True
+        members, depths = self._symmetric_depths(csr, sources, ids)
+        depths[np.arange(ids.size), np.searchsorted(members, ids)] = 0  # the source itself
+        nodes = csr._nodes
         return [
-            frozenset(map(nodes.__getitem__, np.flatnonzero(row).tolist()))
-            for row in found
+            frozenset(map(nodes.__getitem__, members[row != NO_PATH].tolist()))
+            for row in depths
         ]
 
-    def _symmetric_depth_rows(self, csr, sources: List[Node], ids):
-        """One ``(len(sources), n)`` int32 matrix of symmetric balanced depths.
+    def _symmetric_depths(self, csr, sources: List[Node], ids):
+        """Symmetric balanced depths of ``sources`` over their components.
 
-        Entry ``[i, v]`` is ``min(P[s, v], P[v, s])`` for source ``s =
-        sources[i]`` (dense id ``ids[i]`` of ``csr``), where ``P[u, v]`` is
-        the length of the positive balanced path ``u``'s search found to
-        ``v``; it is :data:`NO_PATH` where neither direction found one or a
-        direct negative edge joins the pair, so the other entries of a row
-        are the source's compatible set.  The forward rows are the sources'
-        search results.  Balanced paths never leave a component, so the
-        reverse direction is read only for the sources' components
-        (snapshot component labels): off the forward rows' transpose where
-        the node is a source too, otherwise from its search, gathered at the
-        sources in chunks of :data:`REVERSE_SWEEP_CHUNK` searches, so only
-        that many O(n) results are held outside the LRU at once.
+        Returns ``(members, depths)``: ``members`` holds the ascending dense
+        ids of ``csr`` in the components of the sources (dense ids ``ids``),
+        found by one frontier expansion
+        (:func:`~repro.signed.csr.component_members`), and ``depths`` is an
+        int32 ``(len(sources), len(members))`` matrix.  Entry ``[i, j]`` is
+        ``min(P[s, m], P[m, s])`` for ``s = sources[i]`` and ``m =
+        members[j]``, where ``P[u, v]`` is the length of the positive balanced
+        path ``u``'s search found to ``v``; it is :data:`NO_PATH` where
+        neither direction found one or a direct negative edge joins the pair,
+        so the other entries of a row are the source's compatible set (the
+        source itself aside).  Balanced paths never leave a component, so no
+        other node can be compatible, and the work is bounded by the
+        components, not by the snapshot.  The forward rows are the sources'
+        search results; the reverse direction is read off the forward rows'
+        transpose where the member is a source too, otherwise from its
+        search, gathered at the sources in chunks of
+        :data:`REVERSE_SWEEP_CHUNK` searches, so only that many O(n) results
+        are held outside the LRU at once.
         """
         import numpy as np
 
-        from repro.signed.csr import negative_entries
-        from repro.signed.ingest import component_labels
+        from repro.signed.csr import component_members, negative_entries
 
         index = csr._index
         nodes = csr._nodes
-        shape = (ids.size, csr.number_of_nodes())
-        depths = np.full(shape, NO_PATH, dtype=np.int32)
+        members = component_members(csr, ids)
+        depths = np.full((ids.size, members.size), NO_PATH, dtype=np.int32)
         for row, result in enumerate(self.batch_search(sources)):
             lengths = result.positive_lengths
-            depths[row, list(map(index.__getitem__, lengths))] = list(lengths.values())
-        reverse = np.full(shape, NO_PATH, dtype=np.int32)
-        labels = component_labels(csr.indptr, csr.indices)
-        candidates = np.flatnonzero(np.isin(labels, labels[ids]))
-        row_of = np.full(shape[1], -1, dtype=np.int64)
-        row_of[ids] = np.arange(ids.size)
-        own = row_of[candidates] >= 0
-        known = candidates[own]
-        reverse[:, known] = depths[row_of[known]][:, ids].T
-        others = candidates[~own]
+            found = np.fromiter(map(index.__getitem__, lengths), np.int64, len(lengths))
+            depths[row, np.searchsorted(members, found)] = list(lengths.values())
+        reverse = np.full(depths.shape, NO_PATH, dtype=np.int32)
+        own = np.searchsorted(members, ids)
+        reverse[:, own] = depths[:, own].T
+        others = np.ones(members.size, dtype=bool)
+        others[own] = False
+        others = np.flatnonzero(others)
         for start in range(0, others.size, REVERSE_SWEEP_CHUNK):
             chunk = others[start : start + REVERSE_SWEEP_CHUNK]
-            results = self.batch_search([nodes[dense] for dense in chunk.tolist()])
+            results = self.batch_search([nodes[dense] for dense in members[chunk].tolist()])
             gathered = [
                 list(map(result.positive_lengths.get, sources, repeat(NO_PATH)))
                 for result in results
             ]
             reverse[:, chunk] = np.array(gathered, dtype=np.int32).T
         np.minimum(depths, reverse, out=depths)
-        depths[negative_entries(csr, ids)] = NO_PATH
-        return depths
+        rows, enemies = negative_entries(csr, ids)
+        depths[rows, np.searchsorted(members, enemies)] = NO_PATH
+        return members, depths
 
     def batch_distance_to_set(
         self, candidates: Sequence[Node], team: Sequence[Node]

@@ -22,7 +22,7 @@ cheap.
 from __future__ import annotations
 
 import abc
-from typing import FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.exceptions import NodeNotFoundError
 from repro.exec.policy import CacheSize, ExecutionPolicy, executor_for
@@ -202,6 +202,23 @@ class CompatibilityRelation(abc.ABC):
         """
         target_set = frozenset(targets)
         return [len(found & target_set) for found in self.batch_compatible_sets(sources)]
+
+    def dense_partner_rows(self, csr, sources: Sequence[Node], ids):
+        """The sources' compatible sets as one ``(len(sources), n)`` bool matrix.
+
+        ``csr`` is the graph's current CSR snapshot and ``ids`` the sources'
+        dense ids in it; row ``i`` is true exactly at the dense ids of
+        ``compatible_with(sources[i])``, the source included.  The default
+        marks each :meth:`batch_compatible_sets` entry; the SP* family reads
+        its pair-rule masks and NNE its enemies, building no set.
+        """
+        import numpy as np
+
+        index = csr._index
+        rows = np.zeros((len(sources), csr.number_of_nodes()), dtype=bool)
+        for row, found in enumerate(self.batch_compatible_sets(sources)):
+            rows[row, list(map(index.__getitem__, found))] = True
+        return rows
 
     def clear_cache(self) -> None:
         """Drop all cached per-source computations.

@@ -12,7 +12,7 @@ Incompatibility.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Set
+from typing import Iterable, List, Sequence, Set
 
 from repro.compatibility.base import CompatibilityRelation
 from repro.signed.graph import NEGATIVE, Node
@@ -61,6 +61,17 @@ class NoNegativeEdgeCompatibility(CompatibilityRelation):
             len(present) - len(present.intersection(graph.negative_neighbors(source)))
             for source in source_list
         ]
+
+    def dense_partner_rows(self, csr, sources: Sequence[Node], ids):
+        # Everyone but the sources' enemies (the snapshot's negative
+        # entries), without materialising the (almost complete) sets.
+        import numpy as np
+
+        from repro.signed.csr import negative_entries
+
+        rows = np.ones((len(sources), csr.number_of_nodes()), dtype=bool)
+        rows[negative_entries(csr, ids)] = False
+        return rows
 
     def are_compatible(self, u: Node, v: Node) -> bool:
         # Overridden to avoid materialising the (almost complete) compatible

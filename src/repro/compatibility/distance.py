@@ -27,11 +27,10 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.compatibility.balanced import NO_PATH, _BalancedPathRelation
 from repro.compatibility.base import CompatibilityRelation, resolve_cache_size
-from repro.compatibility.direct import NoNegativeEdgeCompatibility
 from repro.compatibility.shortest_path import _ShortestPathRelation
 from repro.exec.policy import ExecutionPolicy, executor_for
 from repro.signed.graph import Node
-from repro.signed.paths import INFINITY, SignedBFSResult, shortest_path_lengths
+from repro.signed.paths import INFINITY, shortest_path_lengths
 from repro.utils.generational import GenerationalLRUCache
 from repro.utils.lru import APPROX_BYTES_PER_NODE, fetch_batched
 from repro.utils.rng import RandomState, ensure_rng
@@ -352,16 +351,15 @@ def average_compatible_distance(
     balanced relations, the oracle's otherwise) a chunk is reduced as dense
     ``(sources, n)`` rows, with no Python loop per pair:
 
-    * SP* — partners are the pair-rule mask of each source's signed BFS
-      result, distances its ``lengths`` (no compatible set is built);
-    * NNE — partners are every node but the source's enemies (the
-      snapshot's negative entries), distances the oracle's rows;
     * SBP/SBPH — one positive-depth matrix of ``min(P[u, v], P[v, u])``
       built from the cached search results
-      (:meth:`~repro.compatibility.balanced._BalancedPathRelation._symmetric_depth_rows`)
+      (:meth:`~repro.compatibility.balanced._BalancedPathRelation._symmetric_depths`)
       gives both: its finite entries are the compatible sets, their values
       the distances (no per-pair ``_search_from``);
-    * other relations — the compatible sets' dense ids and the oracle's rows.
+    * other relations — partners are the relation's
+      :meth:`~repro.compatibility.base.CompatibilityRelation.dense_partner_rows`
+      (SP* reads its pair-rule masks, NNE its enemies), distances the
+      oracle's rows.
 
     Only partners later than the source in ``graph.nodes()`` order are kept
     in the exhaustive case; that order check goes through a dense-id →
@@ -441,19 +439,31 @@ def _dense_pair_sums(
     """:func:`_per_pair_sums` over dense ``(sources, n)`` rows (CSR backend)."""
     import numpy as np
 
-    from repro.signed.csr import UNREACHABLE
+    from repro.signed.csr import UNREACHABLE, CSRLengths
 
     csr = relation.graph.csr_view()
     index = csr._index
     ids = np.fromiter(map(index.__getitem__, sources), np.int64, len(sources))
-    shape = (ids.size, csr.number_of_nodes())
-    partners = np.zeros(shape, dtype=bool)
-    distances = np.full(shape, UNREACHABLE, dtype=np.int32)
-    fallback = _dense_rows(relation, oracle, csr, sources, ids, partners, distances)
-    partners &= distances != UNREACHABLE
+    fallback: List[int] = []
+    if isinstance(relation, _BalancedPathRelation):
+        # The symmetric depths are both the partners and their distances.
+        members, depths = relation._symmetric_depths(csr, sources, ids)
+        distances = np.full((ids.size, csr.number_of_nodes()), NO_PATH, dtype=np.int32)
+        distances[:, members] = depths
+        partners = distances != NO_PATH
+    else:
+        partners = relation.dense_partner_rows(csr, sources, ids)
+        distances = np.full(partners.shape, UNREACHABLE, dtype=np.int32)
+        for row, view in enumerate(oracle.warm(sources)):
+            if isinstance(view, CSRLengths) and view._graph.shares_index_with(csr):
+                distances[row] = view._lengths
+            else:  # left to the per-pair loop
+                partners[row] = False
+                fallback.append(row)
+        partners &= distances != UNREACHABLE
     partners[np.arange(ids.size), ids] = False
     if positions is not None:
-        order = np.empty(shape[1], dtype=np.int64)
+        order = np.empty(csr.number_of_nodes(), dtype=np.int64)
         order[list(map(index.__getitem__, positions))] = list(positions.values())
         partners &= order[None, :] > order[ids][:, None]
     total = int(distances[partners].sum(dtype=np.int64))
@@ -465,50 +475,3 @@ def _dense_pair_sums(
         total += fallback_total
         count += fallback_count
     return total, count
-
-
-def _dense_rows(
-    relation: CompatibilityRelation,
-    oracle: DistanceOracle,
-    csr,
-    sources: List[Node],
-    ids,
-    partners,
-    distances,
-) -> List[int]:
-    """Fill each source's partner mask and distance row; return the rows
-    left to the per-pair loop (their partner masks stay empty)."""
-    import numpy as np
-
-    from repro.signed.csr import CSRLengths, negative_entries
-
-    fallback: List[int] = []
-    if isinstance(relation, _ShortestPathRelation):
-        for row, result in enumerate(relation.batch_bfs(sources)):
-            if isinstance(result, SignedBFSResult) or not result.graph.shares_index_with(csr):
-                fallback.append(row)
-                continue
-            partners[row] = relation._pair_rule_mask(
-                result.positive_array, result.negative_array
-            )
-            distances[row] = result.lengths_array
-        return fallback
-    if isinstance(relation, _BalancedPathRelation):
-        depths = relation._symmetric_depth_rows(csr, sources, ids)
-        np.not_equal(depths, NO_PATH, out=partners)
-        distances[partners] = depths[partners]
-        return fallback
-    if isinstance(relation, NoNegativeEdgeCompatibility):
-        partners[:] = True
-        partners[negative_entries(csr, ids)] = False
-    else:
-        index = csr._index
-        for row, found in enumerate(relation.batch_compatible_sets(sources)):
-            partners[row, list(map(index.__getitem__, found))] = True
-    for row, view in enumerate(oracle.warm(sources)):
-        if not isinstance(view, CSRLengths) or not view._graph.shares_index_with(csr):
-            partners[row] = False
-            fallback.append(row)
-            continue
-        distances[row] = view._lengths
-    return fallback

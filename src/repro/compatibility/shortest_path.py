@@ -462,6 +462,27 @@ class _ShortestPathRelation(CompatibilityRelation):
                 counts[source] = int(np.count_nonzero(hits))
         return [counts[source] for source in source_list]
 
+    def dense_partner_rows(self, csr, sources: Sequence[Node], ids):
+        """Compatible rows read off the pair-rule masks (see the base class).
+
+        Each source's :meth:`batch_bfs` count (or presence) arrays give its
+        row as one vectorised pair-rule mask; unreachable nodes have no
+        positive path and fail every rule, while the source's own entry
+        passes.  A source whose counts overflow int64, or whose cached result
+        belongs to a snapshot with another node set, is marked from its
+        compatible set.
+        """
+        import numpy as np
+
+        index = csr._index
+        rows = np.zeros((len(sources), csr.number_of_nodes()), dtype=bool)
+        for row, (source, result) in enumerate(zip(sources, self.batch_bfs(sources))):
+            if isinstance(result, SignedBFSResult) or not result.graph.shares_index_with(csr):
+                rows[row, list(map(index.__getitem__, self.compatible_with(source)))] = True
+            else:
+                rows[row] = self._pair_rule_mask(result.positive_array, result.negative_array)
+        return rows
+
     def batch_compatibility_degrees(self, sources: Sequence[Node]) -> List[int]:
         """Number of *other* compatible nodes for every source, batched.
 

@@ -3,15 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.datasets.synthetic import SignedDataset
 from repro.signed.metrics import graph_statistics
 from repro.skills.stats import skill_statistics
 from repro.utils.rng import RandomState
-
-if TYPE_CHECKING:
-    from repro.exec.policy import ExecutionPolicy
 
 
 @dataclass(frozen=True)
@@ -44,19 +41,14 @@ def dataset_statistics(
     dataset: SignedDataset,
     diameter_sample_sources: Optional[int] = None,
     seed: RandomState = None,
-    policy: Optional["ExecutionPolicy"] = None,
 ) -> DatasetStatistics:
     """Compute the Table-1 statistics for ``dataset``.
 
     For large graphs pass ``diameter_sample_sources`` to estimate the diameter
-    from a sample of BFS sources instead of all of them; ``policy`` picks the
-    diameter's backend (see :func:`repro.signed.metrics.diameter`).
+    from a sample of BFS sources instead of all of them.
     """
     graph_stats = graph_statistics(
-        dataset.graph,
-        diameter_sample_sources=diameter_sample_sources,
-        seed=seed,
-        policy=policy,
+        dataset.graph, diameter_sample_sources=diameter_sample_sources, seed=seed
     )
     skills_stats = skill_statistics(dataset.skills)
     return DatasetStatistics(

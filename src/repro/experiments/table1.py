@@ -50,7 +50,6 @@ def run_table1(
                 context.dataset,
                 diameter_sample_sources=sample_sources,
                 seed=context.config.seed,
-                policy=context.config.execution_policy(),
             )
         )
     return Table1Result(rows=rows)

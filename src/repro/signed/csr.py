@@ -579,6 +579,22 @@ def negative_entries(
     return rows[negative], targets[negative]
 
 
+def component_members(csr: CSRSignedGraph, source_ids: np.ndarray) -> np.ndarray:
+    """Ascending dense ids of every node in the components of ``source_ids``.
+
+    One frontier expansion from all the sources at once, so the work is
+    bounded by those components' edges, not by the whole snapshot.
+    """
+    reached = np.zeros(csr.number_of_nodes(), dtype=bool)
+    frontier = np.unique(source_ids)
+    reached[frontier] = True
+    while frontier.size:
+        targets = csr.indices[_adjacency_positions(csr, frontier)[0]]
+        frontier = np.unique(targets[~reached[targets]])
+        reached[frontier] = True
+    return np.flatnonzero(reached)
+
+
 def _unvisited_with_edges(
     lengths: np.ndarray, degrees: np.ndarray, previous: Optional[np.ndarray]
 ) -> np.ndarray:

@@ -148,13 +148,11 @@ def graph_statistics(
     graph: SignedGraph,
     diameter_sample_sources: Optional[int] = None,
     seed: RandomState = None,
-    policy: Optional["ExecutionPolicy"] = None,
 ) -> GraphStatistics:
     """Compute the Table-1 statistics for ``graph``.
 
     ``diameter_sample_sources`` is forwarded to :func:`diameter` so large
-    graphs can report an estimated diameter, and ``policy`` so it picks the
-    diameter's backend.
+    graphs can report an estimated diameter.
     """
     components = connected_components(graph) if graph.number_of_nodes() else []
     return GraphStatistics(
@@ -162,9 +160,7 @@ def graph_statistics(
         num_edges=graph.number_of_edges(),
         num_negative_edges=graph.number_of_negative_edges(),
         negative_fraction=negative_edge_fraction(graph),
-        diameter=diameter(
-            graph, sample_sources=diameter_sample_sources, seed=seed, policy=policy
-        ),
+        diameter=diameter(graph, sample_sources=diameter_sample_sources, seed=seed),
         num_components=len(components),
         average_degree=average_degree(graph),
     )

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.datasets import figure_1a_graph, figure_1b_graph, toy_dataset
-from repro.signed import SignedGraph
+from repro.signed import CSRSignedGraph, SignedGraph
 from repro.signed.generators import planted_factions_graph
 from repro.skills import SkillAssignment, Task
+from repro.utils.rng import ensure_rng
 
 
 @pytest.fixture
@@ -124,3 +127,22 @@ def simple_assignment() -> SkillAssignment:
 def line_graph() -> SignedGraph:
     """A signed path 0 -+ 1 -- 2 -+ 3 (one negative edge in the middle)."""
     return SignedGraph.from_edges([(0, 1, +1), (1, 2, -1), (2, 3, +1)])
+
+
+def _install_shuffled_snapshot(graph: SignedGraph, seed: int) -> None:
+    """Make ``graph.csr_view()`` a snapshot whose dense ids follow a shuffled
+    order, not ``graph.nodes()`` (rows keep the graph's neighbour order)."""
+    order = graph.nodes()
+    ensure_rng(seed).shuffle(order)
+    view = SimpleNamespace(
+        nodes=lambda: order, _adjacency=graph._adjacency, generation=graph.generation
+    )
+    graph._csr_cache = (graph.generation, CSRSignedGraph.from_signed_graph(view))
+    assert graph.csr_view()._nodes == order
+
+
+@pytest.fixture(scope="session")
+def install_shuffled_snapshot():
+    """``install(graph, seed)``: shuffle the dense ids of ``graph``'s CSR
+    snapshot, so code that assumes they follow ``graph.nodes()`` shows it."""
+    return _install_shuffled_snapshot

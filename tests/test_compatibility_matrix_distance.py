@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -25,7 +24,6 @@ from repro.compatibility import (
 )
 from repro.datasets import synthetic_signed_network
 from repro.exec import ExecutionPolicy, reset_executors
-from repro.signed import CSRSignedGraph
 from repro.signed.graph import NEGATIVE
 from repro.signed.paths import INFINITY
 from repro.skills import SkillAssignment
@@ -430,18 +428,6 @@ def shuffled_graphs(draw):
     return SignedGraph.from_edges(edges, nodes=order), draw(st.integers(0, 2**16))
 
 
-def install_shuffled_snapshot(graph, seed):
-    """Make ``graph.csr_view()`` a snapshot whose dense ids follow a shuffled
-    order, not ``graph.nodes()`` (rows keep the graph's neighbour order)."""
-    order = graph.nodes()
-    ensure_rng(seed).shuffle(order)
-    view = SimpleNamespace(
-        nodes=lambda: order, _adjacency=graph._adjacency, generation=graph.generation
-    )
-    graph._csr_cache = (graph.generation, CSRSignedGraph.from_signed_graph(view))
-    assert graph.csr_view()._nodes == order
-
-
 def reference_average_distance(
     relation, oracle, max_exact_nodes=500, num_sampled_sources=200, seed=None
 ):
@@ -503,7 +489,9 @@ class TestDenseRowStatistics:
 
     @DIFFERENTIAL
     @given(shuffled_graphs(), st.sampled_from(DIFFERENTIAL_RELATIONS), st.booleans())
-    def test_average_distance_matches_per_pair_loop(self, drawn, relation_spec, sampled):
+    def test_average_distance_matches_per_pair_loop(
+        self, install_shuffled_snapshot, drawn, relation_spec, sampled
+    ):
         graph, seed = drawn
         install_shuffled_snapshot(graph, seed)
         name, kwargs = relation_spec
@@ -517,7 +505,7 @@ class TestDenseRowStatistics:
 
     @DIFFERENTIAL
     @given(shuffled_graphs(), st.sampled_from(("SPA", "SPM", "SPO", "NNE", "DPE")))
-    def test_average_distance_matches_dict_backend(self, drawn, name):
+    def test_average_distance_matches_dict_backend(self, install_shuffled_snapshot, drawn, name):
         # These relations do not depend on the order a search visits nodes,
         # so the shuffled snapshot must not change a single pair.
         graph, seed = drawn
@@ -531,7 +519,9 @@ class TestDenseRowStatistics:
 
     @DIFFERENTIAL
     @given(shuffled_graphs(), st.sampled_from(BALANCED_RELATIONS))
-    def test_balanced_batch_sets_match_per_source_sets(self, drawn, relation_spec):
+    def test_balanced_batch_sets_match_per_source_sets(
+        self, install_shuffled_snapshot, drawn, relation_spec
+    ):
         graph, seed = drawn
         install_shuffled_snapshot(graph, seed)
         name, kwargs = relation_spec
@@ -546,7 +536,7 @@ class TestDenseRowStatistics:
     @pytest.mark.parametrize("relation_spec", BALANCED_RELATIONS, ids=spec_id)
     @pytest.mark.parametrize("graph_name", ["figure_1b", "prefix_trap_graph", "generated_60"])
     def test_balanced_distance_on_direction_dependent_searches(
-        self, graph_name, relation_spec, sampled, request
+        self, graph_name, relation_spec, sampled, request, install_shuffled_snapshot
     ):
         # On these graphs a search from one end misses pairs the other end's
         # search finds (Figure 1(b)), so the reverse direction is needed.

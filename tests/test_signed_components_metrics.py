@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -10,7 +9,6 @@ from hypothesis import strategies as st
 
 from repro.exec import ExecutionPolicy
 from repro.signed import (
-    CSRSignedGraph,
     SignedGraph,
     average_degree,
     connected_components,
@@ -134,17 +132,6 @@ def diameter_graphs(draw):
     return SignedGraph.from_edges(edges, nodes=order), draw(st.integers(0, 2**16))
 
 
-def install_shuffled_snapshot(graph, seed):
-    """Make ``graph.csr_view()`` a snapshot whose dense ids follow a shuffled
-    order, not ``graph.nodes()``."""
-    order = graph.nodes()
-    ensure_rng(seed).shuffle(order)
-    view = SimpleNamespace(
-        nodes=lambda: order, _adjacency=graph._adjacency, generation=graph.generation
-    )
-    graph._csr_cache = (graph.generation, CSRSignedGraph.from_signed_graph(view))
-
-
 def reference_diameter(graph, sources):
     """One dict BFS per source; ``None`` unless the graph is connected."""
     nodes = graph.nodes()
@@ -156,7 +143,7 @@ def reference_diameter(graph, sources):
 class TestDiameterBackends:
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(diameter_graphs())
-    def test_both_backends_match_dict_bfs(self, drawn):
+    def test_both_backends_match_dict_bfs(self, install_shuffled_snapshot, drawn):
         graph, seed = drawn
         install_shuffled_snapshot(graph, seed)
         nodes = graph.nodes()
@@ -177,7 +164,3 @@ class TestDiameterBackends:
         assert diameter(graph, sample_sources=70, seed=2, policy=policy) == reference_diameter(
             graph, ensure_rng(2).sample(graph.nodes(), 70)
         )
-
-    @pytest.mark.parametrize("policy", BACKENDS, ids=["dict", "csr"])
-    def test_graph_statistics_forwards_the_policy(self, policy, two_factions):
-        assert graph_statistics(two_factions, policy=policy).diameter == 3
