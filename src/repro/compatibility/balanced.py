@@ -32,15 +32,18 @@ on huge graphs), so a full sweep over a large graph cannot exhaust memory.
 
 Backends
 --------
-Both searches have two implementations that return the same depth maps (key
-order included) and truncation flags: the dict searches
+Both searches have two implementations that return the same depth per node
+and the same truncation flag: the dict searches
 (:meth:`~repro.signed.paths.BalancedPathSearch.search_exact`, a path-by-path
 BFS whose states are bitmasks over dense node ids, and
 :meth:`~repro.signed.paths.BalancedPathSearch.search_heuristic`), and the
 batched CSR cores behind the ``csr_sbph`` kernel
 (:func:`repro.signed.csr.balanced_depths`), which advance a batch of
 sources level by level and vectorise candidate generation, the expansion
-cap and the balance check.  The policy's
+cap and the balance check.  A CSR result keeps the kernel's two dense
+depth rows, wrapped in :class:`~repro.signed.csr.CSRLengths` views, from
+the kernel (or the pool's result arena) through the cache to the
+symmetric closure.  The policy's
 :attr:`~repro.exec.ExecutionPolicy.uses_csr` picks between them: the default
 ``backend="auto"`` uses the CSR searches whenever numpy is available.  The
 dict searches stay the numpy-free path and the tests' reference.
@@ -48,7 +51,6 @@ dict searches stay the numpy-free path and the tests' reference.
 
 from __future__ import annotations
 
-from itertools import repeat
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set
 
 from repro.compatibility.base import CompatibilityRelation, resolve_cache_size
@@ -161,9 +163,9 @@ class _BalancedPathRelation(CompatibilityRelation):
 
         Uncached sources are resolved by the policy's executor — in-process
         under a serial policy, fanned out in chunks over the worker pool for
-        ``workers >= 2`` (the CSR search ships dense depth maps back and is
-        re-keyed to node objects here; dict searches ship whole results).
-        Each result is bit-identical to :meth:`_search_from`; results are
+        ``workers >= 2`` (the CSR search ships dense depth rows back; dict
+        searches ship whole results).  Each result holds the same depth per
+        node and the same truncation flag as :meth:`_search_from`; results are
         written through to the result cache and truncation flags are recorded
         exactly as the per-source path would have.
         """
@@ -192,12 +194,12 @@ class _BalancedPathRelation(CompatibilityRelation):
         """Run the relation's search for every source through the executor.
 
         On the CSR backend under a pool policy the workers write each
-        source's depth maps as sentinel-filled dense rows of the dispatch's
-        shared-memory result arena and ship back only its truncation flag
-        (this is what keeps the balanced *reverse sweeps* — every candidate
-        of :meth:`batch_compatible_sets` / :meth:`batch_distance_to_set` —
-        off the pickle path); the depths are re-keyed to node objects here
-        either way, so results are identical to the serial search.
+        source's depth rows into the dispatch's shared-memory result arena
+        and ship back only its truncation flag (this is what keeps the
+        balanced *reverse sweeps* — every candidate of
+        :meth:`batch_compatible_sets` / :meth:`batch_distance_to_set` — off
+        the pickle path); the parent copies the rows out, so results are
+        identical to the serial search.
         """
         executor = self._executor()
         if self._policy.uses_csr:
@@ -207,8 +209,9 @@ class _BalancedPathRelation(CompatibilityRelation):
         )
 
     def _csr_searches(self, executor, sources: List[Node]) -> List[BalancedPathResult]:
-        """The ``csr_sbph`` kernel's dense results, re-keyed to node objects."""
-        from repro.signed.csr import balanced_result_from_depths
+        """The ``csr_sbph`` kernel's depth rows, read by node through
+        :class:`~repro.signed.csr.CSRLengths` views."""
+        from repro.signed.csr import CSRLengths
 
         csr = self._graph.csr_view()
         raw = executor.map_kernel(
@@ -217,17 +220,19 @@ class _BalancedPathRelation(CompatibilityRelation):
             [csr.index_of(source) for source in sources],
             params=self._search_params(),
         )
+        bound = self.max_path_length
+        if bound is None:
+            bound = csr.number_of_nodes() - 1
         return [
-            balanced_result_from_depths(
-                csr,
-                source,
-                positive_depths,
-                negative_depths,
-                self.max_path_length,
+            BalancedPathResult(
+                source=source,
+                positive_lengths=CSRLengths(csr, positive),
+                negative_lengths=CSRLengths(csr, negative),
                 exact=self.exact_search,
+                max_length=bound,
                 truncated=truncated,
             )
-            for source, (positive_depths, negative_depths, truncated) in zip(sources, raw)
+            for source, (positive, negative, truncated) in zip(sources, raw)
         ]
 
     def _clear_subclass_cache(self) -> None:
@@ -354,39 +359,40 @@ class _BalancedPathRelation(CompatibilityRelation):
         source itself aside).  Balanced paths never leave a component, so no
         other node can be compatible, and the work is bounded by the
         components, not by the snapshot.  The forward rows are the sources'
-        search results; the reverse direction is read off the forward rows'
-        transpose where the member is a source too, otherwise from its
-        search, gathered at the sources in chunks of
+        search rows at the members; the reverse direction is read off the
+        forward rows' transpose where the member is a source too, otherwise
+        from its search row, gathered at the sources in chunks of
         :data:`REVERSE_SWEEP_CHUNK` searches, so only that many O(n) results
-        are held outside the LRU at once.
+        are held outside the LRU at once.  Every row is read in ``csr``'s
+        dense ids (:meth:`~repro.signed.csr.CSRLengths.row_in`), also that
+        of a cached result from a snapshot with another node set.
         """
         import numpy as np
 
-        from repro.signed.csr import component_members, negative_entries
+        from repro.signed.csr import UNREACHABLE, component_members, negative_entries
 
-        index = csr._index
-        nodes = csr._nodes
         members = component_members(csr, ids)
-        depths = np.full((ids.size, members.size), NO_PATH, dtype=np.int32)
+        depths = np.empty((ids.size, members.size), dtype=np.int32)
         for row, result in enumerate(self.batch_search(sources)):
-            lengths = result.positive_lengths
-            found = np.fromiter(map(index.__getitem__, lengths), np.int64, len(lengths))
-            depths[row, np.searchsorted(members, found)] = list(lengths.values())
-        reverse = np.full(depths.shape, NO_PATH, dtype=np.int32)
+            depths[row] = result.positive_lengths.row_in(csr)[members]
+        reverse = np.empty_like(depths)
         own = np.searchsorted(members, ids)
         reverse[:, own] = depths[:, own].T
         others = np.ones(members.size, dtype=bool)
         others[own] = False
         others = np.flatnonzero(others)
+        nodes = csr._nodes
         for start in range(0, others.size, REVERSE_SWEEP_CHUNK):
             chunk = others[start : start + REVERSE_SWEEP_CHUNK]
             results = self.batch_search([nodes[dense] for dense in members[chunk].tolist()])
-            gathered = [
-                list(map(result.positive_lengths.get, sources, repeat(NO_PATH)))
-                for result in results
-            ]
-            reverse[:, chunk] = np.array(gathered, dtype=np.int32).T
-        np.minimum(depths, reverse, out=depths)
+            reverse[:, chunk] = np.stack(
+                [result.positive_lengths.row_in(csr)[ids] for result in results], axis=1
+            )
+        # Both directions hold UNREACHABLE (-1) where no path was found, the
+        # largest value as uint32: the unsigned minimum is the shorter
+        # direction, and what stays UNREACHABLE becomes NO_PATH.
+        np.minimum(depths.view(np.uint32), reverse.view(np.uint32), out=depths.view(np.uint32))
+        depths[depths == UNREACHABLE] = NO_PATH
         rows, enemies = negative_entries(csr, ids)
         depths[rows, np.searchsorted(members, enemies)] = NO_PATH
         return members, depths

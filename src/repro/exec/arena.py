@@ -3,7 +3,7 @@
 The pool executor's scalar sweeps (compatibility degrees) already reduce
 inside the workers, but the *set-valued* sweeps — ``csr_signed_bfs`` triples
 behind ``batch_bfs``/``batch_compatible_sets``, the NNE/DPE distance
-oracle's ``csr_path_lengths`` maps behind ``warm``, the SBP/SBPH depth maps
+oracle's ``csr_path_lengths`` maps behind ``warm``, the SBP/SBPH depth rows
 behind the balanced reverse sweeps — used to pickle O(n) arrays back to the
 parent for every source.  At 50k nodes that is ~1 MB per source of
 serialisation both sides of the pipe, and it was the parallel ceiling the
@@ -33,11 +33,11 @@ This module is the codec layer that removes it:
 * **Zero-copy reads.**  The parent maps the same segment once, builds the
   plane views, and decodes each source's result straight off them
   (:func:`decode_results`) — no pickle ever touches the dense data.
-  Results that are consumed immediately (compatible-set bitmaps, rebuilt
-  balanced-path depth maps) decode as zero-copy views; results headed for
-  long-lived LRU caches (BFS triples, distance maps) are copied out row by
-  row, so a surviving cache entry owns exactly its own bytes instead of
-  pinning the whole k-row segment.  The segment is unlinked as soon as the
+  Results that are consumed immediately (compatible-set bitmaps) decode as
+  zero-copy views; results headed for long-lived LRU caches (BFS triples,
+  distance maps, balanced-path depth rows) are copied out row by row, so a
+  surviving cache entry owns exactly its own bytes instead of pinning the
+  whole k-row segment.  The segment is unlinked as soon as the
   dispatch completes (no ``/dev/shm`` entry outlives it) and the mapping
   itself is closed by a ``weakref.finalize`` when the last decoded view
   dies.
@@ -214,9 +214,8 @@ def _write_path_lengths(planes, start, csr, sources, params) -> List:
 
 
 def _write_sbph(planes, start, csr, sources, params) -> List:
-    # Sentinel-filled dense rows: absent nodes stay UNREACHABLE, found nodes
-    # carry their depth — the parent rebuilds the depth maps from one
-    # flatnonzero scan per row.  The token is the source's truncation flag.
+    # The serial kernel's own rows (UNREACHABLE where no path was found),
+    # written in place; the token is the source's truncation flag.
     from repro.signed.csr import balanced_depths_into
     from repro.signed.paths import DEFAULT_MAX_EXPANSIONS
 
@@ -268,10 +267,9 @@ def decode_results(
 
     Each slot reproduces exactly what the plain kernel would have returned
     for that source — bitmap rows come back as zero-copy views into the
-    segment, BFS triples and distance maps as per-row copies (they outlive
-    the dispatch in LRU caches), dict-shaped results (balanced-path depth
-    maps) are rebuilt from their sentinel rows.  ``release(shm)`` is invoked
-    automatically once the last
+    segment, BFS triples, distance maps and balanced-path depth rows as
+    per-row copies (they outlive the dispatch in LRU caches).
+    ``release(shm)`` is invoked automatically once the last
     decoded view is garbage-collected (the caller unlinks the name right
     after this returns, so nothing lingers in ``/dev/shm`` either way); the
     pool passes a closer that can defer past views dying inside reference
@@ -317,21 +315,9 @@ def _decode_path_lengths(planes, position, token):
 
 
 def _decode_sbph(planes, position, token):
-    import numpy as np
-
-    from repro.signed.csr import UNREACHABLE
-
-    positive_row = planes[0][position]
-    negative_row = planes[1][position]
-    positive = {
-        int(dense): int(positive_row[dense])
-        for dense in np.flatnonzero(positive_row != UNREACHABLE)
-    }
-    negative = {
-        int(dense): int(negative_row[dense])
-        for dense in np.flatnonzero(negative_row != UNREACHABLE)
-    }
-    return positive, negative, token
+    # The serial kernel's (positive_row, negative_row, truncated) triple,
+    # rows copied out for the same reason: balanced-path results are cached.
+    return planes[0][position].copy(), planes[1][position].copy(), token
 
 
 def _decode_compatible_masks(planes, position, token):

@@ -86,9 +86,9 @@ def csr_path_lengths(csr, sources: Sequence[int], params: dict) -> List:
 
 @register_kernel("csr_sbph")
 def csr_sbph(csr, sources: Sequence[int], params: dict) -> List:
-    """Balanced-path search per dense source: ``(positive_depths,
-    negative_depths, truncated)`` with the depths keyed by dense ids (the
-    caller remaps to nodes).
+    """Balanced-path search per dense source: ``(positive_row, negative_row,
+    truncated)``, the rows ``int32`` depths over dense ids
+    (``UNREACHABLE`` where no path was found).
 
     ``params`` as for ``dict_balanced_search``: ``exact`` selects the
     capped SBP enumeration over the SBPH search, ``max_length`` /
@@ -196,8 +196,8 @@ def dict_balanced_search(graph, sources: Sequence, params: dict) -> List:
     SBPH heuristic; ``max_length`` / ``max_expansions`` mirror
     :class:`~repro.signed.paths.BalancedPathSearch`.  A fresh search object is
     built per call, so results match the relation's own searches exactly.
-    ``csr_sbph`` takes the same params and returns the same depths and
-    truncation flags as dense maps.
+    ``csr_sbph`` takes the same params and returns the same depth per node
+    and truncation flag as dense rows.
     """
     from repro.signed.paths import DEFAULT_MAX_EXPANSIONS, BalancedPathSearch
 

@@ -29,7 +29,6 @@ _CSR_EXPORTS = (
     "CSRSignedBFSResult",
     "CSRSignedGraph",
     "CSRLengths",
-    "balanced_heuristic_search_csr",
     "multi_source_signed_bfs",
     "multi_source_shortest_path_lengths_csr",
     "shortest_path_lengths_csr",
@@ -141,7 +140,6 @@ __all__ = [
     "save_snapshot",
     "load_snapshot",
     "snapshot_info",
-    "balanced_heuristic_search_csr",
     "signed_bfs_csr",
     "shortest_path_lengths_csr",
     "shortest_signed_walk_lengths_csr",

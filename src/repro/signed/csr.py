@@ -28,16 +28,20 @@ numpy imports (:attr:`repro.exec.ExecutionPolicy.uses_csr`):
   traversal, which keeps one bit per sign instead of counts;
 * :func:`multi_source_shortest_path_lengths_csr` — the batched counterpart for
   sign-agnostic distances, used by the distance oracle's team sweeps;
-* :func:`balanced_depths` — both balanced-path searches over a batch of
-  sources at once.  SBPH is an indexed (node, sign)-state BFS: candidate
-  generation, claimed-state filtering and the Harary balance check of every
-  candidate are array operations over the whole batch's frontier
-  (:func:`balanced_heuristic_depths` and, for one source,
-  :func:`balanced_heuristic_search_csr` are its SBPH views).  Exact SBP
-  enumerates balanced simple paths level by level, each path a pair of bit
-  planes, with the expansion cap applied per source by a segmented count.
-  Bit-identical to :meth:`~repro.signed.paths.BalancedPathSearch.search_heuristic`
-  and :meth:`~repro.signed.paths.BalancedPathSearch.search_exact`.
+* :func:`balanced_depths` / :func:`balanced_depths_into` — both
+  balanced-path searches over a batch of sources at once.  SBPH is an
+  indexed (node, sign)-state BFS: candidate generation, claimed-state
+  filtering and the Harary balance check of every candidate are array
+  operations over the whole batch's frontier.  Exact SBP enumerates
+  balanced simple paths level by level, each path a pair of bit planes,
+  with the expansion cap applied per source by a segmented count.  A
+  source's result is two ``int32`` depth rows (positive, negative;
+  :data:`UNREACHABLE` where no path was found) plus its truncation flag,
+  the one format from the kernel through the result arena to the balanced
+  relations' caches (wrapped in :class:`CSRLengths`).  Every node's depth
+  and the flag equal
+  :meth:`~repro.signed.paths.BalancedPathSearch.search_heuristic` and
+  :meth:`~repro.signed.paths.BalancedPathSearch.search_exact`.
 
 Results come back as :class:`CSRSignedBFSResult`, an array-backed object that
 answers the same ``length`` / ``counts`` / ``reachable`` queries as
@@ -64,6 +68,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -73,7 +78,6 @@ from repro.signed.graph import Node, Sign, SignedGraph
 from repro.signed.paths import (
     DEFAULT_MAX_EXPANSIONS,
     INFINITY,
-    BalancedPathResult,
     SignedBFSResult,
 )
 from repro.utils.bitset import (
@@ -329,23 +333,17 @@ class CSRSignedGraph:
         """
         graph = SignedGraph()
         nodes = self._nodes
-        indptr = self.indptr.tolist()
-        indices = self.indices.tolist()
-        signs = self.signs.tolist()
-        # Rows are filled directly (same discipline as SignedGraph.copy): the
-        # public add_edge would insert each neighbour at edge-addition order,
-        # not CSR row order, and the roundtrip would stop being exact.
+        # (neighbour, sign) entries in CSR order; each row takes the next
+        # ``degree`` of them.  Rows are filled directly (same discipline as
+        # SignedGraph.copy): the public add_edge would insert each neighbour
+        # at edge-addition order, not CSR row order, and the roundtrip would
+        # stop being exact.
+        entries = zip(map(nodes.__getitem__, self.indices.tolist()), self.signs.tolist())
         adjacency = graph._adjacency
-        positive_entries = 0
-        for dense, node in enumerate(nodes):
-            row: Dict[Node, Sign] = {}
-            for position in range(indptr[dense], indptr[dense + 1]):
-                row[nodes[indices[position]]] = signs[position]
-                if signs[position] > 0:
-                    positive_entries += 1
-            adjacency[node] = row
-        graph._num_edges = len(indices) // 2
-        graph._num_positive = positive_entries // 2
+        for node, degree in zip(nodes, self.degrees().tolist()):
+            adjacency[node] = dict(islice(entries, degree))
+        graph._num_edges = len(self.indices) // 2
+        graph._num_positive = int(np.count_nonzero(self.signs > 0)) // 2
         return graph
 
     # ------------------------------------------------------------------ query
@@ -1461,7 +1459,7 @@ EXACT_STEP_ENTRIES = 2**13
 
 
 def sbph_batch_size(csr: CSRSignedGraph) -> int:
-    """Sources one :func:`balanced_heuristic_depths` batch advances together."""
+    """Sources one SBPH batch of :func:`balanced_depths` advances together."""
     return min(WORD_BITS, max(1, SBPH_BATCH_ENTRIES // max(1, csr.indices.size)))
 
 
@@ -1553,8 +1551,9 @@ def _sbph_batch_claims(
     order the dict search meets them.  A group's winner is its first
     candidate that is off its path and keeps it balanced: heads are checked
     together first, and only groups whose head was refused rescan their
-    other members.  Winners are taken in candidate order, so each source's
-    claims come out in the dict search's insertion order.
+    other members.  Winners are taken in candidate order, so the next
+    frontier keeps the dict search's FIFO order, which decides the next
+    level's winners.
 
     Returns ``(rows, nodes, negative, depths)``, one entry per claim
     (sources' own depth-0 states excluded), level by level.
@@ -1717,7 +1716,7 @@ def _exact_batch_claims(
         keys = rows * width + in_camp_one * num_nodes + targets
         fresh = np.flatnonzero(~seen[keys])
         _unique, first_seen = np.unique(keys[fresh], return_index=True)
-        claims = fresh[np.sort(first_seen)]
+        claims = fresh[first_seen]
         seen[keys[claims]] = True
         levels.append(
             (rows[claims], targets[claims], in_camp_one[claims], np.full(claims.size, depth))
@@ -1811,56 +1810,33 @@ def balanced_depths(
     max_length: Optional[int] = None,
     exact: bool = False,
     max_expansions: int = DEFAULT_MAX_EXPANSIONS,
-) -> List[Tuple[Dict[int, int], Dict[int, int], bool]]:
-    """The balanced-path searches from many dense sources, as dense depth maps.
+) -> List[Tuple[np.ndarray, np.ndarray, bool]]:
+    """The balanced-path searches from many dense sources, as dense depth rows.
 
-    Returns one ``(positive_depths, negative_depths, truncated)`` triple per
-    source, the depth maps keyed by dense node ids in the dict search's
-    insertion order — no node objects are touched, so the execution layer
-    can run the search in worker processes over a memory-mapped snapshot and
-    remap the depths to node objects in the parent.  ``exact`` selects the
-    SBP enumeration (:func:`_exact_batch_claims`, capped at
-    ``max_expansions`` per source; equal to
-    :meth:`~repro.signed.paths.BalancedPathSearch.search_exact`, flag
-    included) over the SBPH search (:func:`_sbph_batch_claims`, never
-    truncated; equal to
-    :meth:`~repro.signed.paths.BalancedPathSearch.search_heuristic`).
-    Sources advance a batch at a time; a source's result does not depend on
-    the batch it runs in.
+    Returns one ``(positive_row, negative_row, truncated)`` triple per
+    source: ``int32`` rows over dense ids, :data:`UNREACHABLE` where the
+    search recorded no path of that sign.  No node objects are touched, so
+    the execution layer can run the search in worker processes over a
+    memory-mapped snapshot.  ``exact`` selects the SBP enumeration
+    (:func:`_exact_batch_claims`, capped at ``max_expansions`` per source)
+    over the SBPH search (:func:`_sbph_batch_claims`, never truncated).
+    Each node's depth and the flag equal
+    :meth:`~repro.signed.paths.BalancedPathSearch.search_exact` /
+    :meth:`~repro.signed.paths.BalancedPathSearch.search_heuristic`.
+    Sources advance a batch at a time; a source's rows do not depend on its
+    batch.  This allocating version fills one block through
+    :func:`balanced_depths_into` and copies each row out, so a cached row
+    owns its bytes instead of pinning the block.
     """
-    results: List[Tuple[Dict[int, int], Dict[int, int], bool]] = []
-    for _offset, sources, (rows, nodes, negative, depths), truncated in _balanced_batches(
-        csr, source_ids, max_length, exact, max_expansions
-    ):
-        # Claims grouped by (row, sign); the stable sort keeps each group's
-        # claims in claim order.
-        segment_keys = rows * 2 + negative
-        by_segment = np.argsort(segment_keys, kind="stable")
-        bounds = np.searchsorted(
-            segment_keys[by_segment], np.arange(2 * sources.size + 1)
-        ).tolist()
-        node_list = nodes[by_segment].tolist()
-        depth_list = depths[by_segment].tolist()
-        for row, (source, flag) in enumerate(zip(sources.tolist(), truncated.tolist())):
-            positive = {source: 0}
-            low, middle, high = bounds[2 * row : 2 * row + 3]
-            positive.update(zip(node_list[low:middle], depth_list[low:middle]))
-            negative_depths = dict(zip(node_list[middle:high], depth_list[middle:high]))
-            results.append((positive, negative_depths, flag))
-    return results
-
-
-def balanced_heuristic_depths(
-    csr: CSRSignedGraph, source_ids: Sequence[int], max_length: Optional[int] = None
-) -> List[Tuple[Dict[int, int], Dict[int, int]]]:
-    """SBPH ``(positive_depths, negative_depths)`` per dense source.
-
-    :func:`balanced_depths` without the exact mode (and so without the
-    always-false truncation flag).
-    """
+    sources = list(source_ids)
+    positive = np.empty((len(sources), csr.number_of_nodes()), dtype=np.int32)
+    negative = np.empty_like(positive)
+    flags = balanced_depths_into(
+        csr, sources, positive, negative, max_length, exact, max_expansions
+    )
     return [
-        (positive, negative)
-        for positive, negative, _truncated in balanced_depths(csr, source_ids, max_length)
+        (positive[row].copy(), negative[row].copy(), flag)
+        for row, flag in enumerate(flags)
     ]
 
 
@@ -1873,7 +1849,7 @@ def balanced_depths_into(
     exact: bool = False,
     max_expansions: int = DEFAULT_MAX_EXPANSIONS,
 ) -> List[bool]:
-    """:func:`balanced_depths` written as dense ``int32`` rows.
+    """:func:`balanced_depths` written into caller-owned ``int32`` rows.
 
     Row ``i`` of ``positive_out`` / ``negative_out`` receives source ``i``'s
     depths, :data:`UNREACHABLE` where the search recorded none — the
@@ -1892,52 +1868,6 @@ def balanced_depths_into(
         negative_out[rows[negative], nodes[negative]] = depths[negative]
         flags.extend(truncated.tolist())
     return flags
-
-
-def balanced_result_from_depths(
-    csr: CSRSignedGraph,
-    source: Node,
-    positive_depths: Dict[int, int],
-    negative_depths: Dict[int, int],
-    max_length: Optional[int] = None,
-    exact: bool = False,
-    truncated: bool = False,
-) -> BalancedPathResult:
-    """Re-key dense depth maps to node objects as a :class:`BalancedPathResult`.
-
-    The single place the dense search output (:func:`balanced_depths`,
-    local or shipped back from a worker) becomes the node-keyed result the
-    relations cache — keeping the bound rule and the remap in one spot so the
-    serial and pooled paths cannot drift apart.
-    """
-    nodes = csr._nodes
-    bound = max_length if max_length is not None else csr.number_of_nodes() - 1
-    result = BalancedPathResult(
-        source=source, exact=exact, max_length=bound, truncated=truncated
-    )
-    for dense, length in positive_depths.items():
-        result.positive_lengths[nodes[dense]] = length
-    for dense, length in negative_depths.items():
-        result.negative_lengths[nodes[dense]] = length
-    return result
-
-
-def balanced_heuristic_search_csr(
-    csr: CSRSignedGraph, source: Node, max_length: Optional[int] = None
-) -> BalancedPathResult:
-    """SBPH's prefix-property search as an indexed (node, sign)-state BFS.
-
-    A batch of one through :func:`balanced_heuristic_depths`; the output is
-    **bit-identical** to
-    :meth:`repro.signed.paths.BalancedPathSearch.search_heuristic` — same
-    representative per state, same recorded path lengths.
-    """
-    [(positive_depths, negative_depths)] = balanced_heuristic_depths(
-        csr, [csr.index_of(source)], max_length
-    )
-    return balanced_result_from_depths(
-        csr, source, positive_depths, negative_depths, max_length
-    )
 
 
 class CSRLengths:
@@ -1959,8 +1889,8 @@ class CSRLengths:
         dense = self._graph._index.get(node)
         if dense is None:
             return default
-        value = self._lengths[dense]
-        return default if value == UNREACHABLE else int(value)
+        value = self._lengths.item(dense)
+        return default if value == UNREACHABLE else value
 
     def __getitem__(self, node: Node) -> int:
         value = self.get(node)
@@ -1969,7 +1899,8 @@ class CSRLengths:
         return value
 
     def __contains__(self, node: Node) -> bool:
-        return self.get(node) is not None
+        dense = self._graph._index.get(node)
+        return dense is not None and self._lengths.item(dense) != UNREACHABLE
 
     def __len__(self) -> int:
         return int((self._lengths != UNREACHABLE).sum())
@@ -1991,3 +1922,22 @@ class CSRLengths:
         nodes = self._graph._nodes
         for dense in np.flatnonzero(self._lengths != UNREACHABLE):
             yield nodes[dense], int(self._lengths[dense])
+
+    def row_in(self, csr: CSRSignedGraph) -> np.ndarray:
+        """The lengths as a row over ``csr``'s dense ids (:data:`UNREACHABLE`
+        where none).
+
+        The array itself when ``csr`` shares this view's dense ids; a view
+        built on a snapshot with another node set (a cached result that
+        survived a node insertion or removal elsewhere) is remapped through
+        its own node list, dropping nodes ``csr`` lacks.
+        """
+        if self._graph.shares_index_with(csr):
+            return self._lengths
+        row = np.full(csr.number_of_nodes(), UNREACHABLE, dtype=self._lengths.dtype)
+        index = csr._index
+        for node, length in self.items():
+            dense = index.get(node)
+            if dense is not None:
+                row[dense] = length
+        return row

@@ -300,6 +300,9 @@ class BalancedPathResult:
     the length of the shortest structurally balanced path of that sign found
     by the search.  For the exact search these are true minima (within the
     configured length cap); for the heuristic search they are upper bounds.
+    The CSR backend's results hold read-only
+    :class:`~repro.signed.csr.CSRLengths` views over the search's dense
+    depth rows instead of dicts; read them by node.
     """
 
     source: Node

@@ -553,6 +553,8 @@ class TestDenseRowStatistics:
     def test_direct_negative_edges_stay_incompatible(self, two_factions):
         # Negative Edge Incompatibility holds by the mask alone, even when a
         # search reports a positive path to an enemy.
+        from repro.signed.csr import UNREACHABLE
+
         relation = make_relation("SBPH", two_factions, policy=DENSE)
         enemies = {node: set(two_factions.negative_neighbors(node)) for node in two_factions}
         searches = relation.batch_search
@@ -560,8 +562,12 @@ class TestDenseRowStatistics:
         def claiming_enemies(sources):
             results = searches(sources)
             for result in results:
-                for enemy in enemies[result.source]:
-                    result.positive_lengths.setdefault(enemy, 1)
+                # The CSR result's positive depth row, written in place.
+                row = result.positive_lengths._lengths
+                csr = result.positive_lengths._graph
+                for enemy in map(csr.index_of, enemies[result.source]):
+                    if row[enemy] == UNREACHABLE:
+                        row[enemy] = 1
             return results
 
         relation.batch_search = claiming_enemies

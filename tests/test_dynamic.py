@@ -404,6 +404,49 @@ class TestRelationsUnderChurn:
                 assert relation.compatible_with(node) == cold.compatible_with(node), name
 
 
+def two_component_graph(seed: int) -> SignedGraph:
+    """Two planted-faction components, ``("a", i)`` nodes inserted first."""
+    graph = SignedGraph()
+    for label, size in (("a", 14), ("b", 18)):
+        part, _ = planted_factions_graph(size, average_degree=3.0, sign_noise=0.2, seed=seed)
+        for edge in part.edges():
+            graph.add_edge((label, edge.u), (label, edge.v), edge.sign)
+    return graph
+
+
+class TestBalancedRowsAcrossNodeSetChanges:
+    """CSR balanced results that survive a node insertion or removal in
+    another component were computed on a snapshot with other dense ids;
+    the symmetric closure and the statistics must read them remapped."""
+
+    @pytest.mark.parametrize("name", ["SBP", "SBPH"])
+    @pytest.mark.parametrize("mutation", ["add_node", "remove_node"])
+    def test_surviving_results_match_dict_backend(self, name, mutation):
+        from repro.compatibility import average_compatible_distance
+
+        graph = two_component_graph(seed=23)
+        relation = make_relation(name, graph, max_expansions=2_000, policy=CSR)
+        relation.batch_search(graph.nodes())  # every search on the old snapshot
+        old = graph.csr_view()
+        if mutation == "add_node":
+            graph.add_node(("c", 0))
+        else:
+            # The first node: every later dense id shifts down by one.
+            graph.remove_node(graph.nodes()[0])
+        assert not graph.csr_view().shares_index_with(old)
+        survivors = [node for node in graph.nodes() if node[0] == "b"]
+        assert all(node in relation._result_cache for node in survivors)
+        reference = make_relation(name, graph.copy(), max_expansions=2_000, policy=DICT)
+        for node in survivors:
+            assert relation.compatible_with(node) == reference.compatible_with(node), node
+        for u in survivors[:6]:
+            for v in survivors[6:12]:
+                assert relation.positive_balanced_distance(
+                    u, v
+                ) == reference.positive_balanced_distance(u, v)
+        assert average_compatible_distance(relation) == average_compatible_distance(reference)
+
+
 class TestEngineUnderChurn:
     def build(self, backend="csr", seed=17):
         graph, _ = planted_factions_graph(

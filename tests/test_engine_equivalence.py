@@ -38,8 +38,9 @@ from repro.experiments.config import default_config
 from repro.experiments.workloads import build_dataset_context
 from repro.signed import SignedGraph, signed_bfs
 from repro.signed.csr import (
-    balanced_heuristic_depths,
-    balanced_heuristic_search_csr,
+    UNREACHABLE,
+    balanced_depths,
+    balanced_depths_into,
     multi_source_shortest_path_lengths_csr,
     multi_source_signed_bfs,
     sbph_batch_size,
@@ -498,19 +499,28 @@ def sbph_batch_scenarios(draw):
     return graph, sources
 
 
+def depth_map(csr, row):
+    """A dense depth row as ``{node: depth}`` over the nodes it reaches."""
+    nodes = csr._nodes
+    return {nodes[dense]: depth for dense, depth in enumerate(row.tolist()) if depth != UNREACHABLE}
+
+
 class TestSBPHCSRSearch:
-    """The (node, sign)-state CSR search is bit-identical to the dict search."""
+    """The (node, sign)-state CSR search finds the dict search's depths."""
 
     def _assert_identical(self, graph, sources=None, max_length=None):
         search = BalancedPathSearch(graph, max_length=max_length)
-        csr = graph.csr_view()
+        relation = make_relation(
+            "SBPH", graph, max_path_length=max_length, policy=ExecutionPolicy(backend="csr")
+        )
         for source in sources if sources is not None else graph.nodes():
             expected = search.search_heuristic(source)
-            got = balanced_heuristic_search_csr(csr, source, max_length=max_length)
-            assert got.positive_lengths == expected.positive_lengths, source
-            assert got.negative_lengths == expected.negative_lengths, source
+            got = relation._search_from(source)
+            assert dict(got.positive_lengths.items()) == expected.positive_lengths, source
+            assert dict(got.negative_lengths.items()) == expected.negative_lengths, source
             assert got.exact == expected.exact
             assert got.max_length == expected.max_length
+            assert got.truncated == expected.truncated
 
     def test_figure_1b(self, figure_1b):
         self._assert_identical(figure_1b)
@@ -538,40 +548,40 @@ class TestSBPHCSRSearch:
 
     def test_negative_max_length_rejected(self, two_factions):
         with pytest.raises(ValueError):
-            balanced_heuristic_search_csr(two_factions.csr_view(), 0, max_length=-1)
+            balanced_depths(two_factions.csr_view(), [0], max_length=-1)
 
     def test_batched_core_rejects_negative_max_length(self, two_factions):
+        import numpy as np
+
+        out = np.empty((2, two_factions.number_of_nodes()), dtype=np.int32)
         with pytest.raises(ValueError):
-            balanced_heuristic_depths(two_factions.csr_view(), [0, 3], max_length=-1)
+            balanced_depths_into(
+                two_factions.csr_view(), [0, 3], out, out.copy(), max_length=-1
+            )
 
     @pytest.mark.parametrize("max_length", (0, 1, 2, 4, None))
     @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(scenario=sbph_batch_scenarios())
     def test_batched_core_matches_dict_search(self, scenario, max_length):
         """One batch of the dense core equals the dict search from every
-        source of it: same depths, same key order, whatever else shares the
-        batch."""
+        source of it: same depth per node, whatever else shares the batch."""
         graph, sources = scenario
         csr = graph.csr_view()
         assert csr.degrees().max() >= HUB_LEAVES
         assert len(sources) <= sbph_batch_size(csr)
-        nodes = csr._nodes
         dense = [csr.index_of(source) for source in sources]
-        batch = balanced_heuristic_depths(csr, dense, max_length=max_length)
+        batch = balanced_depths(csr, dense, max_length=max_length)
         search = BalancedPathSearch(graph, max_length=max_length)
-        for source, source_id, (positive, negative) in zip(sources, dense, batch):
+        for source, source_id, (positive, negative, truncated) in zip(sources, dense, batch):
             expected = search.search_heuristic(source)
-            assert [(nodes[k], v) for k, v in positive.items()] == list(
-                expected.positive_lengths.items()
-            )
-            assert [(nodes[k], v) for k, v in negative.items()] == list(
-                expected.negative_lengths.items()
-            )
-            [(alone_positive, alone_negative)] = balanced_heuristic_depths(
+            assert depth_map(csr, positive) == expected.positive_lengths
+            assert depth_map(csr, negative) == expected.negative_lengths
+            assert truncated is False
+            [(alone_positive, alone_negative, _flag)] = balanced_depths(
                 csr, [source_id], max_length=max_length
             )
-            assert list(alone_positive.items()) == list(positive.items())
-            assert list(alone_negative.items()) == list(negative.items())
+            assert alone_positive.tolist() == positive.tolist()
+            assert alone_negative.tolist() == negative.tolist()
 
     @pytest.mark.parametrize("seed", (3, 4))
     def test_sbph_relation_backends_agree(self, seed):

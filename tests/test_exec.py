@@ -107,6 +107,20 @@ def pool_policy(backend: str = "auto", workers: int = 2, **kwargs) -> ExecutionP
     )
 
 
+def assert_same_depth_rows(pooled, serial):
+    """Pooled and serial ``csr_sbph`` triples: equal rows and flags, and
+    every row owns its bytes (copied out of the arena or the batch block)."""
+    assert len(pooled) == len(serial)
+    for (positive, negative, flag), (want_positive, want_negative, want_flag) in zip(
+        pooled, serial
+    ):
+        assert positive.tobytes() == want_positive.tobytes()
+        assert negative.tobytes() == want_negative.tobytes()
+        assert flag == want_flag
+        for row in (positive, negative, want_positive, want_negative):
+            assert row.dtype.str == "<i4" and row.base is None
+
+
 def build_stack(graph, name: str, policy: ExecutionPolicy):
     """(relation, oracle, engine) under one policy."""
     kwargs = {}
@@ -351,11 +365,24 @@ class TestResultArena:
         csr, dense = self._dense_sources(graph)
         pooled = executor.map_kernel("csr_sbph", csr, dense, {"max_length": None})
         serial = serial_executor().map_kernel("csr_sbph", csr, dense, {"max_length": None})
-        assert pooled == serial
+        assert_same_depth_rows(pooled, serial)
+
+    def test_exact_sbp_rows_decode_identical(self, graph):
+        """Exact SBP through the arena: the same rows and truncation flags
+        as the serial kernel, with some sources cut at the expansion cap."""
+        pytest.importorskip("numpy")
+        executor = executor_for(pool_policy("csr"))
+        csr, dense = self._dense_sources(graph)
+        params = {"exact": True, "max_length": 4, "max_expansions": 3000}
+        pooled = executor.map_kernel("csr_sbph", csr, dense, params)
+        serial = serial_executor().map_kernel("csr_sbph", csr, dense, params)
+        assert_same_depth_rows(pooled, serial)
+        flags = [flag for _positive, _negative, flag in serial]
+        assert any(flags) and not all(flags)
 
     def test_sbph_depths_decode_identical_across_batches(self):
         """Every worker chunk spans several SBPH batches: the arena rows
-        still decode to the serial kernel's depth maps, and shutdown leaves
+        still decode to the serial kernel's depth rows, and shutdown leaves
         no result segment or snapshot file behind."""
         pytest.importorskip("numpy")
         from repro.signed.csr import sbph_batch_size
@@ -384,7 +411,7 @@ class TestResultArena:
         serial = serial_executor().map_kernel(
             "csr_sbph", reference, sources, {"max_length": None}
         )
-        assert pooled == serial
+        assert_same_depth_rows(pooled, serial)
         del pooled
         pool_module.shutdown_pools()
         assert not pool_module._SEGMENT_LEDGER

@@ -242,10 +242,20 @@ class TestBalancedPathSearch:
 
 
 def csr_exact_results(graph, sources, max_length, max_expansions):
-    """``search_exact`` for every source through the batched CSR core."""
-    from repro.signed.csr import balanced_depths, balanced_result_from_depths
+    """``search_exact`` for every source through the batched CSR core, its
+    depth rows read back into node-keyed maps."""
+    from repro.signed.csr import UNREACHABLE, balanced_depths
 
     csr = graph.csr_view()
+    nodes = csr._nodes
+
+    def depth_map(row):
+        return {
+            nodes[dense]: depth
+            for dense, depth in enumerate(row.tolist())
+            if depth != UNREACHABLE
+        }
+
     depths = balanced_depths(
         csr,
         [csr.index_of(source) for source in sources],
@@ -254,17 +264,17 @@ def csr_exact_results(graph, sources, max_length, max_expansions):
         max_expansions=max_expansions,
     )
     return [
-        balanced_result_from_depths(
-            csr, source, positive, negative, max_length, exact=True, truncated=truncated
+        BalancedPathResult(
+            source, depth_map(positive), depth_map(negative), truncated=truncated
         )
         for source, (positive, negative, truncated) in zip(sources, depths)
     ]
 
 
 def assert_same_search(got, want):
-    """Depth maps (contents and key order) and the truncation flag agree."""
-    assert list(got.positive_lengths.items()) == list(want.positive_lengths.items())
-    assert list(got.negative_lengths.items()) == list(want.negative_lengths.items())
+    """The depth per node and the truncation flag agree."""
+    assert got.positive_lengths == want.positive_lengths
+    assert got.negative_lengths == want.negative_lengths
     assert got.truncated == want.truncated
 
 
