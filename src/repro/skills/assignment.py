@@ -4,16 +4,99 @@
 answers both directions in O(1) per lookup — "which skills does user *u*
 have?" (needed when growing a team) and "which users have skill *s*?" (needed
 when selecting candidates for an uncovered skill).
+
+The bulk generators hand the class grouped index arrays instead of a Python
+set per user (:meth:`SkillAssignment._from_groups`).  Such an assignment
+builds a key's set the first time the key is read, and answers counts, key
+lists and membership from the groups without building any set.  The first
+mutation, :meth:`~SkillAssignment.as_dict` or ``==`` fills both maps in full;
+from then on it is an ordinary pair of dicts.  Every set is built in the same
+insertion order either way, so no read, iteration order included, depends on
+how the assignment was built.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
+from typing import (
+    Any,
+    Dict,
+    FrozenSet,
+    Hashable,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Union,
+)
 
 from repro.exceptions import UnknownSkillError
 
 User = Hashable
 Skill = Hashable
+
+
+class _GroupedSets:
+    """Read-only ``{key: set}`` map over grouped index arrays.
+
+    Group ``g`` belongs to ``keys[g]`` and holds the member ids
+    ``members[starts[g]:starts[g + 1]]`` in insertion order; ``labels[id]``
+    is a member's label.  ``starts`` and ``members`` are integer arrays (this
+    module never imports numpy: it only slices them and calls ``tolist``);
+    ``starts`` is kept as a list, for cheap sizes.  A key's set is built by
+    its first :meth:`get` and kept; its size, the keys and membership need
+    no set.  A repeated key maps to its last group.
+    """
+
+    __slots__ = ("_groups", "_starts", "_members", "_labels", "_built")
+
+    def __init__(
+        self,
+        keys: Sequence[Hashable],
+        starts: Any,
+        members: Any,
+        labels: Sequence[Hashable],
+    ) -> None:
+        self._groups: Dict[Hashable, int] = dict(zip(keys, range(len(keys))))
+        self._starts: List[int] = starts.tolist()
+        self._members = members
+        self._labels = labels
+        self._built: Dict[Hashable, Set[Hashable]] = {}
+
+    def __contains__(self, key: Hashable) -> bool:
+        return key in self._groups
+
+    def __len__(self) -> int:
+        return len(self._groups)
+
+    def __iter__(self) -> Iterator[Hashable]:
+        return iter(self._groups)
+
+    def get(self, key: Hashable, default: Any = None) -> Any:
+        found = self._built.get(key)
+        if found is None:
+            group = self._groups.get(key)
+            if group is None:
+                return default
+            ids = self._members[self._starts[group] : self._starts[group + 1]].tolist()
+            found = self._built[key] = set(map(self._labels.__getitem__, ids))
+        return found
+
+    def size(self, key: Hashable) -> int:
+        """Members of ``key``'s group (0 for unknown keys), without its set."""
+        group = self._groups.get(key)
+        if group is None:
+            return 0
+        return self._starts[group + 1] - self._starts[group]
+
+    def filled(self) -> Dict[Hashable, Set[Hashable]]:
+        """Every key's set, in key order."""
+        return {key: self.get(key) for key in self._groups}
+
+
+_SetMap = Union[Dict[Hashable, Set[Hashable]], _GroupedSets]
 
 
 class SkillAssignment:
@@ -28,11 +111,14 @@ class SkillAssignment:
     ['alice', 'bob']
     >>> assignment.skill_frequency("sql")
     2
+
+    An assignment from :meth:`_from_groups` builds each key's set on its
+    first read; a mutation, :meth:`as_dict` or ``==`` first fills both maps.
     """
 
     def __init__(self, assignment: Optional[Mapping[User, Iterable[Skill]]] = None) -> None:
-        self._user_skills: Dict[User, Set[Skill]] = {}
-        self._skill_users: Dict[Skill, Set[User]] = {}
+        self._user_skills: _SetMap = {}
+        self._skill_users: _SetMap = {}
         if assignment:
             for user, skills in assignment.items():
                 self.add_user(user, skills)
@@ -40,35 +126,58 @@ class SkillAssignment:
     # ------------------------------------------------------------------ build
 
     @classmethod
-    def _from_maps(
+    def _from_groups(
         cls,
-        user_skills: Dict[User, Set[Skill]],
-        skill_users: Dict[Skill, Set[User]],
+        users: Sequence[User],
+        skills: Sequence[Skill],
+        user_starts: Any,
+        user_members: Any,
+        skill_starts: Any,
+        skill_members: Any,
     ) -> "SkillAssignment":
-        """Adopt pre-built forward/inverse maps without per-pair insertion.
+        """Adopt grouped index arrays without building a set per key.
 
-        Internal constructor for bulk generators: the two maps must be exact
-        inverses of each other and ``skill_users`` must contain no empty sets
-        (the invariant :meth:`remove_skill_from_user` maintains).
+        Internal constructor for bulk generators.  ``users[i]`` holds the
+        skills ``skills[j]`` for ``j`` in
+        ``user_members[user_starts[i]:user_starts[i + 1]]`` and ``skills[j]``
+        is held by the users ``users[i]`` for ``i`` in
+        ``skill_members[skill_starts[j]:skill_starts[j + 1]]``, each in
+        insertion order.  Both groupings must list the same distinct pairs,
+        ``skills`` must be distinct and every skill group non-empty (the
+        invariant :meth:`remove_skill_from_user` maintains).  ``users()`` and
+        ``skills()`` follow the two lists.  Repeated user labels, where group
+        sizes would overcount, fill both maps at once.
         """
         assignment = cls()
-        assignment._user_skills = user_skills
-        assignment._skill_users = skill_users
+        assignment._user_skills = _GroupedSets(users, user_starts, user_members, skills)
+        assignment._skill_users = _GroupedSets(skills, skill_starts, skill_members, users)
+        if len(assignment._user_skills) < len(users):
+            assignment._fill()
         return assignment
+
+    def _fill(self) -> None:
+        """Build every set of a grouped assignment; a no-op once dict-built."""
+        if isinstance(self._user_skills, _GroupedSets):
+            self._user_skills = self._user_skills.filled()
+        if isinstance(self._skill_users, _GroupedSets):
+            self._skill_users = self._skill_users.filled()
 
     def add_user(self, user: User, skills: Iterable[Skill] = ()) -> None:
         """Register ``user`` with the given skills (merging with existing ones)."""
+        self._fill()
         self._user_skills.setdefault(user, set())
         for skill in skills:
             self.add_skill_to_user(user, skill)
 
     def add_skill_to_user(self, user: User, skill: Skill) -> None:
         """Give ``skill`` to ``user`` (registering both if needed)."""
+        self._fill()
         self._user_skills.setdefault(user, set()).add(skill)
         self._skill_users.setdefault(skill, set()).add(user)
 
     def remove_skill_from_user(self, user: User, skill: Skill) -> None:
         """Remove ``skill`` from ``user`` (no-op if the user lacks the skill)."""
+        self._fill()
         if user in self._user_skills:
             self._user_skills[user].discard(skill)
         if skill in self._skill_users:
@@ -105,10 +214,10 @@ class SkillAssignment:
 
     def users_with(self, skill: Skill) -> FrozenSet[User]:
         """The set of users possessing ``skill``; raises for unknown skills."""
-        try:
-            return frozenset(self._skill_users[skill])
-        except KeyError:
-            raise UnknownSkillError(skill) from None
+        found = self._skill_users.get(skill)
+        if found is None:
+            raise UnknownSkillError(skill)
+        return frozenset(found)
 
     def has_skill(self, user: User, skill: Skill) -> bool:
         """True iff ``user`` possesses ``skill``."""
@@ -116,6 +225,8 @@ class SkillAssignment:
 
     def skill_frequency(self, skill: Skill) -> int:
         """Number of users possessing ``skill`` (0 for unknown skills)."""
+        if isinstance(self._skill_users, _GroupedSets):
+            return self._skill_users.size(skill)
         return len(self._skill_users.get(skill, ()))
 
     def covers(self, users: Iterable[User], skills: Iterable[Skill]) -> bool:
@@ -147,11 +258,14 @@ class SkillAssignment:
 
     def as_dict(self) -> Dict[User, Set[Skill]]:
         """Return a plain ``{user: set_of_skills}`` dictionary copy."""
+        self._fill()
         return {user: set(skills) for user, skills in self._user_skills.items()}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SkillAssignment):
             return NotImplemented
+        self._fill()
+        other._fill()
         return self._user_skills == other._user_skills
 
     def __repr__(self) -> str:

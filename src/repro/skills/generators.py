@@ -10,7 +10,7 @@ the per-user skill count distribution are configurable.
 from __future__ import annotations
 
 import random
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.skills.assignment import Skill, SkillAssignment, User
 from repro.utils.rng import RandomState, ensure_rng
@@ -132,11 +132,12 @@ def _assign_zipf_vectorised(
     Same semantics as the legacy loop — exact per-skill frequencies (clamped
     to the population), uniform holders without replacement, no skill-less
     users — but each skill's holder set is one ``Generator.choice`` call and
-    the bidirectional maps are built from grouped index arrays instead of
-    per-pair dict insertions.
+    the assignment adopts the grouped index arrays of the drawn pairs
+    (:func:`_grouped_assignment`): no Python set is built until a key is
+    read.  Each set is built in the order the legacy maps inserted into it —
+    a user's skills by rank, then its fix-up skill; a skill's users in
+    drawing order, then the fixed-up users.
     """
-    from repro.signed.ingest import _group_keys
-
     np = _np
     if isinstance(seed, random.Random):
         rng = np.random.default_rng(seed.getrandbits(64))
@@ -162,6 +163,8 @@ def _assign_zipf_vectorised(
     skillless = np.flatnonzero(counts == 0)
     extra_ranks = rng.integers(0, len(skill_names), size=skillless.size)
 
+    # The skill-less fixup guarantees every user index appears, and every
+    # chunk is non-empty, so each label owns a group.
     user_idx = np.concatenate(holder_chunks + [skillless])
     skill_idx = np.concatenate(
         [
@@ -170,27 +173,34 @@ def _assign_zipf_vectorised(
         ]
         + [extra_ranks.astype(np.int64)]
     )
+    return _grouped_assignment(user_list, skill_names, user_idx, skill_idx)
 
-    # The skill-less fixup guarantees every user index appears, so the groups
-    # enumerate exactly the full population, each in assignment order.
-    order, group_starts, first = _group_keys(user_idx, stable=True)
-    starts = group_starts.tolist() + [order.shape[0]]
-    group_owner = user_idx[first].tolist()
-    sorted_names = list(map(skill_names.__getitem__, skill_idx[order].tolist()))
 
-    user_skills: Dict[User, set] = {
-        user_list[owner]: set(sorted_names[start:end])
-        for owner, start, end in zip(group_owner, starts, starts[1:])
-    }
+def _grouped_assignment(
+    users: Sequence[User],
+    skills: Sequence[Skill],
+    user_idx: "_np.ndarray",
+    skill_idx: "_np.ndarray",
+) -> SkillAssignment:
+    """The assignment of the pairs ``(users[user_idx[k]], skills[skill_idx[k]])``.
 
-    skill_users: Dict[Skill, set] = {
-        skill_names[rank]: set(map(user_list.__getitem__, chunk.tolist()))
-        for rank, chunk in enumerate(holder_chunks)
-    }
-    for index, rank in zip(skillless.tolist(), extra_ranks.tolist()):
-        skill_users[skill_names[rank]].add(user_list[index])
+    The pairs are distinct and listed in insertion order, and every index of
+    both label lists occurs, so group ``g`` of either stable grouping belongs
+    to label ``g``.  Builds no set: see :meth:`SkillAssignment._from_groups`.
+    """
+    from repro.signed.ingest import _group_keys
 
-    return SkillAssignment._from_maps(user_skills, skill_users)
+    np = _np
+    user_order, user_starts, _ = _group_keys(user_idx, stable=True)
+    skill_order, skill_starts, _ = _group_keys(skill_idx, stable=True)
+    return SkillAssignment._from_groups(
+        users,
+        skills,
+        np.append(user_starts, user_idx.size),
+        skill_idx[user_order],
+        np.append(skill_starts, skill_idx.size),
+        user_idx[skill_order],
+    )
 
 
 def assign_skills_uniform(

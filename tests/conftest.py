@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.datasets import figure_1a_graph, figure_1b_graph, toy_dataset
+from repro.exceptions import UnknownSkillError
 from repro.signed import CSRSignedGraph, SignedGraph
 from repro.signed.generators import planted_factions_graph
 from repro.skills import SkillAssignment, Task
@@ -146,3 +147,56 @@ def install_shuffled_snapshot():
     """``install(graph, seed)``: shuffle the dense ids of ``graph``'s CSR
     snapshot, so code that assumes they follow ``graph.nodes()`` shows it."""
     return _install_shuffled_snapshot
+
+
+def _assert_same_skill_reads(assignment, reference, users, skills) -> None:
+    """``assignment`` answers every public read as ``reference`` does,
+    iteration order included, for the probe ``users`` and ``skills`` (known
+    and unknown labels).  The whole-map reads, which fill a grouped
+    assignment, come last."""
+    assert len(assignment) == len(reference)
+    assert list(assignment) == list(reference)
+    assert assignment.users() == reference.users()
+    assert assignment.skills() == reference.skills()
+    assert assignment.number_of_skills() == reference.number_of_skills()
+    assert repr(assignment) == repr(reference)
+    known_skills = set(reference.skills())
+    for user in users:
+        assert (user in assignment) == (user in reference)
+        assert list(assignment.skills_of(user)) == list(reference.skills_of(user))
+        for skill in skills:
+            assert assignment.has_skill(user, skill) == reference.has_skill(user, skill)
+    for skill in skills:
+        assert assignment.skill_frequency(skill) == reference.skill_frequency(skill)
+        if skill in known_skills:
+            assert list(assignment.users_with(skill)) == list(reference.users_with(skill))
+        else:
+            with pytest.raises(UnknownSkillError):
+                assignment.users_with(skill)
+    for team in (users[::2], users[1::3], []):
+        assert list(assignment.covered_skills(team)) == list(reference.covered_skills(team))
+        assert assignment.missing_skills(team, skills) == reference.missing_skills(
+            team, skills
+        )
+        for wanted in (skills[:1], skills[1:3], skills):
+            assert assignment.covers(team, wanted) == reference.covers(team, wanted)
+        subset, expected = assignment.restricted_to(team), reference.restricted_to(team)
+        assert subset.users() == expected.users()
+        assert subset.skills() == expected.skills()
+        assert [list(subset.skills_of(u)) for u in team] == [
+            list(expected.skills_of(u)) for u in team
+        ]
+    payload, expected_payload = assignment.as_dict(), reference.as_dict()
+    assert payload == expected_payload
+    assert [list(found) for found in payload.values()] == [
+        list(found) for found in expected_payload.values()
+    ]
+    assert assignment == reference
+    assert reference == assignment
+
+
+@pytest.fixture(scope="session")
+def assert_same_skill_reads():
+    """``check(assignment, reference, users, skills)``: every public read of
+    the two skill assignments agrees, iteration order included."""
+    return _assert_same_skill_reads

@@ -489,12 +489,10 @@ class TestSameSeedGroupings:
         assignment, expected = self.run_both(
             monkeypatch, lambda: assign_skills_zipf(users, 60, 3.0, seed=seed)
         )
-        assert assignment == expected
-        assert list(assignment._user_skills) == list(expected._user_skills)
+        assert assignment.users() == expected.users()
         for user in users:
-            assert list(assignment._user_skills[user]) == list(
-                expected._user_skills[user]
-            )
+            assert list(assignment.skills_of(user)) == list(expected.skills_of(user))
+        assert assignment == expected
 
 
 class TestTokenModeIngest:

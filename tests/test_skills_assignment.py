@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import UnknownSkillError
 from repro.skills import SkillAssignment, Task
@@ -72,6 +74,145 @@ class TestSkillAssignment:
     def test_iteration_and_contains(self, simple_assignment):
         assert "a" in simple_assignment
         assert set(iter(simple_assignment)) == {"a", "b", "c", "d", "e"}
+
+
+
+@st.composite
+def pair_sequences(draw):
+    """Users (int or string labels, some without a skill) and distinct
+    ``(user position, skill position)`` pairs in insertion order."""
+    num_users = draw(st.integers(1, 18))
+    num_skills = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        users = [f"user-{i}" for i in range(num_users)]
+    else:
+        users = [7 * i - 40 for i in range(num_users)]
+    users = draw(st.permutations(users))
+    skills = [f"skill-{j}" for j in range(num_skills)]
+    every_pair = [(i, j) for i in range(num_users) for j in range(num_skills)]
+    pairs = draw(st.lists(st.sampled_from(every_pair), unique=True, max_size=len(every_pair)))
+    return users, skills, pairs
+
+
+def grouped_and_dict_built(users, skills, pairs):
+    """The same pairs as a :meth:`SkillAssignment._from_groups` assignment
+    and as a dict-built one (``add_user`` for each user, then
+    ``add_skill_to_user`` pair by pair)."""
+    np = pytest.importorskip("numpy")
+    universe = list(dict.fromkeys(j for _, j in pairs))  # first appearance
+    position = {j: p for p, j in enumerate(universe)}
+    by_user = [[] for _ in users]
+    by_skill = [[] for _ in universe]
+    for i, j in pairs:
+        by_user[i].append(position[j])
+        by_skill[position[j]].append(i)
+
+    def arrays(groups):
+        starts = np.cumsum([0] + [len(group) for group in groups])
+        members = np.array([m for group in groups for m in group], dtype=np.int64)
+        return starts, members
+
+    grouped = SkillAssignment._from_groups(
+        users, [skills[j] for j in universe], *arrays(by_user), *arrays(by_skill)
+    )
+    reference = SkillAssignment()
+    for user in users:
+        reference.add_user(user)
+    for i, j in pairs:
+        reference.add_skill_to_user(users[i], skills[j])
+    return grouped, reference
+
+
+def mutations(users, skills):
+    """Steps calling every mutator; the last one takes a skill from each
+    holder, down to the last."""
+
+    def drop_every_holder(assignment):
+        if skills[0] in assignment.skills():
+            for user in sorted(assignment.users_with(skills[0]), key=str):
+                assignment.remove_skill_from_user(user, skills[0])
+
+    return [
+        lambda assignment: assignment.add_user("newcomer", [skills[0], "fresh-skill"]),
+        lambda assignment: assignment.add_skill_to_user(users[0], "late-skill"),
+        lambda assignment: assignment.add_skill_to_user(users[-1], skills[-1]),
+        lambda assignment: assignment.remove_skill_from_user(users[0], "never-held"),
+        lambda assignment: assignment.remove_skill_from_user("ghost", skills[0]),
+        drop_every_holder,
+    ]
+
+
+class TestGroupedAssignment:
+    """An assignment adopted from grouped index arrays reads like the
+    dict-built one with the same pairs, before and after mutations."""
+
+    @given(case=pair_sequences())
+    @settings(
+        max_examples=80,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_reads_match_dict_built(self, case, assert_same_skill_reads):
+        users, skills, pairs = case
+        grouped, reference = grouped_and_dict_built(users, skills, pairs)
+        probes_users = users + ["ghost", 10_000]
+        probes_skills = skills + ["unknown-skill"]
+        assert_same_skill_reads(grouped, reference, probes_users, probes_skills)
+
+    @given(case=pair_sequences(), order=st.permutations(range(6)), read_first=st.booleans())
+    @settings(
+        max_examples=80,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_reads_match_after_mutations(
+        self, case, order, read_first, assert_same_skill_reads
+    ):
+        users, skills, pairs = case
+        grouped, reference = grouped_and_dict_built(users, skills, pairs)
+        if read_first:  # sets built before the fill are the ones it keeps
+            grouped.skills_of(users[0])
+            if grouped.skills():
+                grouped.users_with(grouped.skills()[0])
+        steps = mutations(users, skills)
+        for index in order:  # each mutator must fill first, whichever runs first
+            steps[index](grouped)
+            steps[index](reference)
+        probes_users = users + ["newcomer", "ghost"]
+        probes_skills = skills + ["fresh-skill", "late-skill", "unknown-skill"]
+        assert_same_skill_reads(grouped, reference, probes_users, probes_skills)
+
+    def test_group_reads_build_no_set(self):
+        users, skills = ["a", "b", "c"], ["x", "y"]
+        grouped, _ = grouped_and_dict_built(users, skills, [(1, 1), (0, 1), (1, 0)])
+        assert grouped.users() == ["a", "b", "c"]
+        assert grouped.skills() == ["y", "x"]
+        assert len(grouped) == 3 and grouped.number_of_skills() == 2
+        assert "c" in grouped and "z" not in grouped and list(grouped) == users
+        assert grouped.skill_frequency("y") == 2 and grouped.skill_frequency("z") == 0
+        assert not grouped._user_skills._built and not grouped._skill_users._built
+        assert grouped.skills_of("c") == frozenset()
+        assert grouped.users_with("x") == frozenset({"b"})
+        assert list(grouped._user_skills._built) == ["c"]
+        assert list(grouped._skill_users._built) == ["x"]
+
+    def test_repeated_user_labels_fill_at_once(self):
+        np = pytest.importorskip("numpy")
+        # Group 0 and group 2 both belong to "a": the last one wins, as in a
+        # dict comprehension, and "a" counts once per skill.
+        grouped = SkillAssignment._from_groups(
+            ["a", "b", "a"],
+            ["x", "y"],
+            np.array([0, 1, 2, 4]),
+            np.array([0, 0, 0, 1]),
+            np.array([0, 3, 4]),
+            np.array([0, 1, 2, 2]),
+        )
+        assert isinstance(grouped._user_skills, dict)
+        assert grouped.users() == ["a", "b"]
+        assert grouped.skills_of("a") == frozenset({"x", "y"})
+        assert grouped.skill_frequency("x") == 2
+        assert grouped.users_with("y") == frozenset({"a"})
 
 
 class TestTask:

@@ -2,7 +2,14 @@
 
 from __future__ import annotations
 
+import gc
+from unittest import mock
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import repro.skills.generators as generators
 
 from repro.skills import (
     SkillAssignment,
@@ -107,6 +114,102 @@ class TestAssignSkills:
     def test_community_assignment_empty_rejected(self):
         with pytest.raises(ValueError):
             assign_skills_from_communities({})
+
+
+def captured_pairs(module, build):
+    """Run ``build()`` and return its result with the labels and pair arrays
+    it handed to ``_grouped_assignment`` (looked up in ``module``)."""
+    captured = []
+    real = generators._grouped_assignment
+
+    def spy(*args):
+        captured.append(args)
+        return real(*args)
+
+    with mock.patch.object(module, "_grouped_assignment", spy):
+        result = build()
+    (args,) = captured
+    return result, args
+
+
+class TestGroupedGenerators:
+    """The numpy generators build no set per user, yet read exactly like a
+    dict-built assignment of the same pairs."""
+
+    @given(
+        num_users=st.integers(1, 70),
+        num_skills=st.integers(1, 40),
+        skills_per_user=st.floats(0.2, 6.0),
+        labelled=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_zipf_matches_dict_built(
+        self, num_users, num_skills, skills_per_user, labelled, seed, assert_same_skill_reads
+    ):
+        pytest.importorskip("numpy")
+        users = [f"u{i}" for i in range(num_users)] if labelled else list(range(num_users))
+        assignment, (labels, skills, user_idx, skill_idx) = captured_pairs(
+            generators,
+            lambda: assign_skills_zipf(users, num_skills, skills_per_user, seed=seed),
+        )
+        reference = SkillAssignment()
+        for user in users:
+            reference.add_user(user)
+        for i, j in zip(user_idx.tolist(), skill_idx.tolist()):
+            reference.add_skill_to_user(labels[i], skills[j])
+        assert skills == [f"skill-{rank}" for rank in range(1, num_skills + 1)]
+        probes = users + ["ghost", -1]
+        assert_same_skill_reads(assignment, reference, probes, skills + ["skill-0"])
+
+    @pytest.mark.parametrize("num_users, seed", [(1000, 43), (3000, 7), (5, None)])
+    def test_million_stand_in_skills_match_legacy_build(
+        self, num_users, seed, assert_same_skill_reads
+    ):
+        # The stand-in's dict build put each user's skills in a set by rank
+        # and passed those sets to ``add_user``; the grouped build keeps
+        # every resulting order.
+        pytest.importorskip("numpy")
+        from repro.datasets import synthetic
+
+        assignment, (users, skills, user_idx, skill_idx) = captured_pairs(
+            synthetic,
+            lambda: synthetic._vectorised_zipf_skills(num_users, 120, 4.0, 1.0, seed),
+        )
+        pairs = sorted(
+            (users[i], int(skills[j].split("-")[1]))
+            for i, j in zip(user_idx.tolist(), skill_idx.tolist())
+        )
+        mapping = {}
+        for user, rank in pairs:
+            mapping.setdefault(user, set()).add(f"skill-{rank}")
+        legacy = SkillAssignment()
+        for user, held in mapping.items():
+            legacy.add_user(user, held)
+        assert users == list(range(num_users))
+        probes = users[:300] + [num_users]
+        assert_same_skill_reads(assignment, legacy, probes, skills + ["skill-0"])
+
+    def test_zipf_assignment_tracks_objects_per_skill_not_per_user(self):
+        pytest.importorskip("numpy")
+        users = list(range(20_000))
+        num_skills = 40
+        assign_skills_zipf(users[:100], num_skills, 3.0, seed=0)  # warm imports
+        gc.collect()
+        before = len(gc.get_objects())
+        assignment = assign_skills_zipf(users, num_skills, 3.0, seed=0)
+        gc.collect()
+        # A set per user would add 20,000 tracked objects.
+        assert len(gc.get_objects()) - before < num_skills
+        held = assignment.skills_of(123)
+        assert held and list(assignment._user_skills._built) == [123]
+        assert not assignment._skill_users._built
+        assert assignment.skill_frequency("skill-1") > 0
+        assert not assignment._skill_users._built
 
 
 class TestSkillStatistics:
