@@ -159,7 +159,6 @@ class SkillAssignment:
         """Build every set of a grouped assignment; a no-op once dict-built."""
         if isinstance(self._user_skills, _GroupedSets):
             self._user_skills = self._user_skills.filled()
-        if isinstance(self._skill_users, _GroupedSets):
             self._skill_users = self._skill_users.filled()
 
     def add_user(self, user: User, skills: Iterable[Skill] = ()) -> None:

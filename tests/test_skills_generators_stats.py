@@ -10,7 +10,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.skills.generators as generators
-
 from repro.skills import (
     SkillAssignment,
     assign_skills_uniform,
