@@ -564,9 +564,9 @@ def _vectorised_zipf_skills(
     bounds = np.searchsorted(pair_users, np.arange(num_users + 1)).tolist()
     ranks = (pair_key % num_skills).tolist()
 
-    # A user's skills are listed in the iteration order of a set built by
-    # rank, the order in which a dict-built assignment over those sets
-    # inserts them; the skill universe follows their first appearance.
+    # A user's skills go in the iteration order of a set built by rank, and
+    # the skill universe in their first appearance: the orders this dataset
+    # has always had, those of ``SkillAssignment({user: set_by_rank})``.
     names = [f"skill-{rank}" for rank in range(1, num_skills + 1)]
     ordered: List[str] = []
     for start, end in zip(bounds, bounds[1:]):

@@ -134,9 +134,8 @@ def _assign_zipf_vectorised(
     users — but each skill's holder set is one ``Generator.choice`` call and
     the assignment adopts the grouped index arrays of the drawn pairs
     (:func:`_grouped_assignment`): no Python set is built until a key is
-    read.  Each set is built in the order the legacy maps inserted into it —
-    a user's skills by rank, then its fix-up skill; a skill's users in
-    drawing order, then the fixed-up users.
+    read.  Each set is built in drawing order: a user's skills by rank, then
+    its fix-up skill; a skill's users as drawn, then the fixed-up users.
     """
     np = _np
     if isinstance(seed, random.Random):
