@@ -2,9 +2,10 @@
 
 On a 50k-node synthetic signed network, pooled set-valued sweeps
 (``batch_bfs`` — the transport-heaviest kernel, ~1 MB of result arrays per
-source — compatible-set bitmaps and the oracle's distance maps) ship their
-dense results through per-dispatch result arenas and must return
-**bit-identical** results to serial runs.  The identity check runs
+source — and the oracle's distance maps) ship their dense results through
+per-dispatch result arenas and must return **bit-identical** results to
+serial runs.  A pooled ``batch_compatible_sets`` sweep is that same
+``batch_bfs`` shipping followed by the pair-rule masks in the parent.  The identity check runs
 everywhere (2 workers, real cross-process dispatch); the timed sweeps are
 tracked by the CI ``benchmarks`` job in ``bench-shipping.json``.
 """
@@ -65,8 +66,8 @@ def _as_comparable(results):
 def test_arena_sweeps_bit_identical(big_graph):
     """Arena-shipped and serial sweeps agree bit for bit.
 
-    Covers ``batch_bfs`` triples, ``batch_compatible_sets`` bitmaps and the
-    oracle's ``warm`` maps.
+    Covers ``batch_bfs`` triples, the ``batch_compatible_sets`` built on
+    them and the oracle's ``warm`` maps.
     """
     serial = _as_comparable(_cold_batch_bfs(big_graph, 0))
     arena = _as_comparable(_cold_batch_bfs(big_graph, 2))
@@ -93,8 +94,9 @@ def test_perf_arena_batch_bfs_50k(benchmark, big_graph):
 
 
 @pytest.mark.benchmark(group="perf-shipping")
-def test_perf_bitmap_compatible_sets_50k(benchmark, big_graph):
-    """Pooled compatible-set sweep: n/8-byte bitmaps per source via the arena."""
+def test_perf_pooled_compatible_sets_50k(benchmark, big_graph):
+    """Pooled compatible-set sweep: arena-shipped ``batch_bfs`` rows, then the
+    pair-rule masks in the parent."""
     relation = make_relation("SPO", big_graph, policy=_policy(2))
     sources = big_graph.nodes()[:NUM_SOURCES]
 

@@ -6,8 +6,8 @@ Two parity obligations, both cross-module (a :meth:`finalize` rule):
    a declared serial equivalent in ``repro.exec.kernels.SERIAL_EQUIVALENTS``
    whose value is itself a registered ``dict_*`` kernel.  That table is the
    degradation contract: when numpy or the pool is missing, the mapped dict
-   kernel must be able to answer for its CSR counterpart, and the
-   equivalence tests key off the same table.
+   kernel must be able to answer for its CSR counterpart.  This rule is
+   the table's only reader: it keeps the table total over the registry.
 2. **Arena shipping.**  The sets in ``repro.exec.arena`` must agree with
    each other and with the registry: every ``_ARENA_KERNELS`` member is a
    registered kernel with a ``_WRITERS`` entry (and vice versa), and every

@@ -219,7 +219,10 @@ class DistanceOracle:
         The team members' distance maps are prefetched in one batched sweep
         (:meth:`warm`) and, on the CSR backend, the per-candidate maximum over
         members is computed with array indexing instead of a Python loop per
-        pair.  Values are identical to calling :meth:`distance_to_set` per
+        pair.  Every map is read over the current snapshot's dense ids
+        (:meth:`~repro.signed.csr.CSRLengths.row_in`), also one cached on an
+        older snapshot, and a candidate outside the graph reads ``inf``.
+        Values are identical to calling :meth:`distance_to_set` per
         candidate.  Balanced-path relations — whose distance is the balanced
         path length, not a BFS level — delegate to the relation's own
         :meth:`~repro.compatibility.balanced._BalancedPathRelation.batch_distance_to_set`
@@ -242,34 +245,21 @@ class DistanceOracle:
             return [self.distance_to_set(c, team_list) for c in candidate_list]
         import numpy as np
 
-        from repro.signed.csr import CSRLengths, UNREACHABLE
+        from repro.signed.csr import UNREACHABLE
 
         maps = self.warm(team_list)
-        if not all(isinstance(view, CSRLengths) for view in maps):
-            # A dict row among the maps — an SP* member whose path counts
-            # overflowed int64 — goes through the per-candidate loop, which
-            # handles every map type.
-            return [self.distance_to_set(c, team_list) for c in candidate_list]
-        csr = maps[0]._graph
-        if not all(view._graph.shares_index_with(csr) for view in maps):
-            # Maps from incompatible CSR snapshots (the node set changed):
-            # dense ids are not comparable, let the per-candidate loop resolve
-            # each map through its own view.  Snapshots produced by delta
-            # maintenance of an unchanged node set share their index, so maps
-            # that survived targeted invalidation stay on the batched path.
-            return [self.distance_to_set(c, team_list) for c in candidate_list]
-        dense = [csr._index.get(c) for c in candidate_list]
-        if any(position is None for position in dense):
-            # A candidate missing from the snapshot (graph mutated since the
-            # maps were built): legacy lookups treat it as unreachable — keep
-            # that behaviour via the per-candidate loop.
-            return [self.distance_to_set(c, team_list) for c in candidate_list]
-        ids = np.asarray(dense, dtype=np.int64)
+        csr = self._graph.csr_view()
+        index = csr._index
+        ids = np.fromiter(
+            (index.get(c, -1) for c in candidate_list), np.int64, len(candidate_list)
+        )
         best = np.zeros(len(candidate_list), dtype=np.float64)
         for view in maps:
-            values = view._lengths[ids].astype(np.float64)
+            values = view.row_in(csr)[ids].astype(np.float64)
             values[values == UNREACHABLE] = INFINITY
             np.maximum(best, values, out=best)
+        # A candidate outside the graph has no entry in any row: unreachable.
+        best[ids < 0] = INFINITY
         return [float(value) for value in best]
 
     def sync(self) -> None:
@@ -363,10 +353,9 @@ def average_compatible_distance(
 
     Only partners later than the source in ``graph.nodes()`` order are kept
     in the exhaustive case; that order check goes through a dense-id →
-    position map, since dense ids need not follow it.  A source whose row
-    cannot be indexed against the current snapshot (an int64-overflow dict
-    result, or a row from a snapshot with another node set) is counted by
-    the per-pair loop, which is also the whole dict backend.  Distances are
+    position map, since dense ids need not follow it.  Every row is read
+    over the current snapshot's dense ids, also one cached on an older
+    snapshot.  The dict backend runs the per-pair loop.  Distances are
     integers, so the average does not depend on the order.
     """
     if oracle is None:
@@ -406,7 +395,8 @@ def _per_pair_sums(
     sources: List[Node],
     positions: Optional[Dict[Node, int]],
 ) -> Tuple[int, int]:
-    """``(sum, count)`` of finite distances to ``sources``' partners, per pair."""
+    """``(sum, count)`` of finite distances to ``sources``' partners, per pair
+    (the dict backend)."""
     balanced = isinstance(relation, _BalancedPathRelation)
     compatible_sets = relation.batch_compatible_sets(sources)
     # One distance row per source: its search result (the reverse
@@ -439,12 +429,11 @@ def _dense_pair_sums(
     """:func:`_per_pair_sums` over dense ``(sources, n)`` rows (CSR backend)."""
     import numpy as np
 
-    from repro.signed.csr import UNREACHABLE, CSRLengths
+    from repro.signed.csr import UNREACHABLE
 
     csr = relation.graph.csr_view()
     index = csr._index
     ids = np.fromiter(map(index.__getitem__, sources), np.int64, len(sources))
-    fallback: List[int] = []
     if isinstance(relation, _BalancedPathRelation):
         # The symmetric depths are both the partners and their distances.
         members, depths = relation._symmetric_depths(csr, sources, ids)
@@ -455,23 +444,11 @@ def _dense_pair_sums(
         partners = relation.dense_partner_rows(csr, sources, ids)
         distances = np.full(partners.shape, UNREACHABLE, dtype=np.int32)
         for row, view in enumerate(oracle.warm(sources)):
-            if isinstance(view, CSRLengths) and view._graph.shares_index_with(csr):
-                distances[row] = view._lengths
-            else:  # left to the per-pair loop
-                partners[row] = False
-                fallback.append(row)
+            distances[row] = view.row_in(csr)
         partners &= distances != UNREACHABLE
     partners[np.arange(ids.size), ids] = False
     if positions is not None:
         order = np.empty(csr.number_of_nodes(), dtype=np.int64)
         order[list(map(index.__getitem__, positions))] = list(positions.values())
         partners &= order[None, :] > order[ids][:, None]
-    total = int(distances[partners].sum(dtype=np.int64))
-    count = int(np.count_nonzero(partners))
-    if fallback:
-        fallback_total, fallback_count = _per_pair_sums(
-            relation, oracle, [sources[row] for row in fallback], positions
-        )
-        total += fallback_total
-        count += fallback_count
-    return total, count
+    return int(distances[partners].sum(dtype=np.int64)), int(np.count_nonzero(partners))

@@ -42,7 +42,6 @@ from repro.compatibility.distance import DistanceOracle
 from repro.compatibility.shortest_path import _ShortestPathRelation
 from repro.exec.policy import ExecutionPolicy, executor_for
 from repro.signed.graph import Node, SignedGraph
-from repro.signed.paths import SignedBFSResult
 from repro.utils.generational import GenerationalLRUCache
 from repro.utils.optional import numpy_available
 
@@ -213,28 +212,18 @@ class CompatibilityEngine:
             if all(relation.are_compatible(member, candidate) for member in team_list)
         )
 
-    def _member_rule_masks(self, team: Sequence[Node], csr) -> List[tuple]:
-        """One memoised ``(mask, fallback_result)`` per team member, aligned
-        with ``team``.
+    def _member_rule_masks(self, team: Sequence[Node], csr) -> List:
+        """One memoised rule mask per team member, aligned with ``team``.
 
-        A mask is the member's vectorised pair rule AND reachability over the
-        snapshot's dense ids — the entire per-member contribution to a team
-        filter.  Masks live in the engine's ``(member, generation)`` memo;
-        misses are resolved with one batched BFS over exactly the missing
-        members.  A slot of ``(None, result)`` marks a member whose BFS
-        result cannot be indexed against ``csr`` (an int64-overflow dict
-        fallback, or a surviving result from a snapshot with a different node
-        set): the caller runs the per-pair path on that very result rather
-        than re-fetching it (the BFS LRU can be smaller than the team).
-
-        Under a pool policy the misses are fetched as worker-packed bitmaps
-        (``csr_compatible_masks`` — ``rule & reachable``, which is exactly
-        this memo's mask since a source always passes its own pair rule), so
-        each member ships ``n/8`` bytes instead of three O(n) count arrays;
-        only int64-overflow members fall back to the batched-BFS path.
+        A mask is the member's vectorised pair rule over ``csr``'s dense ids
+        — the entire per-member contribution to a team filter (unreachable
+        nodes have no positive path and fail every rule).  Masks live in
+        the engine's ``(member, generation)`` memo; misses are read off one
+        batched BFS over exactly the missing members
+        (:meth:`~repro.compatibility.shortest_path._ShortestPathRelation.batch_bfs`,
+        serial or pooled), whose planes every result gives over ``csr``'s
+        dense ids, also one cached on an older snapshot.
         """
-        from repro.signed.csr import UNREACHABLE
-
         relation = self._relation
         nodes_tag = csr._nodes
         masks: dict = {}
@@ -242,54 +231,12 @@ class CompatibilityEngine:
         for member in dict.fromkeys(team):
             entry = self._mask_cache.get(member)
             if entry is not None and entry[0] is nodes_tag:
-                masks[member] = (entry[1], None)
+                masks[member] = entry[1]
             else:
                 missing.append(member)
-        if missing and self._policy.parallel:
-            from repro.utils.bitset import unpack_mask
-
-            # Members whose BFS results already sit in the relation's cache
-            # (earlier pair queries, a warm()) must not pay a fresh worker-side
-            # traversal: indexable results yield their mask locally, the rest
-            # (int64-overflow dict fallbacks, foreign snapshots) go to the
-            # batch_bfs loop below — also a cache hit.  Only true misses are
-            # dispatched.
-            dispatch: List[Node] = []
-            uncached: List[Node] = []
-            for member in missing:
-                cached = relation._cached_row(member)
-                if cached is None:
-                    dispatch.append(member)
-                elif not isinstance(
-                    cached, SignedBFSResult
-                ) and cached.graph.shares_index_with(csr):
-                    mask = relation._pair_rule_mask(
-                        cached.positive_array, cached.negative_array
-                    ) & (cached.lengths_array != UNREACHABLE)
-                    self._mask_cache[member] = (nodes_tag, mask)
-                    masks[member] = (mask, None)
-                else:
-                    uncached.append(member)
-            for member, packed in zip(
-                dispatch, relation._batch_compatible_masks(dispatch)
-            ):
-                if packed is None:
-                    uncached.append(member)
-                    continue
-                mask = unpack_mask(packed, len(nodes_tag))
-                self._mask_cache[member] = (nodes_tag, mask)
-                masks[member] = (mask, None)
-            missing = uncached
-        if missing:
-            for member, result in zip(missing, relation.batch_bfs(missing)):
-                if isinstance(result, SignedBFSResult) or not result.graph.shares_index_with(csr):
-                    masks[member] = (None, result)
-                    continue
-                mask = relation._pair_rule_mask(
-                    result.positive_array, result.negative_array
-                ) & (result.lengths_array != UNREACHABLE)
-                self._mask_cache[member] = (nodes_tag, mask)
-                masks[member] = (mask, None)
+        for member, mask in zip(missing, relation._rule_rows(csr, missing)):
+            self._mask_cache[member] = (nodes_tag, mask)
+            masks[member] = mask
         return [masks[member] for member in team]
 
     def _compatible_from_many_csr(
@@ -300,7 +247,6 @@ class CompatibilityEngine:
         entry)."""
         import numpy as np
 
-        relation = self._relation
         csr = self.graph.csr_view()
         index = csr._index
         try:
@@ -314,29 +260,7 @@ class CompatibilityEngine:
 
             raise NodeNotFoundError(missing.args[0]) from None
         keep = np.ones(len(survivors), dtype=bool)
-        for member, (mask, result) in zip(team, self._member_rule_masks(team, csr)):
-            if mask is None:
-                # Dict results (int64-overflow fallbacks) and results from
-                # an incompatible snapshot go through the per-pair checks,
-                # which resolve nodes via the result's own index — exactly
-                # the are_compatible semantics.
-                for position, candidate in enumerate(survivors):
-                    if not keep[position]:
-                        continue
-                    if (
-                        not isinstance(result, SignedBFSResult)
-                        and candidate not in result.graph
-                    ):
-                        # Candidate newer than the surviving snapshot: not in
-                        # the member's (untouched) component, so unreachable.
-                        keep[position] = False
-                        continue
-                    if not result.reachable(candidate):
-                        keep[position] = False
-                        continue
-                    if not relation._holds(result, candidate):
-                        keep[position] = False
-                continue
+        for mask in self._member_rule_masks(team, csr):
             keep &= mask[ids]
             if not keep.any():
                 break

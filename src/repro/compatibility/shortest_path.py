@@ -24,10 +24,16 @@ The policy decides between them once
 (:attr:`~repro.exec.ExecutionPolicy.uses_csr`): ``backend="auto"`` (the
 default) runs CSR whenever numpy imports and falls back to the dict backend
 with a one-time warning otherwise, while an explicit ``backend="csr"`` raises
-:class:`ImportError` at construction time.  The only dict results a CSR
-relation holds are per-source fallbacks for path counts past the int64
-guard.  All backends produce identical relations — the equivalence tests
-compare them bit for bit.
+:class:`ImportError` at construction time.  On the CSR backend every result
+a relation caches or returns is a
+:class:`~repro.signed.csr.CSRSignedBFSResult`: a source whose path counts
+trip the kernels' int64 guard is answered by the dict BFS, whose result is
+laid onto dense rows of exact Python ints
+(:meth:`~repro.signed.csr.CSRSignedBFSResult.from_signed_bfs_result`), and
+readers take a result's planes over the current snapshot's dense ids
+(:meth:`~repro.signed.csr.CSRSignedBFSResult.signed_rows`), so no reader
+keeps a per-pair fallback.  All backends produce identical relations — the
+equivalence tests compare them bit for bit.
 
 A source's BFS result (lengths plus positive and negative path counts)
 depends only on the graph and the source, not on the pair rule, so it is
@@ -67,7 +73,7 @@ graph-held cache under the same key.  Who reads what:
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.compatibility.base import CompatibilityRelation, resolve_cache_size
 from repro.exec.policy import ExecutionPolicy
@@ -101,8 +107,8 @@ def _shared_caches(
     ``"csr"`` share) and resolved BFS entry bound.  Generation-keyed:
     mutating the graph drops only the entries whose component a mutation
     touched, for every relation sharing the caches; the rest stay valid
-    (results against an older CSR snapshot keep working through the
-    snapshot's shared index — see CSRSignedGraph.shares_index_with).  Caches
+    (a result from an older CSR snapshot is read over the current one's
+    dense ids — see CSRSignedBFSResult.signed_rows).  Caches
     live as long as the graph: ones whose relations are all gone stay until
     the graph is freed.
     """
@@ -167,16 +173,25 @@ class _ShortestPathRelation(CompatibilityRelation):
             if self._policy.uses_csr:
                 from repro.signed.csr import signed_bfs_csr
 
+                csr = self._graph.csr_view()
                 try:
-                    result = signed_bfs_csr(self._graph.csr_view(), source)
+                    result = signed_bfs_csr(csr, source)
                 except OverflowError:
-                    # Counts past the int64 guard need the dict backend's
-                    # arbitrary-precision integers; fall back per source.
-                    result = signed_bfs(self._graph, source)
+                    result = self._exact_result(csr, source)
             else:
                 result = signed_bfs(self._graph, source)
             self._bfs_cache[source] = result
         return result
+
+    def _exact_result(self, csr, source: Node) -> _BFSResult:
+        """``source``'s counts past the int64 guard, on ``csr``'s dense rows.
+
+        The dict backend's arbitrary-precision BFS answers the source, and
+        its result becomes ``object`` count planes of Python ints.
+        """
+        from repro.signed.csr import CSRSignedBFSResult
+
+        return CSRSignedBFSResult.from_signed_bfs_result(signed_bfs(self._graph, source), csr)
 
     def _cached_row(self, node: Node) -> Optional[_BFSResult]:
         """``node``'s cached result for pair, set and distance-row queries.
@@ -208,7 +223,8 @@ class _ShortestPathRelation(CompatibilityRelation):
         :data:`~repro.signed.csr.WORDPARALLEL_MIN_SOURCES`), or fanned out
         in chunks over the worker pool for ``workers >= 2``.  Sources whose
         counts overflow int64 fall back to the dict backend's
-        arbitrary-precision BFS individually, in the parent process.  Results
+        arbitrary-precision BFS individually, in the parent process, and come
+        back on dense ``object`` rows (:meth:`_exact_result`).  Results
         are held locally for the duration of the call, so a batch larger than
         the LRU bound is still computed exactly once; they are also written
         through to the cache for follow-up per-pair queries.  Every result is
@@ -252,7 +268,7 @@ class _ShortestPathRelation(CompatibilityRelation):
         return [
             # None marks an int64 overflow: that source needs the dict
             # backend's arbitrary-precision counts.
-            signed_bfs(self._graph, source)
+            self._exact_result(csr, source)
             if triple is None
             else CSRSignedBFSResult(
                 source=source,
@@ -323,7 +339,7 @@ class _ShortestPathRelation(CompatibilityRelation):
             return True
         source, target = (u, v) if self._has_row(u) or not self._has_row(v) else (v, u)
         result = self._row(source)
-        if not isinstance(result, SignedBFSResult) and target not in result.graph:
+        if self._policy.uses_csr and target not in result.graph:
             # The cached result survived a mutation elsewhere but predates
             # ``target``'s addition to the graph: a node outside the result's
             # snapshot cannot be in the source's (untouched) component, hence
@@ -337,20 +353,11 @@ class _ShortestPathRelation(CompatibilityRelation):
         """Compatible sets for many sources from one batched sweep.
 
         On the CSR backend the uncached sources share one multi-source BFS
-        (:meth:`batch_bfs`) and the pair rule is applied as a vectorised mask;
-        each returned set equals :meth:`compatible_with` exactly and is
-        written into the compatible-set cache.  Results are held locally, so
-        samples larger than the cache bound still cost one batched pass.
-
-        Under a pool policy the sweep routes through the
-        ``csr_compatible_masks`` kernel instead: the pair rule is applied
-        *inside* the workers and each source comes back as a packed
-        ``ceil(n/8)``-byte bitmap (through the shared-memory result arena
-        when enabled) rather than O(n) BFS arrays — the parent materialises
-        the frozensets straight from the bitmap rows.  Sources whose counts
-        trip the int64 guard are resolved on the dict backend in the parent,
-        exactly like the serial path, without bypassing shipping for the
-        rest of the batch.
+        (:meth:`batch_bfs`, serial or pooled) and the pair rule is applied
+        as a vectorised mask (:meth:`_rule_rows`); each returned set equals
+        :meth:`compatible_with` exactly and is written into the
+        compatible-set cache.  Results are held locally, so samples larger
+        than the cache bound still cost one batched pass.
         """
         source_list = list(sources)
         self._require_nodes(*source_list)
@@ -361,82 +368,49 @@ class _ShortestPathRelation(CompatibilityRelation):
                 # from the cache instead of traversing serially.
                 self.batch_bfs(source_list)
             return super().batch_compatible_sets(source_list)
-        if self._policy.parallel:
-            return fetch_batched(
-                self._compatible_cache, source_list, self._compute_mask_sets
-            )
+        import numpy as np
 
         def compute_missing(missing: List[Node]) -> List[FrozenSet[Node]]:
+            csr = self._graph.csr_view()
+            nodes = csr._nodes
             sets: List[FrozenSet[Node]] = []
-            for source, result in zip(missing, self.batch_bfs(missing)):
-                if isinstance(result, SignedBFSResult):  # int64 overflow
-                    computed = self._compute_compatible_set(source)
-                else:
-                    rule_mask = self._pair_rule_mask(
-                        result.positive_array, result.negative_array
-                    )
-                    computed = set(result.compatible_nodes(rule_mask))
+            for source, row in zip(missing, self._rule_rows(csr, missing)):
+                # Built as compatible_with builds it, so the sets iterate
+                # alike: the others in dense-id order, then the source.
+                row[csr.index_of(source)] = False
+                computed = set(map(nodes.__getitem__, np.flatnonzero(row).tolist()))
                 computed.add(source)
                 sets.append(frozenset(computed))
             return sets
 
         return fetch_batched(self._compatible_cache, source_list, compute_missing)
 
-    def _batch_compatible_masks(self, sources: Sequence[Node]) -> List:
-        """Packed compatible bitmaps per source via the executor.
+    def _rule_rows(self, csr, sources: Sequence[Node]) -> Iterator:
+        """Each source's pair-rule row over ``csr``'s dense ids (CSR backend).
 
-        One ``uint8`` row of ``ceil(n/8)`` bytes per source (``None`` marks
-        an int64 overflow) — ``rule & reachable`` over the snapshot's dense
-        ids with the source's own bit set.  Under a pool policy the rows ship
-        through the result arena and come back as zero-copy views; under the
-        degraded/serial executor the plain kernel computes the same bytes
-        in-process (the arena's no-op path).
+        One boolean row per source, read off its :meth:`batch_bfs` planes
+        (:meth:`~repro.signed.csr.CSRSignedBFSResult.signed_rows`).
+        Unreachable nodes have no positive path and fail every rule, while
+        the source's own entry (one positive path) passes.
         """
-        csr = self._graph.csr_view()
-        return self._executor().map_kernel(
-            "csr_compatible_masks",
-            csr,
-            [csr.index_of(source) for source in sources],
-            params={"rule": self.name},
+        return (
+            self._pair_rule_mask(*result.signed_rows(csr))
+            for result in self.batch_bfs(sources)
         )
-
-    def _compute_mask_sets(self, missing: List[Node]) -> List[FrozenSet[Node]]:
-        """Pool path of :meth:`batch_compatible_sets`: bitmaps in, frozensets out."""
-        import numpy as np
-
-        from repro.utils.bitset import unpack_mask
-
-        csr = self._graph.csr_view()
-        nodes = csr._nodes
-        sets: List[FrozenSet[Node]] = []
-        for source, packed in zip(missing, self._batch_compatible_masks(missing)):
-            if packed is None:
-                # int64 overflow: this source needs the dict backend's
-                # arbitrary-precision counts (computed in the parent); the
-                # rest of the batch keeps its worker-side bitmaps.
-                computed = self._compute_compatible_set(source)
-                computed.add(source)
-                sets.append(frozenset(computed))
-                continue
-            mask = unpack_mask(packed, len(nodes))
-            sets.append(frozenset(nodes[dense] for dense in np.flatnonzero(mask)))
-        return sets
 
     def batch_count_compatible(
         self, sources: Sequence[Node], targets: Iterable[Node]
     ) -> List[int]:
         """``|compatible_with(s) ∩ targets|`` per source, counted off the rule masks.
 
-        On the CSR backend each source's :meth:`batch_bfs` count arrays are
+        On the CSR backend each source's :meth:`batch_bfs` planes are
         gathered at the targets' dense ids and the pair rule is applied to
         those entries alone; no node list or set is built.  Unreachable
         targets have no positive path and fail every rule, while the
         source's own entry (one positive path) passes, so a source counts
         itself, as its set does.  Uncached sources go through
         :meth:`batch_bfs`, serial or pooled, so their results land in the
-        BFS cache for later calls.  A source whose counts overflow int64,
-        or whose cached result belongs to a snapshot with another node set,
-        is counted from its compatible set.
+        BFS cache for later calls.
         """
         source_list = list(sources)
         self._require_nodes(*source_list)
@@ -446,41 +420,26 @@ class _ShortestPathRelation(CompatibilityRelation):
 
         csr = self._graph.csr_view()
         index = csr._index
-        target_set = frozenset(targets)
         ids = np.fromiter(
-            (index[target] for target in target_set if target in index), dtype=np.int64
+            (index[target] for target in frozenset(targets) if target in index),
+            dtype=np.int64,
         )
         unique = list(dict.fromkeys(source_list))
         counts = {}
         for source, result in zip(unique, self.batch_bfs(unique)):
-            if isinstance(result, SignedBFSResult) or not result.graph.shares_index_with(csr):
-                counts[source] = len(self.compatible_with(source) & target_set)
-            else:
-                hits = self._pair_rule_mask(
-                    result.positive_array[ids], result.negative_array[ids]
-                )
-                counts[source] = int(np.count_nonzero(hits))
+            positive, negative = result.signed_rows(csr)
+            hits = self._pair_rule_mask(positive[ids], negative[ids])
+            counts[source] = int(np.count_nonzero(hits))
         return [counts[source] for source in source_list]
 
     def dense_partner_rows(self, csr, sources: Sequence[Node], ids):
-        """Compatible rows read off the pair-rule masks (see the base class).
-
-        Each source's :meth:`batch_bfs` count (or presence) arrays give its
-        row as one vectorised pair-rule mask; unreachable nodes have no
-        positive path and fail every rule, while the source's own entry
-        passes.  A source whose counts overflow int64, or whose cached result
-        belongs to a snapshot with another node set, is marked from its
-        compatible set.
-        """
+        """Compatible rows read off the pair-rule masks (:meth:`_rule_rows`;
+        see the base class)."""
         import numpy as np
 
-        index = csr._index
         rows = np.zeros((len(sources), csr.number_of_nodes()), dtype=bool)
-        for row, (source, result) in enumerate(zip(sources, self.batch_bfs(sources))):
-            if isinstance(result, SignedBFSResult) or not result.graph.shares_index_with(csr):
-                rows[row, list(map(index.__getitem__, self.compatible_with(source)))] = True
-            else:
-                rows[row] = self._pair_rule_mask(result.positive_array, result.negative_array)
+        for row, rule_row in enumerate(self._rule_rows(csr, sources)):
+            rows[row] = rule_row
         return rows
 
     def batch_compatibility_degrees(self, sources: Sequence[Node]) -> List[int]:
@@ -524,7 +483,7 @@ class _ShortestPathRelation(CompatibilityRelation):
             for position, triple in zip(dispatch, counted):
                 # None marks an int64 overflow: count on the dict backend.
                 triples[position] = (
-                    _degree_triple(signed_bfs(self._graph, missing[position]))
+                    _degree_triple(self._exact_result(csr, missing[position]))
                     if triple is None
                     else triple
                 )
@@ -653,8 +612,7 @@ class OneShortestPathCompatibility(_ShortestPathRelation):
         if missing:
             for source, result in zip(missing, self._compute_csr(missing, presence=True)):
                 found[source] = result
-                presence = not isinstance(result, SignedBFSResult) and result.presence
-                (self._presence_cache if presence else self._bfs_cache)[source] = result
+                (self._presence_cache if result.presence else self._bfs_cache)[source] = result
         return [found[source] for source in source_list]
 
     def _presence_only(self, node: Node) -> bool:

@@ -41,10 +41,6 @@ class InvalidSignError(GraphError, ValueError):
         self.sign = sign
 
 
-class DisconnectedGraphError(GraphError):
-    """Raised when an algorithm requires a connected graph but the input is not."""
-
-
 class SkillError(ReproError):
     """Base class for errors related to skills and skill assignments."""
 
@@ -59,10 +55,6 @@ class UnknownSkillError(SkillError, KeyError):
 
 class CompatibilityError(ReproError):
     """Base class for errors raised by compatibility relations."""
-
-
-class RelationNotComputedError(CompatibilityError, RuntimeError):
-    """Raised when a relation requires pre-computation that has not happened yet."""
 
 
 class UnknownRelationError(CompatibilityError, KeyError):
@@ -87,10 +79,6 @@ class InfeasibleTaskError(TeamFormationError):
         self.missing_skills = set(missing_skills)
 
 
-class NoCompatibleTeamError(TeamFormationError):
-    """Raised (optionally) when no compatible team covering the task was found."""
-
-
 class DatasetError(ReproError):
     """Base class for dataset loading / generation errors."""
 
@@ -101,7 +89,3 @@ class UnknownDatasetError(DatasetError, KeyError):
     def __init__(self, name: object) -> None:
         super().__init__(f"unknown dataset {name!r}; see repro.datasets.available()")
         self.name = name
-
-
-class ExperimentError(ReproError):
-    """Base class for experiment-harness errors."""

@@ -17,9 +17,9 @@ This module is the codec layer that removes it:
   into consecutive sub-dispatches, each with its own arena), laid out as
   per-kernel *planes* — for
   ``csr_signed_bfs`` a ``(k, n)`` int32 lengths plane followed by two
-  ``(k, n)`` int64 count planes, for ``csr_compatible_masks`` a single
-  ``(k, ceil(n/8))`` packed-bitmap plane, and so on.  Plane offsets are
-  8-byte aligned so every view is a properly aligned ndarray.
+  ``(k, n)`` int64 count planes, for ``csr_sbph`` two ``(k, n)`` int32
+  depth planes, and so on.  Plane offsets are 8-byte aligned so every view
+  is a properly aligned ndarray.
 * **Chunk-strided writes.**  Each worker task knows its chunk's start
   position in the dispatch, attaches the segment by name, and writes its
   sources' rows straight through the write-into-buffer kernel variants
@@ -30,12 +30,11 @@ This module is the codec layer that removes it:
   :data:`~repro.signed.csr.PRESENCE_ROW`; for ``csr_sbph`` the source's
   truncation flag), so
   worker→parent pickling is O(k), not O(k·n).
-* **Zero-copy reads.**  The parent maps the same segment once, builds the
+* **No-pickle reads.**  The parent maps the same segment once, builds the
   plane views, and decodes each source's result straight off them
   (:func:`decode_results`) — no pickle ever touches the dense data.
-  Results that are consumed immediately (compatible-set bitmaps) decode as
-  zero-copy views; results headed for long-lived LRU caches (BFS triples,
-  distance maps, balanced-path depth rows) are copied out row by row, so a
+  Every result heads for a long-lived LRU cache (BFS triples, distance
+  maps, balanced-path depth rows), so each is copied out row by row: a
   surviving cache entry owns exactly its own bytes instead of pinning the
   whole k-row segment.  The segment is unlinked as soon as the
   dispatch completes (no ``/dev/shm`` entry outlives it) and the mapping
@@ -85,13 +84,6 @@ class ResultArena:
     num_nodes: int
 
 
-def mask_width(num_nodes: int) -> int:
-    """Bytes per packed compatible-set bitmap row (``ceil(n / 8)``)."""
-    from repro.utils.bitset import mask_nbytes
-
-    return mask_nbytes(num_nodes)
-
-
 def _plane_specs(kernel: str, num_nodes: int) -> Tuple[_ResultPlane, ...]:
     """The per-source result layout of ``kernel`` on an ``n``-node snapshot."""
     if kernel == "csr_signed_bfs":
@@ -107,8 +99,6 @@ def _plane_specs(kernel: str, num_nodes: int) -> Tuple[_ResultPlane, ...]:
             _ResultPlane("<i4", num_nodes),  # positive depths (UNREACHABLE = absent)
             _ResultPlane("<i4", num_nodes),  # negative depths
         )
-    if kernel == "csr_compatible_masks":
-        return (_ResultPlane("|u1", mask_width(num_nodes)),)
     raise KeyError(f"kernel {kernel!r} has no result-arena layout")
 
 
@@ -122,7 +112,6 @@ _ARENA_KERNELS = frozenset(
         "csr_signed_bfs",
         "csr_path_lengths",
         "csr_sbph",
-        "csr_compatible_masks",
     }
 )
 
@@ -231,29 +220,10 @@ def _write_sbph(planes, start, csr, sources, params) -> List:
     )
 
 
-def _write_compatible_masks(planes, start, csr, sources, params) -> List:
-    # Delegates to the plain kernel so arena rows and serial results are the
-    # very same packed bytes; a bitmap row is ceil(n/8) bytes, so the copy is
-    # negligible next to the per-source traversal.
-    from repro.exec.kernels import KERNELS
-
-    rows = KERNELS["csr_compatible_masks"](csr, sources, params)
-    tokens: List = []
-    plane = planes[0]
-    for row, packed in enumerate(rows, start=start):
-        if packed is None:
-            tokens.append(None)
-            continue
-        plane[row][:] = packed
-        tokens.append(True)
-    return tokens
-
-
 _WRITERS: Dict[str, Callable] = {
     "csr_signed_bfs": _write_signed_bfs,
     "csr_path_lengths": _write_path_lengths,
     "csr_sbph": _write_sbph,
-    "csr_compatible_masks": _write_compatible_masks,
 }
 
 
@@ -266,9 +236,9 @@ def decode_results(
     """Materialise the dispatch's result list from the mapped arena.
 
     Each slot reproduces exactly what the plain kernel would have returned
-    for that source — bitmap rows come back as zero-copy views into the
-    segment, BFS triples, distance maps and balanced-path depth rows as
-    per-row copies (they outlive the dispatch in LRU caches).
+    for that source — BFS triples, distance maps and balanced-path depth
+    rows come back as per-row copies (they outlive the dispatch in LRU
+    caches).
     ``release(shm)`` is invoked automatically once the last
     decoded view is garbage-collected (the caller unlinks the name right
     after this returns, so nothing lingers in ``/dev/shm`` either way); the
@@ -320,15 +290,8 @@ def _decode_sbph(planes, position, token):
     return planes[0][position].copy(), planes[1][position].copy(), token
 
 
-def _decode_compatible_masks(planes, position, token):
-    if token is None:
-        return None
-    return planes[0][position]
-
-
 _DECODERS: Dict[str, Callable] = {
     "csr_signed_bfs": _decode_signed_bfs,
     "csr_path_lengths": _decode_path_lengths,
     "csr_sbph": _decode_sbph,
-    "csr_compatible_masks": _decode_compatible_masks,
 }

@@ -130,45 +130,6 @@ def csr_compatible_degrees(csr, sources: Sequence[int], params: dict) -> List:
     ]
 
 
-@register_kernel("csr_compatible_masks")
-def csr_compatible_masks(csr, sources: Sequence[int], params: dict) -> List:
-    """Compatible-set bitmaps per dense source, packed inside the worker.
-
-    Runs Algorithm 1 per source, applies the named SP* pair rule plus the
-    reachability exclusion, sets the source's own bit (the compatible set
-    always contains its source) and packs the boolean mask into
-    ``ceil(n / 8)`` bytes with :func:`numpy.packbits` — so a 50k-node sweep
-    ships ~6 KB per source instead of pickled O(n) id arrays, and the arena
-    path ships the same bytes zero-copy.  ``None`` marks an int64 overflow
-    (the caller resolves that source on the dict backend).  Unpacking a
-    bitmap yields exactly the membership of the serial path's
-    ``compatible_nodes(rule_mask) + {source}``.
-    """
-    from repro.signed.csr import UNREACHABLE, signed_bfs_dense_batch
-    from repro.utils.bitset import pack_mask
-
-    rule = _pair_rule_mask_for(params["rule"])
-    triples = signed_bfs_dense_batch(csr, sources, skip_overflow=True)
-    masks: List = []
-    for source, triple in zip(sources, triples):
-        if triple is None:
-            masks.append(None)
-            continue
-        lengths, positive, negative = triple
-        mask = rule(positive, negative) & (lengths != UNREACHABLE)
-        mask[source] = True
-        masks.append(pack_mask(mask))
-    return masks
-
-
-def _pair_rule_mask_for(name: str):
-    """The vectorised SP* pair rule registered under ``name`` (SPA/SPM/SPO)."""
-    from repro.compatibility.shortest_path import SHORTEST_PATH_CHAIN
-
-    rules = {relation.name: relation._pair_rule_mask for relation in SHORTEST_PATH_CHAIN}
-    return rules[name]
-
-
 # --------------------------------------------------------------- dict kernels
 
 
@@ -215,9 +176,8 @@ def dict_balanced_search(graph, sources: Sequence, params: dict) -> List:
 #:
 #: When numpy is missing or a payload has no CSR view, the executor (and the
 #: compatibility layers above it) answer with the mapped ``dict_*`` kernel —
-#: per-source, arbitrary-precision, pure python.  The degree-triple and
-#: compatible-set kernels both degrade to the per-source signed BFS the dict
-#: backend counts from.
+#: per-source, arbitrary-precision, pure python.  The degree-triple kernel
+#: degrades to the per-source signed BFS the dict backend counts from.
 #: ``repro-teams analyze`` enforces that this table stays total over the
 #: registry (kernel-registry-parity).
 SERIAL_EQUIVALENTS: Dict[str, str] = {
@@ -225,5 +185,4 @@ SERIAL_EQUIVALENTS: Dict[str, str] = {
     "csr_path_lengths": "dict_path_lengths",
     "csr_sbph": "dict_balanced_search",
     "csr_compatible_degrees": "dict_signed_bfs",
-    "csr_compatible_masks": "dict_signed_bfs",
 }

@@ -27,10 +27,10 @@ shape explicit:
   (chunk-strided rows, written through the ``*_into`` kernel variants) and
   return only compact per-source tokens; a batch whose arena would exceed
   :data:`_ARENA_BUDGET_BYTES` is split into consecutive sub-dispatches.
-  The parent decodes zero-copy row views and unlinks each segment
-  immediately; every created segment sits on a parent-owned ledger flushed
-  by :func:`shutdown_pools`, so crashed dispatches cannot leak ``/dev/shm``
-  entries.  Kernels without an arena layout return their results through
+  The parent copies each source's rows out of the mapped segment and
+  unlinks it immediately; every created segment sits on a parent-owned
+  ledger flushed by :func:`shutdown_pools`, so crashed dispatches cannot
+  leak ``/dev/shm`` entries.  Kernels without an arena layout return their results through
   ``Pool.map``.  See :mod:`repro.exec.arena`.
 * **Deterministic merging.**  Sources are split into index-ordered chunks,
   dispatched with :meth:`multiprocessing.pool.Pool.map` (which returns

@@ -48,9 +48,10 @@ answers the same ``length`` / ``counts`` / ``reachable`` queries as
 :class:`~repro.signed.paths.SignedBFSResult` and can be converted to it
 exactly (:meth:`CSRSignedBFSResult.to_signed_bfs_result`), so callers can
 switch backends without changing semantics.  Path counts are held in ``int64``
-— exact up to 2**63-1, which covers every graph in this repository; graphs
-engineered to have astronomically many shortest paths (e.g. large grids) need
-the dict backend's arbitrary-precision integers.
+— exact up to 2**63-1, which covers every graph in this repository; a source
+of a graph engineered to have astronomically many shortest paths (e.g. a
+large grid) trips the kernels' guard, and its dict result comes back as
+exact ``object`` rows (:meth:`CSRSignedBFSResult.from_signed_bfs_result`).
 
 Everything here is deterministic: the dense ids follow the insertion order of
 the source graph, and the BFS visits neighbours in adjacency order, so the
@@ -433,6 +434,12 @@ class CSRSignedBFSResult:
     planes only say whether *some* shortest path is positive / negative
     (boolean, or 0/1).  Its :meth:`counts` and :meth:`to_signed_bfs_result`
     raise :class:`ValueError`; every other query answers as usual.
+
+    The count planes are ``int64``, except for a source whose counts
+    overflow it: the SP* relations answer that one with the dict BFS and
+    lay its result onto ``object`` planes of Python ints
+    (:meth:`from_signed_bfs_result`), so every SP* result on the CSR
+    backend has this one format.
     """
 
     source: Node
@@ -472,12 +479,45 @@ class CSRSignedBFSResult:
         """Number of reachable nodes (including the source)."""
         return int((self.lengths_array != UNREACHABLE).sum())
 
+    def signed_rows(self, csr: CSRSignedGraph) -> Tuple[np.ndarray, np.ndarray]:
+        """The ``(positive, negative)`` planes over ``csr``'s dense ids.
+
+        The planes themselves when ``csr`` shares this result's dense ids;
+        a result cached on a snapshot with another node set is remapped
+        (:func:`row_in`), zero where that snapshot has no node.
+        """
+        return (
+            row_in(self.graph, self.positive_array, csr, 0),
+            row_in(self.graph, self.negative_array, csr, 0),
+        )
+
     def compatible_nodes(self, rule_mask: np.ndarray) -> List[Node]:
         """The non-source node objects selected by ``rule_mask`` (reachable only)."""
         mask = rule_mask & (self.lengths_array != UNREACHABLE)
         mask[self.graph.index_of(self.source)] = False
         nodes = self.graph._nodes
         return [nodes[i] for i in np.flatnonzero(mask)]
+
+    @classmethod
+    def from_signed_bfs_result(
+        cls, result: SignedBFSResult, csr: CSRSignedGraph
+    ) -> "CSRSignedBFSResult":
+        """Lay a dict result onto ``csr``'s dense rows: the inverse of
+        :meth:`to_signed_bfs_result`.
+
+        The counts are ``object`` arrays of Python ints, so a source whose
+        counts overflow ``int64`` keeps them exact; unreachable nodes hold
+        :data:`UNREACHABLE` and zero counts, as in the kernels' rows.
+        """
+        num_nodes = csr.number_of_nodes()
+        lengths = np.full(num_nodes, UNREACHABLE, dtype=np.int32)
+        positive = np.zeros(num_nodes, dtype=object)
+        negative = np.zeros(num_nodes, dtype=object)
+        for node, length in result.lengths.items():
+            dense = csr.index_of(node)
+            lengths[dense] = length
+            positive[dense], negative[dense] = result.counts(node)
+        return cls(result.source, csr, lengths, positive, negative)
 
     def to_signed_bfs_result(self) -> SignedBFSResult:
         """Convert to the dict-backed :class:`SignedBFSResult`, bit for bit.
@@ -1925,19 +1965,26 @@ class CSRLengths:
 
     def row_in(self, csr: CSRSignedGraph) -> np.ndarray:
         """The lengths as a row over ``csr``'s dense ids (:data:`UNREACHABLE`
-        where none).
+        where none; see :func:`row_in`)."""
+        return row_in(self._graph, self._lengths, csr, UNREACHABLE)
 
-        The array itself when ``csr`` shares this view's dense ids; a view
-        built on a snapshot with another node set (a cached result that
-        survived a node insertion or removal elsewhere) is remapped through
-        its own node list, dropping nodes ``csr`` lacks.
-        """
-        if self._graph.shares_index_with(csr):
-            return self._lengths
-        row = np.full(csr.number_of_nodes(), UNREACHABLE, dtype=self._lengths.dtype)
-        index = csr._index
-        for node, length in self.items():
-            dense = index.get(node)
-            if dense is not None:
-                row[dense] = length
+
+def row_in(graph: CSRSignedGraph, row: np.ndarray, csr: CSRSignedGraph, fill) -> np.ndarray:
+    """``row``, one entry per dense id of ``graph``, over ``csr``'s dense ids.
+
+    The array itself when the two snapshots share their dense ids.  A row
+    built on a snapshot with another node set (a cached result that survived
+    a node insertion or removal elsewhere) is remapped through ``graph``'s
+    node list: nodes ``csr`` lacks are dropped, nodes ``graph`` lacks read
+    ``fill``.
+    """
+    if graph.shares_index_with(csr):
         return row
+    index = csr._index
+    targets = np.fromiter(
+        (index.get(node, -1) for node in graph._nodes), np.int64, len(graph._nodes)
+    )
+    kept = targets >= 0
+    out = np.full(csr.number_of_nodes(), fill, dtype=row.dtype)
+    out[targets[kept]] = row[kept]
+    return out

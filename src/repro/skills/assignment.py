@@ -47,7 +47,7 @@ class _GroupedSets:
     module never imports numpy: it only slices them and calls ``tolist``);
     ``starts`` is kept as a list, for cheap sizes.  A key's set is built by
     its first :meth:`get` and kept; its size, the keys and membership need
-    no set.  A repeated key maps to its last group.
+    no set.  The keys must be distinct.
     """
 
     __slots__ = ("_groups", "_starts", "_members", "_labels", "_built")
@@ -143,16 +143,17 @@ class SkillAssignment:
         is held by the users ``users[i]`` for ``i`` in
         ``skill_members[skill_starts[j]:skill_starts[j + 1]]``, each in
         insertion order.  Both groupings must list the same distinct pairs,
-        ``skills`` must be distinct and every skill group non-empty (the
-        invariant :meth:`remove_skill_from_user` maintains).  ``users()`` and
-        ``skills()`` follow the two lists.  Repeated user labels, where group
-        sizes would overcount, fill both maps at once.
+        ``users`` and ``skills`` must be distinct and every skill group
+        non-empty (the invariant :meth:`remove_skill_from_user` maintains).
+        ``users()`` and ``skills()`` follow the two lists.  A repeated user
+        label raises :class:`ValueError`: its groups would disagree with the
+        skill groups.
         """
         assignment = cls()
         assignment._user_skills = _GroupedSets(users, user_starts, user_members, skills)
-        assignment._skill_users = _GroupedSets(skills, skill_starts, skill_members, users)
         if len(assignment._user_skills) < len(users):
-            assignment._fill()
+            raise ValueError("user labels must be distinct")
+        assignment._skill_users = _GroupedSets(skills, skill_starts, skill_members, users)
         return assignment
 
     def _fill(self) -> None:

@@ -73,7 +73,8 @@ def assign_skills_zipf(
 
     Every user receives at least one skill, and duplicate (user, skill)
     assignments are merged, so the realised average can be slightly below the
-    requested one on small universes.
+    requested one on small universes.  The user labels must be distinct
+    (:class:`ValueError` otherwise).
 
     .. note:: **Seed compatibility.** When numpy is available the per-skill
        holders are drawn with a vectorised ``numpy.random.Generator`` sampler
@@ -102,6 +103,8 @@ def assign_skills_zipf(
     assignment = SkillAssignment()
     for user in user_list:
         assignment.add_user(user)
+    if len(assignment) < len(user_list):
+        raise ValueError("user labels must be distinct")
     for skill, frequency in zip(skill_names, frequencies):
         holders = (
             rng.sample(user_list, frequency)

@@ -75,19 +75,31 @@ class Task:
         user are eligible — this matches the paper's workload, where tasks are
         drawn from the skills present in the dataset.
         """
-        if size <= 0:
-            raise ValueError(f"task size must be positive, got {size}")
         rng = ensure_rng(seed)
-        universe: List[Skill] = [
-            skill
-            for skill in assignment.skills()
-            if not require_coverable or assignment.skill_frequency(skill) > 0
-        ]
-        if size > len(universe):
-            raise ValueError(
-                f"cannot sample a task of size {size} from a universe of {len(universe)} skills"
-            )
-        return cls(rng.sample(universe, size), name=name)
+        return _draw_task(_task_universe(assignment, require_coverable), size, rng, name)
+
+
+def _task_universe(assignment: SkillAssignment, require_coverable: bool = True) -> List[Skill]:
+    """The skills a random task draws from, in ``assignment.skills()`` order.
+
+    With ``require_coverable`` only the skills some user owns.
+    """
+    return [
+        skill
+        for skill in assignment.skills()
+        if not require_coverable or assignment.skill_frequency(skill) > 0
+    ]
+
+
+def _draw_task(universe: List[Skill], size: int, rng, name: Optional[str]) -> Task:
+    """One task of ``size`` skills sampled from ``universe`` with ``rng``."""
+    if size <= 0:
+        raise ValueError(f"task size must be positive, got {size}")
+    if size > len(universe):
+        raise ValueError(
+            f"cannot sample a task of size {size} from a universe of {len(universe)} skills"
+        )
+    return Task(rng.sample(universe, size), name=name)
 
 
 def random_tasks(
@@ -99,12 +111,14 @@ def random_tasks(
     """Sample ``count`` independent random tasks of the given ``size``.
 
     This reproduces the paper's workload generator: "for a given task of size
-    k, we generated 50 tasks by randomly selecting k skills".
+    k, we generated 50 tasks by randomly selecting k skills".  The coverable
+    universe is built once per call (:func:`_task_universe`); the tasks equal
+    ``count`` successive :meth:`Task.random` draws from the same generator.
     """
     if count <= 0:
         raise ValueError(f"count must be positive, got {count}")
     rng = ensure_rng(seed)
+    universe = _task_universe(assignment)
     return [
-        Task.random(assignment, size, seed=rng, name=f"task-{size}-{index}")
-        for index in range(count)
+        _draw_task(universe, size, rng, f"task-{size}-{index}") for index in range(count)
     ]

@@ -1,13 +1,6 @@
 """Small shared utilities: RNG handling, validation helpers, text tables, timing."""
 
-from repro.utils.bitset import (
-    WORD_BITS,
-    mask_nbytes,
-    pack_mask,
-    popcount,
-    unpack_mask,
-    words_for,
-)
+from repro.utils.bitset import WORD_BITS, words_for
 from repro.utils.generational import GenerationalLRUCache
 from repro.utils.lru import (
     APPROX_BYTES_PER_NODE,
@@ -29,10 +22,6 @@ from repro.utils.validation import (
 
 __all__ = [
     "WORD_BITS",
-    "mask_nbytes",
-    "pack_mask",
-    "popcount",
-    "unpack_mask",
     "words_for",
     "GenerationalLRUCache",
     "LRUCache",

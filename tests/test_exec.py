@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from repro.compatibility import (
     CompatibilityEngine,
     DistanceOracle,
+    average_compatible_distance,
     make_relation,
     source_sampled_pair_statistics,
 )
@@ -41,7 +42,6 @@ from repro.exec import (
 from repro.exec import pool as pool_module
 from repro.experiments import apply_edge_churn
 from repro.signed.graph import SignedGraph
-from repro.signed.paths import SignedBFSResult
 from repro.utils.rng import ensure_rng
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -331,22 +331,6 @@ class TestResultArena:
             # whole dispatch segment (and LRU byte accounting stays honest).
             assert left.base is None
 
-    def test_bitmap_rows_decode_as_zero_copy_views(self, graph):
-        pytest.importorskip("numpy")
-        executor = executor_for(pool_policy("csr"))
-        csr, dense = self._dense_sources(graph)
-        pooled = executor.map_kernel(
-            "csr_compatible_masks", csr, dense, {"rule": "SPO"}
-        )
-        serial = serial_executor().map_kernel(
-            "csr_compatible_masks", csr, dense, {"rule": "SPO"}
-        )
-        for left, right in zip(pooled, serial):
-            assert left.tobytes() == right.tobytes()
-            # Bitmaps are consumed immediately (unpacked into frozensets and
-            # dropped), so they stay zero-copy views into the mapped segment.
-            assert left.base is not None
-
     def test_signed_bfs_triples_ship_through_arena(self, graph):
         np = pytest.importorskip("numpy")
         executor = executor_for(pool_policy("csr"))
@@ -504,11 +488,10 @@ class TestResultArena:
         monkeypatch.setattr(pool_module._PoolHandle, "create_arena", recording)
         executor = executor_for(pool_policy("csr"))
         csr, dense = self._dense_sources(graph)
-        with pytest.raises(KeyError):
-            # An unknown rule name raises inside every worker task.
-            executor.map_kernel(
-                "csr_compatible_masks", csr, dense, {"rule": "NO_SUCH_RULE"}
-            )
+        with pytest.raises(ValueError):
+            # A negative length bound raises inside every worker task, in
+            # the arena writer.
+            executor.map_kernel("csr_sbph", csr, dense, {"max_length": -1})
         assert created
         for name in created:
             assert name not in pool_module._SEGMENT_LEDGER
@@ -532,9 +515,9 @@ class TestResultArena:
             shared_memory.SharedMemory(name=name)
 
     def test_int64_guard_falls_back_per_source_without_bypassing_arena(self):
-        """Satellite: overflowing sources resolve on the dict backend while
-        the rest of the batch keeps its worker-side bitmaps — pooled sets stay
-        identical to the serial CSR relation's."""
+        """Overflowing sources resolve on the dict backend while the rest of
+        the batch keeps its arena-shipped rows — pooled sets stay identical
+        to the serial CSR relation's."""
         pytest.importorskip("numpy")
         # Doubling ladder: layer k is reached by 2**k shortest paths, so 66
         # layers push the counts past the int64 guard for sources near "s".
@@ -752,10 +735,15 @@ class TestBatchCountCompatible:
         targets = ["s", "t", (60, 0), (1, 1), (30, 0), "absent"]
         counts = relation.batch_count_compatible(sources, targets)
         if name.startswith("SP") and policy.uses_csr:
-            # "s" overflowed int64 and was counted on the dict backend; the
-            # other sources kept their CSR results.  Every result, pooled or
-            # not, is cached, so a repeated count dispatches nothing.
-            assert isinstance(relation._bfs_cache.get("s"), SignedBFSResult)
+            # "s" overflowed int64 and was counted on the dict backend, its
+            # result laid onto dense rows of exact Python ints; the other
+            # sources kept their int64 rows.  Every result, pooled or not, is
+            # cached, so a repeated count dispatches nothing.
+            from repro.signed.csr import CSRSignedBFSResult
+
+            exact = relation._bfs_cache.get("s")
+            assert isinstance(exact, CSRSignedBFSResult)
+            assert exact.positive_array.dtype == object
             assert all(relation._bfs_cache.get(source) is not None for source in sources)
             assert counts[0] == 5
         assert counts == expected_counts(relation, sources, targets)
@@ -775,6 +763,57 @@ class TestBatchCountCompatible:
         counts = relation.batch_count_compatible(sources, targets)
         reference = build_stack(two_factions.copy(), name, ExecutionPolicy())[0]
         assert counts == expected_counts(reference, sources, targets)
+
+
+class TestOverflowRows:
+    """On the overflow ladder (``"t"`` has 2**61 shortest paths from ``"s"``)
+    every SP* result a CSR relation caches is a dense CSR result, and every
+    batched reader answers as the dict backend does — before and after a node
+    insertion leaves the cached results on an older snapshot."""
+
+    @pytest.mark.parametrize("policy_name", ("csr-serial", "csr-pool"))
+    @pytest.mark.parametrize("name", ("SPA", "SPM", "SPO"))
+    def test_dense_rows_match_dict_backend(self, overflow_ladder, name, policy_name):
+        from repro.signed.csr import CSRSignedBFSResult
+
+        graph = overflow_ladder
+        policy = COUNT_POLICIES[policy_name]
+        relation, oracle, engine = build_stack(graph, name, policy)
+        for phase in ("ladder", "after insertion"):
+            if phase == "after insertion":
+                # A new component: the cached results survive, on a snapshot
+                # whose dense ids no longer match the graph's.
+                graph.add_edge("x", "y", -1)
+                graph.add_node("z")
+            team = ["s", (30, 0)] if phase == "ladder" else ["s", (30, 0), "x"]
+            candidates = graph.nodes()
+            answers = {
+                "team filter": engine.compatible_from_many(candidates, team),
+                "distances": oracle.batch_distance_to_set(candidates + ["absent"], team),
+                "average distance": average_compatible_distance(relation, oracle),
+                "counts": relation.batch_count_compatible(candidates, candidates),
+                "degrees": relation.batch_compatibility_degrees(candidates),
+            }
+            cached = list(relation._bfs_cache.items()) + list(
+                relation._presence_cache.items()
+            )
+            assert "s" in relation._bfs_cache, phase
+            assert all(isinstance(result, CSRSignedBFSResult) for _, result in cached)
+            exact = relation._bfs_cache.get("s")
+            assert exact.positive_array.dtype == object
+            # After the insertion the readers remapped an older snapshot's rows.
+            assert exact.graph.shares_index_with(graph.csr_view()) == (phase == "ladder")
+            reference = build_stack(graph.copy(), name, COUNT_POLICIES["dict-serial"])
+            expected = {
+                "team filter": reference[2].compatible_from_many(candidates, team),
+                "distances": reference[1].batch_distance_to_set(
+                    candidates + ["absent"], team
+                ),
+                "average distance": average_compatible_distance(*reference[:2]),
+                "counts": reference[0].batch_count_compatible(candidates, candidates),
+                "degrees": reference[0].batch_compatibility_degrees(candidates),
+            }
+            assert answers == expected, phase
 
 
 class TestChurnRedispatch:
@@ -886,7 +925,9 @@ class TestGracefulDegradation:
         reset_executors()
         monkeypatch.setattr(pool_module, "_DISABLE_SHARED_MEMORY", True)
         with pytest.warns(RuntimeWarning):
-            pool_rel = make_relation("SPO", graph, policy=pool_policy("csr"))
+            # On a copy: the graph's shared signed-BFS cache may already hold
+            # these sources, and then nothing would dispatch.
+            pool_rel = make_relation("SPO", graph.copy(), policy=pool_policy("csr"))
             pool_sets = pool_rel.batch_compatible_sets(graph.nodes()[:10])
         serial_rel = make_relation(
             "SPO", graph.copy(), policy=ExecutionPolicy(backend="csr")
@@ -1179,10 +1220,8 @@ class TestSnapshotStoreMode:
         executor = executor_for(
             pool_policy("csr", snapshot_store=str(tmp_path))
         )
-        with pytest.raises(KeyError):
-            executor.map_kernel(
-                "csr_compatible_masks", csr, dense, {"rule": "NO_SUCH_RULE"}
-            )
+        with pytest.raises(ValueError):
+            executor.map_kernel("csr_sbph", csr, dense, {"max_length": -1})
         # The pool survives and the publication is still serviceable.
         ok = executor.map_kernel("csr_path_lengths", csr, dense, {})
         assert len(ok) == len(dense)
@@ -1208,11 +1247,10 @@ class TestSnapshotStoreMode:
         executor = executor_for(pool_policy("csr"))
         executor.map_kernel("csr_path_lengths", csr, dense, {})
         assert {name.rsplit(".", 1)[1] for name in leftovers()} == {"pickle", "store"}
-        with pytest.raises(KeyError):
-            # An unknown rule name raises inside every worker task.
-            executor.map_kernel(
-                "csr_compatible_masks", csr, dense, {"rule": "NO_SUCH_RULE"}
-            )
+        with pytest.raises(ValueError):
+            # A negative length bound raises inside every worker task, in
+            # the arena writer.
+            executor.map_kernel("csr_sbph", csr, dense, {"max_length": -1})
         pool_module.shutdown_pools()
         assert leftovers() == []
         assert not pool_module._STORE_FILE_LEDGER

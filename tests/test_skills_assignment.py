@@ -196,23 +196,19 @@ class TestGroupedAssignment:
         assert list(grouped._user_skills._built) == ["c"]
         assert list(grouped._skill_users._built) == ["x"]
 
-    def test_repeated_user_labels_fill_at_once(self):
+    def test_repeated_user_labels_rejected(self):
         np = pytest.importorskip("numpy")
-        # Group 0 and group 2 both belong to "a": the last one wins, as in a
-        # dict comprehension, and "a" counts once per skill.
-        grouped = SkillAssignment._from_groups(
-            ["a", "b", "a"],
-            ["x", "y"],
-            np.array([0, 1, 2, 4]),
-            np.array([0, 0, 0, 1]),
-            np.array([0, 3, 4]),
-            np.array([0, 1, 2, 2]),
-        )
-        assert isinstance(grouped._user_skills, dict)
-        assert grouped.users() == ["a", "b"]
-        assert grouped.skills_of("a") == frozenset({"x", "y"})
-        assert grouped.skill_frequency("x") == 2
-        assert grouped.users_with("y") == frozenset({"a"})
+        # Group 0 and group 2 both belong to "a": the user groups would
+        # disagree with the skill groups, so the groups are refused.
+        with pytest.raises(ValueError, match="distinct"):
+            SkillAssignment._from_groups(
+                ["a", "b", "a"],
+                ["x", "y"],
+                np.array([0, 1, 2, 4]),
+                np.array([0, 0, 0, 1]),
+                np.array([0, 3, 4]),
+                np.array([0, 1, 2, 2]),
+            )
 
 
 class TestTask:
@@ -263,6 +259,30 @@ class TestTask:
         # Deterministic given the seed.
         again = random_tasks(simple_assignment, size=2, count=5, seed=1)
         assert tasks == again
+
+    @pytest.mark.parametrize("seed", [0, 7, 11])
+    def test_random_tasks_equal_per_task_draws(self, seed, monkeypatch):
+        from repro.skills import assign_skills_zipf
+        from repro.utils.rng import ensure_rng
+
+        assignment = assign_skills_zipf(list(range(40)), 30, 1.5, seed=seed)
+        rng = ensure_rng(seed)
+        expected = [
+            Task.random(assignment, 4, seed=rng, name=f"task-4-{index}")
+            for index in range(25)
+        ]
+        calls = []
+        frequency = SkillAssignment.skill_frequency
+        monkeypatch.setattr(
+            SkillAssignment,
+            "skill_frequency",
+            lambda self, skill: calls.append(skill) or frequency(self, skill),
+        )
+        tasks = random_tasks(assignment, size=4, count=25, seed=seed)
+        assert tasks == expected
+        assert [task.name for task in tasks] == [task.name for task in expected]
+        # One universe per call, not one per task.
+        assert len(calls) == assignment.number_of_skills()
 
     def test_random_tasks_invalid_count(self, simple_assignment):
         with pytest.raises(ValueError):

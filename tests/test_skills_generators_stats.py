@@ -84,6 +84,15 @@ class TestAssignSkills:
         assert all(first.skills_of(user) for user in users)
         assert first.skill_frequency("skill-1") > first.skill_frequency("skill-15")
 
+    @pytest.mark.parametrize("vectorised", [True, False])
+    def test_zipf_repeated_user_labels_rejected(self, monkeypatch, vectorised):
+        if vectorised:
+            pytest.importorskip("numpy")
+        else:
+            monkeypatch.setattr(generators, "_np", None)
+        with pytest.raises(ValueError, match="distinct"):
+            assign_skills_zipf([1, 2, 1, 3] * 5, 6, 2.0, seed=3)
+
     def test_zipf_vectorised_maps_are_consistent(self):
         pytest.importorskip("numpy")
         users = [f"u{i}" for i in range(150)]

@@ -21,12 +21,8 @@ from repro.datasets import synthetic_signed_network
 from repro.signed import NEGATIVE, POSITIVE, SignedGraph
 from repro.utils.bitset import (
     WORD_BITS,
-    mask_nbytes,
-    pack_mask,
-    popcount,
     source_bits,
     set_bit_positions,
-    unpack_mask,
     words_for,
 )
 
@@ -102,22 +98,7 @@ def assert_snapshots_identical(left: CSRSignedGraph, right: CSRSignedGraph):
 
 
 class TestBitset:
-    @given(st.lists(st.booleans(), max_size=200))
-    @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    def test_pack_unpack_roundtrip(self, bits):
-        mask = np.array(bits, dtype=bool)
-        packed = pack_mask(mask)
-        assert len(packed) == mask_nbytes(len(bits))
-        restored = unpack_mask(packed, len(bits))
-        assert restored.dtype == np.bool_
-        assert np.array_equal(restored, mask)
-        assert popcount(packed) == int(mask.sum())
-
     def test_size_helpers(self):
-        assert mask_nbytes(0) == 0
-        assert mask_nbytes(1) == 1
-        assert mask_nbytes(8) == 1
-        assert mask_nbytes(9) == 2
         assert words_for(0) == 0
         assert words_for(64) == 1
         assert words_for(65) == 2
