@@ -1,13 +1,13 @@
-"""Benchmarks for set-valued result shipping through the shared-memory arena.
+"""Benchmarks for set-valued pool results returned through ``Pool.map``.
 
 On a 50k-node synthetic signed network, pooled set-valued sweeps
 (``batch_bfs`` — the transport-heaviest kernel, ~1 MB of result arrays per
-source — and the oracle's distance maps) ship their dense results through
-per-dispatch result arenas and must return **bit-identical** results to
-serial runs.  A pooled ``batch_compatible_sets`` sweep is that same
-``batch_bfs`` shipping followed by the pair-rule masks in the parent.  The identity check runs
-everywhere (2 workers, real cross-process dispatch); the timed sweeps are
-tracked by the CI ``benchmarks`` job in ``bench-shipping.json``.
+source — and the oracle's distance maps) return each worker chunk's dense
+rows pickled through ``Pool.map`` and must be **bit-identical** to serial
+runs.  A pooled ``batch_compatible_sets`` sweep is that same ``batch_bfs``
+return followed by the pair-rule masks in the parent.  The identity check
+runs everywhere (2 workers, real cross-process dispatch); the timed sweeps
+are tracked by the CI ``benchmarks`` job in ``bench-shipping.json``.
 """
 
 from __future__ import annotations
@@ -43,8 +43,11 @@ def _policy(workers: int) -> ExecutionPolicy:
 
 
 def _cold_batch_bfs(graph, workers: int):
-    """A fresh relation's cold ``batch_bfs`` sweep (nothing cached)."""
+    """A fresh relation's cold ``batch_bfs`` sweep.  SP* relations on one
+    graph share their signed-BFS cache, so it is cleared first: otherwise
+    every sweep after the first reads the previous one's results."""
     relation = make_relation("SPO", graph, policy=_policy(workers))
+    relation.clear_cache()
     return relation.batch_bfs(graph.nodes()[:NUM_SOURCES])
 
 
@@ -63,40 +66,44 @@ def _as_comparable(results):
     return comparable
 
 
-def test_arena_sweeps_bit_identical(big_graph):
-    """Arena-shipped and serial sweeps agree bit for bit.
+def test_pooled_sweeps_bit_identical(big_graph):
+    """Pooled sweeps returned through ``Pool.map`` and serial sweeps agree
+    bit for bit.
 
     Covers ``batch_bfs`` triples, the ``batch_compatible_sets`` built on
     them and the oracle's ``warm`` maps.
     """
     serial = _as_comparable(_cold_batch_bfs(big_graph, 0))
-    arena = _as_comparable(_cold_batch_bfs(big_graph, 2))
-    assert arena == serial
+    pooled = _as_comparable(_cold_batch_bfs(big_graph, 2))
+    assert pooled == serial
 
     sample = big_graph.nodes()[:24]
-    serial_rel = make_relation("SPO", big_graph, policy=_policy(0))
-    arena_rel = make_relation("SPO", big_graph, policy=_policy(2))
-    assert arena_rel.batch_compatible_sets(sample) == serial_rel.batch_compatible_sets(sample)
-
     team = big_graph.nodes()[100:104]
     candidates = big_graph.nodes()[200:260]
-    serial_oracle = DistanceOracle(serial_rel)
-    arena_oracle = DistanceOracle(arena_rel)
-    assert arena_oracle.batch_distance_to_set(candidates, team) == (
-        serial_oracle.batch_distance_to_set(candidates, team)
-    )
+    answers = []
+    for workers in (0, 2):
+        relation = make_relation("SPO", big_graph, policy=_policy(workers))
+        relation.clear_cache()  # the pooled side must not read serial rows
+        answers.append(
+            (
+                relation.batch_compatible_sets(sample),
+                DistanceOracle(relation).batch_distance_to_set(candidates, team),
+            )
+        )
+    assert answers[1] == answers[0]
 
 
 @pytest.mark.benchmark(group="perf-shipping")
-def test_perf_arena_batch_bfs_50k(benchmark, big_graph):
-    """Arena-shipped cold batch_bfs sweep (tracked in bench-shipping.json)."""
+def test_perf_pooled_batch_bfs_50k(benchmark, big_graph):
+    """Pooled cold batch_bfs sweep, rows returned through ``Pool.map``
+    (tracked in bench-shipping.json)."""
     benchmark.pedantic(lambda: _cold_batch_bfs(big_graph, 2), rounds=3, iterations=1)
 
 
 @pytest.mark.benchmark(group="perf-shipping")
 def test_perf_pooled_compatible_sets_50k(benchmark, big_graph):
-    """Pooled compatible-set sweep: arena-shipped ``batch_bfs`` rows, then the
-    pair-rule masks in the parent."""
+    """Pooled compatible-set sweep: ``batch_bfs`` rows returned through
+    ``Pool.map``, then the pair-rule masks in the parent."""
     relation = make_relation("SPO", big_graph, policy=_policy(2))
     sources = big_graph.nodes()[:NUM_SOURCES]
 

@@ -10,7 +10,6 @@ __all__ = [
     "terminal_name",
     "iter_functions",
     "keyword_value",
-    "string_constants",
     "walk_no_functions",
 ]
 
@@ -57,15 +56,6 @@ def keyword_value(node: ast.Call, name: str) -> Optional[ast.AST]:
         if keyword.arg == name:
             return keyword.value
     return None
-
-
-def string_constants(node: ast.AST) -> List[str]:
-    """Every string literal anywhere inside ``node``."""
-    return [
-        sub.value
-        for sub in ast.walk(node)
-        if isinstance(sub, ast.Constant) and isinstance(sub.value, str)
-    ]
 
 
 def walk_no_functions(node: ast.AST) -> Iterator[ast.AST]:

@@ -4,10 +4,6 @@ The executor and snapshot store survive worker crashes because every
 OS-visible resource is registered with a process-local ledger *in the same
 function that allocates it*:
 
-* ``shared_memory.SharedMemory(create=True)`` → ``_SEGMENT_LEDGER`` —
-  otherwise a crashed run leaks POSIX shm segments until reboot.  The pool's
-  result arenas (``_PoolHandle.create_arena``) are the only such
-  allocation;
 * snapshot-store temp files (``_temp_path(...)`` / ``tempfile`` APIs) →
   ``_TEMP_LEDGER`` — otherwise an interrupted save litters ``*.tmp`` files
   next to the store;
@@ -27,10 +23,10 @@ import ast
 from typing import List
 
 from repro.analysis.core import Finding, ModuleContext, Rule, register_rule
-from repro.analysis.rules._util import call_name, iter_functions, keyword_value
+from repro.analysis.rules._util import call_name, iter_functions
 
 _TEMPFILE_APIS = {"mkstemp", "NamedTemporaryFile", "mkdtemp"}
-_LEDGERS = {"_SEGMENT_LEDGER", "_TEMP_LEDGER", "_STORE_FILE_LEDGER"}
+_LEDGERS = {"_TEMP_LEDGER", "_STORE_FILE_LEDGER"}
 
 
 def _ledger_stores(func: ast.AST) -> set:
@@ -61,9 +57,8 @@ def _ledger_stores(func: ast.AST) -> set:
 class LedgerDisciplineRule(Rule):
     id = "ledger-discipline"
     contract = (
-        "shared-memory segments, snapshot temp files and published store "
-        "files are registered with their crash-cleanup ledger in the same "
-        "function that allocates them"
+        "snapshot temp files and published store files are registered with "
+        "their crash-cleanup ledger in the same function that allocates them"
     )
 
     def check_module(self, ctx: ModuleContext):
@@ -96,11 +91,6 @@ class LedgerDisciplineRule(Rule):
 
     def _requirement(self, ctx: ModuleContext, call: ast.Call):
         name = call_name(call)
-        if name == "SharedMemory":
-            create = keyword_value(call, "create")
-            if isinstance(create, ast.Constant) and create.value is True:
-                return "_SEGMENT_LEDGER", "a SharedMemory segment (create=True)"
-            return None
         if name == "_temp_path":
             return "_TEMP_LEDGER", "a snapshot-store temp path"
         if name in _TEMPFILE_APIS:

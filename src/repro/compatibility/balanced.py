@@ -42,7 +42,7 @@ batched CSR cores behind the ``csr_sbph`` kernel
 sources level by level and vectorise candidate generation, the expansion
 cap and the balance check.  A CSR result keeps the kernel's two dense
 depth rows, wrapped in :class:`~repro.signed.csr.CSRLengths` views, from
-the kernel (or the pool's result arena) through the cache to the
+the kernel (serial or pooled) through the cache to the
 symmetric closure.  The policy's
 :attr:`~repro.exec.ExecutionPolicy.uses_csr` picks between them: the default
 ``backend="auto"`` uses the CSR searches whenever numpy is available.  The
@@ -193,13 +193,11 @@ class _BalancedPathRelation(CompatibilityRelation):
     def _map_searches(self, sources: List[Node]) -> List[BalancedPathResult]:
         """Run the relation's search for every source through the executor.
 
-        On the CSR backend under a pool policy the workers write each
-        source's depth rows into the dispatch's shared-memory result arena
-        and ship back only its truncation flag (this is what keeps the
+        On the CSR backend under a pool policy the workers return each
+        source's depth rows and truncation flag through ``Pool.map`` (the
         balanced *reverse sweeps* — every candidate of
-        :meth:`batch_compatible_sets` / :meth:`batch_distance_to_set` — off
-        the pickle path); the parent copies the rows out, so results are
-        identical to the serial search.
+        :meth:`batch_compatible_sets` / :meth:`batch_distance_to_set` — fan
+        out this way), so results are identical to the serial search.
         """
         executor = self._executor()
         if self._policy.uses_csr:

@@ -174,14 +174,13 @@ class DistanceOracle:
         backend every uncached source joins one multi-source BFS
         (:func:`repro.signed.csr.multi_source_shortest_path_lengths_csr`)
         instead of running its own traversal.  Under a pool policy the
-        workers write the dense distance maps straight into the dispatch's
-        shared-memory result arena; the parent copies each row out of the
-        mapped segment (cache entries must own their bytes) — no per-source
-        array ever crosses the pipe pickled.  Returns the maps in input
-        order; they are also written through to the cache.  All requested
-        maps are computed and held for the duration of the call (callers pass
-        team-sized lists); prefetch-only sweeps larger than the cache bound
-        should warm in cache-sized chunks — see
+        workers return the dense distance maps through ``Pool.map``; each
+        unpickled row holds only its own bytes, as a cache entry must.
+        Returns the maps in input order; they are also written through to
+        the cache.  All requested maps are computed and held for the
+        duration of the call (callers pass team-sized lists); prefetch-only
+        sweeps larger than the cache bound should warm in cache-sized
+        chunks — see
         :func:`average_compatible_distance` — or the excess entries evict
         each other before they are read.  For balanced-path relations the
         oracle distance is not a plain BFS distance, so this is a no-op

@@ -6,13 +6,12 @@ index — and adds the worker-pool dimension:
 ``workers >= 2`` dispatches per-source kernel batches (signed BFS, distance
 sweeps, balanced-path searches) to a persistent process pool.  The pool
 reads each snapshot from one published file (CSR snapshots memory-mapped,
-dict graphs unpickled) and ships set-valued results back through
-``multiprocessing.shared_memory`` result arenas.
+dict graphs unpickled) and returns every kernel's results through
+``Pool.map``.
 Serial and pooled execution are bit-identical; see the README's
 "Execution policies" section and :mod:`repro.exec.pool` for the worker model.
 """
 
-from repro.exec.arena import ResultArena
 from repro.exec.kernels import KERNELS, register_kernel
 from repro.exec.policy import CacheSize, ExecutionPolicy, executor_for, reset_executors
 from repro.exec.pool import (
@@ -30,7 +29,6 @@ __all__ = [
     "ExecutorUnavailable",
     "KERNELS",
     "ProcessPoolExecutor",
-    "ResultArena",
     "SerialExecutor",
     "SnapshotDescriptor",
     "executor_for",

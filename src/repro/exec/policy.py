@@ -233,9 +233,8 @@ def executor_for(policy: ExecutionPolicy):
     Serial policies (``workers <= 1``) share one
     :class:`~repro.exec.serial.SerialExecutor`.  Pool policies get a
     :class:`~repro.exec.pool.ProcessPoolExecutor` bound to the policy (pools
-    themselves are shared per worker count).  If the platform cannot run a
-    pool — no ``multiprocessing.shared_memory``, no process support — the
-    policy degrades to the serial executor with a one-time
+    themselves are shared per worker count).  If the platform cannot start
+    a pool, the policy degrades to the serial executor with a one-time
     :class:`RuntimeWarning`, mirroring the numpy-free backend degradation.
     """
     global _POOLS_UNAVAILABLE

@@ -21,28 +21,21 @@ shape explicit:
   *and* its ``generation``; a mutated graph (or a fresh snapshot after a
   churn batch) republishes automatically, so workers can never serve results
   against a stale snapshot.
-* **Result shipping.**  The kernels in
-  :data:`repro.exec.arena._ARENA_KERNELS` write their dense results into a
-  per-dispatch ``multiprocessing.shared_memory`` *result arena*
-  (chunk-strided rows, written through the ``*_into`` kernel variants) and
-  return only compact per-source tokens; a batch whose arena would exceed
-  :data:`_ARENA_BUDGET_BYTES` is split into consecutive sub-dispatches.
-  The parent copies each source's rows out of the mapped segment and
-  unlinks it immediately; every created segment sits on a parent-owned
-  ledger flushed by :func:`shutdown_pools`, so crashed dispatches cannot
-  leak ``/dev/shm`` entries.  Kernels without an arena layout return their results through
-  ``Pool.map``.  See :mod:`repro.exec.arena`.
+* **Result shipping.**  Every kernel returns its results through
+  ``Pool.map``: a pooled result is the serial kernel's own return value,
+  pickled.  The allocating CSR wrappers copy each row out of their batch
+  block, and an unpickled row is backed by at most its own pickled bytes,
+  so a cached row never pins a larger buffer.
 * **Deterministic merging.**  Sources are split into index-ordered chunks,
   dispatched with :meth:`multiprocessing.pool.Pool.map` (which returns
   results in task order regardless of completion order), and concatenated —
   so the merged result list is bit-identical to a serial run however the
   chunks were scheduled.  Kernels are deterministic functions of the
   snapshot and their sources (none draws randomness).
-* **Graceful degradation.**  If pools or shared memory are unavailable on the
-  platform (or a payload cannot be published, or an arena cannot be
-  allocated), execution falls back to the in-process serial path with a
-  one-time :class:`RuntimeWarning` — mirroring the numpy-free backend
-  degradation.  Results are unchanged either way.
+* **Graceful degradation.**  If pools are unavailable on the platform (or a
+  payload cannot be published), execution falls back to the in-process
+  serial path with a one-time :class:`RuntimeWarning` — mirroring the
+  numpy-free backend degradation.  Results are unchanged either way.
 
 Pools are persistent and shared per worker count; they shut down atexit or
 via :func:`shutdown_pools`.
@@ -59,16 +52,11 @@ import warnings
 import weakref
 from collections import OrderedDict, deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
-from repro.exec import arena as arena_module
-from repro.exec.arena import ResultArena
 from repro.exec.kernels import KERNELS
 from repro.exec.policy import ExecutionPolicy
 from repro.exec.serial import Executor, serial_executor
-
-#: Test hook: set to True to simulate a platform without shared memory.
-_DISABLE_SHARED_MEMORY = False
 
 #: Parent-side bound on simultaneously published payloads per pool (older
 #: publications are unlinked and republished on demand).
@@ -81,76 +69,12 @@ _WORKER_CACHE_BOUND = 4
 #: pools of different sizes publish into the same directory.
 _PUBLISH_IDS = itertools.count()
 
-#: Upper bound on one result arena's segment.  A dispatch whose layout would
-#: exceed it runs as consecutive sub-dispatches of at most this many bytes
-#: each; 256 MiB holds a full 50k-node, 150-source BFS sweep with headroom.
-_ARENA_BUDGET_BYTES = 256 * 2**20
-
-
 class ExecutorUnavailable(RuntimeError):
     """Raised when a worker pool (or a payload shipment) cannot be set up."""
 
 
-#: Parent-owned ledger of every shared-memory segment this process created
-#: and has not yet unlinked — the in-flight result arenas.  Normal operation
-#: adds and removes entries symmetrically;
-#: :func:`shutdown_pools` flushes whatever is left, so a dispatch that died
-#: between segment creation and its cleanup (worker crash, interrupt) cannot
-#: leave stale ``/dev/shm`` entries behind once the pools are torn down.
-_SEGMENT_LEDGER: Dict[str, object] = {}
-
-#: Already-unlinked segments whose mapping could not be closed yet because a
-#: decoded zero-copy view still exports their buffer (possible when a cache
-#: full of views dies inside a reference cycle, where the GC may run the
-#: arena finalizer before the views' deallocation).  Holding the handle here
-#: keeps ``SharedMemory.__del__`` from raising mid-collection; the sweep
-#: below retries the close once the exports are really gone.
-_RETIRED_SEGMENTS: List[object] = []
-
-
-def _close_or_retire(shm) -> None:
-    """Close a segment's mapping now, or park it for a later retry."""
-    try:
-        shm.close()
-    except BufferError:  # a decoded view still maps the buffer
-        _RETIRED_SEGMENTS.append(shm)
-    except Exception:  # pragma: no cover - best-effort cleanup
-        pass
-
-
-def _sweep_retired_segments() -> None:
-    """Retry closing parked segment mappings whose views have since died."""
-    still_open: List[object] = []
-    for shm in _RETIRED_SEGMENTS:
-        try:
-            shm.close()
-        except BufferError:
-            still_open.append(shm)
-        except Exception:  # pragma: no cover - best-effort cleanup
-            pass
-    _RETIRED_SEGMENTS[:] = still_open
-
-
-def _ledger_discard(shm) -> None:
-    """Drop ``shm`` from the ledger, unlink and release it (best-effort)."""
-    _SEGMENT_LEDGER.pop(shm.name, None)
-    try:
-        shm.unlink()
-    except Exception:  # pragma: no cover - best-effort cleanup
-        pass
-    _close_or_retire(shm)
-
-
-def _flush_segment_ledger() -> None:
-    """Unlink every segment still on the ledger (crash/interrupt leftovers)."""
-    for shm in list(_SEGMENT_LEDGER.values()):
-        _ledger_discard(shm)
-    _sweep_retired_segments()
-
-
 #: Parent-owned ledger of snapshot files published for workers and not yet
-#: unlinked — the file counterpart of :data:`_SEGMENT_LEDGER`.  Normal
-#: operation removes entries when a publication is released;
+#: unlinked.  Normal operation removes entries when a publication is released;
 #: :func:`shutdown_pools` flushes the rest, so a crashed dispatch cannot
 #: strand ``snapshot-*`` files in the publish directory.
 _STORE_FILE_LEDGER: Dict[str, None] = {}
@@ -188,19 +112,6 @@ def _flush_store_ledger() -> None:
 _DEGRADE_WARNED: set = set()
 
 
-def _require_shared_memory():
-    """Import ``multiprocessing.shared_memory`` or explain why we cannot."""
-    if _DISABLE_SHARED_MEMORY:
-        raise ExecutorUnavailable("multiprocessing.shared_memory is disabled")
-    try:
-        from multiprocessing import shared_memory
-    except ImportError as error:  # pragma: no cover - platform-specific
-        raise ExecutorUnavailable(
-            f"multiprocessing.shared_memory is unavailable: {error}"
-        ) from error
-    return shared_memory
-
-
 def _publish_directory(snapshot_store: Optional[str]) -> str:
     """Where publications go: ``snapshot_store``, else ``/dev/shm`` when it
     is a writable directory, else the platform temp directory."""
@@ -222,26 +133,20 @@ class SnapshotDescriptor:
 
     ``kind`` is ``"store"`` (``path`` names a :mod:`repro.signed.store` file
     the worker ``numpy.memmap``\\ s read-only) or ``"pickle"`` (``path``
-    names a pickled :class:`SignedGraph`).  ``num_nodes`` sizes the result
-    arenas.  The ``publish_id`` is unique per publication, which is what
-    worker-side caches key on — a republished (mutated) payload always gets
-    a fresh id.
+    names a pickled :class:`SignedGraph`).  The ``publish_id`` is unique per
+    publication, which is what worker-side caches key on — a republished
+    (mutated) payload always gets a fresh id.
     """
 
     publish_id: int
     kind: str
     path: str
-    num_nodes: int
 
 
 # ------------------------------------------------------------------ worker side
 
 #: Worker-process cache: publish_id -> loaded payload.
 _WORKER_PAYLOADS: "OrderedDict[int, object]" = OrderedDict()
-
-#: Arena attachments a writer left a stray view on; kept open rather than
-#: raising from ``close``.
-_RETIRED_HANDLES: List[object] = []
 
 
 def _init_worker() -> None:
@@ -251,28 +156,6 @@ def _init_worker() -> None:
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except (ValueError, OSError):  # pragma: no cover - exotic platforms
-        pass
-
-
-def _untrack_attachment(shm) -> None:
-    """Stop a spawn-mode worker's resource tracker from owning an attachment.
-
-    The parent process owns every segment (it created it and unlinks it).
-    Under ``spawn`` each worker runs its *own* resource tracker, and the
-    attach-time registration would make that tracker unlink the segment when
-    the worker exits — out from under the parent.  Under ``fork`` (and
-    ``forkserver``) the tracker process is shared with the parent, duplicate
-    registrations collapse in its name set, and unregistering here would
-    instead erase the parent's accounting — so we leave it alone.
-    """
-    try:  # pragma: no cover - accounting only, behaviourally invisible
-        import multiprocessing as mp
-        from multiprocessing import resource_tracker
-
-        if mp.get_start_method(allow_none=True) != "spawn":
-            return
-        resource_tracker.unregister(shm._name, "shared_memory")
-    except Exception:
         pass
 
 
@@ -300,36 +183,10 @@ def _attach_payload(descriptor: SnapshotDescriptor):
 
 
 def _run_chunk(task):
-    """Worker entry point: attach the payload, run one kernel chunk.
-
-    With a :class:`~repro.exec.arena.ResultArena` attached to the task, the
-    chunk's dense results are written straight into the shared segment
-    (chunk-strided rows starting at ``start``) and only the compact token
-    list crosses the pipe; kernels without an arena layout return their
-    results (pickled) through ``Pool.map``.
-    """
-    descriptor, kernel_name, sources, params, arena, start = task
-    payload = _attach_payload(descriptor)
-    if arena is None:
-        return KERNELS[kernel_name](payload, sources, params)
-    return _run_arena_chunk(arena, payload, sources, params, start)
-
-
-def _run_arena_chunk(arena: ResultArena, payload, sources, params, start: int):
-    """Attach the dispatch's result arena and write this chunk's rows."""
-    shared_memory = _require_shared_memory()
-    shm = shared_memory.SharedMemory(name=arena.name)
-    _untrack_attachment(shm)
-    try:
-        planes, base = arena_module.map_planes(arena, shm.buf)
-        tokens = arena_module.write_chunk(arena, planes, start, payload, sources, params)
-        del planes, base  # release the buffer exports before closing
-        return tokens
-    finally:
-        try:
-            shm.close()
-        except BufferError:  # pragma: no cover - a writer kept a stray view
-            _RETIRED_HANDLES.append(shm)
+    """Worker entry point: attach the payload, run one kernel chunk; the
+    results travel back pickled through ``Pool.map``."""
+    descriptor, kernel_name, sources, params = task
+    return KERNELS[kernel_name](_attach_payload(descriptor), sources, params)
 
 
 # ------------------------------------------------------------------ parent side
@@ -355,27 +212,8 @@ class _PoolHandle:
     """
 
     def __init__(self, workers: int) -> None:
-        _require_shared_memory()  # fail fast before forking anything
         import multiprocessing as mp
 
-        try:
-            # Start the parent's resource tracker *before* forking workers:
-            # forked workers then inherit it, so their attach-time
-            # registrations land in the tracker that also sees the parent's
-            # create/unlink — one shared ledger instead of per-worker
-            # trackers that would mis-report the parent's segments as leaked.
-            from multiprocessing import resource_tracker
-
-            tracker = resource_tracker._resource_tracker
-            was_running = getattr(tracker, "_pid", None)
-            resource_tracker.ensure_running()
-            launched = getattr(tracker, "_pid", None)
-            if launched is not None and launched != was_running:
-                # Python never waits for the tracker it launches; remember
-                # this one so shutdown_pools() can stop and reap it.
-                _LAUNCHED_TRACKER.update(pid=launched, owner=os.getpid())
-        except Exception:  # pragma: no cover - tracker is an optimisation here
-            pass
         try:
             context = mp.get_context()
             self.pool = context.Pool(processes=workers, initializer=_init_worker)
@@ -390,10 +228,8 @@ class _PoolHandle:
         #: weakref guards against CPython id reuse: a *new* object at a
         #: recycled address must not inherit the failure.
         self.failed_payloads: Dict[int, Optional[weakref.ref]] = {}
-        #: Publications and result arenas created over this pool's lifetime
-        #: (introspection).
+        #: Publications created over this pool's lifetime (introspection).
         self.publications = 0
-        self.arenas_created = 0
 
     def mark_failed(self, payload) -> None:
         """Remember that ``payload`` cannot be shipped (serial from now on)."""
@@ -511,7 +347,6 @@ class _PoolHandle:
             publish_id=publish_id,
             kind=kind,
             path=path,
-            num_nodes=payload.number_of_nodes(),
         )
 
     def release(self, key: int) -> None:
@@ -519,30 +354,6 @@ class _PoolHandle:
         entry = self.published.pop(key, None)
         if entry is not None:
             _store_discard(entry.descriptor.path)
-
-    # ----------------------------------------------------------- result arenas
-
-    def create_arena(
-        self, kernel: str, num_sources: int, num_nodes: int
-    ) -> Tuple[ResultArena, object]:
-        """Allocate the shared-memory result segment for one dispatch.
-
-        The segment goes on the parent-owned ledger immediately — before any
-        worker sees its name — so even a dispatch that dies between creation
-        and cleanup is flushed by :func:`shutdown_pools`.  Raises
-        :class:`ExecutorUnavailable` when the platform cannot allocate it.
-        """
-        shared_memory = _require_shared_memory()
-        size = arena_module.arena_nbytes(kernel, num_sources, num_nodes)
-        try:
-            shm = shared_memory.SharedMemory(create=True, size=max(1, size))
-        except OSError as error:
-            raise ExecutorUnavailable(f"cannot allocate a result arena: {error}") from error
-        _SEGMENT_LEDGER[shm.name] = shm
-        self.arenas_created += 1
-        return ResultArena(
-            name=shm.name, kernel=kernel, num_sources=num_sources, num_nodes=num_nodes
-        ), shm
 
     def release_all(self) -> None:
         """Unlink every publication (next dispatch republishes)."""
@@ -566,10 +377,6 @@ class _PoolHandle:
 
 _POOL_HANDLES: Dict[int, _PoolHandle] = {}
 
-#: The resource tracker a pool handle launched: its ``pid`` and the process
-#: that launched it (``owner``), empty when no handle launched one.
-_LAUNCHED_TRACKER: Dict[str, int] = {}
-
 
 def _shared_pool_handle(workers: int) -> _PoolHandle:
     """The persistent pool of ``workers`` processes (created on first use)."""
@@ -581,50 +388,17 @@ def _shared_pool_handle(workers: int) -> _PoolHandle:
 
 
 def shutdown_pools() -> None:
-    """Terminate every pool and unlink all published files and arenas
-    (atexit-safe).
+    """Terminate every pool and unlink all published files (atexit-safe).
 
-    Besides the per-pool teardown, this flushes the parent-owned ledgers —
-    the safety net for files and segments whose dispatch never reached its
-    own cleanup (a worker that died mid-``Pool.map``, an interrupt between
-    arena creation and decode), so no stale ``snapshot-*`` files or
-    ``/dev/shm`` segments survive it.  Last, it stops and reaps the
-    resource tracker a pool launched (:func:`_stop_launched_tracker`), so
-    no process of this one outlives it; a shared-memory arena created later
-    starts a new tracker as usual.
+    Besides the per-pool teardown, this flushes the parent-owned store-file
+    ledger — the safety net for files whose dispatch never reached its own
+    cleanup (a worker that died mid-``Pool.map``, an interrupt), so no stale
+    ``snapshot-*`` files survive it.
     """
     for handle in list(_POOL_HANDLES.values()):
         handle.shutdown()
     _POOL_HANDLES.clear()
-    _flush_segment_ledger()
     _flush_store_ledger()
-    _stop_launched_tracker()
-
-
-def _stop_launched_tracker() -> None:
-    """Stop and wait for the resource tracker a pool handle launched.
-
-    Only that tracker, only from the process that launched it, and only when
-    no child process is left: the tracker exits once every holder of its
-    pipe has closed it, and a live child (a pool worker that outlived
-    ``terminate``) would still hold it, so the wait would block.
-    """
-    if not _LAUNCHED_TRACKER or _LAUNCHED_TRACKER["owner"] != os.getpid():
-        return
-    import multiprocessing
-    from multiprocessing import resource_tracker
-
-    tracker = resource_tracker._resource_tracker
-    if getattr(tracker, "_pid", None) != _LAUNCHED_TRACKER["pid"]:
-        _LAUNCHED_TRACKER.clear()  # already gone, or replaced by another
-        return
-    if multiprocessing.active_children() or not hasattr(tracker, "_stop"):
-        return
-    try:
-        tracker._stop()
-    except Exception:  # pragma: no cover - best-effort cleanup
-        return
-    _LAUNCHED_TRACKER.clear()
 
 
 atexit.register(shutdown_pools)
@@ -689,30 +463,13 @@ class ProcessPoolExecutor(Executor):
             handle.mark_failed(payload)
             self._degrade("publish", error)
             return serial_executor().map_kernel(kernel, payload, source_list, params)
-        shared_params = dict(params or {})
         try:
-            if not arena_module.supports(kernel):
-                return self._dispatch(descriptor, kernel, source_list, shared_params)
-            # Set-valued kernels ship their dense results through one arena
-            # per sub-dispatch: a batch whose layout would exceed the budget
-            # runs as consecutive slices, concatenated in source order.
-            row_bytes = arena_module.arena_nbytes(kernel, 1, descriptor.num_nodes)
-            rows = max(1, _ARENA_BUDGET_BYTES // max(1, row_bytes))
-            results: List = []
-            for start in range(0, len(source_list), rows):
-                results.extend(
-                    self._dispatch_arena(
-                        descriptor, kernel, source_list[start : start + rows], shared_params
-                    )
-                )
-            return results
+            return self._dispatch(descriptor, kernel, source_list, dict(params or {}))
         except ExecutorUnavailable as error:
             self._degrade("dispatch", error)
             return serial_executor().map_kernel(kernel, payload, source_list, params)
 
-    def _dispatch(
-        self, descriptor, kernel: str, sources: List, params: dict, arena=None
-    ) -> List:
+    def _dispatch(self, descriptor, kernel: str, sources: List, params: dict) -> List:
         """One ``Pool.map`` over index-ordered chunks; flat results in order.
 
         A pool that breaks mid-map (dead worker pipes) is shut down and
@@ -723,7 +480,7 @@ class ProcessPoolExecutor(Executor):
             1, math.ceil(len(sources) / (self.workers * 4))
         )
         tasks = [
-            (descriptor, kernel, sources[start : start + chunk], params, arena, start)
+            (descriptor, kernel, sources[start : start + chunk], params)
             for start in range(0, len(sources), chunk)
         ]
         try:
@@ -734,33 +491,6 @@ class ProcessPoolExecutor(Executor):
             self._handle.shutdown()
             raise ExecutorUnavailable(f"worker pool broke: {error}") from error
         return [result for chunk_result in chunk_results for result in chunk_result]
-
-    def _dispatch_arena(
-        self, descriptor, kernel: str, sources: List, params: dict
-    ) -> List:
-        """Dispatch ``sources`` with their results written into a new arena."""
-        arena, arena_shm = self._handle.create_arena(
-            kernel, len(sources), descriptor.num_nodes
-        )
-        try:
-            tokens = self._dispatch(descriptor, kernel, sources, params, arena)
-        except BaseException:
-            # Worker exceptions (and interrupts) propagate, but the dispatch's
-            # arena segment must not outlive it.
-            _ledger_discard(arena_shm)
-            raise
-        _sweep_retired_segments()
-        results = arena_module.decode_results(
-            arena, arena_shm, tokens, release=_close_or_retire
-        )
-        # Decoded: drop the name from /dev/shm right away (the mapping stays
-        # readable until the last decoded view dies; see decode_results).
-        _SEGMENT_LEDGER.pop(arena_shm.name, None)
-        try:
-            arena_shm.unlink()
-        except Exception:  # pragma: no cover - best-effort cleanup
-            pass
-        return results
 
     def invalidate(self) -> None:
         """Unlink every published snapshot (the next dispatch republishes)."""

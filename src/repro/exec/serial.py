@@ -21,9 +21,9 @@ class Executor:
     regardless of how the work was split or where it ran.  Implementations
     must be deterministic: the same (kernel, payload, sources, params) always
     produces the same result list.  *How* results travel is likewise an
-    implementation detail: the pool executor ships set-valued results
-    through a shared-memory arena (:mod:`repro.exec.arena`), the serial
-    executor never ships anything — callers see the same objects either way.
+    implementation detail: the pool executor returns the kernel's results
+    pickled through ``Pool.map``, the serial executor never ships anything —
+    callers see equal objects either way.
     """
 
     #: Number of OS processes doing kernel work (1 for serial).

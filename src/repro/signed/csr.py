@@ -28,8 +28,8 @@ numpy imports (:attr:`repro.exec.ExecutionPolicy.uses_csr`):
   traversal, which keeps one bit per sign instead of counts;
 * :func:`multi_source_shortest_path_lengths_csr` — the batched counterpart for
   sign-agnostic distances, used by the distance oracle's team sweeps;
-* :func:`balanced_depths` / :func:`balanced_depths_into` — both
-  balanced-path searches over a batch of sources at once.  SBPH is an
+* :func:`balanced_depths` — both balanced-path searches over a batch of
+  sources at once.  SBPH is an
   indexed (node, sign)-state BFS: candidate generation, claimed-state
   filtering and the Harary balance check of every candidate are array
   operations over the whole batch's frontier.  Exact SBP enumerates
@@ -37,7 +37,7 @@ numpy imports (:attr:`repro.exec.ExecutionPolicy.uses_csr`):
   with the expansion cap applied per source by a segmented count.  A
   source's result is two ``int32`` depth rows (positive, negative;
   :data:`UNREACHABLE` where no path was found) plus its truncation flag,
-  the one format from the kernel through the result arena to the balanced
+  the one format from the kernel (serial or pooled) to the balanced
   relations' caches (wrapped in :class:`CSRLengths`).  Every node's depth
   and the flag equal
   :meth:`~repro.signed.paths.BalancedPathSearch.search_heuristic` and
@@ -738,11 +738,11 @@ def _signed_bfs_arrays_into(
 ) -> None:
     """Run Algorithm 1 *into* caller-provided arrays (initialised here).
 
-    The write-into-buffer variant behind result shipping: the execution
-    layer hands this function views into a ``multiprocessing.shared_memory``
-    result arena, so the traversal's own working arrays *are* the shipped
-    result — no copy, no pickling.  The arrays must be ``n``-long with the
-    dtypes of :func:`_signed_bfs_arrays`; previous contents are overwritten.
+    The write-into-buffer variant behind the batch cores: the caller hands
+    this function rows of its own ``(k, n)`` block, so the traversal's
+    working arrays *are* the result rows.  The arrays must be ``n``-long
+    with the dtypes of :func:`_signed_bfs_arrays`; previous contents are
+    overwritten.
     Raises :class:`OverflowError` under the same per-level int64 guard (the
     arrays then hold partial state the caller must discard).
 
@@ -855,9 +855,9 @@ def _shortest_path_lengths_array_into(
 ) -> None:
     """Sign-agnostic BFS *into* a caller-provided ``int32`` array.
 
-    The write-into-buffer variant used by result shipping: the array may be a
-    shared-memory result-arena row, which then holds the finished distance
-    map without a parent-side copy.  Previous contents are overwritten.
+    The write-into-buffer variant behind the batch cores: the array may be a
+    row of the caller's ``(k, n)`` block, which then holds the finished
+    distance map.  Previous contents are overwritten.
     Direction-optimising with the rule of :func:`_signed_bfs_arrays_into`:
     push while the frontier's degree sum is at most that of the undiscovered
     nodes, pull (:func:`_pull_level`) otherwise.
@@ -1130,7 +1130,7 @@ def _wordparallel_signed_bfs_into(
     reads its new counts back for the guard only when ``max_degree`` times
     a bound on the frontier's counts could exceed it.  Output buffers are
     ``(k, n)`` int32/int64/int64; writes are per-row, so any row layout
-    (e.g. a slice of result-arena planes) works.
+    (e.g. a row slice of a larger block) works.
     """
     num_nodes = csr.number_of_nodes()
     k = len(source_ids)
@@ -1258,9 +1258,8 @@ def signed_bfs_dense_batch_into(
     word-parallel, a smaller one per source.  Row ``i`` of the three output
     buffers (dtypes ``int32``/``int64``/``int64``; any row layout, writes
     are per-row) receives source ``source_ids[i]``'s result, bit-identical
-    to a per-source :func:`_signed_bfs_arrays` run.  The execution layer
-    passes rows of a ``multiprocessing.shared_memory`` result arena, so each
-    triple is produced *in place* and the parent reads it zero-copy.
+    to a per-source :func:`_signed_bfs_arrays` run, produced *in place*:
+    :func:`signed_bfs_dense_batch` passes one word's block.
 
     With ``presence``, a word of at least :data:`PRESENCE_MIN_SOURCES`
     sources runs :func:`_wordparallel_presence_into` instead: its rows hold
@@ -1412,10 +1411,11 @@ def shortest_path_lengths_dense_batch_into(
 
     The one multi-source distance implementation, with the same word split
     as :func:`signed_bfs_dense_batch_into`.  Row ``i`` of ``out_lengths``
-    (``int32``, any row layout — typically shared-memory result-arena rows
-    the parent reads back zero-copy) receives ``source_ids[i]``'s distance
-    map, bit-identical to :func:`_shortest_path_lengths_array`.  Returns one
-    ``True`` token per source for uniformity with
+    (``int32``, any row layout — one word's block in
+    :func:`shortest_path_lengths_dense_batch`, reusable rows in
+    :func:`~repro.signed.metrics.diameter`) receives ``source_ids[i]``'s
+    distance map, bit-identical to :func:`_shortest_path_lengths_array`.
+    Returns one ``True`` token per source for uniformity with
     :func:`signed_bfs_dense_batch_into` (distance sweeps cannot overflow).
     """
     id_list = list(source_ids)
@@ -1864,50 +1864,26 @@ def balanced_depths(
     :meth:`~repro.signed.paths.BalancedPathSearch.search_exact` /
     :meth:`~repro.signed.paths.BalancedPathSearch.search_heuristic`.
     Sources advance a batch at a time; a source's rows do not depend on its
-    batch.  This allocating version fills one block through
-    :func:`balanced_depths_into` and copies each row out, so a cached row
-    owns its bytes instead of pinning the block.
+    batch.  One block is filled straight from each batch's claims and each
+    row is copied out, so a cached row owns its bytes instead of pinning
+    the block.
     """
     sources = list(source_ids)
-    positive = np.empty((len(sources), csr.number_of_nodes()), dtype=np.int32)
-    negative = np.empty_like(positive)
-    flags = balanced_depths_into(
-        csr, sources, positive, negative, max_length, exact, max_expansions
-    )
+    positive = np.full((len(sources), csr.number_of_nodes()), UNREACHABLE, dtype=np.int32)
+    negative = np.full_like(positive, UNREACHABLE)
+    flags: List[bool] = []
+    for offset, batch, (rows, nodes, is_negative, depths), truncated in _balanced_batches(
+        csr, sources, max_length, exact, max_expansions
+    ):
+        rows = rows + offset
+        positive[offset + np.arange(batch.size), batch] = 0
+        positive[rows[~is_negative], nodes[~is_negative]] = depths[~is_negative]
+        negative[rows[is_negative], nodes[is_negative]] = depths[is_negative]
+        flags.extend(truncated.tolist())
     return [
         (positive[row].copy(), negative[row].copy(), flag)
         for row, flag in enumerate(flags)
     ]
-
-
-def balanced_depths_into(
-    csr: CSRSignedGraph,
-    source_ids: Sequence[int],
-    positive_out: np.ndarray,
-    negative_out: np.ndarray,
-    max_length: Optional[int] = None,
-    exact: bool = False,
-    max_expansions: int = DEFAULT_MAX_EXPANSIONS,
-) -> List[bool]:
-    """:func:`balanced_depths` written into caller-owned ``int32`` rows.
-
-    Row ``i`` of ``positive_out`` / ``negative_out`` receives source ``i``'s
-    depths, :data:`UNREACHABLE` where the search recorded none — the
-    result-arena layout, filled straight from each batch's claims.  Returns
-    the per-source truncation flags.
-    """
-    positive_out.fill(UNREACHABLE)
-    negative_out.fill(UNREACHABLE)
-    flags: List[bool] = []
-    for offset, sources, (rows, nodes, negative, depths), truncated in _balanced_batches(
-        csr, source_ids, max_length, exact, max_expansions
-    ):
-        rows = rows + offset
-        positive_out[offset + np.arange(sources.size), sources] = 0
-        positive_out[rows[~negative], nodes[~negative]] = depths[~negative]
-        negative_out[rows[negative], nodes[negative]] = depths[negative]
-        flags.extend(truncated.tolist())
-    return flags
 
 
 class CSRLengths:

@@ -6,9 +6,8 @@ persist and map snapshots directly, the dataset loaders cache their
 parse-once results as store files, and the pool executor publishes every
 CSR snapshot as a file that workers ``numpy.memmap`` read-only.
 
-The layout follows the result arena's plane discipline
-(:mod:`repro.exec.arena`): a fixed-size header, then 8-byte-aligned planes so
-every mapped view is a properly aligned ndarray::
+The layout is a fixed-size header, then 8-byte-aligned planes so every
+mapped view is a properly aligned ndarray::
 
     offset 0    magic    b"RPROSNAP"                       8 bytes
            8    header   6 little-endian int64 words       48 bytes
@@ -34,7 +33,7 @@ Writes are crash-safe: the planes go to a ``.tmp`` sibling first and
 ``os.replace`` promotes it atomically, so a reader never maps a half-written
 file.  Every live temp path is tracked in a module ledger that
 :func:`repro.exec.pool.shutdown_pools` sweeps (same discipline as the
-pool's published-file and arena ledgers), so a worker crash mid-publish
+pool's published-file ledger), so a worker crash mid-publish
 cannot strand temp files in the store directory.
 
 Loading with ``mmap=True`` returns :class:`numpy.memmap` views — cold start
@@ -94,8 +93,7 @@ def _plane_layout(
     """``{plane: (dtype, count, byte offset)}`` plus the total file size.
 
     Deterministic in the header fields alone, so writer and reader recompute
-    it independently — the file carries no offset table (same discipline as
-    :func:`repro.exec.arena._plane_layout`).
+    it independently — the file carries no offset table.
     """
     counts = {
         "indptr": num_nodes + 1,

@@ -222,35 +222,6 @@ def test_cache_rule_accepts_graph_keyed_cache_and_lru_elsewhere():
 # -------------------------------------------------------- ledger-discipline
 
 
-def test_ledger_rule_flags_unregistered_segment():
-    source = snippet(
-        """
-        def publish(blob):
-            shm = shared_memory.SharedMemory(create=True, size=len(blob))
-            return shm
-        """
-    )
-    findings = analyze_source(source, module="repro.exec.example")
-    assert "ledger-discipline" in rule_ids(findings)
-
-
-def test_ledger_rule_accepts_same_function_registration():
-    source = snippet(
-        """
-        def publish(blob):
-            shm = shared_memory.SharedMemory(create=True, size=len(blob))
-            _SEGMENT_LEDGER[shm.name] = shm
-            return shm
-
-
-        def attach(name):
-            return shared_memory.SharedMemory(name=name)
-        """
-    )
-    findings = analyze_source(source, module="repro.exec.example")
-    assert "ledger-discipline" not in rule_ids(findings)
-
-
 def test_ledger_rule_covers_temp_paths_and_store_files():
     source = snippet(
         """
@@ -425,37 +396,8 @@ _KERNELS_CLEAN = snippet(
     """
 )
 
-_ARENA_CLEAN = snippet(
-    """
-    _ARENA_KERNELS = frozenset({"csr_thing"})
-
-
-    def _write_thing(planes, start, csr, sources, params):
-        from repro.signed.csr import thing_dense_batch_into
-
-        return thing_dense_batch_into(csr, sources, planes[0])
-
-
-    _WRITERS = {"csr_thing": _write_thing}
-    """
-)
-
-_CSR_CLEAN = snippet(
-    """
-    def thing_dense_batch_into(csr, sources, out):
-        return [True] * len(sources)
-    """
-)
-
-
 def test_kernel_parity_accepts_consistent_registry():
-    findings = analyze_sources(
-        {
-            "repro.exec.kernels": _KERNELS_CLEAN,
-            "repro.exec.arena": _ARENA_CLEAN,
-            "repro.signed.csr": _CSR_CLEAN,
-        }
-    )
+    findings = analyze_sources({"repro.exec.kernels": _KERNELS_CLEAN})
     assert "kernel-registry-parity" not in rule_ids(findings)
 
 
@@ -483,47 +425,8 @@ def test_kernel_parity_flags_uncovered_and_unregistered_kernels():
     assert any("csr_ghost" in m for m in messages)
 
 
-def test_kernel_parity_flags_arena_without_writer():
-    arena = snippet(
-        """
-        _ARENA_KERNELS = frozenset({"csr_thing", "csr_orphan"})
-
-
-        def _write_thing(planes, start, csr, sources, params):
-            planes[0][start] = 1
-            return [True]
-
-
-        _WRITERS = {"csr_thing": _write_thing}
-        """
-    )
-    findings = analyze_sources(
-        {"repro.exec.kernels": _KERNELS_CLEAN, "repro.exec.arena": arena}
-    )
-    messages = [
-        f.message for f in findings if f.rule == "kernel-registry-parity"
-    ]
-    assert any("csr_orphan" in m and "_WRITERS" in m for m in messages)
-    # csr_orphan is also not a registered kernel.
-    assert any("not a" in m and "registered" in m for m in messages)
-
-
-def test_kernel_parity_flags_missing_into_core():
-    findings = analyze_sources(
-        {
-            "repro.exec.kernels": _KERNELS_CLEAN,
-            "repro.exec.arena": _ARENA_CLEAN,
-            "repro.signed.csr": "def unrelated():\n    pass\n",
-        }
-    )
-    messages = [
-        f.message for f in findings if f.rule == "kernel-registry-parity"
-    ]
-    assert any("thing_dense_batch_into" in m for m in messages)
-
-
 def test_kernel_parity_skips_partial_projects():
-    findings = analyze_sources({"repro.exec.arena": _ARENA_CLEAN})
+    findings = analyze_sources({"repro.signed.csr": "def unrelated():\n    pass\n"})
     assert "kernel-registry-parity" not in rule_ids(findings)
 
 

@@ -40,7 +40,6 @@ from repro.signed import SignedGraph, signed_bfs
 from repro.signed.csr import (
     UNREACHABLE,
     balanced_depths,
-    balanced_depths_into,
     multi_source_shortest_path_lengths_csr,
     multi_source_signed_bfs,
     sbph_batch_size,
@@ -549,15 +548,6 @@ class TestSBPHCSRSearch:
     def test_negative_max_length_rejected(self, two_factions):
         with pytest.raises(ValueError):
             balanced_depths(two_factions.csr_view(), [0], max_length=-1)
-
-    def test_batched_core_rejects_negative_max_length(self, two_factions):
-        import numpy as np
-
-        out = np.empty((2, two_factions.number_of_nodes()), dtype=np.int32)
-        with pytest.raises(ValueError):
-            balanced_depths_into(
-                two_factions.csr_view(), [0, 3], out, out.copy(), max_length=-1
-            )
 
     @pytest.mark.parametrize("max_length", (0, 1, 2, 4, None))
     @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -4,13 +4,12 @@ The load-bearing guarantee is *bit-identity*: a pool policy may only change
 where the per-source kernels run, never what they return.  The suite pins
 that across every relation and backend, under churn (mutate → resync →
 re-dispatch against the new generation), and for the executor primitives
-themselves (deterministic chunk merging, graceful degradation when shared
-memory is unavailable).
+themselves (deterministic chunk merging, graceful degradation when a pool
+cannot start).
 """
 
 from __future__ import annotations
 
-import math
 import multiprocessing
 import os
 import subprocess
@@ -107,9 +106,21 @@ def pool_policy(backend: str = "auto", workers: int = 2, **kwargs) -> ExecutionP
     )
 
 
+def owns_its_bytes(row) -> bool:
+    """True iff ``row`` pins no buffer larger than itself.
+
+    A serial row is copied out of its batch block (``base is None``).  An
+    unpickled row of up to 1000 bytes is a copy too; a larger one keeps the
+    pickle's bytes object as its buffer, which holds exactly its data.
+    """
+    return row.base is None or (
+        isinstance(row.base, bytes) and len(row.base) == row.nbytes
+    )
+
+
 def assert_same_depth_rows(pooled, serial):
     """Pooled and serial ``csr_sbph`` triples: equal rows and flags, and
-    every row owns its bytes (copied out of the arena or the batch block)."""
+    every row owns its bytes."""
     assert len(pooled) == len(serial)
     for (positive, negative, flag), (want_positive, want_negative, want_flag) in zip(
         pooled, serial
@@ -118,7 +129,7 @@ def assert_same_depth_rows(pooled, serial):
         assert negative.tobytes() == want_negative.tobytes()
         assert flag == want_flag
         for row in (positive, negative, want_positive, want_negative):
-            assert row.dtype.str == "<i4" and row.base is None
+            assert row.dtype.str == "<i4" and owns_its_bytes(row)
 
 
 def build_stack(graph, name: str, policy: ExecutionPolicy):
@@ -247,13 +258,12 @@ class TestPoolExecutor:
         for left, right in zip(serial, pooled):
             assert all(np.array_equal(a, b) for a, b in zip(left, right))
 
-    def test_pool_and_arena_work_again_after_shutdown(self, graph):
+    def test_pool_works_again_after_shutdown(self, graph):
         np = pytest.importorskip("numpy")
         csr = graph.csr_view()
         dense = [csr.index_of(node) for node in graph.nodes()[:30]]
         first = executor_for(pool_policy()).map_kernel("csr_path_lengths", csr, dense)
-        # Stops the resource tracker a pool of this process launched; the
-        # next pool and its result arena start a new one.
+        # Terminates the pool; the next executor starts a fresh one.
         reset_executors()
         again = executor_for(pool_policy()).map_kernel("csr_path_lengths", csr, dense)
         assert all(np.array_equal(left, right) for left, right in zip(first, again))
@@ -309,41 +319,105 @@ def test_shutdown_pools_leaves_no_process_of_its_session():
     assert session_processes(child.pid) == []
 
 
-class TestResultArena:
-    """The shared-memory result arena: zero-copy set-valued result shipping."""
+def record_pool_maps(executor, monkeypatch):
+    """Wrap the executor's ``pool.map``; the returned list gets one entry
+    (the task count) per dispatch that really reached the workers."""
+    pool = executor._handle.pool
+    real_map = pool.map
+    calls = []
+
+    def recording(function, tasks, chunksize=None):
+        calls.append(len(tasks))
+        return real_map(function, tasks, chunksize=chunksize)
+
+    monkeypatch.setattr(pool, "map", recording)
+    return calls
+
+
+def assert_owned_rows(results):
+    """Every array in ``results`` (rows, or tuples of rows) owns its bytes:
+    a cached row must not pin a batch block."""
+    for result in results:
+        for row in result if isinstance(result, tuple) else (result,):
+            assert owns_its_bytes(row)
+
+
+class TestPooledResults:
+    """Pooled kernels return their results through ``Pool.map``: each is
+    the serial kernel's own return value, pickled, and owns its rows."""
 
     def _dense_sources(self, graph, count=12):
         csr = graph.csr_view()
         return csr, [csr.index_of(node) for node in graph.nodes()[:count]]
 
-    def test_path_lengths_ship_through_arena_as_owned_rows(self, graph):
+    def test_path_lengths_rows_equal_serial(self, graph, monkeypatch):
         np = pytest.importorskip("numpy")
         executor = executor_for(pool_policy("csr"))
         csr, dense = self._dense_sources(graph)
-        before = executor._handle.arenas_created
+        maps = record_pool_maps(executor, monkeypatch)
         pooled = executor.map_kernel("csr_path_lengths", csr, dense, {})
         serial = serial_executor().map_kernel("csr_path_lengths", csr, dense, {})
-        assert executor._handle.arenas_created == before + 1
+        assert len(maps) == 1
+        assert len(pooled) == len(serial)
         for left, right in zip(pooled, serial):
             assert np.array_equal(left, right)
-            # Distance maps head into long-lived caches: each decoded row
-            # owns its bytes, so a surviving cache entry cannot pin the
-            # whole dispatch segment (and LRU byte accounting stays honest).
-            assert left.base is None
+        assert_owned_rows(pooled)
 
-    def test_signed_bfs_triples_ship_through_arena(self, graph):
+    def test_signed_bfs_count_rows_equal_serial(self, graph, monkeypatch):
         np = pytest.importorskip("numpy")
         executor = executor_for(pool_policy("csr"))
         csr, dense = self._dense_sources(graph)
         params = {"skip_overflow": True}
-        before = executor._handle.arenas_created
+        maps = record_pool_maps(executor, monkeypatch)
         pooled = executor.map_kernel("csr_signed_bfs", csr, dense, params)
         serial = serial_executor().map_kernel("csr_signed_bfs", csr, dense, params)
-        assert executor._handle.arenas_created == before + 1
+        assert len(maps) == 1
+        assert len(pooled) == len(serial)
         for left, right in zip(pooled, serial):
             assert all(np.array_equal(a, b) for a, b in zip(left, right))
+            assert left[1].dtype == np.int64
+        assert_owned_rows(pooled)
 
-    def test_sbph_depths_decode_identical(self, graph):
+    def test_signed_bfs_presence_rows_equal_serial(self, graph, monkeypatch):
+        np = pytest.importorskip("numpy")
+        from repro.signed.csr import PRESENCE_MIN_SOURCES, PresenceRows
+
+        # Chunks of one presence word each, so every worker answers with
+        # presence rows.
+        executor = executor_for(pool_policy("csr", chunk_size=PRESENCE_MIN_SOURCES))
+        csr, dense = self._dense_sources(graph, count=3 * PRESENCE_MIN_SOURCES)
+        params = {"skip_overflow": True, "presence": True}
+        maps = record_pool_maps(executor, monkeypatch)
+        pooled = executor.map_kernel("csr_signed_bfs", csr, dense, params)
+        serial = serial_executor().map_kernel("csr_signed_bfs", csr, dense, params)
+        assert maps == [3]
+        assert len(pooled) == len(serial)
+        for left, right in zip(pooled, serial):
+            assert isinstance(left, PresenceRows) and isinstance(right, PresenceRows)
+            assert all(np.array_equal(a, b) for a, b in zip(left, right))
+        assert_owned_rows(pooled)
+
+    def test_signed_bfs_overflow_slots_equal_serial(self, overflow_ladder, monkeypatch):
+        """An int64-overflow source comes back as the serial kernel's
+        ``None`` slot; the rest of its chunk keeps its rows."""
+        np = pytest.importorskip("numpy")
+        executor = executor_for(pool_policy("csr", chunk_size=2))
+        csr = overflow_ladder.csr_view()
+        dense = [csr.index_of(node) for node in ("s", (0, 0), (30, 1), (60, 0), "t")]
+        params = {"skip_overflow": True}
+        maps = record_pool_maps(executor, monkeypatch)
+        pooled = executor.map_kernel("csr_signed_bfs", csr, dense, params)
+        serial = serial_executor().map_kernel("csr_signed_bfs", csr, dense, params)
+        assert maps == [3]
+        # "s" and "t" overflow; the middle three keep their rows.
+        overflowed = [True, False, False, False, True]
+        assert [result is None for result in pooled] == overflowed
+        assert [result is None for result in serial] == overflowed
+        for left, right in zip(pooled[1:4], serial[1:4]):
+            assert all(np.array_equal(a, b) for a, b in zip(left, right))
+        assert_owned_rows(pooled[1:4])
+
+    def test_sbph_depths_identical(self, graph):
         pytest.importorskip("numpy")
         executor = executor_for(pool_policy("csr"))
         csr, dense = self._dense_sources(graph)
@@ -351,9 +425,9 @@ class TestResultArena:
         serial = serial_executor().map_kernel("csr_sbph", csr, dense, {"max_length": None})
         assert_same_depth_rows(pooled, serial)
 
-    def test_exact_sbp_rows_decode_identical(self, graph):
-        """Exact SBP through the arena: the same rows and truncation flags
-        as the serial kernel, with some sources cut at the expansion cap."""
+    def test_exact_sbp_rows_identical(self, graph):
+        """Exact SBP in the pool: the same rows and truncation flags as the
+        serial kernel, with some sources cut at the expansion cap."""
         pytest.importorskip("numpy")
         executor = executor_for(pool_policy("csr"))
         csr, dense = self._dense_sources(graph)
@@ -364,10 +438,10 @@ class TestResultArena:
         flags = [flag for _positive, _negative, flag in serial]
         assert any(flags) and not all(flags)
 
-    def test_sbph_depths_decode_identical_across_batches(self):
-        """Every worker chunk spans several SBPH batches: the arena rows
-        still decode to the serial kernel's depth rows, and shutdown leaves
-        no result segment or snapshot file behind."""
+    def test_sbph_depths_identical_across_batches(self, monkeypatch):
+        """Every worker chunk spans several SBPH batches: the pooled rows
+        still equal the serial kernel's depth rows, and shutdown leaves no
+        snapshot file behind."""
         pytest.importorskip("numpy")
         from repro.signed.csr import sbph_batch_size
 
@@ -380,144 +454,42 @@ class TestResultArena:
         sources = list(range(0, csr.number_of_nodes(), 97))[: 4 * batch + 1]
         directory = pool_module._publish_directory(None)
         prefix = f"snapshot-{os.getpid()}-"
-
-        def segments():
-            if not os.path.isdir("/dev/shm"):
-                return set()
-            return {name for name in os.listdir("/dev/shm") if name.startswith("psm_")}
-
-        segments_before = segments()
         executor = executor_for(pool_policy("csr", chunk_size=2 * batch + 1))
-        before = executor._handle.arenas_created
+        maps = record_pool_maps(executor, monkeypatch)
         pooled = executor.map_kernel("csr_sbph", csr, sources, {"max_length": None})
-        assert executor._handle.arenas_created == before + 1
+        assert len(maps) == 1 and maps[0] >= 2  # one dispatch, several chunks
         reference = dense_graph.copy().csr_view()
         serial = serial_executor().map_kernel(
             "csr_sbph", reference, sources, {"max_length": None}
         )
         assert_same_depth_rows(pooled, serial)
-        del pooled
+        monkeypatch.undo()
         pool_module.shutdown_pools()
-        assert not pool_module._SEGMENT_LEDGER
-        assert segments() <= segments_before
         assert not [name for name in os.listdir(directory) if name.startswith(prefix)]
 
-    def test_arena_segment_unlinked_after_dispatch(self, graph, monkeypatch):
-        from multiprocessing import shared_memory
-
-        created = []
-        original = pool_module._PoolHandle.create_arena
-
-        def recording(self, kernel, num_sources, num_nodes):
-            arena, shm = original(self, kernel, num_sources, num_nodes)
-            created.append(arena.name)
-            return arena, shm
-
-        monkeypatch.setattr(pool_module._PoolHandle, "create_arena", recording)
-        executor = executor_for(pool_policy("csr"))
-        csr, dense = self._dense_sources(graph)
-        executor.map_kernel("csr_path_lengths", csr, dense, {})
-        assert created
-        for name in created:
-            # The name must be gone from /dev/shm the moment the dispatch
-            # completed (the mapping itself lives until the views die).
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
-            assert name not in pool_module._SEGMENT_LEDGER
-
-    def test_over_budget_dispatch_splits_into_sub_arenas(self, graph, monkeypatch):
-        """A batch whose arena would exceed the budget runs as consecutive
-        sub-dispatches, one arena each, concatenated in source order."""
-        np = pytest.importorskip("numpy")
-        from repro.exec.arena import arena_nbytes
-
-        csr, dense = self._dense_sources(graph, count=10)
-        row_bytes = arena_nbytes("csr_signed_bfs", 1, csr.number_of_nodes())
-        monkeypatch.setattr(pool_module, "_ARENA_BUDGET_BYTES", 3 * row_bytes + row_bytes // 2)
-        executor = executor_for(pool_policy("csr"))
-        params = {"skip_overflow": True}
-        before = executor._handle.arenas_created
-        pooled = executor.map_kernel("csr_signed_bfs", csr, dense, params)
-        assert executor._handle.arenas_created == before + math.ceil(len(dense) / 3)
-        serial = serial_executor().map_kernel("csr_signed_bfs", csr, dense, params)
-        assert len(pooled) == len(serial)
-        for left, right in zip(pooled, serial):
-            assert all(np.array_equal(a, b) for a, b in zip(left, right))
-
-    def test_arena_allocation_failure_degrades_to_serial(self, graph, monkeypatch):
-        from multiprocessing import shared_memory
-
-        np = pytest.importorskip("numpy")
-        real = shared_memory.SharedMemory
-
-        def no_room(*args, **kwargs):
-            if kwargs.get("create"):
-                raise OSError(28, "No space left on device")
-            return real(*args, **kwargs)
-
-        executor = executor_for(pool_policy("csr"))
-        csr, dense = self._dense_sources(graph)
-        expected = serial_executor().map_kernel("csr_path_lengths", csr, dense, {})
-        monkeypatch.setattr(shared_memory, "SharedMemory", no_room)
-        pool_module._DEGRADE_WARNED.clear()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            first = executor.map_kernel("csr_path_lengths", csr, dense, {})
-            again = executor.map_kernel("csr_path_lengths", csr, dense, {})
-        runtime = [w for w in caught if issubclass(w.category, RuntimeWarning)]
-        assert len(runtime) == 1
-        assert "cannot allocate a result arena" in str(runtime[0].message)
-        for results in (first, again):
-            assert all(np.array_equal(a, b) for a, b in zip(results, expected))
-        assert not pool_module._SEGMENT_LEDGER
-
-    def test_worker_crash_leaves_no_stale_segments(self, graph, monkeypatch):
-        """Crash injection: a kernel blowing up mid-``Pool.map`` must not leak
-        the dispatch's arena segment (the parent's post-map cleanup never runs
-        on that path)."""
-        from multiprocessing import shared_memory
-
-        created = []
-        original = pool_module._PoolHandle.create_arena
-
-        def recording(self, kernel, num_sources, num_nodes):
-            arena, shm = original(self, kernel, num_sources, num_nodes)
-            created.append(arena.name)
-            return arena, shm
-
-        monkeypatch.setattr(pool_module._PoolHandle, "create_arena", recording)
+    def test_worker_crash_leaves_no_stale_files(self, graph):
+        """Crash injection: a kernel raising in every worker task propagates
+        its error; the pool keeps serving, and shutdown leaves no snapshot
+        file of this process."""
+        pytest.importorskip("numpy")
+        directory = pool_module._publish_directory(None)
+        prefix = f"snapshot-{os.getpid()}-"
         executor = executor_for(pool_policy("csr"))
         csr, dense = self._dense_sources(graph)
         with pytest.raises(ValueError):
-            # A negative length bound raises inside every worker task, in
-            # the arena writer.
+            # A negative length bound raises inside every worker task.
             executor.map_kernel("csr_sbph", csr, dense, {"max_length": -1})
-        assert created
-        for name in created:
-            assert name not in pool_module._SEGMENT_LEDGER
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
         # The pool survives the crash and the next dispatch works.
         ok = executor.map_kernel("csr_path_lengths", csr, dense, {})
         assert len(ok) == len(dense)
-
-    def test_shutdown_pools_flushes_orphaned_segments(self):
-        """The parent-owned ledger is the safety net for dispatches that died
-        before their own cleanup: shutdown_pools must unlink whatever is left."""
-        from multiprocessing import shared_memory
-
-        orphan = shared_memory.SharedMemory(create=True, size=64)
-        pool_module._SEGMENT_LEDGER[orphan.name] = orphan
-        name = orphan.name
         pool_module.shutdown_pools()
-        assert name not in pool_module._SEGMENT_LEDGER
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
+        assert not [name for name in os.listdir(directory) if name.startswith(prefix)]
+        assert not pool_module._STORE_FILE_LEDGER
 
-    def test_int64_guard_falls_back_per_source_without_bypassing_arena(self):
+    def test_int64_guard_falls_back_per_source_in_a_pooled_batch(self, monkeypatch):
         """Overflowing sources resolve on the dict backend while the rest of
-        the batch keeps its arena-shipped rows — pooled sets stay identical
-        to the serial CSR relation's."""
+        the batch keeps its pooled rows — pooled sets stay identical to the
+        serial CSR relation's."""
         pytest.importorskip("numpy")
         # Doubling ladder: layer k is reached by 2**k shortest paths, so 66
         # layers push the counts past the int64 guard for sources near "s".
@@ -538,11 +510,11 @@ class TestResultArena:
         serial_rel = make_relation(
             "SPO", graph.copy(), policy=ExecutionPolicy(backend="csr")
         )
+        maps = record_pool_maps(pool_rel._executor(), monkeypatch)
         sample = ["s", (0, 0), (30, 1), (65, 0), "t"]
         pool_sets = pool_rel.batch_compatible_sets(sample)
         assert pool_sets == serial_rel.batch_compatible_sets(sample)
-        executor = pool_rel._executor()
-        assert executor._handle.arenas_created >= 1  # shipping was not bypassed
+        assert maps  # the batch really dispatched
         assert pool_rel.batch_compatibility_degrees(sample) == (
             serial_rel.batch_compatibility_degrees(sample)
         )
@@ -641,7 +613,7 @@ class TestPoolSerialBitIdentity:
     def test_truncation_flags_survive_pool_dispatch(self, graph, backend):
         # A tiny expansion budget forces truncation everywhere but on a
         # three-node tail component; the pool path (on CSR, the flags travel
-        # as the result arena's per-source tokens) must record the same
+        # with the depth rows through Pool.map) must record the same
         # flagged sources as the serial dict search.
         graph = graph.copy()
         tail = [graph.number_of_nodes() + offset for offset in range(3)]
@@ -909,22 +881,37 @@ class TestStreamingParity:
                 assert serial_query.team_size == pool_query.team_size
 
 
+def refuse_pools(monkeypatch):
+    """Make starting a pool fail as on a platform without process support:
+    the context's ``Pool`` raises ``OSError``."""
+
+    def refuse(*args, **kwargs):
+        raise OSError("process pools are disabled")
+
+    monkeypatch.setattr(multiprocessing.get_context(), "Pool", refuse)
+
+
 class TestGracefulDegradation:
-    def test_no_shared_memory_degrades_to_serial_with_warning(self, monkeypatch):
+    def test_pool_start_failure_degrades_to_serial_with_warning(self, monkeypatch):
         reset_executors()
-        monkeypatch.setattr(pool_module, "_DISABLE_SHARED_MEMORY", True)
-        with pytest.warns(RuntimeWarning, match="falling back to serial"):
+        refuse_pools(monkeypatch)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             executor = executor_for(ExecutionPolicy(workers=2))
+            # The failure is remembered: no re-warn, still serial.
+            again = executor_for(ExecutionPolicy(workers=4))
+        runtime = [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert len(runtime) == 1
+        assert "falling back to serial" in str(runtime[0].message)
         assert isinstance(executor, SerialExecutor)
-        # The failure is remembered: no re-warn, still serial.
-        assert isinstance(executor_for(ExecutionPolicy(workers=4)), SerialExecutor)
-        monkeypatch.setattr(pool_module, "_DISABLE_SHARED_MEMORY", False)
+        assert isinstance(again, SerialExecutor)
+        monkeypatch.undo()
         reset_executors()
 
     def test_degraded_policy_still_produces_correct_results(self, graph, monkeypatch):
         reset_executors()
-        monkeypatch.setattr(pool_module, "_DISABLE_SHARED_MEMORY", True)
-        with pytest.warns(RuntimeWarning):
+        refuse_pools(monkeypatch)
+        with pytest.warns(RuntimeWarning, match="falling back to serial"):
             # On a copy: the graph's shared signed-BFS cache may already hold
             # these sources, and then nothing would dispatch.
             pool_rel = make_relation("SPO", graph.copy(), policy=pool_policy("csr"))
@@ -933,7 +920,7 @@ class TestGracefulDegradation:
             "SPO", graph.copy(), policy=ExecutionPolicy(backend="csr")
         )
         assert pool_sets == serial_rel.batch_compatible_sets(graph.nodes()[:10])
-        monkeypatch.setattr(pool_module, "_DISABLE_SHARED_MEMORY", False)
+        monkeypatch.undo()
         reset_executors()
 
     def test_unpicklable_payload_degrades_per_payload(self):
@@ -1061,17 +1048,22 @@ class TestSnapshotStoreMode:
         assert os.listdir(tmp_path) == []
         assert not pool_module._STORE_FILE_LEDGER
 
-    def test_store_results_ship_through_arena(self, graph, tmp_path):
-        pytest.importorskip("numpy")
+    def test_store_results_return_through_pool_map(self, graph, tmp_path, monkeypatch):
+        np = pytest.importorskip("numpy")
         csr, dense = self._dense_sources(graph)
         executor = executor_for(
             pool_policy("csr", snapshot_store=str(tmp_path))
         )
-        before = executor._handle.arenas_created
+        before = executor._handle.publications
+        maps = record_pool_maps(executor, monkeypatch)
         left = executor.map_kernel("csr_path_lengths", csr, dense, {})
-        # Memory-mapped store payloads write their rows into the arena.
-        assert executor._handle.arenas_created == before + 1
-        assert len(left) == len(dense)
+        # Workers read the memory-mapped store file and return rows that
+        # own their bytes.
+        assert executor._handle.publications == before + 1
+        assert len(maps) == 1
+        expected = serial_executor().map_kernel("csr_path_lengths", csr, dense, {})
+        assert all(np.array_equal(a, b) for a, b in zip(left, expected))
+        assert_owned_rows(left)
 
     def test_churn_republish_under_store(self, tmp_path):
         pytest.importorskip("numpy")
@@ -1232,7 +1224,7 @@ class TestSnapshotStoreMode:
     def test_default_directory_leaves_no_files_after_crash_and_shutdown(self, graph):
         """Publications in the resolved default directory (``/dev/shm`` or
         the temp directory) are gone after a dispatch, a worker crash and
-        shutdown_pools() — the perfbench leak check sees only ``psm_*``."""
+        shutdown_pools()."""
         pytest.importorskip("numpy")
         directory = pool_module._publish_directory(None)
         prefix = f"snapshot-{os.getpid()}-"
@@ -1248,8 +1240,7 @@ class TestSnapshotStoreMode:
         executor.map_kernel("csr_path_lengths", csr, dense, {})
         assert {name.rsplit(".", 1)[1] for name in leftovers()} == {"pickle", "store"}
         with pytest.raises(ValueError):
-            # A negative length bound raises inside every worker task, in
-            # the arena writer.
+            # A negative length bound raises inside every worker task.
             executor.map_kernel("csr_sbph", csr, dense, {"max_length": -1})
         pool_module.shutdown_pools()
         assert leftovers() == []

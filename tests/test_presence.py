@@ -71,7 +71,7 @@ class TestPresenceRows:
         graph, sources = word
         csr = graph.csr_view()
         k, n = len(sources), csr.number_of_nodes()
-        # A strided layout, as a slice of result-arena planes would be.
+        # A strided layout, as a row slice of a larger block would be.
         lengths = np.full((2 * k, n), -7, dtype=np.int32)[::2]
         positive = np.full((2 * k, n), -7, dtype=np.int64)[::2]
         negative = np.full((2 * k, n), -7, dtype=np.int64)[::2]

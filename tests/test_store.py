@@ -480,8 +480,8 @@ class TestWordParallelKernels:
             )
 
     def test_noncontiguous_output_rows(self, wp_graph):
-        """Word-parallel writes go row-by-row, so strided output views (an
-        arena whose row block belongs to a larger allocation) work too."""
+        """Word-parallel writes go row-by-row, so strided output views (a
+        row block that belongs to a larger allocation) work too."""
         sources = list(range(70))
         backing = np.empty((140, wp_graph.number_of_nodes()), dtype=np.int32)
         view = backing[::2]
