@@ -283,6 +283,52 @@ def test_ledger_rule_requires_pickle_publish_registration():
     )
 
 
+
+@pytest.mark.parametrize("api", ["mkstemp", "NamedTemporaryFile", "mkdtemp"])
+def test_ledger_rule_flags_unregistered_tempfile_api(api):
+    source = snippet(
+        f"""
+        def stage(directory):
+            return tempfile.{api}(dir=directory)
+        """
+    )
+    findings = analyze_source(source, module="repro.signed.example")
+    messages = [f.message for f in findings if f.rule == "ledger-discipline"]
+    assert any(api in m and "_TEMP_LEDGER" in m for m in messages)
+    clean = snippet(
+        f"""
+        def stage(directory):
+            handle = tempfile.{api}(dir=directory)
+            _TEMP_LEDGER.setdefault(handle, None)
+            return handle
+        """
+    )
+    assert "ledger-discipline" not in rule_ids(
+        analyze_source(clean, module="repro.signed.example")
+    )
+
+
+def test_ledger_rule_checks_publishing_only_in_exec_modules():
+    source = snippet(
+        """
+        def republish(payload, path):
+            save_snapshot(payload, path)
+            write_atomically(path, lambda handle: None)
+        """
+    )
+    # The store module saves snapshots the pool then publishes; only the
+    # publisher in repro.exec owns the published-file ledger.
+    assert "ledger-discipline" not in rule_ids(
+        analyze_source(source, module="repro.signed.store")
+    )
+    assert "ledger-discipline" not in rule_ids(
+        analyze_source(source, module="tools.example")
+    )
+    assert "ledger-discipline" in rule_ids(
+        analyze_source(source, module="repro.exec.example")
+    )
+
+
 # --------------------------------------------------------------- lazy-numpy
 
 
@@ -423,6 +469,30 @@ def test_kernel_parity_flags_uncovered_and_unregistered_kernels():
     ]
     assert any("dict_missing" in m for m in messages)
     assert any("csr_ghost" in m for m in messages)
+
+
+
+def test_kernel_parity_flags_kernel_without_serial_equivalent():
+    source = _KERNELS_CLEAN.replace(
+        'SERIAL_EQUIVALENTS = {"csr_thing": "dict_thing"}',
+        'SERIAL_EQUIVALENTS = {}',
+    )
+    findings = analyze_sources({"repro.exec.kernels": source})
+    messages = [
+        f.message for f in findings if f.rule == "kernel-registry-parity"
+    ]
+    assert any("csr_thing" in m and "no SERIAL_EQUIVALENTS entry" in m for m in messages)
+
+
+def test_kernel_parity_flags_non_dict_serial_equivalent():
+    source = _KERNELS_CLEAN.replace(
+        '{"csr_thing": "dict_thing"}', '{"csr_thing": "csr_thing"}'
+    )
+    findings = analyze_sources({"repro.exec.kernels": source})
+    messages = [
+        f.message for f in findings if f.rule == "kernel-registry-parity"
+    ]
+    assert any("not a dict_* kernel" in m for m in messages)
 
 
 def test_kernel_parity_skips_partial_projects():

@@ -549,6 +549,16 @@ class TestSBPHCSRSearch:
         with pytest.raises(ValueError):
             balanced_depths(two_factions.csr_view(), [0], max_length=-1)
 
+    @pytest.mark.parametrize("exact", (False, True))
+    def test_rows_own_their_bytes(self, prefix_trap_graph, exact):
+        """Each source's rows are copied out of the batch block: a cached
+        row must not pin the block of the whole batch."""
+        csr = prefix_trap_graph.csr_view()
+        sources = list(range(min(4, csr.number_of_nodes())))
+        for positive, negative, _flag in balanced_depths(csr, sources, exact=exact):
+            assert positive.base is None and negative.base is None
+            assert len(positive) == len(negative) == csr.number_of_nodes()
+
     @pytest.mark.parametrize("max_length", (0, 1, 2, 4, None))
     @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(scenario=sbph_batch_scenarios())

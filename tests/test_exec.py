@@ -319,6 +319,46 @@ def test_shutdown_pools_leaves_no_process_of_its_session():
     assert session_processes(child.pid) == []
 
 
+POOLED_DISPATCH_THEN_TRACKER = """
+from multiprocessing import resource_tracker
+
+from repro.datasets import synthetic_signed_network
+from repro.exec import ExecutionPolicy, executor_for, shutdown_pools
+
+graph, _ = synthetic_signed_network(
+    60, average_degree=4.0, negative_fraction=0.25, seed=3
+)
+csr = graph.csr_view()
+executor = executor_for(
+    ExecutionPolicy(backend="csr", workers=2, min_parallel_sources=1)
+)
+rows = executor.map_kernel("csr_sbph", csr, list(range(8)), {"max_length": None})
+assert len(rows) == 8 and executor._handle.publications == 1
+print(resource_tracker._resource_tracker._pid)
+shutdown_pools()
+"""
+
+
+@pytest.mark.skipif(
+    not _IS_FORK, reason="only forked pools create no tracked resources"
+)
+def test_pooled_dispatch_launches_no_resource_tracker():
+    """Results return through ``Pool.map`` and snapshots through files, so a
+    pooled CSR dispatch registers nothing with the resource tracker: none
+    is running while the pool is up."""
+    pytest.importorskip("numpy")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    completed = subprocess.run(
+        [sys.executable, "-c", POOLED_DISPATCH_THEN_TRACKER],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.strip() == "None"
+
+
 def record_pool_maps(executor, monkeypatch):
     """Wrap the executor's ``pool.map``; the returned list gets one entry
     (the task count) per dispatch that really reached the workers."""
