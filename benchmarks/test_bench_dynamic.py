@@ -25,7 +25,6 @@ import pytest
 
 from repro.compatibility import CompatibilityEngine, make_relation
 from repro.datasets import synthetic_signed_network
-from repro.exec import ExecutionPolicy
 from repro.signed.csr import CSRSignedGraph
 
 #: Size of the benchmark graph (the paper's Epinions/Slashdot class).
@@ -109,7 +108,7 @@ def test_generation_memoised_team_filter_at_least_10x(churned_graph):
     """Repeat compatible_from_many (mask memo warm) >= 10x over the cold call."""
     graph, _base, _delta = churned_graph
     graph.csr_view()  # settle the churn delta outside the timed region
-    relation = make_relation("SPO", graph, policy=ExecutionPolicy(backend="csr"))
+    relation = make_relation("SPO", graph)
     engine = CompatibilityEngine(relation)
     nodes = graph.nodes()
     team = nodes[:5]

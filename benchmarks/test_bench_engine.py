@@ -37,7 +37,6 @@ import pytest
 
 from repro.compatibility import CompatibilityEngine, make_relation
 from repro.datasets import load_dataset, synthetic_signed_network
-from repro.exec import ExecutionPolicy
 from repro.experiments import fast_config
 from repro.signed.csr import (
     UNREACHABLE,
@@ -116,7 +115,7 @@ def _best_of(repeats: int, function):
 def _evaluate_skills(graph, team, pools, per_pair: bool):
     """Fresh relation, then one candidate filter per skill — through the
     engine, or pair by pair through the relation API (the reference)."""
-    relation = make_relation("SPO", graph, policy=ExecutionPolicy(backend="csr"))
+    relation = make_relation("SPO", graph)
     if per_pair:
         return [
             frozenset(

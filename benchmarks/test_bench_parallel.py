@@ -57,7 +57,7 @@ def big_graph():
 
 def _sampled_stats(graph, workers: int):
     """Fresh relation + engine under ``workers``, one Table-2 sampled sweep."""
-    policy = ExecutionPolicy(backend="csr", workers=workers)
+    policy = ExecutionPolicy(workers=workers)
     relation = make_relation("SPO", graph, policy=policy)
     engine = CompatibilityEngine(relation)
     return source_sampled_pair_statistics(
@@ -117,7 +117,7 @@ def test_perf_pooled_warm_50k(benchmark, big_graph):
     Tracks publish + chunk + IPC cost on top of the raw kernels; the cache is
     cleared every round so each measurement re-dispatches.
     """
-    policy = ExecutionPolicy(backend="csr", workers=2)
+    policy = ExecutionPolicy(workers=2)
     relation = make_relation("SPO", big_graph, policy=policy)
     engine = CompatibilityEngine(relation)
     sources = big_graph.nodes()[:64]
@@ -132,7 +132,7 @@ def test_perf_pooled_warm_50k(benchmark, big_graph):
 @pytest.mark.benchmark(group="perf-parallel")
 def test_perf_serial_warm_50k(benchmark, big_graph):
     """The serial counterpart of the pooled warm (same 64 sources)."""
-    relation = make_relation("SPO", big_graph, policy=ExecutionPolicy(backend="csr"))
+    relation = make_relation("SPO", big_graph)
     engine = CompatibilityEngine(relation)
     sources = big_graph.nodes()[:64]
 

@@ -39,7 +39,7 @@ def big_graph():
 
 
 def _policy(workers: int) -> ExecutionPolicy:
-    return ExecutionPolicy(backend="csr", workers=workers)
+    return ExecutionPolicy(workers=workers)
 
 
 def _cold_batch_bfs(graph, workers: int):

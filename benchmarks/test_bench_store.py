@@ -235,7 +235,6 @@ def test_file_backed_dispatch_bit_identical_to_serial(big_csr, tmp_path, benchma
     serial = serial_executor()
     store_exec = executor_for(
         ExecutionPolicy(
-            backend="csr",
             workers=2,
             min_parallel_sources=1,
             snapshot_store=str(tmp_path),

@@ -2,10 +2,10 @@
 
 Nine PRs of scaling work left this repository resting on a set of
 hand-maintained correctness contracts — "every adjacency write bumps the
-generation", "every shared-memory segment lands on the crash ledger", "numpy
-is only imported behind the lazy gate" — that previously lived in reviewers'
-heads and scattered tests.  This package encodes them as AST-level lint rules
-that run in CI (``repro-teams analyze`` / ``python -m repro.analysis``), so a
+generation", "every published snapshot file lands on the crash ledger",
+"execution knobs enter only through the policy" — that previously lived in
+reviewers' heads and scattered tests.  This package encodes them as AST-level
+lint rules that run in CI (``repro-teams analyze`` / ``python -m repro.analysis``), so a
 new kernel, mutation path or publish mode cannot silently violate them.
 
 Layout:
@@ -22,9 +22,7 @@ Layout:
 * :mod:`repro.analysis.cli` — the ``analyze`` entry point shared by
   ``repro-teams analyze`` and ``python -m repro.analysis``.
 
-The package is dependency-free (stdlib ``ast`` only) and numpy-free by
-construction — the analyzer must run on any install the library itself runs
-on, including the degraded dict-backend one.
+The rules themselves use nothing but the stdlib ``ast``.
 """
 
 from repro.analysis.core import (

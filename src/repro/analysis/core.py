@@ -4,8 +4,7 @@ Deliberately small — a :class:`Finding` record, a :class:`Rule` base class
 with a registry, a parsed-module context, and a driver that runs every rule
 over every module and then gives cross-module rules one ``finalize`` pass
 over the whole project.  Everything is stdlib ``ast``; no third-party
-dependency may creep in here (the analyzer gates CI on numpy-free installs
-too).
+dependency may creep in here.
 """
 
 from __future__ import annotations

@@ -9,8 +9,6 @@ README's "Codebase invariants" table is the reader-facing summary.
 from repro.analysis.rules import (  # noqa: F401  (import = register)
     caches,
     dtypes,
-    imports,
-    kernels,
     ledger,
     materialise,
     mutation,
@@ -20,8 +18,6 @@ from repro.analysis.rules import (  # noqa: F401  (import = register)
 __all__ = [
     "caches",
     "dtypes",
-    "imports",
-    "kernels",
     "ledger",
     "materialise",
     "mutation",

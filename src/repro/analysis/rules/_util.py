@@ -10,7 +10,6 @@ __all__ = [
     "terminal_name",
     "iter_functions",
     "keyword_value",
-    "walk_no_functions",
 ]
 
 
@@ -57,15 +56,3 @@ def keyword_value(node: ast.Call, name: str) -> Optional[ast.AST]:
             return keyword.value
     return None
 
-
-def walk_no_functions(node: ast.AST) -> Iterator[ast.AST]:
-    """Walk ``node`` without descending into function bodies.
-
-    Class bodies *are* descended into — statements there execute at import
-    time, which is exactly what the import-discipline rules care about.
-    """
-    yield node
-    for child in ast.iter_child_nodes(node):
-        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        yield from walk_no_functions(child)

@@ -7,10 +7,9 @@ function that allocates it*:
 * snapshot-store temp files (``_temp_path(...)`` / ``tempfile`` APIs) →
   ``_TEMP_LEDGER`` — otherwise an interrupted save litters ``*.tmp`` files
   next to the store;
-* snapshot files published by the pool (``save_snapshot`` for ``.store``
-  files and ``write_atomically`` for ``.pickle`` files, in ``repro.exec``)
-  → ``_STORE_FILE_LEDGER`` — otherwise republished snapshots outlive the
-  pool that owns them.
+* snapshot files published by the pool (``save_snapshot`` in
+  ``repro.exec``) → ``_STORE_FILE_LEDGER`` — otherwise republished
+  snapshots outlive the pool that owns them.
 
 "Same function" is the contract, not "somewhere": the ledgers are consulted
 by ``atexit``/signal handlers, so a registration deferred to a helper the
@@ -95,9 +94,6 @@ class LedgerDisciplineRule(Rule):
             return "_TEMP_LEDGER", "a snapshot-store temp path"
         if name in _TEMPFILE_APIS:
             return "_TEMP_LEDGER", f"a tempfile.{name} resource"
-        if ctx.module.startswith("repro.exec"):
-            if name == "save_snapshot":
-                return "_STORE_FILE_LEDGER", "a published .store snapshot file"
-            if name == "write_atomically":
-                return "_STORE_FILE_LEDGER", "a published .pickle snapshot file"
+        if ctx.module.startswith("repro.exec") and name == "save_snapshot":
+            return "_STORE_FILE_LEDGER", "a published .store snapshot file"
         return None

@@ -1,7 +1,7 @@
 """``policy-shim``: execution knobs enter only as ``policy=``.
 
 :class:`~repro.exec.policy.ExecutionPolicy` is the only way in for every
-execution knob — backend choice, pool shape, snapshot directory, cache budgets.
+execution knob — pool shape, snapshot directory, cache budgets.
 Public constructors must not grow loose keyword arguments that shadow those
 knobs: a constructor that accepts ``workers=`` next to ``policy=`` forks the
 configuration surface — two ways to set one value, a precedence rule to
@@ -11,12 +11,6 @@ reach the executors, oracles and engines that read the policy.
 The check: any public class in ``repro.*`` whose ``__init__`` takes a
 parameter named like a policy knob is a finding, whatever the body does with
 it — the knob belongs on the :class:`ExecutionPolicy` the caller passes.
-
-The backend is decided in one place as well: outside ``repro.exec.policy``,
-comparing a ``.backend`` attribute to a literal (``policy.backend == "csr"``,
-``backend in ("auto", "csr")``) is a finding.  Such a comparison re-derives
-the decision :attr:`ExecutionPolicy.uses_csr` already makes — and its numpy
-check and warning with it; callers read ``policy.uses_csr`` instead.
 """
 
 from __future__ import annotations
@@ -30,7 +24,6 @@ from repro.analysis.core import Finding, ModuleContext, Rule, register_rule
 #: the bare ``cache_size`` spelling of a cache budget).
 KNOBS = frozenset(
     {
-        "backend",
         "workers",
         "chunk_size",
         "min_parallel_sources",
@@ -50,27 +43,14 @@ class PolicyShimRule(Rule):
     id = "policy-shim"
     contract = (
         "public constructors accept execution knobs only inside the "
-        "ExecutionPolicy passed as policy=, never as loose keyword arguments; "
-        "only the policy compares .backend to a literal (callers read uses_csr)"
+        "ExecutionPolicy passed as policy=, never as loose keyword arguments"
     )
 
     def check_module(self, ctx: ModuleContext):
         findings: List[Finding] = []
         if not ctx.module.startswith("repro."):
             return findings
-        if ctx.module == "repro.exec.policy":
-            return findings  # the policy itself
         for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Compare) and _compares_backend_to_literal(node):
-                findings.append(
-                    self.finding(
-                        ctx,
-                        node,
-                        "compares .backend to a literal: read "
-                        "ExecutionPolicy.uses_csr, the one backend decision",
-                    )
-                )
-                continue
             if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
                 continue
             init = next(
@@ -102,17 +82,3 @@ class PolicyShimRule(Rule):
             )
         return findings
 
-
-def _is_literal(node: ast.AST) -> bool:
-    """A constant, or a tuple/list/set display of constants."""
-    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
-        return all(isinstance(item, ast.Constant) for item in node.elts)
-    return isinstance(node, ast.Constant)
-
-
-def _compares_backend_to_literal(node: ast.Compare) -> bool:
-    operands = [node.left, *node.comparators]
-    return any(
-        isinstance(operand, ast.Attribute) and operand.attr == "backend"
-        for operand in operands
-    ) and any(_is_literal(operand) for operand in operands)

@@ -12,8 +12,8 @@ Installed as ``repro-teams`` (see ``pyproject.toml``); also runnable as
   team-formation queries over the generation-keyed caches;
 * ``snapshot save|load|info`` — write a dataset's indexed graph to a
   ``.store`` snapshot file, load one back (memory-mapped by default), or
-  inspect a file's header and plane layout without numpy (``info --json``
-  for machines);
+  inspect a file's header and plane layout without reading a plane
+  (``info --json`` for machines);
 * ``analyze`` — run the project's invariant lint rules (stdlib-AST static
   analysis, see :mod:`repro.analysis`) over the source tree; ``--strict``
   is the CI gate, ``--json`` emits the ``analysis.json`` artifact.
@@ -311,9 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     streaming_parser.add_argument("--seed", type=int, default=2020, help="workload seed")
     streaming_parser.add_argument("--dataset-seed", type=int, default=None)
     streaming_parser.add_argument("--scale", type=float, default=None)
-    streaming_parser.add_argument(
-        "--backend", default="auto", choices=("auto", "dict", "csr")
-    )
     add_execution_flags(streaming_parser)
 
     snapshot_parser = subparsers.add_parser(
@@ -339,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="read the planes into memory instead of memory-mapping them",
     )
     snapshot_info_parser = snapshot_subparsers.add_parser(
-        "info", help="print a snapshot's header and plane layout (numpy-free)"
+        "info", help="print a snapshot's header and plane layout (no plane is read)"
     )
     snapshot_info_parser.add_argument("path", type=_snapshot_file_argument)
     snapshot_info_parser.add_argument(
@@ -570,7 +567,6 @@ def _command_streaming(arguments: argparse.Namespace) -> int:
         dataset_seed=arguments.dataset_seed,
         scale=arguments.scale,
         relation=arguments.relation.upper(),
-        backend=arguments.backend,
         workers=arguments.workers,
         chunk_size=arguments.chunk_size,
         snapshot_store=arguments.snapshot_store,

@@ -30,28 +30,24 @@ Per-source search results live in a bounded LRU
 (``policy.result_cache_size``; the default ``"auto"`` scales the bound down
 on huge graphs), so a full sweep over a large graph cannot exhaust memory.
 
-Backends
---------
-Both searches have two implementations that return the same depth per node
-and the same truncation flag: the dict searches
-(:meth:`~repro.signed.paths.BalancedPathSearch.search_exact`, a path-by-path
-BFS whose states are bitmasks over dense node ids, and
-:meth:`~repro.signed.paths.BalancedPathSearch.search_heuristic`), and the
-batched CSR cores behind the ``csr_sbph`` kernel
-(:func:`repro.signed.csr.balanced_depths`), which advance a batch of
-sources level by level and vectorise candidate generation, the expansion
-cap and the balance check.  A CSR result keeps the kernel's two dense
-depth rows, wrapped in :class:`~repro.signed.csr.CSRLengths` views, from
-the kernel (serial or pooled) through the cache to the
-symmetric closure.  The policy's
-:attr:`~repro.exec.ExecutionPolicy.uses_csr` picks between them: the default
-``backend="auto"`` uses the CSR searches whenever numpy is available.  The
-dict searches stay the numpy-free path and the tests' reference.
+Execution
+---------
+Both searches run in the batched CSR cores behind the ``csr_sbph`` kernel
+(:func:`repro.signed.csr.balanced_depths`), which advance a batch of sources
+level by level and vectorise candidate generation, the expansion cap and the
+balance check.  A result keeps the kernel's two dense depth rows, wrapped in
+:class:`~repro.signed.csr.CSRLengths` views, from the kernel (serial or
+pooled) through the cache to the symmetric closure.  The pure-Python
+searches (:meth:`~repro.signed.paths.BalancedPathSearch.search_exact`, a
+path-by-path BFS whose states are bitmasks over dense node ids, and
+:meth:`~repro.signed.paths.BalancedPathSearch.search_heuristic`) return the
+same depth per node and the same truncation flag; they are the readable
+statement of both searches and the tests' reference.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set
+from typing import FrozenSet, List, Optional, Sequence, Set
 
 from repro.compatibility.base import CompatibilityRelation, resolve_cache_size
 from repro.exec.policy import ExecutionPolicy
@@ -62,7 +58,6 @@ from repro.signed.paths import (
     INFINITY,
     BalancedPathResult,
     BalancedPathSearch,
-    shortest_path_lengths,
 )
 from repro.utils.generational import GenerationalLRUCache
 from repro.utils.lru import APPROX_BYTES_PER_NODE, fetch_batched
@@ -102,6 +97,7 @@ class _BalancedPathRelation(CompatibilityRelation):
     ) -> None:
         super().__init__(graph, policy=policy)
         graph = self._graph  # the base may have adapted a bare CSR snapshot
+        # Validates and holds the search bounds the csr_sbph kernel takes.
         self._search = BalancedPathSearch(
             graph, max_length=max_path_length, max_expansions=max_expansions
         )
@@ -147,12 +143,7 @@ class _BalancedPathRelation(CompatibilityRelation):
         self._prune_truncated()
         result = self._result_cache.get(source)
         if result is None:
-            if self._policy.uses_csr:
-                [result] = self._csr_searches(serial_executor(), [source])
-            elif self.exact_search:
-                result = self._search.search_exact(source)
-            else:
-                result = self._search.search_heuristic(source)
+            [result] = self._csr_searches(serial_executor(), [source])
             self._result_cache[source] = result
             if result.truncated:
                 self._truncated_sources.add(source)
@@ -163,8 +154,8 @@ class _BalancedPathRelation(CompatibilityRelation):
 
         Uncached sources are resolved by the policy's executor — in-process
         under a serial policy, fanned out in chunks over the worker pool for
-        ``workers >= 2`` (the CSR search ships dense depth rows back; dict
-        searches ship whole results).  Each result holds the same depth per
+        ``workers >= 2`` (the workers ship dense depth rows back).  Each
+        result holds the same depth per
         node and the same truncation flag as :meth:`_search_from`; results are
         written through to the result cache and truncation flags are recorded
         exactly as the per-source path would have.
@@ -174,7 +165,7 @@ class _BalancedPathRelation(CompatibilityRelation):
         self._prune_truncated()
 
         def compute_missing(missing: List[Node]) -> List[BalancedPathResult]:
-            results = self._map_searches(missing)
+            results = self._csr_searches(self._executor(), missing)
             for source, result in zip(missing, results):
                 if result.truncated:
                     self._truncated_sources.add(source)
@@ -183,32 +174,23 @@ class _BalancedPathRelation(CompatibilityRelation):
         return fetch_batched(self._result_cache, source_list, compute_missing)
 
     def _search_params(self) -> dict:
-        """The knobs ``csr_sbph`` and ``dict_balanced_search`` both take."""
+        """The knobs the ``csr_sbph`` kernel takes."""
         return {
             "exact": self.exact_search,
             "max_length": self.max_path_length,
             "max_expansions": self._search._max_expansions,
         }
 
-    def _map_searches(self, sources: List[Node]) -> List[BalancedPathResult]:
-        """Run the relation's search for every source through the executor.
-
-        On the CSR backend under a pool policy the workers return each
-        source's depth rows and truncation flag through ``Pool.map`` (the
-        balanced *reverse sweeps* — every candidate of
-        :meth:`batch_compatible_sets` / :meth:`batch_distance_to_set` — fan
-        out this way), so results are identical to the serial search.
-        """
-        executor = self._executor()
-        if self._policy.uses_csr:
-            return self._csr_searches(executor, sources)
-        return executor.map_kernel(
-            "dict_balanced_search", self._graph, sources, params=self._search_params()
-        )
-
     def _csr_searches(self, executor, sources: List[Node]) -> List[BalancedPathResult]:
         """The ``csr_sbph`` kernel's depth rows, read by node through
-        :class:`~repro.signed.csr.CSRLengths` views."""
+        :class:`~repro.signed.csr.CSRLengths` views.
+
+        Under a pool policy the workers return each source's depth rows and
+        truncation flag through ``Pool.map`` (the balanced *reverse sweeps* —
+        every candidate of :meth:`batch_compatible_sets` /
+        :meth:`batch_distance_to_set` — fan out this way), so results are
+        identical to the serial search.
+        """
         from repro.signed.csr import CSRLengths
 
         csr = self._graph.csr_view()
@@ -279,56 +261,16 @@ class _BalancedPathRelation(CompatibilityRelation):
     def _symmetric_closure(self, sources: List[Node]) -> List[FrozenSet[Node]]:
         """Forward finds plus reverse finds for distinct ``sources``.
 
-        Both backends read the same rows: each source's own search result
-        (forward finds) and the search result of every node in the sources'
-        components (reverse finds: whose search reaches the source).  On the
-        CSR backend the finds are the entries of one matrix over the members
-        of the sources' components (one CSR frontier expansion),
-        :meth:`_symmetric_depths`: the forward rows, the transpose of the
-        forward block for members that are sources themselves and one
-        gathered column per other member, with direct negative edges cleared
-        by one mask from the snapshot's negative entries.  The dict backend
-        keeps the per-pair loop over a dict BFS per source.
+        The finds are read from each source's own search result (forward
+        finds) and the search result of every node in the sources'
+        components (reverse finds: whose search reaches the source), as the
+        entries of one matrix over the members of the sources' components
+        (one CSR frontier expansion), :meth:`_symmetric_depths`: the forward
+        rows, the transpose of the forward block for members that are
+        sources themselves and one gathered column per other member, with
+        direct negative edges cleared by one mask from the snapshot's
+        negative entries.
         """
-        if self._policy.uses_csr:
-            return self._dense_closure(sources)
-        found = {
-            source: {
-                node
-                for node in result.positive_lengths
-                if node != source and self._pair_allowed(source, node)
-            }
-            for source, result in zip(sources, self.batch_search(sources))
-        }
-        # Balanced paths never leave a component, so the sources' components
-        # (one BFS each) bound the reverse sweep.  The sweep is dispatched in
-        # chunks so only REVERSE_SWEEP_CHUNK O(n) results are held outside
-        # the LRU at any moment.
-        candidates: Dict[Node, int] = {}
-        for source in sources:
-            if source not in candidates:
-                candidates.update(shortest_path_lengths(self._graph, source))
-        candidate_list = list(candidates)
-        for start in range(0, len(candidate_list), REVERSE_SWEEP_CHUNK):
-            chunk = candidate_list[start : start + REVERSE_SWEEP_CHUNK]
-            for node, node_result in zip(chunk, self.batch_search(chunk)):
-                lengths = node_result.positive_lengths
-                # Iterate whichever side is smaller.
-                if len(lengths) < len(found):
-                    hits = [source for source in lengths if source in found]
-                else:
-                    hits = [source for source in found if source in lengths]
-                for source in hits:
-                    if node != source and self._pair_allowed(source, node):
-                        found[source].add(node)
-        closures: List[FrozenSet[Node]] = []
-        for source in sources:
-            found[source].add(source)
-            closures.append(frozenset(found[source]))
-        return closures
-
-    def _dense_closure(self, sources: List[Node]) -> List[FrozenSet[Node]]:
-        """:meth:`_symmetric_closure` on the CSR snapshot's dense ids."""
         import numpy as np
 
         csr = self._graph.csr_view()

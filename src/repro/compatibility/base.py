@@ -60,8 +60,8 @@ class CompatibilityRelation(abc.ABC):
     graph:
         The signed graph the relation is defined over.
     policy:
-        The :class:`~repro.exec.ExecutionPolicy` governing backend choice,
-        worker-pool execution and cache budgets.  ``None`` uses the default
+        The :class:`~repro.exec.ExecutionPolicy` governing worker-pool
+        execution and cache budgets.  ``None`` uses the default
         (serial) policy.  Its ``compatible_cache_size`` bounds the LRU of
         per-source compatible sets; each set is O(n), so the bound caps the
         relation's memory at roughly ``compatible_cache_size * n`` references
@@ -85,16 +85,13 @@ class CompatibilityRelation(abc.ABC):
     ) -> None:
         if not isinstance(graph, SignedGraph):
             # Bare CSR snapshots (CSR-first ingestion) are adapted to the
-            # canonical lazy facade; the dict backend only materialises if a
-            # dict-only code path is actually exercised.
+            # canonical lazy facade; the adjacency dict only materialises if
+            # a dict-only code path is actually exercised.
             from repro.signed.lazy import as_signed_graph
 
             graph = as_signed_graph(graph)
         self._graph = graph
         self._policy = policy if policy is not None else ExecutionPolicy()
-        # Resolve the backend now: backend="csr" without numpy raises here,
-        # and "auto" without numpy warns here, not at the first query.
-        self._policy.uses_csr
         num_nodes = graph.number_of_nodes()
         # Generation-keyed: entries auto-expire when a mutation touches their
         # source's connected component, so mutating the graph never requires a

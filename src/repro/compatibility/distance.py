@@ -14,11 +14,10 @@ paper defines the distance *per relation*:
 call.  For SPA/SPM/SPO a distance row is the ``lengths`` part of the
 relation's own cached signed BFS (Algorithm 1 already computes it), so the
 oracle runs no traversal of its own; for DPE and NNE it caches one
-sign-agnostic BFS per queried source, run on CSR whenever numpy is available
-(no size cut-over).  The "avg distance" row of Table 2 is the mean distance
-over compatible pairs, which :func:`average_compatible_distance` reads from
-one distance row per source rather than one oracle query per pair, reduced
-as dense rows on the CSR backend.
+sign-agnostic BFS per queried source, run on the CSR snapshot.  The "avg
+distance" row of Table 2 is the mean distance over compatible pairs, which
+:func:`average_compatible_distance` reads from one distance row per source
+rather than one oracle query per pair, reduced as dense rows.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from repro.compatibility.base import CompatibilityRelation, resolve_cache_size
 from repro.compatibility.shortest_path import _ShortestPathRelation
 from repro.exec.policy import ExecutionPolicy, executor_for
 from repro.signed.graph import Node
-from repro.signed.paths import INFINITY, shortest_path_lengths
+from repro.signed.paths import INFINITY
 from repro.utils.generational import GenerationalLRUCache
 from repro.utils.lru import APPROX_BYTES_PER_NODE, fetch_batched
 from repro.utils.rng import RandomState, ensure_rng
@@ -48,18 +47,17 @@ class DistanceOracle:
     cached signed BFS results
     (:meth:`~repro.compatibility.shortest_path._ShortestPathRelation.distance_rows`):
     the oracle holds no cache of its own and **ignores its own policy** —
-    backend, workers and cache bound are the relation's, and :meth:`sync`
+    workers and cache bound are the relation's, and :meth:`sync`
     and :meth:`clear_cache` are no-ops (the relation's ``sync_caches`` and
     ``clear_cache`` act on the rows).  For the other relations single-source
     distance maps are cached in a bounded LRU of
     ``policy.distance_cache_size`` entries (the default ``"auto"`` scales
     the bound by graph size, ``None`` disables eviction).  The oracle
     inherits the relation's :class:`~repro.exec.ExecutionPolicy` unless
-    given one explicitly; its sign-agnostic BFS runs on the indexed CSR
-    backend whenever the policy's
-    :attr:`~repro.exec.ExecutionPolicy.uses_csr` holds, and its batched
-    sweeps run on the policy's executor — under a pool policy the team's
-    distance maps are computed by worker processes.  :meth:`warm` and
+    given one explicitly; its sign-agnostic BFS runs on the graph's CSR
+    snapshot, and its batched sweeps run on the policy's executor — under a
+    pool policy the team's distance maps are computed by worker processes.
+    :meth:`warm` and
     :meth:`batch_distance_to_set` are the batched entry points the
     :class:`~repro.compatibility.engine.CompatibilityEngine` uses to resolve
     many candidates against a team in one batched sweep.
@@ -169,9 +167,9 @@ class DistanceOracle:
 
         For SP* relations the maps are the lengths of the relation's signed
         BFS results, fetched through its ``distance_rows`` (one
-        word-parallel sweep over the uncached sources on CSR, the worker pool
-        under the relation's pool policy).  For DPE and NNE, on the CSR
-        backend every uncached source joins one multi-source BFS
+        word-parallel sweep over the uncached sources, the worker pool under
+        the relation's pool policy).  For DPE and NNE every uncached source
+        joins one multi-source BFS
         (:func:`repro.signed.csr.multi_source_shortest_path_lengths_csr`)
         instead of running its own traversal.  Under a pool policy the
         workers return the dense distance maps through ``Pool.map``; each
@@ -193,20 +191,15 @@ class DistanceOracle:
             return self._sp_relation.distance_rows(source_list)
 
         def compute_missing(missing: List[Node]) -> List[object]:
-            executor = executor_for(self._policy)
-            if self._policy.uses_csr:
-                from repro.signed.csr import CSRLengths
+            from repro.signed.csr import CSRLengths
 
-                csr = self._graph.csr_view()
-                arrays = executor.map_kernel(
-                    "csr_path_lengths",
-                    csr,
-                    [csr.index_of(source) for source in missing],
-                )
-                return [CSRLengths(csr, lengths) for lengths in arrays]
-            if self._policy.parallel:
-                return executor.map_kernel("dict_path_lengths", self._graph, missing)
-            return [shortest_path_lengths(self._graph, source) for source in missing]
+            csr = self._graph.csr_view()
+            arrays = executor_for(self._policy).map_kernel(
+                "csr_path_lengths",
+                csr,
+                [csr.index_of(source) for source in missing],
+            )
+            return [CSRLengths(csr, lengths) for lengths in arrays]
 
         return fetch_batched(self._bfs_cache, source_list, compute_missing)
 
@@ -216,8 +209,8 @@ class DistanceOracle:
         """:meth:`distance_to_set` for many candidates at once.
 
         The team members' distance maps are prefetched in one batched sweep
-        (:meth:`warm`) and, on the CSR backend, the per-candidate maximum over
-        members is computed with array indexing instead of a Python loop per
+        (:meth:`warm`) and the per-candidate maximum over members is
+        computed with array indexing instead of a Python loop per
         pair.  Every map is read over the current snapshot's dense ids
         (:meth:`~repro.signed.csr.CSRLengths.row_in`), also one cached on an
         older snapshot, and a candidate outside the graph reads ``inf``.
@@ -236,12 +229,6 @@ class DistanceOracle:
             return [0.0] * len(candidate_list)
         if isinstance(self._relation, _BalancedPathRelation):
             return self._relation.batch_distance_to_set(candidate_list, team_list)
-        if not self._rows_policy().uses_csr:
-            if self._policy.parallel:
-                # Prefetch the members' distance maps through the pool; the
-                # per-candidate loop below then reads cached maps.
-                self.warm(team_list)
-            return [self.distance_to_set(c, team_list) for c in candidate_list]
         import numpy as np
 
         from repro.signed.csr import UNREACHABLE
@@ -282,17 +269,6 @@ class DistanceOracle:
         if self._bfs_cache is not None:
             self._bfs_cache.clear()
 
-    def _rows_policy(self) -> ExecutionPolicy:
-        """The policy the distance rows are computed under.
-
-        SP* rows are the relation's signed BFS results and balanced rows its
-        search results, both on the relation's backend; DPE and NNE rows are
-        the oracle's own sign-agnostic BFS.
-        """
-        if self._sp_relation is not None or isinstance(self._relation, _BalancedPathRelation):
-            return self._relation.policy
-        return self._policy
-
     def _cache_bound(self) -> Optional[int]:
         """Entry bound of the cache the distance rows live in."""
         if self._sp_relation is not None:
@@ -304,13 +280,10 @@ class DistanceOracle:
             return self._sp_relation.distance_rows([source])[0]
         lengths = self._bfs_cache.get(source)
         if lengths is None:
-            if self._policy.uses_csr:
-                from repro.signed.csr import CSRLengths, shortest_path_lengths_csr
+            from repro.signed.csr import CSRLengths, shortest_path_lengths_csr
 
-                csr = self._graph.csr_view()
-                lengths = CSRLengths(csr, shortest_path_lengths_csr(csr, source))
-            else:
-                lengths = shortest_path_lengths(self._graph, source)
+            csr = self._graph.csr_view()
+            lengths = CSRLengths(csr, shortest_path_lengths_csr(csr, source))
             self._bfs_cache[source] = lengths
         return lengths
 
@@ -335,10 +308,8 @@ def average_compatible_distance(
 
     Sources are processed in chunks of the oracle's cache bound, and each
     source reads one distance row: the oracle's distance map, or for
-    balanced relations the two directions' search results.  When the rows
-    are computed on the CSR backend (the relation's policy for SP* and
-    balanced relations, the oracle's otherwise) a chunk is reduced as dense
-    ``(sources, n)`` rows, with no Python loop per pair:
+    balanced relations the two directions' search results.  A chunk is
+    reduced as dense ``(sources, n)`` rows, with no Python loop per pair:
 
     * SBP/SBPH — one positive-depth matrix of ``min(P[u, v], P[v, u])``
       built from the cached search results
@@ -354,8 +325,8 @@ def average_compatible_distance(
     in the exhaustive case; that order check goes through a dense-id →
     position map, since dense ids need not follow it.  Every row is read
     over the current snapshot's dense ids, also one cached on an older
-    snapshot.  The dict backend runs the per-pair loop.  Distances are
-    integers, so the average does not depend on the order.
+    snapshot.  Distances are integers, so the average does not depend on the
+    order.
     """
     if oracle is None:
         oracle = DistanceOracle(relation)
@@ -372,13 +343,12 @@ def average_compatible_distance(
         rng = ensure_rng(seed)
         sources = rng.sample(nodes, min(num_sampled_sources, len(nodes)))
         positions = None
-    pair_sums = _dense_pair_sums if oracle._rows_policy().uses_csr else _per_pair_sums
     total = 0
     count = 0
     bound = oracle._cache_bound()
     chunk = len(sources) if bound is None else max(1, min(len(sources), bound))
     for start in range(0, len(sources), chunk):
-        chunk_total, chunk_count = pair_sums(
+        chunk_total, chunk_count = _dense_pair_sums(
             relation, oracle, sources[start : start + chunk], positions
         )
         total += chunk_total
@@ -388,44 +358,14 @@ def average_compatible_distance(
     return total / count, count
 
 
-def _per_pair_sums(
-    relation: CompatibilityRelation,
-    oracle: DistanceOracle,
-    sources: List[Node],
-    positions: Optional[Dict[Node, int]],
-) -> Tuple[int, int]:
-    """``(sum, count)`` of finite distances to ``sources``' partners, per pair
-    (the dict backend)."""
-    balanced = isinstance(relation, _BalancedPathRelation)
-    compatible_sets = relation.batch_compatible_sets(sources)
-    # One distance row per source: its search result (the reverse
-    # direction is the partner's cached search) or its distance map.
-    rows = relation.batch_search(sources) if balanced else oracle.warm(sources)
-    total = 0
-    count = 0
-    for u, compatible, row in zip(sources, compatible_sets, rows):
-        for v in compatible:
-            if v == u or (positions is not None and positions[v] < positions[u]):
-                continue
-            if balanced:
-                distance = min(
-                    row.positive_length(v), relation._search_from(v).positive_length(u)
-                )
-            else:
-                distance = row.get(v, INFINITY)
-            if distance != INFINITY:
-                total += distance
-                count += 1
-    return total, count
-
-
 def _dense_pair_sums(
     relation: CompatibilityRelation,
     oracle: DistanceOracle,
     sources: List[Node],
     positions: Optional[Dict[Node, int]],
 ) -> Tuple[int, int]:
-    """:func:`_per_pair_sums` over dense ``(sources, n)`` rows (CSR backend)."""
+    """``(sum, count)`` of finite distances from ``sources`` to their partners,
+    over dense ``(sources, n)`` rows."""
     import numpy as np
 
     from repro.signed.csr import UNREACHABLE

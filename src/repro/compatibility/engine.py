@@ -1,4 +1,4 @@
-"""The batched, backend-aware compatibility query service.
+"""The batched compatibility query service.
 
 Team formation (Section 4 of the paper) keeps asking *one-to-many* questions:
 "which holders of skill ``s`` are compatible with the current team?", "how far
@@ -21,11 +21,10 @@ kernels queries instead:
 * the experiment harness routes its sampled pair statistics through
   :meth:`compatibility_degrees`.
 
-The engine decides per relation and backend how to serve each query: SP*
-relations on the CSR backend answer team filters with one multi-source
-BFS plus a vectorised pair-rule mask; every other relation falls back to
-exactly the per-pair loop over the relation API, so results are identical by
-construction.
+The engine decides per relation how to serve each query: SP* relations
+answer team filters with one multi-source BFS plus a vectorised pair-rule
+mask; every other relation falls back to exactly the per-pair loop over the
+relation API, so results are identical by construction.
 
 The per-pair relation API (``are_compatible`` / ``compatible_with`` /
 :meth:`~repro.compatibility.distance.DistanceOracle.distance_to_set`) is the
@@ -43,7 +42,6 @@ from repro.compatibility.shortest_path import _ShortestPathRelation
 from repro.exec.policy import ExecutionPolicy, executor_for
 from repro.signed.graph import Node, SignedGraph
 from repro.utils.generational import GenerationalLRUCache
-from repro.utils.optional import numpy_available
 
 #: Default bound on the number of memoised per-member rule masks (each mask
 #: is one byte per node, so the ``"auto"`` sizing rarely shrinks it).
@@ -67,7 +65,7 @@ class CompatibilityEngine:
         batched sweeps behind :meth:`warm`, :meth:`compatible_from_many` and
         :meth:`distances_to_team_many` run on the worker pool.  Its
         ``mask_cache_size`` bounds the engine-level rule-mask memo: for SP*
-        relations on the CSR backend, :meth:`compatible_from_many` memoises
+        relations, :meth:`compatible_from_many` memoises
         one boolean mask per ``(team member, graph generation)``, so
         Algorithm 2's repeated filters against the same team skip both the
         BFS lookup and the mask recomputation.
@@ -154,7 +152,7 @@ class CompatibilityEngine:
         """``|compatible_set(s) ∩ targets|`` per source, batched.
 
         See :meth:`~repro.compatibility.base.CompatibilityRelation.batch_count_compatible`:
-        SP* relations on the CSR backend count off their pair-rule masks,
+        SP* relations count off their pair-rule masks,
         NNE off the sources' enemy lists, the rest intersect batched sets.
         """
         return self._relation.batch_count_compatible(list(sources), targets)
@@ -166,7 +164,7 @@ class CompatibilityEngine:
     def warm(self, sources: Sequence[Node]) -> None:
         """Prefetch per-source computations the coming queries will need.
 
-        For SP* relations on the CSR backend this runs one multi-source BFS
+        For SP* relations this runs one multi-source BFS
         over the uncached sources (bounded by the BFS cache size, so a huge
         seed list cannot churn the cache).  The oracle's distance rows are
         the lengths of those same BFS results, so distance queries are warmed
@@ -177,7 +175,7 @@ class CompatibilityEngine:
         if not source_list:
             return
         relation = self._relation
-        if isinstance(relation, _ShortestPathRelation) and relation.policy.uses_csr:
+        if isinstance(relation, _ShortestPathRelation):
             budget = relation.bfs_cache_maxsize
             if budget is not None:
                 source_list = source_list[:budget]
@@ -189,7 +187,7 @@ class CompatibilityEngine:
         """The candidates compatible with *every* member of ``team``.
 
         Team members themselves are excluded from the result, mirroring the
-        per-pair candidate filter.  SP* relations on the CSR backend answer with
+        per-pair candidate filter.  SP* relations answer with
         one batched BFS over the team plus vectorised pair-rule masks indexed
         at the candidates; everything else runs the per-pair loop.
         The result is identical either way (the SP* pair rules are symmetric
@@ -202,7 +200,7 @@ class CompatibilityEngine:
         if not team_list or not survivors:
             return frozenset(survivors)
         relation = self._relation
-        if isinstance(relation, _ShortestPathRelation) and relation.policy.uses_csr:
+        if isinstance(relation, _ShortestPathRelation):
             return self._compatible_from_many_csr(survivors, team_list)
         return frozenset(
             candidate
@@ -278,8 +276,8 @@ class CompatibilityEngine:
         """:meth:`distance_to_team` for every candidate, batched.
 
         The team's distance maps are computed in one batched sweep and the
-        per-candidate maxima are taken with array indexing on the CSR
-        backend.  Values equal the per-candidate calls exactly.
+        per-candidate maxima are taken with array indexing.  Values equal the
+        per-candidate calls exactly.
         """
         return self._oracle.batch_distance_to_set(list(candidates), team)
 
@@ -298,7 +296,7 @@ class CompatibilityEngine:
         after a generation bump republishes the fresh snapshot automatically
         and unlinks the stale one.
         """
-        if numpy_available() and self.graph._csr_cache is not None:
+        if self.graph._csr_cache is not None:
             self.graph.csr_view()
         self._mask_cache.sync()
         self._relation.sync_caches()

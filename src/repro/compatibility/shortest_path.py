@@ -8,37 +8,25 @@ negative shortest paths from a query node to every other node in one BFS:
 * **SPM** — at least as many positive as negative shortest paths (majority);
 * **SPO** — at least *one* shortest path between the pair is positive.
 
-Two interchangeable backends run Algorithm 1:
-
-* ``"dict"`` — the pure-Python BFS over the adjacency dictionary; the
-  reference implementation, the faster one on high-diameter graphs (paths,
-  grids, meshes: the level-synchronous CSR BFS pays ~20 array operations per
-  level), and the only backend available on numpy-free installs;
-* ``"csr"`` — the indexed array BFS over the graph's
-  :meth:`~repro.signed.graph.SignedGraph.csr_view`
-  (:func:`repro.signed.csr.signed_bfs_csr`); an order of magnitude faster per
-  source on SNAP-scale graphs, with a word-parallel multi-source kernel
-  (:func:`repro.signed.csr.multi_source_signed_bfs`) behind :meth:`batch_bfs`.
-
-The policy decides between them once
-(:attr:`~repro.exec.ExecutionPolicy.uses_csr`): ``backend="auto"`` (the
-default) runs CSR whenever numpy imports and falls back to the dict backend
-with a one-time warning otherwise, while an explicit ``backend="csr"`` raises
-:class:`ImportError` at construction time.  On the CSR backend every result
-a relation caches or returns is a
+Algorithm 1 runs on the graph's
+:meth:`~repro.signed.graph.SignedGraph.csr_view`: the indexed array BFS
+(:func:`repro.signed.csr.signed_bfs_csr`) per source, and a word-parallel
+multi-source kernel (:func:`repro.signed.csr.multi_source_signed_bfs`) behind
+:meth:`batch_bfs`.  Every result a relation caches or returns is a
 :class:`~repro.signed.csr.CSRSignedBFSResult`: a source whose path counts
-trip the kernels' int64 guard is answered by the dict BFS, whose result is
-laid onto dense rows of exact Python ints
+trip the kernels' int64 guard is answered by the pure-Python
+:func:`~repro.signed.paths.signed_bfs`, whose result is laid onto dense rows
+of exact Python ints
 (:meth:`~repro.signed.csr.CSRSignedBFSResult.from_signed_bfs_result`), and
 readers take a result's planes over the current snapshot's dense ids
 (:meth:`~repro.signed.csr.CSRSignedBFSResult.signed_rows`), so no reader
-keeps a per-pair fallback.  All backends produce identical relations — the
-equivalence tests compare them bit for bit.
+keeps a per-pair fallback.  :mod:`repro.signed.paths` is the readable
+statement of Algorithm 1 and the tests' reference.
 
 A source's BFS result (lengths plus positive and negative path counts)
 depends only on the graph and the source, not on the pair rule, so it is
-computed once per graph: every SPA/SPM/SPO relation whose policy resolves to
-the same backend and the same ``bfs_cache_size`` reads one bounded,
+computed once per graph: every SPA/SPM/SPO relation whose policy has the
+same ``bfs_cache_size`` reads one bounded,
 generation-keyed LRU (:class:`repro.utils.generational.GenerationalLRUCache`)
 held by the graph itself, and the SP* distance oracles read their distance
 rows from the same results.  The default ``bfs_cache_size="auto"`` scales the
@@ -53,8 +41,8 @@ triples.  Its entries are three ints, so ``"auto"`` keeps the
 then SPM, then SPO traverses each source once even when the BFS cache holds
 fewer entries than the sample.
 
-SPO only asks whether a positive shortest path *exists*, so on the CSR
-backend its batched misses (:meth:`OneShortestPathCompatibility.batch_bfs`)
+SPO only asks whether a positive shortest path *exists*, so its batched
+misses (:meth:`OneShortestPathCompatibility.batch_bfs`)
 run the word-parallel presence traversal
 (:func:`repro.signed.csr._wordparallel_presence_into`) for every word of at
 least :data:`~repro.signed.csr.PRESENCE_MIN_SOURCES` (4) sources: lengths
@@ -73,12 +61,12 @@ graph-held cache under the same key.  Who reads what:
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.compatibility.base import CompatibilityRelation, resolve_cache_size
 from repro.exec.policy import ExecutionPolicy
 from repro.signed.graph import Node, SignedGraph
-from repro.signed.paths import SignedBFSResult, signed_bfs
+from repro.signed.paths import signed_bfs
 from repro.utils.generational import GenerationalLRUCache
 from repro.utils.lru import APPROX_BYTES_PER_NODE, fetch_batched
 
@@ -86,8 +74,8 @@ from repro.utils.lru import APPROX_BYTES_PER_NODE, fetch_batched
 #: the ``"auto"`` byte-aware sizing starts from).
 DEFAULT_BFS_CACHE_SIZE = 2048
 
-# The CSR result type is imported lazily (numpy-free installs never load it).
-_BFSResult = Union[SignedBFSResult, "CSRSignedBFSResult"]  # noqa: F821
+# The result type, named lazily: repro.signed.csr is imported by the methods.
+_BFSResult = "CSRSignedBFSResult"
 
 #: A source's ``(spa, spm, spo)`` compatibility degrees.
 DegreeTriple = Tuple[int, int, int]
@@ -102,9 +90,8 @@ def _shared_caches(
 ]:
     """The graph's signed-BFS cache, presence cache and degree memo for ``policy``.
 
-    All three live under one key: the policy's resolved backend
-    (:attr:`~repro.exec.ExecutionPolicy.uses_csr`, so ``"auto"`` and
-    ``"csr"`` share) and resolved BFS entry bound.  Generation-keyed:
+    All three live under one key: the policy's resolved BFS entry bound.
+    Generation-keyed:
     mutating the graph drops only the entries whose component a mutation
     touched, for every relation sharing the caches; the rest stay valid
     (a result from an older CSR snapshot is read over the current one's
@@ -114,7 +101,7 @@ def _shared_caches(
     """
     num_nodes = graph.number_of_nodes()
     maxsize = resolve_cache_size(policy.bfs_cache_size, DEFAULT_BFS_CACHE_SIZE, num_nodes)
-    key = (policy.uses_csr, maxsize)
+    key = maxsize
 
     def held(caches: dict, **bounds) -> GenerationalLRUCache:
         cache = caches.get(key)
@@ -146,12 +133,11 @@ class _ShortestPathRelation(CompatibilityRelation):
     graph:
         The signed graph the relation is defined over.
     policy:
-        The :class:`~repro.exec.ExecutionPolicy` governing backend choice
-        (``"dict"``, ``"csr"`` or ``"auto"``),
-        worker-pool execution and cache budgets; ``bfs_cache_size`` bounds
-        the LRU of per-source BFS results (``"auto"`` scales
+        The :class:`~repro.exec.ExecutionPolicy` governing worker-pool
+        execution and cache budgets; ``bfs_cache_size`` bounds the LRU of
+        per-source BFS results (``"auto"`` scales
         :data:`DEFAULT_BFS_CACHE_SIZE` down by graph size), which every SP*
-        relation on the graph with the same backend and bound shares.  With
+        relation on the graph with the same bound shares.  With
         ``workers >= 2`` the batched entry points (:meth:`batch_bfs`,
         :meth:`batch_compatible_sets`) dispatch their per-source traversals
         to a process pool; results are bit-identical to serial execution.
@@ -170,24 +156,22 @@ class _ShortestPathRelation(CompatibilityRelation):
     def _bfs(self, source: Node) -> _BFSResult:
         result = self._bfs_cache.get(source)
         if result is None:
-            if self._policy.uses_csr:
-                from repro.signed.csr import signed_bfs_csr
+            from repro.signed.csr import signed_bfs_csr
 
-                csr = self._graph.csr_view()
-                try:
-                    result = signed_bfs_csr(csr, source)
-                except OverflowError:
-                    result = self._exact_result(csr, source)
-            else:
-                result = signed_bfs(self._graph, source)
+            csr = self._graph.csr_view()
+            try:
+                result = signed_bfs_csr(csr, source)
+            except OverflowError:
+                result = self._exact_result(csr, source)
             self._bfs_cache[source] = result
         return result
 
     def _exact_result(self, csr, source: Node) -> _BFSResult:
         """``source``'s counts past the int64 guard, on ``csr``'s dense rows.
 
-        The dict backend's arbitrary-precision BFS answers the source, and
-        its result becomes ``object`` count planes of Python ints.
+        The arbitrary-precision :func:`~repro.signed.paths.signed_bfs`
+        answers the source, and its result becomes ``object`` count planes
+        of Python ints.
         """
         from repro.signed.csr import CSRSignedBFSResult
 
@@ -217,14 +201,15 @@ class _ShortestPathRelation(CompatibilityRelation):
     def batch_bfs(self, sources: Sequence[Node]) -> List[_BFSResult]:
         """One Algorithm-1 result per source, batched through the executor.
 
-        On the CSR backend, uncached sources are resolved by the policy's
-        executor running the ``csr_signed_bfs`` kernel — in-process for a
-        serial policy (word-parallel in 64-source words, per-source below
+        Uncached sources are resolved by the policy's executor running the
+        ``csr_signed_bfs`` kernel — in-process for a serial policy
+        (word-parallel in 64-source words, per-source below
         :data:`~repro.signed.csr.WORDPARALLEL_MIN_SOURCES`), or fanned out
         in chunks over the worker pool for ``workers >= 2``.  Sources whose
-        counts overflow int64 fall back to the dict backend's
-        arbitrary-precision BFS individually, in the parent process, and come
-        back on dense ``object`` rows (:meth:`_exact_result`).  Results
+        counts overflow int64 fall back to the arbitrary-precision
+        :func:`~repro.signed.paths.signed_bfs` individually, in the parent
+        process, and come back on dense ``object`` rows
+        (:meth:`_exact_result`).  Results
         are held locally for the duration of the call, so a batch larger than
         the LRU bound is still computed exactly once; they are also written
         through to the cache for follow-up per-pair queries.  Every result is
@@ -238,16 +223,6 @@ class _ShortestPathRelation(CompatibilityRelation):
         """:meth:`batch_bfs` with Algorithm 1's counts for every relation."""
         source_list = list(sources)
         self._require_nodes(*source_list)
-        if not self._policy.uses_csr:
-            if not self._policy.parallel:
-                return [self._bfs(source) for source in source_list]
-
-            def compute_missing_dict(missing: List[Node]) -> List[_BFSResult]:
-                return self._executor().map_kernel(
-                    "dict_signed_bfs", self._graph, missing
-                )
-
-            return fetch_batched(self._bfs_cache, source_list, compute_missing_dict)
         return fetch_batched(self._bfs_cache, source_list, self._compute_csr)
 
     def _compute_csr(self, missing: List[Node], presence: bool = False) -> List[_BFSResult]:
@@ -266,8 +241,8 @@ class _ShortestPathRelation(CompatibilityRelation):
             params={"skip_overflow": True, "presence": presence},
         )
         return [
-            # None marks an int64 overflow: that source needs the dict
-            # backend's arbitrary-precision counts.
+            # None marks an int64 overflow: that source needs
+            # arbitrary-precision counts.
             self._exact_result(csr, source)
             if triple is None
             else CSRSignedBFSResult(
@@ -288,10 +263,9 @@ class _ShortestPathRelation(CompatibilityRelation):
         sign-agnostic BFS would compute — so the SP* distance oracle reads
         its rows here instead of traversing again.  A single source resolves
         like a pair query (:meth:`_bfs`, in-process); longer lists go through
-        :meth:`batch_bfs`.  Each row is the dict result's ``lengths`` dict,
-        or the CSR result's int32 ``lengths_array`` (unreachable nodes hold
-        :data:`~repro.signed.csr.UNREACHABLE`) behind a
-        :class:`~repro.signed.csr.CSRLengths` view.
+        :meth:`batch_bfs`.  Each row is the result's int32 ``lengths_array``
+        (unreachable nodes hold :data:`~repro.signed.csr.UNREACHABLE`)
+        behind a :class:`~repro.signed.csr.CSRLengths` view.
         """
         source_list = list(sources)
         if len(source_list) == 1:
@@ -319,15 +293,6 @@ class _ShortestPathRelation(CompatibilityRelation):
 
     def _compute_compatible_set(self, u: Node) -> Set[Node]:
         result = self._row(u)
-        if isinstance(result, SignedBFSResult):
-            compatible: Set[Node] = set()
-            for node in result.lengths:
-                if node == u:
-                    continue
-                positive, negative = result.counts(node)
-                if self._pair_rule(positive, negative):
-                    compatible.add(node)
-            return compatible
         rule_mask = self._pair_rule_mask(result.positive_array, result.negative_array)
         return set(result.compatible_nodes(rule_mask))
 
@@ -339,7 +304,7 @@ class _ShortestPathRelation(CompatibilityRelation):
             return True
         source, target = (u, v) if self._has_row(u) or not self._has_row(v) else (v, u)
         result = self._row(source)
-        if self._policy.uses_csr and target not in result.graph:
+        if target not in result.graph:
             # The cached result survived a mutation elsewhere but predates
             # ``target``'s addition to the graph: a node outside the result's
             # snapshot cannot be in the source's (untouched) component, hence
@@ -352,7 +317,7 @@ class _ShortestPathRelation(CompatibilityRelation):
     def batch_compatible_sets(self, sources: Sequence[Node]) -> List[FrozenSet[Node]]:
         """Compatible sets for many sources from one batched sweep.
 
-        On the CSR backend the uncached sources share one multi-source BFS
+        The uncached sources share one multi-source BFS
         (:meth:`batch_bfs`, serial or pooled) and the pair rule is applied
         as a vectorised mask (:meth:`_rule_rows`); each returned set equals
         :meth:`compatible_with` exactly and is written into the
@@ -361,13 +326,6 @@ class _ShortestPathRelation(CompatibilityRelation):
         """
         source_list = list(sources)
         self._require_nodes(*source_list)
-        if not self._policy.uses_csr:
-            if self._policy.parallel:
-                # Prefetch the per-source BFS results through the worker
-                # pool; the base-class per-source loop below then reads them
-                # from the cache instead of traversing serially.
-                self.batch_bfs(source_list)
-            return super().batch_compatible_sets(source_list)
         import numpy as np
 
         def compute_missing(missing: List[Node]) -> List[FrozenSet[Node]]:
@@ -386,7 +344,7 @@ class _ShortestPathRelation(CompatibilityRelation):
         return fetch_batched(self._compatible_cache, source_list, compute_missing)
 
     def _rule_rows(self, csr, sources: Sequence[Node]) -> Iterator:
-        """Each source's pair-rule row over ``csr``'s dense ids (CSR backend).
+        """Each source's pair-rule row over ``csr``'s dense ids.
 
         One boolean row per source, read off its :meth:`batch_bfs` planes
         (:meth:`~repro.signed.csr.CSRSignedBFSResult.signed_rows`).
@@ -403,7 +361,7 @@ class _ShortestPathRelation(CompatibilityRelation):
     ) -> List[int]:
         """``|compatible_with(s) ∩ targets|`` per source, counted off the rule masks.
 
-        On the CSR backend each source's :meth:`batch_bfs` planes are
+        Each source's :meth:`batch_bfs` planes are
         gathered at the targets' dense ids and the pair rule is applied to
         those entries alone; no node list or set is built.  Unreachable
         targets have no positive path and fail every rule, while the
@@ -414,8 +372,6 @@ class _ShortestPathRelation(CompatibilityRelation):
         """
         source_list = list(sources)
         self._require_nodes(*source_list)
-        if not self._policy.uses_csr:
-            return super().batch_count_compatible(source_list, targets)
         import numpy as np
 
         csr = self._graph.csr_view()
@@ -450,12 +406,12 @@ class _ShortestPathRelation(CompatibilityRelation):
         so a sweep over SPA, then SPM, then SPO runs Algorithm 1 once per
         source.  Misses are counted from their BFS results
         (:meth:`batch_bfs`, which caches them for later pair and distance
-        queries) — no set materialisation.  Under a pool policy on the CSR
-        backend, misses without a cached BFS result are counted *inside* the
-        workers instead (``csr_compatible_degrees``): each traversal reduces
-        to three integers before crossing the process boundary, so the sweep
-        ships back O(k) ints instead of O(k·n) count arrays.  The counts are
-        identical across backends and executors.
+        queries) — no set materialisation.  Under a pool policy, misses
+        without a cached BFS result are counted *inside* the workers instead
+        (``csr_compatible_degrees``): each traversal reduces to three
+        integers before crossing the process boundary, so the sweep ships
+        back O(k) ints instead of O(k·n) count arrays.  The counts are
+        identical across executors.
         """
         source_list = list(sources)
         self._require_nodes(*source_list)
@@ -464,7 +420,7 @@ class _ShortestPathRelation(CompatibilityRelation):
 
     def _degree_triples(self, missing: List[Node]) -> List[DegreeTriple]:
         """Degree triples for the memo's misses (see :meth:`batch_compatibility_degrees`)."""
-        if not (self._policy.parallel and self._policy.uses_csr):
+        if not self._policy.parallel:
             return [_degree_triple(result) for result in self._batch_counts(missing)]
         triples: List[Optional[DegreeTriple]] = []
         dispatch: List[int] = []
@@ -481,7 +437,7 @@ class _ShortestPathRelation(CompatibilityRelation):
                 [csr.index_of(missing[position]) for position in dispatch],
             )
             for position, triple in zip(dispatch, counted):
-                # None marks an int64 overflow: count on the dict backend.
+                # None marks an int64 overflow: count from exact Python ints.
                 triples[position] = (
                     _degree_triple(self._exact_result(csr, missing[position]))
                     if triple is None
@@ -500,16 +456,7 @@ class _ShortestPathRelation(CompatibilityRelation):
 
 
 def _degree_triple(result: _BFSResult) -> DegreeTriple:
-    """``(spa, spm, spo)`` degrees of a BFS result's source (dict or CSR)."""
-    if isinstance(result, SignedBFSResult):
-        degrees = [0, 0, 0]
-        for node in result.lengths:
-            if node == result.source:
-                continue
-            positive, negative = result.counts(node)
-            for slot, relation in enumerate(SHORTEST_PATH_CHAIN):
-                degrees[slot] += relation._pair_rule(positive, negative)
-        return tuple(degrees)
+    """``(spa, spm, spo)`` degrees of a BFS result's source."""
     return dense_degree_triple(
         result.lengths_array,
         result.positive_array,
@@ -536,9 +483,7 @@ def dense_degree_triple(lengths, positive, negative, source: int) -> DegreeTripl
 
 
 def _lengths_row(result: _BFSResult) -> object:
-    """The distance map inside a signed BFS result (dict or CSR)."""
-    if isinstance(result, SignedBFSResult):
-        return result.lengths
+    """The distance map inside a signed BFS result."""
     from repro.signed.csr import CSRLengths
 
     return CSRLengths(result.graph, result.lengths_array)
@@ -578,7 +523,7 @@ class OneShortestPathCompatibility(_ShortestPathRelation):
     """SPO: at least one shortest path between the pair is positive.
 
     The rule only asks whether a positive shortest path *exists*, so SPO's
-    batched misses on the CSR backend run the word-parallel presence
+    batched misses run the word-parallel presence
     traversal (:meth:`batch_bfs`) and its pair, compatible-set and distance
     queries read those presence results next to Algorithm 1's counts.
     """
@@ -589,18 +534,16 @@ class OneShortestPathCompatibility(_ShortestPathRelation):
     def batch_bfs(self, sources: Sequence[Node]) -> List[_BFSResult]:
         """One result per source: Algorithm 1's counts or positive-path presence.
 
-        On the CSR backend a cached counts result comes first, then a cached
-        presence result.  The misses go to ``csr_signed_bfs`` with the
-        ``presence`` param: words of at least
+        A cached counts result comes first, then a cached presence result.
+        The misses go to ``csr_signed_bfs`` with the ``presence`` param:
+        words of at least
         :data:`~repro.signed.csr.PRESENCE_MIN_SOURCES` sources come back as
         presence results (lengths plus whether some shortest path is
         positive / negative, no counts) and land in the graph's presence
         cache, smaller words as counts in the shared BFS cache.  SPA, SPM,
         the degree memo and every other counts reader never see a presence
-        result.  Without CSR this is :meth:`_ShortestPathRelation.batch_bfs`.
+        result.
         """
-        if not self._policy.uses_csr:
-            return self._batch_counts(sources)
         source_list = list(sources)
         self._require_nodes(*source_list)
         found = {}
@@ -634,8 +577,6 @@ class OneShortestPathCompatibility(_ShortestPathRelation):
         return node in self._bfs_cache or node in self._presence_cache
 
     def _holds(self, result: _BFSResult, target: Node) -> bool:
-        if isinstance(result, SignedBFSResult):
-            return super()._holds(result, target)
         # A presence result holds no counts; one positive shortest path decides.
         return result.has_positive_path(target)
 

@@ -16,7 +16,7 @@ These quantities drive two different queries:
   (:meth:`SkillCompatibilityIndex.pair_degree`): the smaller holder side is
   counted against the other side's holders in one
   :meth:`~repro.compatibility.base.CompatibilityRelation.batch_count_compatible`
-  call, which the SP* relations on the CSR backend answer off their pair-rule
+  call, which the SP* relations answer off their pair-rule
   masks and NNE off the holders' enemies, building no compatible set;
 * the "comp. skills" column of Table 2 and the MAX bound of Figure 2(a) only
   need ``cd > 0`` (:meth:`SkillCompatibilityIndex.skills_compatible`), which

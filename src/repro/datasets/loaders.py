@@ -29,7 +29,6 @@ from repro.signed.graph import SignedGraph
 from repro.signed.io import read_edge_list
 from repro.skills.generators import assign_skills_zipf
 from repro.skills.io import read_assignment, read_user_skill_pairs
-from repro.utils.optional import numpy_available
 from repro.utils.rng import RandomState
 
 PathLike = Union[str, Path]
@@ -122,7 +121,7 @@ def _cold_parse(
     directed_to_undirected: str,
     want_csr: bool,
 ):
-    """Cold-parse an edge list, vectorised when numpy is available.
+    """Cold-parse an edge list, vectorised where the input allows it.
 
     Returns ``(graph, csr)`` where exactly one of the two is populated unless
     ``want_csr`` forces a CSR companion for a dict-parsed graph (cache writes
@@ -130,20 +129,19 @@ def _cold_parse(
     SNAP-style file; inputs it cannot prove bit-identical fall back to the
     dict parser, which also raises the reference errors.
     """
-    if numpy_available():
-        from repro.signed.ingest import parse_edge_list_csr
+    from repro.signed.ingest import parse_edge_list_csr
 
-        csr = parse_edge_list_csr(
-            edges_path,
-            directed_to_undirected=directed_to_undirected,
-            restrict_to_lcc=restrict_to_lcc,
-        )
-        if csr is not None:
-            if csr.number_of_nodes() == 0:
-                raise DatasetError(f"edge list {edges_path} produced an empty graph")
-            return None, csr
+    csr = parse_edge_list_csr(
+        edges_path,
+        directed_to_undirected=directed_to_undirected,
+        restrict_to_lcc=restrict_to_lcc,
+    )
+    if csr is not None:
+        if csr.number_of_nodes() == 0:
+            raise DatasetError(f"edge list {edges_path} produced an empty graph")
+        return None, csr
     graph = _dict_parse(edges_path, restrict_to_lcc, directed_to_undirected)
-    if want_csr and numpy_available():
+    if want_csr:
         from repro.signed.csr import CSRSignedGraph
 
         return graph, CSRSignedGraph.from_signed_graph(graph)
@@ -160,10 +158,6 @@ def _deliver(graph, csr, csr_only: bool) -> SignedGraph:
     if csr_only:
         from repro.signed.lazy import as_signed_graph
 
-        if csr is None:  # numpy-free fallback never lands here (require_numpy)
-            from repro.signed.csr import CSRSignedGraph
-
-            csr = CSRSignedGraph.from_signed_graph(graph)
         return as_signed_graph(csr)
     if graph is not None:
         return graph
@@ -180,7 +174,7 @@ def _parse_edge_list_cached(
     """Parse an edge list, going through the snapshot-store cache when enabled.
 
     Cold parses run the vectorised CSR-first reader
-    (:mod:`repro.signed.ingest`) when numpy is available; a cache hit
+    (:mod:`repro.signed.ingest`); a cache hit
     memory-maps the stored planes.  With ``csr_only`` the result is the lazy
     :class:`~repro.signed.lazy.CSRBackedSignedGraph` facade — on a hit the
     dict graph is never rebuilt and the edge list is never re-read.  Without
@@ -189,12 +183,8 @@ def _parse_edge_list_cached(
     in particular) stays bit-identical.  Corrupt or unreadable cache entries
     fall back to parsing and are rewritten.
     """
-    if csr_only and not numpy_available():
-        from repro.utils.optional import require_numpy
-
-        require_numpy("csr_only ingestion")
     cache_dir = _snapshot_cache_dir(snapshot_cache_dir)
-    if cache_dir is None or not numpy_available():
+    if cache_dir is None:
         _CACHE_STATS["misses"] += 1
         _logger.debug("snapshot cache disabled for %s; parsing", edges_path)
         graph, csr = _cold_parse(
@@ -277,8 +267,7 @@ def load_snap_dataset(
         ``REPRO_SNAPSHOT_CACHE_DIR`` environment variable names a directory),
         the parsed graph is saved as a ``.store`` snapshot keyed by the source
         file's path, mtime, size and parse options; subsequent loads
-        memory-map the snapshot instead of re-parsing.  Requires numpy; on
-        numpy-free installs the cache is silently skipped.
+        memory-map the snapshot instead of re-parsing.
     csr_only:
         Serve the graph as a lazy CSR-backed facade
         (:class:`~repro.signed.lazy.CSRBackedSignedGraph`) instead of
@@ -286,8 +275,7 @@ def load_snap_dataset(
         with zero edge-list re-reads and O(1) per-edge work, and cold parses
         run the vectorised reader end to end.  The facade *is* a
         ``SignedGraph`` — every consumer accepts it — and materialises the
-        dict backend lazily if a dict-only code path is exercised.  Requires
-        numpy.
+        dict backend lazily if a dict-only code path is exercised.
     """
     graph = _parse_edge_list_cached(
         edges_path,

@@ -472,9 +472,6 @@ def synthetic_csr_network(
     order, so ``.store`` snapshots use the zero-byte ``range`` node table) and
     ``factions`` is an ``int64`` array of per-node faction indices.
     """
-    from repro.utils.optional import require_numpy
-
-    require_numpy("synthetic_csr_network")
     import numpy as np
 
     from repro.signed.csr import CSRSignedGraph

@@ -1,13 +1,11 @@
 """``repro.exec`` — the execution-policy layer.
 
 One :class:`ExecutionPolicy` object is the only way to configure how the
-compatibility stack executes — backend choice, cache budgets, the distance
-index — and adds the worker-pool dimension:
+compatibility stack executes — cache budgets and the worker-pool dimension:
 ``workers >= 2`` dispatches per-source kernel batches (signed BFS, distance
 sweeps, balanced-path searches) to a persistent process pool.  The pool
-reads each snapshot from one published file (CSR snapshots memory-mapped,
-dict graphs unpickled) and returns every kernel's results through
-``Pool.map``.
+reads each CSR snapshot from one published, memory-mapped ``.store`` file
+and returns every kernel's results through ``Pool.map``.
 Serial and pooled execution are bit-identical; see the README's
 "Execution policies" section and :mod:`repro.exec.pool` for the worker model.
 """

@@ -7,17 +7,13 @@ very same function in-process that the pool executor runs inside worker
 processes, so pool results are bit-identical to serial results by
 construction, not by luck.
 
-Payload conventions:
-
-* ``csr_*`` kernels receive a :class:`~repro.signed.csr.CSRSignedGraph` and
-  **dense integer source ids**; they only touch the snapshot's flat arrays
-  (via the dense cores in :mod:`repro.signed.csr`), never the node list or
-  index.  This is what allows the pool to publish a snapshot as a ``.store``
-  file that workers memory-map with placeholder nodes — no node objects.
-* ``dict_*`` kernels receive a :class:`~repro.signed.graph.SignedGraph` and
-  the original node objects (the pool publishes the graph as a ``.pickle``
-  file, once per generation); results are the ordinary dict-backed result
-  objects.
+Every kernel receives a :class:`~repro.signed.csr.CSRSignedGraph` and
+**dense integer source ids**; it only touches the snapshot's flat arrays (via
+the dense cores in :mod:`repro.signed.csr`), never the node list or index.
+This is what allows the pool to publish a snapshot as a ``.store`` file that
+workers memory-map with placeholder nodes — no node objects.  A source whose
+path counts overflow ``int64`` comes back as ``None``; the caller answers it
+in-process with :func:`repro.signed.paths.signed_bfs`.
 
 Kernels are looked up by name so worker processes can resolve them after a
 plain module import; extensions register theirs with :func:`register_kernel`.
@@ -50,16 +46,11 @@ def register_kernel(name: str, function: Callable = None):
     return function
 
 
-# ---------------------------------------------------------------- CSR kernels
-# numpy (and repro.signed.csr) is imported inside the kernels so that merely
-# importing repro.exec stays possible on numpy-free installs.
-
-
 @register_kernel("csr_signed_bfs")
 def csr_signed_bfs(csr, sources: Sequence[int], params: dict) -> List:
     """Algorithm 1 from many dense sources: ``(lengths, positive, negative)``
-    array triples (``None`` marks an int64 overflow for the caller's dict
-    fallback).
+    array triples (``None`` marks an int64 overflow for the caller's
+    arbitrary-precision fallback).
 
     ``params["presence"]`` lets words of at least
     :data:`~repro.signed.csr.PRESENCE_MIN_SOURCES` sources answer with
@@ -90,9 +81,10 @@ def csr_sbph(csr, sources: Sequence[int], params: dict) -> List:
     truncated)``, the rows ``int32`` depths over dense ids
     (``UNREACHABLE`` where no path was found).
 
-    ``params`` as for ``dict_balanced_search``: ``exact`` selects the
-    capped SBP enumeration over the SBPH search, ``max_length`` /
-    ``max_expansions`` bound it.
+    ``params``: ``exact`` selects the capped SBP enumeration over the SBPH
+    search; ``max_length`` / ``max_expansions`` bound it as in
+    :class:`~repro.signed.paths.BalancedPathSearch`, whose searches return
+    the same depth per node and truncation flag.
     """
     from repro.signed.csr import balanced_depths
     from repro.signed.paths import DEFAULT_MAX_EXPANSIONS
@@ -115,10 +107,10 @@ def csr_compatible_degrees(csr, sources: Sequence[int], params: dict) -> List:
     ``(spa, spm, spo)`` triple of ints per source** instead of three O(n)
     count arrays — the transfer-thrifty path behind the sampled statistics,
     whose triples the SP* degree memo keeps for all three relations.
-    ``None`` marks an int64 overflow (the caller falls back to the dict
-    backend for that source).  Each count equals the size of that relation's
-    serial compatible set on the same arrays, minus the source itself.
-    Takes no params.
+    ``None`` marks an int64 overflow (the caller counts that source from
+    :func:`repro.signed.paths.signed_bfs`).  Each count equals the size of
+    that relation's serial compatible set on the same arrays, minus the
+    source itself.  Takes no params.
     """
     from repro.compatibility.shortest_path import dense_degree_triple
     from repro.signed.csr import signed_bfs_dense_batch
@@ -129,60 +121,3 @@ def csr_compatible_degrees(csr, sources: Sequence[int], params: dict) -> List:
         for source, triple in zip(sources, triples)
     ]
 
-
-# --------------------------------------------------------------- dict kernels
-
-
-@register_kernel("dict_signed_bfs")
-def dict_signed_bfs(graph, sources: Sequence, params: dict) -> List:
-    """Algorithm 1 per source on the dict backend (:class:`SignedBFSResult`)."""
-    from repro.signed.paths import signed_bfs
-
-    return [signed_bfs(graph, source) for source in sources]
-
-
-@register_kernel("dict_path_lengths")
-def dict_path_lengths(graph, sources: Sequence, params: dict) -> List:
-    """Sign-agnostic BFS distances per source (plain dicts)."""
-    from repro.signed.paths import shortest_path_lengths
-
-    return [shortest_path_lengths(graph, source) for source in sources]
-
-
-@register_kernel("dict_balanced_search")
-def dict_balanced_search(graph, sources: Sequence, params: dict) -> List:
-    """Balanced-path search per source (:class:`BalancedPathResult`).
-
-    ``params``: ``exact`` selects the exhaustive SBP enumeration versus the
-    SBPH heuristic; ``max_length`` / ``max_expansions`` mirror
-    :class:`~repro.signed.paths.BalancedPathSearch`.  A fresh search object is
-    built per call, so results match the relation's own searches exactly.
-    ``csr_sbph`` takes the same params and returns the same depth per node
-    and truncation flag as dense rows.
-    """
-    from repro.signed.paths import DEFAULT_MAX_EXPANSIONS, BalancedPathSearch
-
-    search = BalancedPathSearch(
-        graph,
-        max_length=params.get("max_length"),
-        max_expansions=params.get("max_expansions", DEFAULT_MAX_EXPANSIONS),
-    )
-    if params.get("exact", False):
-        return [search.search_exact(source) for source in sources]
-    return [search.search_heuristic(source) for source in sources]
-
-
-#: The degradation contract: every CSR kernel's dict-backend equivalent.
-#:
-#: When numpy is missing or a payload has no CSR view, the executor (and the
-#: compatibility layers above it) answer with the mapped ``dict_*`` kernel —
-#: per-source, arbitrary-precision, pure python.  The degree-triple kernel
-#: degrades to the per-source signed BFS the dict backend counts from.
-#: ``repro-teams analyze`` enforces that this table stays total over the
-#: registry (kernel-registry-parity).
-SERIAL_EQUIVALENTS: Dict[str, str] = {
-    "csr_signed_bfs": "dict_signed_bfs",
-    "csr_path_lengths": "dict_path_lengths",
-    "csr_sbph": "dict_balanced_search",
-    "csr_compatible_degrees": "dict_signed_bfs",
-}

@@ -1,12 +1,12 @@
 """The :class:`ExecutionPolicy`: one object for every execution knob.
 
 The paper's relations and team algorithms depend on the graph alone; *how*
-they execute — which backend runs the per-source kernels, how big each cache
-may grow, whether a worker pool runs the sweeps — is one separate concern,
-and this module is its only entrance:
+they execute — how big each cache may grow, whether a worker pool runs the
+sweeps — is one separate concern, and this module is its only entrance.  The
+per-source kernels always run on the CSR snapshot (:mod:`repro.signed.csr`):
 
-* :class:`ExecutionPolicy` — a frozen, hashable bundle of backend choice,
-  worker-pool shape, the pool's snapshot directory and cache budgets,
+* :class:`ExecutionPolicy` — a frozen, hashable bundle of worker-pool
+  shape, the pool's snapshot directory and cache budgets,
   validated once at construction.  Every relation, oracle and engine takes
   it as ``policy=`` (their only execution parameter), holds exactly one and
   consults it instead of ad-hoc parameters.
@@ -15,8 +15,6 @@ and this module is its only entrance:
   process-pool executor (:mod:`repro.exec.pool`) for ``workers >= 2``, with a
   one-time-warning fallback to serial when pools cannot be created on the
   platform.
-
-The module is importable without numpy.
 """
 
 from __future__ import annotations
@@ -25,15 +23,10 @@ import warnings
 from dataclasses import dataclass
 from typing import Dict, Optional, Union
 
-from repro.utils.optional import numpy_available, require_numpy, warn_numpy_missing
-
 #: A cache-size knob: an explicit entry bound, ``None`` for unbounded, or
 #: ``"auto"`` for the byte-aware bound scaled by graph size (the same type the
 #: relations have always accepted — see :mod:`repro.utils.lru`).
 CacheSize = Union[int, None, str]
-
-
-_VALID_BACKENDS = ("auto", "dict", "csr")
 
 _CACHE_SIZE_FIELDS = (
     "compatible_cache_size",
@@ -53,10 +46,6 @@ class ExecutionPolicy:
 
     Parameters
     ----------
-    backend:
-        ``"auto"`` (CSR whenever numpy imports), ``"dict"`` or ``"csr"`` —
-        the kernel backend the SP* relations, the SBPH heuristic and the
-        distance oracles run on; :attr:`uses_csr` resolves it.
     workers:
         ``0`` or ``1`` — serial execution (the default); ``>= 2`` — dispatch
         per-source kernel batches to a persistent pool of that many worker
@@ -73,8 +62,7 @@ class ExecutionPolicy:
         epinions stand-in, 45 ms vs 57 ms on the 100k-node million stand-in.
     snapshot_store:
         The existing directory the pool publishes snapshot files into (one
-        ``.store`` file per CSR snapshot, one ``.pickle`` file per dict
-        graph).  ``None`` (the default) picks ``/dev/shm`` when that is a
+        ``.store`` file per CSR snapshot).  ``None`` (the default) picks ``/dev/shm`` when that is a
         writable directory and the platform temp directory otherwise; name
         a directory to keep huge snapshots out of ``/dev/shm``.  Results are
         bit-identical whatever the directory.
@@ -86,7 +74,6 @@ class ExecutionPolicy:
         for the byte-aware scaled bound.
     """
 
-    backend: str = "auto"
     workers: int = 0
     chunk_size: Optional[int] = None
     min_parallel_sources: int = 4
@@ -98,10 +85,6 @@ class ExecutionPolicy:
     mask_cache_size: CacheSize = "auto"
 
     def __post_init__(self) -> None:
-        if self.backend not in _VALID_BACKENDS:
-            raise ValueError(
-                f"backend must be one of {_VALID_BACKENDS}, got {self.backend!r}"
-            )
         validate_workers(self.workers)
         if self.chunk_size is not None:
             validate_chunk_size(self.chunk_size)
@@ -136,28 +119,6 @@ class ExecutionPolicy:
     def parallel(self) -> bool:
         """True iff this policy dispatches kernel batches to a worker pool."""
         return self.resolved_workers() > 1
-
-    @property
-    def uses_csr(self) -> bool:
-        """True iff the per-source kernels run on the CSR backend.
-
-        The one backend decision every relation, oracle and engine reads.
-        ``"csr"`` needs numpy and raises :class:`ImportError` without it;
-        ``"dict"`` never uses it; ``"auto"`` uses CSR whenever numpy imports
-        and otherwise falls back to the dict backend, warning once per
-        process.  High-diameter graphs (paths, grids), where the
-        level-synchronous CSR BFS pays a fixed cost per level, should pin
-        ``"dict"``.
-        """
-        if self.backend == "csr":
-            require_numpy("backend='csr'")
-            return True
-        if self.backend == "dict":
-            return False
-        if numpy_available():
-            return True
-        warn_numpy_missing("backend='auto'")
-        return False
 
     def executor(self):
         """The executor serving this policy (see :func:`executor_for`)."""
@@ -235,7 +196,7 @@ def executor_for(policy: ExecutionPolicy):
     :class:`~repro.exec.pool.ProcessPoolExecutor` bound to the policy (pools
     themselves are shared per worker count).  If the platform cannot start
     a pool, the policy degrades to the serial executor with a one-time
-    :class:`RuntimeWarning`, mirroring the numpy-free backend degradation.
+    :class:`RuntimeWarning`.
     """
     global _POOLS_UNAVAILABLE
     from repro.exec.serial import serial_executor

@@ -50,8 +50,6 @@ class StreamingConfig:
     scale: Optional[float] = None
     #: Compatibility relation the queries run under.
     relation: str = "SPO"
-    #: Backend for the relation (``"auto"``, ``"dict"`` or ``"csr"``).
-    backend: str = "auto"
     #: Worker processes for the per-source kernel sweeps (0/1 = serial, the
     #: default; >= 2 dispatches to a persistent process pool whose shipped
     #: snapshots are invalidated automatically on every generation bump).
@@ -360,7 +358,6 @@ def run_streaming(
     from repro.exec import ExecutionPolicy
 
     policy = ExecutionPolicy(
-        backend=config.backend,
         workers=config.workers,
         chunk_size=config.chunk_size,
         snapshot_store=config.snapshot_store,

@@ -59,7 +59,7 @@ class DatasetContext:
 
         The whole stack (relation, oracle, engine) is built under the dataset
         config's :meth:`~repro.experiments.config.DatasetConfig.execution_policy`,
-        so backend choice and worker-pool parallelism flow from one place
+        so cache budgets and worker-pool parallelism flow from one place
         instead of per-layer keyword arguments.
         """
         key = relation_name.upper()

@@ -22,9 +22,9 @@ from repro.signed.paths import (
     shortest_balanced_positive_path,
     BalancedPathSearch,
 )
-# The CSR backend (repro.signed.csr) requires numpy and is imported lazily via
-# __getattr__ below, so `import repro` and the dict backend keep working on
-# numpy-free installs.
+# The CSR snapshot and kernels (repro.signed.csr) are imported lazily via
+# __getattr__ below, so `import repro` does not load numpy until a graph is
+# indexed.
 _CSR_EXPORTS = (
     "CSRSignedBFSResult",
     "CSRSignedGraph",
@@ -37,12 +37,12 @@ _CSR_EXPORTS = (
 )
 
 
-# The snapshot store (repro.signed.store) is importable without numpy but
-# its save/load paths require it; exported lazily alongside the CSR backend.
+# The snapshot store (repro.signed.store) is exported lazily alongside the
+# CSR snapshot.
 _STORE_EXPORTS = ("save_snapshot", "load_snapshot", "snapshot_info")
 
 # CSR-first ingestion (repro.signed.ingest) and the lazy SignedGraph facade
-# (repro.signed.lazy) both sit on numpy; exported lazily like the CSR backend.
+# (repro.signed.lazy) both sit on numpy; exported lazily like the CSR snapshot.
 _INGEST_EXPORTS = (
     "parse_edge_list_csr",
     "read_edge_arrays",

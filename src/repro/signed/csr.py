@@ -1,10 +1,11 @@
-"""Indexed CSR backend for signed graphs and batched array-based BFS.
+"""Indexed CSR snapshots of signed graphs and batched array-based BFS.
 
 The dict-of-dicts :class:`~repro.signed.graph.SignedGraph` is ideal for
 incremental construction and O(1) single-edge queries, but every per-source
 algorithm pays Python-interpreter cost per visited edge.  This module provides
-the indexed counterpart, which the default ``backend="auto"`` runs whenever
-numpy imports (:attr:`repro.exec.ExecutionPolicy.uses_csr`):
+the indexed counterpart, the one execution path of every relation, oracle and
+engine query (:mod:`repro.signed.paths` keeps the pure-Python statement of
+the same algorithms, the tests' reference):
 
 * :class:`CSRSignedGraph` — an immutable snapshot that maps arbitrary hashable
   node ids to dense integers and stores adjacency as three flat arrays
@@ -46,12 +47,13 @@ numpy imports (:attr:`repro.exec.ExecutionPolicy.uses_csr`):
 Results come back as :class:`CSRSignedBFSResult`, an array-backed object that
 answers the same ``length`` / ``counts`` / ``reachable`` queries as
 :class:`~repro.signed.paths.SignedBFSResult` and can be converted to it
-exactly (:meth:`CSRSignedBFSResult.to_signed_bfs_result`), so callers can
-switch backends without changing semantics.  Path counts are held in ``int64``
-— exact up to 2**63-1, which covers every graph in this repository; a source
-of a graph engineered to have astronomically many shortest paths (e.g. a
-large grid) trips the kernels' guard, and its dict result comes back as
-exact ``object`` rows (:meth:`CSRSignedBFSResult.from_signed_bfs_result`).
+exactly (:meth:`CSRSignedBFSResult.to_signed_bfs_result`), so tests compare
+the two by value.  Path counts are held in ``int64`` — exact up to 2**63-1,
+which covers every graph in this repository; a source of a graph engineered
+to have astronomically many shortest paths (e.g. a large grid) trips the
+kernels' guard, is answered by :func:`repro.signed.paths.signed_bfs` and
+comes back as exact ``object`` rows
+(:meth:`CSRSignedBFSResult.from_signed_bfs_result`).
 
 Everything here is deterministic: the dense ids follow the insertion order of
 the source graph, and the BFS visits neighbours in adjacency order, so the
@@ -60,9 +62,8 @@ in ``tests/test_csr.py`` enforce this).
 
 The level-synchronous traversal pays a fixed cost of ~20 array operations per
 BFS level, so it targets the low-diameter graphs this library is about
-(social networks, diameter < 20).  Nothing measures the diameter: on
-path-like graphs with diameter ~n the dict BFS is faster, and the caller
-pins ``backend="dict"``.
+(social networks, diameter < 20); on path-like graphs with diameter ~n the
+pure-Python BFS of :mod:`repro.signed.paths` is faster per source.
 """
 
 from __future__ import annotations
@@ -436,10 +437,10 @@ class CSRSignedBFSResult:
     raise :class:`ValueError`; every other query answers as usual.
 
     The count planes are ``int64``, except for a source whose counts
-    overflow it: the SP* relations answer that one with the dict BFS and
-    lay its result onto ``object`` planes of Python ints
-    (:meth:`from_signed_bfs_result`), so every SP* result on the CSR
-    backend has this one format.
+    overflow it: the SP* relations answer that one with
+    :func:`~repro.signed.paths.signed_bfs` and lay its result onto ``object``
+    planes of Python ints (:meth:`from_signed_bfs_result`), so every SP*
+    result has this one format.
     """
 
     source: Node
@@ -799,15 +800,15 @@ def _signed_bfs_arrays_into(
         ):
             raise OverflowError(
                 "signed shortest-path counts exceed the int64 safety bound "
-                f"({count_guard}) at BFS depth {depth}; use the dict "
-                "backend (repro.signed.paths.signed_bfs) for this graph"
+                f"({count_guard}) at BFS depth {depth}; use the "
+                "arbitrary-precision repro.signed.paths.signed_bfs for this graph"
             )
         frontier_edges = int(degrees[frontier].sum())
         remaining -= frontier_edges
 
 
 def signed_bfs_csr(csr: CSRSignedGraph, source: Node) -> CSRSignedBFSResult:
-    """Algorithm 1 on the CSR backend: signed shortest-path counting.
+    """Algorithm 1 on a CSR snapshot: signed shortest-path counting.
 
     A level-synchronous, direction-optimising BFS.  A *push* level gathers
     the concatenated adjacency of the whole frontier, discovers the next
@@ -829,9 +830,9 @@ def signed_bfs_csr(csr: CSRSignedGraph, source: Node) -> CSRSignedBFSResult:
     node's sum — at most ``max_degree`` non-negative terms, whether scattered
     or reduced over its row — can exceed ``int64`` during that level, so the
     check catches the overflow while all values are still exact.  Callers
-    that hit the guard should fall back to the dict backend's
-    arbitrary-precision integers (:func:`repro.signed.paths.signed_bfs`) —
-    the relations do this automatically.
+    that hit the guard should fall back to the arbitrary-precision integers
+    of :func:`repro.signed.paths.signed_bfs` — the relations do this
+    automatically.
     """
     lengths, positive, negative = _signed_bfs_arrays(csr, csr.index_of(source))
     return CSRSignedBFSResult(
@@ -1221,7 +1222,8 @@ def _wordparallel_signed_bfs_into(
 
 
 #: One per-source kernel output: ``(lengths, positive, negative)`` arrays, or
-#: ``None`` marking an int64 overflow the caller resolves on the dict backend.
+#: ``None`` marking an int64 overflow the caller resolves with
+#: :func:`repro.signed.paths.signed_bfs`.
 DenseBFSTriple = Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
@@ -1382,7 +1384,7 @@ def multi_source_signed_bfs(
     :func:`signed_bfs_csr` runs.  A source whose counts overflow int64
     raises :class:`OverflowError` unless ``skip_overflow`` is true, in which
     case its slot holds ``None`` and the caller is expected to fall back to
-    the dict backend's arbitrary-precision BFS for it.
+    the arbitrary-precision :func:`repro.signed.paths.signed_bfs` for it.
     """
     source_list = list(sources)
     triples = signed_bfs_dense_batch(

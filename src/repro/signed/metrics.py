@@ -3,15 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import Dict, List, Optional
 
-from repro.signed.components import connected_components, is_connected
+from repro.signed.components import connected_components
 from repro.signed.graph import NEGATIVE, POSITIVE, Node, SignedGraph
-from repro.signed.paths import shortest_path_lengths
 from repro.utils.rng import RandomState, ensure_rng
-
-if TYPE_CHECKING:
-    from repro.exec.policy import ExecutionPolicy
 
 
 @dataclass(frozen=True)
@@ -74,7 +70,6 @@ def diameter(
     graph: SignedGraph,
     sample_sources: Optional[int] = None,
     seed: RandomState = None,
-    policy: Optional["ExecutionPolicy"] = None,
 ) -> Optional[int]:
     """Diameter of the graph ignoring edge signs.
 
@@ -85,21 +80,15 @@ def diameter(
     randomly chosen sources and the largest distance observed is returned,
     which is a lower bound on the true diameter.
 
-    ``policy`` (default :class:`~repro.exec.ExecutionPolicy`) picks the
-    backend through :attr:`~repro.exec.ExecutionPolicy.uses_csr`.  On CSR,
-    connectivity comes from the snapshot's component labels and the
+    Connectivity comes from the CSR snapshot's component labels and the
     eccentricities from word-parallel path-length rows
     (:func:`~repro.signed.csr.shortest_path_lengths_dense_batch_into`),
-    reduced one 64-source word at a time; otherwise each source runs one
-    dict BFS.  Both return the same value.
+    reduced one 64-source word at a time.
     """
-    from repro.exec.policy import ExecutionPolicy
-
     nodes = graph.nodes()
     if not nodes:
         return None
-    uses_csr = (policy if policy is not None else ExecutionPolicy()).uses_csr
-    if not (_csr_connected(graph) if uses_csr else is_connected(graph)):
+    if not _csr_connected(graph):
         return None
     if sample_sources is not None:
         if sample_sources <= 0:
@@ -108,14 +97,7 @@ def diameter(
         sources: List[Node] = rng.sample(nodes, min(sample_sources, len(nodes)))
     else:
         sources = nodes
-    if uses_csr:
-        return _csr_eccentricity_bound(graph, sources)
-    best = 0
-    for source in sources:
-        lengths = shortest_path_lengths(graph, source)
-        eccentricity = max(lengths.values())
-        best = max(best, eccentricity)
-    return best
+    return _csr_eccentricity_bound(graph, sources)
 
 
 def _csr_connected(graph: SignedGraph) -> bool:

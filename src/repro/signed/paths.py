@@ -1,7 +1,11 @@
-"""Path algorithms on signed graphs.
+"""Path algorithms on signed graphs, in plain Python.
 
-This module implements the path machinery the compatibility relations are
-built on:
+This module states the path machinery the compatibility relations are built
+on.  The relations run the CSR kernels of :mod:`repro.signed.csr`; these
+functions are the readable statement of the same algorithms, the reference
+the tests compare those kernels against, and — through :func:`signed_bfs`'s
+Python-int counts — the fallback for a source whose path counts overflow
+``int64``:
 
 * :func:`signed_bfs` — **Algorithm 1** of the paper: a single BFS from a query
   node that counts, for every other node, the number of *positive* and
@@ -300,7 +304,7 @@ class BalancedPathResult:
     the length of the shortest structurally balanced path of that sign found
     by the search.  For the exact search these are true minima (within the
     configured length cap); for the heuristic search they are upper bounds.
-    The CSR backend's results hold read-only
+    The relations' results (from the ``csr_sbph`` kernel) hold read-only
     :class:`~repro.signed.csr.CSRLengths` views over the search's dense
     depth rows instead of dicts; read them by node.
     """
@@ -397,10 +401,10 @@ class BalancedPathSearch:
         A queue entry is ``(last, length, on_path, camp_one)``: the path's
         nodes and the Harary camp opposite the source's are bitmasks over
         dense ids, so the incremental balance check of :func:`_extend_camps`
-        is a handful of mask operations and no path is ever copied.  The CSR
-        backend runs the same search over batches of sources
+        is a handful of mask operations and no path is ever copied.  The
+        relations run the same search over batches of sources
         (:func:`repro.signed.csr.balanced_depths` with ``exact=True``); this
-        method is the numpy-free path and its reference.
+        method is its reference.
         """
         graph = self._graph
         if source not in graph:

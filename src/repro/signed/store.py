@@ -40,8 +40,6 @@ Loading with ``mmap=True`` returns :class:`numpy.memmap` views — cold start
 is the cost of mapping, not of parsing, and concurrent readers of the same
 file share one page-cache copy.  ``mmap=False`` reads the planes into
 ordinary arrays (use it when the file is about to be deleted or rewritten).
-numpy is required for either direction and its absence raises the library's
-standard descriptive :class:`ImportError`.
 """
 
 from __future__ import annotations
@@ -53,8 +51,6 @@ import pickle
 import struct
 import threading
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
-
-from repro.utils.optional import require_numpy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.signed.csr import CSRSignedGraph
@@ -157,7 +153,6 @@ def save_snapshot(csr: "CSRSignedGraph", path: str) -> str:
     a concurrent (or later) :func:`load_snapshot` of ``path`` sees either the
     old complete file or the new complete file, never a torn write.
     """
-    require_numpy("the snapshot store")
     import numpy as np
 
     indptr = np.ascontiguousarray(csr.indptr, dtype="<i8")
@@ -199,8 +194,7 @@ def write_atomically(path: str, write: Callable[[io.BufferedWriter], None]) -> s
 
     The temp file sits on :data:`_TEMP_LEDGER` while it exists and is
     unlinked if anything fails before ``os.replace``, so ``path`` only ever
-    appears complete.  Needs no numpy: the pool publishes pickled dict
-    graphs through it too.  Returns ``path``.
+    appears complete.  Returns ``path``.
     """
     temp = _temp_path(path)
     with _TEMP_LOCK:
@@ -264,7 +258,6 @@ def load_snapshot(
     dense placeholders (``nodes = range(n)``, empty index) — the worker-side
     attach, where only the flat arrays matter and the parent re-keys results.
     """
-    require_numpy("the snapshot store")
     import numpy as np
 
     from repro.signed.csr import CSRSignedGraph
@@ -309,8 +302,8 @@ def snapshot_info(path: str) -> Dict[str, object]:
 
     Powers ``repro-teams snapshot info`` (and its ``--json`` form); raises
     the same :class:`ValueError` diagnostics as :func:`load_snapshot` on
-    non-store or truncated files.  Runs without numpy — the layout computes
-    from the header alone.  ``file_nbytes`` exceeds ``expected_nbytes`` when
+    non-store or truncated files.  The layout computes from the header
+    alone.  ``file_nbytes`` exceeds ``expected_nbytes`` when
     trailing bytes follow the node table (they are ignored on load).
     """
     with open(path, "rb") as handle:

@@ -133,7 +133,7 @@ class MinimumDistanceUser(UserSelectionPolicy):
                 key=lambda user: len(problem.assignment.skills_of(user) & problem.task.skills),
             )
         # One batched engine call scores every candidate against the team
-        # (multi-source BFS + array maxima on the CSR backend); the stable argmin
+        # (multi-source BFS + array maxima over dense rows); the stable argmin
         # over the deterministic ordering matches the legacy per-candidate
         # min() exactly.
         scores = problem.engine.distances_to_team_many(ordered, list(team))
@@ -150,7 +150,7 @@ class MostCompatibleUser(UserSelectionPolicy):
 
     Scoring only counts each candidate's compatible holders
     (:meth:`~repro.compatibility.engine.CompatibilityEngine.compatible_counts`):
-    the SP* relations on the CSR backend count them off their pair-rule
+    the SP* relations count them off their pair-rule
     masks and NNE off the candidate's enemies, so neither builds a
     compatible set here; the balanced-path relations still need one (cached)
     path search per candidate.  The ``max_candidates`` cap bounds that work

@@ -146,7 +146,7 @@ class TeamFormationProblem:
         Answered by the engine's one-to-many filter
         (:meth:`~repro.compatibility.engine.CompatibilityEngine.compatible_from_many`),
         which batches the team's per-source computations and applies the pair
-        rule vectorised on the CSR backend; the result is identical to the
+        rule vectorised over dense rows; the result is identical to the
         per-pair ``are_compatible`` loop it replaces.
         """
         return self.engine.compatible_from_many(self.candidates_for_skill(skill), list(team))

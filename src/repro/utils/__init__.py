@@ -9,7 +9,6 @@ from repro.utils.lru import (
     fetch_batched,
     scaled_cache_size,
 )
-from repro.utils.optional import numpy_available, require_numpy, warn_numpy_missing
 from repro.utils.rng import ensure_rng, spawn_rngs
 from repro.utils.tables import format_table, format_percentage
 from repro.utils.timing import Timer
@@ -29,9 +28,6 @@ __all__ = [
     "scaled_cache_size",
     "APPROX_BYTES_PER_NODE",
     "DEFAULT_CACHE_BUDGET_BYTES",
-    "numpy_available",
-    "require_numpy",
-    "warn_numpy_missing",
     "ensure_rng",
     "spawn_rngs",
     "format_table",

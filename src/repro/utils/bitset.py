@@ -6,8 +6,7 @@ bitwise operation.  These helpers are the one vocabulary for that layout:
 source ``i`` of a word owns bit ``i``, and a word's bits unpack in
 little-endian order.
 
-numpy is imported lazily, so the module is importable on numpy-free
-installs.
+numpy is imported lazily, so importing the module does not load it.
 """
 
 from __future__ import annotations

@@ -18,7 +18,6 @@ from repro.analysis import (
     Baseline,
     Finding,
     analyze_source,
-    analyze_sources,
     filter_baselined,
 )
 from repro.analysis.core import all_rules, suppressed_rules
@@ -37,15 +36,12 @@ def snippet(text: str) -> str:
 
 def test_all_rules_registered_and_documented():
     rules = all_rules()
-    assert len(rules) >= 8
     ids = {rule.id for rule in rules}
-    assert ids >= {
+    assert ids == {
         "mutation-discipline",
         "cache-key-discipline",
         "ledger-discipline",
-        "lazy-numpy",
         "no-materialise",
-        "kernel-registry-parity",
         "policy-shim",
         "dtype-discipline",
     }
@@ -61,11 +57,12 @@ def test_syntax_error_becomes_parse_error_finding():
 def test_findings_are_deterministically_sorted():
     source = snippet(
         """
-        import numpy
-        import numpy as np
+        graph._materialise()
+        rows = graph._adjacency
         """
     )
     findings = analyze_source(source, module="repro.example")
+    assert len(findings) == 2
     assert findings == sorted(
         findings, key=lambda f: (f.path, f.line, f.rule, f.message)
     )
@@ -76,35 +73,36 @@ def test_findings_are_deterministically_sorted():
 
 def test_suppression_comment_parsing():
     assert suppressed_rules("x = 1") is None
-    assert suppressed_rules("import numpy  # repro: ignore") == frozenset()
-    assert suppressed_rules("import numpy  # repro: ignore[lazy-numpy]") == {
-        "lazy-numpy"
+    assert suppressed_rules("graph._materialise()  # repro: ignore") == frozenset()
+    assert suppressed_rules("graph._materialise()  # repro: ignore[no-materialise]") == {
+        "no-materialise"
     }
     assert suppressed_rules("x  # repro: ignore[a, b]") == {"a", "b"}
 
 
 def test_inline_suppression_silences_named_rule():
     assert rule_ids(
-        analyze_source("import numpy\n", module="repro.example")
-    ) == {"lazy-numpy"}
+        analyze_source("graph._materialise()\n", module="repro.example")
+    ) == {"no-materialise"}
     assert (
         analyze_source(
-            "import numpy  # repro: ignore[lazy-numpy]\n", module="repro.example"
+            "graph._materialise()  # repro: ignore[no-materialise]\n",
+            module="repro.example",
         )
         == []
     )
     # A bare ignore silences everything on the line.
     assert (
-        analyze_source("import numpy  # repro: ignore\n", module="repro.example")
+        analyze_source("graph._materialise()  # repro: ignore\n", module="repro.example")
         == []
     )
 
 
 def test_suppression_for_other_rule_does_not_apply():
     findings = analyze_source(
-        "import numpy  # repro: ignore[dtype-discipline]\n", module="repro.example"
+        "graph._materialise()  # repro: ignore[dtype-discipline]\n", module="repro.example"
     )
-    assert rule_ids(findings) == {"lazy-numpy"}
+    assert rule_ids(findings) == {"no-materialise"}
 
 
 # ------------------------------------------------------- mutation-discipline
@@ -257,33 +255,6 @@ def test_ledger_rule_covers_temp_paths_and_store_files():
     )
 
 
-def test_ledger_rule_requires_pickle_publish_registration():
-    source = snippet(
-        """
-        def publish(blob, stem):
-            path = stem + ".pickle"
-            write_atomically(path, lambda handle: handle.write(blob))
-            return path
-        """
-    )
-    findings = analyze_source(source, module="repro.exec.example")
-    messages = [f.message for f in findings if f.rule == "ledger-discipline"]
-    assert any(".pickle" in m and "_STORE_FILE_LEDGER" in m for m in messages)
-    clean = snippet(
-        """
-        def publish(blob, stem):
-            path = stem + ".pickle"
-            _STORE_FILE_LEDGER[path] = None
-            write_atomically(path, lambda handle: handle.write(blob))
-            return path
-        """
-    )
-    assert "ledger-discipline" not in rule_ids(
-        analyze_source(clean, module="repro.exec.example")
-    )
-
-
-
 @pytest.mark.parametrize("api", ["mkstemp", "NamedTemporaryFile", "mkdtemp"])
 def test_ledger_rule_flags_unregistered_tempfile_api(api):
     source = snippet(
@@ -313,7 +284,6 @@ def test_ledger_rule_checks_publishing_only_in_exec_modules():
         """
         def republish(payload, path):
             save_snapshot(payload, path)
-            write_atomically(path, lambda handle: None)
         """
     )
     # The store module saves snapshots the pool then publishes; only the
@@ -326,59 +296,6 @@ def test_ledger_rule_checks_publishing_only_in_exec_modules():
     )
     assert "ledger-discipline" in rule_ids(
         analyze_source(source, module="repro.exec.example")
-    )
-
-
-# --------------------------------------------------------------- lazy-numpy
-
-
-def test_lazy_numpy_flags_top_level_import():
-    findings = analyze_source("import numpy as np\n", module="repro.teams.example")
-    assert "lazy-numpy" in rule_ids(findings)
-
-
-def test_lazy_numpy_flags_gated_module_import():
-    findings = analyze_source(
-        "from repro.signed.csr import CSRSignedGraph\n", module="repro.example"
-    )
-    assert "lazy-numpy" in rule_ids(findings)
-    findings = analyze_source(
-        "from repro.signed import csr\n", module="repro.example"
-    )
-    assert "lazy-numpy" in rule_ids(findings)
-
-
-def test_lazy_numpy_accepts_gated_modules_and_escape_hatches():
-    assert "lazy-numpy" not in rule_ids(
-        analyze_source("import numpy as np\n", module="repro.signed.csr")
-    )
-    escape_hatches = snippet(
-        """
-        from typing import TYPE_CHECKING
-
-        if TYPE_CHECKING:
-            from repro.signed.csr import CSRSignedGraph
-
-        try:
-            import numpy as np
-        except ImportError:
-            np = None
-
-
-        def kernel(csr):
-            import numpy as np
-
-            return np.zeros(1)
-        """
-    )
-    assert "lazy-numpy" not in rule_ids(
-        analyze_source(escape_hatches, module="repro.example")
-    )
-
-
-def test_lazy_numpy_ignores_non_repro_modules():
-    assert "lazy-numpy" not in rule_ids(
-        analyze_source("import numpy\n", module="scripts.example")
     )
 
 
@@ -411,93 +328,6 @@ def test_no_materialise_allows_owner_and_signed_internals():
             module="repro.signed.graph",
         )
     )
-
-
-# ---------------------------------------------------- kernel-registry-parity
-
-_KERNELS_CLEAN = snippet(
-    """
-    KERNELS = {}
-
-
-    def register_kernel(name, fn=None):
-        def decorator(f):
-            KERNELS[name] = f
-            return f
-
-        return decorator
-
-
-    @register_kernel("csr_thing")
-    def csr_thing(csr, sources, params):
-        return []
-
-
-    @register_kernel("dict_thing")
-    def dict_thing(graph, sources, params):
-        return []
-
-
-    SERIAL_EQUIVALENTS = {"csr_thing": "dict_thing"}
-    """
-)
-
-def test_kernel_parity_accepts_consistent_registry():
-    findings = analyze_sources({"repro.exec.kernels": _KERNELS_CLEAN})
-    assert "kernel-registry-parity" not in rule_ids(findings)
-
-
-def test_kernel_parity_requires_serial_equivalents_table():
-    source = _KERNELS_CLEAN.replace(
-        'SERIAL_EQUIVALENTS = {"csr_thing": "dict_thing"}', ""
-    )
-    findings = analyze_sources({"repro.exec.kernels": source})
-    messages = [
-        f.message for f in findings if f.rule == "kernel-registry-parity"
-    ]
-    assert any("SERIAL_EQUIVALENTS" in m for m in messages)
-
-
-def test_kernel_parity_flags_uncovered_and_unregistered_kernels():
-    source = _KERNELS_CLEAN.replace(
-        '{"csr_thing": "dict_thing"}',
-        '{"csr_thing": "dict_missing", "csr_ghost": "dict_thing"}',
-    )
-    findings = analyze_sources({"repro.exec.kernels": source})
-    messages = [
-        f.message for f in findings if f.rule == "kernel-registry-parity"
-    ]
-    assert any("dict_missing" in m for m in messages)
-    assert any("csr_ghost" in m for m in messages)
-
-
-
-def test_kernel_parity_flags_kernel_without_serial_equivalent():
-    source = _KERNELS_CLEAN.replace(
-        'SERIAL_EQUIVALENTS = {"csr_thing": "dict_thing"}',
-        'SERIAL_EQUIVALENTS = {}',
-    )
-    findings = analyze_sources({"repro.exec.kernels": source})
-    messages = [
-        f.message for f in findings if f.rule == "kernel-registry-parity"
-    ]
-    assert any("csr_thing" in m and "no SERIAL_EQUIVALENTS entry" in m for m in messages)
-
-
-def test_kernel_parity_flags_non_dict_serial_equivalent():
-    source = _KERNELS_CLEAN.replace(
-        '{"csr_thing": "dict_thing"}', '{"csr_thing": "csr_thing"}'
-    )
-    findings = analyze_sources({"repro.exec.kernels": source})
-    messages = [
-        f.message for f in findings if f.rule == "kernel-registry-parity"
-    ]
-    assert any("not a dict_* kernel" in m for m in messages)
-
-
-def test_kernel_parity_skips_partial_projects():
-    findings = analyze_sources({"repro.signed.csr": "def unrelated():\n    pass\n"})
-    assert "kernel-registry-parity" not in rule_ids(findings)
 
 
 # ---------------------------------------------------------------- policy-shim
@@ -549,49 +379,6 @@ def test_policy_shim_accepts_policy_parameter_and_private_classes():
     assert "policy-shim" not in rule_ids(findings)
 
 
-def test_policy_shim_flags_backend_literal_comparisons():
-    source = snippet(
-        """
-        def use_csr(policy):
-            if policy.backend == "csr":
-                return True
-            return self._policy.backend != "dict"
-
-
-        def forced(config):
-            return config.backend in ("dict", "csr")
-        """
-    )
-    findings = analyze_source(source, module="repro.compatibility.example")
-    lines = sorted(f.line for f in findings if f.rule == "policy-shim")
-    assert lines == [3, 5, 9]
-    assert all(
-        "uses_csr" in f.message for f in findings if f.rule == "policy-shim"
-    )
-
-
-def test_policy_shim_accepts_uses_csr_and_the_policy_module():
-    reader = snippet(
-        """
-        def use_csr(policy, arguments):
-            policy = ExecutionPolicy(backend=arguments.backend)
-            return policy.uses_csr
-        """
-    )
-    findings = analyze_source(reader, module="repro.compatibility.example")
-    assert "policy-shim" not in rule_ids(findings)
-    resolver = snippet(
-        """
-        class ExecutionPolicy:
-            @property
-            def uses_csr(self):
-                return self.backend == "csr"
-        """
-    )
-    findings = analyze_source(resolver, module="repro.exec.policy")
-    assert "policy-shim" not in rule_ids(findings)
-
-
 # ------------------------------------------------------------ dtype-discipline
 
 
@@ -640,7 +427,7 @@ def test_dtype_rule_only_applies_inside_repro_signed():
 
 
 def test_baseline_round_trip(tmp_path):
-    findings = analyze_source("import numpy\n", module="repro.example")
+    findings = analyze_source("graph._materialise()\n", module="repro.example")
     assert findings
     path = tmp_path / "baseline.json"
     Baseline.from_findings(findings).save(str(path))
@@ -651,14 +438,14 @@ def test_baseline_round_trip(tmp_path):
 
 
 def test_baseline_fingerprint_survives_line_moves(tmp_path):
-    before = analyze_source("import numpy\n", module="repro.example")
-    after = analyze_source("\n\n\nimport numpy\n", module="repro.example")
+    before = analyze_source("graph._materialise()\n", module="repro.example")
+    after = analyze_source("\n\n\ngraph._materialise()\n", module="repro.example")
     assert before[0].line != after[0].line
     assert before[0].fingerprint() == after[0].fingerprint()
 
 
 def test_baseline_reports_stale_entries(tmp_path):
-    findings = analyze_source("import numpy\n", module="repro.example")
+    findings = analyze_source("graph._materialise()\n", module="repro.example")
     path = tmp_path / "baseline.json"
     Baseline.from_findings(findings).save(str(path))
     fresh, waived, stale = filter_baselined([], Baseline.load(str(path)))

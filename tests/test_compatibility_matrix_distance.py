@@ -25,9 +25,10 @@ from repro.compatibility import (
 from repro.datasets import synthetic_signed_network
 from repro.exec import ExecutionPolicy, reset_executors
 from repro.signed.graph import NEGATIVE
-from repro.signed.paths import INFINITY
+from repro.signed.paths import INFINITY, shortest_path_lengths
 from repro.skills import SkillAssignment
-from repro.utils.rng import ensure_rng
+
+from reference import REFERENCE_RELATIONS, ReferenceRelation, reference_average_distance
 
 RELATIONS = ("DPE", "NNE", "SPA", "SPM", "SPO", "SBPH", "SBP")
 
@@ -386,7 +387,6 @@ class TestSkillCompatibility:
 # Dense-row statistics against the per-pair loops they replace
 # ---------------------------------------------------------------------------
 
-DENSE = ExecutionPolicy(backend="csr")
 DIFFERENTIAL = settings(
     max_examples=40,
     deadline=None,
@@ -428,43 +428,6 @@ def shuffled_graphs(draw):
     return SignedGraph.from_edges(edges, nodes=order), draw(st.integers(0, 2**16))
 
 
-def reference_average_distance(
-    relation, oracle, max_exact_nodes=500, num_sampled_sources=200, seed=None
-):
-    """The per-pair loop: one row lookup (balanced: two searches) per pair."""
-    from repro.compatibility.balanced import _BalancedPathRelation
-
-    nodes = relation.graph.nodes()
-    if len(nodes) < 2:
-        return 0.0, 0
-    if len(nodes) <= max_exact_nodes:
-        sources = nodes
-        positions = {node: position for position, node in enumerate(nodes)}
-    else:
-        sources = ensure_rng(seed).sample(nodes, min(num_sampled_sources, len(nodes)))
-        positions = None
-    balanced = isinstance(relation, _BalancedPathRelation)
-    total = 0.0
-    count = 0
-    for u in sources:
-        for v in relation.compatible_with(u):
-            if v == u or (positions is not None and positions[v] < positions[u]):
-                continue
-            if balanced:
-                distance = min(
-                    relation._search_from(u).positive_length(v),
-                    relation._search_from(v).positive_length(u),
-                )
-            else:
-                distance = oracle._shortest_paths_from(u).get(v, INFINITY)
-            if distance != INFINITY:
-                total += distance
-                count += 1
-    if count == 0:
-        return 0.0, 0
-    return total / count, count
-
-
 def reference_balanced_closure(relation, source):
     """Definition of the symmetric balanced set: either direction's search
     finds a positive path, and no negative edge joins the pair."""
@@ -495,26 +458,36 @@ class TestDenseRowStatistics:
         graph, seed = drawn
         install_shuffled_snapshot(graph, seed)
         name, kwargs = relation_spec
-        relation = make_relation(name, graph, policy=DENSE, **kwargs)
+        relation = make_relation(name, graph, **kwargs)
         oracle = DistanceOracle(relation)
         branch = {"max_exact_nodes": 1, "num_sampled_sources": 5, "seed": seed} if sampled else {}
-        reference = make_relation(name, graph, policy=DENSE, **kwargs)
+        reference = make_relation(name, graph, **kwargs)
         assert average_compatible_distance(
             relation, oracle=oracle, **branch
-        ) == reference_average_distance(reference, DistanceOracle(reference), **branch)
+        ) == reference_average_distance(reference, DistanceOracle(reference).distance, **branch)
 
     @DIFFERENTIAL
     @given(shuffled_graphs(), st.sampled_from(("SPA", "SPM", "SPO", "NNE", "DPE")))
-    def test_average_distance_matches_dict_backend(self, install_shuffled_snapshot, drawn, name):
+    def test_average_distance_matches_reference(self, install_shuffled_snapshot, drawn, name):
         # These relations do not depend on the order a search visits nodes,
-        # so the shuffled snapshot must not change a single pair.
+        # so the shuffled snapshot must not change a single pair.  Distances
+        # are shortest_path_lengths per pair; SP* partners come from
+        # ReferenceRelation, NNE's and DPE's from their edge rules.
         graph, seed = drawn
-        reference = make_relation(name, graph.copy(), policy=ExecutionPolicy(backend="dict"))
+        plain = graph.copy()
+        if name in REFERENCE_RELATIONS:
+            reference = ReferenceRelation(name, plain)
+        else:
+            reference = make_relation(name, plain)
+
+        def bfs_distance(u, v):
+            return float(shortest_path_lengths(plain, u).get(v, INFINITY))
+
         install_shuffled_snapshot(graph, seed)
-        relation = make_relation(name, graph, policy=DENSE)
+        relation = make_relation(name, graph)
         for branch in ({}, {"max_exact_nodes": 1, "num_sampled_sources": 4, "seed": seed}):
             assert average_compatible_distance(relation, **branch) == (
-                average_compatible_distance(reference, **branch)
+                reference_average_distance(reference, bfs_distance, **branch)
             )
 
     @DIFFERENTIAL
@@ -525,8 +498,8 @@ class TestDenseRowStatistics:
         graph, seed = drawn
         install_shuffled_snapshot(graph, seed)
         name, kwargs = relation_spec
-        relation = make_relation(name, graph, policy=DENSE, **kwargs)
-        per_source = make_relation(name, graph, policy=DENSE, **kwargs)
+        relation = make_relation(name, graph, **kwargs)
+        per_source = make_relation(name, graph, **kwargs)
         nodes = graph.nodes()
         batched = relation.batch_compatible_sets(nodes)
         assert batched == [per_source.compatible_with(node) for node in nodes]
@@ -543,11 +516,11 @@ class TestDenseRowStatistics:
         graph = request.getfixturevalue(graph_name).copy()
         install_shuffled_snapshot(graph, 7)
         name, kwargs = relation_spec
-        relation = make_relation(name, graph, policy=DENSE, **kwargs)
-        reference = make_relation(name, graph, policy=DENSE, **kwargs)
+        relation = make_relation(name, graph, **kwargs)
+        reference = make_relation(name, graph, **kwargs)
         branch = {"max_exact_nodes": 1, "num_sampled_sources": 6, "seed": 3} if sampled else {}
         assert average_compatible_distance(relation, **branch) == (
-            reference_average_distance(reference, DistanceOracle(reference), **branch)
+            reference_average_distance(reference, DistanceOracle(reference).distance, **branch)
         )
 
     def test_direct_negative_edges_stay_incompatible(self, two_factions):
@@ -555,7 +528,7 @@ class TestDenseRowStatistics:
         # search reports a positive path to an enemy.
         from repro.signed.csr import UNREACHABLE
 
-        relation = make_relation("SBPH", two_factions, policy=DENSE)
+        relation = make_relation("SBPH", two_factions)
         enemies = {node: set(two_factions.negative_neighbors(node)) for node in two_factions}
         searches = relation.batch_search
 
@@ -575,5 +548,5 @@ class TestDenseRowStatistics:
         assert any(enemies.values())
         for node, found in zip(nodes, relation.batch_compatible_sets(nodes)):
             assert not found & enemies[node]
-        honest = make_relation("SBPH", two_factions.copy(), policy=DENSE)
+        honest = make_relation("SBPH", two_factions.copy())
         assert average_compatible_distance(relation) == average_compatible_distance(honest)

@@ -1,9 +1,10 @@
-"""Tests for the indexed CSR backend: construction, kernels, backend equivalence.
+"""Tests for the indexed CSR snapshot: construction, kernels, relation equivalence.
 
 The load-bearing guarantee is *bit-identical equivalence*: every CSR algorithm
-must return exactly the counts / lengths the dict reference implementation
-returns, on synthetic random graphs (connected and disconnected, every
-topology) and on loader-built datasets with string node ids.
+must return exactly the counts / lengths the pure-Python reference
+implementation (:mod:`repro.signed.paths`) returns, on synthetic random
+graphs (connected and disconnected, every topology) and on loader-built
+datasets with string node ids.
 """
 
 from __future__ import annotations
@@ -39,8 +40,7 @@ from repro.signed import (
 import repro.signed.csr as csr_module
 from repro.signed.csr import UNREACHABLE, CSRLengths
 
-DICT = ExecutionPolicy(backend="dict")
-CSR = ExecutionPolicy(backend="csr")
+from reference import ReferenceRelation
 
 
 def random_signed_graph(seed: int, num_nodes: int = 30, edge_prob: float = 0.12) -> SignedGraph:
@@ -192,8 +192,8 @@ class TestSignedBFSEquivalence:
     def test_overflow_guard_raises_before_wrapping(self):
         # A doubling ladder: layer k is reached by 2**k shortest paths, so 66
         # layers push the counts past int64.  The guard must raise (not wrap)
-        # and the relation must transparently fall back to the dict backend,
-        # whose big integers agree with brute maths.
+        # and the relation must transparently fall back to signed_bfs, whose
+        # big integers agree with brute maths.
         edges = []
         previous = ["s"]
         for layer in range(66):
@@ -207,7 +207,7 @@ class TestSignedBFSEquivalence:
         graph = SignedGraph.from_edges(edges)
         with pytest.raises(OverflowError):
             signed_bfs_csr(graph.csr_view(), "s")
-        relation = make_relation("SPO", graph, policy=CSR)
+        relation = make_relation("SPO", graph)
         assert relation.are_compatible("s", "t")  # falls back, no crash
         expected = signed_bfs(graph, "s")
         assert expected.positive_counts["t"] == 2**66  # needs big ints
@@ -341,33 +341,35 @@ class TestOtherKernels:
 
 
 class TestRelationBackendEquivalence:
+    """The CSR relations against :class:`ReferenceRelation` (``signed_bfs``)."""
+
     @pytest.mark.parametrize("name", ["SPA", "SPM", "SPO"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_compatible_sets_identical(self, name, seed):
         graph = random_signed_graph(seed, num_nodes=40, edge_prob=0.1)
-        dict_relation = make_relation(name, graph, policy=DICT)
-        csr_relation = make_relation(name, graph, policy=CSR)
+        reference = ReferenceRelation(name, graph)
+        csr_relation = make_relation(name, graph)
         for node in graph.nodes():
-            assert dict_relation.compatible_with(node) == csr_relation.compatible_with(node)
+            assert reference.compatible_with(node) == csr_relation.compatible_with(node)
 
     @pytest.mark.parametrize("name", ["SPA", "SPM", "SPO"])
     def test_pair_queries_identical(self, name):
         graph = random_signed_graph(7, num_nodes=25, edge_prob=0.15)
-        dict_relation = make_relation(name, graph, policy=DICT)
-        csr_relation = make_relation(name, graph, policy=CSR)
+        reference = ReferenceRelation(name, graph)
+        csr_relation = make_relation(name, graph)
         nodes = graph.nodes()
         for u in nodes[::3]:
             for v in nodes[::4]:
-                assert dict_relation.are_compatible(u, v) == csr_relation.are_compatible(u, v)
+                assert reference.are_compatible(u, v) == csr_relation.are_compatible(u, v)
 
     @pytest.mark.parametrize("name", ["SPA", "SPM", "SPO"])
     def test_batch_degrees_identical(self, name):
         graph = random_signed_graph(3, num_nodes=35)
-        dict_relation = make_relation(name, graph, policy=DICT)
-        csr_relation = make_relation(name, graph, policy=CSR)
+        reference = ReferenceRelation(name, graph)
+        csr_relation = make_relation(name, graph)
         sources = graph.nodes()[::2]
         assert (
-            dict_relation.batch_compatibility_degrees(sources)
+            reference.batch_compatibility_degrees(sources)
             == csr_relation.batch_compatibility_degrees(sources)
         )
 
@@ -377,27 +379,25 @@ class TestRelationBackendEquivalence:
         # evicting cache).
         graph = random_signed_graph(23, num_nodes=30)
         small_cache = make_relation(
-            "SPO", graph, policy=ExecutionPolicy(backend="csr", bfs_cache_size=2)
+            "SPO", graph, policy=ExecutionPolicy(bfs_cache_size=2)
         )
-        reference = make_relation("SPO", graph, policy=DICT)
+        reference = ReferenceRelation("SPO", graph)
         sources = graph.nodes()
         assert small_cache.batch_compatibility_degrees(sources) == [
             reference.compatibility_degree(source) for source in sources
         ]
 
-    def test_distance_oracle_follows_relation_backend(self):
-        # A relation pinned to the dict backend keeps its oracle on the dict
-        # BFS regardless of graph size; a csr-pinned one opts in immediately.
+    def test_distance_oracle_matches_reference(self):
+        # The oracle's rows are the relation's CSR lengths; the reference
+        # runs shortest_path_lengths per pair.
         from repro.compatibility import DistanceOracle
 
         graph = random_signed_graph(29, num_nodes=20)
-        dict_oracle = DistanceOracle(make_relation("SPO", graph, policy=DICT))
-        csr_oracle = DistanceOracle(make_relation("SPO", graph, policy=CSR))
-        assert not dict_oracle.relation.policy.uses_csr
-        assert csr_oracle.relation.policy.uses_csr
+        reference = ReferenceRelation("SPO", graph)
+        csr_oracle = DistanceOracle(make_relation("SPO", graph))
         for u in graph.nodes()[::4]:
             for v in graph.nodes()[::5]:
-                assert dict_oracle.distance(u, v) == csr_oracle.distance(u, v)
+                assert reference.distance(u, v) == csr_oracle.distance(u, v)
 
     def test_balanced_batch_degrees_match_compatible_with(self):
         # The balanced relations' streaming batch path must agree with the
@@ -439,31 +439,18 @@ class TestRelationBackendEquivalence:
 
     def test_source_sampled_statistics_identical(self):
         graph = random_signed_graph(13, num_nodes=50, edge_prob=0.08)
-        dict_stats = source_sampled_pair_statistics(
-            make_relation("SPO", graph, policy=DICT), 12, seed=21
+        reference_stats = source_sampled_pair_statistics(
+            ReferenceRelation("SPO", graph), 12, seed=21
         )
-        csr_stats = source_sampled_pair_statistics(
-            make_relation("SPO", graph, policy=CSR), 12, seed=21
-        )
-        assert dict_stats.compatible_pairs == csr_stats.compatible_pairs
-        assert dict_stats.evaluated_pairs == csr_stats.evaluated_pairs
-
-    def test_auto_backend_picks_csr_on_small_graphs(self, two_factions):
-        # No size cut-over: with numpy present, "auto" uses CSR on any
-        # low-diameter graph.
-        relation = make_relation("SPO", two_factions)  # backend="auto"
-        assert relation.policy.uses_csr
-        assert relation.are_compatible(0, 1)
-
-    def test_invalid_backend_rejected(self, two_factions):
-        with pytest.raises(ValueError):
-            make_relation("SPO", two_factions, policy=ExecutionPolicy(backend="gpu"))
+        csr_stats = source_sampled_pair_statistics(make_relation("SPO", graph), 12, seed=21)
+        assert reference_stats.compatible_pairs == csr_stats.compatible_pairs
+        assert reference_stats.evaluated_pairs == csr_stats.evaluated_pairs
 
     def test_csr_backend_on_loader_graph(self, loader_graph):
-        dict_relation = make_relation("SPA", loader_graph, policy=DICT)
-        csr_relation = make_relation("SPA", loader_graph, policy=CSR)
+        reference = ReferenceRelation("SPA", loader_graph)
+        csr_relation = make_relation("SPA", loader_graph)
         for node in loader_graph.nodes()[:8]:
-            assert dict_relation.compatible_with(node) == csr_relation.compatible_with(node)
+            assert reference.compatible_with(node) == csr_relation.compatible_with(node)
 
 
 # --------------------------------------------------------- direction-optimising
@@ -589,7 +576,7 @@ class TestDirectionOptimisingBFS:
                 for plane, want in zip(out, csr_module._signed_bfs_arrays(csr, dense)):
                     assert np.array_equal(plane[row], want)
 
-        relation = make_relation("SPO", graph, policy=CSR)
+        relation = make_relation("SPO", graph)
         degrees = relation.batch_compatibility_degrees(["s"])
         result = relation.batch_bfs(["s"])[0]
         # The dict fallback's counts, laid onto dense rows of Python ints.

@@ -6,8 +6,9 @@ The acceptance bar (enforced here, property-based and deterministic):
 * after ANY interleaving of mutations, ``csr_view()`` arrays are bit-identical
   to ``CSRSignedGraph.from_signed_graph()`` on the same graph;
 * relation / oracle / engine results under churn match a cold stack built on
-  a fresh copy of the mutated graph — across dict and CSR backends and all
-  relations, including SBP and SBPH;
+  a fresh copy of the mutated graph, and the SP*/SBPH relations also match
+  the pure-Python reference (``tests/reference.py``) — for all relations,
+  including SBP and SBPH;
 * no-op writes (same-sign ``set_sign``, identical ``add_edge`` re-adds) never
   bump the generation, never invalidate the CSR view or any cache;
 * mutations in one connected component never drop cached results of another.
@@ -30,20 +31,23 @@ from repro.signed.delta import GraphDelta
 from repro.signed.generators import planted_factions_graph
 from repro.utils.generational import GenerationalLRUCache
 
-DICT = ExecutionPolicy(backend="dict")
-CSR = ExecutionPolicy(backend="csr")
+from reference import ReferenceRelation, reference_average_distance
+
+#: Marks a relation whose cold side is :class:`ReferenceRelation` instead of
+#: a fresh library relation.
+AGAINST_REFERENCE = {"reference": True}
 
 RELATION_BACKENDS = [
     ("DPE", {}),
     ("NNE", {}),
-    ("SPA", {"policy": DICT}),
-    ("SPA", {"policy": CSR}),
-    ("SPM", {"policy": DICT}),
-    ("SPM", {"policy": CSR}),
-    ("SPO", {"policy": DICT}),
-    ("SPO", {"policy": CSR}),
-    ("SBPH", {"policy": DICT}),
-    ("SBPH", {"policy": CSR}),
+    ("SPA", AGAINST_REFERENCE),
+    ("SPA", {}),
+    ("SPM", AGAINST_REFERENCE),
+    ("SPM", {}),
+    ("SPO", AGAINST_REFERENCE),
+    ("SPO", {}),
+    ("SBPH", AGAINST_REFERENCE),
+    ("SBPH", {}),
     ("SBP", {"max_expansions": 50_000}),
 ]
 
@@ -114,7 +118,7 @@ class TestGenerationModel:
 
     def test_noop_writes_do_not_invalidate_relation_caches(self):
         graph = SignedGraph.from_edges([(0, 1, 1), (1, 2, 1), (2, 3, -1)])
-        relation = make_relation("SPO", graph, policy=DICT)
+        relation = make_relation("SPO", graph)
         relation.compatible_with(0)
         hits_before = relation._compatible_cache.hits
         graph.set_sign(0, 1, 1)
@@ -364,6 +368,8 @@ class TestRelationsUnderChurn:
 
     @pytest.mark.parametrize("name,kwargs", RELATION_BACKENDS)
     def test_results_match_cold_relation(self, name, kwargs):
+        kwargs = dict(kwargs)
+        against_reference = kwargs.pop("reference", False)
         size = 16 if name == "SBP" else 30
         graph, _ = planted_factions_graph(
             size, average_degree=3.0, sign_noise=0.2, seed=11
@@ -378,8 +384,12 @@ class TestRelationsUnderChurn:
             for node in nodes[:6]:
                 relation.compatible_with(node)
             churn_script(graph, rng, steps=5)
-            cold = make_relation(name, graph.copy(), **kwargs)
-            cold_oracle = DistanceOracle(cold)
+            if against_reference:
+                cold = ReferenceRelation(name, graph.copy())
+                cold_distance = cold.distance
+            else:
+                cold = make_relation(name, graph.copy(), **kwargs)
+                cold_distance = DistanceOracle(cold).distance
             for node in nodes[:8]:
                 assert relation.compatible_with(node) == cold.compatible_with(node), (
                     f"{name} round {round_index} node {node}"
@@ -387,11 +397,11 @@ class TestRelationsUnderChurn:
             for u in nodes[:4]:
                 for v in nodes[4:8]:
                     assert relation.are_compatible(u, v) == cold.are_compatible(u, v)
-                    assert oracle.distance(u, v) == cold_oracle.distance(u, v)
+                    assert oracle.distance(u, v) == cold_distance(u, v)
 
     def test_node_churn_matches_cold_relation(self):
         graph, _ = planted_factions_graph(24, average_degree=3.0, sign_noise=0.2, seed=13)
-        for name, kwargs in (("SPO", {"policy": CSR}), ("NNE", {}), ("SBPH", {})):
+        for name, kwargs in (("SPO", {}), ("NNE", {}), ("SBPH", {})):
             relation = make_relation(name, graph, **kwargs)
             for node in graph.nodes()[:5]:
                 relation.compatible_with(node)
@@ -421,11 +431,11 @@ class TestBalancedRowsAcrossNodeSetChanges:
 
     @pytest.mark.parametrize("name", ["SBP", "SBPH"])
     @pytest.mark.parametrize("mutation", ["add_node", "remove_node"])
-    def test_surviving_results_match_dict_backend(self, name, mutation):
+    def test_surviving_results_match_reference(self, name, mutation):
         from repro.compatibility import average_compatible_distance
 
         graph = two_component_graph(seed=23)
-        relation = make_relation(name, graph, max_expansions=2_000, policy=CSR)
+        relation = make_relation(name, graph, max_expansions=2_000)
         relation.batch_search(graph.nodes())  # every search on the old snapshot
         old = graph.csr_view()
         if mutation == "add_node":
@@ -436,23 +446,23 @@ class TestBalancedRowsAcrossNodeSetChanges:
         assert not graph.csr_view().shares_index_with(old)
         survivors = [node for node in graph.nodes() if node[0] == "b"]
         assert all(node in relation._result_cache for node in survivors)
-        reference = make_relation(name, graph.copy(), max_expansions=2_000, policy=DICT)
+        reference = ReferenceRelation(name, graph.copy(), max_expansions=2_000)
         for node in survivors:
             assert relation.compatible_with(node) == reference.compatible_with(node), node
         for u in survivors[:6]:
             for v in survivors[6:12]:
-                assert relation.positive_balanced_distance(
-                    u, v
-                ) == reference.positive_balanced_distance(u, v)
-        assert average_compatible_distance(relation) == average_compatible_distance(reference)
+                assert relation.positive_balanced_distance(u, v) == reference.distance(u, v)
+        assert average_compatible_distance(relation) == reference_average_distance(
+            reference, reference.distance
+        )
 
 
 class TestEngineUnderChurn:
-    def build(self, backend="csr", seed=17):
+    def build(self, seed=17):
         graph, _ = planted_factions_graph(
             40, average_degree=4.0, sign_noise=0.2, seed=seed
         )
-        relation = make_relation("SPO", graph, policy=ExecutionPolicy(backend=backend))
+        relation = make_relation("SPO", graph)
         return graph, CompatibilityEngine(relation)
 
     def test_compatible_from_many_matches_cold_engine(self):
@@ -464,7 +474,7 @@ class TestEngineUnderChurn:
         for round_index in range(5):
             churn_script(graph, rng, steps=6)
             live = engine.compatible_from_many(pool, team)
-            cold_relation = make_relation("SPO", graph.copy(), policy=CSR)
+            cold_relation = make_relation("SPO", graph.copy())
             cold = CompatibilityEngine(cold_relation).compatible_from_many(pool, team)
             assert live == cold, f"round {round_index}"
             # Memoised repeat must be identical.
@@ -479,7 +489,7 @@ class TestEngineUnderChurn:
         for _ in range(4):
             churn_script(graph, rng, steps=6)
             live = engine.distances_to_team_many(pool, team)
-            cold_relation = make_relation("SPO", graph.copy(), policy=CSR)
+            cold_relation = make_relation("SPO", graph.copy())
             cold = CompatibilityEngine(cold_relation).distances_to_team_many(pool, team)
             assert live == cold
 
@@ -490,7 +500,7 @@ class TestEngineUnderChurn:
         edges = [(i, (i + 1) % 10, 1) for i in range(10)]
         edges += [(100 + i, 100 + (i + 1) % 40, 1) for i in range(40)]
         graph = SignedGraph.from_edges(edges)
-        relation = make_relation("SPO", graph, policy=CSR)
+        relation = make_relation("SPO", graph)
         engine = CompatibilityEngine(relation)
         team = [100, 101]
         pool = [102, 103, 104, 105]
@@ -507,7 +517,7 @@ class TestEngineUnderChurn:
         edges = [(i, (i + 1) % 10, 1) for i in range(10)]
         edges += [(100 + i, 100 + (i + 1) % 40, 1) for i in range(40)]
         graph = SignedGraph.from_edges(edges)
-        relation = make_relation("SPO", graph, policy=CSR)
+        relation = make_relation("SPO", graph)
         relation.compatible_with(100)
         entries = len(relation._bfs_cache)
         graph.set_sign(0, 1, -1)  # churn the other (small) component
@@ -523,6 +533,6 @@ class TestEngineUnderChurn:
         edge = next(iter(graph.edges()))
         graph.set_sign(edge.u, edge.v, -edge.sign)
         engine.refresh()
-        cold_relation = make_relation("SPO", graph.copy(), policy=CSR)
+        cold_relation = make_relation("SPO", graph.copy())
         cold = CompatibilityEngine(cold_relation).compatible_from_many(pool, team)
         assert engine.compatible_from_many(pool, team) == cold

@@ -3,9 +3,10 @@
 Three layers are pinned against their per-pair / per-source counterparts,
 bit for bit:
 
-* the multi-source CSR kernels against per-source runs and the dict
-  reference implementations;
-* the SBPH (node, sign)-state CSR search against the per-edge dict search;
+* the multi-source CSR kernels against per-source runs and the pure-Python
+  reference implementations (:mod:`repro.signed.paths`);
+* the SBPH (node, sign)-state CSR search against the per-edge dict search,
+  and the SP*/SBPH relations against ``tests/reference.py``;
 * the full team-formation algorithms (LCMD / LCMC / RFMD / RFMC) through the
   engine against :class:`PerPairEngine` — the same queries answered pair by
   pair through the relation API — on random, synthetic-topology and
@@ -15,10 +16,6 @@ bit for bit:
 from __future__ import annotations
 
 import random
-import subprocess
-import sys
-import textwrap
-from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -66,6 +63,8 @@ from repro.utils.lru import (
     fetch_batched,
     scaled_cache_size,
 )
+
+from reference import ReferenceRelation
 
 ALGORITHMS = ("LCMD", "LCMC", "RFMD", "RFMC")
 RELATIONS = ("DPE", "SPA", "SPM", "SPO", "SBPH", "NNE")
@@ -189,9 +188,7 @@ class TestTeamFormationEquivalence:
         _assert_algorithms_match(dataset.graph, dataset.skills, tasks, relation_name)
 
     @pytest.mark.parametrize("relation_name", ("SPA", "SPM", "SPO", "SBPH"))
-    def test_forced_csr_backend(self, relation_name):
-        # backend="csr" exercises the vectorised candidate filter and the
-        # CSR heuristic search even below the auto threshold.
+    def test_planted_factions_graph(self, relation_name):
         graph, _ = planted_factions_graph(
             70, average_degree=4.5, sign_noise=0.2, seed=51
         )
@@ -199,9 +196,7 @@ class TestTeamFormationEquivalence:
             graph.nodes(), num_skills=10, skills_per_user=2.5, seed=52
         )
         tasks = random_tasks(skills, size=3, count=2, seed=53)
-        _assert_algorithms_match(
-            graph, skills, tasks, relation_name, policy=ExecutionPolicy(backend="csr")
-        )
+        _assert_algorithms_match(graph, skills, tasks, relation_name)
 
 
 class SetBasedSkillIndex(SkillCompatibilityIndex):
@@ -311,7 +306,7 @@ class TestCountingPoliciesMatchSetBased:
     def test_spo_lcmc_builds_no_compatible_nodes(self, epinions_context):
         dataset = epinions_context.dataset
         graph = dataset.graph.copy()
-        relation = make_relation("SPO", graph, policy=ExecutionPolicy(backend="csr"))
+        relation = make_relation("SPO", graph)
         (task,) = epinions_context.generate_tasks(size=5, count=1, seed=7)
         problem = TeamFormationProblem(graph, dataset.skills, relation, task)
         with mock.patch.object(
@@ -335,10 +330,7 @@ class TestCompatibleFromMany:
         graph, _ = planted_factions_graph(
             50, average_degree=4.0, sign_noise=0.2, seed=seed
         )
-        backend = "csr" if relation_name in ("SPA", "SPM", "SPO", "SBPH") else "auto"
-        relation = make_relation(
-            relation_name, graph, policy=ExecutionPolicy(backend=backend)
-        )
+        relation = make_relation(relation_name, graph)
         engine = CompatibilityEngine(relation)
         reference = PerPairEngine(relation, oracle=engine.oracle)
         nodes = graph.nodes()
@@ -369,25 +361,32 @@ class TestDistancesToTeamMany:
     @pytest.mark.parametrize(
         "relation_name,kwargs",
         [
-            ("SPO", {"policy": ExecutionPolicy(backend="csr")}),
-            ("SPO", {"policy": ExecutionPolicy(backend="dict")}),
+            ("SPO", {}),
+            ("SPO", {"reference": True}),
             ("NNE", {}),
             ("SBPH", {}),
         ],
     )
     def test_matches_distance_to_set(self, relation_name, kwargs):
+        """Against the oracle's per-candidate loop, or with ``reference``
+        against :class:`ReferenceRelation`'s ``shortest_path_lengths``."""
         rng = random.Random(7)
         graph, _ = planted_factions_graph(
             40, average_degree=4.0, sign_noise=0.2, seed=7
         )
-        relation = make_relation(relation_name, graph, **kwargs)
+        relation = make_relation(relation_name, graph)
         engine = CompatibilityEngine(relation)
+        reference = (
+            ReferenceRelation(relation_name, graph.copy())
+            if kwargs.get("reference")
+            else engine.oracle
+        )
         nodes = graph.nodes()
         for _ in range(4):
             team = rng.sample(nodes, rng.randint(1, 3))
             candidates = rng.sample(nodes, 10)
             batched = engine.distances_to_team_many(candidates, team)
-            expected = [engine.oracle.distance_to_set(c, team) for c in candidates]
+            expected = [reference.distance_to_set(c, team) for c in candidates]
             assert batched == expected
 
 
@@ -509,9 +508,7 @@ class TestSBPHCSRSearch:
 
     def _assert_identical(self, graph, sources=None, max_length=None):
         search = BalancedPathSearch(graph, max_length=max_length)
-        relation = make_relation(
-            "SBPH", graph, max_path_length=max_length, policy=ExecutionPolicy(backend="csr")
-        )
+        relation = make_relation("SBPH", graph, max_path_length=max_length)
         for source in sources if sources is not None else graph.nodes():
             expected = search.search_heuristic(source)
             got = relation._search_from(source)
@@ -584,54 +581,48 @@ class TestSBPHCSRSearch:
             assert alone_negative.tolist() == negative.tolist()
 
     @pytest.mark.parametrize("seed", (3, 4))
-    def test_sbph_relation_backends_agree(self, seed):
+    def test_sbph_relation_matches_reference(self, seed):
         graph, _ = planted_factions_graph(
             40, average_degree=4.0, sign_noise=0.2, seed=seed
         )
-        dict_rel = make_relation("SBPH", graph, policy=ExecutionPolicy(backend="dict"))
-        csr_rel = make_relation("SBPH", graph, policy=ExecutionPolicy(backend="csr"))
+        reference = ReferenceRelation("SBPH", graph)
+        csr_rel = make_relation("SBPH", graph)
         for node in graph.nodes():
-            assert dict_rel.compatible_with(node) == csr_rel.compatible_with(node)
+            assert reference.compatible_with(node) == csr_rel.compatible_with(node)
         nodes = graph.nodes()
         rng = random.Random(seed)
         for _ in range(20):
             u, v = rng.sample(nodes, 2)
-            assert dict_rel.positive_balanced_distance(
-                u, v
-            ) == csr_rel.positive_balanced_distance(u, v)
+            assert reference.distance(u, v) == csr_rel.positive_balanced_distance(u, v)
 
 
-class TestSingleBackendDecision:
-    """ExecutionPolicy.uses_csr is the one backend decision; nothing probes."""
-
-    @pytest.mark.parametrize(
-        "backend, expected", (("auto", True), ("csr", True), ("dict", False))
-    )
-    def test_uses_csr_per_backend(self, backend, expected):
-        assert ExecutionPolicy(backend=backend).uses_csr is expected
+class TestHighDiameterGraph:
+    """A 1224-node path: ~1224 BFS levels, each a fixed cost on CSR."""
 
     def _path_graph(self, length):
         return SignedGraph.from_edges(
             [(i, i + 1, 1 if i % 3 else -1) for i in range(length)]
         )
 
-    def test_high_diameter_graph_same_answers_on_auto_and_dict(self):
+    def test_answers_match_reference(self):
         graph = self._path_graph(1224)
         nodes = graph.nodes()
-        auto = make_relation("SPO", graph)
-        pinned = make_relation("SPO", graph.copy(), policy=ExecutionPolicy(backend="dict"))
+        relation = make_relation("SPO", graph)
+        reference = ReferenceRelation("SPO", graph.copy())
         sample = nodes[::97]
-        assert auto.batch_compatible_sets(sample) == pinned.batch_compatible_sets(sample)
-        assert auto.batch_compatibility_degrees(sample) == (
-            pinned.batch_compatibility_degrees(sample)
-        )
+        assert relation.batch_compatible_sets(sample) == [
+            reference.compatible_with(node) for node in sample
+        ]
+        assert relation.batch_compatibility_degrees(sample) == [
+            reference.compatibility_degree(node) for node in sample
+        ]
         team = nodes[100:1200:250]
         candidates = nodes[::31]
-        assert DistanceOracle(auto).batch_distance_to_set(candidates, team) == (
-            DistanceOracle(pinned).batch_distance_to_set(candidates, team)
-        )
+        assert DistanceOracle(relation).batch_distance_to_set(candidates, team) == [
+            reference.distance_to_set(candidate, team) for candidate in candidates
+        ]
 
-    def test_auto_cache_holds_only_csr_results(self):
+    def test_cache_holds_only_csr_results(self):
         graph = self._path_graph(1224)
         relation = make_relation("SPO", graph)
         relation.batch_compatible_sets(graph.nodes()[:5])
@@ -757,7 +748,7 @@ class TestEngineContracts:
         graph, _ = planted_factions_graph(
             40, average_degree=4.0, sign_noise=0.2, seed=9
         )
-        relation = make_relation("SPO", graph, policy=ExecutionPolicy(backend="csr"))
+        relation = make_relation("SPO", graph)
         engine = CompatibilityEngine(relation)
         direct = source_sampled_pair_statistics(relation, 8, seed=3)
         routed = source_sampled_pair_statistics(relation, 8, seed=3, engine=engine)
@@ -787,7 +778,7 @@ class TestEngineContracts:
         graph, _ = planted_factions_graph(
             30, average_degree=4.0, sign_noise=0.2, seed=61
         )
-        relation = make_relation("SPO", graph, policy=ExecutionPolicy(backend="csr"))
+        relation = make_relation("SPO", graph)
         engine = CompatibilityEngine(relation)
         nodes = graph.nodes()
         team = nodes[:2]
@@ -836,76 +827,3 @@ class TestMostCompatibleUnderTinyCache:
             assert got.team == expected.team
             assert got.cost == expected.cost
 
-
-NUMPY_FREE_SCRIPT = textwrap.dedent(
-    """
-    import sys, warnings
-    sys.modules["numpy"] = None  # simulate a numpy-free install
-    import repro  # must import cleanly without numpy
-    from repro.signed.graph import SignedGraph
-    from repro.compatibility import CompatibilityEngine, make_relation
-    from repro.exec import ExecutionPolicy
-
-    graph = SignedGraph.from_edges(
-        [(i, (i + 1) % 40, 1 if i % 4 else -1) for i in range(40)]
-    )
-    relation = make_relation("SPO", graph, policy=ExecutionPolicy(backend="dict"))
-    assert relation.compatibility_degree(0) >= 0
-
-    big = SignedGraph.from_edges(
-        [(i, (i + 1) % 1500, 1) for i in range(1500)]
-    )
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        auto = make_relation("SPO", big)
-        assert auto.policy.uses_csr is False
-        assert auto.compatibility_degree(0) >= 0
-        assert len([w for w in caught if "numpy" in str(w.message)]) == 1, caught
-
-    # One warning per process: the later SBPH relation still runs on dict.
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        sbph = make_relation("SBPH", big)
-        assert sbph.policy.uses_csr is False
-        assert sbph.are_compatible(0, 1)
-        assert not [w for w in caught if "numpy" in str(w.message)], caught
-
-    engine = CompatibilityEngine(relation)
-    team = [graph.nodes()[0]]
-    filtered = engine.compatible_from_many(graph.nodes()[:10], team)
-    assert all(relation.are_compatible(team[0], c) for c in filtered)
-
-    from repro.datasets import toy_dataset
-    from repro.skills.task import Task
-    from repro.teams import TeamFormationProblem, run_algorithm
-
-    toy = toy_dataset()
-    toy_relation = make_relation("SPO", toy.graph, policy=ExecutionPolicy(backend="dict"))
-    problem = TeamFormationProblem(
-        toy.graph, toy.skills, toy_relation, Task(["python", "databases"])
-    )
-    assert run_algorithm("LCMC", problem, seed=1).solved
-
-    try:
-        make_relation("SPO", graph, policy=ExecutionPolicy(backend="csr"))
-    except ImportError as exc:
-        assert "numpy" in str(exc)
-    else:
-        raise AssertionError("a csr-backend policy should raise without numpy")
-    print("numpy-free-ok")
-    """
-)
-
-
-def test_numpy_free_degradation(tmp_path):
-    """`import repro`, the dict backend and backend="auto" work without numpy."""
-    src = Path(__file__).resolve().parent.parent / "src"
-    completed = subprocess.run(
-        [sys.executable, "-c", NUMPY_FREE_SCRIPT],
-        capture_output=True,
-        text=True,
-        env={"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin"},
-        timeout=120,
-    )
-    assert completed.returncode == 0, completed.stderr
-    assert "numpy-free-ok" in completed.stdout

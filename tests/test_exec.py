@@ -2,7 +2,7 @@
 
 The load-bearing guarantee is *bit-identity*: a pool policy may only change
 where the per-source kernels run, never what they return.  The suite pins
-that across every relation and backend, under churn (mutate → resync →
+that across every relation, under churn (mutate → resync →
 re-dispatch against the new generation), and for the executor primitives
 themselves (deterministic chunk merging, graceful degradation when a pool
 cannot start).
@@ -10,6 +10,7 @@ cannot start).
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing
 import os
 import subprocess
@@ -41,7 +42,10 @@ from repro.exec import (
 from repro.exec import pool as pool_module
 from repro.experiments import apply_edge_churn
 from repro.signed.graph import SignedGraph
+from repro.signed.paths import INFINITY, shortest_path_lengths
 from repro.utils.rng import ensure_rng
+
+from reference import ReferenceRelation, reference_average_distance
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
@@ -55,8 +59,8 @@ def _test_echo(payload, sources, params):
 
 class IdentityNode:
     """Module-level (so instances pickle) but with identity-based equality:
-    unpickled copies are unequal to the originals, which makes the node type
-    legal for serial execution yet unusable inside pool workers."""
+    unpickled copies are unequal to the originals.  Pool workers never see
+    one, since kernels take dense ids."""
 
     def __init__(self, label: int) -> None:
         self.label = label
@@ -99,11 +103,9 @@ CACHE_SIZE_FIELDS = (
 )
 
 
-def pool_policy(backend: str = "auto", workers: int = 2, **kwargs) -> ExecutionPolicy:
+def pool_policy(workers: int = 2, **kwargs) -> ExecutionPolicy:
     """A policy that really dispatches (no small-batch inline shortcut)."""
-    return ExecutionPolicy(
-        backend=backend, workers=workers, min_parallel_sources=1, **kwargs
-    )
+    return ExecutionPolicy(workers=workers, min_parallel_sources=1, **kwargs)
 
 
 def owns_its_bytes(row) -> bool:
@@ -152,8 +154,8 @@ class TestExecutionPolicy:
         assert executor_for(policy) is serial_executor()
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            ExecutionPolicy(backend="gpu")
+        # CSR is the one execution path: no field picks a backend.
+        assert "backend" not in {field.name for field in dataclasses.fields(ExecutionPolicy)}
         with pytest.raises(ValueError):
             ExecutionPolicy(workers=-2)
         with pytest.raises(ValueError):
@@ -194,15 +196,15 @@ class TestExecutionPolicy:
         assert ExecutionPolicy(workers=-1).resolved_workers() >= 1
 
     def test_engine_inherits_relation_policy(self, graph):
-        relation = make_relation("SPO", graph, policy=ExecutionPolicy(backend="dict"))
+        relation = make_relation("SPO", graph, policy=ExecutionPolicy(bfs_cache_size=64))
         engine = CompatibilityEngine(relation)
         assert engine.policy is relation.policy
         assert engine.oracle.policy is relation.policy
 
     def test_oracle_inherits_relation_policy_and_cache_override(self, graph):
-        relation = make_relation("SPO", graph, policy=ExecutionPolicy(backend="dict"))
+        relation = make_relation("SPO", graph, policy=ExecutionPolicy(bfs_cache_size=64))
         oracle = DistanceOracle(relation)
-        assert oracle.policy.backend == "dict"
+        assert oracle.policy is relation.policy
         # distance_cache_size bounds the NNE/DPE distance maps; SP* rows are
         # the relation's own signed-BFS results.
         unbounded = DistanceOracle(
@@ -219,7 +221,7 @@ class TestExecutionPolicy:
 
 class TestSerialExecutor:
     def test_empty_batch(self, graph):
-        assert serial_executor().map_kernel("dict_signed_bfs", graph, []) == []
+        assert serial_executor().map_kernel("csr_signed_bfs", graph.csr_view(), []) == []
 
     def test_unknown_kernel_raises(self, graph):
         with pytest.raises(KeyError):
@@ -242,7 +244,7 @@ class TestPoolExecutor:
         executor = executor_for(pool_policy(chunk_size=3))
         sources = list(range(20))
         result = executor.map_kernel(
-            "test_echo", graph, sources, params={"tag": "t"}
+            "test_echo", graph.csr_view(), sources, params={"tag": "t"}
         )
         assert result == [("t", source) for source in sources]
 
@@ -272,7 +274,7 @@ class TestPoolExecutor:
         policy = ExecutionPolicy(workers=2, min_parallel_sources=64)
         executor = executor_for(policy)
         handle_publishes = executor._handle.publications
-        result = executor.map_kernel("dict_signed_bfs", graph, graph.nodes()[:3])
+        result = executor.map_kernel("csr_signed_bfs", graph.csr_view(), [0, 1, 2])
         assert len(result) == 3
         # Nothing was shipped: the batch stayed under the dispatch threshold.
         assert executor._handle.publications == handle_publishes
@@ -330,7 +332,7 @@ graph, _ = synthetic_signed_network(
 )
 csr = graph.csr_view()
 executor = executor_for(
-    ExecutionPolicy(backend="csr", workers=2, min_parallel_sources=1)
+    ExecutionPolicy(workers=2, min_parallel_sources=1)
 )
 rows = executor.map_kernel("csr_sbph", csr, list(range(8)), {"max_length": None})
 assert len(rows) == 8 and executor._handle.publications == 1
@@ -392,7 +394,7 @@ class TestPooledResults:
 
     def test_path_lengths_rows_equal_serial(self, graph, monkeypatch):
         np = pytest.importorskip("numpy")
-        executor = executor_for(pool_policy("csr"))
+        executor = executor_for(pool_policy())
         csr, dense = self._dense_sources(graph)
         maps = record_pool_maps(executor, monkeypatch)
         pooled = executor.map_kernel("csr_path_lengths", csr, dense, {})
@@ -405,7 +407,7 @@ class TestPooledResults:
 
     def test_signed_bfs_count_rows_equal_serial(self, graph, monkeypatch):
         np = pytest.importorskip("numpy")
-        executor = executor_for(pool_policy("csr"))
+        executor = executor_for(pool_policy())
         csr, dense = self._dense_sources(graph)
         params = {"skip_overflow": True}
         maps = record_pool_maps(executor, monkeypatch)
@@ -424,7 +426,7 @@ class TestPooledResults:
 
         # Chunks of one presence word each, so every worker answers with
         # presence rows.
-        executor = executor_for(pool_policy("csr", chunk_size=PRESENCE_MIN_SOURCES))
+        executor = executor_for(pool_policy(chunk_size=PRESENCE_MIN_SOURCES))
         csr, dense = self._dense_sources(graph, count=3 * PRESENCE_MIN_SOURCES)
         params = {"skip_overflow": True, "presence": True}
         maps = record_pool_maps(executor, monkeypatch)
@@ -441,7 +443,7 @@ class TestPooledResults:
         """An int64-overflow source comes back as the serial kernel's
         ``None`` slot; the rest of its chunk keeps its rows."""
         np = pytest.importorskip("numpy")
-        executor = executor_for(pool_policy("csr", chunk_size=2))
+        executor = executor_for(pool_policy(chunk_size=2))
         csr = overflow_ladder.csr_view()
         dense = [csr.index_of(node) for node in ("s", (0, 0), (30, 1), (60, 0), "t")]
         params = {"skip_overflow": True}
@@ -459,7 +461,7 @@ class TestPooledResults:
 
     def test_sbph_depths_identical(self, graph):
         pytest.importorskip("numpy")
-        executor = executor_for(pool_policy("csr"))
+        executor = executor_for(pool_policy())
         csr, dense = self._dense_sources(graph)
         pooled = executor.map_kernel("csr_sbph", csr, dense, {"max_length": None})
         serial = serial_executor().map_kernel("csr_sbph", csr, dense, {"max_length": None})
@@ -469,7 +471,7 @@ class TestPooledResults:
         """Exact SBP in the pool: the same rows and truncation flags as the
         serial kernel, with some sources cut at the expansion cap."""
         pytest.importorskip("numpy")
-        executor = executor_for(pool_policy("csr"))
+        executor = executor_for(pool_policy())
         csr, dense = self._dense_sources(graph)
         params = {"exact": True, "max_length": 4, "max_expansions": 3000}
         pooled = executor.map_kernel("csr_sbph", csr, dense, params)
@@ -494,7 +496,7 @@ class TestPooledResults:
         sources = list(range(0, csr.number_of_nodes(), 97))[: 4 * batch + 1]
         directory = pool_module._publish_directory(None)
         prefix = f"snapshot-{os.getpid()}-"
-        executor = executor_for(pool_policy("csr", chunk_size=2 * batch + 1))
+        executor = executor_for(pool_policy(chunk_size=2 * batch + 1))
         maps = record_pool_maps(executor, monkeypatch)
         pooled = executor.map_kernel("csr_sbph", csr, sources, {"max_length": None})
         assert len(maps) == 1 and maps[0] >= 2  # one dispatch, several chunks
@@ -514,7 +516,7 @@ class TestPooledResults:
         pytest.importorskip("numpy")
         directory = pool_module._publish_directory(None)
         prefix = f"snapshot-{os.getpid()}-"
-        executor = executor_for(pool_policy("csr"))
+        executor = executor_for(pool_policy())
         csr, dense = self._dense_sources(graph)
         with pytest.raises(ValueError):
             # A negative length bound raises inside every worker task.
@@ -527,7 +529,7 @@ class TestPooledResults:
         assert not pool_module._STORE_FILE_LEDGER
 
     def test_int64_guard_falls_back_per_source_in_a_pooled_batch(self, monkeypatch):
-        """Overflowing sources resolve on the dict backend while the rest of
+        """Overflowing sources resolve through ``signed_bfs`` while the rest of
         the batch keeps its pooled rows — pooled sets stay identical to the
         serial CSR relation's."""
         pytest.importorskip("numpy")
@@ -544,12 +546,10 @@ class TestPooledResults:
         edges.append((previous[0], "t", 1))
         edges.append((previous[1], "t", 1))
         graph = SignedGraph.from_edges(edges)
-        pool_rel = make_relation("SPO", graph, policy=pool_policy("csr"))
+        pool_rel = make_relation("SPO", graph, policy=pool_policy())
         # SP* relations on one graph share their signed-BFS cache: the serial
         # reference runs on a copy so it cannot read the pool's results.
-        serial_rel = make_relation(
-            "SPO", graph.copy(), policy=ExecutionPolicy(backend="csr")
-        )
+        serial_rel = make_relation("SPO", graph.copy())
         maps = record_pool_maps(pool_rel._executor(), monkeypatch)
         sample = ["s", (0, 0), (30, 1), (65, 0), "t"]
         pool_sets = pool_rel.batch_compatible_sets(sample)
@@ -575,8 +575,8 @@ class TestPooledResults:
             graph_a.add_edge(nodes[index], nodes[index + 1], +1)
             graph_b.add_edge(nodes[index], nodes[index + 1], +1 if index % 2 else -1)
         pool_module._DEGRADE_WARNED.clear()
-        first = make_relation("SPO", graph_a, policy=pool_policy("dict"))
-        second = make_relation("SPA", graph_b, policy=pool_policy("dict"))
+        first = make_relation("SPO", graph_a, policy=pool_policy())
+        second = make_relation("SPA", graph_b, policy=pool_policy())
         with warnings_module.catch_warnings(record=True) as caught:
             warnings_module.simplefilter("always")
             first.batch_compatible_sets(nodes)
@@ -590,36 +590,20 @@ class TestPooledResults:
         assert len(degrade) == 1
 
 
-#: Relation x backend grid: the SP* family, SBP and SBPH have two kernel
-#: backends, the edge relations only the dict machinery.
-RELATION_BACKENDS = [
-    ("DPE", None),
-    ("NNE", None),
-    ("SBP", "dict"),
-    ("SBP", "csr"),
-    ("SPA", "dict"),
-    ("SPA", "csr"),
-    ("SPM", "dict"),
-    ("SPM", "csr"),
-    ("SPO", "dict"),
-    ("SPO", "csr"),
-    ("SBPH", "dict"),
-    ("SBPH", "csr"),
-]
+#: Every relation ``make_relation`` builds.
+RELATIONS = ("DPE", "NNE", "SBP", "SPA", "SPM", "SPO", "SBPH")
 
 
 class TestPoolSerialBitIdentity:
-    @pytest.mark.parametrize("name,backend", RELATION_BACKENDS)
-    def test_batched_queries_identical(self, graph, name, backend):
+    @pytest.mark.parametrize("name", RELATIONS)
+    def test_batched_queries_identical(self, graph, name):
         # On a copy: SP* relations (and their oracles) on one graph share
         # their signed-BFS cache, so a reference on ``graph`` itself would
         # hand the pool stack its results and nothing would be dispatched.
         serial_rel, serial_oracle, serial_engine = build_stack(
-            graph.copy(), name, ExecutionPolicy(backend=backend or "auto")
+            graph.copy(), name, ExecutionPolicy()
         )
-        pool_rel, pool_oracle, pool_engine = build_stack(
-            graph, name, pool_policy(backend or "auto")
-        )
+        pool_rel, pool_oracle, pool_engine = build_stack(graph, name, pool_policy())
         nodes = graph.nodes()
         sample = nodes[:10] if name in ("SBP", "SBPH") else nodes[:25]
         team = nodes[5:8]
@@ -639,9 +623,7 @@ class TestPoolSerialBitIdentity:
         assert serial_stats == pool_stats
 
     def test_balanced_batch_distances_match_per_candidate_loop(self, graph):
-        relation, oracle, _engine = build_stack(
-            graph, "SBPH", ExecutionPolicy(backend="dict")
-        )
+        relation, oracle, _engine = build_stack(graph, "SBPH", ExecutionPolicy())
         nodes = graph.nodes()
         team = nodes[:3]
         candidates = nodes[10:60]
@@ -649,29 +631,24 @@ class TestPoolSerialBitIdentity:
         loop = [oracle.distance_to_set(candidate, team) for candidate in candidates]
         assert batched == loop
 
-    @pytest.mark.parametrize("backend", ["dict", "csr"])
-    def test_truncation_flags_survive_pool_dispatch(self, graph, backend):
+    def test_truncation_flags_survive_pool_dispatch(self, graph):
         # A tiny expansion budget forces truncation everywhere but on a
-        # three-node tail component; the pool path (on CSR, the flags travel
-        # with the depth rows through Pool.map) must record the same
-        # flagged sources as the serial dict search.
+        # three-node tail component; the pool path (the flags travel with
+        # the depth rows through Pool.map) must record the same flagged
+        # sources as the pure-Python exact search.  The closures search
+        # every member of the sample's components.
         graph = graph.copy()
         tail = [graph.number_of_nodes() + offset for offset in range(3)]
         graph.add_edge(tail[0], tail[1], +1)
         graph.add_edge(tail[1], tail[2], -1)
-        reference = make_relation(
-            "SBP", graph.copy(), max_expansions=50, policy=ExecutionPolicy(backend="dict")
-        )
-        serial_rel = make_relation(
-            "SBP", graph.copy(), max_expansions=50, policy=ExecutionPolicy(backend=backend)
-        )
-        pool_rel = make_relation(
-            "SBP", graph, max_expansions=50, policy=pool_policy(backend)
-        )
+        reference = ReferenceRelation("SBP", graph.copy(), max_expansions=50)
+        serial_rel = make_relation("SBP", graph.copy(), max_expansions=50)
+        pool_rel = make_relation("SBP", graph, max_expansions=50, policy=pool_policy())
         sample = graph.nodes()[:6] + tail[:1]
-        for relation in (reference, serial_rel, pool_rel):
+        for relation in (serial_rel, pool_rel):
             relation.batch_compatible_sets(sample)
-        flagged = reference.truncated_sources()
+        searched = set().union(*(shortest_path_lengths(graph, node) for node in sample))
+        flagged = {node for node in searched if reference.truncated(node)}
         assert flagged and not flagged & set(tail)
         assert serial_rel.truncated_sources() == flagged
         assert pool_rel.truncated_sources() == flagged
@@ -680,12 +657,10 @@ class TestPoolSerialBitIdentity:
 #: Every relation ``make_relation`` builds.
 COUNT_RELATIONS = ("DPE", "NNE", "SPA", "SPM", "SPO", "SBP", "SBPH")
 
-#: Both backends, serial and on a 2-worker pool.
+#: Serial and on a 2-worker pool.
 COUNT_POLICIES = {
-    "dict-serial": ExecutionPolicy(backend="dict"),
-    "csr-serial": ExecutionPolicy(backend="csr"),
-    "dict-pool": pool_policy("dict"),
-    "csr-pool": pool_policy("csr"),
+    "serial": ExecutionPolicy(),
+    "pool": pool_policy(),
 }
 
 
@@ -719,7 +694,7 @@ def expected_counts(relation, sources, targets):
 
 class TestBatchCountCompatible:
     """``batch_count_compatible`` equals the set intersection it replaces for
-    every relation, backend and executor.  The hook runs before the
+    every relation and executor.  The hook runs before the
     reference on each fresh relation, so it never reads sets or BFS results
     the reference computed (a pool policy really dispatches)."""
 
@@ -746,8 +721,8 @@ class TestBatchCountCompatible:
         sources = ["s", (30, 1), "t"]
         targets = ["s", "t", (60, 0), (1, 1), (30, 0), "absent"]
         counts = relation.batch_count_compatible(sources, targets)
-        if name.startswith("SP") and policy.uses_csr:
-            # "s" overflowed int64 and was counted on the dict backend, its
+        if name.startswith("SP"):
+            # "s" overflowed int64 and was counted by signed_bfs, its
             # result laid onto dense rows of exact Python ints; the other
             # sources kept their int64 rows.  Every result, pooled or not, is
             # cached, so a repeated count dispatches nothing.
@@ -760,7 +735,7 @@ class TestBatchCountCompatible:
             assert counts[0] == 5
         assert counts == expected_counts(relation, sources, targets)
 
-    @pytest.mark.parametrize("policy_name", ("csr-serial", "csr-pool"))
+    @pytest.mark.parametrize("policy_name", COUNT_POLICIES)
     @pytest.mark.parametrize("name", ("SPA", "SPM", "SPO"))
     def test_result_from_an_older_node_set(self, two_factions, name, policy_name):
         relation = build_stack(two_factions, name, COUNT_POLICIES[policy_name])[0]
@@ -779,13 +754,13 @@ class TestBatchCountCompatible:
 
 class TestOverflowRows:
     """On the overflow ladder (``"t"`` has 2**61 shortest paths from ``"s"``)
-    every SP* result a CSR relation caches is a dense CSR result, and every
-    batched reader answers as the dict backend does — before and after a node
-    insertion leaves the cached results on an older snapshot."""
+    every SP* result a relation caches is a dense CSR result, and every
+    batched reader answers as :class:`ReferenceRelation` does — before and
+    after a node insertion leaves the cached results on an older snapshot."""
 
-    @pytest.mark.parametrize("policy_name", ("csr-serial", "csr-pool"))
+    @pytest.mark.parametrize("policy_name", COUNT_POLICIES)
     @pytest.mark.parametrize("name", ("SPA", "SPM", "SPO"))
-    def test_dense_rows_match_dict_backend(self, overflow_ladder, name, policy_name):
+    def test_dense_rows_match_reference(self, overflow_ladder, name, policy_name):
         from repro.signed.csr import CSRSignedBFSResult
 
         graph = overflow_ladder
@@ -815,15 +790,25 @@ class TestOverflowRows:
             assert exact.positive_array.dtype == object
             # After the insertion the readers remapped an older snapshot's rows.
             assert exact.graph.shares_index_with(graph.csr_view()) == (phase == "ladder")
-            reference = build_stack(graph.copy(), name, COUNT_POLICIES["dict-serial"])
+            reference = ReferenceRelation(name, graph.copy())
+            everyone = set(candidates)
             expected = {
-                "team filter": reference[2].compatible_from_many(candidates, team),
-                "distances": reference[1].batch_distance_to_set(
-                    candidates + ["absent"], team
+                "team filter": frozenset(
+                    candidate
+                    for candidate in candidates
+                    if candidate not in team
+                    and all(reference.are_compatible(member, candidate) for member in team)
                 ),
-                "average distance": average_compatible_distance(*reference[:2]),
-                "counts": reference[0].batch_count_compatible(candidates, candidates),
-                "degrees": reference[0].batch_compatibility_degrees(candidates),
+                "distances": [
+                    reference.distance_to_set(candidate, team) for candidate in candidates
+                ]
+                + [INFINITY],  # "absent" is not in the graph
+                "average distance": reference_average_distance(reference, reference.distance),
+                "counts": [
+                    len(reference.compatible_with(candidate) & everyone)
+                    for candidate in candidates
+                ],
+                "degrees": [reference.compatibility_degree(candidate) for candidate in candidates],
             }
             assert answers == expected, phase
 
@@ -833,9 +818,7 @@ class TestChurnRedispatch:
         graph, _ = synthetic_signed_network(
             220, average_degree=4.0, negative_fraction=0.25, seed=31
         )
-        pool_rel, pool_oracle, pool_engine = build_stack(
-            graph, "SPO", pool_policy("csr")
-        )
+        pool_rel, pool_oracle, pool_engine = build_stack(graph, "SPO", pool_policy())
         rng = ensure_rng(99)
         publishes_seen = set()
         for _round in range(3):
@@ -845,7 +828,7 @@ class TestChurnRedispatch:
             # truth (a stack on ``graph`` would share the pool stack's
             # signed-BFS cache).
             cold_rel, cold_oracle, cold_engine = build_stack(
-                graph.copy(), "SPO", ExecutionPolicy(backend="csr")
+                graph.copy(), "SPO", ExecutionPolicy()
             )
             nodes = graph.nodes()
             sample, team, candidates = nodes[:20], nodes[4:7], nodes[25:65]
@@ -860,28 +843,27 @@ class TestChurnRedispatch:
 
 
 class TestRepublishBookkeeping:
-    def test_same_payload_republished_many_generations_keeps_pool_alive(self, graph):
-        """Regression: a dict payload republishing under one id every round
-        must not trip the live-publication bound and unlink its own segments
-        (which used to kill the shared pool after ~_PUBLISH_BOUND rounds)."""
+    def test_republishing_every_generation_keeps_pool_alive(self, graph):
+        """Regression: a snapshot published every round must not trip the
+        live-publication bound and unlink a live file (which used to kill
+        the shared pool after ~_PUBLISH_BOUND rounds)."""
         working, _ = synthetic_signed_network(
             120, average_degree=4.0, negative_fraction=0.25, seed=41
         )
-        pool_rel = make_relation("SPO", working, policy=pool_policy("dict"))
+        pool_rel = make_relation("SPO", working, policy=pool_policy())
         executor = pool_rel._executor()
         handle = executor._handle
         rng = ensure_rng(5)
         for _round in range(3 * pool_module._PUBLISH_BOUND):
             apply_edge_churn(working, 5, rng)
-            serial_rel = make_relation(
-                "SPO", working.copy(), policy=ExecutionPolicy(backend="dict")
-            )
+            serial_rel = make_relation("SPO", working.copy())
             sample = working.nodes()[:8]
-            assert pool_rel.batch_bfs(sample) == serial_rel.batch_bfs(sample)
+            assert pool_rel.batch_compatible_sets(sample) == (
+                serial_rel.batch_compatible_sets(sample)
+            )
             assert not handle.closed
-        key = id(working)
-        assert list(handle.publish_order).count(key) == 1
-        assert len(handle.publish_order) <= pool_module._PUBLISH_BOUND
+        order = list(handle.publish_order)
+        assert len(order) == len(set(order)) <= pool_module._PUBLISH_BOUND
 
     def test_failed_payload_marker_does_not_survive_id_reuse(self, graph):
         handle = executor_for(pool_policy())._handle
@@ -954,11 +936,9 @@ class TestGracefulDegradation:
         with pytest.warns(RuntimeWarning, match="falling back to serial"):
             # On a copy: the graph's shared signed-BFS cache may already hold
             # these sources, and then nothing would dispatch.
-            pool_rel = make_relation("SPO", graph.copy(), policy=pool_policy("csr"))
+            pool_rel = make_relation("SPO", graph.copy(), policy=pool_policy())
             pool_sets = pool_rel.batch_compatible_sets(graph.nodes()[:10])
-        serial_rel = make_relation(
-            "SPO", graph.copy(), policy=ExecutionPolicy(backend="csr")
-        )
+        serial_rel = make_relation("SPO", graph.copy())
         assert pool_sets == serial_rel.batch_compatible_sets(graph.nodes()[:10])
         monkeypatch.undo()
         reset_executors()
@@ -977,40 +957,38 @@ class TestGracefulDegradation:
         graph = SignedGraph()
         for index in range(7):
             graph.add_edge(nodes[index], nodes[index + 1], +1 if index % 3 else -1)
-        pool_rel = make_relation("SBPH", graph, policy=pool_policy("dict"))
+        pool_rel = make_relation("SBPH", graph, policy=pool_policy())
         # The degradation warning fires once per process per stage; make this
         # test order-independent.
         pool_module._DEGRADE_WARNED.clear()
         with pytest.warns(RuntimeWarning, match="degraded to serial"):
             pool_sets = pool_rel.batch_compatible_sets(nodes)
-        serial_rel = make_relation("SBPH", graph, policy=ExecutionPolicy(backend="dict"))
+        serial_rel = make_relation("SBPH", graph)
         assert pool_sets == serial_rel.batch_compatible_sets(nodes)
 
-    def test_identity_equality_nodes_degrade_to_serial(self):
+    def test_identity_equality_nodes_dispatch_on_dense_ids(self):
         """Picklable nodes whose copies compare unequal (identity __eq__)
-        must be refused at publish time and served serially — not crash with
-        NodeNotFoundError inside a worker."""
+        never reach a worker: the kernels take dense ids, so the pool serves
+        the batch without degrading and with the serial answers."""
         nodes = [IdentityNode(index) for index in range(8)]
         graph = SignedGraph()
         for index in range(7):
             graph.add_edge(nodes[index], nodes[index + 1], +1 if index % 3 else -1)
-        pool_rel = make_relation("SPA", graph, policy=pool_policy("dict"))
-        # The warning seen-set is module-level (one warn per process per
-        # stage, however many executors degrade); reset it so this test does
-        # not depend on which degradation ran first.
+        pool_rel = make_relation("SPA", graph, policy=pool_policy())
+        handle = pool_rel._executor()._handle
+        published = handle.publications
         pool_module._DEGRADE_WARNED.clear()
-        with pytest.warns(RuntimeWarning, match="degraded to serial"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             pool_sets = pool_rel.batch_compatible_sets(nodes)
-        serial_rel = make_relation(
-            "SPA", graph.copy(), policy=ExecutionPolicy(backend="dict")
-        )
+        assert handle.publications == published + 1
+        serial_rel = make_relation("SPA", graph.copy())
         assert pool_sets == serial_rel.batch_compatible_sets(nodes)
 
 
 class TestSnapshotStoreMode:
     """Snapshot publishing into the ``snapshot_store`` directory: workers
-    memmap a published ``.store`` file (or unpickle a ``.pickle`` dict
-    graph), with identical results, identical churn semantics, and
+    memmap a published ``.store`` file, with identical results, identical churn semantics, and
     crash-safe cleanup through the store-file ledger."""
 
     @staticmethod
@@ -1028,7 +1006,7 @@ class TestSnapshotStoreMode:
         return sorted(
             name
             for name in os.listdir(directory)
-            if name.endswith((".store", ".pickle", ".tmp"))
+            if name.endswith((".store", ".tmp"))
         )
 
     def test_policy_validation(self, tmp_path):
@@ -1049,7 +1027,7 @@ class TestSnapshotStoreMode:
         csr, dense = self._dense_sources(graph, count=20)
         serial = serial_executor()
         store_exec = executor_for(
-            pool_policy("csr", snapshot_store=str(tmp_path))
+            pool_policy(snapshot_store=str(tmp_path))
         )
         for kernel, params in (
             ("csr_path_lengths", {}),
@@ -1074,11 +1052,11 @@ class TestSnapshotStoreMode:
         pytest.importorskip("numpy")
         csr, dense = self._dense_sources(graph)
         executor = executor_for(
-            pool_policy("csr", snapshot_store=str(tmp_path))
+            pool_policy(snapshot_store=str(tmp_path))
         )
         executor.map_kernel("csr_path_lengths", csr, dense, {})
         descriptor = executor._handle.published[id(csr)].descriptor
-        assert descriptor.kind == "store"
+        assert descriptor.path.endswith(".store")
         assert descriptor.path in pool_module._STORE_FILE_LEDGER
         assert self._published_files(tmp_path) == [os.path.basename(descriptor.path)]
         # Re-dispatch against the same snapshot reuses the publication.
@@ -1092,7 +1070,7 @@ class TestSnapshotStoreMode:
         np = pytest.importorskip("numpy")
         csr, dense = self._dense_sources(graph)
         executor = executor_for(
-            pool_policy("csr", snapshot_store=str(tmp_path))
+            pool_policy(snapshot_store=str(tmp_path))
         )
         before = executor._handle.publications
         maps = record_pool_maps(executor, monkeypatch)
@@ -1111,7 +1089,7 @@ class TestSnapshotStoreMode:
             220, average_degree=4.0, negative_fraction=0.25, seed=33
         )
         pool_rel, pool_oracle, pool_engine = build_stack(
-            graph, "SPO", pool_policy("csr", snapshot_store=str(tmp_path))
+            graph, "SPO", pool_policy(snapshot_store=str(tmp_path))
         )
         rng = ensure_rng(17)
         for _round in range(3):
@@ -1120,7 +1098,7 @@ class TestSnapshotStoreMode:
             # On a copy: a stack on ``graph`` would share the pool stack's
             # signed-BFS cache.
             cold_rel, cold_oracle, cold_engine = build_stack(
-                graph.copy(), "SPO", ExecutionPolicy(backend="csr")
+                graph.copy(), "SPO", ExecutionPolicy()
             )
             nodes = graph.nodes()
             sample, team, candidates = nodes[:20], nodes[4:7], nodes[25:65]
@@ -1146,7 +1124,7 @@ class TestSnapshotStoreMode:
             csr, dense = self._dense_sources(source_graph)
             snapshots.append(csr)
             executor = executor_for(
-                pool_policy("csr", workers=workers, snapshot_store=str(tmp_path))
+                pool_policy(workers=workers, snapshot_store=str(tmp_path))
             )
             pooled = executor.map_kernel("csr_path_lengths", csr, dense, {})
             expected = serial_executor().map_kernel("csr_path_lengths", csr, dense, {})
@@ -1154,22 +1132,6 @@ class TestSnapshotStoreMode:
         assert len(self._published_files(tmp_path)) == 2
         pool_module.shutdown_pools()
         assert self._published_files(tmp_path) == []
-
-    def test_dict_payloads_publish_one_pickle_file(self, graph, tmp_path):
-        """SignedGraph payloads are not CSR snapshots: they publish as one
-        pickled ``.pickle`` file, with identical results."""
-        working = graph.copy()
-        pool_rel = make_relation(
-            "SPA", working, policy=pool_policy("dict", snapshot_store=str(tmp_path))
-        )
-        serial_rel = make_relation(
-            "SPA", working.copy(), policy=ExecutionPolicy(backend="dict")
-        )
-        sample = working.nodes()[:10]
-        assert pool_rel.batch_compatible_sets(sample) == serial_rel.batch_compatible_sets(sample)
-        files = self._published_files(tmp_path)
-        assert len(files) == 1 and files[0].endswith(".pickle")
-        assert files[0].startswith(f"snapshot-{os.getpid()}-")
 
     def test_save_failure_degrades_to_serial(self, graph, tmp_path, monkeypatch):
         import repro.signed.store as store_module
@@ -1182,30 +1144,25 @@ class TestSnapshotStoreMode:
         monkeypatch.setattr(store_module, "save_snapshot", exploding_save)
         working = graph.copy()
         pool_rel = make_relation(
-            "SPO", working, policy=pool_policy("csr", snapshot_store=str(tmp_path))
+            "SPO", working, policy=pool_policy(snapshot_store=str(tmp_path))
         )
         pool_module._DEGRADE_WARNED.clear()
         with pytest.warns(RuntimeWarning, match="store directory went away"):
             pool_sets = pool_rel.batch_compatible_sets(working.nodes()[:10])
-        serial_rel = make_relation(
-            "SPO", working.copy(), policy=ExecutionPolicy(backend="csr")
-        )
+        serial_rel = make_relation("SPO", working.copy())
         assert pool_sets == serial_rel.batch_compatible_sets(working.nodes()[:10])
         assert self._published_files(tmp_path) == []
 
-    @pytest.mark.parametrize("backend", ["csr", "dict"])
     @pytest.mark.parametrize("fault", ["temp", "target"])
     def test_partial_write_degrades_and_leaves_no_files(
-        self, graph, tmp_path, monkeypatch, backend, fault
+        self, graph, tmp_path, monkeypatch, fault
     ):
-        """Fault injection mid-publish, for both encodings: once the temp
-        file exists (before the atomic rename) or once the target file exists
-        (right after it).  The dispatch falls back to serial with one
-        warning, and nothing is left in the publish directory."""
+        """Fault injection mid-publish: once the temp file exists (before
+        the atomic rename) or once the target file exists (right after it).
+        The dispatch falls back to serial with one warning, and nothing is
+        left in the publish directory."""
         import repro.signed.store as store_module
 
-        if backend == "csr":
-            pytest.importorskip("numpy")
         seen_at_fault = []
         real_replace = store_module.os.replace
 
@@ -1219,9 +1176,8 @@ class TestSnapshotStoreMode:
             raise OSError("store directory went away")
 
         working = graph.copy()
-        name = "SPO" if backend == "csr" else "SPA"
         pool_rel = make_relation(
-            name, working, policy=pool_policy(backend, snapshot_store=str(tmp_path))
+            "SPO", working, policy=pool_policy(snapshot_store=str(tmp_path))
         )
         sample = working.nodes()[:10]
         if fault == "temp":
@@ -1236,11 +1192,9 @@ class TestSnapshotStoreMode:
         runtime = [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert len(runtime) == 1
         assert "store directory went away" in str(runtime[0].message)
-        suffix = ".tmp" if fault == "temp" else (".store" if backend == "csr" else ".pickle")
+        suffix = ".tmp" if fault == "temp" else ".store"
         assert [f for f in seen_at_fault if f.endswith(suffix)]
-        serial_rel = make_relation(
-            name, working.copy(), policy=ExecutionPolicy(backend=backend)
-        )
+        serial_rel = make_relation("SPO", working.copy())
         assert pool_sets == serial_rel.batch_compatible_sets(sample)
         assert self._published_files(tmp_path) == []
 
@@ -1250,7 +1204,7 @@ class TestSnapshotStoreMode:
         pytest.importorskip("numpy")
         csr, dense = self._dense_sources(graph)
         executor = executor_for(
-            pool_policy("csr", snapshot_store=str(tmp_path))
+            pool_policy(snapshot_store=str(tmp_path))
         )
         with pytest.raises(ValueError):
             executor.map_kernel("csr_sbph", csr, dense, {"max_length": -1})
@@ -1272,13 +1226,10 @@ class TestSnapshotStoreMode:
         def leftovers():
             return [name for name in os.listdir(directory) if name.startswith(prefix)]
 
-        working = graph.copy()
-        dict_rel = make_relation("SPA", working, policy=pool_policy("dict"))
-        dict_rel.batch_compatible_sets(working.nodes()[:8])
         csr, dense = self._dense_sources(graph)
-        executor = executor_for(pool_policy("csr"))
+        executor = executor_for(pool_policy())
         executor.map_kernel("csr_path_lengths", csr, dense, {})
-        assert {name.rsplit(".", 1)[1] for name in leftovers()} == {"pickle", "store"}
+        assert {name.rsplit(".", 1)[1] for name in leftovers()} == {"store"}
         with pytest.raises(ValueError):
             # A negative length bound raises inside every worker task.
             executor.map_kernel("csr_sbph", csr, dense, {"max_length": -1})

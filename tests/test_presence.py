@@ -37,6 +37,8 @@ from repro.signed.csr import (
     signed_bfs_dense_batch_into,
 )
 
+from reference import ReferenceRelation
+
 SHORTEST_PATH = ("SPA", "SPM", "SPO")
 
 
@@ -112,7 +114,7 @@ class TestPresenceRows:
 
     def test_presence_result_refuses_counts(self):
         graph = _graph()
-        relation = make_relation("SPO", graph, policy=ExecutionPolicy(backend="csr"))
+        relation = make_relation("SPO", graph)
         nodes = graph.nodes()
         result = relation.batch_bfs(nodes[:PRESENCE_MIN_SOURCES])[0]
         assert isinstance(result, CSRSignedBFSResult) and result.presence
@@ -141,12 +143,16 @@ def _record_dispatches(monkeypatch):
 
 
 def _answers(relation, nodes, sources):
-    """Every SPO answer a team query reads, off ``relation``'s results."""
-    oracle = DistanceOracle(relation)
+    """Every SPO answer a team query reads, off ``relation``'s results; a
+    :class:`ReferenceRelation` answers distances itself."""
+    if isinstance(relation, ReferenceRelation):
+        distances = [relation.distance_to_set(node, sources[:5]) for node in nodes]
+    else:
+        distances = DistanceOracle(relation).batch_distance_to_set(nodes, sources[:5])
     return {
         "sets": relation.batch_compatible_sets(sources),
         "counts": relation.batch_count_compatible(sources, nodes[::3]),
-        "distances": oracle.batch_distance_to_set(nodes, sources[:5]),
+        "distances": distances,
         "pairs": [relation.are_compatible(u, v) for u in sources[:6] for v in nodes],
         "degrees": relation.batch_compatibility_degrees(sources[:10]),
     }
@@ -169,7 +175,7 @@ class TestPresenceCaches:
         answers = {}
         kinds = {}
         for workers in (0, 2):
-            policy = ExecutionPolicy(backend="csr", workers=workers, min_parallel_sources=1)
+            policy = ExecutionPolicy(workers=workers, min_parallel_sources=1)
             relation = make_relation("SPO", graph.copy(), policy=policy)
             results = relation.batch_bfs(sources)
             kinds[workers] = Counter(result.presence for result in results)
@@ -181,14 +187,14 @@ class TestPresenceCaches:
         assert kinds[0][True] and kinds[0][False]
         assert kinds[2][True] and kinds[2][False]
         assert answers[0] == answers[2]
-        fresh = make_relation("SPO", graph.copy(), policy=ExecutionPolicy(backend="dict"))
+        fresh = ReferenceRelation("SPO", graph.copy())
         assert answers[0][1] == _answers(fresh, nodes, sources)
 
     def test_spo_after_spa_runs_no_traversal(self, monkeypatch):
         kernels = _record_dispatches(monkeypatch)
         graph = _graph()
         nodes = graph.nodes()
-        policy = ExecutionPolicy(backend="csr")
+        policy = ExecutionPolicy()
         spa = make_relation("SPA", graph, policy=policy)
         spa.batch_bfs(nodes)
         kernels.clear()
@@ -204,7 +210,7 @@ class TestPresenceCaches:
     def test_spo_first_then_spa_and_spm_match_fresh(self, workers):
         graph = _graph(80, seed=13)
         nodes = graph.nodes()
-        policy = ExecutionPolicy(backend="csr", workers=workers, min_parallel_sources=1)
+        policy = ExecutionPolicy(workers=workers, min_parallel_sources=1)
         sample = nodes[::2]
         spo = make_relation("SPO", graph, policy=policy)
         spo.batch_bfs(sample)
@@ -232,7 +238,7 @@ class TestPresenceCaches:
     def test_pool_spm_engine_never_masks_a_presence_entry(self, monkeypatch):
         graph = _graph(80, seed=19)
         nodes = graph.nodes()
-        policy = ExecutionPolicy(backend="csr", workers=2, min_parallel_sources=1)
+        policy = ExecutionPolicy(workers=2, min_parallel_sources=1)
         make_relation("SPO", graph, policy=policy).batch_bfs(nodes)
         rule = MajorityShortestPathsCompatibility._pair_rule_mask
         planes = []
@@ -256,7 +262,7 @@ class TestPresenceCaches:
 
     def test_churn_invalidates_the_presence_cache(self):
         graph = _graph(60, seed=23)
-        policy = ExecutionPolicy(backend="csr")
+        policy = ExecutionPolicy()
         spo = make_relation("SPO", graph, policy=policy)
         spo.batch_bfs(graph.nodes())
         presence, counts = spo._presence_cache, spo._bfs_cache

@@ -8,17 +8,22 @@ invariants are checked on hundreds of structurally diverse inputs:
 * structural-balance characterisations (two-colouring vs triangle parity);
 * the required properties and containment chain of the compatibility relations,
   and NNE's arithmetic degrees against its materialised sets;
+* the CSR relations against the pure-Python reference relations
+  (``tests/reference.py``), before and after edge churn;
 * team-formation outputs (coverage, compatibility, cost consistency).
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.compatibility import DistanceOracle, make_relation
+from repro.experiments import apply_edge_churn
 from repro.signed import (
     NEGATIVE,
     POSITIVE,
@@ -31,8 +36,11 @@ from repro.signed import (
 )
 from repro.signed.balance import triangle_census
 from repro.signed.components import largest_connected_component
+from repro.signed.paths import INFINITY
 from repro.skills import SkillAssignment, Task
 from repro.teams import TeamFormationProblem, run_algorithm, team_covers_task, team_is_compatible
+
+from reference import REFERENCE_RELATIONS, ReferenceRelation
 
 # --------------------------------------------------------------------------- strategies
 
@@ -301,6 +309,49 @@ class TestCompatibilityProperties:
                 assert distance < float("inf")
             else:
                 assert distance == float("inf")
+
+
+# ------------------------------------------------------------------------ differential
+
+
+class TestCSRMatchesReference:
+    """The CSR relations against the pure-Python definitions, node by node.
+
+    For SPA, SPM, SPO, SBP and SBPH, every node's ``compatible_with`` and
+    ``batch_compatible_sets`` entry, ``batch_compatibility_degrees`` and the
+    :class:`DistanceOracle` rows equal :class:`ReferenceRelation` (built on
+    ``signed_bfs``, ``shortest_path_lengths`` and ``BalancedPathSearch``) —
+    on the fresh graph, and again after an ``apply_edge_churn`` batch, read
+    through the same (warm) relations.  One relation answers the batched
+    queries and another the per-node ones, so neither reads the other's
+    compatible sets.
+    """
+
+    @pytest.mark.parametrize("name", REFERENCE_RELATIONS)
+    @SLOW_OK
+    @given(graph=signed_graphs(max_nodes=8), churn_seed=st.integers(0, 2**16))
+    def test_relation_matches_reference(self, name, graph, churn_seed):
+        # A small cap makes some exact SBP searches stop at it.
+        kwargs = {"max_expansions": 2_000} if name == "SBP" else {}
+        batched = make_relation(name, graph, **kwargs)
+        single = make_relation(name, graph, **kwargs)
+        oracle = DistanceOracle(batched)
+        for phase in ("fresh", "churned"):
+            if phase == "churned":
+                apply_edge_churn(graph, 6, random.Random(churn_seed))
+            reference = ReferenceRelation(name, graph.copy(), **kwargs)
+            nodes = graph.nodes()
+            expected = [reference.compatible_with(node) for node in nodes]
+            assert [single.compatible_with(node) for node in nodes] == expected, phase
+            assert batched.batch_compatible_sets(nodes) == expected, phase
+            assert batched.batch_compatibility_degrees(nodes) == [
+                len(found) - 1 for found in expected
+            ], phase
+            distances = {u: [reference.distance(u, v) for v in nodes] for u in nodes}
+            for u, row in zip(nodes, oracle.warm(nodes)):  # SP* rows; none for SBP/SBPH
+                assert [float(row.get(v, INFINITY)) for v in nodes] == distances[u], phase
+            for u in nodes:
+                assert [oracle.distance(u, v) for v in nodes] == distances[u], phase
 
 
 # ------------------------------------------------------------------------ team formation

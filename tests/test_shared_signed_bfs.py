@@ -29,6 +29,8 @@ from repro.exec.kernels import KERNELS
 from repro.signed.paths import INFINITY, shortest_path_lengths
 from repro.skills.generators import assign_skills_zipf
 
+from reference import ReferenceRelation
+
 SHORTEST_PATH = ("SPA", "SPM", "SPO")
 RELATIONS = ("DPE", "NNE", "SPA", "SPM", "SPO", "SBPH", "SBP")
 
@@ -106,14 +108,12 @@ def pools_down():
 
 
 class TestSharedCache:
-    @pytest.mark.parametrize("backend", ["csr", "dict"])
-    def test_one_signed_bfs_per_source(self, monkeypatch, backend):
+    def test_one_signed_bfs_per_source(self, monkeypatch):
         graph = _graph()
         counts = _count_signed_bfs(monkeypatch)
-        policy = ExecutionPolicy(backend=backend)
         nodes = graph.nodes()
         for name in SHORTEST_PATH:
-            relation = make_relation(name, graph, policy=policy)
+            relation = make_relation(name, graph)
             oracle = DistanceOracle(relation)
             relation.batch_compatible_sets(nodes[: len(nodes) // 2])
             relation.batch_compatibility_degrees(nodes)
@@ -126,7 +126,7 @@ class TestSharedCache:
         assert set(counts) == set(nodes)
         assert set(counts.values()) == {1}
 
-    def test_shared_by_backend_and_resolved_bound(self):
+    def test_shared_by_resolved_bound(self):
         graph = _graph()
 
         def cache(name, **fields):
@@ -137,9 +137,6 @@ class TestSharedCache:
         assert cache("SPM") is shared
         assert cache("SPO", workers=0, compatible_cache_size=5) is shared
         assert cache("SPO", bfs_cache_size=shared.maxsize) is shared
-        # Keyed on the resolved backend: "csr" shares the "auto" cache.
-        assert cache("SPA", backend="csr") is shared
-        assert cache("SPA", backend="dict") is not shared
         assert cache("SPA", bfs_cache_size=7) is not cache("SPA", bfs_cache_size=8)
         assert cache("SPO", bfs_cache_size=7).maxsize == 7
         assert make_relation("SPA", graph.copy())._bfs_cache is not shared
@@ -155,11 +152,9 @@ class TestSharedCache:
         assert graph_ref() is None
         assert cache() is None
 
-    @pytest.mark.parametrize("backend", ["csr", "dict"])
-    def test_mutation_invalidates_every_sharing_relation(self, backend):
+    def test_mutation_invalidates_every_sharing_relation(self):
         graph = _graph()
-        policy = ExecutionPolicy(backend=backend)
-        relations = {name: make_relation(name, graph, policy=policy) for name in SHORTEST_PATH}
+        relations = {name: make_relation(name, graph) for name in SHORTEST_PATH}
         for relation in relations.values():
             relation.batch_compatible_sets(graph.nodes())
         cache = relations["SPA"]._bfs_cache
@@ -169,7 +164,7 @@ class TestSharedCache:
         assert cache.invalidations > 0
         nodes = graph.nodes()
         for name, relation in relations.items():
-            fresh = make_relation(name, graph.copy(), policy=policy)
+            fresh = ReferenceRelation(name, graph.copy())
             assert relation.batch_compatible_sets(nodes) == [
                 fresh.compatible_with(u) for u in nodes
             ]
@@ -190,11 +185,10 @@ class TestShortestPathOracle:
     sign-agnostic BFS for every pair, before and after churn."""
 
     @pytest.mark.parametrize("workers", [0, 2])
-    @pytest.mark.parametrize("backend", ["dict", "csr"])
     @pytest.mark.parametrize("name", SHORTEST_PATH)
-    def test_matches_sign_agnostic_bfs(self, name, backend, workers):
+    def test_matches_sign_agnostic_bfs(self, name, workers):
         graph = _graph(40, seed=17)
-        policy = ExecutionPolicy(backend=backend, workers=workers, min_parallel_sources=1)
+        policy = ExecutionPolicy(workers=workers, min_parallel_sources=1)
         oracle = DistanceOracle(make_relation(name, graph, policy=policy))
         for phase in range(2):
             nodes = graph.nodes()
@@ -226,7 +220,7 @@ class TestShortestPathOracle:
         monkeypatch.setattr(csr_module, "shortest_path_lengths_csr", counting_source)
         graph = _graph()
         nodes = graph.nodes()
-        policy = ExecutionPolicy(backend="csr", workers=workers, min_parallel_sources=1)
+        policy = ExecutionPolicy(workers=workers, min_parallel_sources=1)
         for name in SHORTEST_PATH:
             oracle = DistanceOracle(make_relation(name, graph, policy=policy))
             oracle.warm(nodes[:10])
@@ -243,14 +237,13 @@ class TestShortestPathOracle:
         oracle.distance(nodes[40], nodes[41])
         assert kernels["shortest_path_lengths_csr"] == 1
 
-    @pytest.mark.parametrize("backend", ["dict", "csr"])
     @pytest.mark.parametrize("name", ("DPE", "NNE") + SHORTEST_PATH)
-    def test_distance_is_symmetric(self, name, backend):
+    def test_distance_is_symmetric(self, name):
         """Whichever endpoint's row is cached, both directions agree with the
         sign-agnostic BFS — before and after churn, isolated nodes included."""
         graph = _graph(40, seed=23)
         graph.add_node("loner")
-        oracle = DistanceOracle(make_relation(name, graph, policy=ExecutionPolicy(backend=backend)))
+        oracle = DistanceOracle(make_relation(name, graph))
         for phase in range(2):
             nodes = graph.nodes()
             oracle.warm(nodes[::4])
@@ -270,7 +263,7 @@ class TestDegreeMemo:
     def test_one_sweep_serves_all_three_relations(self, monkeypatch, workers):
         kernels = _record_dispatches(monkeypatch)
         graph = _graph(80, seed=37)
-        policy = ExecutionPolicy(backend="csr", workers=workers, min_parallel_sources=1)
+        policy = ExecutionPolicy(workers=workers, min_parallel_sources=1)
         sample = random.Random(3).sample(graph.nodes(), 24)
         # The pool counts inside the workers; serially the BFS results are
         # kept for the distance rows that follow in Table 2.

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.exec import ExecutionPolicy
 from repro.signed import (
     SignedGraph,
     average_degree,
@@ -107,11 +106,8 @@ class TestMetrics:
 
 
 # ---------------------------------------------------------------------------
-# The CSR diameter against the dict BFS
+# The CSR diameter against the dict BFS (repro.signed.paths)
 # ---------------------------------------------------------------------------
-
-BACKENDS = (ExecutionPolicy(backend="dict"), ExecutionPolicy(backend="csr"))
-
 
 @st.composite
 def diameter_graphs(draw):
@@ -140,27 +136,25 @@ def reference_diameter(graph, sources):
     return max(max(shortest_path_lengths(graph, source).values()) for source in sources)
 
 
-class TestDiameterBackends:
+class TestDiameter:
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(diameter_graphs())
-    def test_both_backends_match_dict_bfs(self, install_shuffled_snapshot, drawn):
+    def test_matches_dict_bfs(self, install_shuffled_snapshot, drawn):
         graph, seed = drawn
         install_shuffled_snapshot(graph, seed)
         nodes = graph.nodes()
         expected = reference_diameter(graph, nodes)
         sample = 1 + seed % len(nodes)
         sampled = reference_diameter(graph, ensure_rng(seed).sample(nodes, sample))
-        for policy in BACKENDS:
-            assert diameter(graph, policy=policy) == expected
-            assert diameter(graph, sample_sources=sample, seed=seed, policy=policy) == sampled
+        assert diameter(graph) == expected
+        assert diameter(graph, sample_sources=sample, seed=seed) == sampled
         if expected is not None:
             assert sampled <= expected
 
-    @pytest.mark.parametrize("policy", BACKENDS, ids=["dict", "csr"])
-    def test_more_than_one_word_of_sources(self, policy):
+    def test_more_than_one_word_of_sources(self):
         # 150 sources: two full 64-source words and a partial one.
         graph = SignedGraph.from_edges([(i, i + 1, 1 - 2 * (i % 3 == 0)) for i in range(149)])
-        assert diameter(graph, policy=policy) == 149
-        assert diameter(graph, sample_sources=70, seed=2, policy=policy) == reference_diameter(
+        assert diameter(graph) == 149
+        assert diameter(graph, sample_sources=70, seed=2) == reference_diameter(
             graph, ensure_rng(2).sample(graph.nodes(), 70)
         )

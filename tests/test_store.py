@@ -320,20 +320,6 @@ class TestStoreDiagnostics:
         # The failed rewrite left the original file untouched.
         assert Path(path).read_bytes() == before
 
-    def test_numpy_free_save_load_raise_clear_importerror(self, tmp_path, monkeypatch):
-        import repro.utils.optional as optional
-
-        graph, _ = synthetic_signed_network(20, average_degree=3.0, negative_fraction=0.2, seed=1)
-        path = str(tmp_path / "g.store")
-        save_snapshot(graph.csr_view(), path)
-        monkeypatch.setattr(optional, "_NUMPY_AVAILABLE", False)
-        with pytest.raises(ImportError, match="snapshot store requires numpy"):
-            load_snapshot(path)
-        with pytest.raises(ImportError, match="snapshot store requires numpy"):
-            save_snapshot(graph.csr_view(), str(tmp_path / "other.store"))
-        # The header-only inspection stays available without numpy.
-        assert snapshot_info(path)["num_nodes"] == 20
-
 
 # ------------------------------------------------------------ compatibility
 

@@ -15,7 +15,6 @@ import pytest
 from repro.compatibility import CompatibilityEngine, DistanceOracle, make_relation
 from repro.datasets import toy_dataset
 from repro.exceptions import InfeasibleTaskError
-from repro.exec import ExecutionPolicy
 from repro.experiments.streaming import (
     StreamingConfig,
     apply_edge_churn,
@@ -25,6 +24,8 @@ from repro.signed.generators import planted_factions_graph
 from repro.skills.generators import assign_skills_zipf
 from repro.skills.task import random_tasks
 from repro.teams import TeamFormationProblem, run_algorithm
+
+from reference import ReferenceRelation
 
 
 class TestApplyEdgeChurn:
@@ -53,13 +54,17 @@ class TestStreamingEquivalence:
     """Live engine under churn == cold engine on a fresh graph, per round."""
 
     @pytest.mark.parametrize("relation_name,kwargs", [
-        ("SPO", {"policy": ExecutionPolicy(backend="dict")}),
-        ("SPO", {"policy": ExecutionPolicy(backend="csr")}),
-        ("SPA", {"policy": ExecutionPolicy(backend="csr")}),
+        ("SPO", {"reference": True}),
+        ("SPO", {}),
+        ("SPA", {}),
         ("SBPH", {}),
         ("NNE", {}),
     ])
     def test_algorithms_match_cold_stack_every_round(self, relation_name, kwargs):
+        """With ``reference`` the cold stack's relation is
+        :class:`ReferenceRelation` (``signed_bfs`` per source)."""
+        kwargs = dict(kwargs)
+        against_reference = kwargs.pop("reference", False)
         graph, _ = planted_factions_graph(40, average_degree=4.0, sign_noise=0.2, seed=31)
         skills = assign_skills_zipf(graph.nodes(), num_skills=8, skills_per_user=2.5, seed=32)
         relation = make_relation(relation_name, graph, **kwargs)
@@ -75,7 +80,11 @@ class TestStreamingEquivalence:
                 )
                 live_problem.refresh()
                 cold_graph = graph.copy()
-                cold_relation = make_relation(relation_name, cold_graph, **kwargs)
+                cold_relation = (
+                    ReferenceRelation(relation_name, cold_graph)
+                    if against_reference
+                    else make_relation(relation_name, cold_graph, **kwargs)
+                )
                 cold_problem = TeamFormationProblem(
                     cold_graph, skills, cold_relation, task
                 )
@@ -132,7 +141,6 @@ class TestCsrOnlyStreaming:
         base = dict(
             dataset=dataset,
             relation="SPO",
-            backend="csr",
             algorithms=("LCMD", "RFMC"),
             num_rounds=3,
             churn_per_round=20,
@@ -180,7 +188,6 @@ class TestRunStreaming:
         config = StreamingConfig(
             dataset="toy",
             relation="SPO",
-            backend="dict",
             algorithms=("LCMD", "RFMC"),
             num_rounds=3,
             churn_per_round=5,
