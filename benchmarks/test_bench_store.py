@@ -234,11 +234,7 @@ def test_file_backed_dispatch_bit_identical_to_serial(big_csr, tmp_path, benchma
     dense = list(range(64))
     serial = serial_executor()
     store_exec = executor_for(
-        ExecutionPolicy(
-            workers=2,
-            min_parallel_sources=1,
-            snapshot_store=str(tmp_path),
-        )
+        ExecutionPolicy(workers=2, snapshot_store=str(tmp_path))
     )
     serial_time, expected = _timed(
         lambda: serial.map_kernel("csr_path_lengths", big_csr, dense, {})

@@ -11,9 +11,9 @@ The package provides:
   its skill/user selection policies (LCMD, LCMC, ...), an exact solver, and
   the unsigned RarestFirst baseline;
 * :mod:`repro.exec` — the execution-policy layer: one
-  :class:`~repro.exec.ExecutionPolicy` per stack bundling cache budgets
-  and (optional) process-pool parallelism for the per-source CSR kernels,
-  with serial/pooled results guaranteed bit-identical;
+  :class:`~repro.exec.ExecutionPolicy` per stack selecting (optional)
+  process-pool parallelism for the per-source CSR kernels, with
+  serial/pooled results guaranteed bit-identical;
 * :mod:`repro.datasets` — synthetic stand-ins for the paper's datasets plus
   loaders for the real SNAP files;
 * :mod:`repro.experiments` — runnable reproductions of every table and figure

@@ -1,7 +1,7 @@
 """``policy-shim``: execution knobs enter only as ``policy=``.
 
 :class:`~repro.exec.policy.ExecutionPolicy` is the only way in for every
-execution knob — pool shape, snapshot directory, cache budgets.
+execution knob — pool shape and snapshot directory.
 Public constructors must not grow loose keyword arguments that shadow those
 knobs: a constructor that accepts ``workers=`` next to ``policy=`` forks the
 configuration surface — two ways to set one value, a precedence rule to
@@ -20,22 +20,10 @@ from typing import List
 
 from repro.analysis.core import Finding, ModuleContext, Rule, register_rule
 
-#: Parameter names that are execution knobs (the ExecutionPolicy fields plus
-#: the bare ``cache_size`` spelling of a cache budget).
-KNOBS = frozenset(
-    {
-        "workers",
-        "chunk_size",
-        "min_parallel_sources",
-        "snapshot_store",
-        "compatible_cache_size",
-        "bfs_cache_size",
-        "result_cache_size",
-        "distance_cache_size",
-        "mask_cache_size",
-        "cache_size",
-    }
-)
+#: Parameter names that are execution knobs: the ExecutionPolicy fields plus
+#: the bare ``cache_size`` spelling (cache bounds derive from graph size, so a
+#: constructor taking one adds a knob the policy does not have).
+KNOBS = frozenset({"workers", "snapshot_store", "cache_size"})
 
 
 @register_rule

@@ -19,12 +19,11 @@ Installed as ``repro-teams`` (see ``pyproject.toml``); also runnable as
   is the CI gate, ``--json`` emits the ``analysis.json`` artifact.
 
 The experiment commands (``table2``, ``figure2``, ``streaming`` and
-``reproduce``) take ``--workers N`` / ``--chunk-size M`` to fan the
-per-source kernel sweeps out over a process pool
-(:class:`repro.exec.ExecutionPolicy`), and ``--snapshot-store DIR`` to pick
-the directory pool snapshots are published into (default: ``/dev/shm``);
-the default is serial, so existing invocations are unchanged, and results
-are identical in every mode.
+``reproduce``) take ``--workers N`` to fan the per-source kernel sweeps out
+over a process pool (:class:`repro.exec.ExecutionPolicy`), and
+``--snapshot-store DIR`` to pick the directory pool snapshots are published
+into (default: ``/dev/shm``); the default is serial, so existing invocations
+are unchanged, and results are identical in every mode.
 """
 
 from __future__ import annotations
@@ -85,23 +84,6 @@ def _workers_argument(value: str) -> int:
     except ValueError as error:
         raise argparse.ArgumentTypeError(str(error)) from None
     return workers
-
-
-def _chunk_size_argument(value: str) -> int:
-    """Validate ``--chunk-size``: a positive source count per worker task."""
-    from repro.exec.policy import validate_chunk_size
-
-    try:
-        chunk_size = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer chunk size, got {value!r}"
-        ) from None
-    try:
-        validate_chunk_size(chunk_size, name="chunk-size")
-    except ValueError as error:
-        raise argparse.ArgumentTypeError(str(error)) from None
-    return chunk_size
 
 
 def _snapshot_store_argument(value: str) -> str:
@@ -178,19 +160,13 @@ def build_parser() -> argparse.ArgumentParser:
     team_parser.add_argument("--scale", type=float, default=None)
 
     def add_execution_flags(subparser: argparse.ArgumentParser) -> None:
-        """``--workers`` / ``--chunk-size``: the ExecutionPolicy pool knobs."""
+        """``--workers`` / ``--snapshot-store``: the ExecutionPolicy knobs."""
         subparser.add_argument(
             "--workers",
             type=_workers_argument,
             default=0,
             help="worker processes for per-source kernel sweeps "
             "(0 = serial, the default; -1 = one per CPU)",
-        )
-        subparser.add_argument(
-            "--chunk-size",
-            type=_chunk_size_argument,
-            default=None,
-            help="sources per worker task (default: derived per dispatch)",
         )
         subparser.add_argument(
             "--snapshot-store",
@@ -424,11 +400,9 @@ def _experiment_config(arguments: argparse.Namespace):
         )
 
     snapshot_store = getattr(arguments, "snapshot_store", None)
-    if arguments.workers or arguments.chunk_size is not None or snapshot_store:
+    if arguments.workers or snapshot_store:
         config = config.with_execution(
-            workers=arguments.workers,
-            chunk_size=arguments.chunk_size,
-            snapshot_store=snapshot_store,
+            workers=arguments.workers, snapshot_store=snapshot_store
         )
     return config
 
@@ -568,7 +542,6 @@ def _command_streaming(arguments: argparse.Namespace) -> int:
         scale=arguments.scale,
         relation=arguments.relation.upper(),
         workers=arguments.workers,
-        chunk_size=arguments.chunk_size,
         snapshot_store=arguments.snapshot_store,
         algorithms=algorithms,
         num_rounds=arguments.rounds,

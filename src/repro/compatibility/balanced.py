@@ -27,8 +27,8 @@ balanced path) and still under-approximates exact SBP.
 Both relations additionally expose the length of the best positive balanced
 path found, which is the distance the team-formation cost uses under SBP/SBPH.
 Per-source search results live in a bounded LRU
-(``policy.result_cache_size``; the default ``"auto"`` scales the bound down
-on huge graphs), so a full sweep over a large graph cannot exhaust memory.
+(:data:`DEFAULT_RESULT_CACHE_SIZE` entries, scaled down on huge graphs), so a
+full sweep over a large graph cannot exhaust memory.
 
 Execution
 ---------
@@ -49,7 +49,7 @@ from __future__ import annotations
 
 from typing import FrozenSet, List, Optional, Sequence, Set
 
-from repro.compatibility.base import CompatibilityRelation, resolve_cache_size
+from repro.compatibility.base import CompatibilityRelation
 from repro.exec.policy import ExecutionPolicy
 from repro.exec.serial import serial_executor
 from repro.signed.graph import NEGATIVE, Node, SignedGraph
@@ -60,13 +60,14 @@ from repro.signed.paths import (
     BalancedPathSearch,
 )
 from repro.utils.generational import GenerationalLRUCache
-from repro.utils.lru import APPROX_BYTES_PER_NODE, fetch_batched
+from repro.utils.lru import APPROX_BYTES_PER_NODE, fetch_batched, scaled_cache_size
 
-#: Default bound on the number of cached per-source balanced-path results.
-#: Sized to hold a full sweep of graphs up to its own size (the symmetric
-#: closure touches every node's search once), so repeated set queries stay
-#: amortised on the bundled datasets; larger graphs re-search evicted sources
-#: on later sweeps — raise the bound (or pass ``None``) if memory allows.
+#: Ceiling on the number of cached per-source balanced-path results (the
+#: entry bound :func:`~repro.utils.lru.scaled_cache_size` scales down by graph
+#: size).  Sized to hold a full sweep of graphs up to its own size (the
+#: symmetric closure touches every node's search once), so repeated set
+#: queries stay amortised on the bundled datasets; larger graphs re-search
+#: evicted sources on later sweeps.
 DEFAULT_RESULT_CACHE_SIZE = 4096
 
 #: Sources per :meth:`_BalancedPathRelation.batch_search` dispatch inside the
@@ -116,11 +117,7 @@ class _BalancedPathRelation(CompatibilityRelation):
         self._result_cache: GenerationalLRUCache[Node, BalancedPathResult] = (
             GenerationalLRUCache(
                 graph,
-                maxsize=resolve_cache_size(
-                    self._policy.result_cache_size,
-                    DEFAULT_RESULT_CACHE_SIZE,
-                    num_nodes,
-                ),
+                maxsize=scaled_cache_size(DEFAULT_RESULT_CACHE_SIZE, num_nodes),
                 bytes_per_entry=num_nodes * APPROX_BYTES_PER_NODE,
             )
         )
@@ -351,7 +348,10 @@ class _BalancedPathRelation(CompatibilityRelation):
         one :meth:`_search_from` at a time.  Every value equals
         ``max(positive_balanced_distance(member, candidate) for member in
         team)`` exactly — same symmetric two-direction minimum, same
-        ``inf`` for missing paths and negative-edge pairs.
+        ``inf`` for missing paths and negative-edge pairs.  A candidate
+        outside the graph reads ``inf``, as under the other relations; a
+        team member outside it raises
+        :class:`~repro.exceptions.NodeNotFoundError`.
         """
         candidate_list = list(candidates)
         team_list = list(team)
@@ -359,15 +359,15 @@ class _BalancedPathRelation(CompatibilityRelation):
             return []
         if not team_list:
             return [0.0] * len(candidate_list)
-        self._require_nodes(*candidate_list)
         self._require_nodes(*team_list)
+        graph = self._graph
         distances: List[float] = [0.0] * len(candidate_list)
         # Cheap pre-pass first: a direct negative edge to any member makes the
         # maximum inf without any search (the short-circuit the per-candidate
         # loop had) — only the surviving candidates join the reverse sweep.
         searchable: List[int] = []
         for position, candidate in enumerate(candidate_list):
-            if any(
+            if candidate not in graph or any(
                 member != candidate and not self._pair_allowed(member, candidate)
                 for member in team_list
             ):

@@ -25,31 +25,14 @@ import abc
 from typing import FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.exceptions import NodeNotFoundError
-from repro.exec.policy import CacheSize, ExecutionPolicy, executor_for
+from repro.exec.policy import ExecutionPolicy, executor_for
 from repro.signed.graph import NEGATIVE, POSITIVE, Node, SignedGraph
 from repro.utils.generational import GenerationalLRUCache
 from repro.utils.lru import APPROX_BYTES_PER_NODE, scaled_cache_size
 
-#: Default bound on the number of cached per-source compatible sets (the
-#: ceiling the byte-aware ``"auto"`` sizing starts from).
+#: Ceiling on the number of cached per-source compatible sets (the entry
+#: bound :func:`~repro.utils.lru.scaled_cache_size` scales down by graph size).
 DEFAULT_COMPATIBLE_CACHE_SIZE = 4096
-
-
-def resolve_cache_size(
-    value: CacheSize,
-    ceiling: int,
-    num_nodes: int,
-    bytes_per_node: int = APPROX_BYTES_PER_NODE,
-) -> Optional[int]:
-    """Resolve a (policy-validated) :data:`CacheSize` to an entry bound.
-
-    ``"auto"`` scales ``ceiling`` down so the cache stays within the default
-    byte budget for a graph of ``num_nodes`` nodes whose entries cost
-    ``bytes_per_node`` each; integers and ``None`` pass through unchanged.
-    """
-    if value == "auto":
-        return scaled_cache_size(ceiling, num_nodes, bytes_per_node=bytes_per_node)
-    return value
 
 
 class CompatibilityRelation(abc.ABC):
@@ -61,12 +44,11 @@ class CompatibilityRelation(abc.ABC):
         The signed graph the relation is defined over.
     policy:
         The :class:`~repro.exec.ExecutionPolicy` governing worker-pool
-        execution and cache budgets.  ``None`` uses the default
-        (serial) policy.  Its ``compatible_cache_size`` bounds the LRU of
-        per-source compatible sets; each set is O(n), so the bound caps the
-        relation's memory at roughly ``compatible_cache_size * n`` references
-        on dense relations (``"auto"`` scales
-        :data:`DEFAULT_COMPATIBLE_CACHE_SIZE` down by graph size).
+        execution.  ``None`` uses the default (serial) policy.  The LRU of
+        per-source compatible sets holds
+        :data:`DEFAULT_COMPATIBLE_CACHE_SIZE` entries, scaled down by graph
+        size; each set is O(n), so the bound caps the relation's memory at a
+        fixed byte budget on dense relations.
     """
 
     #: Short name used in the paper's tables (e.g. ``"SPA"``); set by subclasses.
@@ -99,11 +81,7 @@ class CompatibilityRelation(abc.ABC):
         self._compatible_cache: GenerationalLRUCache[Node, FrozenSet[Node]] = (
             GenerationalLRUCache(
                 graph,
-                maxsize=resolve_cache_size(
-                    self._policy.compatible_cache_size,
-                    DEFAULT_COMPATIBLE_CACHE_SIZE,
-                    num_nodes,
-                ),
+                maxsize=scaled_cache_size(DEFAULT_COMPATIBLE_CACHE_SIZE, num_nodes),
                 bytes_per_entry=num_nodes * APPROX_BYTES_PER_NODE,
                 component_local=type(self).component_local_sets,
             )

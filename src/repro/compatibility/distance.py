@@ -25,18 +25,18 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.compatibility.balanced import NO_PATH, _BalancedPathRelation
-from repro.compatibility.base import CompatibilityRelation, resolve_cache_size
+from repro.compatibility.base import CompatibilityRelation
 from repro.compatibility.shortest_path import _ShortestPathRelation
 from repro.exec.policy import ExecutionPolicy, executor_for
 from repro.signed.graph import Node
 from repro.signed.paths import INFINITY
 from repro.utils.generational import GenerationalLRUCache
-from repro.utils.lru import APPROX_BYTES_PER_NODE, fetch_batched
+from repro.utils.lru import APPROX_BYTES_PER_NODE, fetch_batched, scaled_cache_size
 from repro.utils.rng import RandomState, ensure_rng
 from repro.utils.validation import require_positive
 
-#: Default bound on the number of cached single-source distance maps (the
-#: ceiling the byte-aware ``"auto"`` sizing starts from).
+#: Ceiling on the number of cached single-source distance maps (the entry
+#: bound :func:`~repro.utils.lru.scaled_cache_size` scales down by graph size).
 DEFAULT_DISTANCE_CACHE_SIZE = 2048
 
 
@@ -46,31 +46,25 @@ class DistanceOracle:
     For SP* relations the distance rows are the lengths of the relation's
     cached signed BFS results
     (:meth:`~repro.compatibility.shortest_path._ShortestPathRelation.distance_rows`):
-    the oracle holds no cache of its own and **ignores its own policy** —
-    workers and cache bound are the relation's, and :meth:`sync`
-    and :meth:`clear_cache` are no-ops (the relation's ``sync_caches`` and
-    ``clear_cache`` act on the rows).  For the other relations single-source
-    distance maps are cached in a bounded LRU of
-    ``policy.distance_cache_size`` entries (the default ``"auto"`` scales
-    the bound by graph size, ``None`` disables eviction).  The oracle
-    inherits the relation's :class:`~repro.exec.ExecutionPolicy` unless
-    given one explicitly; its sign-agnostic BFS runs on the graph's CSR
-    snapshot, and its batched sweeps run on the policy's executor — under a
-    pool policy the team's distance maps are computed by worker processes.
+    the oracle holds no cache of its own — the cache bound is the
+    relation's, and :meth:`sync` and :meth:`clear_cache` are no-ops (the
+    relation's ``sync_caches`` and ``clear_cache`` act on the rows).  For
+    the other relations single-source distance maps are cached in a bounded
+    LRU of :data:`DEFAULT_DISTANCE_CACHE_SIZE` entries, scaled down by graph
+    size.  The oracle runs under the relation's
+    :class:`~repro.exec.ExecutionPolicy`: its sign-agnostic BFS runs on the
+    graph's CSR snapshot, and its batched sweeps run on the policy's
+    executor — under a pool policy the team's distance maps are computed by
+    worker processes.
     :meth:`warm` and
     :meth:`batch_distance_to_set` are the batched entry points the
     :class:`~repro.compatibility.engine.CompatibilityEngine` uses to resolve
     many candidates against a team in one batched sweep.
     """
 
-    def __init__(
-        self,
-        relation: CompatibilityRelation,
-        policy: Optional[ExecutionPolicy] = None,
-    ) -> None:
+    def __init__(self, relation: CompatibilityRelation) -> None:
         self._relation = relation
         self._graph = relation.graph
-        self._policy = policy if policy is not None else relation.policy
         num_nodes = self._graph.number_of_nodes()
         #: SP* relations serve the rows themselves (None otherwise).
         self._sp_relation: Optional[_ShortestPathRelation] = (
@@ -83,11 +77,7 @@ class DistanceOracle:
             if self._sp_relation is not None
             else GenerationalLRUCache(
                 self._graph,
-                maxsize=resolve_cache_size(
-                    self._policy.distance_cache_size,
-                    DEFAULT_DISTANCE_CACHE_SIZE,
-                    num_nodes,
-                ),
+                maxsize=scaled_cache_size(DEFAULT_DISTANCE_CACHE_SIZE, num_nodes),
                 bytes_per_entry=num_nodes * APPROX_BYTES_PER_NODE,
             )
         )
@@ -99,8 +89,8 @@ class DistanceOracle:
 
     @property
     def policy(self) -> ExecutionPolicy:
-        """The execution policy the oracle's sweeps run under."""
-        return self._policy
+        """The execution policy the oracle's sweeps run under (the relation's)."""
+        return self._relation.policy
 
     def distance(self, u: Node, v: Node) -> float:
         """Distance from ``u`` to ``v`` under the relation's definition.
@@ -194,7 +184,7 @@ class DistanceOracle:
             from repro.signed.csr import CSRLengths
 
             csr = self._graph.csr_view()
-            arrays = executor_for(self._policy).map_kernel(
+            arrays = executor_for(self.policy).map_kernel(
                 "csr_path_lengths",
                 csr,
                 [csr.index_of(source) for source in missing],
@@ -269,7 +259,7 @@ class DistanceOracle:
         if self._bfs_cache is not None:
             self._bfs_cache.clear()
 
-    def _cache_bound(self) -> Optional[int]:
+    def _cache_bound(self) -> int:
         """Entry bound of the cache the distance rows live in."""
         if self._sp_relation is not None:
             return self._sp_relation.bfs_cache_maxsize
@@ -345,8 +335,7 @@ def average_compatible_distance(
         positions = None
     total = 0
     count = 0
-    bound = oracle._cache_bound()
-    chunk = len(sources) if bound is None else max(1, min(len(sources), bound))
+    chunk = oracle._cache_bound()
     for start in range(0, len(sources), chunk):
         chunk_total, chunk_count = _dense_pair_sums(
             relation, oracle, sources[start : start + chunk], positions

@@ -36,15 +36,17 @@ from __future__ import annotations
 
 from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from repro.compatibility.base import CompatibilityRelation, resolve_cache_size
+from repro.compatibility.base import CompatibilityRelation
 from repro.compatibility.distance import DistanceOracle
 from repro.compatibility.shortest_path import _ShortestPathRelation
 from repro.exec.policy import ExecutionPolicy, executor_for
 from repro.signed.graph import Node, SignedGraph
 from repro.utils.generational import GenerationalLRUCache
+from repro.utils.lru import scaled_cache_size
 
-#: Default bound on the number of memoised per-member rule masks (each mask
-#: is one byte per node, so the ``"auto"`` sizing rarely shrinks it).
+#: Ceiling on the number of memoised per-member rule masks (each mask is one
+#: byte per node, so :func:`~repro.utils.lru.scaled_cache_size` rarely
+#: shrinks it).
 DEFAULT_MASK_CACHE_SIZE = 4096
 
 
@@ -57,33 +59,26 @@ class CompatibilityEngine:
         The compatibility relation to serve queries for.
     oracle:
         Optional pre-built :class:`DistanceOracle`; built from ``relation``
-        (under the engine's policy) when omitted.  Sharing the oracle shares
-        its distance-map caches.
-    policy:
-        The :class:`~repro.exec.ExecutionPolicy` the engine serves queries
-        under; defaults to the relation's policy.  Under a pool policy the
-        batched sweeps behind :meth:`warm`, :meth:`compatible_from_many` and
-        :meth:`distances_to_team_many` run on the worker pool.  Its
-        ``mask_cache_size`` bounds the engine-level rule-mask memo: for SP*
-        relations, :meth:`compatible_from_many` memoises
-        one boolean mask per ``(team member, graph generation)``, so
-        Algorithm 2's repeated filters against the same team skip both the
-        BFS lookup and the mask recomputation.
+        when omitted.  Sharing the oracle shares its distance-map caches.
+
+    The engine serves queries under the relation's
+    :class:`~repro.exec.ExecutionPolicy`: under a pool policy the batched
+    sweeps behind :meth:`warm`, :meth:`compatible_from_many` and
+    :meth:`distances_to_team_many` run on the worker pool.  For SP*
+    relations, :meth:`compatible_from_many` memoises one boolean rule mask
+    per ``(team member, graph generation)`` in an LRU of
+    :data:`DEFAULT_MASK_CACHE_SIZE` entries (scaled down by graph size), so
+    Algorithm 2's repeated filters against the same team skip both the BFS
+    lookup and the mask recomputation.
     """
 
     def __init__(
         self,
         relation: CompatibilityRelation,
         oracle: Optional[DistanceOracle] = None,
-        policy: Optional[ExecutionPolicy] = None,
     ) -> None:
         self._relation = relation
-        self._policy = policy if policy is not None else relation.policy
-        self._oracle = (
-            oracle
-            if oracle is not None
-            else DistanceOracle(relation, policy=self._policy)
-        )
+        self._oracle = oracle if oracle is not None else DistanceOracle(relation)
         if self._oracle.relation is not relation:
             raise ValueError("the oracle must be built on the engine's relation")
         num_nodes = relation.graph.number_of_nodes()
@@ -94,11 +89,8 @@ class CompatibilityEngine:
         self._mask_cache: GenerationalLRUCache[Node, Tuple[object, object]] = (
             GenerationalLRUCache(
                 relation.graph,
-                maxsize=resolve_cache_size(
-                    self._policy.mask_cache_size,
-                    DEFAULT_MASK_CACHE_SIZE,
-                    num_nodes,
-                    bytes_per_node=1,
+                maxsize=scaled_cache_size(
+                    DEFAULT_MASK_CACHE_SIZE, num_nodes, bytes_per_node=1
                 ),
                 bytes_per_entry=max(1, num_nodes),
             )
@@ -123,12 +115,12 @@ class CompatibilityEngine:
 
     @property
     def policy(self) -> ExecutionPolicy:
-        """The execution policy the engine serves queries under."""
-        return self._policy
+        """The execution policy the engine serves queries under (the relation's)."""
+        return self._relation.policy
 
     def executor(self):
         """The executor behind the engine's batched sweeps (serial or pooled)."""
-        return executor_for(self._policy)
+        return executor_for(self.policy)
 
     # ------------------------------------------------------- pairwise facade
 
@@ -176,10 +168,7 @@ class CompatibilityEngine:
             return
         relation = self._relation
         if isinstance(relation, _ShortestPathRelation):
-            budget = relation.bfs_cache_maxsize
-            if budget is not None:
-                source_list = source_list[:budget]
-            relation.batch_bfs(source_list)
+            relation.batch_bfs(source_list[: relation.bfs_cache_maxsize])
 
     def compatible_from_many(
         self, candidates: Iterable[Node], team: Sequence[Node]

@@ -25,21 +25,20 @@ statement of Algorithm 1 and the tests' reference.
 
 A source's BFS result (lengths plus positive and negative path counts)
 depends only on the graph and the source, not on the pair rule, so it is
-computed once per graph: every SPA/SPM/SPO relation whose policy has the
-same ``bfs_cache_size`` reads one bounded,
-generation-keyed LRU (:class:`repro.utils.generational.GenerationalLRUCache`)
-held by the graph itself, and the SP* distance oracles read their distance
-rows from the same results.  The default ``bfs_cache_size="auto"`` scales the
-entry bound down on huge graphs so the cache stays within a fixed byte budget
-(entries are O(n) — see :func:`repro.utils.lru.scaled_cache_size`).
+computed once per graph: every SPA/SPM/SPO relation on the graph reads one
+bounded, generation-keyed LRU
+(:class:`repro.utils.generational.GenerationalLRUCache`) held by the graph
+itself, and the SP* distance oracles read their distance rows from the same
+results.  Its entry bound scales :data:`DEFAULT_BFS_CACHE_SIZE` down on huge
+graphs so the cache stays within a fixed byte budget (entries are O(n) — see
+:func:`repro.utils.lru.scaled_cache_size`).
 
 The sampled statistics only need each source's *degree* under each rule, and
-one BFS result answers all three rules: next to that cache, under the same
-key, the graph holds a generation-keyed memo of ``(spa, spm, spo)`` degree
-triples.  Its entries are three ints, so ``"auto"`` keeps the
-:data:`DEFAULT_BFS_CACHE_SIZE` ceiling for it unscaled — a sweep over SPA,
-then SPM, then SPO traverses each source once even when the BFS cache holds
-fewer entries than the sample.
+one BFS result answers all three rules: next to that cache the graph holds a
+generation-keyed memo of ``(spa, spm, spo)`` degree triples.  Its entries
+are three ints, so it keeps the :data:`DEFAULT_BFS_CACHE_SIZE` ceiling
+unscaled — a sweep over SPA, then SPM, then SPO traverses each source once
+even when the BFS cache holds fewer entries than the sample.
 
 SPO only asks whether a positive shortest path *exists*, so its batched
 misses (:meth:`OneShortestPathCompatibility.batch_bfs`)
@@ -47,7 +46,7 @@ run the word-parallel presence traversal
 (:func:`repro.signed.csr._wordparallel_presence_into`) for every word of at
 least :data:`~repro.signed.csr.PRESENCE_MIN_SOURCES` (4) sources: lengths
 plus one bit per sign, no counts.  Those *presence results* live in a third
-graph-held cache under the same key.  Who reads what:
+graph-held cache.  Who reads what:
 
 * SPA and SPM read Algorithm 1's counts only — the shared BFS cache, their
   own misses and the degree memo never see a presence result;
@@ -63,15 +62,15 @@ from __future__ import annotations
 
 from typing import FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.compatibility.base import CompatibilityRelation, resolve_cache_size
+from repro.compatibility.base import CompatibilityRelation
 from repro.exec.policy import ExecutionPolicy
 from repro.signed.graph import Node, SignedGraph
 from repro.signed.paths import signed_bfs
 from repro.utils.generational import GenerationalLRUCache
-from repro.utils.lru import APPROX_BYTES_PER_NODE, fetch_batched
+from repro.utils.lru import APPROX_BYTES_PER_NODE, fetch_batched, scaled_cache_size
 
-#: Default bound on the number of cached per-source BFS results (the ceiling
-#: the ``"auto"`` byte-aware sizing starts from).
+#: Ceiling on the number of cached per-source BFS results (the entry bound
+#: :func:`~repro.utils.lru.scaled_cache_size` scales down by graph size).
 DEFAULT_BFS_CACHE_SIZE = 2048
 
 # The result type, named lazily: repro.signed.csr is imported by the methods.
@@ -81,48 +80,33 @@ _BFSResult = "CSRSignedBFSResult"
 DegreeTriple = Tuple[int, int, int]
 
 
-def _shared_caches(
-    graph: SignedGraph, policy: ExecutionPolicy
-) -> Tuple[
+def _shared_caches(graph: SignedGraph) -> Tuple[
     GenerationalLRUCache[Node, _BFSResult],
     GenerationalLRUCache[Node, _BFSResult],
     GenerationalLRUCache[Node, DegreeTriple],
 ]:
-    """The graph's signed-BFS cache, presence cache and degree memo for ``policy``.
+    """The graph's signed-BFS cache, presence cache and degree memo.
 
-    All three live under one key: the policy's resolved BFS entry bound.
+    The graph holds one of each, bounded for its size.  Once it has grown
+    enough to scale the bound down, the next SP* relation built on it gets
+    fresh caches and the graph holds those; earlier relations keep theirs.
     Generation-keyed:
     mutating the graph drops only the entries whose component a mutation
     touched, for every relation sharing the caches; the rest stay valid
     (a result from an older CSR snapshot is read over the current one's
-    dense ids — see CSRSignedBFSResult.signed_rows).  Caches
-    live as long as the graph: ones whose relations are all gone stay until
-    the graph is freed.
+    dense ids — see CSRSignedBFSResult.signed_rows).
     """
     num_nodes = graph.number_of_nodes()
-    maxsize = resolve_cache_size(policy.bfs_cache_size, DEFAULT_BFS_CACHE_SIZE, num_nodes)
-    key = maxsize
-
-    def held(caches: dict, **bounds) -> GenerationalLRUCache:
-        cache = caches.get(key)
-        if cache is None:
-            cache = caches[key] = GenerationalLRUCache(graph, **bounds)
-        return cache
-
-    rows = {"maxsize": maxsize, "bytes_per_entry": num_nodes * APPROX_BYTES_PER_NODE}
-    return (
-        held(graph._signed_bfs_caches, **rows),
-        held(graph._sp_presence_caches, **rows),
-        # Entries are O(1): an "auto" bound keeps its ceiling unscaled.
-        held(
-            graph._sp_degree_caches,
-            maxsize=(
-                DEFAULT_BFS_CACHE_SIZE
-                if policy.bfs_cache_size == "auto"
-                else policy.bfs_cache_size
-            ),
-        ),
-    )
+    maxsize = scaled_cache_size(DEFAULT_BFS_CACHE_SIZE, num_nodes)
+    if graph._sp_caches is None or graph._sp_caches[0].maxsize != maxsize:
+        rows = {"maxsize": maxsize, "bytes_per_entry": num_nodes * APPROX_BYTES_PER_NODE}
+        graph._sp_caches = (
+            GenerationalLRUCache(graph, **rows),
+            GenerationalLRUCache(graph, **rows),
+            # Entries are O(1): the ceiling stays unscaled.
+            GenerationalLRUCache(graph, maxsize=DEFAULT_BFS_CACHE_SIZE),
+        )
+    return graph._sp_caches
 
 
 class _ShortestPathRelation(CompatibilityRelation):
@@ -134,10 +118,9 @@ class _ShortestPathRelation(CompatibilityRelation):
         The signed graph the relation is defined over.
     policy:
         The :class:`~repro.exec.ExecutionPolicy` governing worker-pool
-        execution and cache budgets; ``bfs_cache_size`` bounds the LRU of
-        per-source BFS results (``"auto"`` scales
-        :data:`DEFAULT_BFS_CACHE_SIZE` down by graph size), which every SP*
-        relation on the graph with the same bound shares.  With
+        execution.  Every SP* relation on the graph shares its LRU of
+        per-source BFS results (:data:`DEFAULT_BFS_CACHE_SIZE` entries,
+        scaled down by graph size).  With
         ``workers >= 2`` the batched entry points (:meth:`batch_bfs`,
         :meth:`batch_compatible_sets`) dispatch their per-source traversals
         to a process pool; results are bit-identical to serial execution.
@@ -150,7 +133,7 @@ class _ShortestPathRelation(CompatibilityRelation):
     ) -> None:
         super().__init__(graph, policy=policy)
         self._bfs_cache, self._presence_cache, self._degree_cache = _shared_caches(
-            self._graph, self._policy
+            self._graph
         )
 
     def _bfs(self, source: Node) -> _BFSResult:
@@ -275,8 +258,8 @@ class _ShortestPathRelation(CompatibilityRelation):
         return [_lengths_row(result) for result in results]
 
     @property
-    def bfs_cache_maxsize(self) -> Optional[int]:
-        """Entry bound of the graph's shared signed-BFS cache (``None`` = unbounded)."""
+    def bfs_cache_maxsize(self) -> int:
+        """Entry bound of the graph's shared signed-BFS cache."""
         return self._bfs_cache.maxsize
 
     def _clear_subclass_cache(self) -> None:

@@ -1,7 +1,8 @@
 """``repro.exec`` — the execution-policy layer.
 
 One :class:`ExecutionPolicy` object is the only way to configure how the
-compatibility stack executes — cache budgets and the worker-pool dimension:
+compatibility stack executes — the worker-pool dimension and the pool's
+snapshot directory (cache bounds derive from the graph's size):
 ``workers >= 2`` dispatches per-source kernel batches (signed BFS, distance
 sweeps, balanced-path searches) to a persistent process pool.  The pool
 reads each CSR snapshot from one published, memory-mapped ``.store`` file
@@ -11,7 +12,7 @@ Serial and pooled execution are bit-identical; see the README's
 """
 
 from repro.exec.kernels import KERNELS, register_kernel
-from repro.exec.policy import CacheSize, ExecutionPolicy, executor_for, reset_executors
+from repro.exec.policy import ExecutionPolicy, executor_for, reset_executors
 from repro.exec.pool import (
     ExecutorUnavailable,
     ProcessPoolExecutor,
@@ -21,7 +22,6 @@ from repro.exec.pool import (
 from repro.exec.serial import Executor, SerialExecutor, serial_executor
 
 __all__ = [
-    "CacheSize",
     "ExecutionPolicy",
     "Executor",
     "ExecutorUnavailable",

@@ -1,15 +1,16 @@
-"""The :class:`ExecutionPolicy`: one object for every execution knob.
+"""The :class:`ExecutionPolicy`: one object for the execution knobs.
 
 The paper's relations and team algorithms depend on the graph alone; *how*
-they execute — how big each cache may grow, whether a worker pool runs the
-sweeps — is one separate concern, and this module is its only entrance.  The
-per-source kernels always run on the CSR snapshot (:mod:`repro.signed.csr`):
+they execute — whether a worker pool runs the sweeps, and where it publishes
+the snapshots its workers read — is one separate concern, and this module is
+its only entrance.  The per-source kernels always run on the CSR snapshot
+(:mod:`repro.signed.csr`), and every cache bound derives from the graph's size
+(:func:`repro.utils.lru.scaled_cache_size`), so neither is a knob:
 
-* :class:`ExecutionPolicy` — a frozen, hashable bundle of worker-pool
-  shape, the pool's snapshot directory and cache budgets,
-  validated once at construction.  Every relation, oracle and engine takes
-  it as ``policy=`` (their only execution parameter), holds exactly one and
-  consults it instead of ad-hoc parameters.
+* :class:`ExecutionPolicy` — a frozen, hashable pair of worker-pool shape and
+  the pool's snapshot directory, validated once at construction.  Every
+  relation takes it as ``policy=`` (its only execution parameter); the
+  relation's oracle and engine run under the relation's policy.
 * :func:`executor_for` — policy in, executor out: a shared
   :class:`~repro.exec.serial.SerialExecutor` for serial policies, a
   process-pool executor (:mod:`repro.exec.pool`) for ``workers >= 2``, with a
@@ -21,25 +22,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Dict, Optional, Union
-
-#: A cache-size knob: an explicit entry bound, ``None`` for unbounded, or
-#: ``"auto"`` for the byte-aware bound scaled by graph size (the same type the
-#: relations have always accepted — see :mod:`repro.utils.lru`).
-CacheSize = Union[int, None, str]
-
-_CACHE_SIZE_FIELDS = (
-    "compatible_cache_size",
-    "bfs_cache_size",
-    "result_cache_size",
-    "distance_cache_size",
-    "mask_cache_size",
-)
+from typing import Dict, Optional
 
 
 @dataclass(frozen=True)
 class ExecutionPolicy:
-    """How per-source kernels are executed and how much their caches may hold.
+    """How per-source kernels are executed.
 
     Instances are immutable and hashable; derive variants with
     :func:`dataclasses.replace` (which re-runs the validation).
@@ -51,59 +39,21 @@ class ExecutionPolicy:
         per-source kernel batches to a persistent pool of that many worker
         processes; ``-1`` — one worker per CPU.  Results are bit-identical to
         serial execution in every mode.
-    chunk_size:
-        Sources per worker task.  ``None`` derives a chunk size from the
-        batch size and worker count (about four tasks per worker, so stragglers
-        even out without drowning the batch in per-task IPC).
-    min_parallel_sources:
-        Batches smaller than this run in-process even under a pool policy.
-        Measured for a two-source SPO ``batch_bfs`` with ``workers=2`` on a
-        2-core VM: 1.1 ms in-process vs 2.2 ms pooled on the 2308-node
-        epinions stand-in, 45 ms vs 57 ms on the 100k-node million stand-in.
     snapshot_store:
         The existing directory the pool publishes snapshot files into (one
         ``.store`` file per CSR snapshot).  ``None`` (the default) picks ``/dev/shm`` when that is a
         writable directory and the platform temp directory otherwise; name
         a directory to keep huge snapshots out of ``/dev/shm``.  Results are
         bit-identical whatever the directory.
-    compatible_cache_size / bfs_cache_size / result_cache_size /
-    distance_cache_size / mask_cache_size:
-        The per-source cache budgets of each layer (compatible sets, SP* BFS
-        results, balanced-path search results, distance maps, engine rule
-        masks): an ``int >= 1`` bound, ``None`` for unbounded, ``"auto"``
-        for the byte-aware scaled bound.
     """
 
     workers: int = 0
-    chunk_size: Optional[int] = None
-    min_parallel_sources: int = 4
     snapshot_store: Optional[str] = None
-    compatible_cache_size: CacheSize = "auto"
-    bfs_cache_size: CacheSize = "auto"
-    result_cache_size: CacheSize = "auto"
-    distance_cache_size: CacheSize = "auto"
-    mask_cache_size: CacheSize = "auto"
 
     def __post_init__(self) -> None:
         validate_workers(self.workers)
-        if self.chunk_size is not None:
-            validate_chunk_size(self.chunk_size)
-        if not _is_int(self.min_parallel_sources) or self.min_parallel_sources < 1:
-            raise ValueError(
-                "min_parallel_sources must be an int >= 1, "
-                f"got {self.min_parallel_sources!r}"
-            )
         if self.snapshot_store is not None:
             validate_snapshot_store(self.snapshot_store)
-        for name in _CACHE_SIZE_FIELDS:
-            value = getattr(self, name)
-            if value is None or value == "auto":
-                continue
-            if not _is_int(value) or value < 1:
-                raise ValueError(
-                    f"{name} must be an int >= 1, None (unbounded) or 'auto', "
-                    f"got {value!r}"
-                )
 
     # ------------------------------------------------------------- resolution
 
@@ -143,15 +93,6 @@ def validate_workers(workers, name: str = "workers") -> None:
         raise ValueError(
             f"{name} must be -1 (one per CPU), 0 or 1 (serial), or >= 2 "
             f"(pool size); got {workers!r}"
-        )
-
-
-def validate_chunk_size(chunk_size, name: str = "chunk_size") -> None:
-    """Raise :class:`ValueError` unless ``chunk_size`` is a legal task size."""
-    if not _is_int(chunk_size) or chunk_size < 1:
-        raise ValueError(
-            f"{name} must be a positive number of sources per worker "
-            f"task (or omitted to derive one per dispatch); got {chunk_size!r}"
         )
 
 

@@ -37,8 +37,6 @@ class DatasetConfig:
     #: default, so existing invocations are unchanged; >= 2 dispatches to a
     #: process pool; -1 = one per CPU).  Results are identical either way.
     workers: int = 0
-    #: Sources per worker task (None derives one from batch size and workers).
-    chunk_size: Optional[int] = None
     #: Directory pool snapshots are published into (None = /dev/shm when
     #: writable, else the temp directory; see
     #: :attr:`repro.exec.ExecutionPolicy.snapshot_store`).
@@ -48,11 +46,7 @@ class DatasetConfig:
         """The :class:`~repro.exec.ExecutionPolicy` for this dataset's stacks."""
         from repro.exec import ExecutionPolicy
 
-        return ExecutionPolicy(
-            workers=self.workers,
-            chunk_size=self.chunk_size,
-            snapshot_store=self.snapshot_store,
-        )
+        return ExecutionPolicy(workers=self.workers, snapshot_store=self.snapshot_store)
 
 
 @dataclass(frozen=True)
@@ -89,26 +83,20 @@ class ExperimentConfig:
     def with_execution(
         self,
         workers: int = 0,
-        chunk_size: Optional[int] = None,
         snapshot_store: Optional[str] = None,
     ) -> "ExperimentConfig":
         """A copy of this configuration with execution knobs applied everywhere.
 
-        Sets ``workers`` / ``chunk_size`` / ``snapshot_store`` on every
-        dataset, so each relation stack the experiments build runs its
-        per-source kernel sweeps under the corresponding
-        :class:`~repro.exec.ExecutionPolicy`.  The CLI's ``--workers`` /
-        ``--chunk-size`` / ``--snapshot-store`` flags route through this.
+        Sets ``workers`` / ``snapshot_store`` on every dataset, so each
+        relation stack the experiments build runs its per-source kernel
+        sweeps under the corresponding :class:`~repro.exec.ExecutionPolicy`.
+        The CLI's ``--workers`` / ``--snapshot-store`` flags route through
+        this.
         """
         return replace(
             self,
             datasets=tuple(
-                replace(
-                    dataset,
-                    workers=workers,
-                    chunk_size=chunk_size,
-                    snapshot_store=snapshot_store,
-                )
+                replace(dataset, workers=workers, snapshot_store=snapshot_store)
                 for dataset in self.datasets
             ),
         )

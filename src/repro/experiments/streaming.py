@@ -54,8 +54,6 @@ class StreamingConfig:
     #: default; >= 2 dispatches to a persistent process pool whose shipped
     #: snapshots are invalidated automatically on every generation bump).
     workers: int = 0
-    #: Sources per worker task (None derives one per dispatch).
-    chunk_size: Optional[int] = None
     #: Directory pool snapshots are published into (None = /dev/shm when
     #: writable, else the temp directory; see
     #: :attr:`repro.exec.ExecutionPolicy.snapshot_store`).
@@ -357,11 +355,7 @@ def run_streaming(
     )
     from repro.exec import ExecutionPolicy
 
-    policy = ExecutionPolicy(
-        workers=config.workers,
-        chunk_size=config.chunk_size,
-        snapshot_store=config.snapshot_store,
-    )
+    policy = ExecutionPolicy(workers=config.workers, snapshot_store=config.snapshot_store)
     relation = make_relation(config.relation, graph, policy=policy)
     oracle = DistanceOracle(relation)
     engine = CompatibilityEngine(relation, oracle=oracle)

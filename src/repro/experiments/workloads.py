@@ -59,8 +59,8 @@ class DatasetContext:
 
         The whole stack (relation, oracle, engine) is built under the dataset
         config's :meth:`~repro.experiments.config.DatasetConfig.execution_policy`,
-        so cache budgets and worker-pool parallelism flow from one place
-        instead of per-layer keyword arguments.
+        so worker-pool parallelism flows from one place instead of per-layer
+        keyword arguments.
         """
         key = relation_name.upper()
         context = self._relations.get(key)

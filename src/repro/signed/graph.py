@@ -120,14 +120,11 @@ class SignedGraph:
         #: generation-keyed cache downstream key their validity on it.
         self._generation = 0
         self._csr_cache: Optional[Tuple[int, object]] = None
-        #: Per-source signed-BFS caches shared by every shortest-path relation
-        #: on this graph, keyed by entry bound; held here so they are freed
-        #: with the graph (see repro.compatibility.shortest_path).
-        self._signed_bfs_caches: Dict[Optional[int], object] = {}
-        #: Their ``(spa, spm, spo)`` degree memos, under the same keys.
-        self._sp_degree_caches: Dict[Optional[int], object] = {}
-        #: SPO's positive-path presence results, under the same keys.
-        self._sp_presence_caches: Dict[Optional[int], object] = {}
+        #: The signed-BFS cache, SPO presence cache and ``(spa, spm, spo)``
+        #: degree memo shared by the shortest-path relations on this graph;
+        #: held here so they are freed with the graph (see
+        #: repro.compatibility.shortest_path).  ``None`` until the first one.
+        self._sp_caches: Optional[Tuple[object, object, object]] = None
         #: Structured mutation log since the last CSR snapshot; ``None`` until
         #: the first snapshot exists (nothing to patch before that).
         self._delta: Optional[GraphDelta] = None

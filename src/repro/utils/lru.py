@@ -7,14 +7,11 @@ The compatibility relations keep one expensive result per queried source node
 those caches a configurable ceiling while keeping the common small-graph
 workloads (where every source fits) entirely unaffected.
 
-``maxsize=None`` disables eviction, which callers can use to restore the old
-unbounded behaviour.
-
 Because every cached entry is O(n) in the graph size, a fixed *entry* bound is
 only half the story: 4096 entries of a million-node graph is hundreds of
 gigabytes.  :func:`scaled_cache_size` turns a byte budget into an entry bound
-for a given per-entry size, and the relations use it (via their ``"auto"``
-cache-size default) so the default bounds shrink automatically on huge graphs.
+for a given per-entry size, and every per-source cache takes its bound from
+it, so the bounds shrink automatically on huge graphs.
 :attr:`LRUCache.approx_bytes` exposes the resulting byte estimate for
 introspection and tests.
 """
@@ -30,7 +27,7 @@ V = TypeVar("V")
 _MISSING = object()
 
 #: Default memory budget (bytes) a single per-source cache may grow to under
-#: the ``"auto"`` sizing policy.  256 MiB per cache keeps a handful of caches
+#: :func:`scaled_cache_size`.  256 MiB per cache keeps a handful of caches
 #: (BFS results, compatible sets, distance maps) within a few GiB total.
 DEFAULT_CACHE_BUDGET_BYTES = 256 * 1024 * 1024
 
@@ -74,26 +71,23 @@ def fetch_batched(cache, keys, compute_missing):
 
 
 def scaled_cache_size(
-    ceiling: Optional[int],
+    ceiling: int,
     num_nodes: int,
     bytes_per_node: int = APPROX_BYTES_PER_NODE,
     budget_bytes: int = DEFAULT_CACHE_BUDGET_BYTES,
     minimum: int = MIN_SCALED_CACHE_ENTRIES,
-) -> Optional[int]:
+) -> int:
     """Entry bound for a per-source cache whose entries are O(``num_nodes``).
 
-    Returns ``min(ceiling, budget_bytes // entry_bytes)`` clamped below by
-    ``minimum``, where ``entry_bytes = num_nodes * bytes_per_node``.  On small
-    graphs this is simply ``ceiling`` (the historical defaults); on
+    Returns ``budget_bytes // entry_bytes`` clamped below by ``minimum`` and
+    above by ``ceiling``, where ``entry_bytes = num_nodes * bytes_per_node``.
+    On small graphs this is simply ``ceiling`` (the historical defaults); on
     million-node graphs it shrinks so the cache cannot exceed the byte budget
-    by more than ``minimum`` entries.  ``ceiling=None`` (unbounded) is
-    returned unchanged — an explicit opt-out stays an opt-out.
+    by more than ``minimum`` entries.
     """
-    if ceiling is None:
-        return None
     entry_bytes = max(1, num_nodes) * max(1, bytes_per_node)
     fitting = budget_bytes // entry_bytes
-    return max(minimum, min(ceiling, fitting))
+    return min(ceiling, max(minimum, fitting))
 
 
 class LRUCache(Generic[K, V]):

@@ -96,6 +96,47 @@ def overflow_ladder() -> SignedGraph:
 
 
 @pytest.fixture
+def dispatch_small_batches(monkeypatch):
+    """Pool policies dispatch every batch of two or more sources.
+
+    Lowers ``repro.exec.pool.MIN_PARALLEL_SOURCES`` (4), so the few-source
+    batches of a test reach the workers instead of running in-process.
+    """
+    from repro.exec import pool
+
+    monkeypatch.setattr(pool, "MIN_PARALLEL_SOURCES", 2)
+
+
+#: The module whose ``DEFAULT_<KIND>_CACHE_SIZE`` ceiling each cache kind reads.
+_CACHE_CEILING_MODULES = {
+    "compatible": "repro.compatibility.base",
+    "bfs": "repro.compatibility.shortest_path",
+    "result": "repro.compatibility.balanced",
+    "distance": "repro.compatibility.distance",
+    "mask": "repro.compatibility.engine",
+}
+
+
+@pytest.fixture
+def cache_ceilings(monkeypatch):
+    """``lower(bfs=2, ...)``: lower the cache ceilings of the relations,
+    oracles and engines built afterwards.
+
+    Each keyword (``compatible``, ``bfs``, ``result``, ``distance``,
+    ``mask``) replaces one ``DEFAULT_<KIND>_CACHE_SIZE`` constant, and the
+    cache's entry bound is that ceiling whenever the graph is small enough.
+    ``bfs`` also bounds the SP* degree memo.
+    """
+
+    def lower(**ceilings: int) -> None:
+        for kind, ceiling in ceilings.items():
+            module = _CACHE_CEILING_MODULES[kind]
+            monkeypatch.setattr(f"{module}.DEFAULT_{kind.upper()}_CACHE_SIZE", ceiling)
+
+    return lower
+
+
+@pytest.fixture
 def toy():
     """The hand-crafted 12-user dataset."""
     return toy_dataset()

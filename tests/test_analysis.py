@@ -9,6 +9,7 @@ code under test).  The self-scan test at the bottom is the same gate CI runs:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import textwrap
 
@@ -337,24 +338,31 @@ def test_policy_shim_flags_loose_knob():
     source = snippet(
         """
         class Engine:
-            def __init__(self, graph, workers=0, chunk_size=None):
+            def __init__(self, graph, workers=0, snapshot_store=None):
                 self._graph = graph
                 self._workers = workers
 
 
         class Oracle:
             def __init__(self, graph, workers=0, cache_size=None):
-                self._policy = ExecutionPolicy(
-                    workers=workers, distance_cache_size=cache_size
-                )
+                self._policy = ExecutionPolicy(workers=workers)
+                self._cache_size = cache_size
         """
     )
     findings = analyze_source(source, module="repro.compatibility.example")
     messages = [f.message for f in findings if f.rule == "policy-shim"]
     assert len(messages) == 2
-    assert "workers" in messages[0] and "chunk_size" in messages[0]
+    assert "workers" in messages[0] and "snapshot_store" in messages[0]
     # Folding the knob into a policy inside __init__ is still a second way in.
     assert "cache_size" in messages[1] and "workers" in messages[1]
+
+
+def test_policy_shim_knobs_cover_every_policy_field():
+    """A new ExecutionPolicy field is a knob the rule must flag too."""
+    from repro.analysis.rules.policy import KNOBS
+    from repro.exec import ExecutionPolicy
+
+    assert {field.name for field in dataclasses.fields(ExecutionPolicy)} <= KNOBS
 
 
 def test_policy_shim_accepts_policy_parameter_and_private_classes():

@@ -31,28 +31,28 @@ class TestParser:
         ):
             arguments = parser.parse_args(argv)
             assert arguments.workers == 0
-            assert arguments.chunk_size is None
+            assert arguments.snapshot_store is None
 
-    def test_execution_flags_parse(self):
+    def test_execution_flags_parse(self, tmp_path):
         parser = build_parser()
         arguments = parser.parse_args(
-            ["table2", "--fast", "--workers", "4", "--chunk-size", "16"]
+            ["table2", "--fast", "--workers", "4", "--snapshot-store", str(tmp_path)]
         )
         assert arguments.workers == 4
-        assert arguments.chunk_size == 16
+        assert arguments.snapshot_store == str(tmp_path)
         arguments = parser.parse_args(["streaming", "toy", "--workers", "2"])
         assert arguments.workers == 2
 
     def test_execution_flags_reject_bad_values_at_parse_time(self, capsys):
-        """Bad --workers/--chunk-size must exit 2 with an explanatory message
-        instead of surfacing an opaque ValueError at first kernel dispatch."""
+        """Bad --workers must exit 2 with an explanatory message instead of
+        surfacing an opaque ValueError at first kernel dispatch; the chunk
+        size is derived per dispatch, so no command takes one."""
         parser = build_parser()
         cases = [
             (["table2", "--workers", "-5"], "workers must be -1"),
             (["table2", "--workers", "many"], "integer worker count"),
-            (["streaming", "toy", "--chunk-size", "0"], "chunk-size must be a positive"),
-            (["reproduce", "--chunk-size", "-4"], "chunk-size must be a positive"),
-            (["figure2", "--chunk-size", "wide"], "integer chunk size"),
+            (["reproduce", "--chunk-size", "4"], "unrecognized arguments: --chunk-size"),
+            (["streaming", "toy", "--chunk-size", "4"], "unrecognized arguments: --chunk-size"),
         ]
         for argv, fragment in cases:
             with pytest.raises(SystemExit) as excinfo:

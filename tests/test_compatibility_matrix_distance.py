@@ -175,7 +175,7 @@ def pools_down():
     reset_executors()
 
 
-@pytest.mark.usefixtures("pools_down")
+@pytest.mark.usefixtures("pools_down", "dispatch_small_batches")
 class TestOnePassStatistics:
     """The batched statistics equal the per-pair loops they replace."""
 
@@ -184,13 +184,13 @@ class TestOnePassStatistics:
     @pytest.mark.parametrize("graph_name", ["two_factions", "generated_60"])
     def test_matches_per_pair_reference(self, name, graph_name, workers, request):
         graph = request.getfixturevalue(graph_name)
-        policy = ExecutionPolicy(workers=workers, min_parallel_sources=1)
+        policy = ExecutionPolicy(workers=workers)
         # The exhaustive SBP enumeration is exponential on the 60-node graph.
         self._check(graph, name, policy, {"max_expansions": 5_000} if name == "SBP" else {})
 
     @pytest.mark.parametrize("workers", [0, 2])
     def test_truncated_sbp_matches_per_pair_reference(self, generated_60, workers):
-        policy = ExecutionPolicy(workers=workers, min_parallel_sources=1)
+        policy = ExecutionPolicy(workers=workers)
         relation = self._check(generated_60, "SBP", policy, {"max_expansions": 40})
         assert relation.truncated_sources()
 

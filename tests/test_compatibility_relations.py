@@ -17,7 +17,6 @@ from repro.compatibility import (
     make_relation,
 )
 from repro.exceptions import NodeNotFoundError, UnknownRelationError
-from repro.exec import ExecutionPolicy
 from repro.signed import NEGATIVE, POSITIVE, SignedGraph
 
 
@@ -219,15 +218,14 @@ class TestBalancedRelations:
         bounded = StructurallyBalancedPathCompatibility(figure_1b, max_path_length=3)
         assert not bounded.are_compatible("u", "v")
 
-    def test_truncated_sources_survive_cache_eviction(self, small_random_graph):
+    def test_truncated_sources_survive_cache_eviction(
+        self, small_random_graph, cache_ceilings
+    ):
         # The truncation report must not depend on the (bounded, evictable)
         # result cache: after a sweep larger than the cache, every truncated
         # source is still reported.
-        relation = StructurallyBalancedPathCompatibility(
-            small_random_graph,
-            max_expansions=5,
-            policy=ExecutionPolicy(result_cache_size=2),
-        )
+        cache_ceilings(result=2)
+        relation = StructurallyBalancedPathCompatibility(small_random_graph, max_expansions=5)
         nodes = small_random_graph.nodes()[:6]
         for node in nodes:
             relation._search_from(node)

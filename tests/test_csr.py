@@ -25,7 +25,6 @@ from repro.compatibility import (
 )
 from repro.datasets import load_dataset, synthetic_signed_network
 from repro.exceptions import NodeNotFoundError
-from repro.exec import ExecutionPolicy
 from repro.signed import (
     CSRSignedGraph,
     SignedGraph,
@@ -373,14 +372,14 @@ class TestRelationBackendEquivalence:
             == csr_relation.batch_compatibility_degrees(sources)
         )
 
-    def test_batch_degrees_correct_under_cache_eviction(self):
+    def test_batch_degrees_correct_under_cache_eviction(self, cache_ceilings):
         # A sample larger than the BFS LRU must still be one batched pass with
         # correct counts (results are held locally, not read back through the
         # evicting cache).
+        cache_ceilings(bfs=2)
         graph = random_signed_graph(23, num_nodes=30)
-        small_cache = make_relation(
-            "SPO", graph, policy=ExecutionPolicy(bfs_cache_size=2)
-        )
+        small_cache = make_relation("SPO", graph)
+        assert small_cache._bfs_cache.maxsize == 2
         reference = ReferenceRelation("SPO", graph)
         sources = graph.nodes()
         assert small_cache.batch_compatibility_degrees(sources) == [

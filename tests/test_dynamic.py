@@ -24,7 +24,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.compatibility import CompatibilityEngine, DistanceOracle, make_relation
-from repro.exec import ExecutionPolicy
 from repro.signed import SignedGraph
 from repro.signed.csr import CSRSignedGraph
 from repro.signed.delta import GraphDelta
@@ -300,7 +299,7 @@ class TestGenerationalLRUCache:
         assert cache.invalidations == 1
         assert cache.generation == graph.generation
 
-    def test_truncated_flags_pruned_even_after_eviction(self):
+    def test_truncated_flags_pruned_even_after_eviction(self, cache_ceilings):
         # A truncated-source flag deliberately survives LRU eviction of the
         # result itself — but a mutation in the flagged source's component
         # must still drop it, or truncated_sources() over-reports forever.
@@ -308,12 +307,8 @@ class TestGenerationalLRUCache:
             (u, v, 1) for u in range(8) for v in range(u + 1, 8)
         ] + [(i, i + 1, 1) for i in range(100, 140)]
         graph = SignedGraph.from_edges(clique)
-        relation = make_relation(
-            "SBP",
-            graph,
-            max_expansions=3,
-            policy=ExecutionPolicy(result_cache_size=4),
-        )
+        cache_ceilings(result=4)
+        relation = make_relation("SBP", graph, max_expansions=3)
         for node in range(8):
             relation.compatible_with(node)
         flagged = relation.truncated_sources()

@@ -30,7 +30,6 @@ from repro.compatibility import (
 )
 from repro.compatibility.skill_compat import SkillCompatibilityIndex
 from repro.datasets import load_snap_dataset, toy_dataset
-from repro.exec import ExecutionPolicy
 from repro.experiments.config import default_config
 from repro.experiments.workloads import build_dataset_context
 from repro.signed import SignedGraph, signed_bfs
@@ -647,8 +646,33 @@ class TestByteAwareCacheBounds:
         ) or bound == 4
         assert bound >= 4
 
-    def test_scaled_cache_size_none_passthrough(self):
-        assert scaled_cache_size(None, 10**9) is None
+    def test_scaled_cache_size_ceiling_caps_the_minimum(self):
+        # The ceiling bounds the result even below the minimum-entries clamp.
+        assert scaled_cache_size(2, 100) == 2
+        assert scaled_cache_size(2048, 10**9) == 4
+
+    @pytest.mark.parametrize(
+        "num_nodes, per_source, masks", [(2_308, 1817, 4096), (100_000, 41, 2684)]
+    )
+    def test_bounds_derive_from_graph_size(self, num_nodes, per_source, masks):
+        """Each cache's bound on a graph of ``num_nodes`` nodes: the per-source
+        caches of O(n) entries share one bound, the one-byte-per-node rule
+        masks get a larger one, and the degree memo keeps its 2048 ceiling."""
+        graph = SignedGraph()
+        for node in range(num_nodes):
+            graph.add_node(node)
+        spo = make_relation("SPO", graph)
+        per_source_caches = [
+            spo._compatible_cache,
+            spo._bfs_cache,
+            spo._presence_cache,
+            make_relation("SBPH", graph)._result_cache,
+            DistanceOracle(make_relation("NNE", graph))._bfs_cache,
+            DistanceOracle(make_relation("DPE", graph))._bfs_cache,
+        ]
+        assert [cache.maxsize for cache in per_source_caches] == [per_source] * 6
+        assert CompatibilityEngine(spo)._mask_cache.maxsize == masks
+        assert spo._degree_cache.maxsize == 2048
 
     def test_lru_exposes_byte_estimate(self):
         cache = LRUCache(maxsize=4, bytes_per_entry=1000)
@@ -670,20 +694,6 @@ class TestByteAwareCacheBounds:
         relation = make_relation("SPO", big)
         assert relation._bfs_cache.maxsize < 2048
         assert relation._bfs_cache.bytes_per_entry == 2_000_000 * APPROX_BYTES_PER_NODE
-
-    def test_explicit_cache_sizes_pass_through(self, two_factions):
-        relation = make_relation(
-            "SPO", two_factions, policy=ExecutionPolicy(bfs_cache_size=7)
-        )
-        assert relation._bfs_cache.maxsize == 7
-        unbounded = make_relation(
-            "SPO", two_factions, policy=ExecutionPolicy(bfs_cache_size=None)
-        )
-        assert unbounded._bfs_cache.maxsize is None
-
-    def test_invalid_cache_size_string_rejected(self, two_factions):
-        with pytest.raises(ValueError, match="bfs_cache_size"):
-            make_relation("SPO", two_factions, policy=ExecutionPolicy(bfs_cache_size="huge"))
 
     def test_fetch_batched_single_compute_call_and_write_through(self):
         cache = LRUCache(maxsize=2)
@@ -804,7 +814,7 @@ class TestMostCompatibleUnderTinyCache:
     """The batched compatible-set prefetch must not depend on cache capacity."""
 
     @pytest.mark.parametrize("relation_name", ("SPO", "SBPH", "NNE"))
-    def test_selection_identical_with_evicting_cache(self, relation_name):
+    def test_selection_identical_with_evicting_cache(self, relation_name, cache_ceilings):
         graph, _ = planted_factions_graph(
             50, average_degree=4.0, sign_noise=0.2, seed=71
         )
@@ -812,13 +822,13 @@ class TestMostCompatibleUnderTinyCache:
             graph.nodes(), num_skills=6, skills_per_user=2.5, seed=72
         )
         tasks = random_tasks(skills, size=3, count=2, seed=73)
-        # compatible_cache_size=1 models the byte-aware "auto" bound on a
+        roomy = make_relation(relation_name, graph)
+        # A one-entry compatible-set cache models the byte-aware bound on a
         # huge graph: far smaller than the candidate list, so scoring must
         # use the batch's returned sets, not cache re-lookups.
-        tiny = make_relation(
-            relation_name, graph, policy=ExecutionPolicy(compatible_cache_size=1)
-        )
-        roomy = make_relation(relation_name, graph)
+        cache_ceilings(compatible=1)
+        tiny = make_relation(relation_name, graph)
+        assert tiny._compatible_cache.maxsize == 1
         for task in tasks:
             tiny_problem = TeamFormationProblem(graph, skills, tiny, task)
             roomy_problem = TeamFormationProblem(graph, skills, roomy, task)

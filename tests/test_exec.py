@@ -47,7 +47,11 @@ from repro.utils.rng import ensure_rng
 
 from reference import ReferenceRelation, reference_average_distance
 
-pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
+pytestmark = [
+    pytest.mark.filterwarnings("ignore::RuntimeWarning"),
+    # Pool policies dispatch every batch of two or more sources.
+    pytest.mark.usefixtures("dispatch_small_batches"),
+]
 
 
 # Registered at import time so that every pool forked afterwards inherits
@@ -93,19 +97,9 @@ def graph():
     return graph
 
 
-#: The ExecutionPolicy fields that hold a cache budget.
-CACHE_SIZE_FIELDS = (
-    "compatible_cache_size",
-    "bfs_cache_size",
-    "result_cache_size",
-    "distance_cache_size",
-    "mask_cache_size",
-)
-
-
 def pool_policy(workers: int = 2, **kwargs) -> ExecutionPolicy:
-    """A policy that really dispatches (no small-batch inline shortcut)."""
-    return ExecutionPolicy(workers=workers, min_parallel_sources=1, **kwargs)
+    """A pool policy; this module dispatches its batches of two or more."""
+    return ExecutionPolicy(workers=workers, **kwargs)
 
 
 def owns_its_bytes(row) -> bool:
@@ -154,25 +148,17 @@ class TestExecutionPolicy:
         assert executor_for(policy) is serial_executor()
 
     def test_validation(self):
-        # CSR is the one execution path: no field picks a backend.
-        assert "backend" not in {field.name for field in dataclasses.fields(ExecutionPolicy)}
+        # The pool's shape and its snapshot directory are the only knobs: CSR
+        # is the one execution path, and cache bounds, the chunk size and the
+        # inline threshold derive from the graph and the batch.
+        assert {field.name for field in dataclasses.fields(ExecutionPolicy)} == {
+            "workers",
+            "snapshot_store",
+        }
         with pytest.raises(ValueError):
             ExecutionPolicy(workers=-2)
         with pytest.raises(ValueError):
-            ExecutionPolicy(chunk_size=0)
-        with pytest.raises(ValueError):
-            ExecutionPolicy(min_parallel_sources=0)
-        with pytest.raises(ValueError, match="min_parallel_sources"):
-            ExecutionPolicy(min_parallel_sources=True)
-        # Cache budgets are validated at construction and the error names
-        # the field: 2.5 or True would otherwise build a working LRU with a
-        # nonsense bound, and 0 or -3 would only fail inside the LRU.
-        for field in CACHE_SIZE_FIELDS:
-            for bad in (2.5, True, -3, 0, "big"):
-                with pytest.raises(ValueError, match=field):
-                    ExecutionPolicy(**{field: bad})
-            for good in (1, 64, None, "auto"):
-                assert getattr(ExecutionPolicy(**{field: good}), field) == good
+            ExecutionPolicy(workers=True)
 
     def test_workers_minus_one_resolves_to_cpu_count(self):
         assert ExecutionPolicy(workers=-1).resolved_workers() >= 1
@@ -182,41 +168,37 @@ class TestExecutionPolicy:
         assert hash(ExecutionPolicy(workers=2)) == hash(ExecutionPolicy(workers=2))
 
     def test_policy_rejects_bad_pool_knobs_with_clear_message(self):
-        # The CLI's --workers/--chunk-size share these validators; a bad
-        # value must die here with a message that explains the knob, not as
-        # an opaque ValueError out of multiprocessing at first dispatch.
+        # The CLI's --workers shares this validator; a bad value must die
+        # here with a message that explains the knob, not as an opaque
+        # ValueError out of multiprocessing at first dispatch.
         with pytest.raises(ValueError, match="workers must be -1"):
             ExecutionPolicy(workers=-5)
-        with pytest.raises(ValueError, match="chunk_size must be a positive"):
-            ExecutionPolicy(chunk_size=0)
-        with pytest.raises(ValueError, match="chunk_size must be a positive"):
-            ExecutionPolicy(chunk_size=-3)
         # Serial spellings stay legal.
         assert ExecutionPolicy(workers=0).resolved_workers() == 1
         assert ExecutionPolicy(workers=-1).resolved_workers() >= 1
 
     def test_engine_inherits_relation_policy(self, graph):
-        relation = make_relation("SPO", graph, policy=ExecutionPolicy(bfs_cache_size=64))
+        relation = make_relation("SPO", graph, policy=ExecutionPolicy(workers=2))
         engine = CompatibilityEngine(relation)
         assert engine.policy is relation.policy
         assert engine.oracle.policy is relation.policy
+        # The relation's policy is the only one: neither takes its own.
+        with pytest.raises(TypeError):
+            CompatibilityEngine(relation, policy=ExecutionPolicy())
+        with pytest.raises(TypeError):
+            DistanceOracle(relation, policy=ExecutionPolicy())
 
-    def test_oracle_inherits_relation_policy_and_cache_override(self, graph):
-        relation = make_relation("SPO", graph, policy=ExecutionPolicy(bfs_cache_size=64))
+    def test_oracle_inherits_relation_policy(self, graph):
+        relation = make_relation("SPO", graph, policy=ExecutionPolicy(workers=2))
         oracle = DistanceOracle(relation)
         assert oracle.policy is relation.policy
-        # distance_cache_size bounds the NNE/DPE distance maps; SP* rows are
-        # the relation's own signed-BFS results.
-        unbounded = DistanceOracle(
-            make_relation("NNE", graph), policy=ExecutionPolicy(distance_cache_size=None)
-        )
-        assert unbounded._bfs_cache.maxsize is None
-        # An SP* oracle keeps no cache and follows the relation's policy.
-        shortest_path = DistanceOracle(
-            relation, policy=ExecutionPolicy(distance_cache_size=None)
-        )
-        assert shortest_path._bfs_cache is None
-        assert shortest_path._cache_bound() == relation.bfs_cache_maxsize
+        # An SP* oracle keeps no cache: its rows are the relation's own
+        # signed-BFS results, under the relation's bound.
+        assert oracle._bfs_cache is None
+        assert oracle._cache_bound() == relation.bfs_cache_maxsize
+        # NNE/DPE distance maps live in the oracle's own cache.
+        nne = DistanceOracle(make_relation("NNE", graph))
+        assert nne._cache_bound() == nne._bfs_cache.maxsize
 
 
 class TestSerialExecutor:
@@ -240,13 +222,16 @@ class TestPoolExecutor:
         assert executor.workers == 2
 
     @requires_fork
-    def test_chunk_merge_preserves_input_order(self, graph):
-        executor = executor_for(pool_policy(chunk_size=3))
+    def test_chunk_merge_preserves_input_order(self, graph, monkeypatch):
+        executor = executor_for(pool_policy())
+        maps = record_pool_maps(executor, monkeypatch)
         sources = list(range(20))
         result = executor.map_kernel(
             "test_echo", graph.csr_view(), sources, params={"tag": "t"}
         )
         assert result == [("t", source) for source in sources]
+        # ceil(20 / (2 workers * 4)) = 3 sources a task.
+        assert maps == [7]
 
     def test_csr_kernel_arrays_bit_identical(self, graph):
         np = pytest.importorskip("numpy")
@@ -270,9 +255,10 @@ class TestPoolExecutor:
         again = executor_for(pool_policy()).map_kernel("csr_path_lengths", csr, dense)
         assert all(np.array_equal(left, right) for left, right in zip(first, again))
 
-    def test_small_batches_run_inline(self, graph):
-        policy = ExecutionPolicy(workers=2, min_parallel_sources=64)
-        executor = executor_for(policy)
+    def test_small_batches_run_inline(self, graph, monkeypatch):
+        # The shipped threshold, which this module lowers.
+        monkeypatch.setattr(pool_module, "MIN_PARALLEL_SOURCES", 4)
+        executor = executor_for(pool_policy())
         handle_publishes = executor._handle.publications
         result = executor.map_kernel("csr_signed_bfs", graph.csr_view(), [0, 1, 2])
         assert len(result) == 3
@@ -331,9 +317,7 @@ graph, _ = synthetic_signed_network(
     60, average_degree=4.0, negative_fraction=0.25, seed=3
 )
 csr = graph.csr_view()
-executor = executor_for(
-    ExecutionPolicy(workers=2, min_parallel_sources=1)
-)
+executor = executor_for(ExecutionPolicy(workers=2))
 rows = executor.map_kernel("csr_sbph", csr, list(range(8)), {"max_length": None})
 assert len(rows) == 8 and executor._handle.publications == 1
 print(resource_tracker._resource_tracker._pid)
@@ -424,15 +408,15 @@ class TestPooledResults:
         np = pytest.importorskip("numpy")
         from repro.signed.csr import PRESENCE_MIN_SOURCES, PresenceRows
 
-        # Chunks of one presence word each, so every worker answers with
-        # presence rows.
-        executor = executor_for(pool_policy(chunk_size=PRESENCE_MIN_SOURCES))
-        csr, dense = self._dense_sources(graph, count=3 * PRESENCE_MIN_SOURCES)
+        # Chunks of one presence word each (ceil(32 / (2 workers * 4)) = 4
+        # sources a task), so every worker answers with presence rows.
+        executor = executor_for(pool_policy())
+        csr, dense = self._dense_sources(graph, count=8 * PRESENCE_MIN_SOURCES)
         params = {"skip_overflow": True, "presence": True}
         maps = record_pool_maps(executor, monkeypatch)
         pooled = executor.map_kernel("csr_signed_bfs", csr, dense, params)
         serial = serial_executor().map_kernel("csr_signed_bfs", csr, dense, params)
-        assert maps == [3]
+        assert maps == [8]
         assert len(pooled) == len(serial)
         for left, right in zip(pooled, serial):
             assert isinstance(left, PresenceRows) and isinstance(right, PresenceRows)
@@ -443,21 +427,24 @@ class TestPooledResults:
         """An int64-overflow source comes back as the serial kernel's
         ``None`` slot; the rest of its chunk keeps its rows."""
         np = pytest.importorskip("numpy")
-        executor = executor_for(pool_policy(chunk_size=2))
+        executor = executor_for(pool_policy())
         csr = overflow_ladder.csr_view()
-        dense = [csr.index_of(node) for node in ("s", (0, 0), (30, 1), (60, 0), "t")]
+        middle = [(0, 0), (10, 1), (20, 0), (30, 1), (40, 0), (50, 1), (60, 0), (60, 1)]
+        dense = [csr.index_of(node) for node in ["s", *middle, "t"]]
         params = {"skip_overflow": True}
         maps = record_pool_maps(executor, monkeypatch)
         pooled = executor.map_kernel("csr_signed_bfs", csr, dense, params)
         serial = serial_executor().map_kernel("csr_signed_bfs", csr, dense, params)
-        assert maps == [3]
-        # "s" and "t" overflow; the middle three keep their rows.
-        overflowed = [True, False, False, False, True]
+        # ceil(10 / (2 workers * 4)) = 2 sources a task: "s" and "t" each
+        # share theirs with a source that does not overflow.
+        assert maps == [5]
+        # "s" and "t" overflow; the middle ones keep their rows.
+        overflowed = [True] + [False] * len(middle) + [True]
         assert [result is None for result in pooled] == overflowed
         assert [result is None for result in serial] == overflowed
-        for left, right in zip(pooled[1:4], serial[1:4]):
+        for left, right in zip(pooled[1:-1], serial[1:-1]):
             assert all(np.array_equal(a, b) for a, b in zip(left, right))
-        assert_owned_rows(pooled[1:4])
+        assert_owned_rows(pooled[1:-1])
 
     def test_sbph_depths_identical(self, graph):
         pytest.importorskip("numpy")
@@ -493,10 +480,12 @@ class TestPooledResults:
         csr = dense_graph.csr_view()
         batch = sbph_batch_size(csr)
         assert batch <= 4
-        sources = list(range(0, csr.number_of_nodes(), 97))[: 4 * batch + 1]
+        # ceil((16 * batch + 1) / (2 workers * 4)) = 2 * batch + 1 sources a
+        # task.
+        sources = list(range(0, csr.number_of_nodes(), 22))[: 16 * batch + 1]
         directory = pool_module._publish_directory(None)
         prefix = f"snapshot-{os.getpid()}-"
-        executor = executor_for(pool_policy(chunk_size=2 * batch + 1))
+        executor = executor_for(pool_policy())
         maps = record_pool_maps(executor, monkeypatch)
         pooled = executor.map_kernel("csr_sbph", csr, sources, {"max_length": None})
         assert len(maps) == 1 and maps[0] >= 2  # one dispatch, several chunks

@@ -166,6 +166,7 @@ def pools_down():
 
 @pytest.mark.usefixtures("pools_down")
 class TestPresenceCaches:
+    @pytest.mark.usefixtures("dispatch_small_batches")
     def test_serial_and_pool_agree_with_mixed_words(self):
         """66 sources: serially a 64-source presence word plus a 2-source
         counts word; the pool's chunks split them differently."""
@@ -175,7 +176,7 @@ class TestPresenceCaches:
         answers = {}
         kinds = {}
         for workers in (0, 2):
-            policy = ExecutionPolicy(workers=workers, min_parallel_sources=1)
+            policy = ExecutionPolicy(workers=workers)
             relation = make_relation("SPO", graph.copy(), policy=policy)
             results = relation.batch_bfs(sources)
             kinds[workers] = Counter(result.presence for result in results)
@@ -206,11 +207,12 @@ class TestPresenceCaches:
         assert sum(kernels.values()) == 0
         assert len(spo._presence_cache) == 0
 
+    @pytest.mark.usefixtures("dispatch_small_batches")
     @pytest.mark.parametrize("workers", [0, 2])
     def test_spo_first_then_spa_and_spm_match_fresh(self, workers):
         graph = _graph(80, seed=13)
         nodes = graph.nodes()
-        policy = ExecutionPolicy(workers=workers, min_parallel_sources=1)
+        policy = ExecutionPolicy(workers=workers)
         sample = nodes[::2]
         spo = make_relation("SPO", graph, policy=policy)
         spo.batch_bfs(sample)
@@ -235,10 +237,11 @@ class TestPresenceCaches:
             assert memo.get(source) == reference
         assert all(not result.presence for _, result in spo._bfs_cache.items())
 
+    @pytest.mark.usefixtures("dispatch_small_batches")
     def test_pool_spm_engine_never_masks_a_presence_entry(self, monkeypatch):
         graph = _graph(80, seed=19)
         nodes = graph.nodes()
-        policy = ExecutionPolicy(workers=2, min_parallel_sources=1)
+        policy = ExecutionPolicy(workers=2)
         make_relation("SPO", graph, policy=policy).batch_bfs(nodes)
         rule = MajorityShortestPathsCompatibility._pair_rule_mask
         planes = []

@@ -33,11 +33,12 @@ from repro.compatibility import (
     make_relation,
 )
 from repro.datasets import figure_1a_graph, figure_1b_graph
+from repro.exceptions import NodeNotFoundError
 from repro.exec import ExecutionPolicy, reset_executors
 from repro.signed.generators import planted_factions_graph
 from repro.signed.graph import SignedGraph
 from repro.signed.metrics import diameter
-from repro.signed.paths import shortest_path_lengths
+from repro.signed.paths import INFINITY, shortest_path_lengths
 
 from reference import REFERENCE_RELATIONS, ReferenceRelation, reference_average_distance
 
@@ -211,9 +212,13 @@ def assert_matches_reference(graph, name, policy):
         assert [oracle.distance(u, v) for v in nodes] == distances[u], u
 
     team = nodes[:3]
-    assert oracle.batch_distance_to_set(nodes, team) == [
+    # A candidate outside the graph is unreachable from the team.
+    assert oracle.batch_distance_to_set(nodes + ["absent"], team) == [
         reference.distance_to_set(candidate, team) for candidate in nodes
-    ]
+    ] + [INFINITY]
+    # A team member outside the graph raises under every relation.
+    with pytest.raises(NodeNotFoundError):
+        oracle.batch_distance_to_set(nodes, team + ["absent"])
     assert engine.compatible_from_many(nodes, team) == frozenset(
         candidate
         for candidate in nodes
@@ -231,6 +236,7 @@ class TestFamiliesMatchReference:
     def test_serial_queries_match_reference(self, family, name):
         assert_matches_reference(FAMILIES[family](), name, ExecutionPolicy())
 
+    @pytest.mark.usefixtures("dispatch_small_batches")
     @pytest.mark.parametrize("name", REFERENCE_RELATIONS)
     def test_pooled_queries_match_reference(self, name):
         # Every family at once, as components of one graph, so one pool
@@ -242,7 +248,7 @@ class TestFamiliesMatchReference:
                 graph.add_node((family, node))
             for u, v, sign in part.edge_triples():
                 graph.add_edge((family, u), (family, v), sign)
-        policy = ExecutionPolicy(workers=2, min_parallel_sources=1)
+        policy = ExecutionPolicy(workers=2)
         assert_matches_reference(graph, name, policy)
 
 

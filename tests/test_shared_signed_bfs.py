@@ -28,6 +28,7 @@ from repro.exec import ExecutionPolicy, ProcessPoolExecutor, SerialExecutor, res
 from repro.exec.kernels import KERNELS
 from repro.signed.paths import INFINITY, shortest_path_lengths
 from repro.skills.generators import assign_skills_zipf
+from repro.utils.lru import scaled_cache_size
 
 from reference import ReferenceRelation
 
@@ -126,20 +127,31 @@ class TestSharedCache:
         assert set(counts) == set(nodes)
         assert set(counts.values()) == {1}
 
-    def test_shared_by_resolved_bound(self):
+    def test_one_cache_of_each_kind_per_graph(self):
         graph = _graph()
 
-        def cache(name, **fields):
-            relation = make_relation(name, graph, policy=ExecutionPolicy(**fields))
-            return relation._bfs_cache
+        def caches(relation):
+            return relation._bfs_cache, relation._presence_cache, relation._degree_cache
 
-        shared = cache("SPA")
-        assert cache("SPM") is shared
-        assert cache("SPO", workers=0, compatible_cache_size=5) is shared
-        assert cache("SPO", bfs_cache_size=shared.maxsize) is shared
-        assert cache("SPA", bfs_cache_size=7) is not cache("SPA", bfs_cache_size=8)
-        assert cache("SPO", bfs_cache_size=7).maxsize == 7
-        assert make_relation("SPA", graph.copy())._bfs_cache is not shared
+        first = make_relation("SPA", graph)
+        shared = caches(first)
+        assert caches(make_relation("SPM", graph)) == shared
+        assert caches(make_relation("SPO", graph, policy=ExecutionPolicy(workers=2))) == shared
+        graph.add_edge("newcomer", graph.nodes()[0], 1)
+        assert caches(make_relation("SPO", graph)) == shared
+        assert make_relation("SPA", graph.copy())._bfs_cache is not shared[0]
+        # Grown past the size at which the bound starts to shrink, the graph
+        # bounds the next relation's caches for its new size; the first
+        # relation keeps its own.
+        for node in range(3_000):
+            graph.add_node(("grown", node))
+        grown = make_relation("SPM", graph)
+        assert grown._bfs_cache is not shared[0]
+        assert grown._bfs_cache.maxsize == scaled_cache_size(
+            shortest_path_module.DEFAULT_BFS_CACHE_SIZE, graph.number_of_nodes()
+        ) < shared[0].maxsize
+        assert caches(make_relation("SPO", graph)) == caches(grown)
+        assert caches(first) == shared
 
     def test_freed_with_the_graph(self):
         graph = _graph()
@@ -184,11 +196,12 @@ class TestShortestPathOracle:
     """SP* distance rows are the signed BFS's lengths: equal to the
     sign-agnostic BFS for every pair, before and after churn."""
 
+    @pytest.mark.usefixtures("dispatch_small_batches")
     @pytest.mark.parametrize("workers", [0, 2])
     @pytest.mark.parametrize("name", SHORTEST_PATH)
     def test_matches_sign_agnostic_bfs(self, name, workers):
         graph = _graph(40, seed=17)
-        policy = ExecutionPolicy(workers=workers, min_parallel_sources=1)
+        policy = ExecutionPolicy(workers=workers)
         oracle = DistanceOracle(make_relation(name, graph, policy=policy))
         for phase in range(2):
             nodes = graph.nodes()
@@ -208,6 +221,7 @@ class TestShortestPathOracle:
             if phase == 0:
                 _churn(graph, seed=9)
 
+    @pytest.mark.usefixtures("dispatch_small_batches")
     @pytest.mark.parametrize("workers", [0, 2])
     def test_no_sign_agnostic_bfs_for_shortest_path_relations(self, monkeypatch, workers):
         kernels = _record_dispatches(monkeypatch)
@@ -220,7 +234,7 @@ class TestShortestPathOracle:
         monkeypatch.setattr(csr_module, "shortest_path_lengths_csr", counting_source)
         graph = _graph()
         nodes = graph.nodes()
-        policy = ExecutionPolicy(workers=workers, min_parallel_sources=1)
+        policy = ExecutionPolicy(workers=workers)
         for name in SHORTEST_PATH:
             oracle = DistanceOracle(make_relation(name, graph, policy=policy))
             oracle.warm(nodes[:10])
@@ -259,11 +273,12 @@ class TestShortestPathOracle:
 class TestDegreeMemo:
     """One traversal per source answers the SPA, SPM and SPO degrees."""
 
+    @pytest.mark.usefixtures("dispatch_small_batches")
     @pytest.mark.parametrize("workers", [0, 2])
     def test_one_sweep_serves_all_three_relations(self, monkeypatch, workers):
         kernels = _record_dispatches(monkeypatch)
         graph = _graph(80, seed=37)
-        policy = ExecutionPolicy(workers=workers, min_parallel_sources=1)
+        policy = ExecutionPolicy(workers=workers)
         sample = random.Random(3).sample(graph.nodes(), 24)
         # The pool counts inside the workers; serially the BFS results are
         # kept for the distance rows that follow in Table 2.
