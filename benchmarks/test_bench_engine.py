@@ -25,11 +25,16 @@ must run >= 2.5x faster through the batched CSR core than through the dict
 SPO's 64-source presence word must run >= 3x faster than Algorithm 1's
 word-parallel counts over the same 64 sources of the default 2308-node
 epinions stand-in, with identical lengths and ``counts > 0`` (measured
-4.9-6.3x on the same VM: 31-42 ms counts, 5.5-6.9 ms presence).
+4.9-6.3x on the same VM: 31-42 ms counts, 5.5-6.9 ms presence).  A 64-source
+SPA degree sweep of the 50k-node graph, which runs one presence word, must
+be >= 3x faster than counting the same sources one traversal at a time, with
+identical degrees (measured 9.6-9.9x on the same VM: 0.40 s per source,
+0.04 s presence).
 """
 
 from __future__ import annotations
 
+import random
 import time
 
 import numpy as np
@@ -37,6 +42,7 @@ import pytest
 
 from repro.compatibility import CompatibilityEngine, make_relation
 from repro.datasets import load_dataset, synthetic_signed_network
+from repro.exec.kernels import csr_compatible_degrees
 from repro.experiments import fast_config
 from repro.signed.csr import (
     UNREACHABLE,
@@ -71,6 +77,10 @@ SBP_CSR_BAR = 2.5
 #: A 64-source presence word over the counting word on the default epinions
 #: stand-in (measured 4.9-6.3x).
 PRESENCE_WORD_BAR = 3.0
+
+#: A 64-source SPA degree sweep (one presence word) over per-source counting
+#: on the 50k-node graph (measured 9.6-9.9x).
+SPA_SWEEP_BAR = 3.0
 
 
 @pytest.fixture(scope="module")
@@ -171,6 +181,49 @@ def test_perf_multi_source_signed_bfs_50k(benchmark, workload):
         multi_source_signed_bfs, args=(csr, sources), rounds=3, iterations=1
     )
     assert len(results) == len(sources)
+
+
+@pytest.mark.benchmark(group="perf-presence")
+def test_spa_degree_sweep_speedup_over_per_source_counting(benchmark, workload):
+    """64 SPA degrees: the presence sweep >= 3x per-source counting, same degrees.
+
+    The sweep is the relation's cold ``batch_compatibility_degrees``, which
+    reduces one presence word in-process; the reference counts each source
+    with Algorithm 1 through the ``csr_compatible_degrees`` kernel, as the
+    pool's chunks of fewer than ``WORDPARALLEL_MIN_SOURCES`` sources did.
+    """
+    graph, _team, _pools = workload
+    csr = graph.csr_view()
+    sources = random.Random(11).sample(graph.nodes(), 64)
+    relation = make_relation("SPA", graph)
+
+    def sweep():
+        relation.clear_cache()
+        return relation.batch_compatibility_degrees(sources)
+
+    def per_source():
+        return [
+            csr_compatible_degrees(csr, [csr.index_of(source)], {})[0][0]
+            for source in sources
+        ]
+
+    counts_elapsed, counted = _best_of(3, per_source)
+    sweep_elapsed, swept = _best_of(3, sweep)
+    assert swept == counted
+    speedup = counts_elapsed / sweep_elapsed
+    benchmark.extra_info["per_source_seconds"] = counts_elapsed
+    benchmark.extra_info["sweep_seconds"] = sweep_elapsed
+    benchmark.extra_info["speedup"] = speedup
+    benchmark.pedantic(sweep, rounds=3, iterations=1)
+    print(
+        f"\n64 SPA degrees on {csr.number_of_nodes()} nodes: per-source counting "
+        f"{counts_elapsed * 1000:.0f}ms, presence sweep {sweep_elapsed * 1000:.0f}ms, "
+        f"speedup {speedup:.1f}x"
+    )
+    assert speedup >= SPA_SWEEP_BAR, (
+        f"SPA presence sweep only {speedup:.1f}x over per-source counting "
+        f"(bar {SPA_SWEEP_BAR}x)"
+    )
 
 
 @pytest.fixture(scope="module")

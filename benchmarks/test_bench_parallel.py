@@ -56,9 +56,14 @@ def big_graph():
 
 
 def _sampled_stats(graph, workers: int):
-    """Fresh relation + engine under ``workers``, one Table-2 sampled sweep."""
+    """Fresh relation + engine under ``workers``, one Table-2 sampled sweep.
+
+    SPM's: its degrees need Algorithm 1's counts, which the pool computes
+    inside the workers.  SPA's and SPO's sweeps reduce presence planes
+    in-process under every policy, so they never reach the pool.
+    """
     policy = ExecutionPolicy(workers=workers)
-    relation = make_relation("SPO", graph, policy=policy)
+    relation = make_relation("SPM", graph, policy=policy)
     engine = CompatibilityEngine(relation)
     return source_sampled_pair_statistics(
         relation, NUM_SOURCES, seed=SEED, engine=engine

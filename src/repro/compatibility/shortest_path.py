@@ -33,27 +33,33 @@ results.  Its entry bound scales :data:`DEFAULT_BFS_CACHE_SIZE` down on huge
 graphs so the cache stays within a fixed byte budget (entries are O(n) — see
 :func:`repro.utils.lru.scaled_cache_size`).
 
-The sampled statistics only need each source's *degree* under each rule, and
-one BFS result answers all three rules: next to that cache the graph holds a
-generation-keyed memo of ``(spa, spm, spo)`` degree triples.  Its entries
-are three ints, so it keeps the :data:`DEFAULT_BFS_CACHE_SIZE` ceiling
-unscaled — a sweep over SPA, then SPM, then SPO traverses each source once
-even when the BFS cache holds fewer entries than the sample.
-
 SPO only asks whether a positive shortest path *exists*, so its batched
 misses (:meth:`OneShortestPathCompatibility.batch_bfs`)
 run the word-parallel presence traversal
 (:func:`repro.signed.csr._wordparallel_presence_into`) for every word of at
 least :data:`~repro.signed.csr.PRESENCE_MIN_SOURCES` (4) sources: lengths
-plus one bit per sign, no counts.  Those *presence results* live in a third
-graph-held cache.  Who reads what:
+plus one bit per sign, no counts.  Those *presence results* live in a second
+graph-held cache.
 
-* SPA and SPM read Algorithm 1's counts only — the shared BFS cache, their
-  own misses and the degree memo never see a presence result;
+The sampled statistics only need each source's *degree* under each rule:
+the graph's third cache is a generation-keyed memo of ``(spa, spm, spo)``
+degree triples, whose entries are three ints, so it keeps the
+:data:`DEFAULT_BFS_CACHE_SIZE` ceiling unscaled.  SPA and SPO, like SPO's
+pair rule, only need to know whether a positive or a negative shortest path
+exists, so their misses without a cached result run presence planes
+in-process, 64 sources a word (:func:`repro.signed.csr.presence_degrees`),
+and leave the entry's ``spm`` unknown; SPM counts Algorithm 1 for any entry
+without it, which fills the whole triple.  Who reads what:
+
+* SPA and SPM pair, set and distance queries read Algorithm 1's counts
+  only — the shared BFS cache and their own misses never see a presence
+  result;
 * SPO reads a cached counts result first, then a cached presence result;
   its batched misses fill the presence cache (smaller words and single
-  sources run Algorithm 1 into the shared cache), and its degree sweeps
-  count from Algorithm 1, because one sweep fills all three degrees;
+  sources run Algorithm 1 into the shared cache);
+* degree sweeps take the whole triple from cached counts, SPA and SPO
+  degrees also from a cached presence result or the presence planes, and
+  SPM's from counts alone;
 * SP* distance rows are BFS lengths, which both kinds of result hold, so
   SPO's oracle reads either.
 """
@@ -76,8 +82,9 @@ DEFAULT_BFS_CACHE_SIZE = 2048
 # The result type, named lazily: repro.signed.csr is imported by the methods.
 _BFSResult = "CSRSignedBFSResult"
 
-#: A source's ``(spa, spm, spo)`` compatibility degrees.
-DegreeTriple = Tuple[int, int, int]
+#: A source's ``(spa, spm, spo)`` compatibility degrees; ``spm`` is ``None``
+#: while only presence planes answered the source.
+DegreeTriple = Tuple[int, Optional[int], int]
 
 
 def _shared_caches(graph: SignedGraph) -> Tuple[
@@ -125,6 +132,10 @@ class _ShortestPathRelation(CompatibilityRelation):
         :meth:`batch_compatible_sets`) dispatch their per-source traversals
         to a process pool; results are bit-identical to serial execution.
     """
+
+    #: Whether the relation's degree follows from positive/negative path
+    #: presence alone (SPA, SPO), not from Algorithm 1's counts (SPM).
+    _presence_decides = True
 
     def __init__(
         self,
@@ -384,42 +395,69 @@ class _ShortestPathRelation(CompatibilityRelation):
     def batch_compatibility_degrees(self, sources: Sequence[Node]) -> List[int]:
         """Number of *other* compatible nodes for every source, batched.
 
-        Reads the graph's degree memo, which holds each source's
-        ``(spa, spm, spo)`` degrees: one traversal answers all three rules,
-        so a sweep over SPA, then SPM, then SPO runs Algorithm 1 once per
-        source.  Misses are counted from their BFS results
-        (:meth:`batch_bfs`, which caches them for later pair and distance
-        queries) — no set materialisation.  Under a pool policy, misses
-        without a cached BFS result are counted *inside* the workers instead
-        (``csr_compatible_degrees``): each traversal reduces to three
-        integers before crossing the process boundary, so the sweep ships
-        back O(k) ints instead of O(k·n) count arrays.  The counts are
-        identical across executors.
+        Reads the graph's degree memo of ``(spa, spm, spo)`` triples, where
+        ``spm`` may be unknown (``None``).  Misses resolve in this order:
+
+        * a source with cached counts (the shared BFS cache) gets its whole
+          triple from them, for every relation;
+        * SPA and SPO only ask whether a positive or negative shortest path
+          exists: a cached presence result fills their two slots, and the
+          remaining misses run the presence planes in-process, 64 sources a
+          word (:func:`~repro.signed.csr.presence_degrees`), whatever the
+          policy — no count row, no pool dispatch;
+        * SPM (an entry without ``spm`` is a miss) counts the rest from
+          Algorithm 1: :meth:`batch_bfs` serially, which caches the results
+          for later pair and distance queries, or under a pool policy
+          *inside* the workers (``csr_compatible_degrees``), where each
+          traversal reduces to three integers before crossing the process
+          boundary.
+
+        So a sweep over SPA, then SPO runs one presence word per 64
+        sources, and SPM's counts then fill the whole triple.  The degrees
+        are identical across executors and orders.
         """
         source_list = list(sources)
         self._require_nodes(*source_list)
-        triples = fetch_batched(self._degree_cache, source_list, self._degree_triples)
-        return [triple[self._degree_slot] for triple in triples]
+        slot = self._degree_slot
+        triples = fetch_batched(
+            self._degree_cache,
+            source_list,
+            self._degree_triples,
+            usable=lambda triple: triple[slot] is not None,
+        )
+        return [triple[slot] for triple in triples]
 
     def _degree_triples(self, missing: List[Node]) -> List[DegreeTriple]:
         """Degree triples for the memo's misses (see :meth:`batch_compatibility_degrees`)."""
-        if not self._policy.parallel:
-            return [_degree_triple(result) for result in self._batch_counts(missing)]
         triples: List[Optional[DegreeTriple]] = []
-        dispatch: List[int] = []
+        uncounted: List[int] = []
         for position, source in enumerate(missing):
             result = self._bfs_cache.get(source)
+            if result is None and self._presence_decides:
+                result = self._presence_cache.get(source)
             if result is None:
-                dispatch.append(position)
+                uncounted.append(position)
             triples.append(None if result is None else _degree_triple(result))
-        if dispatch:
-            csr = self._graph.csr_view()
+        if not uncounted:
+            return triples
+        csr = self._graph.csr_view()
+        if self._presence_decides:
+            from repro.signed.csr import presence_degrees
+
+            pairs = presence_degrees(csr, [csr.index_of(missing[at]) for at in uncounted])
+            for position, (spa, spo) in zip(uncounted, pairs):
+                triples[position] = (spa, None, spo)
+        elif not self._policy.parallel:
+            counted = self._batch_counts([missing[position] for position in uncounted])
+            for position, result in zip(uncounted, counted):
+                triples[position] = _degree_triple(result)
+        else:
             counted = self._executor().map_kernel(
                 "csr_compatible_degrees",
                 csr,
-                [csr.index_of(missing[position]) for position in dispatch],
+                [csr.index_of(missing[position]) for position in uncounted],
             )
-            for position, triple in zip(dispatch, counted):
+            for position, triple in zip(uncounted, counted):
                 # None marks an int64 overflow: count from exact Python ints.
                 triples[position] = (
                     _degree_triple(self._exact_result(csr, missing[position]))
@@ -439,13 +477,17 @@ class _ShortestPathRelation(CompatibilityRelation):
 
 
 def _degree_triple(result: _BFSResult) -> DegreeTriple:
-    """``(spa, spm, spo)`` degrees of a BFS result's source."""
-    return dense_degree_triple(
+    """``(spa, spm, spo)`` degrees of a BFS result's source.
+
+    A presence result holds no counts, so its ``spm`` is unknown (``None``).
+    """
+    spa, spm, spo = dense_degree_triple(
         result.lengths_array,
         result.positive_array,
         result.negative_array,
         result.graph.index_of(result.source),
     )
+    return (spa, None if result.presence else spm, spo)
 
 
 def dense_degree_triple(lengths, positive, negative, source: int) -> DegreeTriple:
@@ -492,6 +534,7 @@ class MajorityShortestPathsCompatibility(_ShortestPathRelation):
 
     name = "SPM"
     _degree_slot = 1
+    _presence_decides = False
 
     @staticmethod
     def _pair_rule(positive: int, negative: int) -> bool:

@@ -105,8 +105,9 @@ def csr_compatible_degrees(csr, sources: Sequence[int], params: dict) -> List:
     Runs Algorithm 1 per source and applies all three SP* pair rules plus the
     reachability/self exclusions to that one traversal, shipping back **one
     ``(spa, spm, spo)`` triple of ints per source** instead of three O(n)
-    count arrays — the transfer-thrifty path behind the sampled statistics,
-    whose triples the SP* degree memo keeps for all three relations.
+    count arrays — the transfer-thrifty path behind SPM's pooled degree
+    sweeps, whose triples the SP* degree memo keeps for all three relations
+    (SPA and SPO sweep presence planes in-process instead).
     ``None`` marks an int64 overflow (the caller counts that source from
     :func:`repro.signed.paths.signed_bfs`).  Each count equals the size of
     that relation's serial compatible set on the same arrays, minus the

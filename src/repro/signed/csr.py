@@ -27,6 +27,11 @@ the same algorithms, the tests' reference):
   with ``presence`` (SPO's request) a word of at least
   :data:`PRESENCE_MIN_SOURCES` sources runs the positive-path *presence*
   traversal, which keeps one bit per sign instead of counts;
+* :func:`presence_degrees` — the SPA and SPO compatibility degrees straight
+  from that traversal's ``uint64`` planes, 64 sources a word, with no
+  ``(k, n)`` row; the presence traversal gathers each level in steps of at
+  most :data:`PRESENCE_SLICE_ENTRIES` adjacency entries, so its temporaries
+  stay bounded on large graphs;
 * :func:`multi_source_shortest_path_lengths_csr` — the batched counterpart for
   sign-agnostic distances, used by the distance oracle's team sweeps;
 * :func:`balanced_depths` — both balanced-path searches over a batch of
@@ -84,6 +89,7 @@ from repro.signed.paths import (
 )
 from repro.utils.bitset import (
     WORD_BITS,
+    bit_counts,
     set_bit_positions,
     source_bits,
     word_bit_columns,
@@ -123,6 +129,19 @@ WORDPARALLEL_MIN_SOURCES = 9
 #: (159-188 vs 216-263 ms).  4 is no slower at either size; the streaming
 #: workload ran equally fast end to end with 3 or 4.
 PRESENCE_MIN_SOURCES = 4
+
+#: Most adjacency entries one push or pull step of the presence traversal
+#: gathers at once (plus one long row, see :func:`_entry_spans`); a larger
+#: level runs as several steps.  Each gathered entry costs about 50 bytes
+#: of temporaries (positions, neighbour ids, sign masks, both planes read
+#: and swapped).  A 64-source :func:`presence_degrees` sweep over the
+#: 100k-node ``million`` stand-in (scale 0.1, 2.0M entries), best of 5 on a
+#: 2-core Xeon VM, by step size: unsliced 180 ms with 117 MB of traced
+#: allocations at peak (+52 MB process RSS), 2**20 142 ms / 70 MB,
+#: 2**18 141 ms / 26 MB (+0 MB RSS), 2**16 145 ms / 15 MB, 2**14 158 ms /
+#: 14 MB.  Graphs up to the 2308-node epinions stand-in run every level in
+#: one step.
+PRESENCE_SLICE_ENTRIES = 2**18
 
 
 class CSRSignedGraph:
@@ -547,20 +566,53 @@ class CSRSignedBFSResult:
         )
 
 
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    """The distinct entries of ``values``, ascending: ``np.unique``'s output.
+
+    One sort and a neighbour mask.  numpy 2's ``np.unique`` hashes integer
+    arrays instead, which on a 2-core Xeon VM takes 58 µs for 500 ids
+    against 8 µs here, and 339 µs for 3000 ids against 36 µs.
+    """
+    ordered = np.sort(values)
+    if ordered.size > 1:
+        distinct = np.empty(ordered.size, dtype=bool)
+        distinct[0] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=distinct[1:])
+        ordered = ordered[distinct]
+    return ordered
+
+
+def _entry_spans(node_degrees: np.ndarray, limit: int) -> List[int]:
+    """Cut points splitting consecutive nodes into runs of about ``limit`` entries.
+
+    ``node_degrees`` are the adjacency row lengths of a node list.  The
+    returned positions start at 0 and end at ``node_degrees.size``; the
+    nodes between two neighbouring cuts hold at most ``limit`` entries
+    besides the first node's row, so a row longer than ``limit`` is never
+    split but runs alone or first.  One span when everything fits.
+    """
+    ends = np.cumsum(node_degrees)
+    total = int(ends[-1]) if ends.size else 0
+    if total <= limit:
+        return [0, node_degrees.size]
+    cuts = np.searchsorted(ends, np.arange(limit, total, limit), side="right")
+    return _sorted_unique(np.concatenate(([0], cuts, [node_degrees.size]))).tolist()
+
+
 def _next_frontier(
     new_states: np.ndarray, state_array: np.ndarray, next_depth: int
 ) -> np.ndarray:
     """Deduplicated frontier for the next BFS level.
 
     ``new_states`` holds the states discovered this level, possibly with
-    duplicates.  For small levels a sort-based ``np.unique`` is cheapest; for
-    large levels a linear scan of the state array beats sorting — without the
-    scan fallback a low-diameter graph pays O(k log k) on huge levels, and
-    without the unique fast path a path-like graph pays O(n · diameter) in
-    full-array scans.
+    duplicates.  For small levels a sort and a neighbour mask
+    (:func:`_sorted_unique`) is cheapest; for large levels a linear scan of
+    the state array beats sorting — without the scan fallback a
+    low-diameter graph pays O(k log k) on huge levels, and without the sort
+    fast path a path-like graph pays O(n · diameter) in full-array scans.
     """
     if new_states.size * 16 < state_array.size:
-        return np.unique(new_states)
+        return _sorted_unique(new_states)
     return np.flatnonzero(state_array == next_depth)
 
 
@@ -625,11 +677,11 @@ def component_members(csr: CSRSignedGraph, source_ids: np.ndarray) -> np.ndarray
     bounded by those components' edges, not by the whole snapshot.
     """
     reached = np.zeros(csr.number_of_nodes(), dtype=bool)
-    frontier = np.unique(source_ids)
+    frontier = _sorted_unique(source_ids)
     reached[frontier] = True
     while frontier.size:
         targets = csr.indices[_adjacency_positions(csr, frontier)[0]]
-        frontier = np.unique(targets[~reached[targets]])
+        frontier = _sorted_unique(targets[~reached[targets]])
         reached[frontier] = True
     return np.flatnonzero(reached)
 
@@ -1010,36 +1062,36 @@ def _wordparallel_path_lengths_into(
     _decode_levels(levels, seen, out_lengths)
 
 
-def _wordparallel_presence_into(
+def _presence_planes(
     csr: CSRSignedGraph,
     source_ids: Sequence[int],
-    out_lengths: np.ndarray,
-    out_positive: np.ndarray,
-    out_negative: np.ndarray,
-) -> None:
-    """Word-parallel positive-path *presence*: BFS lengths plus one bit per sign.
+    levels: Optional[List[Tuple[np.ndarray, np.ndarray]]] = None,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Word-parallel positive-path *presence*: ``(seen, positive, negative)`` planes.
 
-    SPO (Definition 3.3) only asks whether *some* shortest path is positive,
-    so this traversal carries, per node, two ``uint64`` planes instead of
-    Algorithm 1's counts: bit ``b`` of ``positive[v]`` says some shortest
-    path from source ``b`` to ``v`` is positive, of ``negative[v]`` that
-    some is negative.  A positive edge passes both bits on, a negative edge
-    swaps them, and a node's bits are the OR over its parents — presence of
-    a signed shortest path, exactly ``counts > 0``.  Every source of the
-    word advances with the same array operations, with no per-source loop
-    (multi-source BFS, Then et al., PVLDB 8(4), 2014).
+    SPA and SPO (Definition 3.3) only ask whether *some* shortest path is
+    positive or negative, so this traversal carries, per node, ``uint64``
+    planes instead of Algorithm 1's counts: bit ``b`` of ``seen[v]`` says
+    source ``b`` reached ``v``, of ``positive[v]`` that some shortest path
+    from source ``b`` to ``v`` is positive, of ``negative[v]`` that some is
+    negative.  A positive edge passes both bits on, a negative edge swaps
+    them, and a node's bits are the OR over its parents — presence of a
+    signed shortest path, exactly ``counts > 0``.  Every source of the word
+    (at most 64) advances with the same array operations, with no
+    per-source loop (multi-source BFS, Then et al., PVLDB 8(4), 2014).
 
     Direction-optimising like :func:`_signed_bfs_arrays_into`: a level
     pushes (scatters the frontier's entries with ``np.bitwise_or.at``) while
     the frontier's degree sum is at most that of the nodes some source has
     not reached yet, and pulls otherwise (those nodes OR their rows with one
-    ``np.bitwise_or.reduceat`` per plane).  Rows are decoded once, at the
-    end: lengths by :func:`_decode_levels`, the sign planes into 0/1 rows of
-    ``out_positive`` / ``out_negative``.  Output buffers are ``(k, n)``
-    int32/int64/int64 with any row layout.  Nothing here can overflow.
+    ``np.bitwise_or.reduceat`` per plane).  Either way a level gathers its
+    rows in runs of about :data:`PRESENCE_SLICE_ENTRIES` entries
+    (:func:`_entry_spans`), so its temporaries stay bounded however large
+    the frontier.  With ``levels``, each level's ``(nodes, words)`` — the
+    nodes some source discovered and, per node, the word of those sources —
+    is appended for :func:`_decode_levels`.  Nothing here can overflow.
     """
     num_nodes = csr.number_of_nodes()
-    k = len(source_ids)
     degrees = csr.degrees()
     negative_entries = csr.signs < 0
     _ids, frontier_positive = _wordparallel_seed(num_nodes, source_ids)
@@ -1047,68 +1099,120 @@ def _wordparallel_presence_into(
     seen = frontier_positive.copy()
     positive = frontier_positive.copy()
     negative = np.zeros(num_nodes, dtype=np.uint64)
-    all_sources = np.bitwise_or.reduce(source_bits(k))
+    all_sources = np.bitwise_or.reduce(source_bits(len(source_ids)))
     # Nodes some source has not reached (non-zero degree only): a pull
     # level scans their rows, and only they can still be discovered.
     unreached = np.flatnonzero(degrees > 0)
     active = np.flatnonzero(frontier_positive)
-    levels: List[Tuple[np.ndarray, np.ndarray]] = []
     while True:
         frontier_edges = int(degrees[active].sum())
         unreached = unreached[seen[unreached] != all_sources]
         if not frontier_edges or unreached.size == 0:
             break
-        if frontier_edges > int(degrees[unreached].sum()):
-            positions, _counts, row_starts = _adjacency_positions(csr, unreached)
-            reads = csr.indices[positions]
-            swap = negative_entries[positions]
-            from_positive = frontier_positive[reads]
-            from_negative = frontier_negative[reads]
-            unseen = ~seen[unreached]
-            joined_positive = np.bitwise_or.reduceat(
-                np.where(swap, from_negative, from_positive), row_starts
-            )
-            joined_positive &= unseen
-            joined_negative = np.bitwise_or.reduceat(
-                np.where(swap, from_positive, from_negative), row_starts
-            )
-            joined_negative &= unseen
-            joins = np.flatnonzero(joined_positive | joined_negative)
-            newly = unreached[joins]
-            frontier_positive = np.zeros(num_nodes, dtype=np.uint64)
-            frontier_negative = np.zeros(num_nodes, dtype=np.uint64)
-            frontier_positive[newly] = joined_positive[joins]
-            frontier_negative[newly] = joined_negative[joins]
+        next_positive = np.zeros(num_nodes, dtype=np.uint64)
+        next_negative = np.zeros(num_nodes, dtype=np.uint64)
+        unreached_degrees = degrees[unreached]
+        if frontier_edges > int(unreached_degrees.sum()):
+            joined = []
+            spans = _entry_spans(unreached_degrees, PRESENCE_SLICE_ENTRIES)
+            for low, high in zip(spans, spans[1:]):
+                rows = unreached[low:high]
+                positions, _counts, row_starts = _adjacency_positions(csr, rows)
+                reads = csr.indices[positions]
+                swap = negative_entries[positions]
+                from_positive = frontier_positive[reads]
+                from_negative = frontier_negative[reads]
+                unseen = ~seen[rows]
+                joined_positive = np.bitwise_or.reduceat(
+                    np.where(swap, from_negative, from_positive), row_starts
+                )
+                joined_positive &= unseen
+                joined_negative = np.bitwise_or.reduceat(
+                    np.where(swap, from_positive, from_negative), row_starts
+                )
+                joined_negative &= unseen
+                joins = np.flatnonzero(joined_positive | joined_negative)
+                rows = rows[joins]
+                next_positive[rows] = joined_positive[joins]
+                next_negative[rows] = joined_negative[joins]
+                joined.append(rows)
+            newly = np.concatenate(joined)
         else:
-            positions, counts, _row_starts = _adjacency_positions(csr, active)
-            targets = csr.indices[positions]
-            swap = negative_entries[positions]
-            origins = np.repeat(active, counts)
-            from_positive = frontier_positive[origins]
-            from_negative = frontier_negative[origins]
-            frontier_positive = np.zeros(num_nodes, dtype=np.uint64)
-            frontier_negative = np.zeros(num_nodes, dtype=np.uint64)
-            np.bitwise_or.at(
-                frontier_positive, targets, np.where(swap, from_negative, from_positive)
-            )
-            np.bitwise_or.at(
-                frontier_negative, targets, np.where(swap, from_positive, from_negative)
-            )
+            spans = _entry_spans(degrees[active], PRESENCE_SLICE_ENTRIES)
+            for low, high in zip(spans, spans[1:]):
+                rows = active[low:high]
+                positions, counts, _row_starts = _adjacency_positions(csr, rows)
+                targets = csr.indices[positions]
+                swap = negative_entries[positions]
+                origins = np.repeat(rows, counts)
+                from_positive = frontier_positive[origins]
+                from_negative = frontier_negative[origins]
+                np.bitwise_or.at(
+                    next_positive, targets, np.where(swap, from_negative, from_positive)
+                )
+                np.bitwise_or.at(
+                    next_negative, targets, np.where(swap, from_positive, from_negative)
+                )
             unseen = ~seen
-            frontier_positive &= unseen
-            frontier_negative &= unseen
-            newly = np.flatnonzero(frontier_positive | frontier_negative)
+            next_positive &= unseen
+            next_negative &= unseen
+            newly = np.flatnonzero(next_positive | next_negative)
         if newly.size == 0:
             break
+        frontier_positive, frontier_negative = next_positive, next_negative
         newly_words = frontier_positive[newly] | frontier_negative[newly]
         seen[newly] |= newly_words
         positive[newly] |= frontier_positive[newly]
         negative[newly] |= frontier_negative[newly]
-        levels.append((newly, newly_words))
+        if levels is not None:
+            levels.append((newly, newly_words))
         active = newly
+    return seen, positive, negative
+
+
+def _wordparallel_presence_into(
+    csr: CSRSignedGraph,
+    source_ids: Sequence[int],
+    out_lengths: np.ndarray,
+    out_positive: np.ndarray,
+    out_negative: np.ndarray,
+) -> None:
+    """Presence rows of a word: BFS lengths plus one 0/1 row per sign.
+
+    Runs :func:`_presence_planes` and decodes its planes once, at the end:
+    lengths by :func:`_decode_levels`, the sign planes into 0/1 rows of
+    ``out_positive`` / ``out_negative`` (``counts > 0`` of Algorithm 1).
+    Output buffers are ``(k, n)`` int32/int64/int64 with any row layout.
+    """
+    k = len(source_ids)
+    levels: List[Tuple[np.ndarray, np.ndarray]] = []
+    seen, positive, negative = _presence_planes(csr, source_ids, levels)
     _decode_levels(levels, seen, out_lengths)
     out_positive[...] = word_bit_columns(positive, k).T
     out_negative[...] = word_bit_columns(negative, k).T
+
+
+def presence_degrees(csr: CSRSignedGraph, source_ids: Sequence[int]) -> List[Tuple[int, int]]:
+    """``(spa, spo)`` compatibility degrees of every dense source from presence planes.
+
+    Sources run 64 to a word through :func:`_presence_planes`; no ``(k, n)``
+    row is built.  A node other than the source is SPO-compatible with it
+    iff its ``positive`` bit is set, and SPA-compatible iff the source
+    reached it and no shortest path is negative (``seen & ~negative``); the
+    per-bit counts (:func:`~repro.utils.bitset.bit_counts`) include the
+    source itself once, which is subtracted.  Each pair equals the SPA and
+    SPO slots of :func:`repro.compatibility.shortest_path.dense_degree_triple`
+    on the source's Algorithm-1 rows.  SPM needs the counts themselves.
+    """
+    id_list = list(source_ids)
+    degrees: List[Tuple[int, int]] = []
+    for start in range(0, len(id_list), WORD_BITS):
+        word = id_list[start : start + WORD_BITS]
+        seen, positive, negative = _presence_planes(csr, word)
+        spa = bit_counts(seen & ~negative, len(word)) - 1
+        spo = bit_counts(positive, len(word)) - 1
+        degrees.extend(zip(spa.tolist(), spo.tolist()))
+    return degrees
 
 
 def _wordparallel_signed_bfs_into(
@@ -1786,11 +1890,7 @@ def _exact_batch_claims(
         extended = []
         while frontier:
             rows, last, on_path, camp_one = frontier.popleft()
-            ends = np.cumsum(degrees[last])
-            cuts = np.searchsorted(
-                ends, np.arange(EXACT_STEP_ENTRIES, ends[-1], EXACT_STEP_ENTRIES), side="right"
-            )
-            spans = np.unique(np.concatenate(([0], cuts, [rows.size]))).tolist()
+            spans = _entry_spans(degrees[last], EXACT_STEP_ENTRIES)
             for low, high in zip(spans, spans[1:]):
                 extended.append(
                     extend(rows[low:high], last[low:high], on_path[:, low:high],

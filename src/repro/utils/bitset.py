@@ -49,6 +49,28 @@ def word_bit_columns(words, count: int):
     )[:, :count]
 
 
+def bit_counts(words, count: int):
+    """Per-bit counts: entry ``b`` is how many of ``words`` have bit ``b`` set.
+
+    An int64 array over bits ``0 <= b < count``, for ``count`` from 1 to
+    :data:`WORD_BITS`: the column sums of :func:`word_bit_columns` without
+    building its ``(len(words), count)`` matrix.  One ``np.bincount`` per
+    low byte of the words; each byte value's bits come from a 256-row
+    table.
+    """
+    import numpy as np
+
+    octets = np.ascontiguousarray(words, dtype="<u8").view(np.uint8).reshape(-1, 8)
+    table = np.unpackbits(
+        np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little"
+    ).astype(np.int64)
+    per_byte = [
+        np.bincount(octets[:, byte], minlength=256) @ table
+        for byte in range((count + 7) // 8)
+    ]
+    return np.concatenate(per_byte)[:count]
+
+
 def set_bit_positions(word: int) -> List[int]:
     """The set bit positions of a Python/numpy integer, ascending.
 

@@ -56,7 +56,7 @@ class GenerationalLRUCache(LRUCache[K, V]):
     def __init__(
         self,
         graph,
-        maxsize: Optional[int] = None,
+        maxsize: int,
         bytes_per_entry: Optional[int] = None,
         component_local: bool = True,
     ) -> None:

@@ -4,7 +4,7 @@ The compatibility relations keep one expensive result per queried source node
 (a signed BFS, a balanced-path search, a distance map).  Left unbounded, a full
 :class:`~repro.compatibility.matrix.CompatibilityMatrix` on a large graph holds
 ``O(n)`` results of ``O(n)`` size each — an easy OOM.  :class:`LRUCache` gives
-those caches a configurable ceiling while keeping the common small-graph
+those caches a required ceiling while keeping the common small-graph
 workloads (where every source fits) entirely unaffected.
 
 Because every cached entry is O(n) in the graph size, a fixed *entry* bound is
@@ -43,7 +43,7 @@ APPROX_BYTES_PER_NODE = 64
 MIN_SCALED_CACHE_ENTRIES = 4
 
 
-def fetch_batched(cache, keys, compute_missing):
+def fetch_batched(cache, keys, compute_missing, usable=None):
     """Batched read-through against an :class:`LRUCache`.
 
     Probes ``cache`` for every key, computes the misses with **one**
@@ -51,7 +51,9 @@ def fetch_batched(cache, keys, compute_missing):
     order preserved), writes them through, and returns the values aligned
     with ``keys``.  Results are held locally for the duration of the call, so
     a batch larger than the cache bound is still computed exactly once even
-    though the write-through may evict earlier entries.
+    though the write-through may evict earlier entries.  With ``usable``, a
+    cached value for which it returns false counts as a miss too (the SP*
+    degree memo's entries without the asked-for degree).
 
     This is the single implementation of the probe → dedup → batch-compute →
     write-through pattern shared by the relations' ``batch_bfs`` /
@@ -60,7 +62,7 @@ def fetch_batched(cache, keys, compute_missing):
     found = {}
     for key in keys:
         value = cache.get(key)
-        if value is not None:
+        if value is not None and (usable is None or usable(value)):
             found[key] = value
     missing = [key for key in dict.fromkeys(keys) if key not in found]
     if missing:
@@ -110,11 +112,11 @@ class LRUCache(Generic[K, V]):
 
     def __init__(
         self,
-        maxsize: Optional[int] = None,
+        maxsize: int,
         bytes_per_entry: Optional[int] = None,
     ) -> None:
-        if maxsize is not None and maxsize <= 0:
-            raise ValueError(f"maxsize must be positive or None, got {maxsize}")
+        if maxsize <= 0:
+            raise ValueError(f"maxsize must be positive, got {maxsize}")
         if bytes_per_entry is not None and bytes_per_entry < 0:
             raise ValueError(
                 f"bytes_per_entry must be non-negative or None, got {bytes_per_entry}"
@@ -127,8 +129,8 @@ class LRUCache(Generic[K, V]):
         self._evictions = 0
 
     @property
-    def maxsize(self) -> Optional[int]:
-        """The capacity bound (``None`` means unbounded)."""
+    def maxsize(self) -> int:
+        """The capacity bound."""
         return self._maxsize
 
     @property
@@ -177,7 +179,7 @@ class LRUCache(Generic[K, V]):
         if key in self._data:
             self._data.move_to_end(key)
         self._data[key] = value
-        if self._maxsize is not None and len(self._data) > self._maxsize:
+        if len(self._data) > self._maxsize:
             self._data.popitem(last=False)
             self._evictions += 1
 

@@ -290,7 +290,7 @@ class TestGenerationalLRUCache:
         graph = SignedGraph.from_edges(
             [(i, i + 1, 1) for i in range(5)] + [(i, i + 1, 1) for i in range(100, 120)]
         )
-        cache = GenerationalLRUCache(graph)
+        cache = GenerationalLRUCache(graph, maxsize=8)
         cache[0] = "component-a"
         cache[100] = "component-b"
         graph.set_sign(0, 1, -1)  # touches only component A
@@ -322,7 +322,7 @@ class TestGenerationalLRUCache:
         graph = SignedGraph.from_edges(
             [(0, 1, 1)] + [(i, i + 1, 1) for i in range(10, 40)]
         )
-        cache = GenerationalLRUCache(graph, component_local=False)
+        cache = GenerationalLRUCache(graph, maxsize=8, component_local=False)
         cache[0] = "x"
         cache[10] = "y"
         graph.set_sign(0, 1, -1)  # edge-level: component rules still apply
@@ -333,7 +333,7 @@ class TestGenerationalLRUCache:
 
     def test_clear_fast_forwards_generation(self):
         graph = SignedGraph.from_edges([(0, 1, 1)])
-        cache = GenerationalLRUCache(graph)
+        cache = GenerationalLRUCache(graph, maxsize=8)
         cache[0] = "x"
         graph.set_sign(0, 1, -1)
         cache.clear()

@@ -4,17 +4,20 @@ A presence row says, per (source, node), whether some shortest path is
 positive and whether some is negative — exactly ``counts > 0`` of Algorithm
 1 — next to the same BFS lengths.  SPO (Definition 3.3) needs nothing more,
 so its batched misses run the presence traversal in words of at least
-``PRESENCE_MIN_SOURCES`` sources.  These tests pin the rows against the
-per-source counting kernel, the answers against executors and fresh
-relations, and the separation of the presence cache from every counts
-reader.
+``PRESENCE_MIN_SOURCES`` sources, and the SPA and SPO degree sweeps reduce
+its planes to two ints per source.  These tests pin the rows and degrees
+against the per-source counting kernel, the answers against executors,
+fresh relations and the reference, and the separation of the presence cache
+from every counts reader.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 from collections import Counter
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -23,7 +26,10 @@ from hypothesis import strategies as st
 
 import repro.signed.csr as csr_module
 from repro.compatibility import CompatibilityEngine, DistanceOracle, make_relation
-from repro.compatibility.shortest_path import MajorityShortestPathsCompatibility
+from repro.compatibility.shortest_path import (
+    MajorityShortestPathsCompatibility,
+    dense_degree_triple,
+)
 from repro.datasets import synthetic_signed_network
 from repro.exec import ExecutionPolicy, ProcessPoolExecutor, SerialExecutor, reset_executors
 from repro.signed import SignedGraph
@@ -33,11 +39,13 @@ from repro.signed.csr import (
     CSRSignedBFSResult,
     PresenceRows,
     _signed_bfs_arrays,
+    presence_degrees,
     signed_bfs_dense_batch,
     signed_bfs_dense_batch_into,
 )
 
 from reference import ReferenceRelation
+from test_exec import record_pool_maps
 
 SHORTEST_PATH = ("SPA", "SPM", "SPO")
 
@@ -66,10 +74,15 @@ def presence_words(draw):
     return graph, sources
 
 
+#: Entries per presence step: tiny ones split every level of a small graph,
+#: the module's own keeps each level whole.
+slice_sizes = st.sampled_from((1, 3, csr_module.PRESENCE_SLICE_ENTRIES))
+
+
 class TestPresenceRows:
     @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(presence_words())
-    def test_rows_equal_counts_above_zero(self, word):
+    @given(presence_words(), slice_sizes)
+    def test_rows_equal_counts_above_zero(self, word, slice_entries):
         graph, sources = word
         csr = graph.csr_view()
         k, n = len(sources), csr.number_of_nodes()
@@ -77,7 +90,8 @@ class TestPresenceRows:
         lengths = np.full((2 * k, n), -7, dtype=np.int32)[::2]
         positive = np.full((2 * k, n), -7, dtype=np.int64)[::2]
         negative = np.full((2 * k, n), -7, dtype=np.int64)[::2]
-        csr_module._wordparallel_presence_into(csr, sources, lengths, positive, negative)
+        with patch.object(csr_module, "PRESENCE_SLICE_ENTRIES", slice_entries):
+            csr_module._wordparallel_presence_into(csr, sources, lengths, positive, negative)
         for row, source in enumerate(sources):
             want_lengths, want_positive, want_negative = _signed_bfs_arrays(csr, source)
             assert np.array_equal(lengths[row], want_lengths)
@@ -126,6 +140,74 @@ class TestPresenceRows:
         for node in nodes:
             assert result.length(node) == reference.length(node)
             assert result.has_positive_path(node) == (reference.counts(node)[0] > 0)
+
+
+class TestPresenceDegrees:
+    """``presence_degrees`` reduces the presence planes to ``(spa, spo)``
+    per source, whatever the size of the steps a level is gathered in."""
+
+    @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(presence_words(), slice_sizes)
+    def test_degrees_equal_counted_slots(self, word, slice_entries):
+        graph, sources = word
+        csr = graph.csr_view()
+        with patch.object(csr_module, "PRESENCE_SLICE_ENTRIES", slice_entries):
+            degrees = presence_degrees(csr, sources)
+        for source, pair in zip(sources, degrees):
+            spa, _spm, spo = dense_degree_triple(*_signed_bfs_arrays(csr, source), source)
+            assert pair == (spa, spo)
+
+    def test_sliced_levels_bound_the_temporaries(self):
+        """Small steps keep the reducer's peak allocation to its per-node
+        planes plus one step's entries; unsliced it gathers whole levels."""
+        graph, _ = synthetic_signed_network(
+            5000, average_degree=40.0, negative_fraction=0.3, seed=5
+        )
+        csr = graph.csr_view()
+        n = csr.number_of_nodes()
+        sources = list(range(0, n, 79))[:64]
+        slice_entries = 2**12
+        # About 16 per-node uint64/int64 arrays, the sign mask over every
+        # entry, and ~60 bytes per gathered entry of one step.
+        budget = 24 * 8 * n + csr.indices.size + 128 * (
+            slice_entries + int(csr.degrees().max())
+        )
+
+        def peak(entries):
+            with patch.object(csr_module, "PRESENCE_SLICE_ENTRIES", entries):
+                tracemalloc.start()
+                try:
+                    degrees = presence_degrees(csr, sources)
+                    return tracemalloc.get_traced_memory()[1], degrees
+                finally:
+                    tracemalloc.stop()
+
+        sliced_peak, sliced = peak(slice_entries)
+        whole_peak, whole = peak(csr.indices.size)
+        assert sliced == whole
+        assert sliced_peak <= budget < whole_peak
+
+    @pytest.mark.usefixtures("pools_down", "dispatch_small_batches")
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_spa_spm_spo_sweeps_equal_reference(self, monkeypatch, workers):
+        """SPA's and SPO's sweeps run presence in-process, with no
+        ``pool.map``; SPM's counts fill the rest of each memo entry."""
+        graph = _graph(80, seed=41)
+        graph.add_node("loner")
+        nodes = graph.nodes()
+        policy = ExecutionPolicy(workers=workers)
+        relations = [make_relation(name, graph, policy=policy) for name in SHORTEST_PATH]
+        executor = relations[0]._executor()
+        maps = record_pool_maps(executor, monkeypatch) if workers else []
+        for relation in relations:
+            maps.clear()
+            degrees = relation.batch_compatibility_degrees(nodes)
+            reference = ReferenceRelation(relation.name, graph)
+            assert degrees == [reference.compatibility_degree(u) for u in nodes]
+            assert bool(maps) == (workers > 0 and relation.name == "SPM")
+        assert all(
+            relations[0]._degree_cache.get(u)[1] is not None for u in nodes
+        )
 
 
 def _record_dispatches(monkeypatch):

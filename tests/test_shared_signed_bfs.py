@@ -271,16 +271,20 @@ class TestShortestPathOracle:
 
 @pytest.mark.usefixtures("pools_down")
 class TestDegreeMemo:
-    """One traversal per source answers the SPA, SPM and SPO degrees."""
+    """One presence word answers the SPA and SPO degrees, one count
+    traversal per source the SPM degree and the rest of the triple."""
 
     @pytest.mark.usefixtures("dispatch_small_batches")
     @pytest.mark.parametrize("workers", [0, 2])
-    def test_one_sweep_serves_all_three_relations(self, monkeypatch, workers):
+    def test_presence_and_one_count_sweep_serve_all_three_relations(
+        self, monkeypatch, workers
+    ):
         kernels = _record_dispatches(monkeypatch)
         graph = _graph(80, seed=37)
         policy = ExecutionPolicy(workers=workers)
         sample = random.Random(3).sample(graph.nodes(), 24)
-        # The pool counts inside the workers; serially the BFS results are
+        # SPA's presence planes run in-process, through no kernel.  SPM
+        # counts: the pool inside the workers, serially into the BFS cache
         # kept for the distance rows that follow in Table 2.
         traversal = "csr_compatible_degrees" if workers else "csr_signed_bfs"
         for phase in range(2):
@@ -289,7 +293,7 @@ class TestDegreeMemo:
             for name, relation in relations.items():
                 kernels.clear()
                 degrees[name] = relation.batch_compatibility_degrees(sample)
-                assert set(kernels) == ({traversal} if name == "SPA" else set())
+                assert set(kernels) == ({traversal} if name == "SPM" else set())
             reference = graph.copy()
             for name in SHORTEST_PATH:
                 fresh = make_relation(name, reference)

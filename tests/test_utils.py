@@ -149,20 +149,13 @@ class TestTimer:
 
 class TestLRUCache:
     def test_acts_as_mapping(self):
-        cache = LRUCache()
+        cache = LRUCache(maxsize=4)
         cache["a"] = 1
         assert cache.get("a") == 1
         assert "a" in cache
         assert len(cache) == 1
         assert cache.get("missing") is None
         assert cache.get("missing", 7) == 7
-
-    def test_unbounded_by_default(self):
-        cache = LRUCache()
-        for i in range(10_000):
-            cache[i] = i
-        assert len(cache) == 10_000
-        assert cache.evictions == 0
 
     def test_evicts_least_recently_used(self):
         cache = LRUCache(maxsize=2)
