@@ -42,7 +42,7 @@ import pytest
 
 from repro.compatibility import CompatibilityEngine, make_relation
 from repro.datasets import load_dataset, synthetic_signed_network
-from repro.exec.kernels import csr_compatible_degrees
+from repro.compatibility.shortest_path import dense_degree_triple
 from repro.experiments import fast_config
 from repro.signed.csr import (
     UNREACHABLE,
@@ -50,6 +50,7 @@ from repro.signed.csr import (
     balanced_depths,
     multi_source_signed_bfs,
     signed_bfs_csr,
+    signed_bfs_dense_batch,
     signed_bfs_dense_batch_into,
 )
 from repro.signed.paths import BalancedPathSearch
@@ -189,8 +190,7 @@ def test_spa_degree_sweep_speedup_over_per_source_counting(benchmark, workload):
 
     The sweep is the relation's cold ``batch_compatibility_degrees``, which
     reduces one presence word in-process; the reference counts each source
-    with Algorithm 1 through the ``csr_compatible_degrees`` kernel, as the
-    pool's chunks of fewer than ``WORDPARALLEL_MIN_SOURCES`` sources did.
+    with Algorithm 1 on its own, one traversal per source.
     """
     graph, _team, _pools = workload
     csr = graph.csr_view()
@@ -203,8 +203,8 @@ def test_spa_degree_sweep_speedup_over_per_source_counting(benchmark, workload):
 
     def per_source():
         return [
-            csr_compatible_degrees(csr, [csr.index_of(source)], {})[0][0]
-            for source in sources
+            dense_degree_triple(*signed_bfs_dense_batch(csr, [dense])[0], dense)[0]
+            for dense in map(csr.index_of, sources)
         ]
 
     counts_elapsed, counted = _best_of(3, per_source)

@@ -12,24 +12,17 @@ The acceptance bars (ISSUE 6), all on the 50k-node synthetic signed network:
   2.06-2.09x), >= 1.05x for signed BFS with its count propagation (measured
   1.15-1.29x) — while returning bit-identical arrays.  The per-source
   reference is the direction-optimising kernel (2-core Xeon VM).
-* **File-backed dispatch**: pool sweeps over a snapshot published into a
-  ``snapshot_store`` directory must be bit-identical to serial runs (no
-  timing bar — the check guards the publish/mmap mechanism).
 
-The identity checks run everywhere; the pool check self-skips below
-2 CPUs.  The CI ``benchmarks`` job runs this file and uploads
-``bench-store.json``.
+The CI ``benchmarks`` job runs this file and uploads ``bench-store.json``.
 """
 
 from __future__ import annotations
 
-import os
 import time
 
 import pytest
 
 from repro.datasets import synthetic_signed_network
-from repro.exec import ExecutionPolicy, executor_for, serial_executor, shutdown_pools
 from repro.signed.csr import (
     CSRSignedGraph,
     _shortest_path_lengths_array,
@@ -65,8 +58,7 @@ def big_graph():
     graph, _ = synthetic_signed_network(
         NUM_NODES, average_degree=6.0, negative_fraction=0.2, seed=SEED
     )
-    yield graph
-    shutdown_pools()
+    return graph
 
 
 @pytest.fixture(scope="module")
@@ -223,39 +215,3 @@ def test_wordparallel_signed_bfs_speedup(big_csr, benchmark):
     assert speedup >= SIGNED_BFS_BAR, (
         f"word-parallel signed BFS only {speedup:.2f}x (bar {SIGNED_BFS_BAR}x)"
     )
-
-
-@pytest.mark.skipif(
-    (os.cpu_count() or 1) < 2,
-    reason="file-backed pool dispatch needs 2 CPUs",
-)
-def test_file_backed_dispatch_bit_identical_to_serial(big_csr, tmp_path, benchmark):
-    """Pool sweeps over a ``snapshot_store`` publication == serial."""
-    dense = list(range(64))
-    serial = serial_executor()
-    store_exec = executor_for(
-        ExecutionPolicy(workers=2, snapshot_store=str(tmp_path))
-    )
-    serial_time, expected = _timed(
-        lambda: serial.map_kernel("csr_path_lengths", big_csr, dense, {})
-    )
-    store_time, via_store = _timed(
-        lambda: store_exec.map_kernel("csr_path_lengths", big_csr, dense, {})
-    )
-    benchmark.extra_info["serial_seconds"] = serial_time
-    benchmark.extra_info["store_dispatch_seconds"] = store_time
-    benchmark.pedantic(
-        lambda: store_exec.map_kernel("csr_path_lengths", big_csr, dense, {}),
-        rounds=1,
-        iterations=1,
-    )
-    print(
-        f"\n[dispatch] 64-source path-length sweep: serial {serial_time:.3f}s, "
-        f"file-backed pool {store_time:.3f}s"
-    )
-    assert len(via_store) == len(expected)
-    for left, right in zip(via_store, expected):
-        assert np.array_equal(left, right)
-    # The published file lives in the store directory for the snapshot's
-    # lifetime and is swept by shutdown_pools (module fixture teardown).
-    assert [f for f in os.listdir(tmp_path) if f.endswith(".store")]

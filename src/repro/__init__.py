@@ -10,10 +10,6 @@ The package provides:
 * :mod:`repro.teams` — the TFSN problem, the generic greedy Algorithm 2 with
   its skill/user selection policies (LCMD, LCMC, ...), an exact solver, and
   the unsigned RarestFirst baseline;
-* :mod:`repro.exec` — the execution-policy layer: one
-  :class:`~repro.exec.ExecutionPolicy` per stack selecting (optional)
-  process-pool parallelism for the per-source CSR kernels, with
-  serial/pooled results guaranteed bit-identical;
 * :mod:`repro.datasets` — synthetic stand-ins for the paper's datasets plus
   loaders for the real SNAP files;
 * :mod:`repro.experiments` — runnable reproductions of every table and figure
@@ -34,7 +30,6 @@ True
 """
 
 from repro import compatibility, datasets, exceptions, signed, skills, teams, utils
-from repro import exec as exec  # noqa: PLC0414 - re-export the subpackage explicitly
 
 __version__ = "1.0.0"
 
@@ -42,7 +37,6 @@ __all__ = [
     "compatibility",
     "datasets",
     "exceptions",
-    "exec",
     "signed",
     "skills",
     "teams",

@@ -2,11 +2,11 @@
 
 Nine PRs of scaling work left this repository resting on a set of
 hand-maintained correctness contracts — "every adjacency write bumps the
-generation", "every published snapshot file lands on the crash ledger",
-"execution knobs enter only through the policy" — that previously lived in
-reviewers' heads and scattered tests.  This package encodes them as AST-level
-lint rules that run in CI (``repro-teams analyze`` / ``python -m repro.analysis``), so a
-new kernel, mutation path or publish mode cannot silently violate them.
+generation", "every snapshot temp file lands on the crash ledger" — that
+previously lived only in code review and scattered tests.  This package
+encodes them as AST-level lint rules that run in CI (``repro-teams analyze`` /
+``python -m repro.analysis``), so a new kernel or mutation path cannot
+silently violate them.
 
 Layout:
 

@@ -83,7 +83,7 @@ def suppressed_rules(line_text: str) -> Optional[frozenset]:
 class ModuleContext:
     """One parsed source module as the rules see it."""
 
-    module: str  #: dotted module name, e.g. ``repro.exec.pool``
+    module: str  #: dotted module name, e.g. ``repro.signed.store``
     path: str  #: path used in findings (repo-relative when possible)
     source: str
     tree: ast.Module

@@ -12,7 +12,6 @@ from repro.analysis.rules import (  # noqa: F401  (import = register)
     ledger,
     materialise,
     mutation,
-    policy,
 )
 
 __all__ = [
@@ -21,5 +20,4 @@ __all__ = [
     "ledger",
     "materialise",
     "mutation",
-    "policy",
 ]

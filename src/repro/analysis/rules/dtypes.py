@@ -1,11 +1,10 @@
 """``dtype-discipline``: CSR planes keep their declared wire dtypes.
 
-The snapshot format (PR 4) and the shared-memory republish protocol both
-write raw plane bytes with *declared* dtypes: ``indptr`` is int64,
-``indices`` int32, ``signs`` int8.  A plane built with a different dtype
-round-trips through ``save_snapshot``/``mmap`` or a pool republish as
-garbage — numpy would happily build an int64 ``indices`` array locally and
-the corruption only surfaces when another process maps the bytes.
+The snapshot format (PR 4) writes raw plane bytes with *declared* dtypes:
+``indptr`` is int64, ``indices`` int32, ``signs`` int8.  A plane built with a
+different dtype round-trips through ``save_snapshot``/``mmap`` as garbage —
+numpy would happily build an int64 ``indices`` array locally and the
+corruption only surfaces when another process maps the bytes.
 
 The check: inside ``repro.signed.*``, any assignment whose target is named
 like a plane (``*indptr``, ``*indices``, ``*signs``) and whose value is a
@@ -53,8 +52,8 @@ class DtypeDisciplineRule(Rule):
     id = "dtype-discipline"
     contract = (
         "CSR planes are built with their declared wire dtypes — indptr "
-        "int64, indices int32, signs int8 — so snapshot bytes and "
-        "shared-memory views mean the same thing in every process"
+        "int64, indices int32, signs int8 — so snapshot bytes mean the "
+        "same thing in every process"
     )
 
     def check_module(self, ctx: ModuleContext):
@@ -90,7 +89,7 @@ class DtypeDisciplineRule(Rule):
                             node,
                             f"{plane} plane built with dtype {token!r} "
                             f"instead of the declared {declared}: snapshot "
-                            "and shared-memory consumers map the raw bytes "
+                            "consumers map the raw bytes "
                             "with the declared dtype and would read garbage",
                         )
                     )

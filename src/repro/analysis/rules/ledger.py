@@ -1,19 +1,13 @@
-"""``ledger-discipline``: crash-cleanup ledgers must see every allocation.
+"""``ledger-discipline``: the crash-cleanup ledger must see every allocation.
 
-The executor and snapshot store survive worker crashes because every
-OS-visible resource is registered with a process-local ledger *in the same
-function that allocates it*:
+The snapshot store cleans up after interrupted writes because every temp
+file (``_temp_path(...)`` / ``tempfile`` APIs) is registered with the
+process-local ``_TEMP_LEDGER`` *in the same function that allocates it* —
+otherwise an interrupted save litters ``*.tmp`` files next to the store.
 
-* snapshot-store temp files (``_temp_path(...)`` / ``tempfile`` APIs) →
-  ``_TEMP_LEDGER`` — otherwise an interrupted save litters ``*.tmp`` files
-  next to the store;
-* snapshot files published by the pool (``save_snapshot`` in
-  ``repro.exec``) → ``_STORE_FILE_LEDGER`` — otherwise republished
-  snapshots outlive the pool that owns them.
-
-"Same function" is the contract, not "somewhere": the ledgers are consulted
-by ``atexit``/signal handlers, so a registration deferred to a helper the
-crash can skip is no registration at all.
+"Same function" is the contract, not "somewhere": the ledger is swept by
+``repro.signed.store.flush_temp_files``, so a registration deferred to a
+helper the crash can skip is no registration at all.
 """
 
 from __future__ import annotations
@@ -25,7 +19,7 @@ from repro.analysis.core import Finding, ModuleContext, Rule, register_rule
 from repro.analysis.rules._util import call_name, iter_functions
 
 _TEMPFILE_APIS = {"mkstemp", "NamedTemporaryFile", "mkdtemp"}
-_LEDGERS = {"_TEMP_LEDGER", "_STORE_FILE_LEDGER"}
+_LEDGERS = {"_TEMP_LEDGER"}
 
 
 def _ledger_stores(func: ast.AST) -> set:
@@ -52,12 +46,22 @@ def _ledger_stores(func: ast.AST) -> set:
     return stores
 
 
+def _requirement(call: ast.Call):
+    """``(ledger, what)`` when ``call`` allocates a ledgered resource, else ``None``."""
+    name = call_name(call)
+    if name == "_temp_path":
+        return "_TEMP_LEDGER", "a snapshot-store temp path"
+    if name in _TEMPFILE_APIS:
+        return "_TEMP_LEDGER", f"a tempfile.{name} resource"
+    return None
+
+
 @register_rule
 class LedgerDisciplineRule(Rule):
     id = "ledger-discipline"
     contract = (
-        "snapshot temp files and published store files are registered with "
-        "their crash-cleanup ledger in the same function that allocates them"
+        "snapshot temp files are registered with their crash-cleanup ledger "
+        "in the same function that allocates them"
     )
 
     def check_module(self, ctx: ModuleContext):
@@ -69,7 +73,7 @@ class LedgerDisciplineRule(Rule):
             for node in ast.walk(func):
                 if not isinstance(node, ast.Call):
                     continue
-                requirement = self._requirement(ctx, node)
+                requirement = _requirement(node)
                 if requirement is None:
                     continue
                 ledger, what = requirement
@@ -87,13 +91,3 @@ class LedgerDisciplineRule(Rule):
                         )
                     )
         return findings
-
-    def _requirement(self, ctx: ModuleContext, call: ast.Call):
-        name = call_name(call)
-        if name == "_temp_path":
-            return "_TEMP_LEDGER", "a snapshot-store temp path"
-        if name in _TEMPFILE_APIS:
-            return "_TEMP_LEDGER", f"a tempfile.{name} resource"
-        if ctx.module.startswith("repro.exec") and name == "save_snapshot":
-            return "_STORE_FILE_LEDGER", "a published .store snapshot file"
-        return None

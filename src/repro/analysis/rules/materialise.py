@@ -3,8 +3,8 @@
 ``CSRBackedSignedGraph`` exists so million-node graphs are served straight
 from CSR planes; ``_materialise()`` inflates the full python dict adjacency
 (gigabytes at scale) and is strictly a last-resort escape hatch owned by
-``repro.signed.lazy`` itself.  Read-only code — facades, relations, engine,
-executor — must use the dict-free protocol (iteration, ``degree``,
+``repro.signed.lazy`` itself.  Read-only code — facades, relations, engine —
+must use the dict-free protocol (iteration, ``degree``,
 ``neighbors_with_signs``) instead.
 
 Touching ``_adjacency`` outside ``repro.signed`` is the same bug with the

@@ -5,8 +5,7 @@ any method that changes adjacency state on :class:`~repro.signed.graph.
 SignedGraph` or a subclass (the CSR-backed facade included):
 
 1. it bumps :attr:`generation` via ``self._record_mutation(...)`` — every
-   generation-keyed cache, the CSR view and the pool's republish keying
-   depend on it;
+   generation-keyed cache and the CSR view depend on it;
 2. it appends the structured event to the :class:`~repro.signed.delta.
    GraphDelta` log (``self._delta.record_*``) — delta-maintained CSR views
    and the dict-free facade depend on it.

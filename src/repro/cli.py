@@ -17,13 +17,6 @@ Installed as ``repro-teams`` (see ``pyproject.toml``); also runnable as
 * ``analyze`` — run the project's invariant lint rules (stdlib-AST static
   analysis, see :mod:`repro.analysis`) over the source tree; ``--strict``
   is the CI gate, ``--json`` emits the ``analysis.json`` artifact.
-
-The experiment commands (``table2``, ``figure2``, ``streaming`` and
-``reproduce``) take ``--workers N`` to fan the per-source kernel sweeps out
-over a process pool (:class:`repro.exec.ExecutionPolicy`), and
-``--snapshot-store DIR`` to pick the directory pool snapshots are published
-into (default: ``/dev/shm``); the default is serial, so existing invocations
-are unchanged, and results are identical in every mode.
 """
 
 from __future__ import annotations
@@ -60,46 +53,6 @@ from repro.signed.graph import SignedGraph
 from repro.skills import Task
 from repro.teams import ALGORITHM_NAMES, TeamFormationProblem, run_algorithm
 from repro.utils.tables import format_table
-
-
-def _workers_argument(value: str) -> int:
-    """Validate ``--workers`` at parse time with a message that explains it.
-
-    Without this, a bad value would only surface at the first kernel
-    dispatch, as an opaque ``ValueError`` out of the policy/multiprocessing
-    internals.  The rule (and its message) lives in
-    :func:`repro.exec.policy.validate_workers`, shared with
-    :class:`repro.exec.ExecutionPolicy` so the two surfaces cannot drift.
-    """
-    from repro.exec.policy import validate_workers
-
-    try:
-        workers = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer worker count, got {value!r}"
-        ) from None
-    try:
-        validate_workers(workers)
-    except ValueError as error:
-        raise argparse.ArgumentTypeError(str(error)) from None
-    return workers
-
-
-def _snapshot_store_argument(value: str) -> str:
-    """Validate ``--snapshot-store``: an existing directory for snapshot files.
-
-    Shares its rule with :meth:`repro.exec.ExecutionPolicy.__post_init__` via
-    :func:`repro.exec.policy.validate_snapshot_store`, so the policy layer and
-    the CLI reject the same values with the same message.
-    """
-    from repro.exec.policy import validate_snapshot_store
-
-    try:
-        validate_snapshot_store(value, name="snapshot-store")
-    except ValueError as error:
-        raise argparse.ArgumentTypeError(str(error)) from None
-    return value
 
 
 def _snapshot_file_argument(value: str) -> str:
@@ -159,24 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
     team_parser.add_argument("--seed", type=int, default=None)
     team_parser.add_argument("--scale", type=float, default=None)
 
-    def add_execution_flags(subparser: argparse.ArgumentParser) -> None:
-        """``--workers`` / ``--snapshot-store``: the ExecutionPolicy knobs."""
-        subparser.add_argument(
-            "--workers",
-            type=_workers_argument,
-            default=0,
-            help="worker processes for per-source kernel sweeps "
-            "(0 = serial, the default; -1 = one per CPU)",
-        )
-        subparser.add_argument(
-            "--snapshot-store",
-            type=_snapshot_store_argument,
-            default=None,
-            metavar="DIR",
-            help="existing directory to publish pool snapshot files into "
-            "(default: /dev/shm when writable, else the temp directory)",
-        )
-
     def add_scale_flags(subparser: argparse.ArgumentParser) -> None:
         """Dataset-selection overrides: run an experiment off the paper grid.
 
@@ -223,7 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
     reproduce_parser.add_argument(
         "--fast", action="store_true", help="use the miniature configuration"
     )
-    add_execution_flags(reproduce_parser)
 
     table2_parser = subparsers.add_parser(
         "table2", help="run Table 2 (compatibility-relation comparison) only"
@@ -232,7 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--fast", action="store_true", help="use the miniature configuration"
     )
     add_scale_flags(table2_parser)
-    add_execution_flags(table2_parser)
 
     figure2_parser = subparsers.add_parser(
         "figure2", help="run Figure 2 (team-formation panels) only"
@@ -247,7 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="which Figure-2 panels to run (default: all)",
     )
     add_scale_flags(figure2_parser)
-    add_execution_flags(figure2_parser)
 
     streaming_parser = subparsers.add_parser(
         "streaming", help="edge churn interleaved with team-formation queries"
@@ -287,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     streaming_parser.add_argument("--seed", type=int, default=2020, help="workload seed")
     streaming_parser.add_argument("--dataset-seed", type=int, default=None)
     streaming_parser.add_argument("--scale", type=float, default=None)
-    add_execution_flags(streaming_parser)
 
     snapshot_parser = subparsers.add_parser(
         "snapshot", help="save, load or inspect on-disk graph snapshots"
@@ -336,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _experiment_config(arguments: argparse.Namespace):
     """Build the experiment configuration an experiment command asked for.
 
-    Beyond ``--fast`` and the execution flags, the scale flags
+    Beyond ``--fast``, the scale flags
     (``--datasets`` / ``--scale`` / ``--dataset-seed`` / ``--relations`` /
     ``--sources`` / ``--skill-pairs``) rewrite the dataset grid, so e.g.
     ``table2 --datasets million --sources 8`` runs Table 2 on the 1M-node
@@ -399,11 +330,6 @@ def _experiment_config(arguments: argparse.Namespace):
             or relations,
         )
 
-    snapshot_store = getattr(arguments, "snapshot_store", None)
-    if arguments.workers or snapshot_store:
-        config = config.with_execution(
-            workers=arguments.workers, snapshot_store=snapshot_store
-        )
     return config
 
 
@@ -541,8 +467,6 @@ def _command_streaming(arguments: argparse.Namespace) -> int:
         dataset_seed=arguments.dataset_seed,
         scale=arguments.scale,
         relation=arguments.relation.upper(),
-        workers=arguments.workers,
-        snapshot_store=arguments.snapshot_store,
         algorithms=algorithms,
         num_rounds=arguments.rounds,
         churn_per_round=arguments.churn,

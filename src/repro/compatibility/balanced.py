@@ -32,12 +32,12 @@ full sweep over a large graph cannot exhaust memory.
 
 Execution
 ---------
-Both searches run in the batched CSR cores behind the ``csr_sbph`` kernel
-(:func:`repro.signed.csr.balanced_depths`), which advance a batch of sources
-level by level and vectorise candidate generation, the expansion cap and the
-balance check.  A result keeps the kernel's two dense depth rows, wrapped in
-:class:`~repro.signed.csr.CSRLengths` views, from the kernel (serial or
-pooled) through the cache to the symmetric closure.  The pure-Python
+Both searches run in the batched CSR core
+(:func:`repro.signed.csr.balanced_depths`), which advances a batch of sources
+level by level and vectorises candidate generation, the expansion cap and the
+balance check.  A result keeps the core's two dense depth rows, wrapped in
+:class:`~repro.signed.csr.CSRLengths` views, from the search through the
+cache to the symmetric closure.  The pure-Python
 searches (:meth:`~repro.signed.paths.BalancedPathSearch.search_exact`, a
 path-by-path BFS whose states are bitmasks over dense node ids, and
 :meth:`~repro.signed.paths.BalancedPathSearch.search_heuristic`) return the
@@ -50,8 +50,6 @@ from __future__ import annotations
 from typing import FrozenSet, List, Optional, Sequence, Set
 
 from repro.compatibility.base import CompatibilityRelation
-from repro.exec.policy import ExecutionPolicy
-from repro.exec.serial import serial_executor
 from repro.signed.graph import NEGATIVE, Node, SignedGraph
 from repro.signed.paths import (
     DEFAULT_MAX_EXPANSIONS,
@@ -70,11 +68,11 @@ from repro.utils.lru import APPROX_BYTES_PER_NODE, fetch_batched, scaled_cache_s
 #: evicted sources on later sweeps.
 DEFAULT_RESULT_CACHE_SIZE = 4096
 
-#: Sources per :meth:`_BalancedPathRelation.batch_search` dispatch inside the
+#: Sources per :meth:`_BalancedPathRelation.batch_search` call inside the
 #: reverse sweeps.  Bounds how many O(n) search results the sweep holds
 #: outside the LRU at once (the LRU's own byte-aware bound stays the ceiling
-#: for what is *retained*), while still giving a worker pool whole chunks to
-#: chew on.
+#: for what is *retained*), while still giving the batched search whole
+#: chunks.
 REVERSE_SWEEP_CHUNK = 64
 
 #: Depth entry of :meth:`_BalancedPathRelation._symmetric_depths` where
@@ -94,11 +92,10 @@ class _BalancedPathRelation(CompatibilityRelation):
         graph: SignedGraph,
         max_path_length: Optional[int] = None,
         max_expansions: int = DEFAULT_MAX_EXPANSIONS,
-        policy: Optional[ExecutionPolicy] = None,
     ) -> None:
-        super().__init__(graph, policy=policy)
+        super().__init__(graph)
         graph = self._graph  # the base may have adapted a bare CSR snapshot
-        # Validates and holds the search bounds the csr_sbph kernel takes.
+        # Validates and holds the search bounds balanced_depths takes.
         self._search = BalancedPathSearch(
             graph, max_length=max_path_length, max_expansions=max_expansions
         )
@@ -140,29 +137,27 @@ class _BalancedPathRelation(CompatibilityRelation):
         self._prune_truncated()
         result = self._result_cache.get(source)
         if result is None:
-            [result] = self._csr_searches(serial_executor(), [source])
+            [result] = self._csr_searches([source])
             self._result_cache[source] = result
             if result.truncated:
                 self._truncated_sources.add(source)
         return result
 
     def batch_search(self, sources: Sequence[Node]) -> List[BalancedPathResult]:
-        """One balanced-path search result per source, via the executor.
+        """One balanced-path search result per source, batched.
 
-        Uncached sources are resolved by the policy's executor — in-process
-        under a serial policy, fanned out in chunks over the worker pool for
-        ``workers >= 2`` (the workers ship dense depth rows back).  Each
-        result holds the same depth per
-        node and the same truncation flag as :meth:`_search_from`; results are
-        written through to the result cache and truncation flags are recorded
-        exactly as the per-source path would have.
+        Uncached sources share one :func:`~repro.signed.csr.balanced_depths`
+        call.  Each result holds the same depth per node and the same
+        truncation flag as :meth:`_search_from`; results are written through
+        to the result cache and truncation flags are recorded exactly as the
+        per-source path would have.
         """
         source_list = list(sources)
         self._require_nodes(*source_list)
         self._prune_truncated()
 
         def compute_missing(missing: List[Node]) -> List[BalancedPathResult]:
-            results = self._csr_searches(self._executor(), missing)
+            results = self._csr_searches(missing)
             for source, result in zip(missing, results):
                 if result.truncated:
                     self._truncated_sources.add(source)
@@ -170,32 +165,18 @@ class _BalancedPathRelation(CompatibilityRelation):
 
         return fetch_batched(self._result_cache, source_list, compute_missing)
 
-    def _search_params(self) -> dict:
-        """The knobs the ``csr_sbph`` kernel takes."""
-        return {
-            "exact": self.exact_search,
-            "max_length": self.max_path_length,
-            "max_expansions": self._search._max_expansions,
-        }
-
-    def _csr_searches(self, executor, sources: List[Node]) -> List[BalancedPathResult]:
-        """The ``csr_sbph`` kernel's depth rows, read by node through
-        :class:`~repro.signed.csr.CSRLengths` views.
-
-        Under a pool policy the workers return each source's depth rows and
-        truncation flag through ``Pool.map`` (the balanced *reverse sweeps* —
-        every candidate of :meth:`batch_compatible_sets` /
-        :meth:`batch_distance_to_set` — fan out this way), so results are
-        identical to the serial search.
-        """
-        from repro.signed.csr import CSRLengths
+    def _csr_searches(self, sources: List[Node]) -> List[BalancedPathResult]:
+        """:func:`~repro.signed.csr.balanced_depths` rows of ``sources``, read
+        by node through :class:`~repro.signed.csr.CSRLengths` views."""
+        from repro.signed.csr import CSRLengths, balanced_depths
 
         csr = self._graph.csr_view()
-        raw = executor.map_kernel(
-            "csr_sbph",
+        raw = balanced_depths(
             csr,
             [csr.index_of(source) for source in sources],
-            params=self._search_params(),
+            max_length=self.max_path_length,
+            exact=self.exact_search,
+            max_expansions=self._search._max_expansions,
         )
         bound = self.max_path_length
         if bound is None:
@@ -344,10 +325,9 @@ class _BalancedPathRelation(CompatibilityRelation):
         under a balanced relation (the last per-candidate loop in LCMD): the
         team members' forward searches are resolved once and shared by every
         candidate, and the candidates' reverse searches run as one chunked
-        sweep through the executor (parallel under a pool policy) instead of
-        one :meth:`_search_from` at a time.  Every value equals
-        ``max(positive_balanced_distance(member, candidate) for member in
-        team)`` exactly — same symmetric two-direction minimum, same
+        sweep instead of one :meth:`_search_from` at a time.  Every value
+        equals ``max(positive_balanced_distance(member, candidate) for member
+        in team)`` exactly — same symmetric two-direction minimum, same
         ``inf`` for missing paths and negative-edge pairs.  A candidate
         outside the graph reads ``inf``, as under the other relations; a
         team member outside it raises

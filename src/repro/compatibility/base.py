@@ -22,10 +22,9 @@ cheap.
 from __future__ import annotations
 
 import abc
-from typing import FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import FrozenSet, Iterable, Iterator, List, Sequence, Set, Tuple
 
 from repro.exceptions import NodeNotFoundError
-from repro.exec.policy import ExecutionPolicy, executor_for
 from repro.signed.graph import NEGATIVE, POSITIVE, Node, SignedGraph
 from repro.utils.generational import GenerationalLRUCache
 from repro.utils.lru import APPROX_BYTES_PER_NODE, scaled_cache_size
@@ -42,13 +41,11 @@ class CompatibilityRelation(abc.ABC):
     ----------
     graph:
         The signed graph the relation is defined over.
-    policy:
-        The :class:`~repro.exec.ExecutionPolicy` governing worker-pool
-        execution.  ``None`` uses the default (serial) policy.  The LRU of
-        per-source compatible sets holds
-        :data:`DEFAULT_COMPATIBLE_CACHE_SIZE` entries, scaled down by graph
-        size; each set is O(n), so the bound caps the relation's memory at a
-        fixed byte budget on dense relations.
+
+    The LRU of per-source compatible sets holds
+    :data:`DEFAULT_COMPATIBLE_CACHE_SIZE` entries, scaled down by graph
+    size; each set is O(n), so the bound caps the relation's memory at a
+    fixed byte budget on dense relations.
     """
 
     #: Short name used in the paper's tables (e.g. ``"SPA"``); set by subclasses.
@@ -60,11 +57,7 @@ class CompatibilityRelation(abc.ABC):
     #: generation-keyed caches invalidate wholesale on node-set changes.
     component_local_sets: bool = True
 
-    def __init__(
-        self,
-        graph: SignedGraph,
-        policy: Optional[ExecutionPolicy] = None,
-    ) -> None:
+    def __init__(self, graph: SignedGraph) -> None:
         if not isinstance(graph, SignedGraph):
             # Bare CSR snapshots (CSR-first ingestion) are adapted to the
             # canonical lazy facade; the adjacency dict only materialises if
@@ -73,7 +66,6 @@ class CompatibilityRelation(abc.ABC):
 
             graph = as_signed_graph(graph)
         self._graph = graph
-        self._policy = policy if policy is not None else ExecutionPolicy()
         num_nodes = graph.number_of_nodes()
         # Generation-keyed: entries auto-expire when a mutation touches their
         # source's connected component, so mutating the graph never requires a
@@ -91,15 +83,6 @@ class CompatibilityRelation(abc.ABC):
     def graph(self) -> SignedGraph:
         """The signed graph this relation is bound to."""
         return self._graph
-
-    @property
-    def policy(self) -> ExecutionPolicy:
-        """The execution policy this relation runs under."""
-        return self._policy
-
-    def _executor(self):
-        """The executor serving this relation's policy (serial or pooled)."""
-        return executor_for(self._policy)
 
     # ----------------------------------------------------------------- public
 

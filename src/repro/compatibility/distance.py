@@ -27,7 +27,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.compatibility.balanced import NO_PATH, _BalancedPathRelation
 from repro.compatibility.base import CompatibilityRelation
 from repro.compatibility.shortest_path import _ShortestPathRelation
-from repro.exec.policy import ExecutionPolicy, executor_for
 from repro.signed.graph import Node
 from repro.signed.paths import INFINITY
 from repro.utils.generational import GenerationalLRUCache
@@ -51,11 +50,7 @@ class DistanceOracle:
     relation's ``sync_caches`` and ``clear_cache`` act on the rows).  For
     the other relations single-source distance maps are cached in a bounded
     LRU of :data:`DEFAULT_DISTANCE_CACHE_SIZE` entries, scaled down by graph
-    size.  The oracle runs under the relation's
-    :class:`~repro.exec.ExecutionPolicy`: its sign-agnostic BFS runs on the
-    graph's CSR snapshot, and its batched sweeps run on the policy's
-    executor — under a pool policy the team's distance maps are computed by
-    worker processes.
+    size; their sign-agnostic BFS runs on the graph's CSR snapshot.
     :meth:`warm` and
     :meth:`batch_distance_to_set` are the batched entry points the
     :class:`~repro.compatibility.engine.CompatibilityEngine` uses to resolve
@@ -86,11 +81,6 @@ class DistanceOracle:
     def relation(self) -> CompatibilityRelation:
         """The compatibility relation whose distance definition is used."""
         return self._relation
-
-    @property
-    def policy(self) -> ExecutionPolicy:
-        """The execution policy the oracle's sweeps run under (the relation's)."""
-        return self._relation.policy
 
     def distance(self, u: Node, v: Node) -> float:
         """Distance from ``u`` to ``v`` under the relation's definition.
@@ -157,15 +147,11 @@ class DistanceOracle:
 
         For SP* relations the maps are the lengths of the relation's signed
         BFS results, fetched through its ``distance_rows`` (one
-        word-parallel sweep over the uncached sources, the worker pool under
-        the relation's pool policy).  For DPE and NNE every uncached source
-        joins one multi-source BFS
-        (:func:`repro.signed.csr.multi_source_shortest_path_lengths_csr`)
-        instead of running its own traversal.  Under a pool policy the
-        workers return the dense distance maps through ``Pool.map``; each
-        unpickled row holds only its own bytes, as a cache entry must.
-        Returns the maps in input order; they are also written through to
-        the cache.  All requested maps are computed and held for the
+        word-parallel sweep over the uncached sources).  For DPE and NNE
+        every uncached source joins one multi-source BFS
+        (:func:`repro.signed.csr.shortest_path_lengths_dense_batch`) instead
+        of running its own traversal.  Returns the maps in input order; they
+        are also written through to the cache.  All requested maps are computed and held for the
         duration of the call (callers pass team-sized lists); prefetch-only
         sweeps larger than the cache bound should warm in cache-sized
         chunks — see
@@ -181,13 +167,11 @@ class DistanceOracle:
             return self._sp_relation.distance_rows(source_list)
 
         def compute_missing(missing: List[Node]) -> List[object]:
-            from repro.signed.csr import CSRLengths
+            from repro.signed.csr import CSRLengths, shortest_path_lengths_dense_batch
 
             csr = self._graph.csr_view()
-            arrays = executor_for(self.policy).map_kernel(
-                "csr_path_lengths",
-                csr,
-                [csr.index_of(source) for source in missing],
+            arrays = shortest_path_lengths_dense_batch(
+                csr, [csr.index_of(source) for source in missing]
             )
             return [CSRLengths(csr, lengths) for lengths in arrays]
 
@@ -208,8 +192,8 @@ class DistanceOracle:
         candidate.  Balanced-path relations — whose distance is the balanced
         path length, not a BFS level — delegate to the relation's own
         :meth:`~repro.compatibility.balanced._BalancedPathRelation.batch_distance_to_set`
-        (shared forward searches plus one chunked reverse sweep, pool-parallel
-        under a worker policy) instead of the per-candidate loop.
+        (shared forward searches plus one chunked reverse sweep) instead of
+        the per-candidate loop.
         """
         candidate_list = list(candidates)
         team_list = list(team)

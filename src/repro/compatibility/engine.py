@@ -39,7 +39,6 @@ from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
 from repro.compatibility.base import CompatibilityRelation
 from repro.compatibility.distance import DistanceOracle
 from repro.compatibility.shortest_path import _ShortestPathRelation
-from repro.exec.policy import ExecutionPolicy, executor_for
 from repro.signed.graph import Node, SignedGraph
 from repro.utils.generational import GenerationalLRUCache
 from repro.utils.lru import scaled_cache_size
@@ -61,12 +60,8 @@ class CompatibilityEngine:
         Optional pre-built :class:`DistanceOracle`; built from ``relation``
         when omitted.  Sharing the oracle shares its distance-map caches.
 
-    The engine serves queries under the relation's
-    :class:`~repro.exec.ExecutionPolicy`: under a pool policy the batched
-    sweeps behind :meth:`warm`, :meth:`compatible_from_many` and
-    :meth:`distances_to_team_many` run on the worker pool.  For SP*
-    relations, :meth:`compatible_from_many` memoises one boolean rule mask
-    per ``(team member, graph generation)`` in an LRU of
+    For SP* relations, :meth:`compatible_from_many` memoises one boolean
+    rule mask per ``(team member, graph generation)`` in an LRU of
     :data:`DEFAULT_MASK_CACHE_SIZE` entries (scaled down by graph size), so
     Algorithm 2's repeated filters against the same team skip both the BFS
     lookup and the mask recomputation.
@@ -112,15 +107,6 @@ class CompatibilityEngine:
     def graph(self) -> SignedGraph:
         """The signed graph the relation is bound to."""
         return self._relation.graph
-
-    @property
-    def policy(self) -> ExecutionPolicy:
-        """The execution policy the engine serves queries under (the relation's)."""
-        return self._relation.policy
-
-    def executor(self):
-        """The executor behind the engine's batched sweeps (serial or pooled)."""
-        return executor_for(self.policy)
 
     # ------------------------------------------------------- pairwise facade
 
@@ -207,9 +193,9 @@ class CompatibilityEngine:
         nodes have no positive path and fail every rule).  Masks live in
         the engine's ``(member, generation)`` memo; misses are read off one
         batched BFS over exactly the missing members
-        (:meth:`~repro.compatibility.shortest_path._ShortestPathRelation.batch_bfs`,
-        serial or pooled), whose planes every result gives over ``csr``'s
-        dense ids, also one cached on an older snapshot.
+        (:meth:`~repro.compatibility.shortest_path._ShortestPathRelation.batch_bfs`),
+        whose planes every result gives over ``csr``'s dense ids, also one
+        cached on an older snapshot.
         """
         relation = self._relation
         nodes_tag = csr._nodes
@@ -279,11 +265,6 @@ class CompatibilityEngine:
         targeted cache invalidation out of the next query's latency — the
         natural point in a streaming workload is right after an update batch,
         before queries resume.
-
-        Under a pool policy no extra work is needed for the workers: shipped
-        snapshots are keyed by ``(object, generation)``, so the first sweep
-        after a generation bump republishes the fresh snapshot automatically
-        and unlinks the stale one.
         """
         if self.graph._csr_cache is not None:
             self.graph.csr_view()

@@ -69,7 +69,6 @@ from __future__ import annotations
 from typing import FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.compatibility.base import CompatibilityRelation
-from repro.exec.policy import ExecutionPolicy
 from repro.signed.graph import Node, SignedGraph
 from repro.signed.paths import signed_bfs
 from repro.utils.generational import GenerationalLRUCache
@@ -123,26 +122,18 @@ class _ShortestPathRelation(CompatibilityRelation):
     ----------
     graph:
         The signed graph the relation is defined over.
-    policy:
-        The :class:`~repro.exec.ExecutionPolicy` governing worker-pool
-        execution.  Every SP* relation on the graph shares its LRU of
-        per-source BFS results (:data:`DEFAULT_BFS_CACHE_SIZE` entries,
-        scaled down by graph size).  With
-        ``workers >= 2`` the batched entry points (:meth:`batch_bfs`,
-        :meth:`batch_compatible_sets`) dispatch their per-source traversals
-        to a process pool; results are bit-identical to serial execution.
+
+    Every SP* relation on the graph shares its LRU of per-source BFS
+    results (:data:`DEFAULT_BFS_CACHE_SIZE` entries, scaled down by graph
+    size).
     """
 
     #: Whether the relation's degree follows from positive/negative path
     #: presence alone (SPA, SPO), not from Algorithm 1's counts (SPM).
     _presence_decides = True
 
-    def __init__(
-        self,
-        graph: SignedGraph,
-        policy: Optional[ExecutionPolicy] = None,
-    ) -> None:
-        super().__init__(graph, policy=policy)
+    def __init__(self, graph: SignedGraph) -> None:
+        super().__init__(graph)
         self._bfs_cache, self._presence_cache, self._degree_cache = _shared_caches(
             self._graph
         )
@@ -193,22 +184,19 @@ class _ShortestPathRelation(CompatibilityRelation):
         return self._pair_rule(positive, negative)
 
     def batch_bfs(self, sources: Sequence[Node]) -> List[_BFSResult]:
-        """One Algorithm-1 result per source, batched through the executor.
+        """One Algorithm-1 result per source, batched.
 
-        Uncached sources are resolved by the policy's executor running the
-        ``csr_signed_bfs`` kernel — in-process for a serial policy
+        Uncached sources run :func:`~repro.signed.csr.signed_bfs_dense_batch`
         (word-parallel in 64-source words, per-source below
-        :data:`~repro.signed.csr.WORDPARALLEL_MIN_SOURCES`), or fanned out
-        in chunks over the worker pool for ``workers >= 2``.  Sources whose
+        :data:`~repro.signed.csr.WORDPARALLEL_MIN_SOURCES`).  Sources whose
         counts overflow int64 fall back to the arbitrary-precision
-        :func:`~repro.signed.paths.signed_bfs` individually, in the parent
-        process, and come back on dense ``object`` rows
-        (:meth:`_exact_result`).  Results
-        are held locally for the duration of the call, so a batch larger than
-        the LRU bound is still computed exactly once; they are also written
-        through to the cache for follow-up per-pair queries.  Every result is
-        bit-identical to what :meth:`_bfs` would have produced, whatever the
-        executor.  SPO may answer with presence results instead (see
+        :func:`~repro.signed.paths.signed_bfs` individually and come back
+        on dense ``object`` rows (:meth:`_exact_result`).  Results are held
+        locally for the duration of the call, so a batch larger than the
+        LRU bound is still computed exactly once; they are also written
+        through to the cache for follow-up per-pair queries.  Every result
+        is bit-identical to what :meth:`_bfs` would have produced.  SPO may
+        answer with presence results instead (see
         :meth:`OneShortestPathCompatibility.batch_bfs`).
         """
         return self._batch_counts(sources)
@@ -220,19 +208,20 @@ class _ShortestPathRelation(CompatibilityRelation):
         return fetch_batched(self._bfs_cache, source_list, self._compute_csr)
 
     def _compute_csr(self, missing: List[Node], presence: bool = False) -> List[_BFSResult]:
-        """One ``csr_signed_bfs`` dispatch over ``missing`` (nothing cached).
+        """One :func:`~repro.signed.csr.signed_bfs_dense_batch` over ``missing``
+        (nothing cached).
 
-        With ``presence`` the kernel may answer whole words with presence
+        With ``presence`` the batch may answer whole words with presence
         rows, which come back as presence results.
         """
-        from repro.signed.csr import CSRSignedBFSResult, PresenceRows
+        from repro.signed.csr import CSRSignedBFSResult, PresenceRows, signed_bfs_dense_batch
 
         csr = self._graph.csr_view()
-        triples = self._executor().map_kernel(
-            "csr_signed_bfs",
+        triples = signed_bfs_dense_batch(
             csr,
             [csr.index_of(source) for source in missing],
-            params={"skip_overflow": True, "presence": presence},
+            skip_overflow=True,
+            presence=presence,
         )
         return [
             # None marks an int64 overflow: that source needs
@@ -312,7 +301,7 @@ class _ShortestPathRelation(CompatibilityRelation):
         """Compatible sets for many sources from one batched sweep.
 
         The uncached sources share one multi-source BFS
-        (:meth:`batch_bfs`, serial or pooled) and the pair rule is applied
+        (:meth:`batch_bfs`) and the pair rule is applied
         as a vectorised mask (:meth:`_rule_rows`); each returned set equals
         :meth:`compatible_with` exactly and is written into the
         compatible-set cache.  Results are held locally, so samples larger
@@ -361,8 +350,8 @@ class _ShortestPathRelation(CompatibilityRelation):
         targets have no positive path and fail every rule, while the
         source's own entry (one positive path) passes, so a source counts
         itself, as its set does.  Uncached sources go through
-        :meth:`batch_bfs`, serial or pooled, so their results land in the
-        BFS cache for later calls.
+        :meth:`batch_bfs`, so their results land in the BFS cache for later
+        calls.
         """
         source_list = list(sources)
         self._require_nodes(*source_list)
@@ -403,18 +392,14 @@ class _ShortestPathRelation(CompatibilityRelation):
         * SPA and SPO only ask whether a positive or negative shortest path
           exists: a cached presence result fills their two slots, and the
           remaining misses run the presence planes in-process, 64 sources a
-          word (:func:`~repro.signed.csr.presence_degrees`), whatever the
-          policy — no count row, no pool dispatch;
+          word (:func:`~repro.signed.csr.presence_degrees`) — no count row;
         * SPM (an entry without ``spm`` is a miss) counts the rest from
-          Algorithm 1: :meth:`batch_bfs` serially, which caches the results
-          for later pair and distance queries, or under a pool policy
-          *inside* the workers (``csr_compatible_degrees``), where each
-          traversal reduces to three integers before crossing the process
-          boundary.
+          Algorithm 1 through :meth:`_batch_counts`, which caches the
+          results for later pair and distance queries.
 
         So a sweep over SPA, then SPO runs one presence word per 64
         sources, and SPM's counts then fill the whole triple.  The degrees
-        are identical across executors and orders.
+        are identical whatever the order of the sweeps.
         """
         source_list = list(sources)
         self._require_nodes(*source_list)
@@ -440,30 +425,17 @@ class _ShortestPathRelation(CompatibilityRelation):
             triples.append(None if result is None else _degree_triple(result))
         if not uncounted:
             return triples
-        csr = self._graph.csr_view()
         if self._presence_decides:
             from repro.signed.csr import presence_degrees
 
+            csr = self._graph.csr_view()
             pairs = presence_degrees(csr, [csr.index_of(missing[at]) for at in uncounted])
             for position, (spa, spo) in zip(uncounted, pairs):
                 triples[position] = (spa, None, spo)
-        elif not self._policy.parallel:
+        else:
             counted = self._batch_counts([missing[position] for position in uncounted])
             for position, result in zip(uncounted, counted):
                 triples[position] = _degree_triple(result)
-        else:
-            counted = self._executor().map_kernel(
-                "csr_compatible_degrees",
-                csr,
-                [csr.index_of(missing[position]) for position in uncounted],
-            )
-            for position, triple in zip(uncounted, counted):
-                # None marks an int64 overflow: count from exact Python ints.
-                triples[position] = (
-                    _degree_triple(self._exact_result(csr, missing[position]))
-                    if triple is None
-                    else triple
-                )
         return triples
 
     @staticmethod

@@ -11,7 +11,7 @@ evaluation is reproducible from one seed.  Two presets are provided:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 
@@ -33,20 +33,10 @@ class DatasetConfig:
     compute_exact_sbp: bool = False
     #: Expansion cap for the exact SBP search.
     sbp_max_expansions: int = 200_000
-    #: Worker processes for the per-source kernel sweeps (0/1 = serial, the
-    #: default, so existing invocations are unchanged; >= 2 dispatches to a
-    #: process pool; -1 = one per CPU).  Results are identical either way.
+    #: Read by nothing: every kernel runs in-process.  Kept only because the
+    #: perfbench ``scale-million`` workload still passes ``workers=2``; it
+    #: goes once that workload stops passing it.
     workers: int = 0
-    #: Directory pool snapshots are published into (None = /dev/shm when
-    #: writable, else the temp directory; see
-    #: :attr:`repro.exec.ExecutionPolicy.snapshot_store`).
-    snapshot_store: Optional[str] = None
-
-    def execution_policy(self) -> "ExecutionPolicy":
-        """The :class:`~repro.exec.ExecutionPolicy` for this dataset's stacks."""
-        from repro.exec import ExecutionPolicy
-
-        return ExecutionPolicy(workers=self.workers, snapshot_store=self.snapshot_store)
 
 
 @dataclass(frozen=True)
@@ -79,27 +69,6 @@ class ExperimentConfig:
             if dataset.name == name:
                 return dataset
         raise KeyError(f"dataset {name!r} is not part of this configuration")
-
-    def with_execution(
-        self,
-        workers: int = 0,
-        snapshot_store: Optional[str] = None,
-    ) -> "ExperimentConfig":
-        """A copy of this configuration with execution knobs applied everywhere.
-
-        Sets ``workers`` / ``snapshot_store`` on every dataset, so each
-        relation stack the experiments build runs its per-source kernel
-        sweeps under the corresponding :class:`~repro.exec.ExecutionPolicy`.
-        The CLI's ``--workers`` / ``--snapshot-store`` flags route through
-        this.
-        """
-        return replace(
-            self,
-            datasets=tuple(
-                replace(dataset, workers=workers, snapshot_store=snapshot_store)
-                for dataset in self.datasets
-            ),
-        )
 
     @property
     def dataset_names(self) -> Tuple[str, ...]:

@@ -50,14 +50,6 @@ class StreamingConfig:
     scale: Optional[float] = None
     #: Compatibility relation the queries run under.
     relation: str = "SPO"
-    #: Worker processes for the per-source kernel sweeps (0/1 = serial, the
-    #: default; >= 2 dispatches to a persistent process pool whose shipped
-    #: snapshots are invalidated automatically on every generation bump).
-    workers: int = 0
-    #: Directory pool snapshots are published into (None = /dev/shm when
-    #: writable, else the temp directory; see
-    #: :attr:`repro.exec.ExecutionPolicy.snapshot_store`).
-    snapshot_store: Optional[str] = None
     #: Deterministic algorithms evaluated each round.
     algorithms: Tuple[str, ...] = ("LCMD", "LCMC", "RFMD", "RFMC")
     #: Number of churn+query rounds.
@@ -353,10 +345,7 @@ def run_streaming(
         if config.csr_only is None
         else config.csr_only
     )
-    from repro.exec import ExecutionPolicy
-
-    policy = ExecutionPolicy(workers=config.workers, snapshot_store=config.snapshot_store)
-    relation = make_relation(config.relation, graph, policy=policy)
+    relation = make_relation(config.relation, graph)
     oracle = DistanceOracle(relation)
     engine = CompatibilityEngine(relation, oracle=oracle)
     skill_index = SkillCompatibilityIndex(relation, dataset.skills)

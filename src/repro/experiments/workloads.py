@@ -55,22 +55,15 @@ class DatasetContext:
         return self.dataset.name
 
     def relation_context(self, relation_name: str) -> RelationContext:
-        """Build (or reuse) the relation called ``relation_name`` on this dataset.
-
-        The whole stack (relation, oracle, engine) is built under the dataset
-        config's :meth:`~repro.experiments.config.DatasetConfig.execution_policy`,
-        so worker-pool parallelism flows from one place instead of per-layer
-        keyword arguments.
-        """
+        """Build (or reuse) the relation called ``relation_name`` on this dataset,
+        with its oracle, engine and skill index."""
         key = relation_name.upper()
         context = self._relations.get(key)
         if context is None:
             kwargs = {}
             if key in ("SBP", "SBPH"):
                 kwargs["max_expansions"] = self.config.sbp_max_expansions
-            relation = make_relation(
-                key, self.dataset.graph, policy=self.config.execution_policy(), **kwargs
-            )
+            relation = make_relation(key, self.dataset.graph, **kwargs)
             oracle = DistanceOracle(relation)
             context = RelationContext(
                 relation=relation,

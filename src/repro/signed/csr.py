@@ -43,7 +43,7 @@ the same algorithms, the tests' reference):
   with the expansion cap applied per source by a segmented count.  A
   source's result is two ``int32`` depth rows (positive, negative;
   :data:`UNREACHABLE` where no path was found) plus its truncation flag,
-  the one format from the kernel (serial or pooled) to the balanced
+  the one format from the search to the balanced
   relations' caches (wrapped in :class:`CSRLengths`).  Every node's depth
   and the flag equal
   :meth:`~repro.signed.paths.BalancedPathSearch.search_heuristic` and
@@ -112,8 +112,7 @@ UNREACHABLE = -1
 #: nodes per-source wins for both at 8-10 sources.  No one value suits both
 #: kernels at every size.  The constant is the signed crossover: the team and
 #: statistics workloads send batches of 8-10 sources only to signed BFS
-#: (their path lengths run one source at a time), and it keeps a 2-worker
-#: pool's 8-source chunks of a 64-source sweep per source.
+#: (their path lengths run one source at a time).
 WORDPARALLEL_MIN_SOURCES = 9
 
 #: Smallest word of sources a presence request runs through
@@ -159,9 +158,7 @@ class CSRSignedGraph:
         ``int8`` array parallel to ``indices`` holding the edge labels.
     """
 
-    # __weakref__ lets the execution layer key published snapshot files on
-    # the graph object itself (repro.exec.pool).
-    __slots__ = ("indptr", "indices", "signs", "generation", "_nodes", "_index", "__weakref__")
+    __slots__ = ("indptr", "indices", "signs", "generation", "_nodes", "_index")
 
     def __init__(
         self,
@@ -768,11 +765,9 @@ def _signed_bfs_arrays(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Dense core of :func:`signed_bfs_csr`: arrays in, arrays out.
 
-    Takes a *dense* source id and touches only the snapshot's flat arrays —
-    never the node list or index — so it runs unchanged inside worker
-    processes that memory-mapped the published snapshot without the
-    (arbitrary, possibly unpicklable) node objects.  Returns
-    ``(lengths, positive, negative)``.
+    Takes a *dense* source id and touches only the snapshot's flat arrays,
+    never the node list or index.  Returns ``(lengths, positive,
+    negative)``.
     """
     num_nodes = csr.number_of_nodes()
     lengths = np.empty(num_nodes, dtype=np.int32)
@@ -1443,9 +1438,8 @@ def signed_bfs_dense_batch(
 ) -> List[DenseBFSTriple]:
     """Dense core of :func:`multi_source_signed_bfs`: dense ids in, arrays out.
 
-    Works purely on the snapshot's flat arrays (no node objects), which is
-    what lets the execution layer run it inside worker processes against a
-    memory-mapped copy of the snapshot.  An allocating wrapper over
+    Works purely on the snapshot's flat arrays (no node objects).  An
+    allocating wrapper over
     :func:`signed_bfs_dense_batch_into`, one 64-source word at a time: rows
     are copied out of the word's buffers, so transient memory stays one
     word's worth and holding one result does not pin the rest.  Results are
@@ -1543,8 +1537,7 @@ def shortest_path_lengths_dense_batch(
     """Dense core of :func:`multi_source_shortest_path_lengths_csr`.
 
     Dense ids in, one ``int32`` length array per source out; node objects are
-    never touched, so the execution layer can run it in worker processes over
-    a memory-mapped snapshot.  An allocating wrapper over
+    never touched.  An allocating wrapper over
     :func:`shortest_path_lengths_dense_batch_into`, one word at a time, with
     rows copied out like :func:`signed_bfs_dense_batch`.
     """
@@ -1957,9 +1950,8 @@ def balanced_depths(
 
     Returns one ``(positive_row, negative_row, truncated)`` triple per
     source: ``int32`` rows over dense ids, :data:`UNREACHABLE` where the
-    search recorded no path of that sign.  No node objects are touched, so
-    the execution layer can run the search in worker processes over a
-    memory-mapped snapshot.  ``exact`` selects the SBP enumeration
+    search recorded no path of that sign.  No node objects are touched.
+    ``exact`` selects the SBP enumeration
     (:func:`_exact_batch_claims`, capped at ``max_expansions`` per source)
     over the SBPH search (:func:`_sbph_batch_claims`, never truncated).
     Each node's depth and the flag equal

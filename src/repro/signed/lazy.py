@@ -4,10 +4,10 @@ CSR-first ingestion (:mod:`repro.signed.ingest`, the loader snapshot cache)
 produces a :class:`~repro.signed.csr.CSRSignedGraph` without ever building the
 dict backend.  Every downstream constructor, however, is typed against
 :class:`~repro.signed.graph.SignedGraph`.  :class:`CSRBackedSignedGraph`
-bridges the two: it *is* a ``SignedGraph`` (relations, the engine, the oracle
-and the pool accept it unchanged), but the adjacency dicts — the gigabytes at
-a million nodes — are synthesised lazily, only if a caller actually exercises
-a dict-only code path.
+bridges the two: it *is* a ``SignedGraph`` (relations, the engine and the
+oracle accept it unchanged), but the adjacency dicts — the gigabytes at a
+million nodes — are synthesised lazily, only if a caller actually exercises a
+dict-only code path.
 
 Everything the CSR kernels and the read-mostly query surface need is answered
 straight from the planes: membership, node order, degrees, edge signs,
@@ -22,11 +22,11 @@ bump :attr:`~repro.signed.graph.SignedGraph.generation` with the exact same
 semantics (no-op writes never bump; ``add_edge`` adds its endpoints first).
 ``csr_view()`` folds the pending delta into fresh planes through
 :meth:`CSRSignedGraph.apply_delta` — bit-identical, arrays and node order, to
-the same churn applied to a dict graph — so the generational caches, the
-engine memos and the pool's republish keying work unchanged while
-:attr:`materialised` stays ``False`` through arbitrary churn.  Only the
-genuinely dict-shaped operations (``remove_node``, ``subgraph``, ``copy`` of
-the dict backend via ``_adjacency``, equality) still materialise.
+the same churn applied to a dict graph — so the generational caches and the
+engine memos work unchanged while :attr:`materialised` stays ``False``
+through arbitrary churn.  Only the genuinely dict-shaped operations
+(``remove_node``, ``subgraph``, ``copy`` of the dict backend via
+``_adjacency``, equality) still materialise.
 
 :func:`as_signed_graph` is the canonical adapter: it returns ``SignedGraph``
 inputs unchanged and wraps each ``CSRSignedGraph`` in exactly one shared
@@ -42,7 +42,7 @@ from typing import Dict, Iterator, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.exceptions import EdgeNotFoundError, InvalidSignError, NodeNotFoundError
-from repro.signed.csr import CSRSignedGraph
+from repro.signed.csr import CSRSignedGraph, component_members
 from repro.signed.delta import GraphDelta
 from repro.signed.graph import (
     _AFFECTED_MEMO_BOUND,
@@ -337,33 +337,13 @@ class CSRBackedSignedGraph(SignedGraph):
             seed_ids = np.array(
                 [index[s] for s in seeds if s in index], dtype=np.int64
             )
-            visited = np.zeros(csr.number_of_nodes(), dtype=bool)
-            if seed_ids.size:
-                visited[seed_ids] = True
-            frontier = seed_ids
-            indptr, indices = csr.indptr, csr.indices
-            while frontier.size:
-                starts = indptr[frontier]
-                counts = indptr[frontier + 1] - starts
-                total = int(counts.sum())
-                if total == 0:
-                    break
-                shifts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-                positions = np.repeat(starts - shifts, counts) + np.arange(total)
-                neighbors = indices[positions]
-                fresh = neighbors[~visited[neighbors]]
-                if fresh.size == 0:
-                    break
-                frontier = np.unique(fresh)
-                visited[frontier] = True
-            affected_count = int(np.count_nonzero(visited)) + (
-                len(seeds) - seed_ids.size
-            )
+            reached = component_members(csr, seed_ids)
+            affected_count = reached.size + (len(seeds) - seed_ids.size)
             if 2 * affected_count >= num_nodes:
                 result = None
             else:
                 nodes = csr._nodes
-                affected = {nodes[i] for i in np.flatnonzero(visited).tolist()}
+                affected = set(map(nodes.__getitem__, reached.tolist()))
                 affected.update(seeds)
                 result = frozenset(affected)
         if len(self._affected_memo) >= _AFFECTED_MEMO_BOUND:

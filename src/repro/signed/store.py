@@ -3,8 +3,8 @@
 One on-disk format for "a CSR snapshot", spoken by every layer that used to
 have its own: :meth:`CSRSignedGraph.save` / :meth:`~CSRSignedGraph.load`
 persist and map snapshots directly, the dataset loaders cache their
-parse-once results as store files, and the pool executor publishes every
-CSR snapshot as a file that workers ``numpy.memmap`` read-only.
+parse-once results as store files, and the CLI's ``snapshot`` command
+saves, loads and inspects them.
 
 The layout is a fixed-size header, then 8-byte-aligned planes so every
 mapped view is a properly aligned ndarray::
@@ -25,16 +25,14 @@ that appended a trailing section there load unchanged.
 
 The node table is the one part of a snapshot that cannot be mapped: node ids
 are arbitrary hashable Python objects, so they are pickled.  Graphs whose
-nodes are exactly ``0..n-1`` (every worker-side attach, most synthetic
-graphs) use the ``range`` kind instead — zero bytes on disk, rebuilt as
+nodes are exactly ``0..n-1`` (most synthetic graphs) use the ``range`` kind instead — zero bytes on disk, rebuilt as
 ``list(range(n))`` on load — so the common case pays no pickling at all.
 
 Writes are crash-safe: the planes go to a ``.tmp`` sibling first and
 ``os.replace`` promotes it atomically, so a reader never maps a half-written
 file.  Every live temp path is tracked in a module ledger that
-:func:`repro.exec.pool.shutdown_pools` sweeps (same discipline as the
-pool's published-file ledger), so a worker crash mid-publish
-cannot strand temp files in the store directory.
+:func:`flush_temp_files` sweeps, so a write cut off between the temp write
+and the promotion cannot strand temp files in the store directory.
 
 Loading with ``mmap=True`` returns :class:`numpy.memmap` views — cold start
 is the cost of mapping, not of parsing, and concurrent readers of the same
@@ -107,9 +105,9 @@ def _plane_layout(
 
 # ------------------------------------------------------------------ temp ledger
 
-#: Live ``.tmp`` paths of in-flight writes.  :func:`flush_temp_files` (called
-#: from ``repro.exec.pool.shutdown_pools``) unlinks whatever is still here —
-#: after a crash between temp-write and ``os.replace``, that is the orphan.
+#: Live ``.tmp`` paths of in-flight writes.  :func:`flush_temp_files` unlinks
+#: whatever is still here — after a crash between temp-write and
+#: ``os.replace``, that is the orphan.
 _TEMP_LEDGER: Dict[str, None] = {}
 _TEMP_LOCK = threading.Lock()
 _TEMP_COUNTER = itertools.count()
@@ -241,9 +239,7 @@ def _read_header(handle: io.BufferedReader, path: str) -> Tuple[int, ...]:
     return version, kind, num_nodes, num_entries, generation, table_nbytes
 
 
-def load_snapshot(
-    path: str, mmap: bool = True, node_table: bool = True
-) -> "CSRSignedGraph":
+def load_snapshot(path: str, mmap: bool = True) -> "CSRSignedGraph":
     """Load a store file back into a :class:`CSRSignedGraph`.
 
     With ``mmap=True`` (the default) the three planes are read-only
@@ -253,10 +249,6 @@ def load_snapshot(
     can be deleted afterwards.  Either way the result is bit-identical to the
     snapshot that was saved: same dtypes, same values, same node order, same
     ``generation``.
-
-    ``node_table=False`` skips the pickled node table and substitutes the
-    dense placeholders (``nodes = range(n)``, empty index) — the worker-side
-    attach, where only the flat arrays matter and the parent re-keys results.
     """
     import numpy as np
 
@@ -279,14 +271,14 @@ def load_snapshot(
             else:
                 handle.seek(offset)
                 planes[name] = np.fromfile(handle, dtype=dtype, count=count)
-        if node_table and kind == NODE_TABLE_PICKLE:
+        if kind == NODE_TABLE_PICKLE:
             _dtype, count, offset = layout["node_table"]
             handle.seek(offset)
             nodes = pickle.loads(handle.read(count))
             index: Optional[Dict] = None
         else:
             nodes = list(range(num_nodes))
-            index = {node: node for node in nodes} if node_table else {}
+            index = {node: node for node in nodes}
     return CSRSignedGraph(
         planes["indptr"],
         planes["indices"],

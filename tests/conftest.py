@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -95,16 +96,30 @@ def overflow_ladder() -> SignedGraph:
     return SignedGraph.from_edges(edges)
 
 
+#: The batched dense traversals the relations and the oracle call.
+_TRAVERSALS = (
+    "signed_bfs_dense_batch",
+    "shortest_path_lengths_dense_batch",
+    "balanced_depths",
+    "presence_degrees",
+)
+
+
 @pytest.fixture
-def dispatch_small_batches(monkeypatch):
-    """Pool policies dispatch every batch of two or more sources.
+def traversals(monkeypatch):
+    """A ``Counter`` of calls to each batched traversal in
+    :mod:`repro.signed.csr`, by function name (see ``_TRAVERSALS``)."""
+    import repro.signed.csr as csr_module
 
-    Lowers ``repro.exec.pool.MIN_PARALLEL_SOURCES`` (4), so the few-source
-    batches of a test reach the workers instead of running in-process.
-    """
-    from repro.exec import pool
+    calls: Counter = Counter()
+    for name in _TRAVERSALS:
 
-    monkeypatch.setattr(pool, "MIN_PARALLEL_SOURCES", 2)
+        def recording(*args, _name=name, _function=getattr(csr_module, name), **kwargs):
+            calls[_name] += 1
+            return _function(*args, **kwargs)
+
+        monkeypatch.setattr(csr_module, name, recording)
+    return calls
 
 
 #: The module whose ``DEFAULT_<KIND>_CACHE_SIZE`` ceiling each cache kind reads.

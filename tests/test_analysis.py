@@ -9,7 +9,6 @@ code under test).  The self-scan test at the bottom is the same gate CI runs:
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import textwrap
 
@@ -43,7 +42,6 @@ def test_all_rules_registered_and_documented():
         "cache-key-discipline",
         "ledger-discipline",
         "no-materialise",
-        "policy-shim",
         "dtype-discipline",
     }
     for rule in rules:
@@ -221,22 +219,17 @@ def test_cache_rule_accepts_graph_keyed_cache_and_lru_elsewhere():
 # -------------------------------------------------------- ledger-discipline
 
 
-def test_ledger_rule_covers_temp_paths_and_store_files():
+def test_ledger_rule_covers_temp_paths():
     source = snippet(
         """
         def save(path):
             temp = _temp_path(path)
             return temp
-
-
-        def republish(payload, path):
-            save_snapshot(payload, path)
         """
     )
-    findings = analyze_source(source, module="repro.exec.example")
+    findings = analyze_source(source, module="repro.signed.example")
     messages = [f.message for f in findings if f.rule == "ledger-discipline"]
     assert any("_TEMP_LEDGER" in m for m in messages)
-    assert any("_STORE_FILE_LEDGER" in m for m in messages)
     clean = snippet(
         """
         def save(path):
@@ -248,11 +241,12 @@ def test_ledger_rule_covers_temp_paths_and_store_files():
 
         def republish(payload, path):
             save_snapshot(payload, path)
-            _STORE_FILE_LEDGER[path] = None
         """
     )
+    # Saving a snapshot is no allocation of its own: save_snapshot registers
+    # its temp file itself.
     assert "ledger-discipline" not in rule_ids(
-        analyze_source(clean, module="repro.exec.example")
+        analyze_source(clean, module="repro.signed.example")
     )
 
 
@@ -280,26 +274,6 @@ def test_ledger_rule_flags_unregistered_tempfile_api(api):
     )
 
 
-def test_ledger_rule_checks_publishing_only_in_exec_modules():
-    source = snippet(
-        """
-        def republish(payload, path):
-            save_snapshot(payload, path)
-        """
-    )
-    # The store module saves snapshots the pool then publishes; only the
-    # publisher in repro.exec owns the published-file ledger.
-    assert "ledger-discipline" not in rule_ids(
-        analyze_source(source, module="repro.signed.store")
-    )
-    assert "ledger-discipline" not in rule_ids(
-        analyze_source(source, module="tools.example")
-    )
-    assert "ledger-discipline" in rule_ids(
-        analyze_source(source, module="repro.exec.example")
-    )
-
-
 # ------------------------------------------------------------ no-materialise
 
 
@@ -311,7 +285,7 @@ def test_no_materialise_flags_escape_hatch_and_adjacency():
             return list(graph._adjacency)
         """
     )
-    findings = analyze_source(source, module="repro.exec.example")
+    findings = analyze_source(source, module="repro.teams.example")
     messages = [f.message for f in findings if f.rule == "no-materialise"]
     assert len(messages) == 2
 
@@ -329,62 +303,6 @@ def test_no_materialise_allows_owner_and_signed_internals():
             module="repro.signed.graph",
         )
     )
-
-
-# ---------------------------------------------------------------- policy-shim
-
-
-def test_policy_shim_flags_loose_knob():
-    source = snippet(
-        """
-        class Engine:
-            def __init__(self, graph, workers=0, snapshot_store=None):
-                self._graph = graph
-                self._workers = workers
-
-
-        class Oracle:
-            def __init__(self, graph, workers=0, cache_size=None):
-                self._policy = ExecutionPolicy(workers=workers)
-                self._cache_size = cache_size
-        """
-    )
-    findings = analyze_source(source, module="repro.compatibility.example")
-    messages = [f.message for f in findings if f.rule == "policy-shim"]
-    assert len(messages) == 2
-    assert "workers" in messages[0] and "snapshot_store" in messages[0]
-    # Folding the knob into a policy inside __init__ is still a second way in.
-    assert "cache_size" in messages[1] and "workers" in messages[1]
-
-
-def test_policy_shim_knobs_cover_every_policy_field():
-    """A new ExecutionPolicy field is a knob the rule must flag too."""
-    from repro.analysis.rules.policy import KNOBS
-    from repro.exec import ExecutionPolicy
-
-    assert {field.name for field in dataclasses.fields(ExecutionPolicy)} <= KNOBS
-
-
-def test_policy_shim_accepts_policy_parameter_and_private_classes():
-    source = snippet(
-        """
-        class Engine:
-            def __init__(self, graph, policy=None):
-                self._policy = policy
-
-
-        class _WorkerState:
-            def __init__(self, workers):
-                self.workers = workers
-
-
-        class Plain:
-            def __init__(self, graph, name):
-                self._graph = graph
-        """
-    )
-    findings = analyze_source(source, module="repro.compatibility.example")
-    assert "policy-shim" not in rule_ids(findings)
 
 
 # ------------------------------------------------------------ dtype-discipline
@@ -427,7 +345,7 @@ def test_dtype_rule_only_applies_inside_repro_signed():
         analyze_source(source, module="repro.signed.example")
     )
     assert "dtype-discipline" not in rule_ids(
-        analyze_source(source, module="repro.exec.example")
+        analyze_source(source, module="repro.teams.example")
     )
 
 

@@ -21,50 +21,16 @@ class TestParser:
         assert parser.parse_args(["table2", "--fast"]).command == "table2"
         assert parser.parse_args(["figure2", "--panels", "ab"]).panels == "ab"
 
-    def test_execution_flags_default_to_serial(self):
+    def test_experiment_commands_take_no_execution_flags(self, capsys):
+        """Every kernel runs in-process: no command takes a worker count, a
+        snapshot directory or a chunk size."""
         parser = build_parser()
-        for argv in (
-            ["table2"],
-            ["figure2"],
-            ["reproduce"],
-            ["streaming", "toy"],
-        ):
-            arguments = parser.parse_args(argv)
-            assert arguments.workers == 0
-            assert arguments.snapshot_store is None
-
-    def test_execution_flags_parse(self, tmp_path):
-        parser = build_parser()
-        arguments = parser.parse_args(
-            ["table2", "--fast", "--workers", "4", "--snapshot-store", str(tmp_path)]
-        )
-        assert arguments.workers == 4
-        assert arguments.snapshot_store == str(tmp_path)
-        arguments = parser.parse_args(["streaming", "toy", "--workers", "2"])
-        assert arguments.workers == 2
-
-    def test_execution_flags_reject_bad_values_at_parse_time(self, capsys):
-        """Bad --workers must exit 2 with an explanatory message instead of
-        surfacing an opaque ValueError at first kernel dispatch; the chunk
-        size is derived per dispatch, so no command takes one."""
-        parser = build_parser()
-        cases = [
-            (["table2", "--workers", "-5"], "workers must be -1"),
-            (["table2", "--workers", "many"], "integer worker count"),
-            (["reproduce", "--chunk-size", "4"], "unrecognized arguments: --chunk-size"),
-            (["streaming", "toy", "--chunk-size", "4"], "unrecognized arguments: --chunk-size"),
-        ]
-        for argv, fragment in cases:
-            with pytest.raises(SystemExit) as excinfo:
-                parser.parse_args(argv)
-            assert excinfo.value.code == 2
-            assert fragment in capsys.readouterr().err
-
-    def test_serial_worker_spellings_stay_legal(self):
-        parser = build_parser()
-        assert parser.parse_args(["table2", "--workers", "0"]).workers == 0
-        assert parser.parse_args(["table2", "--workers", "1"]).workers == 1
-        assert parser.parse_args(["table2", "--workers", "-1"]).workers == -1
+        for command in (["table2"], ["figure2"], ["reproduce"], ["streaming", "toy"]):
+            for flag in (["--workers", "2"], ["--snapshot-store", "."], ["--chunk-size", "4"]):
+                with pytest.raises(SystemExit) as excinfo:
+                    parser.parse_args(command + flag)
+                assert excinfo.value.code == 2
+                assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
 
 
 class TestDatasetsCommand:
@@ -211,27 +177,3 @@ class TestSnapshotCommand:
                 main(argv)
             assert excinfo.value.code == 2
             assert fragment in capsys.readouterr().err
-
-    def test_snapshot_store_flag_requires_existing_directory(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["table2", "--snapshot-store", str(tmp_path / "missing")])
-        assert excinfo.value.code == 2
-        assert "directory does not exist" in capsys.readouterr().err
-        # A valid directory parses and lands on the namespace.
-        parser = build_parser()
-        arguments = parser.parse_args(
-            ["streaming", "toy", "--snapshot-store", str(tmp_path)]
-        )
-        assert arguments.snapshot_store == str(tmp_path)
-
-    def test_snapshot_store_flag_routes_into_config(self, tmp_path):
-        from repro.cli import _experiment_config
-
-        parser = build_parser()
-        arguments = parser.parse_args(
-            ["table2", "--fast", "--snapshot-store", str(tmp_path)]
-        )
-        config = _experiment_config(arguments)
-        for dataset in config.datasets:
-            assert dataset.snapshot_store == str(tmp_path)
-            assert dataset.execution_policy().snapshot_store == str(tmp_path)

@@ -23,7 +23,6 @@ from repro.compatibility import (
     task_has_compatible_skills,
 )
 from repro.datasets import synthetic_signed_network
-from repro.exec import ExecutionPolicy, reset_executors
 from repro.signed.graph import NEGATIVE
 from repro.signed.paths import INFINITY, shortest_path_lengths
 from repro.skills import SkillAssignment
@@ -169,34 +168,23 @@ def generated_60():
     return graph
 
 
-@pytest.fixture(scope="class")
-def pools_down():
-    yield
-    reset_executors()
-
-
-@pytest.mark.usefixtures("pools_down", "dispatch_small_batches")
 class TestOnePassStatistics:
     """The batched statistics equal the per-pair loops they replace."""
 
-    @pytest.mark.parametrize("workers", [0, 2])
     @pytest.mark.parametrize("name", RELATIONS)
     @pytest.mark.parametrize("graph_name", ["two_factions", "generated_60"])
-    def test_matches_per_pair_reference(self, name, graph_name, workers, request):
+    def test_matches_per_pair_reference(self, name, graph_name, request):
         graph = request.getfixturevalue(graph_name)
-        policy = ExecutionPolicy(workers=workers)
         # The exhaustive SBP enumeration is exponential on the 60-node graph.
-        self._check(graph, name, policy, {"max_expansions": 5_000} if name == "SBP" else {})
+        self._check(graph, name, {"max_expansions": 5_000} if name == "SBP" else {})
 
-    @pytest.mark.parametrize("workers", [0, 2])
-    def test_truncated_sbp_matches_per_pair_reference(self, generated_60, workers):
-        policy = ExecutionPolicy(workers=workers)
-        relation = self._check(generated_60, "SBP", policy, {"max_expansions": 40})
+    def test_truncated_sbp_matches_per_pair_reference(self, generated_60):
+        relation = self._check(generated_60, "SBP", {"max_expansions": 40})
         assert relation.truncated_sources()
 
     @staticmethod
-    def _check(graph, name, policy, kwargs):
-        relation = make_relation(name, graph, policy=policy, **kwargs)
+    def _check(graph, name, kwargs):
+        relation = make_relation(name, graph, **kwargs)
         # On a copy: SP* relations on one graph share their BFS results.
         reference = make_relation(name, graph.copy(), **kwargs)
         stats = exact_pair_statistics(relation)

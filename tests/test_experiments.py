@@ -8,10 +8,15 @@ the relaxation ordering of the relations and the monotone effect of task size.
 
 from __future__ import annotations
 
+import multiprocessing
+
 import pytest
 
+from repro.compatibility import source_sampled_pair_statistics
+from repro.datasets import load_dataset
 from repro.experiments import (
     DatasetConfig,
+    DatasetContext,
     ExperimentConfig,
     build_all_dataset_contexts,
     build_dataset_context,
@@ -202,3 +207,32 @@ class TestFigure2:
         spa = result.series["SPA"]
         assert spa[sizes[-1]].solved <= spa[sizes[0]].solved + 1
         assert "Figure 2(c)" in result.as_text()
+
+
+class TestInProcessExecution:
+    """Every kernel runs in the calling process: no experiment starts a
+    child process, whatever ``DatasetConfig.workers`` says."""
+
+    def test_fast_table2_starts_no_process(self):
+        run_table2(fast_config())
+        assert multiprocessing.active_children() == []
+
+    def test_workers_field_changes_no_answer(self):
+        answers = {}
+        for workers in (0, 2):
+            config = DatasetConfig(name="epinions", seed=17, scale=0.05, workers=workers)
+            # A dataset of its own per stack, so neither reads the other's caches.
+            context = DatasetContext(load_dataset("epinions", seed=17, scale=0.05), config)
+            answers[workers] = []
+            for name in ("SPA", "SPM", "SPO", "NNE"):
+                relation_context = context.relation_context(name)
+                answers[workers].append(
+                    source_sampled_pair_statistics(
+                        relation_context.relation,
+                        24,
+                        seed=5,
+                        engine=relation_context.engine,
+                    )
+                )
+            assert multiprocessing.active_children() == []
+        assert answers[2] == answers[0]

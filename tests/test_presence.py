@@ -6,9 +6,9 @@ positive and whether some is negative — exactly ``counts > 0`` of Algorithm
 so its batched misses run the presence traversal in words of at least
 ``PRESENCE_MIN_SOURCES`` sources, and the SPA and SPO degree sweeps reduce
 its planes to two ints per source.  These tests pin the rows and degrees
-against the per-source counting kernel, the answers against executors,
-fresh relations and the reference, and the separation of the presence cache
-from every counts reader.
+against the per-source counting kernel, the answers against fresh relations
+and the reference, and the separation of the presence cache from every
+counts reader.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from repro.compatibility.shortest_path import (
     dense_degree_triple,
 )
 from repro.datasets import synthetic_signed_network
-from repro.exec import ExecutionPolicy, ProcessPoolExecutor, SerialExecutor, reset_executors
 from repro.signed import SignedGraph
 from repro.signed.csr import (
     PRESENCE_MIN_SOURCES,
@@ -45,7 +44,6 @@ from repro.signed.csr import (
 )
 
 from reference import ReferenceRelation
-from test_exec import record_pool_maps
 
 SHORTEST_PATH = ("SPA", "SPM", "SPO")
 
@@ -187,41 +185,23 @@ class TestPresenceDegrees:
         assert sliced == whole
         assert sliced_peak <= budget < whole_peak
 
-    @pytest.mark.usefixtures("pools_down", "dispatch_small_batches")
-    @pytest.mark.parametrize("workers", [0, 2])
-    def test_spa_spm_spo_sweeps_equal_reference(self, monkeypatch, workers):
-        """SPA's and SPO's sweeps run presence in-process, with no
-        ``pool.map``; SPM's counts fill the rest of each memo entry."""
+    def test_spa_spm_spo_sweeps_equal_reference(self, traversals):
+        """SPA's and SPO's sweeps run no counting traversal; SPM's counts
+        fill the rest of each memo entry."""
         graph = _graph(80, seed=41)
         graph.add_node("loner")
         nodes = graph.nodes()
-        policy = ExecutionPolicy(workers=workers)
-        relations = [make_relation(name, graph, policy=policy) for name in SHORTEST_PATH]
-        executor = relations[0]._executor()
-        maps = record_pool_maps(executor, monkeypatch) if workers else []
+        relations = [make_relation(name, graph) for name in SHORTEST_PATH]
         for relation in relations:
-            maps.clear()
+            traversals.clear()
             degrees = relation.batch_compatibility_degrees(nodes)
             reference = ReferenceRelation(relation.name, graph)
             assert degrees == [reference.compatibility_degree(u) for u in nodes]
-            assert bool(maps) == (workers > 0 and relation.name == "SPM")
+            counted = traversals["signed_bfs_dense_batch"] > 0
+            assert counted == (relation.name == "SPM")
         assert all(
             relations[0]._degree_cache.get(u)[1] is not None for u in nodes
         )
-
-
-def _record_dispatches(monkeypatch):
-    """Count kernel dispatches by name, serial and pooled executors alike."""
-    kernels: Counter = Counter()
-    for executor in (SerialExecutor, ProcessPoolExecutor):
-        dispatch = executor.map_kernel
-
-        def recording(self, kernel, payload, sources, params=None, _dispatch=dispatch):
-            kernels[kernel] += 1
-            return _dispatch(self, kernel, payload, sources, params)
-
-        monkeypatch.setattr(executor, "map_kernel", recording)
-    return kernels
 
 
 def _answers(relation, nodes, sources):
@@ -240,67 +220,42 @@ def _answers(relation, nodes, sources):
     }
 
 
-@pytest.fixture(scope="module")
-def pools_down():
-    yield
-    reset_executors()
-
-
-@pytest.mark.usefixtures("pools_down")
 class TestPresenceCaches:
-    @pytest.mark.usefixtures("dispatch_small_batches")
-    def test_serial_and_pool_agree_with_mixed_words(self):
-        """66 sources: serially a 64-source presence word plus a 2-source
-        counts word; the pool's chunks split them differently."""
+    def test_mixed_words_match_reference(self):
+        """66 sources: a 64-source presence word plus a 2-source counts
+        word."""
         graph = _graph(120, seed=7)
         nodes = graph.nodes()
         sources = random.Random(5).sample(nodes, 66)
-        answers = {}
-        kinds = {}
-        for workers in (0, 2):
-            policy = ExecutionPolicy(workers=workers)
-            relation = make_relation("SPO", graph.copy(), policy=policy)
-            results = relation.batch_bfs(sources)
-            kinds[workers] = Counter(result.presence for result in results)
-            rows = [
-                (result.lengths_array.tolist(), (result.positive_array > 0).tolist())
-                for result in results
-            ]
-            answers[workers] = (rows, _answers(relation, nodes, sources))
-        assert kinds[0][True] and kinds[0][False]
-        assert kinds[2][True] and kinds[2][False]
-        assert answers[0] == answers[2]
+        relation = make_relation("SPO", graph.copy())
+        kinds = Counter(result.presence for result in relation.batch_bfs(sources))
+        assert kinds == {True: 64, False: 2}
         fresh = ReferenceRelation("SPO", graph.copy())
-        assert answers[0][1] == _answers(fresh, nodes, sources)
+        assert _answers(relation, nodes, sources) == _answers(fresh, nodes, sources)
 
-    def test_spo_after_spa_runs_no_traversal(self, monkeypatch):
-        kernels = _record_dispatches(monkeypatch)
+    def test_spo_after_spa_runs_no_traversal(self, traversals):
         graph = _graph()
         nodes = graph.nodes()
-        policy = ExecutionPolicy()
-        spa = make_relation("SPA", graph, policy=policy)
+        spa = make_relation("SPA", graph)
         spa.batch_bfs(nodes)
-        kernels.clear()
-        spo = make_relation("SPO", graph, policy=policy)
+        traversals.clear()
+        spo = make_relation("SPO", graph)
         engine = CompatibilityEngine(spo)
         _answers(spo, nodes, nodes[::2])
         engine.compatible_from_many(nodes, nodes[:4])
         engine.distances_to_team_many(nodes, nodes[4:9])
-        assert sum(kernels.values()) == 0
+        assert sum(traversals.values()) == 0
         assert len(spo._presence_cache) == 0
 
-    @pytest.mark.usefixtures("dispatch_small_batches")
-    @pytest.mark.parametrize("workers", [0, 2])
-    def test_spo_first_then_spa_and_spm_match_fresh(self, workers):
+    def test_spo_first_then_spa_and_spm_match_fresh(self):
         graph = _graph(80, seed=13)
         nodes = graph.nodes()
-        policy = ExecutionPolicy(workers=workers)
         sample = nodes[::2]
-        spo = make_relation("SPO", graph, policy=policy)
+        spo = make_relation("SPO", graph)
         spo.batch_bfs(sample)
         assert len(spo._presence_cache) == len(sample)
         for name in SHORTEST_PATH:
-            relation = make_relation(name, graph, policy=policy)
+            relation = make_relation(name, graph)
             fresh = make_relation(name, graph.copy())
             assert relation.batch_compatible_sets(sample) == [
                 fresh.compatible_with(u) for u in sample
@@ -319,12 +274,10 @@ class TestPresenceCaches:
             assert memo.get(source) == reference
         assert all(not result.presence for _, result in spo._bfs_cache.items())
 
-    @pytest.mark.usefixtures("dispatch_small_batches")
-    def test_pool_spm_engine_never_masks_a_presence_entry(self, monkeypatch):
+    def test_spm_engine_never_masks_a_presence_entry(self, monkeypatch):
         graph = _graph(80, seed=19)
         nodes = graph.nodes()
-        policy = ExecutionPolicy(workers=2)
-        make_relation("SPO", graph, policy=policy).batch_bfs(nodes)
+        make_relation("SPO", graph).batch_bfs(nodes)
         rule = MajorityShortestPathsCompatibility._pair_rule_mask
         planes = []
 
@@ -335,7 +288,7 @@ class TestPresenceCaches:
         monkeypatch.setattr(
             MajorityShortestPathsCompatibility, "_pair_rule_mask", staticmethod(recording)
         )
-        spm = make_relation("SPM", graph, policy=policy)
+        spm = make_relation("SPM", graph)
         engine = CompatibilityEngine(spm)
         fresh = make_relation("SPM", graph.copy())
         for team in (nodes[:3], nodes[10:15], [nodes[40]]):
@@ -347,8 +300,7 @@ class TestPresenceCaches:
 
     def test_churn_invalidates_the_presence_cache(self):
         graph = _graph(60, seed=23)
-        policy = ExecutionPolicy()
-        spo = make_relation("SPO", graph, policy=policy)
+        spo = make_relation("SPO", graph)
         spo.batch_bfs(graph.nodes())
         presence, counts = spo._presence_cache, spo._bfs_cache
         assert len(presence) == graph.number_of_nodes() and len(counts) == 0
@@ -359,7 +311,7 @@ class TestPresenceCaches:
         assert len(presence) < graph.number_of_nodes()
         assert presence.invalidations > 0
         nodes = graph.nodes()
-        fresh = make_relation("SPO", graph.copy(), policy=policy)
+        fresh = make_relation("SPO", graph.copy())
         assert spo.batch_compatible_sets(nodes) == [fresh.compatible_with(u) for u in nodes]
         for u, v in itertools.combinations(nodes[::6], 2):
             assert spo.are_compatible(u, v) == fresh.are_compatible(u, v)

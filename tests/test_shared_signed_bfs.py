@@ -24,8 +24,6 @@ import repro.compatibility.shortest_path as shortest_path_module
 import repro.signed.csr as csr_module
 from repro.compatibility import DistanceOracle, SkillCompatibilityIndex, make_relation
 from repro.datasets import synthetic_signed_network
-from repro.exec import ExecutionPolicy, ProcessPoolExecutor, SerialExecutor, reset_executors
-from repro.exec.kernels import KERNELS
 from repro.signed.paths import INFINITY, shortest_path_lengths
 from repro.skills.generators import assign_skills_zipf
 from repro.utils.lru import scaled_cache_size
@@ -68,7 +66,7 @@ def _count_signed_bfs(monkeypatch):
     counts: Counter = Counter()
     per_source_csr = csr_module.signed_bfs_csr
     per_source_dict = shortest_path_module.signed_bfs
-    batched = KERNELS["csr_signed_bfs"]
+    batched = csr_module.signed_bfs_dense_batch
 
     def counting_csr(csr, source, *args, **kwargs):
         counts[source] += 1
@@ -78,34 +76,14 @@ def _count_signed_bfs(monkeypatch):
         counts[source] += 1
         return per_source_dict(graph, source, *args, **kwargs)
 
-    def counting_batch(csr, sources, params):
+    def counting_batch(csr, sources, *args, **kwargs):
         counts.update(csr.node_at(dense) for dense in sources)
-        return batched(csr, sources, params)
+        return batched(csr, sources, *args, **kwargs)
 
     monkeypatch.setattr(csr_module, "signed_bfs_csr", counting_csr)
     monkeypatch.setattr(shortest_path_module, "signed_bfs", counting_dict)
-    monkeypatch.setitem(KERNELS, "csr_signed_bfs", counting_batch)
+    monkeypatch.setattr(csr_module, "signed_bfs_dense_batch", counting_batch)
     return counts
-
-
-def _record_dispatches(monkeypatch):
-    """Count kernel dispatches by name, serial and pooled executors alike."""
-    kernels: Counter = Counter()
-    for executor in (SerialExecutor, ProcessPoolExecutor):
-        dispatch = executor.map_kernel
-
-        def recording(self, kernel, payload, sources, params=None, _dispatch=dispatch):
-            kernels[kernel] += 1
-            return _dispatch(self, kernel, payload, sources, params)
-
-        monkeypatch.setattr(executor, "map_kernel", recording)
-    return kernels
-
-
-@pytest.fixture(scope="module")
-def pools_down():
-    yield
-    reset_executors()
 
 
 class TestSharedCache:
@@ -136,7 +114,7 @@ class TestSharedCache:
         first = make_relation("SPA", graph)
         shared = caches(first)
         assert caches(make_relation("SPM", graph)) == shared
-        assert caches(make_relation("SPO", graph, policy=ExecutionPolicy(workers=2))) == shared
+        assert caches(make_relation("SPO", graph)) == shared
         graph.add_edge("newcomer", graph.nodes()[0], 1)
         assert caches(make_relation("SPO", graph)) == shared
         assert make_relation("SPA", graph.copy())._bfs_cache is not shared[0]
@@ -191,18 +169,14 @@ def _expected_distance(lengths, u, v):
     return 0.0 if u == v else float(lengths[u].get(v, INFINITY))
 
 
-@pytest.mark.usefixtures("pools_down")
 class TestShortestPathOracle:
     """SP* distance rows are the signed BFS's lengths: equal to the
     sign-agnostic BFS for every pair, before and after churn."""
 
-    @pytest.mark.usefixtures("dispatch_small_batches")
-    @pytest.mark.parametrize("workers", [0, 2])
     @pytest.mark.parametrize("name", SHORTEST_PATH)
-    def test_matches_sign_agnostic_bfs(self, name, workers):
+    def test_matches_sign_agnostic_bfs(self, name):
         graph = _graph(40, seed=17)
-        policy = ExecutionPolicy(workers=workers)
-        oracle = DistanceOracle(make_relation(name, graph, policy=policy))
+        oracle = DistanceOracle(make_relation(name, graph))
         for phase in range(2):
             nodes = graph.nodes()
             lengths = {u: shortest_path_lengths(graph, u) for u in nodes}
@@ -221,35 +195,33 @@ class TestShortestPathOracle:
             if phase == 0:
                 _churn(graph, seed=9)
 
-    @pytest.mark.usefixtures("dispatch_small_batches")
-    @pytest.mark.parametrize("workers", [0, 2])
-    def test_no_sign_agnostic_bfs_for_shortest_path_relations(self, monkeypatch, workers):
-        kernels = _record_dispatches(monkeypatch)
+    def test_no_sign_agnostic_bfs_for_shortest_path_relations(
+        self, monkeypatch, traversals
+    ):
         per_source = csr_module.shortest_path_lengths_csr
 
         def counting_source(csr, source):
-            kernels["shortest_path_lengths_csr"] += 1
+            traversals["shortest_path_lengths_csr"] += 1
             return per_source(csr, source)
 
         monkeypatch.setattr(csr_module, "shortest_path_lengths_csr", counting_source)
         graph = _graph()
         nodes = graph.nodes()
-        policy = ExecutionPolicy(workers=workers)
         for name in SHORTEST_PATH:
-            oracle = DistanceOracle(make_relation(name, graph, policy=policy))
+            oracle = DistanceOracle(make_relation(name, graph))
             oracle.warm(nodes[:10])
             oracle.distance(nodes[20], nodes[0])
             oracle.batch_distance_to_set(nodes, nodes[30:33])
-        assert set(kernels) == {"csr_signed_bfs"}
+        assert set(traversals) == {"signed_bfs_dense_batch"}
         # NNE still runs the sign-agnostic BFS (the counters do count), but
         # a pair with a warmed endpoint reads that endpoint's row.
-        oracle = DistanceOracle(make_relation("NNE", graph, policy=policy))
+        oracle = DistanceOracle(make_relation("NNE", graph))
         oracle.warm(nodes[:10])
-        assert kernels["csr_path_lengths"] >= 1
+        assert traversals["shortest_path_lengths_dense_batch"] >= 1
         oracle.distance(nodes[20], nodes[0])
-        assert kernels["shortest_path_lengths_csr"] == 0
+        assert traversals["shortest_path_lengths_csr"] == 0
         oracle.distance(nodes[40], nodes[41])
-        assert kernels["shortest_path_lengths_csr"] == 1
+        assert traversals["shortest_path_lengths_csr"] == 1
 
     @pytest.mark.parametrize("name", ("DPE", "NNE") + SHORTEST_PATH)
     def test_distance_is_symmetric(self, name):
@@ -269,31 +241,28 @@ class TestShortestPathOracle:
                 _churn(graph, seed=29)
 
 
-@pytest.mark.usefixtures("pools_down")
 class TestDegreeMemo:
     """One presence word answers the SPA and SPO degrees, one count
     traversal per source the SPM degree and the rest of the triple."""
 
-    @pytest.mark.usefixtures("dispatch_small_batches")
-    @pytest.mark.parametrize("workers", [0, 2])
-    def test_presence_and_one_count_sweep_serve_all_three_relations(
-        self, monkeypatch, workers
-    ):
-        kernels = _record_dispatches(monkeypatch)
+    def test_presence_and_one_count_sweep_serve_all_three_relations(self, traversals):
         graph = _graph(80, seed=37)
-        policy = ExecutionPolicy(workers=workers)
         sample = random.Random(3).sample(graph.nodes(), 24)
-        # SPA's presence planes run in-process, through no kernel.  SPM
-        # counts: the pool inside the workers, serially into the BFS cache
-        # kept for the distance rows that follow in Table 2.
-        traversal = "csr_compatible_degrees" if workers else "csr_signed_bfs"
+        # SPA's degrees come from presence planes; SPO then reads the memo,
+        # and SPM counts into the BFS cache kept for the distance rows that
+        # follow in Table 2.
+        expected = {
+            "SPA": {"presence_degrees"},
+            "SPM": {"signed_bfs_dense_batch"},
+            "SPO": set(),
+        }
         for phase in range(2):
-            relations = {name: make_relation(name, graph, policy=policy) for name in SHORTEST_PATH}
+            relations = {name: make_relation(name, graph) for name in SHORTEST_PATH}
             degrees = {}
             for name, relation in relations.items():
-                kernels.clear()
+                traversals.clear()
                 degrees[name] = relation.batch_compatibility_degrees(sample)
-                assert set(kernels) == ({traversal} if name == "SPM" else set())
+                assert set(traversals) == expected[name], (phase, name)
             reference = graph.copy()
             for name in SHORTEST_PATH:
                 fresh = make_relation(name, reference)

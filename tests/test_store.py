@@ -1,11 +1,11 @@
 """Tests for the snapshot store (:mod:`repro.signed.store`), the bitset
 helpers, the word-parallel BFS kernels and the loader parse-once cache.
 
-The load-bearing guarantee mirrors the execution layer's: a snapshot written
-to disk and mapped back must be *bit-identical* to the in-memory index it was
-built from — same dtypes, same values, same node order, same generation — so
-every consumer (pool workers, the loader cache, the CLI) can treat the file
-as the snapshot itself rather than a lossy export of it.
+The load-bearing guarantee: a snapshot written to disk and mapped back must
+be *bit-identical* to the in-memory index it was built from — same dtypes,
+same values, same node order, same generation — so every consumer (the
+loader cache, the CLI) can treat the file as the snapshot itself rather than
+a lossy export of it.
 """
 
 from __future__ import annotations
@@ -48,6 +48,8 @@ from repro.signed.store import (  # noqa: E402
     VERSION,
     _HEADER,
     _TEMP_LEDGER,
+    _TEMP_LOCK,
+    flush_temp_files,
     load_snapshot,
     save_snapshot,
     snapshot_info,
@@ -168,19 +170,6 @@ class TestStoreRoundtrip:
         other = str(tmp_path / "method.store")
         csr.save(other)
         assert Path(other).read_bytes() == Path(path).read_bytes()
-
-    def test_node_table_skipped_for_worker_attach(self, tmp_path):
-        graph = SignedGraph.from_edges([("a", "b", +1), ("b", "c", -1)])
-        csr = CSRSignedGraph.from_signed_graph(graph)
-        path = str(tmp_path / "g.store")
-        save_snapshot(csr, path)
-        assert snapshot_info(path)["node_table_kind"] == "pickle"
-        attached = load_snapshot(path, node_table=False)
-        # Placeholders: flat arrays intact, dense ids in place of nodes.
-        assert attached._nodes == [0, 1, 2]
-        assert np.array_equal(
-            np.asarray(attached.indices), np.asarray(csr.indices)
-        )
 
     def test_generation_survives(self, tmp_path):
         graph = SignedGraph.from_edges([(0, 1, +1)])
@@ -308,6 +297,16 @@ class TestStoreDiagnostics:
         assert not os.path.exists(path)
         assert not _TEMP_LEDGER
         assert [f for f in os.listdir(tmp_path) if f.endswith(".tmp")] == []
+
+    def test_flush_unlinks_orphaned_temp_files(self, tmp_path):
+        orphan = tmp_path / "orphan.store.123.0.tmp"
+        orphan.write_bytes(b"half-written")
+        with _TEMP_LOCK:
+            _TEMP_LEDGER[str(orphan)] = None
+        flush_temp_files()
+        assert not orphan.exists()
+        assert not _TEMP_LEDGER
+        flush_temp_files()  # an already-gone path is no error
 
     def test_save_is_atomic_over_existing_file(self, tmp_path, monkeypatch):
         graph, _ = synthetic_signed_network(30, average_degree=3.0, negative_fraction=0.2, seed=2)
