@@ -2,8 +2,8 @@
 
 Nine PRs of scaling work left this repository resting on a set of
 hand-maintained correctness contracts — "every adjacency write bumps the
-generation", "every snapshot temp file lands on the crash ledger" — that
-previously lived only in code review and scattered tests.  This package
+generation", "per-source caches are generation-keyed" — that previously
+lived only in code review and scattered tests.  This package
 encodes them as AST-level lint rules that run in CI (``repro-teams analyze`` /
 ``python -m repro.analysis``), so a new kernel or mutation path cannot
 silently violate them.

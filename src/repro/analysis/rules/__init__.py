@@ -9,7 +9,6 @@ README's "Codebase invariants" table is the reader-facing summary.
 from repro.analysis.rules import (  # noqa: F401  (import = register)
     caches,
     dtypes,
-    ledger,
     materialise,
     mutation,
 )
@@ -17,7 +16,6 @@ from repro.analysis.rules import (  # noqa: F401  (import = register)
 __all__ = [
     "caches",
     "dtypes",
-    "ledger",
     "materialise",
     "mutation",
 ]

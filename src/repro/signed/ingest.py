@@ -8,6 +8,12 @@ the file is read in 4 MB blocks (``CHUNK_BYTES``), split and converted with
 ``np.frombuffer``/``np.fromstring``, and deduplication, undirected
 symmetrisation and largest-component restriction all happen on numpy arrays.
 
+Each block is classified in one pass (:func:`_data_tokens`): the token
+starts and line ends come out as one sorted stream, the token ends beside
+it, and every check reads those spans.  The integer scanner takes a block
+only when each data line holds exactly three tokens, all of them decimal
+integers; any other block sends the whole file to token mode.
+
 Bit-identity with the dict parser is a hard contract, relied on by the loader
 cache and the Zipf skill model (both key off node order):
 
@@ -18,10 +24,10 @@ cache and the Zipf skill model (both key off node order):
   policies of :func:`~repro.signed.io.parse_edge_list` exactly.
 
 Files whose node labels are not plain integers (string or quoted ids, bare
-``+``/``-`` sign tokens, trailing extra columns) take a second, token-mode
-scan: whitespace-delimited byte tokens are mapped to dense ids with an
-incremental ``np.unique`` vocabulary and fed through the same dedupe/plane
-assembly, so they stay vectorised end to end.  Anything neither scanner can
+``+``/``-`` sign tokens, trailing extra columns) take token mode:
+whitespace-delimited byte tokens are mapped to dense ids with an incremental
+``np.unique`` vocabulary and fed through the same dedupe/plane assembly, so
+they stay vectorised end to end.  Anything neither scanner can
 prove it parses identically to the dict parser — short lines, invalid sign
 tokens, non-ASCII bytes, labels whose ``int()`` coercion is ambiguous
 (``01`` vs ``1``) — makes :func:`parse_edge_list_csr` return ``None`` so the
@@ -39,44 +45,43 @@ endpoint labels (dense ids are broadcast back over each group with
 group's first position) — and :func:`build_csr_planes` once, on
 ``source << b | position``, for the stable row order.  Only keys whose range
 needs more than ``63 - b`` bits fall back to ``np.argsort``.
+
+The largest-component restriction starts with one BFS from dense id 0: a
+component holding more than half of the nodes is the unique largest, so
+:func:`component_labels` runs only when that BFS reaches half or fewer.
 """
 
 from __future__ import annotations
 
 import re
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.exceptions import DatasetError
-from repro.signed.csr import CSRSignedGraph
+from repro.signed.csr import (
+    UNREACHABLE,
+    CSRSignedGraph,
+    _shortest_path_lengths_array,
+)
 from repro.signed.graph import Node
 
 PathLike = Union[str, Path]
 
 #: Text block size for the chunked reader (the last partial line of each block
 #: is carried into the next one, so lines never straddle a parse call).  The
-#: scanner's per-chunk masks and index arrays cost ~10x the chunk size, so the
+#: scanner's per-chunk masks and index arrays cost ~7x the chunk size, so the
 #: block is kept small to bound peak RSS; throughput is flat from ~1MB up.
 CHUNK_BYTES = 4 * 1024 * 1024
 
 _POLICIES = ("keep_first", "negative_wins", "error")
 
-# Byte-level classification tables (applied after ``,``/tab/CR → space).
+# Byte classes after ``,``/tab/CR → space: a token is a maximal run of bytes
+# above ``_SPACE`` (control bytes join tokens; no data line may hold one).
 _SPACE_TRANS = bytes.maketrans(b",\t\r", b"   ")
 _SPACE, _NEWLINE, _HASH, _PERCENT = 32, 10, 35, 37
 _PLUS, _MINUS, _ZERO = 43, 45, 48
-
-_ALLOWED = np.zeros(256, dtype=bool)
-_ALLOWED[48:58] = True  # digits
-_ALLOWED[[_SPACE, _NEWLINE, _PLUS, _MINUS]] = True
-
-_DIGIT = np.zeros(256, dtype=bool)
-_DIGIT[48:58] = True
-
-_TOKEN_BREAK = np.zeros(256, dtype=bool)
-_TOKEN_BREAK[[_SPACE, _NEWLINE]] = True
 
 #: int64 holds 18 fully-general decimal digits; longer runs could overflow
 #: silently inside ``np.fromstring``, so they force the dict fallback.
@@ -90,133 +95,147 @@ class _VectorParseUnsupported(Exception):
 # --------------------------------------------------------------------- scanner
 
 
-def _data_line_spans(arr: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Spans of the data lines (non-empty, non-comment) of one block.
+def _data_tokens(
+    arr: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Token spans of the data lines (non-empty, non-comment) of one block.
 
-    ``arr`` is the space-translated byte view of a newline-terminated block.
-    Returns ``(arr, starts, ends)`` where comment lines have been blanked to
-    spaces (in a copy, when any exist) so downstream scans can ignore them,
-    and ``starts``/``ends`` bound exactly the lines that carry data.
+    ``arr`` is the space-translated byte view of a block.  A token is a
+    maximal run of bytes other than space and newline, and a comment line is
+    one whose first token starts with ``#`` or ``%``.  One classification
+    pass finds the token starts and line ends as one sorted stream (so each
+    line's token count is a difference of stream positions) and the token
+    ends with it.  Returns ``(arr, starts, ends, counts)``: ``arr`` with the
+    comment lines blanked to spaces (in a copy, when any exist), the
+    ``[start, end)`` spans of every token on a data line, and each data
+    line's token count, in line order.  Raises
+    :class:`_VectorParseUnsupported` for a control byte on a data line.
     """
     size = arr.size
-    newline_pos = np.flatnonzero(arr == _NEWLINE)
-    starts = np.concatenate(([0], newline_pos + 1))
-    ends = np.append(newline_pos, size)
-    del newline_pos
-    real = starts < ends  # drops empty lines and a trailing-newline phantom
-    starts, ends = starts[real], ends[real]
-    del real
-    if starts.size == 0:
-        return arr, starts, ends
-
-    content = (arr != _SPACE) & (arr != _NEWLINE)
-    # Per-line non-space counts via reduceat — no per-byte index array.
-    has_content = np.add.reduceat(content, starts) > 0
-    comment = np.zeros(starts.size, dtype=bool)
-    marker_pos = np.flatnonzero((arr == _HASH) | (arr == _PERCENT))
-    if marker_pos.size:
-        # Only lines holding a marker byte can be comments: such a line is
-        # one when nothing but spaces precedes its first marker.
-        line = np.searchsorted(starts, marker_pos, side="right") - 1
-        head = np.ones(line.size, dtype=bool)
-        np.not_equal(line[1:], line[:-1], out=head[1:])
-        line, marker_pos = line[head], marker_pos[head]
-        line_start = starts[line]
-        # reduceat over (line start, first marker) pairs: the even slots count
-        # the content before each marker (a marker at the line start reads
-        # its own byte, hence the explicit equality).
-        bounds = np.empty(2 * line.size, dtype=np.int64)
-        bounds[0::2] = line_start
-        bounds[1::2] = marker_pos
-        led = np.add.reduceat(content, bounds)[0::2]
-        comment[line] = (marker_pos == line_start) | (led == 0)
-        del line, head, line_start, bounds, led
-        if comment.any():
-            # Blank comment lines in a copy so the numeric scan skips them:
-            # index arrays cover the comment bytes only, never the chunk.
-            arr = arr.copy()
-            comment_starts, comment_ends = starts[comment], ends[comment]
-            lengths = comment_ends - comment_starts
-            offsets = np.cumsum(lengths) - lengths
-            arr[
-                np.repeat(comment_starts - offsets, lengths)
-                + np.arange(int(lengths.sum()))
-            ] = _SPACE
-            del comment_starts, comment_ends, lengths, offsets
-    del marker_pos
-    keep = has_content & ~comment
-    del content, has_content, comment
-    return arr, starts[keep], ends[keep]
+    newline = np.equal(arr, _NEWLINE)
+    # content[p + 1]: byte p belongs to a token (zero-padded at both ends).
+    content = np.zeros(size + 2, dtype=bool)
+    np.greater(arr, _SPACE, out=content[1:-1])
+    control = np.empty(0, dtype=np.int64)
+    if np.count_nonzero(arr < _SPACE) != np.count_nonzero(newline):
+        # A control byte joins its token (so a line it leads is no comment);
+        # only a comment line may hold one, checked once comments are known.
+        control = np.flatnonzero((arr < _SPACE) & ~newline)
+        content[control + 1] = True
+    mark = np.empty(size + 1, dtype=bool)
+    mark[-1] = False
+    np.greater(content[1:-1], content[:-2], out=mark[:-1])
+    mark[:-1] |= newline
+    del newline
+    events = np.flatnonzero(mark)
+    line_end = arr[events] == _NEWLINE
+    np.greater(content[:-1], content[1:], out=mark)
+    del content
+    ends = np.flatnonzero(mark)
+    del mark
+    starts = events[~line_end]
+    # Line ``l`` holds the token starts between its line end and the one
+    # before; the last line is the block's unterminated tail (often empty).
+    bound = np.empty(np.count_nonzero(line_end) + 2, dtype=np.int64)
+    bound[0] = -1
+    bound[1:-1] = np.flatnonzero(line_end)
+    bound[-1] = events.size
+    del events, line_end
+    counts = np.diff(bound) - 1
+    lines = np.flatnonzero(counts)
+    counts = counts[lines]
+    line_first = bound[lines] + 1 - lines
+    del bound, lines
+    lead = arr[starts[line_first]]
+    comment = (lead == _HASH) | (lead == _PERCENT)
+    del lead
+    if comment.any():
+        # Blank comment lines in a copy so the numeric scan skips them: the
+        # first token to the last (the bytes around them are spaces).
+        line_starts = starts[line_first[comment]]
+        lengths = ends[line_first[comment] + counts[comment] - 1] - line_starts
+        offsets = np.cumsum(lengths) - lengths
+        arr = arr.copy()
+        arr[
+            np.repeat(line_starts - offsets, lengths) + np.arange(int(lengths.sum()))
+        ] = _SPACE
+        del line_starts, lengths, offsets
+        keep = np.repeat(~comment, counts)
+        starts = starts[keep]
+        ends = ends[keep]
+        counts = counts[~comment]
+        del keep
+    if control.size and (arr[control] != _SPACE).any():
+        raise _VectorParseUnsupported("control byte on a data line")
+    return arr, starts, ends, counts
 
 
 def _scan_chunk(chunk: bytes) -> Tuple[np.ndarray, int]:
-    """Parse one newline-terminated block into numbers.
+    """Parse one block into numbers with one classification pass.
 
     Returns ``(values, data_lines)`` where ``values`` is a flat int64 array of
     every number on the block's data lines and ``data_lines`` counts the
-    non-empty, non-comment lines.  Raises :class:`_VectorParseUnsupported`
-    whenever byte patterns show the block might parse differently under the
-    reference parser.
+    non-empty, non-comment lines.  Every check reads the token spans of
+    :func:`_data_tokens`: each data line holds exactly three tokens, the only
+    non-digit bytes are signs at a token start followed by a digit, no token
+    has a leading zero and none has more than ``_MAX_DIGIT_RUN`` digits.
+    Anything else raises :class:`_VectorParseUnsupported`, and the file goes
+    to token mode.
     """
-    arr = np.frombuffer(chunk.translate(_SPACE_TRANS), dtype=np.uint8)
-    arr, starts, ends = _data_line_spans(arr)
-    size = arr.size
-    data_lines = starts.size
-    del starts, ends
+    text = chunk.translate(_SPACE_TRANS)
+    arr = np.frombuffer(text, dtype=np.uint8)
+    blanked, starts, ends, counts = _data_tokens(arr)
+    data_lines = counts.size
     if data_lines == 0:
         return np.empty(0, dtype=np.int64), 0
-
-    if not _ALLOWED[arr].all():
-        raise _VectorParseUnsupported("non-numeric bytes")
-    # Sign characters are only unambiguous at token starts ("1-2" would split
-    # into two numbers where the dict parser sees one string token).
-    sign_pos = np.flatnonzero((arr == _PLUS) | (arr == _MINUS))
-    if sign_pos.size:
-        prev = arr[sign_pos - 1]
-        bad = (sign_pos > 0) & ~_TOKEN_BREAK[prev]
-        if bad.any():
-            raise _VectorParseUnsupported("sign character inside a token")
-        # A bare "+" or "-" is a valid sign token to the dict parser, but
-        # np.fromstring reads it as 0: leave such lines to token mode.
-        after = sign_pos + 1
-        bare = after >= size
-        bare[~bare] = _TOKEN_BREAK[arr[after[~bare]]]
-        if bare.any():
-            raise _VectorParseUnsupported("bare sign token")
-        del prev, bad, after, bare
-    del sign_pos
-    # Leading zeros: int("01") == 1 for a *node* but "01" is an invalid *sign*
-    # token to the dict parser, so any 0-led multi-digit token falls back.
-    zero_pos = np.flatnonzero(arr == _ZERO)
-    if zero_pos.size:
-        at_start = np.ones(zero_pos.size, dtype=bool)
-        prior = zero_pos > 0
-        prev = arr[zero_pos[prior] - 1]
-        at_start[prior] = _TOKEN_BREAK[prev] | (prev == _PLUS) | (prev == _MINUS)
-        followed = np.zeros(zero_pos.size, dtype=bool)
-        inner = zero_pos < size - 1
-        followed[inner] = _DIGIT[arr[zero_pos[inner] + 1]]
-        if (at_start & followed).any():
+    # Extra columns and short lines belong to token mode (which ignores the
+    # former and declines the latter, as the dict parser does).
+    if (counts != 3).any():
+        raise _VectorParseUnsupported("line without exactly three tokens")
+    del counts
+    digit = np.subtract(arr, _ZERO)
+    digit = np.less(digit, 10, out=digit.view(bool))
+    odd = np.greater(arr, _SPACE)
+    np.greater(odd, digit, out=odd)
+    odd = np.flatnonzero(odd)
+    if blanked is not arr:
+        odd = odd[blanked[odd] != _SPACE]
+    size = arr.size
+    if odd.size:
+        # Sign characters are only unambiguous at token starts ("1-2" would
+        # split into two numbers where the dict parser sees one string
+        # token), and a bare "+" or "-" is a sign token to the dict parser
+        # that np.fromstring reads as 0: both go to token mode.
+        odd_bytes = arr[odd]
+        signed = (odd_bytes == _PLUS) | (odd_bytes == _MINUS)
+        signed &= (odd == 0) | (arr[odd - 1] <= _SPACE)
+        signed &= digit[np.minimum(odd + 1, size - 1)]
+        if not signed.all():
+            raise _VectorParseUnsupported("non-numeric byte")
+        # Leading zeros: int("01") == 1 for a *node* but "01" is an invalid
+        # *sign* token to the dict parser, so any 0-led multi-digit token
+        # falls back ("-01" here, "01" below).
+        after = np.minimum(odd + 2, size - 1)
+        if ((arr[odd + 1] == _ZERO) & digit[after] & (after > odd + 1)).any():
             raise _VectorParseUnsupported("leading zero in a token")
-        del at_start, prior, prev, followed, inner
-    del zero_pos
-    # Digit runs longer than int64 can hold: a windowed AND by doubling —
-    # ``run[i]`` is True when ``width`` consecutive bytes from ``i`` are all
-    # digits — keeps every temporary the size of one boolean mask.
-    run = _DIGIT[arr]
-    width = 1
-    while width <= _MAX_DIGIT_RUN:
-        step = min(width, _MAX_DIGIT_RUN + 1 - width)
-        if run.size <= step:
-            run = run[:0]
-            break
-        run = run[: run.size - step] & run[step:]
-        width += step
-    if run.size and run.any():
-        raise _VectorParseUnsupported("integer token too long")
-    del run
+        del odd_bytes, signed, after
+    del digit
+    lengths = ends - starts
+    del ends
+    leading = arr[starts]
+    if ((leading == _ZERO) & (lengths > 1)).any():
+        raise _VectorParseUnsupported("leading zero in a token")
+    long_tokens = lengths > _MAX_DIGIT_RUN
+    if long_tokens.any():
+        # A non-digit lead is a sign (the checks above allow nothing else).
+        digits = lengths[long_tokens] - (leading[long_tokens] < _ZERO)
+        if (digits > _MAX_DIGIT_RUN).any():
+            raise _VectorParseUnsupported("integer token too long")
+    del lengths, leading, long_tokens, starts
 
-    values = np.fromstring(arr.tobytes(), dtype=np.int64, sep=" ")
+    source = text if blanked is arr else blanked.tobytes()
+    del blanked, arr
+    values = np.fromstring(source, dtype=np.int64, sep=" ")
     if values.size != 3 * data_lines:
         raise _VectorParseUnsupported("line/token count mismatch")
     return values, data_lines
@@ -261,29 +280,14 @@ def _scan_chunk_tokens(chunk: bytes) -> Tuple[np.ndarray, np.ndarray, np.ndarray
     # tokenise differently here, so they are not claimed.
     if (((arr < _SPACE) & (arr != _NEWLINE)) | (arr >= 128)).any():
         raise _VectorParseUnsupported("control or non-ascii byte")
-    arr, starts, ends = _data_line_spans(arr)
-    num_lines = starts.size
+    arr, token_start, token_end, token_counts = _data_tokens(arr)
+    num_lines = token_counts.size
     if num_lines == 0:
         return empty, empty, np.empty(0, dtype=np.int64)
-
-    content = (arr != _SPACE) & (arr != _NEWLINE)
-    boundary = np.empty_like(content)
-    boundary[0] = content[0]
-    np.greater(content[1:], content[:-1], out=boundary[1:])
-    token_start = np.flatnonzero(boundary)
-    boundary[-1] = content[-1]
-    np.greater(content[:-1], content[1:], out=boundary[:-1])
-    token_end = np.flatnonzero(boundary) + 1
-    del content, boundary
     lengths = token_end - token_start
-    if lengths.size and int(lengths.max()) > _MAX_TOKEN_BYTES:
+    del token_end
+    if int(lengths.max()) > _MAX_TOKEN_BYTES:
         raise _VectorParseUnsupported("token too long")
-
-    # Comments are blanked and blank lines carry no tokens, so every token
-    # falls inside a data-line span.
-    line_of = np.searchsorted(starts, token_start, side="right") - 1
-    token_counts = np.bincount(line_of, minlength=num_lines)
-    del line_of
     if (token_counts < 3).any():
         raise _VectorParseUnsupported("short line")
     line_first = np.zeros(num_lines, dtype=np.int64)
@@ -295,7 +299,7 @@ def _scan_chunk_tokens(chunk: bytes) -> Tuple[np.ndarray, np.ndarray, np.ndarray
     del line_first
     sel_start = token_start[select]
     sel_len = lengths[select]
-    del token_start, token_end, lengths, select
+    del token_start, lengths, select
     width = int(sel_len.max())
     span = np.arange(width, dtype=np.int64)
     valid = span[None, :] < sel_len[:, None]
@@ -372,6 +376,42 @@ class _TokenVocabulary:
         return labels
 
 
+def _blocks(path: PathLike, chunk_bytes: int) -> Iterator[bytes]:
+    """The file's bytes in blocks of about ``chunk_bytes`` that end at a
+    newline (the last one at the end of the file), so no line straddles two
+    blocks.  Raises :class:`DatasetError` when the file is missing."""
+    file_path = Path(path)
+    if not file_path.exists():
+        raise DatasetError(f"edge-list file not found: {file_path}")
+    with file_path.open("rb") as handle:
+        tail = b""
+        while True:
+            block = handle.read(chunk_bytes)
+            if not block:
+                if tail:
+                    yield tail
+                return
+            data = tail + block
+            cut = data.rfind(b"\n")
+            if cut < 0:
+                tail = data
+                continue
+            yield data[: cut + 1]
+            tail = data[cut + 1 :]
+
+
+def _join(pieces: Tuple[List[np.ndarray], ...]) -> List[np.ndarray]:
+    """Concatenate each column's pieces, releasing them column by column so
+    the copies never hold more than one column twice."""
+    columns = []
+    for column_pieces in pieces:
+        columns.append(
+            np.concatenate(column_pieces) if column_pieces else np.empty(0, np.int64)
+        )
+        column_pieces.clear()
+    return columns
+
+
 def read_edge_arrays(
     path: PathLike, chunk_bytes: int = CHUNK_BYTES
 ) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -383,38 +423,19 @@ def read_edge_arrays(
     line-numbered errors for genuinely malformed input).  Raises
     :class:`DatasetError` when the file is missing.
     """
-    file_path = Path(path)
-    if not file_path.exists():
-        raise DatasetError(f"edge-list file not found: {file_path}")
     # Accumulated per column (not as one flat values array) so the final
     # concatenation never holds more than one column's worth of copies.
     pieces: Tuple[List[np.ndarray], ...] = ([], [], [])
     try:
-        with file_path.open("rb") as handle:
-            tail = b""
-            while True:
-                block = handle.read(chunk_bytes)
-                if not block:
-                    if tail:
-                        _split_columns(_scan_chunk(tail)[0], pieces)
-                    break
-                data = tail + block
-                cut = data.rfind(b"\n")
-                if cut < 0:
-                    tail = data
-                    continue
-                _split_columns(_scan_chunk(data[: cut + 1])[0], pieces)
-                tail = data[cut + 1 :]
+        for block in _blocks(path, chunk_bytes):
+            values = _scan_chunk(block)[0]
+            for column, column_pieces in enumerate(pieces):
+                column_pieces.append(np.ascontiguousarray(values[column::3]))
+            del values
     except _VectorParseUnsupported:
         return None
-    columns = []
-    for column_pieces in pieces:
-        if column_pieces:
-            columns.append(np.concatenate(column_pieces))
-            column_pieces.clear()
-        else:
-            columns.append(np.empty(0, dtype=np.int64))
-    return columns[0], columns[1], columns[2]
+    u, v, s = _join(pieces)
+    return u, v, s
 
 
 def read_edge_tokens(
@@ -431,55 +452,20 @@ def read_edge_tokens(
     raises the proper line-numbered errors) or labels whose ``int()`` coercion
     is not bijective (``01`` vs ``1``).
     """
-    file_path = Path(path)
-    if not file_path.exists():
-        raise DatasetError(f"edge-list file not found: {file_path}")
     vocabulary = _TokenVocabulary()
     pieces: Tuple[List[np.ndarray], ...] = ([], [], [])
-
-    def _consume(chunk: bytes) -> None:
-        u_tokens, v_tokens, signs = _scan_chunk_tokens(chunk)
-        if signs.size == 0:
-            return
-        pieces[0].append(vocabulary.assign(u_tokens))
-        pieces[1].append(vocabulary.assign(v_tokens))
-        pieces[2].append(signs)
-
     try:
-        with file_path.open("rb") as handle:
-            tail = b""
-            while True:
-                block = handle.read(chunk_bytes)
-                if not block:
-                    if tail:
-                        _consume(tail)
-                    break
-                data = tail + block
-                cut = data.rfind(b"\n")
-                if cut < 0:
-                    tail = data
-                    continue
-                _consume(data[: cut + 1])
-                tail = data[cut + 1 :]
+        for block in _blocks(path, chunk_bytes):
+            u_tokens, v_tokens, signs = _scan_chunk_tokens(block)
+            if signs.size:
+                pieces[0].append(vocabulary.assign(u_tokens))
+                pieces[1].append(vocabulary.assign(v_tokens))
+                pieces[2].append(signs)
         labels = vocabulary.node_labels()
     except _VectorParseUnsupported:
         return None
-    empty = np.empty(0, dtype=np.int64)
-    return (
-        np.concatenate(pieces[0]) if pieces[0] else empty,
-        np.concatenate(pieces[1]) if pieces[1] else empty.copy(),
-        np.concatenate(pieces[2]) if pieces[2] else empty.copy(),
-        labels,
-    )
-
-
-def _split_columns(values: np.ndarray, pieces: Tuple[List[np.ndarray], ...]) -> None:
-    """Append one chunk's flat ``u v s`` values to the per-column piece lists."""
-    if values.size == 0:
-        return
-    triples = values.reshape(-1, 3)
-    for column, column_pieces in enumerate(pieces):
-        column_pieces.append(np.ascontiguousarray(triples[:, column]))
+    u, v, s = _join(pieces)
+    return u, v, s, labels
 
 
 # -------------------------------------------------------------- graph assembly
@@ -690,6 +676,20 @@ def largest_component_members(
     return np.flatnonzero(labels == best)
 
 
+def reached_from_first(csr: CSRSignedGraph) -> np.ndarray:
+    """Mask of the nodes a breadth-first search from dense id 0 reaches.
+
+    One direction-optimising BFS
+    (:func:`~repro.signed.csr._shortest_path_lengths_array`): it answers
+    connectivity on its own and, when it reaches more than half of the
+    nodes, names the unique largest component without labelling the rest.
+    An empty graph gives an empty mask.
+    """
+    if csr.number_of_nodes() == 0:
+        return np.zeros(0, dtype=bool)
+    return _shortest_path_lengths_array(csr, 0) != UNREACHABLE
+
+
 def restrict_to_largest_component(csr: CSRSignedGraph) -> CSRSignedGraph:
     """Restrict to the largest connected component, preserving row order.
 
@@ -697,17 +697,27 @@ def restrict_to_largest_component(csr: CSRSignedGraph) -> CSRSignedGraph:
     verbatim (neighbours re-labelled to the compacted dense ids); member order
     follows the parent graph's node order — the same contract as the dict
     path's :func:`~repro.signed.components.largest_connected_component`.
+    The component of dense id 0 wins outright when it holds more than half of
+    the nodes; otherwise :func:`component_labels` decides, ties included.
     """
-    labels = component_labels(csr.indptr, csr.indices)
-    keep = largest_component_members(labels, csr._nodes)
-    if keep.size == labels.size:
+    n = csr.number_of_nodes()
+    reached = reached_from_first(csr)
+    size = int(np.count_nonzero(reached))
+    if size == n:
         return csr
+    if 2 * size > n:
+        keep = np.flatnonzero(reached)
+    else:
+        keep = largest_component_members(
+            component_labels(csr.indptr, csr.indices), csr._nodes
+        )
+    del reached
     degrees = np.diff(csr.indptr)[keep]
     new_indptr = np.zeros(keep.size + 1, dtype=np.int64)
     np.cumsum(degrees, out=new_indptr[1:])
     offsets = np.repeat(csr.indptr[:-1][keep] - new_indptr[:-1], degrees)
     entry_sel = offsets + np.arange(int(new_indptr[-1]), dtype=np.int64)
-    old_to_new = np.full(labels.size, -1, dtype=np.int64)
+    old_to_new = np.full(n, -1, dtype=np.int64)
     old_to_new[keep] = np.arange(keep.size)
     node_list = csr._nodes
     return CSRSignedGraph(

@@ -80,7 +80,7 @@ def diameter(
     randomly chosen sources and the largest distance observed is returned,
     which is a lower bound on the true diameter.
 
-    Connectivity comes from the CSR snapshot's component labels and the
+    Connectivity comes from one BFS on the CSR snapshot and the
     eccentricities from word-parallel path-length rows
     (:func:`~repro.signed.csr.shortest_path_lengths_dense_batch_into`),
     reduced one 64-source word at a time.
@@ -101,11 +101,11 @@ def diameter(
 
 
 def _csr_connected(graph: SignedGraph) -> bool:
-    """:func:`is_connected` from the CSR snapshot's component labels."""
-    from repro.signed.ingest import component_labels
+    """:func:`is_connected` from one BFS on the CSR snapshot (``True`` when
+    empty)."""
+    from repro.signed.ingest import reached_from_first
 
-    csr = graph.csr_view()
-    return not component_labels(csr.indptr, csr.indices).any()
+    return bool(reached_from_first(graph.csr_view()).all())
 
 
 def _csr_eccentricity_bound(graph: SignedGraph, sources: List[Node]) -> int:

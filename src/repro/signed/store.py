@@ -30,9 +30,10 @@ nodes are exactly ``0..n-1`` (most synthetic graphs) use the ``range`` kind inst
 
 Writes are crash-safe: the planes go to a ``.tmp`` sibling first and
 ``os.replace`` promotes it atomically, so a reader never maps a half-written
-file.  Every live temp path is tracked in a module ledger that
-:func:`flush_temp_files` sweeps, so a write cut off between the temp write
-and the promotion cannot strand temp files in the store directory.
+file.  A write that fails or is interrupted by an exception unlinks its temp
+file before the exception leaves :func:`write_atomically`; a process killed
+outright (``SIGKILL``, ``os._exit``) can leave one behind, which no in-process
+sweep could reach either.
 
 Loading with ``mmap=True`` returns :class:`numpy.memmap` views — cold start
 is the cost of mapping, not of parsing, and concurrent readers of the same
@@ -47,7 +48,6 @@ import itertools
 import os
 import pickle
 import struct
-import threading
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -103,13 +103,8 @@ def _plane_layout(
     return layout, offset + node_table_nbytes
 
 
-# ------------------------------------------------------------------ temp ledger
+# ------------------------------------------------------------------ temp files
 
-#: Live ``.tmp`` paths of in-flight writes.  :func:`flush_temp_files` unlinks
-#: whatever is still here — after a crash between temp-write and
-#: ``os.replace``, that is the orphan.
-_TEMP_LEDGER: Dict[str, None] = {}
-_TEMP_LOCK = threading.Lock()
 _TEMP_COUNTER = itertools.count()
 
 
@@ -117,18 +112,6 @@ def _temp_path(path: str) -> str:
     """A unique ``.tmp`` sibling of ``path`` (same directory, same filesystem,
     so the final ``os.replace`` is atomic)."""
     return f"{path}.{os.getpid()}.{next(_TEMP_COUNTER)}.tmp"
-
-
-def flush_temp_files() -> None:
-    """Unlink every still-registered temp file (crash-recovery sweep)."""
-    with _TEMP_LOCK:
-        paths = list(_TEMP_LEDGER)
-        _TEMP_LEDGER.clear()
-    for path in paths:
-        try:
-            os.unlink(path)
-        except OSError:
-            pass
 
 
 # ------------------------------------------------------------------ write side
@@ -190,13 +173,10 @@ def save_snapshot(csr: "CSRSignedGraph", path: str) -> str:
 def write_atomically(path: str, write: Callable[[io.BufferedWriter], None]) -> str:
     """Have ``write(handle)`` fill a temp sibling, then promote it to ``path``.
 
-    The temp file sits on :data:`_TEMP_LEDGER` while it exists and is
-    unlinked if anything fails before ``os.replace``, so ``path`` only ever
-    appears complete.  Returns ``path``.
+    The temp file is unlinked if anything fails before ``os.replace``, so
+    ``path`` only ever appears complete.  Returns ``path``.
     """
     temp = _temp_path(path)
-    with _TEMP_LOCK:
-        _TEMP_LEDGER[temp] = None
     try:
         with open(temp, "wb") as handle:
             write(handle)
@@ -209,9 +189,6 @@ def write_atomically(path: str, write: Callable[[io.BufferedWriter], None]) -> s
         except OSError:
             pass
         raise
-    finally:
-        with _TEMP_LOCK:
-            _TEMP_LEDGER.pop(temp, None)
     return path
 
 

@@ -40,7 +40,6 @@ def test_all_rules_registered_and_documented():
     assert ids == {
         "mutation-discipline",
         "cache-key-discipline",
-        "ledger-discipline",
         "no-materialise",
         "dtype-discipline",
     }
@@ -214,64 +213,6 @@ def test_cache_rule_accepts_graph_keyed_cache_and_lru_elsewhere():
     assert "cache-key-discipline" not in rule_ids(clean)
     elsewhere = analyze_source("cache = LRUCache(16)\n", module="repro.utils.example")
     assert "cache-key-discipline" not in rule_ids(elsewhere)
-
-
-# -------------------------------------------------------- ledger-discipline
-
-
-def test_ledger_rule_covers_temp_paths():
-    source = snippet(
-        """
-        def save(path):
-            temp = _temp_path(path)
-            return temp
-        """
-    )
-    findings = analyze_source(source, module="repro.signed.example")
-    messages = [f.message for f in findings if f.rule == "ledger-discipline"]
-    assert any("_TEMP_LEDGER" in m for m in messages)
-    clean = snippet(
-        """
-        def save(path):
-            temp = _temp_path(path)
-            with _TEMP_LOCK:
-                _TEMP_LEDGER[temp] = None
-            return temp
-
-
-        def republish(payload, path):
-            save_snapshot(payload, path)
-        """
-    )
-    # Saving a snapshot is no allocation of its own: save_snapshot registers
-    # its temp file itself.
-    assert "ledger-discipline" not in rule_ids(
-        analyze_source(clean, module="repro.signed.example")
-    )
-
-
-@pytest.mark.parametrize("api", ["mkstemp", "NamedTemporaryFile", "mkdtemp"])
-def test_ledger_rule_flags_unregistered_tempfile_api(api):
-    source = snippet(
-        f"""
-        def stage(directory):
-            return tempfile.{api}(dir=directory)
-        """
-    )
-    findings = analyze_source(source, module="repro.signed.example")
-    messages = [f.message for f in findings if f.rule == "ledger-discipline"]
-    assert any(api in m and "_TEMP_LEDGER" in m for m in messages)
-    clean = snippet(
-        f"""
-        def stage(directory):
-            handle = tempfile.{api}(dir=directory)
-            _TEMP_LEDGER.setdefault(handle, None)
-            return handle
-        """
-    )
-    assert "ledger-discipline" not in rule_ids(
-        analyze_source(clean, module="repro.signed.example")
-    )
 
 
 # ------------------------------------------------------------ no-materialise

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.signed import (
+    CSRSignedGraph,
     SignedGraph,
     average_degree,
     connected_components,
@@ -20,7 +20,11 @@ from repro.signed import (
     shortest_path_lengths,
     sign_distribution,
 )
+from repro.signed import ingest
+from repro.signed.metrics import _csr_connected
 from repro.utils.rng import ensure_rng
+
+from test_reference_families import FAMILIES
 
 
 class TestComponents:
@@ -158,3 +162,76 @@ class TestDiameter:
         assert diameter(graph, sample_sources=70, seed=2) == reference_diameter(
             graph, ensure_rng(2).sample(graph.nodes(), 70)
         )
+
+
+# ---------------------------------------------------------------------------
+# Largest component and connectivity from one BFS off dense id 0
+# ---------------------------------------------------------------------------
+
+
+def assert_csr_equal(left, right):
+    assert left._nodes == right._nodes
+    assert left.indptr.tolist() == right.indptr.tolist()
+    assert left.indices.tolist() == right.indices.tolist()
+    assert left.signs.tolist() == right.signs.tolist()
+
+
+# The 13 reference families (isolated nodes among them) and the empty graph.
+SHORTCUT_FAMILIES = {**FAMILIES, "empty": SignedGraph}
+
+
+@pytest.fixture
+def label_calls(monkeypatch):
+    """How often the restriction fell back to the component labels."""
+    calls = []
+    labels = ingest.component_labels
+
+    def counting(indptr, indices):
+        calls.append(indptr.size - 1)
+        return labels(indptr, indices)
+
+    monkeypatch.setattr(ingest, "component_labels", counting)
+    return calls
+
+
+class TestLargestComponentShortcut:
+    @pytest.mark.parametrize("family", SHORTCUT_FAMILIES)
+    def test_matches_dict_components(self, family):
+        graph = SHORTCUT_FAMILIES[family]()
+        assert _csr_connected(graph) == (len(connected_components(graph)) <= 1)
+        assert_csr_equal(
+            ingest.restrict_to_largest_component(graph.csr_view()),
+            CSRSignedGraph.from_signed_graph(largest_connected_component(graph)),
+        )
+
+    def test_empty_graph_is_connected_but_has_no_diameter(self):
+        assert _csr_connected(SignedGraph())
+        assert diameter(SignedGraph()) is None
+
+    @pytest.mark.parametrize(
+        "edges, nodes, labelled",
+        (
+            # Node 0 in the majority: a 4-node path beside a 2-node pair.
+            ([(0, 1, 1), (1, 2, -1), (2, 3, 1), (10, 11, 1)], None, False),
+            # Node 0 in a minority: its pair comes first, the path later.
+            ([(10, 11, 1), (0, 1, 1), (1, 2, -1), (2, 3, 1)], None, True),
+            # Node 0 in exactly half the nodes: a tie, settled by the labels.
+            ([(20, 21, -1), (21, 22, 1), (0, 1, 1), (1, 2, 1)], None, True),
+            # Exactly half with isolated nodes: {5, 6} against 7 and 8.
+            ([(5, 6, 1)], [5, 6, 7, 8], True),
+            # Connected: the graph itself, no labels.
+            ([(0, 1, 1), (1, 2, -1)], None, False),
+        ),
+        ids=("majority", "minority", "half", "half-isolated", "connected"),
+    )
+    def test_branches(self, label_calls, edges, nodes, labelled):
+        graph = SignedGraph.from_edges(edges, nodes=nodes)
+        csr = CSRSignedGraph.from_signed_graph(graph)
+        restricted = ingest.restrict_to_largest_component(csr)
+        assert bool(label_calls) == labelled
+        assert_csr_equal(
+            restricted,
+            CSRSignedGraph.from_signed_graph(largest_connected_component(graph)),
+        )
+        if len(connected_components(graph)) == 1:
+            assert restricted is csr

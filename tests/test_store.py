@@ -47,12 +47,10 @@ from repro.signed.store import (  # noqa: E402
     NODE_TABLE_RANGE,
     VERSION,
     _HEADER,
-    _TEMP_LEDGER,
-    _TEMP_LOCK,
-    flush_temp_files,
     load_snapshot,
     save_snapshot,
     snapshot_info,
+    write_atomically,
 )
 
 
@@ -284,7 +282,7 @@ class TestStoreDiagnostics:
         assert info["num_nodes"] == huge
         assert info["expected_nbytes"] > huge * 8
 
-    def test_save_failure_cleans_temp_and_ledger(self, tmp_path, monkeypatch):
+    def test_save_failure_cleans_temp_file(self, tmp_path, monkeypatch):
         graph, _ = synthetic_signed_network(30, average_degree=3.0, negative_fraction=0.2, seed=2)
         path = str(tmp_path / "g.store")
 
@@ -295,18 +293,19 @@ class TestStoreDiagnostics:
         with pytest.raises(OSError, match="disk full"):
             save_snapshot(graph.csr_view(), path)
         assert not os.path.exists(path)
-        assert not _TEMP_LEDGER
         assert [f for f in os.listdir(tmp_path) if f.endswith(".tmp")] == []
 
-    def test_flush_unlinks_orphaned_temp_files(self, tmp_path):
-        orphan = tmp_path / "orphan.store.123.0.tmp"
-        orphan.write_bytes(b"half-written")
-        with _TEMP_LOCK:
-            _TEMP_LEDGER[str(orphan)] = None
-        flush_temp_files()
-        assert not orphan.exists()
-        assert not _TEMP_LEDGER
-        flush_temp_files()  # an already-gone path is no error
+    @pytest.mark.parametrize("error", (OSError, KeyboardInterrupt))
+    def test_failing_write_leaves_no_temp_file(self, tmp_path, error):
+        path = str(tmp_path / "g.store")
+
+        def half_write(handle):
+            handle.write(b"half-written")
+            raise error("cut off")
+
+        with pytest.raises(error, match="cut off"):
+            write_atomically(path, half_write)
+        assert os.listdir(tmp_path) == []
 
     def test_save_is_atomic_over_existing_file(self, tmp_path, monkeypatch):
         graph, _ = synthetic_signed_network(30, average_degree=3.0, negative_fraction=0.2, seed=2)
