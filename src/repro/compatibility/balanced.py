@@ -58,7 +58,7 @@ from repro.signed.paths import (
     BalancedPathSearch,
 )
 from repro.utils.generational import GenerationalLRUCache
-from repro.utils.lru import APPROX_BYTES_PER_NODE, fetch_batched, scaled_cache_size
+from repro.utils.lru import fetch_batched, scaled_cache_size
 
 #: Ceiling on the number of cached per-source balanced-path results (the
 #: entry bound :func:`~repro.utils.lru.scaled_cache_size` scales down by graph
@@ -67,6 +67,13 @@ from repro.utils.lru import APPROX_BYTES_PER_NODE, fetch_batched, scaled_cache_s
 #: queries stay amortised on the bundled datasets; larger graphs re-search
 #: evicted sources on later sweeps.
 DEFAULT_RESULT_CACHE_SIZE = 4096
+
+#: Widest size of one cached search result per node: two depth rows of at
+#: most ``int32`` each (:func:`~repro.signed.csr.narrow_row` usually makes
+#: them ``int8``).  The 256 MiB budget then keeps the full 4096 entries up
+#: to 8192 nodes, so the symmetric closure of the 2308-node epinions
+#: stand-in never evicts its own searches.
+DEPTH_ROW_BYTES_PER_NODE = 8
 
 #: Sources per :meth:`_BalancedPathRelation.batch_search` call inside the
 #: reverse sweeps.  Bounds how many O(n) search results the sweep holds
@@ -114,8 +121,10 @@ class _BalancedPathRelation(CompatibilityRelation):
         self._result_cache: GenerationalLRUCache[Node, BalancedPathResult] = (
             GenerationalLRUCache(
                 graph,
-                maxsize=scaled_cache_size(DEFAULT_RESULT_CACHE_SIZE, num_nodes),
-                bytes_per_entry=num_nodes * APPROX_BYTES_PER_NODE,
+                maxsize=scaled_cache_size(
+                    DEFAULT_RESULT_CACHE_SIZE, num_nodes, DEPTH_ROW_BYTES_PER_NODE
+                ),
+                bytes_per_entry=num_nodes * DEPTH_ROW_BYTES_PER_NODE,
             )
         )
         self.max_path_length = max_path_length

@@ -27,11 +27,17 @@ from typing import FrozenSet, Iterable, Iterator, List, Sequence, Set, Tuple
 from repro.exceptions import NodeNotFoundError
 from repro.signed.graph import NEGATIVE, POSITIVE, Node, SignedGraph
 from repro.utils.generational import GenerationalLRUCache
-from repro.utils.lru import APPROX_BYTES_PER_NODE, scaled_cache_size
+from repro.utils.lru import scaled_cache_size
 
 #: Ceiling on the number of cached per-source compatible sets (the entry
 #: bound :func:`~repro.utils.lru.scaled_cache_size` scales down by graph size).
 DEFAULT_COMPATIBLE_CACHE_SIZE = 4096
+
+#: Bytes per member the compatible-set cache budgets for, as if every set
+#: held every node.  A frozenset's hash table measured 33-105 bytes per
+#: member between 10 and 100k members (CPython 3.11; the node objects are
+#: the graph's own), so the bound takes 64.
+COMPATIBLE_SET_BYTES_PER_MEMBER = 64
 
 
 class CompatibilityRelation(abc.ABC):
@@ -73,8 +79,10 @@ class CompatibilityRelation(abc.ABC):
         self._compatible_cache: GenerationalLRUCache[Node, FrozenSet[Node]] = (
             GenerationalLRUCache(
                 graph,
-                maxsize=scaled_cache_size(DEFAULT_COMPATIBLE_CACHE_SIZE, num_nodes),
-                bytes_per_entry=num_nodes * APPROX_BYTES_PER_NODE,
+                maxsize=scaled_cache_size(
+                    DEFAULT_COMPATIBLE_CACHE_SIZE, num_nodes, COMPATIBLE_SET_BYTES_PER_MEMBER
+                ),
+                bytes_per_entry=num_nodes * COMPATIBLE_SET_BYTES_PER_MEMBER,
                 component_local=type(self).component_local_sets,
             )
         )

@@ -30,13 +30,18 @@ from repro.compatibility.shortest_path import _ShortestPathRelation
 from repro.signed.graph import Node
 from repro.signed.paths import INFINITY
 from repro.utils.generational import GenerationalLRUCache
-from repro.utils.lru import APPROX_BYTES_PER_NODE, fetch_batched, scaled_cache_size
+from repro.utils.lru import fetch_batched, scaled_cache_size
 from repro.utils.rng import RandomState, ensure_rng
 from repro.utils.validation import require_positive
 
 #: Ceiling on the number of cached single-source distance maps (the entry
 #: bound :func:`~repro.utils.lru.scaled_cache_size` scales down by graph size).
 DEFAULT_DISTANCE_CACHE_SIZE = 2048
+
+#: Widest size of one cached distance row per node: BFS lengths of at most
+#: ``int32`` (:func:`~repro.signed.csr.narrow_row` usually makes them
+#: ``int8``).
+DISTANCE_ROW_BYTES_PER_NODE = 4
 
 
 class DistanceOracle:
@@ -72,8 +77,10 @@ class DistanceOracle:
             if self._sp_relation is not None
             else GenerationalLRUCache(
                 self._graph,
-                maxsize=scaled_cache_size(DEFAULT_DISTANCE_CACHE_SIZE, num_nodes),
-                bytes_per_entry=num_nodes * APPROX_BYTES_PER_NODE,
+                maxsize=scaled_cache_size(
+                    DEFAULT_DISTANCE_CACHE_SIZE, num_nodes, DISTANCE_ROW_BYTES_PER_NODE
+                ),
+                bytes_per_entry=num_nodes * DISTANCE_ROW_BYTES_PER_NODE,
             )
         )
 

@@ -72,11 +72,18 @@ from repro.compatibility.base import CompatibilityRelation
 from repro.signed.graph import Node, SignedGraph
 from repro.signed.paths import signed_bfs
 from repro.utils.generational import GenerationalLRUCache
-from repro.utils.lru import APPROX_BYTES_PER_NODE, fetch_batched, scaled_cache_size
+from repro.utils.lru import fetch_batched, scaled_cache_size
 
 #: Ceiling on the number of cached per-source BFS results (the entry bound
 #: :func:`~repro.utils.lru.scaled_cache_size` scales down by graph size).
 DEFAULT_BFS_CACHE_SIZE = 2048
+
+#: Widest size of one cached BFS or presence result per node: ``int32``
+#: lengths plus two ``int64`` count planes, the kernels' widths
+#: (:func:`~repro.signed.csr.narrow_row` usually copies them out at a
+#: fraction of that).  A row of ``object`` counts past ``int64`` is larger,
+#: but only a source with more than 2**63 shortest paths has one.
+BFS_ROW_BYTES_PER_NODE = 20
 
 # The result type, named lazily: repro.signed.csr is imported by the methods.
 _BFSResult = "CSRSignedBFSResult"
@@ -103,9 +110,9 @@ def _shared_caches(graph: SignedGraph) -> Tuple[
     dense ids — see CSRSignedBFSResult.signed_rows).
     """
     num_nodes = graph.number_of_nodes()
-    maxsize = scaled_cache_size(DEFAULT_BFS_CACHE_SIZE, num_nodes)
+    maxsize = scaled_cache_size(DEFAULT_BFS_CACHE_SIZE, num_nodes, BFS_ROW_BYTES_PER_NODE)
     if graph._sp_caches is None or graph._sp_caches[0].maxsize != maxsize:
-        rows = {"maxsize": maxsize, "bytes_per_entry": num_nodes * APPROX_BYTES_PER_NODE}
+        rows = {"maxsize": maxsize, "bytes_per_entry": num_nodes * BFS_ROW_BYTES_PER_NODE}
         graph._sp_caches = (
             GenerationalLRUCache(graph, **rows),
             GenerationalLRUCache(graph, **rows),
@@ -246,8 +253,9 @@ class _ShortestPathRelation(CompatibilityRelation):
         sign-agnostic BFS would compute — so the SP* distance oracle reads
         its rows here instead of traversing again.  A single source resolves
         like a pair query (:meth:`_bfs`, in-process); longer lists go through
-        :meth:`batch_bfs`.  Each row is the result's int32 ``lengths_array``
-        (unreachable nodes hold :data:`~repro.signed.csr.UNREACHABLE`)
+        :meth:`batch_bfs`.  Each row is the result's ``lengths_array``, at
+        its narrowest integer type (:func:`~repro.signed.csr.narrow_row`;
+        unreachable nodes hold :data:`~repro.signed.csr.UNREACHABLE`),
         behind a :class:`~repro.signed.csr.CSRLengths` view.
         """
         source_list = list(sources)

@@ -41,7 +41,7 @@ the same algorithms, the tests' reference):
   operations over the whole batch's frontier.  Exact SBP enumerates
   balanced simple paths level by level, each path a pair of bit planes,
   with the expansion cap applied per source by a segmented count.  A
-  source's result is two ``int32`` depth rows (positive, negative;
+  source's result is two depth rows (positive, negative;
   :data:`UNREACHABLE` where no path was found) plus its truncation flag,
   the one format from the search to the balanced
   relations' caches (wrapped in :class:`CSRLengths`).  Every node's depth
@@ -53,12 +53,15 @@ Results come back as :class:`CSRSignedBFSResult`, an array-backed object that
 answers the same ``length`` / ``counts`` / ``reachable`` queries as
 :class:`~repro.signed.paths.SignedBFSResult` and can be converted to it
 exactly (:meth:`CSRSignedBFSResult.to_signed_bfs_result`), so tests compare
-the two by value.  Path counts are held in ``int64`` — exact up to 2**63-1,
-which covers every graph in this repository; a source of a graph engineered
-to have astronomically many shortest paths (e.g. a large grid) trips the
-kernels' guard, is answered by :func:`repro.signed.paths.signed_bfs` and
-comes back as exact ``object`` rows
-(:meth:`CSRSignedBFSResult.from_signed_bfs_result`).
+the two by value.  The kernels count paths in ``int64`` — exact up to
+2**63-1, which covers every graph in this repository; a source of a graph
+engineered to have astronomically many shortest paths (e.g. a large grid)
+trips the kernels' guard, is answered by
+:func:`repro.signed.paths.signed_bfs` and comes back as exact ``object``
+rows (:meth:`CSRSignedBFSResult.from_signed_bfs_result`).  Every other row
+a result keeps — lengths, counts, balanced depths — is copied out of its
+kernel buffer at the narrowest signed integer type that holds it
+(:func:`narrow_row`): ``int8`` for the depths of a low-diameter graph.
 
 Everything here is deterministic: the dense ids follow the insertion order of
 the source graph, and the BFS visits neighbours in adjacency order, so the
@@ -452,11 +455,16 @@ class CSRSignedBFSResult:
     (boolean, or 0/1).  Its :meth:`counts` and :meth:`to_signed_bfs_result`
     raise :class:`ValueError`; every other query answers as usual.
 
-    The count planes are ``int64``, except for a source whose counts
-    overflow it: the SP* relations answer that one with
+    Each row is held at the narrowest signed integer type that holds it
+    (:func:`narrow_row`): the lengths mostly as ``int8``, each count plane
+    by its own maximum, so one result costs far less than the kernels'
+    ``int32`` lengths plus two ``int64`` planes (20 bytes per node), which
+    stay the widest it can take.  A source whose counts overflow ``int64``
+    is the exception: the SP* relations answer it with
     :func:`~repro.signed.paths.signed_bfs` and lay its result onto ``object``
     planes of Python ints (:meth:`from_signed_bfs_result`), so every SP*
-    result has this one format.
+    result has this one format.  The query methods return Python ints;
+    array readers compare planes or copy them into wider blocks.
     """
 
     source: Node
@@ -534,7 +542,7 @@ class CSRSignedBFSResult:
             dense = csr.index_of(node)
             lengths[dense] = length
             positive[dense], negative[dense] = result.counts(node)
-        return cls(result.source, csr, lengths, positive, negative)
+        return cls(result.source, csr, narrow_row(lengths), positive, negative)
 
     def to_signed_bfs_result(self) -> SignedBFSResult:
         """Convert to the dict-backed :class:`SignedBFSResult`, bit for bit.
@@ -577,6 +585,22 @@ def _sorted_unique(values: np.ndarray) -> np.ndarray:
         np.not_equal(ordered[1:], ordered[:-1], out=distinct[1:])
         ordered = ordered[distinct]
     return ordered
+
+
+def _first_occurrences(values: np.ndarray) -> np.ndarray:
+    """Where each distinct entry of ``values`` first occurs, by ascending entry.
+
+    ``np.unique(values, return_index=True)[1]``, from one stable sort and
+    the neighbour mask of :func:`_sorted_unique`: the stable sort keeps
+    equal entries in input order, so each run starts at its first
+    occurrence.
+    """
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    heads = np.empty(ordered.size, dtype=bool)
+    heads[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=heads[1:])
+    return order[heads]
 
 
 def _entry_spans(node_degrees: np.ndarray, limit: int) -> List[int]:
@@ -871,7 +895,9 @@ def signed_bfs_csr(csr: CSRSignedGraph, source: Node) -> CSRSignedBFSResult:
     to two orders of magnitude below the dict BFS, and the integer sums make
     the result independent of the direction chosen.
 
-    Counts are ``int64``.  A guard after every level, push or pull, raises
+    Counts are ``int64`` in the traversal, and the result's rows are copied
+    out at their narrowest type (:func:`dense_row_result`), as the batched
+    rows are.  A guard after every level, push or pull, raises
     :class:`OverflowError` *before* any count can wrap: as long as every
     count entering a level is at most ``(2**63 - 1) / max_degree``, no
     node's sum — at most ``max_degree`` non-negative terms, whether scattered
@@ -881,7 +907,9 @@ def signed_bfs_csr(csr: CSRSignedGraph, source: Node) -> CSRSignedBFSResult:
     of :func:`repro.signed.paths.signed_bfs` — the relations do this
     automatically.
     """
-    lengths, positive, negative = _signed_bfs_arrays(csr, csr.index_of(source))
+    lengths, positive, negative = dense_row_result(
+        True, *_signed_bfs_arrays(csr, csr.index_of(source))
+    )
     return CSRSignedBFSResult(
         source=source,
         graph=csr,
@@ -933,12 +961,14 @@ def _shortest_path_lengths_array_into(
 
 
 def shortest_path_lengths_csr(csr: CSRSignedGraph, source: Node) -> np.ndarray:
-    """Sign-agnostic BFS distances from ``source`` as a dense ``int32`` array.
+    """Sign-agnostic BFS distances from ``source`` as a dense array.
 
-    Unreachable nodes hold :data:`UNREACHABLE`; wrap with :class:`CSRLengths`
-    for a dict-like view keyed by original node objects.
+    Unreachable nodes hold :data:`UNREACHABLE`; the row comes at the
+    narrowest type that holds it (:func:`narrow_row`), as the batched
+    :func:`shortest_path_lengths_dense_batch` rows do.  Wrap with
+    :class:`CSRLengths` for a dict-like view keyed by original node objects.
     """
-    return _shortest_path_lengths_array(csr, csr.index_of(source))
+    return narrow_row(_shortest_path_lengths_array(csr, csr.index_of(source)))
 
 
 def shortest_signed_walk_lengths_csr(
@@ -1415,19 +1445,50 @@ def signed_bfs_dense_batch_into(
     return tokens
 
 
+#: ``(smallest, largest, dtype)`` of each signed integer type a copied-out
+#: row may take, narrowest first (:func:`narrow_row`).
+_ROW_TYPES = tuple(
+    (int(np.iinfo(dtype).min), int(np.iinfo(dtype).max), np.dtype(dtype))
+    for dtype in (np.int8, np.int16, np.int32, np.int64)
+)
+
+
+def narrow_row(row: np.ndarray) -> np.ndarray:
+    """A copy of integer ``row`` at the narrowest signed type that holds it.
+
+    The one copy-out of every cached per-source row: BFS lengths and
+    balanced depths (:data:`UNREACHABLE` fits every type) and Algorithm 1's
+    count planes alike go to ``int8``, ``int16``, ``int32`` or ``int64`` by
+    the row's smallest and largest entry.  Depths on the low-diameter graphs
+    this library targets stay below 128, so a length row costs one byte per
+    node instead of the kernels' four, and a count plane mostly one or two
+    instead of eight.  The copy also keeps a cached row from pinning the kernel
+    block it was written into.  Readers compare rows or copy them into
+    wider blocks; one that does arithmetic on a row widens it first.
+    """
+    low = int(row.min(initial=0))
+    high = int(row.max(initial=0))
+    for smallest, largest, dtype in _ROW_TYPES:
+        if smallest <= low and high <= largest:
+            break
+    return row.astype(dtype)
+
+
 def dense_row_result(token, lengths: np.ndarray, positive: np.ndarray, negative: np.ndarray):
     """One source's result from its rows and token, the rows copied out.
 
     ``None`` for an overflow token, :class:`PresenceRows` (boolean planes)
     for :data:`PRESENCE_ROW`, else Algorithm 1's ``(lengths, positive,
-    negative)`` triple.  Copies keep a cached result from pinning the buffer
-    its rows were written into.
+    negative)`` triple.  Each integer row is copied out at the narrowest
+    type that holds it (:func:`narrow_row`), so a cached result neither
+    pins the buffer its rows were written into nor keeps the kernels'
+    ``int32``/``int64`` widths.
     """
     if token is None:
         return None
     if token == PRESENCE_ROW:
-        return PresenceRows((lengths.copy(), positive != 0, negative != 0))
-    return (lengths.copy(), positive.copy(), negative.copy())
+        return PresenceRows((narrow_row(lengths), positive != 0, negative != 0))
+    return (narrow_row(lengths), narrow_row(positive), narrow_row(negative))
 
 
 def signed_bfs_dense_batch(
@@ -1441,8 +1502,9 @@ def signed_bfs_dense_batch(
     Works purely on the snapshot's flat arrays (no node objects).  An
     allocating wrapper over
     :func:`signed_bfs_dense_batch_into`, one 64-source word at a time: rows
-    are copied out of the word's buffers, so transient memory stays one
-    word's worth and holding one result does not pin the rest.  Results are
+    are copied out of the word's buffers at their narrowest type
+    (:func:`dense_row_result`), so transient memory stays one word's worth
+    and holding one result does not pin the rest.  Results are
     in input order; ``None`` marks an overflowing source (``skip_overflow``),
     :class:`PresenceRows` a presence row (``presence``; see
     :func:`dense_row_result`).
@@ -1536,10 +1598,12 @@ def shortest_path_lengths_dense_batch(
 ) -> List[np.ndarray]:
     """Dense core of :func:`multi_source_shortest_path_lengths_csr`.
 
-    Dense ids in, one ``int32`` length array per source out; node objects are
-    never touched.  An allocating wrapper over
+    Dense ids in, one length array per source out; node objects are never
+    touched.  An allocating wrapper over
     :func:`shortest_path_lengths_dense_batch_into`, one word at a time, with
-    rows copied out like :func:`signed_bfs_dense_batch`.
+    each row copied out of the word's ``int32`` block at the narrowest type
+    that holds it (:func:`narrow_row`; ``int8`` below 128 levels), like
+    :func:`signed_bfs_dense_batch`.
     """
     id_list = list(source_ids)
     num_nodes = csr.number_of_nodes()
@@ -1548,7 +1612,7 @@ def shortest_path_lengths_dense_batch(
         word = id_list[start : start + WORD_BITS]
         lengths = np.empty((len(word), num_nodes), dtype=np.int32)
         shortest_path_lengths_dense_batch_into(csr, word, lengths)
-        results.extend(row.copy() for row in lengths)
+        results.extend(narrow_row(row) for row in lengths)
     return results
 
 
@@ -1559,9 +1623,9 @@ def multi_source_shortest_path_lengths_csr(
 
     The batched counterpart of :func:`shortest_path_lengths_csr`, with the
     same word-parallel / per-source split as :func:`multi_source_signed_bfs`.
-    Returns one dense ``int32`` length array per source, in input order
-    (:data:`UNREACHABLE` marks unreachable nodes; wrap with
-    :class:`CSRLengths` for a dict-like view).
+    Returns one dense length array per source, in input order, each at the
+    narrowest type that holds it (:data:`UNREACHABLE` marks unreachable
+    nodes; wrap with :class:`CSRLengths` for a dict-like view).
     """
     return shortest_path_lengths_dense_batch(
         csr, [csr.index_of(source) for source in sources]
@@ -1854,8 +1918,7 @@ def _exact_batch_claims(
         )
         keys = rows * width + in_camp_one * num_nodes + targets
         fresh = np.flatnonzero(~seen[keys])
-        _unique, first_seen = np.unique(keys[fresh], return_index=True)
-        claims = fresh[first_seen]
+        claims = fresh[_first_occurrences(keys[fresh])]
         seen[keys[claims]] = True
         levels.append(
             (rows[claims], targets[claims], in_camp_one[claims], np.full(claims.size, depth))
@@ -1949,8 +2012,8 @@ def balanced_depths(
     """The balanced-path searches from many dense sources, as dense depth rows.
 
     Returns one ``(positive_row, negative_row, truncated)`` triple per
-    source: ``int32`` rows over dense ids, :data:`UNREACHABLE` where the
-    search recorded no path of that sign.  No node objects are touched.
+    source: rows over dense ids, :data:`UNREACHABLE` where the search
+    recorded no path of that sign.  No node objects are touched.
     ``exact`` selects the SBP enumeration
     (:func:`_exact_batch_claims`, capped at ``max_expansions`` per source)
     over the SBPH search (:func:`_sbph_batch_claims`, never truncated).
@@ -1958,9 +2021,10 @@ def balanced_depths(
     :meth:`~repro.signed.paths.BalancedPathSearch.search_exact` /
     :meth:`~repro.signed.paths.BalancedPathSearch.search_heuristic`.
     Sources advance a batch at a time; a source's rows do not depend on its
-    batch.  One block is filled straight from each batch's claims and each
-    row is copied out, so a cached row owns its bytes instead of pinning
-    the block.
+    batch.  One ``int32`` block is filled straight from each batch's claims
+    and each row is copied out at the narrowest type that holds it
+    (:func:`narrow_row`; ``int8`` for depths below 128), so a cached row
+    owns its bytes instead of pinning the block.
     """
     sources = list(source_ids)
     positive = np.full((len(sources), csr.number_of_nodes()), UNREACHABLE, dtype=np.int32)
@@ -1975,7 +2039,7 @@ def balanced_depths(
         negative[rows[is_negative], nodes[is_negative]] = depths[is_negative]
         flags.extend(truncated.tolist())
     return [
-        (positive[row].copy(), negative[row].copy(), flag)
+        (narrow_row(positive[row]), narrow_row(negative[row]), flag)
         for row, flag in enumerate(flags)
     ]
 
@@ -1985,7 +2049,9 @@ class CSRLengths:
 
     Supports the mapping subset the distance oracle uses (``get``,
     ``__contains__``, ``__getitem__``, ``items``); unreachable nodes behave as
-    missing keys.
+    missing keys.  The array may have any signed integer type — the cached
+    rows come at their narrowest (:func:`narrow_row`) — and every read
+    returns a Python int; :meth:`row_in` keeps the array's type.
     """
 
     __slots__ = ("_graph", "_lengths")

@@ -3,7 +3,6 @@
 from repro.utils.bitset import WORD_BITS, words_for
 from repro.utils.generational import GenerationalLRUCache
 from repro.utils.lru import (
-    APPROX_BYTES_PER_NODE,
     DEFAULT_CACHE_BUDGET_BYTES,
     LRUCache,
     fetch_batched,
@@ -26,7 +25,6 @@ __all__ = [
     "LRUCache",
     "fetch_batched",
     "scaled_cache_size",
-    "APPROX_BYTES_PER_NODE",
     "DEFAULT_CACHE_BUDGET_BYTES",
     "ensure_rng",
     "spawn_rngs",

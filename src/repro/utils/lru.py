@@ -8,10 +8,11 @@ those caches a required ceiling while keeping the common small-graph
 workloads (where every source fits) entirely unaffected.
 
 Because every cached entry is O(n) in the graph size, a fixed *entry* bound is
-only half the story: 4096 entries of a million-node graph is hundreds of
-gigabytes.  :func:`scaled_cache_size` turns a byte budget into an entry bound
-for a given per-entry size, and every per-source cache takes its bound from
-it, so the bounds shrink automatically on huge graphs.
+only half the story: 4096 entries of a million-node graph is gigabytes.
+:func:`scaled_cache_size` turns a byte budget into an entry bound for a given
+per-entry size, and every per-source cache takes its bound from it, passing
+the widest size its own rows take per node, so the bounds shrink
+automatically on huge graphs and no cache is bounded by another's row size.
 :attr:`LRUCache.approx_bytes` exposes the resulting byte estimate for
 introspection and tests.
 """
@@ -30,12 +31,6 @@ _MISSING = object()
 #: :func:`scaled_cache_size`.  256 MiB per cache keeps a handful of caches
 #: (BFS results, compatible sets, distance maps) within a few GiB total.
 DEFAULT_CACHE_BUDGET_BYTES = 256 * 1024 * 1024
-
-#: Rough per-node cost (bytes) of one cached per-source entry.  Dict-backed
-#: results pay ~90 bytes per reachable node (dict slots + boxed ints), CSR
-#: results ~20 (three numpy scalars); 64 is a deliberate middle ground — this
-#: is an order-of-magnitude guard against OOM, not an accounting system.
-APPROX_BYTES_PER_NODE = 64
 
 #: Smallest entry bound ``scaled_cache_size`` will return: even on graphs so
 #: large that a single entry busts the budget, a few entries must stay cached
@@ -75,7 +70,7 @@ def fetch_batched(cache, keys, compute_missing, usable=None):
 def scaled_cache_size(
     ceiling: int,
     num_nodes: int,
-    bytes_per_node: int = APPROX_BYTES_PER_NODE,
+    bytes_per_node: int,
     budget_bytes: int = DEFAULT_CACHE_BUDGET_BYTES,
     minimum: int = MIN_SCALED_CACHE_ENTRIES,
 ) -> int:
@@ -83,9 +78,13 @@ def scaled_cache_size(
 
     Returns ``budget_bytes // entry_bytes`` clamped below by ``minimum`` and
     above by ``ceiling``, where ``entry_bytes = num_nodes * bytes_per_node``.
-    On small graphs this is simply ``ceiling`` (the historical defaults); on
-    million-node graphs it shrinks so the cache cannot exceed the byte budget
-    by more than ``minimum`` entries.
+    ``bytes_per_node`` is the owner's own: the widest its entries get per
+    node (20 for an SP* row of ``int32`` lengths and two ``int64`` count
+    planes, 8 for two ``int32`` balanced depth rows, 4 for an ``int32``
+    distance row, 1 for a boolean mask), so the bound holds however narrow
+    the cached rows turn out.  On small graphs this is simply ``ceiling``
+    (the historical defaults); on million-node graphs it shrinks so the
+    cache cannot exceed the byte budget by more than ``minimum`` entries.
     """
     entry_bytes = max(1, num_nodes) * max(1, bytes_per_node)
     fitting = budget_bytes // entry_bytes

@@ -24,6 +24,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Optional, Set
 
+import numpy as np
+
 from repro.compatibility.base import CompatibilityRelation
 from repro.signed.graph import NEGATIVE, Node, SignedGraph
 from repro.signed.paths import (
@@ -44,6 +46,17 @@ PAIR_RULES = {
 
 #: The relations :class:`ReferenceRelation` states.
 REFERENCE_RELATIONS = ("SPA", "SPM", "SPO", "SBP", "SBPH")
+
+
+def narrowest_dtype(values) -> np.dtype:
+    """The narrowest of ``int8``/``int16``/``int32``/``int64`` holding every
+    entry of ``values``: the type a cached per-source row must have."""
+    entries = [int(value) for value in values] or [0]
+    low, high = min(entries), max(entries)
+    for dtype, largest in ((np.int8, 127), (np.int16, 32767), (np.int32, 2**31 - 1)):
+        if -largest - 1 <= low and high <= largest:
+            return np.dtype(dtype)
+    return np.dtype(np.int64)
 
 
 class ReferenceRelation(CompatibilityRelation):
@@ -70,13 +83,19 @@ class ReferenceRelation(CompatibilityRelation):
             self._graph, max_length=max_path_length, max_expansions=max_expansions
         )
         self._rows: Dict[Node, object] = {}
+        self._levels: Dict[Node, Dict[Node, int]] = {}
         self._rows_generation = self._graph.generation
+
+    def _current(self) -> None:
+        """Drop every per-source result once the graph has mutated."""
+        if self._graph.generation != self._rows_generation:
+            self._rows.clear()
+            self._levels.clear()
+            self._rows_generation = self._graph.generation
 
     def _row(self, source: Node):
         """``source``'s signed BFS (SP*) or balanced search (SBP/SBPH)."""
-        if self._graph.generation != self._rows_generation:
-            self._rows.clear()
-            self._rows_generation = self._graph.generation
+        self._current()
         row = self._rows.get(source)
         if row is None:
             if self.name == "SBP":
@@ -119,7 +138,10 @@ class ReferenceRelation(CompatibilityRelation):
         if u == v:
             return 0.0
         if self.name in PAIR_RULES:
-            return float(shortest_path_lengths(self._graph, u).get(v, INFINITY))
+            self._current()
+            if u not in self._levels:
+                self._levels[u] = shortest_path_lengths(self._graph, u)
+            return float(self._levels[u].get(v, INFINITY))
         if self._negative_edge(u, v):
             return INFINITY
         return float(min(self._row(u).positive_length(v), self._row(v).positive_length(u)))

@@ -56,7 +56,6 @@ from repro.teams.policies import (
     MostCompatibleUser,
 )
 from repro.utils.lru import (
-    APPROX_BYTES_PER_NODE,
     DEFAULT_CACHE_BUDGET_BYTES,
     LRUCache,
     fetch_batched,
@@ -633,46 +632,69 @@ class TestHighDiameterGraph:
 
 
 class TestByteAwareCacheBounds:
-    """Default cache sizes scale with graph size; byte estimates are exposed."""
+    """Default cache sizes scale with graph size by each cache's own bytes
+    per node; byte estimates are exposed."""
 
     def test_scaled_cache_size_small_graph_keeps_ceiling(self):
-        assert scaled_cache_size(2048, 100) == 2048
+        for bytes_per_node in (1, 4, 8, 20, 64):
+            assert scaled_cache_size(2048, 100, bytes_per_node) == 2048
 
-    def test_scaled_cache_size_huge_graph_shrinks(self):
-        bound = scaled_cache_size(2048, 3_000_000)
-        assert bound < 2048
-        assert bound * 3_000_000 * APPROX_BYTES_PER_NODE <= (
-            DEFAULT_CACHE_BUDGET_BYTES * 2  # minimum-entries clamp may exceed budget
-        ) or bound == 4
-        assert bound >= 4
+    @pytest.mark.parametrize("bytes_per_node", (1, 4, 8, 20, 64))
+    def test_scaled_cache_size_huge_graph_shrinks(self, bytes_per_node):
+        bound = scaled_cache_size(2048, 30_000_000, bytes_per_node)
+        assert 4 <= bound < 2048
+        assert bound * 30_000_000 * bytes_per_node <= DEFAULT_CACHE_BUDGET_BYTES or bound == 4
+
+    def test_scaled_cache_size_requires_bytes_per_node(self):
+        with pytest.raises(TypeError):
+            scaled_cache_size(2048, 100)  # type: ignore[call-arg]
 
     def test_scaled_cache_size_ceiling_caps_the_minimum(self):
         # The ceiling bounds the result even below the minimum-entries clamp.
-        assert scaled_cache_size(2, 100) == 2
-        assert scaled_cache_size(2048, 10**9) == 4
+        assert scaled_cache_size(2, 100, 64) == 2
+        assert scaled_cache_size(2048, 10**9, 64) == 4
 
     @pytest.mark.parametrize(
-        "num_nodes, per_source, masks", [(2_308, 1817, 4096), (100_000, 41, 2684)]
+        "num_nodes, sets, rows, depths, distances, masks",
+        [(2_308, 1817, 2048, 4096, 2048, 4096), (100_000, 41, 134, 335, 671, 2684)],
     )
-    def test_bounds_derive_from_graph_size(self, num_nodes, per_source, masks):
-        """Each cache's bound on a graph of ``num_nodes`` nodes: the per-source
-        caches of O(n) entries share one bound, the one-byte-per-node rule
-        masks get a larger one, and the degree memo keeps its 2048 ceiling."""
+    def test_bounds_derive_from_graph_size(
+        self, num_nodes, sets, rows, depths, distances, masks
+    ):
+        """Each cache's bound on a graph of ``num_nodes`` nodes comes from
+        its own entries' widest bytes per node: 64 per compatible-set member,
+        20 per SP* count or presence row, 8 per pair of balanced depth rows,
+        4 per distance row and 1 per rule mask; the degree memo keeps its
+        2048 ceiling."""
         graph = SignedGraph()
         for node in range(num_nodes):
             graph.add_node(node)
         spo = make_relation("SPO", graph)
-        per_source_caches = [
-            spo._compatible_cache,
-            spo._bfs_cache,
-            spo._presence_cache,
-            make_relation("SBPH", graph)._result_cache,
-            DistanceOracle(make_relation("NNE", graph))._bfs_cache,
-            DistanceOracle(make_relation("DPE", graph))._bfs_cache,
+        caches = [
+            (spo._compatible_cache, sets, 64),
+            (spo._bfs_cache, rows, 20),
+            (spo._presence_cache, rows, 20),
+            (make_relation("SBP", graph)._result_cache, depths, 8),
+            (make_relation("SBPH", graph)._result_cache, depths, 8),
+            (DistanceOracle(make_relation("NNE", graph))._bfs_cache, distances, 4),
+            (DistanceOracle(make_relation("DPE", graph))._bfs_cache, distances, 4),
         ]
-        assert [cache.maxsize for cache in per_source_caches] == [per_source] * 6
+        for cache, bound, bytes_per_node in caches:
+            assert cache.maxsize == bound
+            assert cache.bytes_per_entry == num_nodes * bytes_per_node
         assert CompatibilityEngine(spo)._mask_cache.maxsize == masks
         assert spo._degree_cache.maxsize == 2048
+
+    @pytest.mark.parametrize("name", ("SBP", "SBPH"))
+    def test_balanced_cache_holds_the_default_epinions_sweep(self, name):
+        """The default config's epinions stand-in has 2308 nodes in one
+        component, and the symmetric closure reads every member's search:
+        a result cache smaller than that evicts its own rows on every call
+        (the default config's Table 2 never finished with 1817)."""
+        graph = SignedGraph()
+        for node in range(2_308):
+            graph.add_node(node)
+        assert make_relation(name, graph)._result_cache.maxsize >= 2_308
 
     def test_lru_exposes_byte_estimate(self):
         cache = LRUCache(maxsize=4, bytes_per_entry=1000)
@@ -692,8 +714,8 @@ class TestByteAwareCacheBounds:
         for node in range(2_000_000):
             big.add_node(node)
         relation = make_relation("SPO", big)
-        assert relation._bfs_cache.maxsize < 2048
-        assert relation._bfs_cache.bytes_per_entry == 2_000_000 * APPROX_BYTES_PER_NODE
+        assert relation._bfs_cache.maxsize == scaled_cache_size(2048, 2_000_000, 20) < 2048
+        assert relation._bfs_cache.bytes_per_entry == 2_000_000 * 20
 
     def test_fetch_batched_single_compute_call_and_write_through(self):
         cache = LRUCache(maxsize=2)

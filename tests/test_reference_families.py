@@ -39,6 +39,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.compatibility.balanced import NO_PATH
 from repro.compatibility import (
     CompatibilityEngine,
     DistanceOracle,
@@ -56,6 +57,7 @@ from repro.signed.csr import (
     PresenceRows,
     balanced_depths,
     component_members,
+    narrow_row,
     shortest_path_lengths_dense_batch,
     signed_bfs_dense_batch,
 )
@@ -66,7 +68,12 @@ from repro.signed.paths import (
     signed_bfs,
 )
 
-from reference import REFERENCE_RELATIONS, ReferenceRelation, reference_average_distance
+from reference import (
+    REFERENCE_RELATIONS,
+    ReferenceRelation,
+    narrowest_dtype,
+    reference_average_distance,
+)
 
 
 def isolated_nodes() -> SignedGraph:
@@ -264,6 +271,7 @@ def assert_matches_reference(graph, name, warm=False):
     assert average_compatible_distance(batched, oracle) == reference_average_distance(
         reference, reference.distance
     )
+    return single, batched, oracle
 
 
 class TestFamiliesMatchReference:
@@ -571,6 +579,11 @@ class TestOverflowRows:
             assert all(isinstance(result, CSRSignedBFSResult) for _, result in cached)
             exact = relation._bfs_cache.get("s")
             assert exact.positive_array.dtype == object
+            # Past int64 the planes stay object; every other row is narrowed.
+            for _source, result in cached:
+                assert_narrowest(result.lengths_array)
+                assert_narrowest(result.positive_array, object_ok=True)
+                assert_narrowest(result.negative_array, object_ok=True)
             # After the insertion the readers remapped an older snapshot's rows.
             assert exact.graph.shares_index_with(graph.csr_view()) == (phase == "ladder")
             reference = ReferenceRelation(name, graph.copy())
@@ -594,3 +607,192 @@ class TestOverflowRows:
                 "degrees": [reference.compatibility_degree(candidate) for candidate in candidates],
             }
             assert answers == expected, phase
+
+
+def counted_ladder(value: int, sign: int) -> SignedGraph:
+    """A doubling ladder on which ``"t"`` has exactly ``value`` shortest
+    paths of sign ``sign`` from ``"s"``, and one of the other sign.
+
+    Horner's rule on ``value``'s bits: layer 0's two nodes hang off ``"s"``
+    (one path each, the leading bit); each later layer's two nodes join
+    both nodes of the layer before (twice its count) and, where the next
+    bit is set, the node of a plain path from ``"s"`` at the same depth
+    (one path more).  ``"t"`` joins the last layer's first node with sign
+    ``sign`` and the plain path's last node with the other sign.  So
+    ``value`` is the largest count from ``"s"``, in the positive plane or,
+    for ``sign = -1``, also in the negative one.
+    """
+    edges = [("s", ("x", 0), 1), ("s", ("y", 0), 1), ("s", ("p", 0), 1)]
+    bits = bin(value)[3:]
+    for layer, bit in enumerate(bits, start=1):
+        edges.append((("p", layer - 1), ("p", layer), 1))
+        for node in (("x", layer), ("y", layer)):
+            edges += [(("x", layer - 1), node, 1), (("y", layer - 1), node, 1)]
+            if bit == "1":
+                edges.append((("p", layer - 1), node, 1))
+    edges += [(("x", len(bits)), "t", sign), (("p", len(bits)), "t", -sign)]
+    return SignedGraph.from_edges(edges)
+
+
+def long_path(num_nodes: int) -> SignedGraph:
+    """A path of ``num_nodes`` nodes whose negative edges come in adjacent
+    pairs (edges 3 and 4 of every 8): the depth from node 0, and its
+    positive balanced depth, reach ``num_nodes - 1``."""
+    return SignedGraph.from_edges(
+        [(i, i + 1, -1 if i % 8 in (3, 4) else 1) for i in range(num_nodes - 1)]
+    )
+
+
+#: Largest counts on either side of each type boundary, and the types the
+#: rows holding them must have (``TestOverflowRows`` covers the ``object``
+#: planes past int64).
+COUNT_WIDTHS = {
+    127: np.int8,
+    128: np.int16,
+    32767: np.int16,
+    32768: np.int32,
+    2**31 - 1: np.int32,
+    2**31: np.int64,
+}
+
+
+def assert_narrowest(row, *, object_ok=False):
+    """``row`` has the narrowest signed type holding it (or is ``object``
+    where ``object_ok``, or boolean presence)."""
+    if row.dtype == np.bool_ or (object_ok and row.dtype == object):
+        return
+    assert row.dtype == narrowest_dtype(row.tolist()), (row.dtype, row.max())
+
+
+class TestRowWidths:
+    """Cached rows at each boundary of ``int8``/``int16``/``int32``/``int64``:
+    every reader answers as :class:`ReferenceRelation` does, also from rows
+    left on an older snapshot, and every cached row has the narrowest type
+    that holds it."""
+
+    @pytest.mark.parametrize(
+        "largest, dtype",
+        [
+            (127, np.int8),
+            (128, np.int16),
+            (32767, np.int16),
+            (32768, np.int32),
+            (2**31 - 1, np.int32),
+            (2**31, np.int64),
+            (2**63 - 1, np.int64),
+        ],
+    )
+    def test_narrow_row_at_every_boundary(self, largest, dtype):
+        # Lengths and depths come from int32 blocks, counts from int64 ones.
+        for wide in (np.int32, np.int64):
+            if largest > np.iinfo(wide).max:
+                continue
+            row = np.array([UNREACHABLE, 0, 1, largest, 5], dtype=wide)
+            narrowed = narrow_row(row)
+            assert narrowed.dtype == dtype
+            assert narrowed.tolist() == row.tolist()
+            assert not np.shares_memory(narrowed, row)
+            # Counts have no UNREACHABLE entry: the same largest value decides.
+            assert narrow_row(np.abs(row)).dtype == dtype
+            assert narrow_row(row[:0]).dtype == np.int8
+            # A row that already has its narrowest type is still copied out.
+            again = narrow_row(narrowed)
+            assert again.dtype == dtype and not np.shares_memory(again, narrowed)
+
+    @pytest.mark.parametrize("sign", (1, -1))
+    @pytest.mark.parametrize("value", COUNT_WIDTHS)
+    def test_count_rows_at_width_boundaries(self, value, sign):
+        graph = counted_ladder(value, sign)
+        counts = signed_bfs(graph, "s").counts("t")
+        assert counts == ((value, 1) if sign > 0 else (1, value))
+        for name in ("SPA", "SPM", "SPO"):
+            # Rows cached on the ladder, then read over a snapshot with a new
+            # component: every reader remaps them (row_in).
+            single, batched, oracle = assert_matches_reference(graph.copy(), name, warm=True)
+            for relation in (single, batched):
+                cached = list(relation._bfs_cache.items()) + list(
+                    relation._presence_cache.items()
+                )
+                assert cached, name
+                for _source, result in cached:
+                    assert_narrowest(result.lengths_array)
+                    assert_narrowest(result.positive_array, object_ok=True)
+                    assert_narrowest(result.negative_array, object_ok=True)
+            source_row = single._bfs_cache.get("s")
+            plane = source_row.positive_array if sign > 0 else source_row.negative_array
+            assert plane.dtype == COUNT_WIDTHS[value], name
+            assert plane.max() == value
+
+    @pytest.mark.parametrize("num_nodes", (128, 129))
+    def test_depth_rows_at_the_int8_boundary(self, num_nodes):
+        graph = long_path(num_nodes)
+        want = np.int8 if num_nodes - 1 <= 127 else np.int16
+        # One path joins each pair, so SPA, SPM and SPO agree; SPO also
+        # reads its presence rows.
+        for name in ("SPO", "SBP", "SBPH"):
+            single, batched, _oracle = assert_matches_reference(graph.copy(), name, warm=True)
+            for relation in (single, batched):
+                if name == "SPO":
+                    rows = [
+                        result.lengths_array
+                        for cache in (relation._bfs_cache, relation._presence_cache)
+                        for _, result in cache.items()
+                    ]
+                else:
+                    rows = [
+                        lengths._lengths
+                        for _, result in relation._result_cache.items()
+                        for lengths in (result.positive_lengths, result.negative_lengths)
+                    ]
+                assert rows, name
+                for row in rows:
+                    assert_narrowest(row)
+            longest = (
+                single._bfs_cache.get(0).lengths_array
+                if name == "SPO"
+                else single._result_cache.get(0).positive_lengths._lengths
+            )
+            assert longest.dtype == want and longest.max() <= num_nodes - 1, name
+        # The balanced relations' symmetric depths, widened to int32 blocks.
+        reference = ReferenceRelation("SBPH", graph.copy())
+        relation = make_relation("SBPH", graph)
+        csr = graph.csr_view()
+        sources = [0, num_nodes - 1, num_nodes // 2]
+        ids = np.array([csr.index_of(node) for node in sources], dtype=np.int64)
+        members, depths = relation._symmetric_depths(csr, sources, ids)
+        assert depths.dtype == np.int32
+        for source, row in zip(sources, depths):
+            expected = [
+                0 if node == source else reference.distance(source, node)
+                for node in (csr.node_at(dense) for dense in members.tolist())
+            ]
+            assert [
+                INFINITY if depth == NO_PATH else depth for depth in row.tolist()
+            ] == expected
+        # The sign-agnostic distance rows of DPE and NNE.
+        for name in ("DPE", "NNE"):
+            oracle = DistanceOracle(make_relation(name, graph))
+            nodes = graph.nodes()
+            assert oracle.batch_distance_to_set(nodes, [0]) == [
+                float(node) for node in nodes
+            ]
+            assert oracle.distance(num_nodes - 1, 0) == num_nodes - 1
+            for _source, row in oracle._bfs_cache.items():
+                assert_narrowest(row._lengths)
+            assert oracle._bfs_cache.get(0)._lengths.dtype == want
+
+    @pytest.mark.parametrize("num_nodes", (32_768, 32_769))
+    def test_distance_rows_at_the_int16_boundary(self, num_nodes):
+        """A path long enough to need ``int32`` lengths; the sign-agnostic
+        distance row is the cheapest reader of one (a depth past 2**31 - 1
+        needs a path of 2**31 nodes, so only the helper's own test covers
+        that boundary)."""
+        graph = SignedGraph.from_edges([(i, i + 1, 1) for i in range(num_nodes - 1)])
+        oracle = DistanceOracle(make_relation("DPE", graph))
+        nodes = graph.nodes()
+        assert oracle.batch_distance_to_set(nodes[::997] + [nodes[-1]], [0]) == [
+            float(node) for node in nodes[::997] + [nodes[-1]]
+        ]
+        row = oracle._bfs_cache.get(0)._lengths
+        assert row.dtype == (np.int16 if num_nodes - 1 <= 32767 else np.int32)
+        assert row.tolist() == list(range(num_nodes))

@@ -118,15 +118,17 @@ class TestSharedCache:
         graph.add_edge("newcomer", graph.nodes()[0], 1)
         assert caches(make_relation("SPO", graph)) == shared
         assert make_relation("SPA", graph.copy())._bfs_cache is not shared[0]
-        # Grown past the size at which the bound starts to shrink, the graph
-        # bounds the next relation's caches for its new size; the first
-        # relation keeps its own.
-        for node in range(3_000):
+        # Grown past the size at which the bound starts to shrink (6554
+        # nodes at 20 bytes per node), the graph bounds the next relation's
+        # caches for its new size; the first relation keeps its own.
+        for node in range(7_000):
             graph.add_node(("grown", node))
         grown = make_relation("SPM", graph)
         assert grown._bfs_cache is not shared[0]
         assert grown._bfs_cache.maxsize == scaled_cache_size(
-            shortest_path_module.DEFAULT_BFS_CACHE_SIZE, graph.number_of_nodes()
+            shortest_path_module.DEFAULT_BFS_CACHE_SIZE,
+            graph.number_of_nodes(),
+            shortest_path_module.BFS_ROW_BYTES_PER_NODE,
         ) < shared[0].maxsize
         assert caches(make_relation("SPO", graph)) == caches(grown)
         assert caches(first) == shared

@@ -53,6 +53,8 @@ from repro.signed.store import (  # noqa: E402
     write_atomically,
 )
 
+from reference import narrowest_dtype  # noqa: E402
+
 
 # --------------------------------------------------------------------- helpers
 
@@ -429,7 +431,7 @@ class TestWordParallelKernels:
         assert len(batch) == self.SOURCES
         for source, got in zip(sources, batch):
             for a, b in zip(got, _signed_bfs_arrays(wp_graph, source)):
-                assert a.dtype == b.dtype
+                assert a.dtype == narrowest_dtype(b)
                 assert np.array_equal(a, b)
 
     def test_signed_bfs_into_identical(self, wp_graph):
@@ -451,7 +453,7 @@ class TestWordParallelKernels:
         assert len(batch) == self.SOURCES
         for source, got in zip(sources, batch):
             want = _shortest_path_lengths_array(wp_graph, source)
-            assert got.dtype == want.dtype
+            assert got.dtype == narrowest_dtype(want)
             assert np.array_equal(got, want)
 
     def test_path_lengths_into_identical(self, wp_graph):
