@@ -8,8 +8,9 @@ signed network:
   :meth:`CSRSignedGraph.from_signed_graph` rebuild by at least 5x, while
   producing bit-identical arrays;
 * **generation memo >= 10x**: a repeat ``compatible_from_many`` against the
-  same team (served from the engine's ``(member, generation)`` rule-mask
-  memo) must be at least 10x faster than the cold call.
+  same team (served by the relation's generation-keyed per-source rows, the
+  pair rule read at the candidates) must be at least 10x faster than the
+  cold call.
 
 Both also get pytest-benchmark entries so the CI artifact
 (``bench-dynamic.json``) tracks them release over release.
@@ -105,7 +106,8 @@ def test_delta_apply_speedup_at_least_5x(churned_graph):
 
 
 def test_generation_memoised_team_filter_at_least_10x(churned_graph):
-    """Repeat compatible_from_many (mask memo warm) >= 10x over the cold call."""
+    """Repeat compatible_from_many (the team's generation-keyed rows cached)
+    >= 10x over the cold call."""
     graph, _base, _delta = churned_graph
     graph.csr_view()  # settle the churn delta outside the timed region
     relation = make_relation("SPO", graph)

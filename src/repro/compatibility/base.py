@@ -169,6 +169,32 @@ class CompatibilityRelation(abc.ABC):
         target_set = frozenset(targets)
         return [len(found & target_set) for found in self.batch_compatible_sets(sources)]
 
+    def compatible_from_many(
+        self, candidates: Iterable[Node], team: Sequence[Node]
+    ) -> FrozenSet[Node]:
+        """The candidates compatible with *every* member of ``team``.
+
+        Team members themselves are excluded from the result.  The default
+        runs the per-pair loop, asking with the team member first: the
+        relations cache their per-source computation, and the members recur
+        across candidates.  The SP* family reads its pair-rule masks instead.
+        """
+        team_list = list(team)
+        team_set = set(team_list)
+        return frozenset(
+            candidate
+            for candidate in candidates
+            if candidate not in team_set
+            and all(self.are_compatible(member, candidate) for member in team_list)
+        )
+
+    def warm(self, sources: Iterable[Node]) -> None:
+        """Prefetch the per-source computations coming queries will need.
+
+        Purely an optimisation, and by default nothing: the SP* family runs
+        one multi-source BFS over the sources.
+        """
+
     def dense_partner_rows(self, csr, sources: Sequence[Node], ids):
         """The sources' compatible sets as one ``(len(sources), n)`` bool matrix.
 

@@ -52,10 +52,12 @@ class DistanceOracle:
     (:meth:`~repro.compatibility.shortest_path._ShortestPathRelation.distance_rows`):
     the oracle holds no cache of its own — the cache bound is the
     relation's, and :meth:`sync` and :meth:`clear_cache` are no-ops (the
-    relation's ``sync_caches`` and ``clear_cache`` act on the rows).  For
-    the other relations single-source distance maps are cached in a bounded
-    LRU of :data:`DEFAULT_DISTANCE_CACHE_SIZE` entries, scaled down by graph
-    size; their sign-agnostic BFS runs on the graph's CSR snapshot.
+    relation's ``sync_caches`` and ``clear_cache`` act on the rows).  SBP
+    and SBPH distances are the relation's own balanced-path lengths, so
+    their oracle holds no cache either.  For DPE and NNE single-source
+    distance maps are cached in a bounded LRU of
+    :data:`DEFAULT_DISTANCE_CACHE_SIZE` entries, scaled down by graph size;
+    their sign-agnostic BFS runs on the graph's CSR snapshot.
     :meth:`warm` and
     :meth:`batch_distance_to_set` are the batched entry points the
     :class:`~repro.compatibility.engine.CompatibilityEngine` uses to resolve
@@ -70,16 +72,17 @@ class DistanceOracle:
         self._sp_relation: Optional[_ShortestPathRelation] = (
             relation if isinstance(relation, _ShortestPathRelation) else None
         )
-        # The other relations' distance maps are generation-keyed like the
+        self._distance_bound = scaled_cache_size(
+            DEFAULT_DISTANCE_CACHE_SIZE, num_nodes, DISTANCE_ROW_BYTES_PER_NODE
+        )
+        # DPE's and NNE's distance maps are generation-keyed like the
         # relations' caches, so mutations invalidate by component.
         self._bfs_cache: Optional[GenerationalLRUCache[Node, object]] = (
             None
-            if self._sp_relation is not None
+            if self._sp_relation is not None or isinstance(relation, _BalancedPathRelation)
             else GenerationalLRUCache(
                 self._graph,
-                maxsize=scaled_cache_size(
-                    DEFAULT_DISTANCE_CACHE_SIZE, num_nodes, DISTANCE_ROW_BYTES_PER_NODE
-                ),
+                maxsize=self._distance_bound,
                 bytes_per_entry=num_nodes * DISTANCE_ROW_BYTES_PER_NODE,
             )
         )
@@ -234,7 +237,8 @@ class DistanceOracle:
 
         Optional — the cache syncs lazily on its next access; see
         :meth:`CompatibilityRelation.sync_caches`.  A no-op for SP*
-        relations, whose rows live in the relation's cache.
+        relations, whose rows live in the relation's cache, and for the
+        balanced ones, whose oracle holds none.
         """
         if self._bfs_cache is not None:
             self._bfs_cache.sync()
@@ -245,16 +249,22 @@ class DistanceOracle:
         Not required after graph mutations (the cache is generation-keyed);
         kept as the full reset for memory pressure or tests.  A no-op for
         SP* relations: their rows are the relation's signed BFS results,
-        dropped by the relation's ``clear_cache``.
+        dropped by the relation's ``clear_cache``; and for the balanced
+        ones, whose oracle holds no cache.
         """
         if self._bfs_cache is not None:
             self._bfs_cache.clear()
 
     def _cache_bound(self) -> int:
-        """Entry bound of the cache the distance rows live in."""
+        """Entry bound of the cache the distance rows live in.
+
+        A balanced relation's oracle holds no cache; its bound is the one a
+        distance-map cache would have, which sizes the chunks of
+        :func:`average_compatible_distance`.
+        """
         if self._sp_relation is not None:
             return self._sp_relation.bfs_cache_maxsize
-        return self._bfs_cache.maxsize
+        return self._distance_bound
 
     def _shortest_paths_from(self, source: Node):
         if self._sp_relation is not None:

@@ -21,10 +21,14 @@ kernels queries instead:
 * the experiment harness routes its sampled pair statistics through
   :meth:`compatibility_degrees`.
 
-The engine decides per relation how to serve each query: SP* relations
-answer team filters with one multi-source BFS plus a vectorised pair-rule
-mask; every other relation falls back to exactly the per-pair loop over the
-relation API, so results are identical by construction.
+The engine holds no cache and makes no per-relation choice: each query
+goes to the relation's batched method
+(:meth:`~repro.compatibility.base.CompatibilityRelation.compatible_from_many`,
+:meth:`~repro.compatibility.base.CompatibilityRelation.warm`, ...) or to the
+distance oracle.  SP* relations answer team filters with one multi-source
+BFS plus the pair rule read at the candidates; every other relation runs
+exactly the per-pair loop over the relation API, so results are identical
+by construction.
 
 The per-pair relation API (``are_compatible`` / ``compatible_with`` /
 :meth:`~repro.compatibility.distance.DistanceOracle.distance_to_set`) is the
@@ -34,19 +38,11 @@ and assert the teams, costs and statistics match the engine bit for bit.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import FrozenSet, Iterable, List, Optional, Sequence
 
 from repro.compatibility.base import CompatibilityRelation
 from repro.compatibility.distance import DistanceOracle
-from repro.compatibility.shortest_path import _ShortestPathRelation
 from repro.signed.graph import Node, SignedGraph
-from repro.utils.generational import GenerationalLRUCache
-from repro.utils.lru import scaled_cache_size
-
-#: Ceiling on the number of memoised per-member rule masks (each mask is one
-#: byte per node, so :func:`~repro.utils.lru.scaled_cache_size` rarely
-#: shrinks it).
-DEFAULT_MASK_CACHE_SIZE = 4096
 
 
 class CompatibilityEngine:
@@ -60,11 +56,9 @@ class CompatibilityEngine:
         Optional pre-built :class:`DistanceOracle`; built from ``relation``
         when omitted.  Sharing the oracle shares its distance-map caches.
 
-    For SP* relations, :meth:`compatible_from_many` memoises one boolean
-    rule mask per ``(team member, graph generation)`` in an LRU of
-    :data:`DEFAULT_MASK_CACHE_SIZE` entries (scaled down by graph size), so
-    Algorithm 2's repeated filters against the same team skip both the BFS
-    lookup and the mask recomputation.
+    The engine itself is stateless: every cache it reads is the relation's
+    or the oracle's, so Algorithm 2's repeated filters against the same team
+    are served by the relation's generation-keyed per-source results.
     """
 
     def __init__(
@@ -76,20 +70,6 @@ class CompatibilityEngine:
         self._oracle = oracle if oracle is not None else DistanceOracle(relation)
         if self._oracle.relation is not relation:
             raise ValueError("the oracle must be built on the engine's relation")
-        num_nodes = relation.graph.number_of_nodes()
-        # member -> (node-list identity of the snapshot, mask array).  The
-        # generational wrapper drops entries whose member's component a
-        # mutation touched; the identity tag guards against dense-id drift
-        # when the node set changes (new snapshots then carry a new list).
-        self._mask_cache: GenerationalLRUCache[Node, Tuple[object, object]] = (
-            GenerationalLRUCache(
-                relation.graph,
-                maxsize=scaled_cache_size(
-                    DEFAULT_MASK_CACHE_SIZE, num_nodes, bytes_per_node=1
-                ),
-                bytes_per_entry=max(1, num_nodes),
-            )
-        )
 
     # ------------------------------------------------------------- properties
 
@@ -142,104 +122,21 @@ class CompatibilityEngine:
     def warm(self, sources: Sequence[Node]) -> None:
         """Prefetch per-source computations the coming queries will need.
 
-        For SP* relations this runs one multi-source BFS
-        over the uncached sources (bounded by the BFS cache size, so a huge
-        seed list cannot churn the cache).  The oracle's distance rows are
-        the lengths of those same BFS results, so distance queries are warmed
-        too.  Purely an optimisation — results of later queries are
-        unchanged.
+        See :meth:`~repro.compatibility.base.CompatibilityRelation.warm`: SP*
+        relations run one multi-source BFS, whose lengths are also the
+        oracle's distance rows.  Purely an optimisation — results of later
+        queries are unchanged.
         """
-        source_list = list(dict.fromkeys(sources))
-        if not source_list:
-            return
-        relation = self._relation
-        if isinstance(relation, _ShortestPathRelation):
-            relation.batch_bfs(source_list[: relation.bfs_cache_maxsize])
+        self._relation.warm(sources)
 
     def compatible_from_many(
         self, candidates: Iterable[Node], team: Sequence[Node]
     ) -> FrozenSet[Node]:
-        """The candidates compatible with *every* member of ``team``.
+        """The candidates compatible with *every* member of ``team``, members excluded.
 
-        Team members themselves are excluded from the result, mirroring the
-        per-pair candidate filter.  SP* relations answer with
-        one batched BFS over the team plus vectorised pair-rule masks indexed
-        at the candidates; everything else runs the per-pair loop.
-        The result is identical either way (the SP* pair rules are symmetric
-        in the pair, so membership in the member's masked set *is* the pair
-        query).
+        See :meth:`~repro.compatibility.base.CompatibilityRelation.compatible_from_many`.
         """
-        team_list = list(team)
-        team_set = set(team_list)
-        survivors = [c for c in candidates if c not in team_set]
-        if not team_list or not survivors:
-            return frozenset(survivors)
-        relation = self._relation
-        if isinstance(relation, _ShortestPathRelation):
-            return self._compatible_from_many_csr(survivors, team_list)
-        return frozenset(
-            candidate
-            for candidate in survivors
-            # Query with the team member first: the relations cache their
-            # per-source computation, and the members recur across candidates.
-            if all(relation.are_compatible(member, candidate) for member in team_list)
-        )
-
-    def _member_rule_masks(self, team: Sequence[Node], csr) -> List:
-        """One memoised rule mask per team member, aligned with ``team``.
-
-        A mask is the member's vectorised pair rule over ``csr``'s dense ids
-        — the entire per-member contribution to a team filter (unreachable
-        nodes have no positive path and fail every rule).  Masks live in
-        the engine's ``(member, generation)`` memo; misses are read off one
-        batched BFS over exactly the missing members
-        (:meth:`~repro.compatibility.shortest_path._ShortestPathRelation.batch_bfs`),
-        whose planes every result gives over ``csr``'s dense ids, also one
-        cached on an older snapshot.
-        """
-        relation = self._relation
-        nodes_tag = csr._nodes
-        masks: dict = {}
-        missing: List[Node] = []
-        for member in dict.fromkeys(team):
-            entry = self._mask_cache.get(member)
-            if entry is not None and entry[0] is nodes_tag:
-                masks[member] = entry[1]
-            else:
-                missing.append(member)
-        for member, mask in zip(missing, relation._rule_rows(csr, missing)):
-            self._mask_cache[member] = (nodes_tag, mask)
-            masks[member] = mask
-        return [masks[member] for member in team]
-
-    def _compatible_from_many_csr(
-        self, survivors: Sequence[Node], team: Sequence[Node]
-    ) -> FrozenSet[Node]:
-        """Vectorised team filter: memoised per-member rule masks, indexed at
-        the candidates (one batched BFS only for members without a valid memo
-        entry)."""
-        import numpy as np
-
-        csr = self.graph.csr_view()
-        index = csr._index
-        try:
-            ids = np.fromiter(
-                (index[candidate] for candidate in survivors),
-                dtype=np.int64,
-                count=len(survivors),
-            )
-        except KeyError as missing:
-            from repro.exceptions import NodeNotFoundError
-
-            raise NodeNotFoundError(missing.args[0]) from None
-        keep = np.ones(len(survivors), dtype=bool)
-        for mask in self._member_rule_masks(team, csr):
-            keep &= mask[ids]
-            if not keep.any():
-                break
-        return frozenset(
-            survivors[position] for position in np.flatnonzero(keep)
-        )
+        return self._relation.compatible_from_many(candidates, team)
 
     def distance_to_team(self, node: Node, team: Iterable[Node]) -> float:
         """Largest distance from ``node`` to any team member (one candidate)."""
@@ -268,12 +165,11 @@ class CompatibilityEngine:
         """
         if self.graph._csr_cache is not None:
             self.graph.csr_view()
-        self._mask_cache.sync()
         self._relation.sync_caches()
         self._oracle.sync()
 
     def clear_caches(self) -> None:
-        """Drop the relation's, the oracle's and the engine's own caches.
+        """Drop the relation's and the oracle's caches.
 
         With generation-keyed caches this is no longer required after graph
         mutations (stale entries expire by themselves); it remains the full
@@ -281,7 +177,6 @@ class CompatibilityEngine:
         """
         self._relation.clear_cache()
         self._oracle.clear_cache()
-        self._mask_cache.clear()
 
     def __repr__(self) -> str:
         return f"CompatibilityEngine(relation={self._relation.name})"

@@ -38,30 +38,24 @@ misses (:meth:`OneShortestPathCompatibility.batch_bfs`)
 run the word-parallel presence traversal
 (:func:`repro.signed.csr._wordparallel_presence_into`) for every word of at
 least :data:`~repro.signed.csr.PRESENCE_MIN_SOURCES` (4) sources: lengths
-plus one bit per sign, no counts.  Those *presence results* live in a second
-graph-held cache.
+plus one bit per sign, no counts.  Those *presence results* go into the same
+cache, and ``result.presence`` tells the two kinds apart.
 
 The sampled statistics only need each source's *degree* under each rule:
-the graph's third cache is a generation-keyed memo of ``(spa, spm, spo)``
+the graph's second cache is a generation-keyed memo of ``(spa, spm, spo)``
 degree triples, whose entries are three ints, so it keeps the
 :data:`DEFAULT_BFS_CACHE_SIZE` ceiling unscaled.  SPA and SPO, like SPO's
 pair rule, only need to know whether a positive or a negative shortest path
 exists, so their misses without a cached result run presence planes
 in-process, 64 sources a word (:func:`repro.signed.csr.presence_degrees`),
 and leave the entry's ``spm`` unknown; SPM counts Algorithm 1 for any entry
-without it, which fills the whole triple.  Who reads what:
+without it, which fills the whole triple.
 
-* SPA and SPM pair, set and distance queries read Algorithm 1's counts
-  only — the shared BFS cache and their own misses never see a presence
-  result;
-* SPO reads a cached counts result first, then a cached presence result;
-  its batched misses fill the presence cache (smaller words and single
-  sources run Algorithm 1 into the shared cache);
-* degree sweeps take the whole triple from cached counts, SPA and SPO
-  degrees also from a cached presence result or the presence planes, and
-  SPM's from counts alone;
-* SP* distance rows are BFS lengths, which both kinds of result hold, so
-  SPO's oracle reads either.
+Who reads what: SPO reads either kind of cached result; SPA and SPM read
+counts only, so a presence entry is a miss to them and their counts result
+replaces it.  Degree sweeps take the whole triple from cached counts and
+SPA's and SPO's degrees from a presence result too, and distance rows are
+BFS lengths, which both kinds hold.
 """
 
 from __future__ import annotations
@@ -95,10 +89,9 @@ DegreeTriple = Tuple[int, Optional[int], int]
 
 def _shared_caches(graph: SignedGraph) -> Tuple[
     GenerationalLRUCache[Node, _BFSResult],
-    GenerationalLRUCache[Node, _BFSResult],
     GenerationalLRUCache[Node, DegreeTriple],
 ]:
-    """The graph's signed-BFS cache, presence cache and degree memo.
+    """The graph's signed-BFS cache (counts and presence results) and degree memo.
 
     The graph holds one of each, bounded for its size.  Once it has grown
     enough to scale the bound down, the next SP* relation built on it gets
@@ -112,10 +105,10 @@ def _shared_caches(graph: SignedGraph) -> Tuple[
     num_nodes = graph.number_of_nodes()
     maxsize = scaled_cache_size(DEFAULT_BFS_CACHE_SIZE, num_nodes, BFS_ROW_BYTES_PER_NODE)
     if graph._sp_caches is None or graph._sp_caches[0].maxsize != maxsize:
-        rows = {"maxsize": maxsize, "bytes_per_entry": num_nodes * BFS_ROW_BYTES_PER_NODE}
         graph._sp_caches = (
-            GenerationalLRUCache(graph, **rows),
-            GenerationalLRUCache(graph, **rows),
+            GenerationalLRUCache(
+                graph, maxsize=maxsize, bytes_per_entry=num_nodes * BFS_ROW_BYTES_PER_NODE
+            ),
             # Entries are O(1): the ceiling stays unscaled.
             GenerationalLRUCache(graph, maxsize=DEFAULT_BFS_CACHE_SIZE),
         )
@@ -139,15 +132,22 @@ class _ShortestPathRelation(CompatibilityRelation):
     #: presence alone (SPA, SPO), not from Algorithm 1's counts (SPM).
     _presence_decides = True
 
+    #: Whether a cached presence result answers the relation's pair, set and
+    #: distance-row queries (SPO), or only Algorithm 1's counts do (SPA, SPM).
+    _reads_presence = False
+
     def __init__(self, graph: SignedGraph) -> None:
         super().__init__(graph)
-        self._bfs_cache, self._presence_cache, self._degree_cache = _shared_caches(
-            self._graph
-        )
+        self._bfs_cache, self._degree_cache = _shared_caches(self._graph)
 
-    def _bfs(self, source: Node) -> _BFSResult:
+    def _row(self, source: Node) -> _BFSResult:
+        """``source``'s cached result, else Algorithm 1's fresh counts.
+
+        A presence result is a miss unless the relation reads presence; the
+        counts computed for it then replace it in the cache.
+        """
         result = self._bfs_cache.get(source)
-        if result is None:
+        if result is None or (result.presence and not self._reads_presence):
             from repro.signed.csr import signed_bfs_csr
 
             csr = self._graph.csr_view()
@@ -169,20 +169,12 @@ class _ShortestPathRelation(CompatibilityRelation):
 
         return CSRSignedBFSResult.from_signed_bfs_result(signed_bfs(self._graph, source), csr)
 
-    def _cached_row(self, node: Node) -> Optional[_BFSResult]:
-        """``node``'s cached result for pair, set and distance-row queries.
-
-        Algorithm 1's counts from the shared BFS cache; SPO also reads its
-        presence cache.  ``None`` when neither holds one.
-        """
-        return self._bfs_cache.get(node)
-
-    def _row(self, source: Node) -> _BFSResult:
-        """:meth:`_cached_row`, else Algorithm 1's fresh counts (:meth:`_bfs`)."""
-        return self._bfs(source)
-
     def _has_row(self, node: Node) -> bool:
-        """True iff :meth:`_row` would answer ``node`` from a cache."""
+        """True iff the shared cache holds a result for ``node``.
+
+        A membership probe: it counts no hit or miss.  It is true for a
+        presence result too, which SPA and SPM then recompute.
+        """
         return node in self._bfs_cache
 
     def _holds(self, result: _BFSResult, target: Node) -> bool:
@@ -202,17 +194,25 @@ class _ShortestPathRelation(CompatibilityRelation):
         locally for the duration of the call, so a batch larger than the
         LRU bound is still computed exactly once; they are also written
         through to the cache for follow-up per-pair queries.  Every result
-        is bit-identical to what :meth:`_bfs` would have produced.  SPO may
+        is bit-identical to what :meth:`_row` would have produced.  SPO may
         answer with presence results instead (see
         :meth:`OneShortestPathCompatibility.batch_bfs`).
         """
         return self._batch_counts(sources)
 
     def _batch_counts(self, sources: Sequence[Node]) -> List[_BFSResult]:
-        """:meth:`batch_bfs` with Algorithm 1's counts for every relation."""
+        """:meth:`batch_bfs` with Algorithm 1's counts for every relation.
+
+        A cached presence result is a miss, and its counts replace it.
+        """
         source_list = list(sources)
         self._require_nodes(*source_list)
-        return fetch_batched(self._bfs_cache, source_list, self._compute_csr)
+        return fetch_batched(
+            self._bfs_cache,
+            source_list,
+            self._compute_csr,
+            usable=lambda result: not result.presence,
+        )
 
     def _compute_csr(self, missing: List[Node], presence: bool = False) -> List[_BFSResult]:
         """One :func:`~repro.signed.csr.signed_bfs_dense_batch` over ``missing``
@@ -252,7 +252,7 @@ class _ShortestPathRelation(CompatibilityRelation):
         Algorithm 1's lengths are plain BFS levels — the values a
         sign-agnostic BFS would compute — so the SP* distance oracle reads
         its rows here instead of traversing again.  A single source resolves
-        like a pair query (:meth:`_bfs`, in-process); longer lists go through
+        like a pair query (:meth:`_row`, in-process); longer lists go through
         :meth:`batch_bfs`.  Each row is the result's ``lengths_array``, at
         its narrowest integer type (:func:`~repro.signed.csr.narrow_row`;
         unreachable nodes hold :data:`~repro.signed.csr.UNREACHABLE`),
@@ -274,13 +274,56 @@ class _ShortestPathRelation(CompatibilityRelation):
         # The caches are the graph's shared ones: this empties them for every
         # SP* relation (and SP* distance oracle) that reads them.
         self._bfs_cache.clear()
-        self._presence_cache.clear()
         self._degree_cache.clear()
 
     def _sync_subclass_caches(self) -> None:
         self._bfs_cache.sync()
-        self._presence_cache.sync()
         self._degree_cache.sync()
+
+    def warm(self, sources: Iterable[Node]) -> None:
+        """One multi-source BFS over the uncached ``sources`` (:meth:`batch_bfs`).
+
+        Bounded by the BFS cache size, so a huge seed list cannot churn the
+        cache.  The distance oracle's rows are the lengths of those same
+        results, so distance queries are warmed too.
+        """
+        self.batch_bfs(list(dict.fromkeys(sources))[: self._bfs_cache.maxsize])
+
+    def compatible_from_many(
+        self, candidates: Iterable[Node], team: Sequence[Node]
+    ) -> FrozenSet[Node]:
+        """The team filter on the pair-rule masks (see the base class).
+
+        One :meth:`batch_bfs` over the team; each member's planes are read
+        at the candidates' dense ids and the pair rule applied to those
+        entries alone.  The SP* rules are symmetric in the pair, so the
+        member's rule at a candidate *is* the pair query.
+        """
+        import numpy as np
+
+        team_list = list(team)
+        team_set = set(team_list)
+        survivors = [candidate for candidate in candidates if candidate not in team_set]
+        if not team_list or not survivors:
+            return frozenset(survivors)
+        csr = self._graph.csr_view()
+        index = csr._index
+        try:
+            ids = np.fromiter(
+                (index[candidate] for candidate in survivors),
+                dtype=np.int64,
+                count=len(survivors),
+            )
+        except KeyError as missing:
+            from repro.exceptions import NodeNotFoundError
+
+            raise NodeNotFoundError(missing.args[0]) from None
+        keep = np.ones(len(survivors), dtype=bool)
+        for result in self.batch_bfs(team_list):
+            keep &= self._rule_at(csr, result, ids)
+            if not keep.any():
+                break
+        return frozenset(survivors[position] for position in np.flatnonzero(keep))
 
     def _compute_compatible_set(self, u: Node) -> Set[Node]:
         result = self._row(u)
@@ -334,6 +377,16 @@ class _ShortestPathRelation(CompatibilityRelation):
 
         return fetch_batched(self._compatible_cache, source_list, compute_missing)
 
+    def _rule_at(self, csr, result: _BFSResult, ids):
+        """The pair rule between ``result``'s source and dense ``ids`` of ``csr``.
+
+        The planes are gathered at ``ids`` first, so the rule runs over
+        those entries alone.  Unreachable nodes have no positive path and
+        fail every rule, while the source's own entry passes.
+        """
+        positive, negative = result.signed_rows(csr)
+        return self._pair_rule_mask(positive[ids], negative[ids])
+
     def _rule_rows(self, csr, sources: Sequence[Node]) -> Iterator:
         """Each source's pair-rule row over ``csr``'s dense ids.
 
@@ -374,9 +427,7 @@ class _ShortestPathRelation(CompatibilityRelation):
         unique = list(dict.fromkeys(source_list))
         counts = {}
         for source, result in zip(unique, self.batch_bfs(unique)):
-            positive, negative = result.signed_rows(csr)
-            hits = self._pair_rule_mask(positive[ids], negative[ids])
-            counts[source] = int(np.count_nonzero(hits))
+            counts[source] = int(np.count_nonzero(self._rule_at(csr, result, ids)))
         return [counts[source] for source in source_list]
 
     def dense_partner_rows(self, csr, sources: Sequence[Node], ids):
@@ -396,11 +447,12 @@ class _ShortestPathRelation(CompatibilityRelation):
         ``spm`` may be unknown (``None``).  Misses resolve in this order:
 
         * a source with cached counts (the shared BFS cache) gets its whole
-          triple from them, for every relation;
+          triple from them, for every relation, and one with a cached
+          presence result its ``spa`` and ``spo``;
         * SPA and SPO only ask whether a positive or negative shortest path
-          exists: a cached presence result fills their two slots, and the
-          remaining misses run the presence planes in-process, 64 sources a
-          word (:func:`~repro.signed.csr.presence_degrees`) — no count row;
+          exists: their remaining misses run the presence planes in-process,
+          64 sources a word (:func:`~repro.signed.csr.presence_degrees`) —
+          no count row;
         * SPM (an entry without ``spm`` is a miss) counts the rest from
           Algorithm 1 through :meth:`_batch_counts`, which caches the
           results for later pair and distance queries.
@@ -426,11 +478,10 @@ class _ShortestPathRelation(CompatibilityRelation):
         uncounted: List[int] = []
         for position, source in enumerate(missing):
             result = self._bfs_cache.get(source)
-            if result is None and self._presence_decides:
-                result = self._presence_cache.get(source)
-            if result is None:
+            triple = None if result is None else _degree_triple(result)
+            if triple is None or triple[self._degree_slot] is None:
                 uncounted.append(position)
-            triples.append(None if result is None else _degree_triple(result))
+            triples.append(triple)
         if not uncounted:
             return triples
         if self._presence_decides:
@@ -536,51 +587,25 @@ class OneShortestPathCompatibility(_ShortestPathRelation):
 
     name = "SPO"
     _degree_slot = 2
+    _reads_presence = True
 
     def batch_bfs(self, sources: Sequence[Node]) -> List[_BFSResult]:
         """One result per source: Algorithm 1's counts or positive-path presence.
 
-        A cached counts result comes first, then a cached presence result.
-        The misses go to ``csr_signed_bfs`` with the ``presence`` param:
-        words of at least
+        A cached result of either kind answers its source.  The misses go
+        to ``csr_signed_bfs`` with the ``presence`` param: words of at least
         :data:`~repro.signed.csr.PRESENCE_MIN_SOURCES` sources come back as
         presence results (lengths plus whether some shortest path is
-        positive / negative, no counts) and land in the graph's presence
-        cache, smaller words as counts in the shared BFS cache.  SPA, SPM,
-        the degree memo and every other counts reader never see a presence
-        result.
+        positive / negative, no counts), smaller words as counts, and both
+        land in the shared cache.
         """
         source_list = list(sources)
         self._require_nodes(*source_list)
-        found = {}
-        for source in source_list:
-            result = self._cached_row(source)
-            if result is not None:
-                found[source] = result
-        missing = [source for source in dict.fromkeys(source_list) if source not in found]
-        if missing:
-            for source, result in zip(missing, self._compute_csr(missing, presence=True)):
-                found[source] = result
-                (self._presence_cache if result.presence else self._bfs_cache)[source] = result
-        return [found[source] for source in source_list]
-
-    def _presence_only(self, node: Node) -> bool:
-        # Membership tests count neither hits nor misses: every lookup below
-        # reads exactly one cache, so the caches' hit rates stay meaningful.
-        return node not in self._bfs_cache and node in self._presence_cache
-
-    def _cached_row(self, node: Node) -> Optional[_BFSResult]:
-        if self._presence_only(node):
-            return self._presence_cache.get(node)
-        return self._bfs_cache.get(node)
-
-    def _row(self, source: Node) -> _BFSResult:
-        if self._presence_only(source):
-            return self._presence_cache.get(source)
-        return self._bfs(source)
-
-    def _has_row(self, node: Node) -> bool:
-        return node in self._bfs_cache or node in self._presence_cache
+        return fetch_batched(
+            self._bfs_cache,
+            source_list,
+            lambda missing: self._compute_csr(missing, presence=True),
+        )
 
     def _holds(self, result: _BFSResult, target: Node) -> bool:
         # A presence result holds no counts; one positive shortest path decides.

@@ -21,9 +21,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-import networkx as nx
-
 from repro.signed.components import largest_connected_component
+from repro.signed.generators import _build_topology
 from repro.signed.graph import NEGATIVE, POSITIVE, Node, SignedGraph
 from repro.skills.assignment import SkillAssignment
 from repro.skills.generators import _grouped_assignment, assign_skills_zipf
@@ -390,23 +389,6 @@ def figure_1b_graph() -> SignedGraph:
 
 
 # --------------------------------------------------------------------------- internals
-
-
-def _build_topology(
-    num_nodes: int, average_degree: float, topology: str, rng
-) -> nx.Graph:
-    nx_seed = rng.randrange(2**32)
-    if topology == "scale_free":
-        attachment = max(1, int(round(average_degree / 2.0)))
-        attachment = min(attachment, max(1, num_nodes - 1))
-        return nx.barabasi_albert_graph(num_nodes, attachment, seed=nx_seed)
-    if topology == "small_world":
-        neighbors = max(2, int(round(average_degree)))
-        if num_nodes <= neighbors:
-            return nx.complete_graph(num_nodes)
-        return nx.connected_watts_strogatz_graph(num_nodes, neighbors, 0.1, seed=nx_seed)
-    probability = min(1.0, average_degree / max(1, num_nodes - 1))
-    return nx.gnp_random_graph(num_nodes, probability, seed=nx_seed)
 
 
 def _split_into_factions(

@@ -248,7 +248,6 @@ def _build_topology(
         return nx.barabasi_albert_graph(num_nodes, attachment, seed=nx_seed)
     if topology == "small_world":
         neighbors = max(2, int(round(average_degree)))
-        neighbors = min(neighbors, max(2, num_nodes - 1))
         if num_nodes <= neighbors:
             return nx.complete_graph(num_nodes)
         return nx.connected_watts_strogatz_graph(num_nodes, neighbors, 0.1, seed=nx_seed)

@@ -120,11 +120,11 @@ class SignedGraph:
         #: generation-keyed cache downstream key their validity on it.
         self._generation = 0
         self._csr_cache: Optional[Tuple[int, object]] = None
-        #: The signed-BFS cache, SPO presence cache and ``(spa, spm, spo)``
-        #: degree memo shared by the shortest-path relations on this graph;
-        #: held here so they are freed with the graph (see
-        #: repro.compatibility.shortest_path).  ``None`` until the first one.
-        self._sp_caches: Optional[Tuple[object, object, object]] = None
+        #: The signed-BFS cache and ``(spa, spm, spo)`` degree memo shared
+        #: by the shortest-path relations on this graph; held here so they
+        #: are freed with the graph (see repro.compatibility.shortest_path).
+        #: ``None`` until the first one.
+        self._sp_caches: Optional[Tuple[object, object]] = None
         #: Structured mutation log since the last CSR snapshot; ``None`` until
         #: the first snapshot exists (nothing to patch before that).
         self._delta: Optional[GraphDelta] = None

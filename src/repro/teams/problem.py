@@ -47,8 +47,9 @@ class TeamFormationProblem:
         Optional pre-built :class:`CompatibilityEngine`; built from
         ``relation`` and the oracle when omitted.  All one-to-many queries of
         the team-formation algorithms (candidate filtering, distance-to-team
-        scoring, seed warming) go through it, so sharing an engine across
-        problems on the same graph shares the batched caches too.
+        scoring, seed warming) go through it.  The engine holds no cache:
+        the caches it reads are the relation's and the oracle's, so sharing
+        the relation across problems on the same graph shares them.
     """
 
     def __init__(

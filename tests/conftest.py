@@ -128,17 +128,16 @@ _CACHE_CEILING_MODULES = {
     "bfs": "repro.compatibility.shortest_path",
     "result": "repro.compatibility.balanced",
     "distance": "repro.compatibility.distance",
-    "mask": "repro.compatibility.engine",
 }
 
 
 @pytest.fixture
 def cache_ceilings(monkeypatch):
-    """``lower(bfs=2, ...)``: lower the cache ceilings of the relations,
-    oracles and engines built afterwards.
+    """``lower(bfs=2, ...)``: lower the cache ceilings of the relations and
+    oracles built afterwards.
 
-    Each keyword (``compatible``, ``bfs``, ``result``, ``distance``,
-    ``mask``) replaces one ``DEFAULT_<KIND>_CACHE_SIZE`` constant, and the
+    Each keyword (``compatible``, ``bfs``, ``result``, ``distance``)
+    replaces one ``DEFAULT_<KIND>_CACHE_SIZE`` constant, and the
     cache's entry bound is that ceiling whenever the graph is small enough.
     ``bfs`` also bounds the SP* degree memo.
     """

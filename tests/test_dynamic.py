@@ -1,5 +1,5 @@
 """Dynamic-graph subsystem: delta-maintained CSR snapshots, generation-keyed
-caches, targeted invalidation and the engine-level rule-mask memo.
+caches, targeted invalidation and the team filter served from them.
 
 The acceptance bar (enforced here, property-based and deterministic):
 
@@ -29,6 +29,7 @@ from repro.signed.csr import CSRSignedGraph
 from repro.signed.delta import GraphDelta
 from repro.signed.generators import planted_factions_graph
 from repro.utils.generational import GenerationalLRUCache
+from repro.utils.lru import LRUCache
 
 from reference import ReferenceRelation, reference_average_distance
 
@@ -472,7 +473,7 @@ class TestEngineUnderChurn:
             cold_relation = make_relation("SPO", graph.copy())
             cold = CompatibilityEngine(cold_relation).compatible_from_many(pool, team)
             assert live == cold, f"round {round_index}"
-            # Memoised repeat must be identical.
+            # A repeat served from the cached rows must be identical.
             assert engine.compatible_from_many(pool, team) == live
 
     def test_distances_to_team_match_cold_engine(self):
@@ -488,25 +489,28 @@ class TestEngineUnderChurn:
             cold = CompatibilityEngine(cold_relation).distances_to_team_many(pool, team)
             assert live == cold
 
-    def test_mask_memo_survives_unrelated_churn(self):
+    def test_team_rows_survive_unrelated_churn(self):
         # Two components: a small one (churned) and a big one (the team's).
-        # Churn in the small component must not drop masks rooted in the big
+        # The team filter reads the relation's rows, not an engine memo.
+        # Churn in the small component must not drop rows rooted in the big
         # one; touching the big one must.
         edges = [(i, (i + 1) % 10, 1) for i in range(10)]
         edges += [(100 + i, 100 + (i + 1) % 40, 1) for i in range(40)]
         graph = SignedGraph.from_edges(edges)
         relation = make_relation("SPO", graph)
         engine = CompatibilityEngine(relation)
+        assert not any(isinstance(value, LRUCache) for value in vars(engine).values())
+        rows = relation._bfs_cache
         team = [100, 101]
         pool = [102, 103, 104, 105]
         first = engine.compatible_from_many(pool, team)
-        assert len(engine._mask_cache) == len(team)
+        assert sorted(rows) == team
         graph.set_sign(0, 1, -1)  # the small component only
         assert engine.compatible_from_many(pool, team) == first
-        assert engine._mask_cache.invalidations == 0
+        assert rows.invalidations == 0
         graph.set_sign(100, 101, -1)  # now touch the team's component
         engine.compatible_from_many(pool, team)
-        assert engine._mask_cache.invalidations == len(team)
+        assert rows.invalidations == len(team)
 
     def test_bfs_cache_survives_unrelated_churn(self):
         edges = [(i, (i + 1) % 10, 1) for i in range(10)]

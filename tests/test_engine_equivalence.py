@@ -624,8 +624,8 @@ class TestHighDiameterGraph:
         graph = self._path_graph(1224)
         relation = make_relation("SPO", graph)
         relation.batch_compatible_sets(graph.nodes()[:5])
-        # SPO's 5-source word lands in its presence cache: read both caches.
-        cached = [relation._cached_row(node) for node in graph.nodes()]
+        # SPO's 5-source word is a presence word, cached with the counts.
+        cached = [relation._bfs_cache.get(node) for node in graph.nodes()]
         cached = [result for result in cached if result is not None]
         assert len(cached) == 5
         assert all(isinstance(result, CSRSignedBFSResult) for result in cached)
@@ -655,17 +655,14 @@ class TestByteAwareCacheBounds:
         assert scaled_cache_size(2048, 10**9, 64) == 4
 
     @pytest.mark.parametrize(
-        "num_nodes, sets, rows, depths, distances, masks",
-        [(2_308, 1817, 2048, 4096, 2048, 4096), (100_000, 41, 134, 335, 671, 2684)],
+        "num_nodes, sets, rows, depths, distances",
+        [(2_308, 1817, 2048, 4096, 2048), (100_000, 41, 134, 335, 671)],
     )
-    def test_bounds_derive_from_graph_size(
-        self, num_nodes, sets, rows, depths, distances, masks
-    ):
+    def test_bounds_derive_from_graph_size(self, num_nodes, sets, rows, depths, distances):
         """Each cache's bound on a graph of ``num_nodes`` nodes comes from
         its own entries' widest bytes per node: 64 per compatible-set member,
-        20 per SP* count or presence row, 8 per pair of balanced depth rows,
-        4 per distance row and 1 per rule mask; the degree memo keeps its
-        2048 ceiling."""
+        20 per SP* count or presence row, 8 per pair of balanced depth rows
+        and 4 per distance row; the degree memo keeps its 2048 ceiling."""
         graph = SignedGraph()
         for node in range(num_nodes):
             graph.add_node(node)
@@ -673,7 +670,6 @@ class TestByteAwareCacheBounds:
         caches = [
             (spo._compatible_cache, sets, 64),
             (spo._bfs_cache, rows, 20),
-            (spo._presence_cache, rows, 20),
             (make_relation("SBP", graph)._result_cache, depths, 8),
             (make_relation("SBPH", graph)._result_cache, depths, 8),
             (DistanceOracle(make_relation("NNE", graph))._bfs_cache, distances, 4),
@@ -682,8 +678,20 @@ class TestByteAwareCacheBounds:
         for cache, bound, bytes_per_node in caches:
             assert cache.maxsize == bound
             assert cache.bytes_per_entry == num_nodes * bytes_per_node
-        assert CompatibilityEngine(spo)._mask_cache.maxsize == masks
         assert spo._degree_cache.maxsize == 2048
+
+    @pytest.mark.parametrize("num_nodes, distances", [(2_308, 2048), (100_000, 671)])
+    @pytest.mark.parametrize("name", ("SBP", "SBPH"))
+    def test_balanced_oracle_holds_no_cache(self, name, num_nodes, distances):
+        """An SBP/SBPH oracle reads the relation's balanced paths, never a
+        distance row, so it builds no cache; the chunks of
+        ``average_compatible_distance`` keep a distance-row cache's bound."""
+        graph = SignedGraph()
+        for node in range(num_nodes):
+            graph.add_node(node)
+        oracle = DistanceOracle(make_relation(name, graph))
+        assert not any(isinstance(value, LRUCache) for value in vars(oracle).values())
+        assert oracle._cache_bound() == distances
 
     @pytest.mark.parametrize("name", ("SBP", "SBPH"))
     def test_balanced_cache_holds_the_default_epinions_sweep(self, name):

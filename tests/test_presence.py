@@ -1,4 +1,4 @@
-"""SPO's positive-path presence traversal and the caches that hold its results.
+"""SPO's positive-path presence traversal and the row cache that holds its results.
 
 A presence row says, per (source, node), whether some shortest path is
 positive and whether some is negative — exactly ``counts > 0`` of Algorithm
@@ -7,8 +7,8 @@ so its batched misses run the presence traversal in words of at least
 ``PRESENCE_MIN_SOURCES`` sources, and the SPA and SPO degree sweeps reduce
 its planes to two ints per source.  These tests pin the rows and degrees
 against the per-source counting kernel, the answers against fresh relations
-and the reference, and the separation of the presence cache from every
-counts reader.
+and the reference, and that no counts reader takes a presence result from
+the shared row cache.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from repro.compatibility.shortest_path import (
 )
 from repro.datasets import synthetic_signed_network
 from repro.signed import SignedGraph
+from repro.signed.paths import signed_bfs
 from repro.signed.csr import (
     PRESENCE_MIN_SOURCES,
     PRESENCE_ROW,
@@ -245,7 +246,7 @@ class TestPresenceCaches:
         engine.compatible_from_many(nodes, nodes[:4])
         engine.distances_to_team_many(nodes, nodes[4:9])
         assert sum(traversals.values()) == 0
-        assert len(spo._presence_cache) == 0
+        assert not any(result.presence for _, result in spo._bfs_cache.items())
 
     def test_spo_first_then_spa_and_spm_match_fresh(self):
         graph = _graph(80, seed=13)
@@ -253,7 +254,7 @@ class TestPresenceCaches:
         sample = nodes[::2]
         spo = make_relation("SPO", graph)
         spo.batch_bfs(sample)
-        assert len(spo._presence_cache) == len(sample)
+        assert sum(result.presence for _, result in spo._bfs_cache.items()) == len(sample)
         for name in SHORTEST_PATH:
             relation = make_relation(name, graph)
             fresh = make_relation(name, graph.copy())
@@ -273,6 +274,50 @@ class TestPresenceCaches:
             )
             assert memo.get(source) == reference
         assert all(not result.presence for _, result in spo._bfs_cache.items())
+
+    def test_one_row_cache_holds_both_kinds(self, traversals, monkeypatch):
+        """SPO's presence results share the counts results' cache: SPA and
+        SPM take a presence entry as a miss and replace it with counts, and
+        SPO reads either kind without a kernel call."""
+        graph = _graph(60, seed=29)
+        nodes = graph.nodes()
+        spo = make_relation("SPO", graph)
+        rows = spo._bfs_cache
+        spo.batch_bfs(nodes[:12])
+        assert sorted(rows, key=nodes.index) == nodes[:12]
+        assert all(result.presence for _, result in rows.items())
+        spa, spm = make_relation("SPA", graph), make_relation("SPM", graph)
+        # One source through the per-pair path, then batches through
+        # _batch_counts, each mixing replaced and presence entries.
+        spa.are_compatible(nodes[0], nodes[40])
+        assert not rows.get(nodes[0]).presence
+        answered = spa.batch_bfs(nodes[:4]) + spm.batch_bfs(nodes[2:8])
+        answered += [spm._row(nodes[8])]
+        assert not any(result.presence for result in answered)
+        for result in answered:
+            expected = signed_bfs(graph, result.source)
+            assert [result.counts(node) for node in expected.lengths] == [
+                expected.counts(node) for node in expected.lengths
+            ]
+        assert len(rows) == 12
+        assert [rows.get(node).presence for node in nodes[:12]] == [False] * 9 + [True] * 3
+
+        def no_kernel(*args, **kwargs):
+            raise AssertionError("SPO traversed a cached source")
+
+        monkeypatch.setattr(csr_module, "signed_bfs_csr", no_kernel)
+        traversals.clear()
+        fresh = ReferenceRelation("SPO", graph.copy())
+        assert [result.presence for result in spo.batch_bfs(nodes[7:11])] == [
+            False, False, True, True
+        ]
+        oracle = DistanceOracle(spo)
+        for source in nodes[7:11]:
+            assert spo.compatible_with(source) == fresh.compatible_with(source)
+            for node in nodes[::7]:
+                assert spo.are_compatible(source, node) == fresh.are_compatible(source, node)
+                assert oracle.distance(source, node) == fresh.distance(source, node)
+        assert sum(traversals.values()) == 0
 
     def test_spm_engine_never_masks_a_presence_entry(self, monkeypatch):
         graph = _graph(80, seed=19)
@@ -298,12 +343,13 @@ class TestPresenceCaches:
             assert engine.compatible_from_many(nodes, team) == expected
         assert np.dtype(np.bool_) not in planes
 
-    def test_churn_invalidates_the_presence_cache(self):
+    def test_churn_invalidates_presence_rows(self):
         graph = _graph(60, seed=23)
         spo = make_relation("SPO", graph)
         spo.batch_bfs(graph.nodes())
-        presence, counts = spo._presence_cache, spo._bfs_cache
-        assert len(presence) == graph.number_of_nodes() and len(counts) == 0
+        presence = spo._bfs_cache
+        assert len(presence) == graph.number_of_nodes()
+        assert all(result.presence for _, result in presence.items())
         rng = random.Random(4)
         for u, v, sign in rng.sample(sorted(graph.edge_triples(), key=repr), 4):
             graph.set_sign(u, v, -sign)

@@ -572,9 +572,7 @@ class TestOverflowRows:
                 "counts": relation.batch_count_compatible(candidates, candidates),
                 "degrees": relation.batch_compatibility_degrees(candidates),
             }
-            cached = list(relation._bfs_cache.items()) + list(
-                relation._presence_cache.items()
-            )
+            cached = list(relation._bfs_cache.items())
             assert "s" in relation._bfs_cache, phase
             assert all(isinstance(result, CSRSignedBFSResult) for _, result in cached)
             exact = relation._bfs_cache.get("s")
@@ -710,9 +708,7 @@ class TestRowWidths:
             # component: every reader remaps them (row_in).
             single, batched, oracle = assert_matches_reference(graph.copy(), name, warm=True)
             for relation in (single, batched):
-                cached = list(relation._bfs_cache.items()) + list(
-                    relation._presence_cache.items()
-                )
+                cached = list(relation._bfs_cache.items())
                 assert cached, name
                 for _source, result in cached:
                     assert_narrowest(result.lengths_array)
@@ -727,17 +723,13 @@ class TestRowWidths:
     def test_depth_rows_at_the_int8_boundary(self, num_nodes):
         graph = long_path(num_nodes)
         want = np.int8 if num_nodes - 1 <= 127 else np.int16
-        # One path joins each pair, so SPA, SPM and SPO agree; SPO also
-        # reads its presence rows.
+        # One path joins each pair, so SPA, SPM and SPO agree; SPO's cache
+        # also holds presence rows.
         for name in ("SPO", "SBP", "SBPH"):
             single, batched, _oracle = assert_matches_reference(graph.copy(), name, warm=True)
             for relation in (single, batched):
                 if name == "SPO":
-                    rows = [
-                        result.lengths_array
-                        for cache in (relation._bfs_cache, relation._presence_cache)
-                        for _, result in cache.items()
-                    ]
+                    rows = [result.lengths_array for _, result in relation._bfs_cache.items()]
                 else:
                     rows = [
                         lengths._lengths

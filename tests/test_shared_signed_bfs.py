@@ -109,7 +109,7 @@ class TestSharedCache:
         graph = _graph()
 
         def caches(relation):
-            return relation._bfs_cache, relation._presence_cache, relation._degree_cache
+            return relation._bfs_cache, relation._degree_cache
 
         first = make_relation("SPA", graph)
         shared = caches(first)

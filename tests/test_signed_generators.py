@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.datasets import synthetic_signed_network
 from repro.signed import NEGATIVE, POSITIVE, is_balanced, is_connected
 from repro.signed.balance import balanced_triangle_fraction
 from repro.signed.generators import (
@@ -75,6 +76,24 @@ class TestPlantedFactions:
         graph, _ = planted_factions_graph(50, topology=topology, seed=4)
         assert graph.number_of_nodes() == 50
         assert graph.number_of_edges() > 0
+
+    @pytest.mark.parametrize("num_nodes", [4, 6, 8])
+    def test_small_world_degree_past_the_node_count_is_complete(self, num_nodes):
+        # round(average_degree) >= num_nodes: only the complete graph reaches
+        # the requested degree, from either generator.
+        complete = num_nodes * (num_nodes - 1) // 2
+        graph, _ = planted_factions_graph(
+            num_nodes, average_degree=float(num_nodes), topology="small_world", seed=4
+        )
+        assert graph.number_of_edges() == complete
+        dataset_graph, _ = synthetic_signed_network(
+            num_nodes,
+            average_degree=float(num_nodes),
+            negative_fraction=0.2,
+            topology="small_world",
+            seed=4,
+        )
+        assert dataset_graph.number_of_edges() == complete
 
     def test_connected_variant_is_connected(self):
         graph, factions = connected_planted_factions_graph(
